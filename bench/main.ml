@@ -108,10 +108,15 @@ let bench_dataflow_forward =
 let bench_scheduler =
   Test.make ~name:"substrate/continuous-batching-200req"
     (Staged.stage (fun () ->
-         let rng = Hnlpu.Rng.create 5 in
+         let spec =
+           {
+             (Hnlpu.Arrivals.chat ~rate_per_s:5000.0) with
+             Hnlpu.Arrivals.prefill = Hnlpu.Arrivals.Geometric { mean = 64 };
+             decode = Hnlpu.Arrivals.Geometric { mean = 32 };
+           }
+         in
          let reqs =
-           Hnlpu.Scheduler.workload rng ~n:200 ~rate_per_s:5000.0 ~mean_prefill:64
-             ~mean_decode:32
+           Hnlpu.Scheduler.requests ~n:200 (Hnlpu.Arrivals.create ~seed:5 spec)
          in
          ignore (Hnlpu.Scheduler.simulate config reqs)))
 
@@ -296,10 +301,10 @@ let print_signoff () =
    parsers never see NaN. *)
 let serving_report ?(path = "BENCH_serving.json") () =
   let obs = Hnlpu.Obs.Sink.create () in
-  let rng = Hnlpu.Rng.create 7 in
+  (* Arrivals.chat is geometric 128-token prompts and decodes. *)
   let reqs =
-    Hnlpu.Scheduler.workload rng ~n:2000 ~rate_per_s:20_000.0 ~mean_prefill:128
-      ~mean_decode:128
+    Hnlpu.Scheduler.requests ~n:2000
+      (Hnlpu.Arrivals.create ~seed:7 (Hnlpu.Arrivals.chat ~rate_per_s:20_000.0))
   in
   let r = Hnlpu.Scheduler.simulate ~obs config reqs in
   (* Quantiles come from the scheduler's own sketch-backed telemetry
@@ -354,99 +359,6 @@ let serving_report ?(path = "BENCH_serving.json") () =
     (ttft.Hnlpu.Obs.Metrics.p95 *. 1e3)
     (ttft.Hnlpu.Obs.Metrics.p99 *. 1e3)
     (r.Hnlpu.Scheduler.mean_slot_occupancy *. 100.0)
-
-(* --- Telemetry memory trajectory (BENCH_obs.json) ------------------------- *)
-
-(* The scaled serving bench behind the bounded-memory telemetry claim:
-   the same instrumented continuous-batching run at 2k, 20k and 200k
-   requests (100x growth), recording how many heap words the telemetry
-   layer retains at each scale.  Sketch-backed counters-only sinks must
-   stay flat; the opt-in exact mode (raw-sample retention) is run next
-   to them as the contrast.  CI archives the JSON and fails the build if
-   the sketch ceiling regresses more than 2x over the committed
-   baseline. *)
-
-let obs_scale_counts = [ 2_000; 20_000; 200_000 ]
-
-(* Returns only the sink and scalar aggregates so the per-request result
-   list is collectable before live-words is sampled — the trajectory
-   should show telemetry retention, not the simulator's own output. *)
-let obs_scale_run ~exact n =
-  let obs = Hnlpu.Obs.Sink.create ~events:false ~exact_histograms:exact () in
-  let rng = Hnlpu.Rng.create 7 in
-  let reqs =
-    Hnlpu.Scheduler.workload rng ~n ~rate_per_s:20_000.0 ~mean_prefill:128
-      ~mean_decode:128
-  in
-  let r = Hnlpu.Scheduler.simulate ~obs config reqs in
-  (obs, r.Hnlpu.Scheduler.throughput_tokens_per_s, r.Hnlpu.Scheduler.makespan_s)
-
-let obs_report ?(path = "BENCH_obs.json") () =
-  let module J = Hnlpu.Obs.Json in
-  let module M = Hnlpu.Obs.Metrics in
-  let rows =
-    List.map
-      (fun n ->
-        let obs, throughput, makespan_s = obs_scale_run ~exact:false n in
-        Gc.full_major ();
-        let process_live_words = (Gc.stat ()).Gc.live_words in
-        let telemetry_words = Hnlpu.Obs.Sink.live_words obs in
-        let ttft =
-          match M.histogram (Hnlpu.Obs.Sink.metrics obs) "scheduler/ttft_s" with
-          | Some s -> s
-          | None -> failwith "obs_report: missing scheduler/ttft_s"
-        in
-        let exact_obs, _, _ = obs_scale_run ~exact:true n in
-        let exact_telemetry_words = Hnlpu.Obs.Sink.live_words exact_obs in
-        Printf.printf
-          "  %7d requests: telemetry %7d words (exact mode %8d), process \
-           live %9d words, TTFT p95 %.2f ms\n%!"
-          n telemetry_words exact_telemetry_words process_live_words
-          (ttft.M.p95 *. 1e3);
-        ( telemetry_words,
-          J.obj
-            [
-              ("requests", J.int n);
-              ("telemetry_words", J.int telemetry_words);
-              ("exact_telemetry_words", J.int exact_telemetry_words);
-              ("process_live_words", J.int process_live_words);
-              ("throughput_tokens_per_s", J.number throughput);
-              ("makespan_s", J.number makespan_s);
-              ("ttft_p50_s", J.number ttft.M.p50);
-              ("ttft_p95_s", J.number ttft.M.p95);
-              ("ttft_p99_s", J.number ttft.M.p99);
-              ( "exact_over_sketch",
-                J.number
-                  (float_of_int exact_telemetry_words
-                  /. float_of_int telemetry_words) );
-            ] ))
-      obs_scale_counts
-  in
-  let words = List.map fst rows in
-  let first_words = List.hd words in
-  let last_words = List.nth words (List.length words - 1) in
-  let flat_ratio = float_of_int last_words /. float_of_int first_words in
-  let json =
-    J.obj
-      [
-        ("benchmark", J.string "telemetry-memory-trajectory");
-        ("config", J.string config.Hnlpu.Config.name);
-        ("error_bound", J.number Hnlpu.Obs.Sketch.relative_error);
-        ("series", J.arr (List.map snd rows));
-        ("sketch_words_ceiling", J.int (List.fold_left Stdlib.max 0 words));
-        ("flat_ratio_100x", J.number flat_ratio);
-      ]
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc json;
-      output_char oc '\n');
-  Printf.printf
-    "Telemetry memory trajectory -> %s (sketch words x%.2f over 100x \
-     requests)\n"
-    path flat_ratio
 
 (* --- Parallel-speedup benchmark (BENCH_par.json) -------------------------- *)
 
@@ -714,7 +626,7 @@ let fleet_report ?(path = "BENCH_fleet.json") () =
               ("imbalance", J.number r1.Hnlpu.Fleet.imbalance);
               ("ttft_p50_s", J.number ttft_p50);
               ("ttft_p99_s", J.number ttft_p99);
-              ("dispatched", J.int r1.Hnlpu.Fleet.dispatched);
+              ("dispatched", J.int Hnlpu.Fleet.(r1.dispatched));
               ("dropped", J.int r1.Hnlpu.Fleet.dropped);
             ] );
         ( "telemetry",
@@ -744,11 +656,6 @@ let () =
     print_endline
       "Fleet-scale serving benchmark (2,000 nodes, 10^6-request traces)";
     fleet_report ();
-    exit 0
-  end;
-  if Array.exists (( = ) "--obs-scale") Sys.argv then begin
-    print_endline "Telemetry memory trajectory (2k -> 200k requests)";
-    obs_report ();
     exit 0
   end;
   if Array.exists (( = ) "--par") Sys.argv then begin

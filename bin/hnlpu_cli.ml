@@ -36,11 +36,8 @@ let jobs_arg =
 let set_jobs jobs =
   (* Validate HNLPU_DOMAINS up front even when this invocation happens not
      to fan out (1-point sweeps shortcut past width resolution): a typo'd
-     width should fail loudly and cleanly, not as an uncaught exception
-     halfway through a run. *)
-  (try ignore (Par.env_domains ()) with Invalid_argument msg ->
-    prerr_endline ("hnlpu: " ^ msg);
-    exit 2);
+     width should fail loudly and cleanly before the run starts. *)
+  ignore (Par.env_domains ());
   match jobs with None -> () | Some j -> Par.set_default_domains j
 
 (* --- tables ----------------------------------------------------------- *)
@@ -208,7 +205,9 @@ let nre_cmd =
 
 (* --- simulate -------------------------------------------------------------- *)
 
-let simulate_cmd =
+(* The simulate/trace workload: Poisson arrivals with geometric prompt
+   and decode lengths, drawn from a seeded Arrivals cursor. *)
+let requests_term =
   let n = Arg.(value & opt int 200 & info [ "requests"; "n" ] ~doc:"Number of requests.") in
   let rate =
     Arg.(value & opt float 1000.0 & info [ "rate" ] ~doc:"Arrival rate (requests/s).")
@@ -216,17 +215,26 @@ let simulate_cmd =
   let prefill = Arg.(value & opt int 128 & info [ "prefill" ] ~doc:"Mean prompt tokens.") in
   let decode = Arg.(value & opt int 128 & info [ "decode" ] ~doc:"Mean decode tokens.") in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Workload seed.") in
-  let run n rate prefill decode seed context metrics_out =
-    let rng = Rng.create seed in
-    let reqs =
-      Scheduler.workload rng ~n ~rate_per_s:rate ~mean_prefill:prefill ~mean_decode:decode
+  let requests n rate prefill decode seed =
+    let spec =
+      {
+        (Arrivals.chat ~rate_per_s:rate) with
+        Arrivals.prefill = Arrivals.Geometric { mean = prefill };
+        decode = Arrivals.Geometric { mean = decode };
+      }
     in
+    Scheduler.requests ~n (Arrivals.create ~seed spec)
+  in
+  Term.(const requests $ n $ rate $ prefill $ decode $ seed)
+
+let simulate_cmd =
+  let run reqs context metrics_out =
     let obs =
       match metrics_out with None -> None | Some _ -> Some (Obs.Sink.create ())
     in
     let r = Scheduler.simulate ~context ?obs config reqs in
     Printf.printf "Continuous batching on %d slots (%d requests):\n"
-      (Perf.pipeline_slots config) n;
+      (Perf.pipeline_slots config) (List.length reqs);
     Printf.printf "  makespan          %s\n" (Units.seconds r.Scheduler.makespan_s);
     Printf.printf "  tokens processed  %s (%s decode)\n"
       (Units.group_thousands r.Scheduler.tokens_processed)
@@ -256,18 +264,11 @@ let simulate_cmd =
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Continuous-batching workload simulation")
-    Term.(const run $ n $ rate $ prefill $ decode $ seed $ context_arg $ metrics_arg)
+    Term.(const run $ requests_term $ context_arg $ metrics_arg)
 
 (* --- trace ---------------------------------------------------------------- *)
 
 let trace_cmd =
-  let n = Arg.(value & opt int 200 & info [ "requests"; "n" ] ~doc:"Number of requests.") in
-  let rate =
-    Arg.(value & opt float 1000.0 & info [ "rate" ] ~doc:"Arrival rate (requests/s).")
-  in
-  let prefill = Arg.(value & opt int 128 & info [ "prefill" ] ~doc:"Mean prompt tokens.") in
-  let decode = Arg.(value & opt int 128 & info [ "decode" ] ~doc:"Mean decode tokens.") in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Workload seed.") in
   let tokens =
     Arg.(
       value & opt int 200
@@ -288,16 +289,11 @@ let trace_cmd =
       value & opt (some string) None
       & info [ "metrics-json" ] ~docv:"FILE" ~doc:"Write the metrics registry as JSON.")
   in
-  let run n rate prefill decode seed tokens context out jsonl metrics_json =
+  let run reqs tokens context out jsonl metrics_json =
     let obs = Obs.Sink.create () in
     (* One sink, three simulators, one simulated timeline: the serving
        scheduler, the stage-level decode pipeline, and the NoC column
        all-reduces of the MoE combine — plus the thermal operating point. *)
-    let rng = Rng.create seed in
-    let reqs =
-      Scheduler.workload rng ~n ~rate_per_s:rate ~mean_prefill:prefill
-        ~mean_decode:decode
-    in
     let r = Scheduler.simulate ~context ~obs config reqs in
     let t = Trace.run ~tokens ~context ~obs config in
     let bytes = Config.q_dim config / Topology.cols * 2 in
@@ -341,8 +337,8 @@ let trace_cmd =
           the scheduler, the stage-level pipeline and the NoC collectives \
           on one simulated timeline")
     Term.(
-      const run $ n $ rate $ prefill $ decode $ seed $ tokens $ context_arg
-      $ out $ jsonl $ metrics_json)
+      const run $ requests_term $ tokens $ context_arg $ out $ jsonl
+      $ metrics_json)
 
 (* --- generate ------------------------------------------------------------- *)
 
@@ -813,6 +809,7 @@ let fleet_cmd =
       prerr_endline ("hnlpu fleet: " ^ msg);
       exit 1
     in
+    if n < 1 then invalid_arg "fleet: --requests must be at least 1";
     let shards = match shards with Some s -> s | None -> min 8 nodes in
     let cfg = Fleet.config_of_model ~shards ~nodes config in
     let decode_dist =
@@ -923,7 +920,7 @@ let fleet_cmd =
       Printf.printf
         "%s: %d dispatched, %d dropped, %s tokens (%s redispatched) in %s \
          simulated\n"
-        (Fleet.policy_name policy) r.Fleet.dispatched r.Fleet.dropped
+        (Fleet.policy_name policy) Fleet.(r.dispatched) r.Fleet.dropped
         (Units.group_thousands (int_of_float r.Fleet.total_tokens))
         (Units.group_thousands (int_of_float r.Fleet.redispatched_tokens))
         (Units.seconds r.Fleet.makespan_s);
@@ -1306,4 +1303,10 @@ let main =
 let () =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (Some Logs.Warning);
-  exit (Cmd.eval main)
+  (* Library range checks raise Invalid_argument on bad option values:
+     report those as usage errors, not as cmdliner's "internal error". *)
+  match Cmd.eval ~catch:false main with
+  | code -> exit code
+  | exception Invalid_argument msg ->
+    prerr_endline ("hnlpu: " ^ msg);
+    exit 2

@@ -15,10 +15,15 @@ let config = Config.gpt_oss_120b
 let mean_prefill = 512 (* prompt + history *)
 let mean_decode = 256 (* assistant reply *)
 
-let run_load rng rate =
-  let reqs =
-    Scheduler.workload rng ~n:300 ~rate_per_s:rate ~mean_prefill ~mean_decode
+let run_load rate =
+  let spec =
+    {
+      (Arrivals.chat ~rate_per_s:rate) with
+      Arrivals.prefill = Arrivals.Geometric { mean = mean_prefill };
+      decode = Arrivals.Geometric { mean = mean_decode };
+    }
   in
+  let reqs = Scheduler.requests ~n:300 (Arrivals.create ~seed:4242 spec) in
   let r = Scheduler.simulate config reqs in
   let ttft =
     Array.of_list
@@ -50,8 +55,7 @@ let () =
   in
   List.iter
     (fun rate ->
-      let rng = Rng.create 4242 in
-      let r, ttft, finish = run_load rng rate in
+      let r, ttft, finish = run_load rate in
       Table.add_row t
         [
           Printf.sprintf "%.0f" rate;

@@ -100,7 +100,6 @@ module Scheduler = Hnlpu_system.Scheduler
 module Ablation = Hnlpu_system.Ablation
 module Trace = Hnlpu_system.Trace
 module Slo = Hnlpu_system.Slo
-module Multi_node = Hnlpu_system.Multi_node
 module Arrivals = Hnlpu_system.Arrivals
 module Fleet = Hnlpu_system.Fleet
 module Traffic = Hnlpu_system.Traffic

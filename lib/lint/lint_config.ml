@@ -9,8 +9,7 @@
    ("Library.Module" or "Library.Module.function"): a binding is hot when
    its qualified path extends one of these prefixes, so nested helpers of
    a hot function (e.g. [Scheduler.simulate]'s internal loops) are hot
-   too.  Code can also opt in locally with a [[@@hnlpu.hot]] attribute on
-   the binding, and opt out of specific rules with
+   too.  Code can opt out of specific rules with
    [[@@hnlpu.lint_ignore "RULE ..."]] — see the README's Source lint
    section. *)
 
@@ -41,7 +40,7 @@ let default_hot_paths =
     (* Telemetry per-event entry points: once a series exists, recording
        into it must allocate nothing, or instrumented runs lose the
        parallel scaling PR 6 bought.  The cold registration/append paths
-       are separately named ([observe_slow], [exact_append], ...) so the
+       are separately named ([observe_slow], [incr_slow], ...) so the
        component-wise prefix match leaves them out. *)
     ("Hnlpu_obs.Sketch.observe", Leaf);
     ("Hnlpu_obs.Sketch.octave_pos", Leaf);
@@ -52,7 +51,6 @@ let default_hot_paths =
     ("Hnlpu_obs.Metrics.incr", Leaf);
     ("Hnlpu_obs.Metrics.set_stamped", Leaf);
     ("Hnlpu_system.Scheduler.simulate", Driver);
-    ("Hnlpu_system.Scheduler.workload", Driver);
     ("Hnlpu_system.Slo.evaluate", Driver);
     (* Fleet-scale serving: the trace cursor and the dispatch fast path
        run once per simulated request at 10⁶-10⁷ requests per run.  The

@@ -103,14 +103,13 @@ let attr_payload_strings (a : Parsetree.attribute) =
       items
   | _ -> []
 
-let binding_markers attrs =
-  List.fold_left
-    (fun (hot, ignores) (a : Parsetree.attribute) ->
+let lint_ignores attrs =
+  List.concat_map
+    (fun (a : Parsetree.attribute) ->
       match a.attr_name.txt with
-      | "hnlpu.hot" -> (true, ignores)
-      | "hnlpu.lint_ignore" -> (hot, attr_payload_strings a @ ignores)
-      | _ -> (hot, ignores))
-    (false, []) attrs
+      | "hnlpu.lint_ignore" -> attr_payload_strings a
+      | _ -> [])
+    attrs
 
 (* --- Stdlib knowledge ---------------------------------------------------- *)
 
@@ -564,17 +563,14 @@ let lint_structure ~config ~modname (str : structure) =
   in
   let value_binding sub (vb : value_binding) =
     let name = binding_name vb in
-    let attr_hot, ignores = binding_markers vb.vb_attributes in
+    let ignores = lint_ignores vb.vb_attributes in
     (match name with Some n -> st.scope_rev <- n :: st.scope_rev | None -> ());
     (* Nested bindings of a hot binding inherit the outer hot context —
-       only the outermost hot binding establishes the reference depths.
-       An [[@@hnlpu.hot]] attribute always marks a Leaf. *)
+       only the outermost hot binding establishes the reference depths. *)
     let kind_here =
       match st.hot with
       | Some _ -> None
-      | None ->
-        if attr_hot then Some Lint_config.Leaf
-        else Lint_config.hot_kind st.config (subject st)
+      | None -> Lint_config.hot_kind st.config (subject st)
     in
     let saved_hot = st.hot in
     (match kind_here with

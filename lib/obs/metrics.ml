@@ -3,25 +3,18 @@ open Hnlpu_util
 (* Single-float and float-pair records are flat float records, so the
    per-event updates below are plain stores — no fresh float box per
    event.  [incr]/[set_stamped]/[observe] are ALLOC-HOT hot paths (see
-   [Lint_config]); everything that allocates (first registration, exact
-   appends, kind clashes) lives in separately named cold helpers. *)
+   [Lint_config]); everything that allocates (first registration, kind
+   clashes) lives in separately named cold helpers. *)
 
 type counter = { mutable total : float }
 
 type gauge = { mutable value : float; mutable stamp : float }
 
-type exact_buf = { mutable buf : float array; mutable n : int }
+type series = Counter of counter | Gauge of gauge | Hist of Sketch.t
 
-type hist = Sk of Sketch.t | Exact of exact_buf
+type t = { series : (string, series) Hashtbl.t }
 
-type series = Counter of counter | Gauge of gauge | Hist of hist
-
-type t = { series : (string, series) Hashtbl.t; exact_default : bool }
-
-let create ?(exact_histograms = false) () =
-  { series = Hashtbl.create 32; exact_default = exact_histograms }
-
-let exact_histograms t = t.exact_default
+let create () = { series = Hashtbl.create 32 }
 
 let kind_label = function
   | Counter _ -> "counter"
@@ -63,42 +56,21 @@ let set_stamped t ~stamp name v =
 
 let set t name v = set_stamped t ~stamp:neg_infinity name v
 
-(* Cold relative to sketch appends; exact mode is the opt-in test path. *)
-let exact_append name h v =
-  if Float.is_nan v then
-    invalid_arg (Printf.sprintf "Metrics.observe: nan sample for %S" name);
-  if h.n = Array.length h.buf then begin
-    let bigger = Array.make (2 * h.n) 0.0 in
-    Array.blit h.buf 0 bigger 0 h.n;
-    h.buf <- bigger
-  end;
-  h.buf.(h.n) <- v;
-  h.n <- h.n + 1
-
-(* Cold: first observation of [name] (fixes the histogram's mode) or a
-   kind clash. *)
-let rec observe_slow t exact name v =
+(* Cold: first observation of [name] or a kind clash. *)
+let observe_slow t name v =
   match Hashtbl.find_opt t.series name with
-  | Some (Hist (Sk s)) -> Sketch.observe s v
-  | Some (Hist (Exact h)) -> exact_append name h v
+  | Some (Hist s) -> Sketch.observe s v
   | Some s -> clash name s
   | None ->
-    let want_exact =
-      match exact with Some b -> b | None -> t.exact_default
-    in
-    let h =
-      if want_exact then Exact { buf = Array.make 64 0.0; n = 0 }
-      else Sk (Sketch.create ())
-    in
-    Hashtbl.add t.series name (Hist h);
-    observe_slow t exact name v
+    let s = Sketch.create () in
+    Hashtbl.add t.series name (Hist s);
+    Sketch.observe s v
 
-let observe t ?exact name v =
+let observe t name v =
   match Hashtbl.find t.series name with
-  | Hist (Sk s) -> Sketch.observe s v
-  | Hist (Exact h) -> exact_append name h v
-  | _ -> observe_slow t exact name v
-  | exception Not_found -> observe_slow t exact name v
+  | Hist s -> Sketch.observe s v
+  | _ -> observe_slow t name v
+  | exception Not_found -> observe_slow t name v
 
 let counter t name =
   match Hashtbl.find_opt t.series name with
@@ -125,36 +97,16 @@ type summary = {
   p99 : float;
 }
 
-let samples t name =
-  match Hashtbl.find_opt t.series name with
-  | Some (Hist (Exact h)) -> Some (Array.sub h.buf 0 h.n)
-  | _ -> None
-
-let summarize xs =
-  let s = Stats.create () in
-  Array.iter (Stats.add s) xs;
+let summarize_hist s =
   {
-    count = Array.length xs;
-    mean = Stats.mean s;
-    min_v = Stats.min s;
-    max_v = Stats.max s;
-    p50 = Stats.percentile xs 0.5;
-    p95 = Stats.percentile xs 0.95;
-    p99 = Stats.percentile xs 0.99;
+    count = Sketch.count s;
+    mean = Sketch.mean s;
+    min_v = Sketch.min_v s;
+    max_v = Sketch.max_v s;
+    p50 = Sketch.quantile s 0.5;
+    p95 = Sketch.quantile s 0.95;
+    p99 = Sketch.quantile s 0.99;
   }
-
-let summarize_hist = function
-  | Exact h -> summarize (Array.sub h.buf 0 h.n)
-  | Sk s ->
-    {
-      count = Sketch.count s;
-      mean = Sketch.mean s;
-      min_v = Sketch.min_v s;
-      max_v = Sketch.max_v s;
-      p50 = Sketch.quantile s 0.5;
-      p95 = Sketch.quantile s 0.95;
-      p99 = Sketch.quantile s 0.99;
-    }
 
 let histogram t name =
   match Hashtbl.find_opt t.series name with
@@ -188,27 +140,14 @@ let merge_into ~into src =
         | Some s -> clash name s
         | None ->
           Hashtbl.add into.series name (Gauge { value = g.value; stamp = g.stamp }))
-      | Some (Hist (Exact h)) ->
-        (* Exact samples replay into whatever [into] holds (or creates),
-           adopting the destination's mode. *)
-        for i = 0 to h.n - 1 do
-          observe into ~exact:true name h.buf.(i)
-        done
-      | Some (Hist (Sk s)) -> (
+      | Some (Hist s) -> (
         match Hashtbl.find_opt into.series name with
-        | Some (Hist (Sk si)) -> Sketch.merge_into ~into:si s
-        | Some (Hist (Exact _)) ->
-          invalid_arg
-            (Printf.sprintf
-               "Metrics.merge_into: %S is a sketch histogram in the source \
-                but exact in the destination (a sketch cannot be replayed \
-                into raw samples)"
-               name)
+        | Some (Hist si) -> Sketch.merge_into ~into:si s
         | Some other -> clash name other
         | None ->
           let fresh = Sketch.create () in
           Sketch.merge_into ~into:fresh s;
-          Hashtbl.add into.series name (Hist (Sk fresh))))
+          Hashtbl.add into.series name (Hist fresh)))
     (names src)
 
 let is_empty t = Hashtbl.length t.series = 0
@@ -216,7 +155,7 @@ let is_empty t = Hashtbl.length t.series = 0
 let live_words t =
   (* Estimate of heap words retained by the registry: per-series payload
      plus the name string and a nominal hashtable-bucket overhead.  The
-     point is the trend BENCH_obs.json tracks, not byte accounting. *)
+     point is the trend over a run, not byte accounting. *)
   List.fold_left
     (fun acc name ->
       let payload =
@@ -224,8 +163,7 @@ let live_words t =
         | None -> 0
         | Some (Counter _) -> 2
         | Some (Gauge _) -> 3
-        | Some (Hist (Sk sk)) -> 2 + Sketch.live_words sk
-        | Some (Hist (Exact h)) -> 4 + Array.length h.buf + 1
+        | Some (Hist sk) -> 2 + Sketch.live_words sk
       in
       acc + payload + ((String.length name + 8) / 8) + 4)
     0 (names t)

@@ -5,12 +5,10 @@
     first use; mixing kinds under one name raises [Invalid_argument], which
     catches instrumentation typos at the call site.
 
-    Histograms feed a bounded-memory deterministic {!Sketch} by default —
-    constant words per series however many samples arrive, p50/p95/p99
-    within the sketch's documented error bound (1/64 relative) of the
-    exact {!Hnlpu_util.Stats.percentile}.  Raw-sample retention is the
-    opt-in exact mode ([~exact:true] per series, or [~exact_histograms]
-    for a whole registry), kept for tests and error-bound validation.
+    Histograms feed a bounded-memory deterministic {!Sketch} — constant
+    words per series however many samples arrive, p50/p95/p99 within the
+    sketch's documented error bound (1/64 relative) of the exact
+    {!Hnlpu_util.Stats.percentile}.
 
     The per-event entry points ([incr], [set_stamped], [observe]) are
     ALLOC-HOT lint hot paths: once a series exists, recording into it
@@ -18,13 +16,7 @@
 
 type t
 
-val create : ?exact_histograms:bool -> unit -> t
-(** [exact_histograms] (default false) makes histograms created by plain
-    {!observe} retain raw samples instead of a sketch — the memory
-    baseline the scaled bench compares against. *)
-
-val exact_histograms : t -> bool
-(** The registry's default histogram mode (what [create] was given). *)
+val create : unit -> t
 
 val incr : t -> ?by:float -> string -> unit
 (** Monotonic counter; [by] defaults to 1. *)
@@ -39,12 +31,9 @@ val set_stamped : t -> stamp:float -> string -> float -> unit
     resolve the same gauge across domain shards by latest stamp instead
     of by merge order. *)
 
-val observe : t -> ?exact:bool -> string -> float -> unit
-(** Histogram sample.  The first observation of a name fixes the
-    series' mode: [~exact:true] retains raw samples, [~exact:false] a
-    sketch, omitted uses the registry default.  Later observations
-    adopt the existing mode regardless of [?exact].  Raises
-    [Invalid_argument] on a NaN sample in either mode. *)
+val observe : t -> string -> float -> unit
+(** Histogram sample into the name's sketch.  Raises [Invalid_argument]
+    on a NaN sample. *)
 
 val counter : t -> string -> float option
 
@@ -65,13 +54,7 @@ type summary = {
 }
 
 val histogram : t -> string -> summary option
-(** Percentiles are exact for an exact-mode series and sketch estimates
-    (within the documented bound) for the default mode. *)
-
-val samples : t -> string -> float array option
-(** A copy of an exact-mode histogram's raw samples, in observation
-    order.  [None] for sketch-backed histograms — the samples no longer
-    exist, which is the point. *)
+(** Percentiles are sketch estimates, within the documented bound. *)
 
 val names : t -> string list
 (** All registered names, sorted (exports are deterministic). *)
@@ -82,25 +65,20 @@ val merge_into : into:t -> t -> unit
     order cannot change the result; sketch histograms merge bucket-wise
     (quantiles/count/min/max independent of merge order; only the
     float-added [sum]/[mean] still want the fixed task-index order all
-    callers use); exact histogram samples replay in observation order.
-    Names are visited sorted.  Raises [Invalid_argument] if a name is
-    bound to different kinds in the two registries, or if a sketch
-    source meets an exact destination (raw samples cannot be
-    reconstructed from buckets — create the shards with matching
-    modes, as {!Sink.create}'s [?exact_histograms] does). *)
+    callers use).  Names are visited sorted.  Raises [Invalid_argument]
+    if a name is bound to different kinds in the two registries. *)
 
 val is_empty : t -> bool
 
 val live_words : t -> int
 (** Estimated heap words retained by the registry (series payloads,
-    names, nominal table overhead).  Flat over time for sketch-backed
-    registries; grows linearly with samples in exact mode — the
-    contrast BENCH_obs.json records. *)
+    names, nominal table overhead).  Flat however many samples the
+    histograms absorb. *)
 
 val to_json : t -> string
 (** [{"counters": {..}, "gauges": {..}, "histograms": {name: {"count": ..,
     "mean": .., "min": .., "max": .., "p50": .., "p95": .., "p99": ..}}}],
-    keys sorted.  The shape is identical for sketch and exact modes. *)
+    keys sorted. *)
 
 val to_table : t -> Hnlpu_util.Table.t
 (** Human-readable rendering: one row per metric, histograms summarized as

@@ -1,21 +1,19 @@
 type t = { ring : Event.t Ring.t; metrics : Metrics.t; record_events : bool }
 
-let create ?(capacity = 65536) ?(events = true) ?exact_histograms () =
+let create ?(capacity = 65536) ?(events = true) () =
   (* A counters-only sink never pushes, so don't pay for the ring's
      slot array — this is what keeps per-domain shard sinks cheap
      enough to create per sweep point. *)
   let capacity = if events then capacity else 1 in
   {
     ring = Ring.create ~capacity;
-    metrics = Metrics.create ?exact_histograms ();
+    metrics = Metrics.create ();
     record_events = events;
   }
 
 let metrics t = t.metrics
 
 let events_enabled t = t.record_events
-
-let exact_histograms t = Metrics.exact_histograms t.metrics
 
 let span ?(cat = "") ?(args = []) t ~track ~name ~start_s ~dur_s =
   if Float.is_nan dur_s || dur_s < 0.0 || dur_s = infinity then

@@ -9,7 +9,7 @@
 
 type t
 
-val create : ?capacity:int -> ?events:bool -> ?exact_histograms:bool -> unit -> t
+val create : ?capacity:int -> ?events:bool -> unit -> t
 (** A fresh sink retaining at most [capacity] (default 65,536) events.
 
     [~events:false] makes a {b counters-only} sink: {!span}, {!instant}
@@ -18,20 +18,12 @@ val create : ?capacity:int -> ?events:bool -> ?exact_histograms:bool -> unit -> 
     {!metrics} registry keeps aggregating.  Parallel sweeps use this for
     their private per-task sinks when the caller's sink is itself
     counters-only, so per-point span records are never built just for a
-    merge to discard them.
-
-    [~exact_histograms] is handed to {!Metrics.create}: default [false]
-    (bounded-memory sketch histograms), [true] retains raw samples.
-    Sharded sweeps propagate the caller's setting to their private
-    sinks so shard merges never mix modes. *)
+    merge to discard them. *)
 
 val metrics : t -> Metrics.t
 
 val events_enabled : t -> bool
 (** [false] for a counters-only sink (created with [~events:false]). *)
-
-val exact_histograms : t -> bool
-(** The underlying registry's histogram mode. *)
 
 val span :
   ?cat:string -> ?args:(string * Event.arg) list -> t ->
@@ -69,4 +61,5 @@ val dropped : t -> int
 val live_words : t -> int
 (** Estimated heap words retained by this sink: ring slots (event
     payloads excluded) plus {!Metrics.live_words}.  The telemetry-memory
-    number BENCH_obs.json plots against request count. *)
+    number the fleet benchmark's flatness gate compares across trace
+    lengths. *)

@@ -6,8 +6,8 @@
     power-of-two boundaries, so the state is a pure function of the
     observation multiset plus the exact [sum]/[min]/[max] scalars), and
     mergeable.  This is what lets the telemetry layer survive 10⁸-event
-    serving runs: {!Hnlpu_obs.Metrics} histograms feed one of these by
-    default instead of retaining raw samples.
+    serving runs: every {!Hnlpu_obs.Metrics} histogram is one of these
+    instead of retained raw samples.
 
     {2 Bucket layout}
 
@@ -86,9 +86,8 @@ val merge_into : into:t -> t -> unit
 
 val live_words : t -> int
 (** Approximate heap words retained by this sketch (scalar fields plus
-    bucket arrays).  Constant once both sign arrays exist — the number
-    BENCH_obs.json tracks to show telemetry memory stays flat while
-    request counts grow 100x. *)
+    bucket arrays).  Constant once both sign arrays exist, so telemetry
+    memory stays flat while request counts grow. *)
 
 val to_json : t -> string
 (** Strict-JSON summary via {!Json}: [{"count": .., "mean": .., "min":

@@ -152,7 +152,6 @@ let two_pi = 8.0 *. atan 1.0
 let draw_tokens t dist =
   match dist with
   | Geometric { mean } ->
-      (* Same family as Scheduler.workload's draw: 1 + floor(Exp(1/mean)). *)
       1 + int_of_float (exp_draw t.rng (1.0 /. float mean))
   | Pareto { alpha; xmin; cap } ->
       (* Inverse-CDF: x = xmin * u^(-1/alpha) with u in (0, 1]. *)

@@ -24,8 +24,7 @@
 
     and two token-length families:
 
-    - [Geometric]: exponential with mean [m], shifted to at least 1 —
-      matches {!Scheduler.workload}'s draw;
+    - [Geometric]: exponential with mean [m], shifted to at least 1;
     - [Pareto]: heavy tail, [P(X > x) = (xmin/x)^alpha] truncated to
       [cap] — the long-context/agentic tail that stresses load-balancing
       policies (a few requests carry most of the tokens when

@@ -1,7 +1,7 @@
 (** Execution-environment configuration a deployment declares for signoff.
 
     Everything stochastic in this codebase takes an explicit {!Hnlpu_util.Rng}
-    ({!Scheduler.workload}, request sampling), {!Slo.sweep} merges the
+    ({!Arrivals}, request sampling), {!Slo.sweep} merges the
     per-rate private telemetry sinks back in rate order after the parallel
     map, and {!Hnlpu_obs.Metrics} exports sorted by key — so a run replays
     bit-identically and is independent of domain-pool width (tested).  A

@@ -101,6 +101,7 @@ let config_of_model ?tech ?(context = 2048) ?(shards = 8) ?(rack_size = 16)
   }
 
 let capacity_req_per_s cfg (spec : Arrivals.spec) =
+  validate_config cfg;
   let p = Arrivals.mean_tokens spec.Arrivals.prefill in
   let d = Arrivals.mean_tokens spec.Arrivals.decode in
   let service_s =
@@ -504,11 +505,8 @@ let make_state cfg shard sink =
 (* One shard's pass over the whole trace (ALLOC-HOT Driver: the arrays,
    sketches and cursor above are setup; the request loop below must not
    allocate). *)
-let run_shard cfg spec policy events requests seed with_obs exact shard =
-  let sink =
-    if with_obs then Some (Sink.create ~events:false ~exact_histograms:exact ())
-    else None
-  in
+let run_shard cfg spec policy events requests seed with_obs shard =
+  let sink = if with_obs then Some (Sink.create ~events:false ()) else None in
   let st = make_state cfg shard sink in
   let cur = Arrivals.create ~seed spec in
   (* Flat read cell: a per-request [Arrivals.arrival_s] accessor call
@@ -615,12 +613,9 @@ let run ?domains ?obs ?(node_events = [||]) ~policy ~requests ~seed cfg spec =
   if requests < 1 then invalid_arg "Fleet.run: requests < 1";
   validate_events cfg node_events;
   let with_obs = Option.is_some obs in
-  let exact =
-    match obs with Some s -> Sink.exact_histograms s | None -> false
-  in
   let outs =
     Par.parallel_init ?domains cfg.shards
-      (run_shard cfg spec policy node_events requests seed with_obs exact)
+      (run_shard cfg spec policy node_events requests seed with_obs)
   in
   (* Merge in shard-index order — the Par convention that makes float
      sums and sink merges independent of the domain count. *)
@@ -712,7 +707,6 @@ type frontier_point = {
 
 let sweep ?domains ?node_events ~policies ~rates ~requests ~seed objectives cfg
     spec =
-  validate_config cfg;
   let capacity = capacity_req_per_s cfg spec in
   let grid =
     List.concat_map (fun p -> List.map (fun r -> (p, r)) rates) policies
@@ -740,41 +734,3 @@ let sweep ?domains ?node_events ~policies ~rates ~requests ~seed objectives cfg
           && e2e_p99 <= objectives.max_e2e_p99_s;
       })
     grid
-
-(* Static weight-sequence dispatch — Multi_node's backend.  Least-loaded
-   reuses the indexed-heap idea on accumulated weight: identical choice
-   sequence to the historical O(nodes) first-minimum scan (lex (load,
-   id) order), at O(log nodes) per request. *)
-let dispatch ~policy ~nodes weights =
-  if nodes < 1 then invalid_arg "Fleet.dispatch: nodes must be positive";
-  match policy with
-  | Session_affinity | Power_aware ->
-      invalid_arg "Fleet.dispatch: trace-driven policy needs Fleet.run"
-  | Round_robin -> Array.init (Array.length weights) (fun i -> i mod nodes)
-  | Least_loaded ->
-      let load = Array.make nodes 0.0 in
-      let heap = Array.init nodes (fun i -> i) in
-      let pos = Array.init nodes (fun i -> i) in
-      let less i j = load.(i) < load.(j) || (load.(i) = load.(j) && i < j) in
-      let rec sift_down p =
-        let l = (2 * p) + 1 in
-        if l < nodes then begin
-          let r = l + 1 in
-          let s = if r < nodes && less heap.(r) heap.(l) then r else l in
-          if less heap.(s) heap.(p) then begin
-            let a = heap.(p) and b = heap.(s) in
-            heap.(p) <- b;
-            pos.(b) <- p;
-            heap.(s) <- a;
-            pos.(a) <- s;
-            sift_down s
-          end
-        end
-      in
-      Array.map
-        (fun w ->
-          let i = heap.(0) in
-          load.(i) <- load.(i) +. w;
-          sift_down 0;
-          i)
-        weights

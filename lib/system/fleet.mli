@@ -41,8 +41,7 @@
     - [Round_robin]: cyclic over the shard's nodes, skipping inactive
       ones;
     - [Least_loaded]: the node with the earliest next-free time, via an
-      indexed min-heap — O(log n) per dispatch where the old
-      {!Multi_node} scan was O(n);
+      indexed min-heap — O(log n) per dispatch;
     - [Session_affinity]: a user-id hash pins each user to a home node
       (KV/prefix locality), probing forward within the shard when the
       home node is failed or drained;
@@ -104,7 +103,8 @@ val config_of_model :
 val capacity_req_per_s : config -> Arrivals.spec -> float
 (** Aggregate request rate the fleet can absorb at 100% utilization:
     [nodes / E\[service seconds per request\]] under the spec's mean
-    token counts — the natural unit for offered-rate sweeps. *)
+    token counts — the natural unit for offered-rate sweeps.  Raises
+    [Invalid_argument] on an invalid config (as {!run} would). *)
 
 type result = {
   r_nodes : int;
@@ -179,12 +179,3 @@ val sweep :
     returned grouped by policy in the order given, rates ascending as
     given.  A policy's {e capacity} is the largest rate with
     [meets_slo]. *)
-
-val dispatch : policy:policy -> nodes:int -> float array -> int array
-(** Static assignment for pre-materialized workloads ({!Multi_node}'s
-    backend): [dispatch ~policy ~nodes weights] returns a target node
-    per weight, [Round_robin] cycling and [Least_loaded] accumulating
-    weight on the heap (identical choices to the historical O(nodes)
-    scan, at O(log nodes)).  Raises [Invalid_argument] for the
-    trace-driven policies ([Session_affinity], [Power_aware]) and
-    non-positive [nodes]. *)

@@ -18,22 +18,14 @@ type result = {
   mean_slot_occupancy : float;
 }
 
-(* Module-level so [workload] doesn't rebuild this closure per request
-   (the ALLOC-HOT Driver pass flags let-bound draw closures in loops). *)
-let draw_geometric rng mean =
-  1 + int_of_float (Rng.exponential rng (1.0 /. float_of_int mean))
-
-let workload rng ~n ~rate_per_s ~mean_prefill ~mean_decode =
-  if n <= 0 then invalid_arg "Scheduler.workload: n must be positive";
-  if mean_prefill <= 0 || mean_decode <= 0 then
-    invalid_arg "Scheduler.workload: token means must be positive";
-  let t = ref 0.0 in
+let requests ~n cur =
+  if n < 1 then invalid_arg "Scheduler.requests: n < 1";
   List.init n (fun _ ->
-      t := !t +. Rng.exponential rng rate_per_s;
+      Arrivals.next cur;
       {
-        arrival_s = !t;
-        prefill_tokens = draw_geometric rng mean_prefill;
-        decode_tokens = draw_geometric rng mean_decode;
+        arrival_s = Arrivals.arrival_s cur;
+        prefill_tokens = Arrivals.prefill_tokens cur;
+        decode_tokens = Arrivals.decode_tokens cur;
       })
 
 type token_kind = Prefill | Decode

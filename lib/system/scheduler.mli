@@ -39,10 +39,9 @@ type result = {
   mean_slot_occupancy : float; (** Time-averaged busy slots / total slots. *)
 }
 
-val workload :
-  Hnlpu_util.Rng.t -> n:int -> rate_per_s:float -> mean_prefill:int ->
-  mean_decode:int -> request list
-(** Poisson arrivals with geometric-ish token counts (at least 1 each). *)
+val requests : n:int -> Arrivals.t -> request list
+(** The cursor's next [n] requests, materialized for {!simulate}.  Raises
+    [Invalid_argument] when [n < 1]. *)
 
 val capacity_profile : slots:int -> (float * int) list -> float -> int
 (** [capacity_profile ~slots failures] preprocesses a slot-failure list

@@ -1,5 +1,3 @@
-open Hnlpu_util
-
 type objectives = { ttft_p95_s : float; e2e_p95_s : float }
 
 let interactive = { ttft_p95_s = 0.2; e2e_p95_s = 30.0 }
@@ -16,10 +14,14 @@ type evaluation = {
 let evaluate ?(seed = 1234) ?(requests = 150) ?(mean_prefill = 256)
     ?(mean_decode = 128) ?obs config obj ~rate_per_s =
   if rate_per_s <= 0.0 then invalid_arg "Slo.evaluate: rate must be positive";
-  let rng = Rng.create seed in
-  let reqs =
-    Scheduler.workload rng ~n:requests ~rate_per_s ~mean_prefill ~mean_decode
+  let spec =
+    {
+      (Arrivals.chat ~rate_per_s) with
+      prefill = Geometric { mean = mean_prefill };
+      decode = Geometric { mean = mean_decode };
+    }
   in
+  let reqs = Scheduler.requests ~n:requests (Arrivals.create ~seed spec) in
   let r = Scheduler.simulate ?obs config reqs in
   (* Two streaming sketches instead of a scratch sample array: constant
      memory however many requests complete, quantiles within
@@ -65,10 +67,7 @@ let sweep ?seed ?requests ?mean_prefill ?mean_decode ?domains ?obs config obj
     | None -> [||]
     | Some parent ->
       Array.init (List.length rates) (fun _ ->
-          Hnlpu_obs.Sink.create
-            ~events:(Hnlpu_obs.Sink.events_enabled parent)
-            ~exact_histograms:(Hnlpu_obs.Sink.exact_histograms parent)
-            ())
+          Hnlpu_obs.Sink.create ~events:(Hnlpu_obs.Sink.events_enabled parent) ())
   in
   let tagged = List.mapi (fun i r -> (i, r)) rates in
   let evals =

@@ -27,8 +27,11 @@ val evaluate :
   ?seed:int -> ?requests:int -> ?mean_prefill:int -> ?mean_decode:int ->
   ?obs:Hnlpu_obs.Sink.t ->
   Hnlpu_model.Config.t -> objectives -> rate_per_s:float -> evaluation
-(** One simulated operating point.  [obs] is passed through to
-    {!Scheduler.simulate}. *)
+(** One simulated operating point: [requests] (default 150) Poisson
+    arrivals at [rate_per_s] drawn from an {!Arrivals} cursor seeded with
+    [seed] (default 1234), with geometric prompt and decode lengths of
+    means [mean_prefill] (256) and [mean_decode] (128).  [obs] is passed
+    through to {!Scheduler.simulate}. *)
 
 val sweep :
   ?seed:int -> ?requests:int -> ?mean_prefill:int -> ?mean_decode:int ->

@@ -1,5 +1,5 @@
-(* ALLOC-HOT fixture: a function marked hot via [@@hnlpu.hot] that
-   allocates on every iteration of its loop — tuples, closures, list
+(* ALLOC-HOT fixture: a function registered hot in [Lint.fixture_config]
+   that allocates on every iteration of its loop — tuples, closures, list
    cons/append, Printf, a boxed int64 and a partial application.  Every
    one of these was a real pattern PR 6 had to hand-remove from the
    sweep hot paths. *)
@@ -24,4 +24,3 @@ let hot_loop n =
     acc := !acc + f i + String.length s + Int64.to_int big + g 1 2
   done;
   !acc
-[@@hnlpu.hot]

@@ -106,12 +106,11 @@ let test_csa_width_bounds () =
 
 (* --- Config/scheduler misc ---------------------------------------------------------- *)
 
-let test_scheduler_workload_validation () =
+let test_scheduler_requests_validation () =
   let open Hnlpu_system in
   Alcotest.(check bool) "n=0" true
     (raises (fun () ->
-         Scheduler.workload (Rng.create 0) ~n:0 ~rate_per_s:1.0 ~mean_prefill:1
-           ~mean_decode:1))
+         Scheduler.requests ~n:0 (Arrivals.create ~seed:0 (Arrivals.chat ~rate_per_s:1.0))))
 
 let test_perf_zero_context () =
   (* Decoding the very first token: no cached positions, attention free. *)
@@ -167,7 +166,7 @@ let () =
         ] );
       ( "misc",
         [
-          Alcotest.test_case "workload validation" `Quick test_scheduler_workload_validation;
+          Alcotest.test_case "workload validation" `Quick test_scheduler_requests_validation;
           Alcotest.test_case "zero context" `Quick test_perf_zero_context;
           Alcotest.test_case "topology validation" `Quick test_topology_validation;
           Alcotest.test_case "csv empty" `Quick test_table_csv_empty_rows;

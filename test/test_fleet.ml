@@ -1,5 +1,5 @@
-(* Tests for the GPU-equivalence scaling sweep and the multi-node fleet
-   simulation backing the high-volume scenario. *)
+(* Tests for the GPU-equivalence scaling sweep and the fleet simulation
+   backing the high-volume scenario. *)
 
 open Hnlpu
 
@@ -45,66 +45,6 @@ let test_scaling_paper_equivalence () =
 let test_scaling_table_renders () =
   let s = Table.render (Scaling.to_table (Scaling.sweep ())) in
   Alcotest.(check bool) "renders" true (Thelp.contains s "GPUs to match")
-
-(* --- Multi-node fleet --------------------------------------------------------- *)
-
-let saturating_workload seed =
-  (* Big enough that pipeline fill/drain and decode tails amortize. *)
-  Scheduler.workload (Rng.create seed) ~n:1200 ~rate_per_s:1.0e9 ~mean_prefill:150
-    ~mean_decode:2
-
-let test_fleet_conservation () =
-  let reqs = saturating_workload 1 in
-  let r = Multi_node.simulate ~nodes:4 config reqs in
-  let expected =
-    List.fold_left
-      (fun a q -> a + q.Scheduler.prefill_tokens + q.Scheduler.decode_tokens)
-      0 reqs
-  in
-  Alcotest.(check int) "tokens conserved across nodes" expected r.Multi_node.total_tokens;
-  Alcotest.(check int) "all nodes reported" 4 (List.length r.Multi_node.per_node)
-
-let test_fleet_scales_nearly_linearly () =
-  let reqs = saturating_workload 2 in
-  let e = Multi_node.scaling_efficiency ~nodes:4 config reqs in
-  Alcotest.(check bool) (Printf.sprintf "efficiency %.2f" e) true (e > 0.8 && e <= 1.05)
-
-let test_fleet_least_loaded_balances () =
-  (* Heavy-tailed request sizes: least-loaded keeps imbalance low. *)
-  let rng = Rng.create 3 in
-  let reqs =
-    List.init 200 (fun i ->
-        {
-          Scheduler.arrival_s = 0.0001 *. float_of_int i;
-          prefill_tokens = 1 + Rng.int rng (if i mod 17 = 0 then 2000 else 40);
-          decode_tokens = 1 + Rng.int rng 8;
-        })
-  in
-  let rr = Multi_node.simulate ~policy:Multi_node.Round_robin ~nodes:4 config reqs in
-  let ll = Multi_node.simulate ~policy:Multi_node.Least_loaded ~nodes:4 config reqs in
-  Alcotest.(check bool)
-    (Printf.sprintf "LL %.2f <= RR %.2f imbalance" ll.Multi_node.imbalance
-       rr.Multi_node.imbalance)
-    true
-    (ll.Multi_node.imbalance <= rr.Multi_node.imbalance +. 1e-9);
-  Alcotest.(check bool) "LL close to even" true (ll.Multi_node.imbalance < 1.3)
-
-let test_fleet_empty_node_ok () =
-  (* More nodes than requests: the idle nodes must report zeros. *)
-  let reqs =
-    [ { Scheduler.arrival_s = 0.0; prefill_tokens = 3; decode_tokens = 2 } ]
-  in
-  let r = Multi_node.simulate ~nodes:3 config reqs in
-  Alcotest.(check int) "five tokens" 5 r.Multi_node.total_tokens;
-  let idle = List.filter (fun s -> s.Multi_node.tokens = 0) r.Multi_node.per_node in
-  Alcotest.(check int) "two idle nodes" 2 (List.length idle)
-
-let test_fleet_validation () =
-  Alcotest.(check bool) "zero nodes rejected" true
-    (try
-       ignore (Multi_node.simulate ~nodes:0 config []);
-       false
-     with Invalid_argument _ -> true)
 
 (* --- Fleet: sharded cluster simulator ------------------------------------ *)
 
@@ -171,13 +111,13 @@ let test_fleet_conservation_and_accounting () =
       ~requests:15_000 ~seed:3 cfg spec
   in
   Alcotest.(check int) "dispatched + dropped = requests" 15_000
-    (r.Fleet.dispatched + r.Fleet.dropped);
+    Fleet.(r.dispatched + r.dropped);
   let node_sum = Array.fold_left ( +. ) 0.0 r.Fleet.per_node_tokens in
   Alcotest.(check bool)
     (Printf.sprintf "per-node ledger %.1f ~ total %.1f" node_sum r.Fleet.total_tokens)
     true
     (abs_float (node_sum -. r.Fleet.total_tokens) /. r.Fleet.total_tokens < 1e-9);
-  Alcotest.(check int) "per-node requests sum" r.Fleet.dispatched
+  Alcotest.(check int) "per-node requests sum" Fleet.(r.dispatched)
     (Array.fold_left ( + ) 0 r.Fleet.per_node_requests);
   Alcotest.(check bool) "failures actually moved work" true
     (r.Fleet.redispatched_tokens > 0.0);
@@ -247,28 +187,21 @@ let test_fleet_total_outage_drops () =
   in
   Alcotest.(check bool) "outage drops requests" true (r.Fleet.dropped > 0);
   Alcotest.(check int) "accounting still closes" 2_000
-    (r.Fleet.dispatched + r.Fleet.dropped)
+    Fleet.(r.dispatched + r.dropped)
 
-let test_fleet_dispatch_matches_reference_scan () =
-  (* The indexed heap must reproduce the historical first-minimum scan
-     choice for choice. *)
-  let rng = Rng.create 23 in
-  let weights = Array.init 500 (fun _ -> float (1 + Rng.int rng 2000)) in
-  let nodes = 7 in
-  let heap_targets = Fleet.dispatch ~policy:Fleet.Least_loaded ~nodes weights in
-  let load = Array.make nodes 0.0 in
-  let scan_targets =
-    Array.map
-      (fun w ->
-        let best = ref 0 in
-        for n = 1 to nodes - 1 do
-          if load.(n) < load.(!best) then best := n
-        done;
-        load.(!best) <- load.(!best) +. w;
-        !best)
-      weights
+let test_fleet_idle_nodes_report_zero () =
+  (* More nodes than requests: round-robin gives each request its own
+     node, and every other node reports zero requests and tokens. *)
+  let nodes = 8 and requests = 3 in
+  let cfg = fleet_config nodes 1 in
+  let r =
+    Fleet.run ~policy:Fleet.Round_robin ~requests ~seed:1 cfg (chat_spec cfg 0.5)
   in
-  Alcotest.(check bool) "identical choice sequence" true (heap_targets = scan_targets)
+  let zeros zero a = Array.fold_left (fun n x -> if x = zero then n + 1 else n) 0 a in
+  Alcotest.(check int) "idle request rows" (nodes - requests)
+    (zeros 0 r.Fleet.per_node_requests);
+  Alcotest.(check int) "idle token rows" (nodes - requests)
+    (zeros 0.0 r.Fleet.per_node_tokens)
 
 let test_fleet_sweep_frontier () =
   let cfg = fleet_config 16 2 in
@@ -312,9 +245,7 @@ let test_fleet_run_validation () =
                { Fleet.at_s = 1.0; node = 0; kind = Fleet.Fail };
                { Fleet.at_s = 0.5; node = 1; kind = Fleet.Fail };
              |]
-           ~policy:Fleet.Least_loaded ~requests:10 ~seed:1 cfg spec));
-  Alcotest.(check bool) "static dispatch rejects trace-driven policy" true
-    (rejects (fun () -> Fleet.dispatch ~policy:Fleet.Power_aware ~nodes:4 [| 1.0 |]))
+           ~policy:Fleet.Least_loaded ~requests:10 ~seed:1 cfg spec))
 
 let () =
   Alcotest.run "hnlpu_fleet"
@@ -325,14 +256,6 @@ let () =
           Alcotest.test_case "batching shrinks cluster" `Quick test_scaling_batching_shrinks_cluster;
           Alcotest.test_case "paper equivalence" `Quick test_scaling_paper_equivalence;
           Alcotest.test_case "table" `Quick test_scaling_table_renders;
-        ] );
-      ( "multi-node",
-        [
-          Alcotest.test_case "conservation" `Quick test_fleet_conservation;
-          Alcotest.test_case "near-linear scaling" `Quick test_fleet_scales_nearly_linearly;
-          Alcotest.test_case "least-loaded balances" `Quick test_fleet_least_loaded_balances;
-          Alcotest.test_case "idle nodes" `Quick test_fleet_empty_node_ok;
-          Alcotest.test_case "validation" `Quick test_fleet_validation;
         ] );
       ( "fleet",
         [
@@ -348,8 +271,8 @@ let () =
             test_fleet_session_affinity_pins_users;
           Alcotest.test_case "rack power cap" `Quick test_fleet_power_cap_respected;
           Alcotest.test_case "total outage drops" `Quick test_fleet_total_outage_drops;
-          Alcotest.test_case "heap dispatch = reference scan" `Quick
-            test_fleet_dispatch_matches_reference_scan;
+          Alcotest.test_case "idle nodes report zero" `Quick
+            test_fleet_idle_nodes_report_zero;
           Alcotest.test_case "SLO capacity frontier" `Quick test_fleet_sweep_frontier;
           Alcotest.test_case "fleet validation" `Quick test_fleet_run_validation;
         ] );

@@ -26,7 +26,7 @@ let fixture_dirs () =
   | [] -> Alcotest.fail "lint fixtures not found — build with `dune build @all'"
   | dirs -> dirs
 
-let run_fixtures () = Lint.run ~dirs:(fixture_dirs ()) ()
+let run_fixtures () = Lint.run ~config:Lint.fixture_config ~dirs:(fixture_dirs ()) ()
 
 (* --- Fixture coverage ----------------------------------------------------- *)
 

@@ -391,9 +391,8 @@ let test_jsonl_export () =
 (* --- Scheduler instrumentation ---------------------------------------------- *)
 
 let sched_run ?obs seed =
-  let rng = Hnlpu.Rng.create seed in
   let reqs =
-    Hnlpu.Scheduler.workload rng ~n:40 ~rate_per_s:3000.0 ~mean_prefill:32
+    Thelp.chat_requests ~seed ~n:40 ~rate_per_s:3000.0 ~mean_prefill:32
       ~mean_decode:16
   in
   Hnlpu.Scheduler.simulate ?obs config reqs
@@ -701,21 +700,32 @@ let test_sketch_memory_flat () =
   in
   Alcotest.(check int) "live words independent of sample count"
     (Sketch.live_words small) (Sketch.live_words big);
-  (* Exact-mode registries grow with samples; sketch-backed ones don't. *)
-  let observe_n m ~exact n =
+  let observe_n m n =
     for i = 1 to n do
-      Metrics.observe m ~exact "h" (float_of_int i)
+      Metrics.observe m "h" (float_of_int i)
     done
   in
-  let sk_m = Metrics.create () and ex_m = Metrics.create () in
-  observe_n sk_m ~exact:false 50_000;
-  observe_n ex_m ~exact:true 50_000;
+  let sk_m = Metrics.create () in
+  observe_n sk_m 50_000;
   let sk_baseline = Metrics.live_words sk_m in
-  observe_n sk_m ~exact:false 50_000;
+  observe_n sk_m 50_000;
   Alcotest.(check int) "sketch registry flat under 2x samples" sk_baseline
-    (Metrics.live_words sk_m);
-  Alcotest.(check bool) "exact registry is >10x larger" true
-    (Metrics.live_words ex_m > 10 * sk_baseline)
+    (Metrics.live_words sk_m)
+
+let test_scheduler_sink_flat () =
+  (* A counters-only sink on the scheduler retains the same words at 10x
+     the requests: its telemetry is bounded by its series, not by the
+     trace length. *)
+  let words n =
+    let obs = Sink.create ~events:false () in
+    ignore
+      (Hnlpu.Scheduler.simulate ~obs config
+         (Thelp.chat_requests ~seed:7 ~n ~rate_per_s:20_000.0 ~mean_prefill:16
+            ~mean_decode:16));
+    Sink.live_words obs
+  in
+  Alcotest.(check int) "live words at 2k = at 20k requests" (words 2_000)
+    (words 20_000)
 
 let test_sketch_tiny_and_overflow () =
   (* Below 2^-64 everything collapses into the zero bucket (absolute
@@ -957,6 +967,8 @@ let () =
           Alcotest.test_case "merge order-insensitive" `Quick
             test_sketch_merge_order_insensitive;
           Alcotest.test_case "memory flat" `Quick test_sketch_memory_flat;
+          Alcotest.test_case "scheduler sink flat 2k vs 20k" `Quick
+            test_scheduler_sink_flat;
           Alcotest.test_case "tiny and overflow" `Quick
             test_sketch_tiny_and_overflow;
         ] );

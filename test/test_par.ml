@@ -145,7 +145,7 @@ let test_simulate_with_failures_unchanged () =
   (* The prefix-sum capacity must reproduce the fold-based simulator on a
      seeded failure workload, field for field. *)
   let reqs =
-    Scheduler.workload (Rng.create 11) ~n:120 ~rate_per_s:4000.0 ~mean_prefill:64
+    Thelp.chat_requests ~seed:11 ~n:120 ~rate_per_s:4000.0 ~mean_prefill:64
       ~mean_decode:32
   in
   let failures = [ (0.02, 40); (0.05, 80); (0.02, 16) ] in
@@ -165,9 +165,8 @@ let test_evaluate_single_pass_regression () =
      identical quantile), then check the sketch answer stays within its
      documented bound of the exact percentile. *)
   let rate_per_s = 3000.0 in
-  let rng = Rng.create 1234 in
   let reqs =
-    Scheduler.workload rng ~n:150 ~rate_per_s ~mean_prefill:256 ~mean_decode:128
+    Thelp.chat_requests ~seed:1234 ~n:150 ~rate_per_s ~mean_prefill:256 ~mean_decode:128
   in
   let r = Scheduler.simulate config reqs in
   let of_completed f = Array.of_list (List.map f r.Scheduler.completed_requests) in
@@ -302,19 +301,20 @@ let test_metrics_merge () =
   Obs.Metrics.incr a "m/count" ~by:2.0;
   Obs.Metrics.incr b "m/count" ~by:3.0;
   Obs.Metrics.set b "m/gauge" 7.0;
-  (* Exact mode opted in so raw samples survive the merge and can be
-     asserted on; sketch-histogram merging is covered in test_obs. *)
-  Obs.Metrics.observe a ~exact:true "m/hist" 1.0;
-  Obs.Metrics.observe b ~exact:true "m/hist" 2.0;
-  Obs.Metrics.observe b ~exact:true "m/hist" 3.0;
+  Obs.Metrics.observe a "m/hist" 1.0;
+  Obs.Metrics.observe b "m/hist" 2.0;
+  Obs.Metrics.observe b "m/hist" 3.0;
   Obs.Metrics.merge_into ~into:a b;
   Alcotest.(check (option (float 0.0))) "counters add" (Some 5.0)
     (Obs.Metrics.counter a "m/count");
   Alcotest.(check (option (float 0.0))) "gauge copied" (Some 7.0)
     (Obs.Metrics.gauge a "m/gauge");
-  Alcotest.(check (option (array (float 0.0)))) "hist samples appended"
-    (Some [| 1.0; 2.0; 3.0 |])
-    (Obs.Metrics.samples a "m/hist")
+  match Obs.Metrics.histogram a "m/hist" with
+  | None -> Alcotest.fail "merged histogram missing"
+  | Some h ->
+    Alcotest.(check int) "hist count adds" 3 h.Obs.Metrics.count;
+    Alcotest.(check (float 0.0)) "hist min" 1.0 h.Obs.Metrics.min_v;
+    Alcotest.(check (float 0.0)) "hist max" 3.0 h.Obs.Metrics.max_v
 
 let test_metrics_merge_kind_clash () =
   let a = Obs.Metrics.create () and b = Obs.Metrics.create () in

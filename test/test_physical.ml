@@ -196,8 +196,7 @@ let test_traffic_table_renders () =
 (* --- Scheduler fault injection --------------------------------------------------------- *)
 
 let heavy_workload seed =
-  Scheduler.workload (Rng.create seed) ~n:300 ~rate_per_s:1.0e9 ~mean_prefill:100
-    ~mean_decode:2
+  Thelp.chat_requests ~seed ~n:300 ~rate_per_s:1.0e9 ~mean_prefill:100 ~mean_decode:2
 
 let test_faults_conserve_tokens () =
   let reqs = heavy_workload 1 in

@@ -184,8 +184,9 @@ let test_latency_monotone_in_context () =
 (* --- Scheduler --------------------------------------------------------------- *)
 
 let test_scheduler_conservation () =
-  let rng = Rng.create 99 in
-  let reqs = Scheduler.workload rng ~n:40 ~rate_per_s:2000.0 ~mean_prefill:30 ~mean_decode:20 in
+  let reqs =
+    Thelp.chat_requests ~seed:99 ~n:40 ~rate_per_s:2000.0 ~mean_prefill:30 ~mean_decode:20
+  in
   let r = Scheduler.simulate config reqs in
   Alcotest.(check int) "all requests complete" 40 (List.length r.Scheduler.completed_requests);
   let expected_tokens =
@@ -198,8 +199,9 @@ let test_scheduler_conservation () =
   Alcotest.(check int) "decode conservation" expected_decode r.Scheduler.decode_tokens_out
 
 let test_scheduler_ordering_invariants () =
-  let rng = Rng.create 100 in
-  let reqs = Scheduler.workload rng ~n:20 ~rate_per_s:500.0 ~mean_prefill:10 ~mean_decode:10 in
+  let reqs =
+    Thelp.chat_requests ~seed:100 ~n:20 ~rate_per_s:500.0 ~mean_prefill:10 ~mean_decode:10
+  in
   let r = Scheduler.simulate config reqs in
   List.iter
     (fun c ->
@@ -243,9 +245,8 @@ let test_scheduler_fifo_order () =
 
 let test_scheduler_saturation () =
   (* A heavy closed workload must approach the pipeline bound. *)
-  let rng = Rng.create 101 in
   let reqs =
-    Scheduler.workload rng ~n:400 ~rate_per_s:1.0e9 ~mean_prefill:200 ~mean_decode:2
+    Thelp.chat_requests ~seed:101 ~n:400 ~rate_per_s:1.0e9 ~mean_prefill:200 ~mean_decode:2
   in
   let r = Scheduler.simulate config reqs in
   let bound = Scheduler.saturated_throughput config in
@@ -299,9 +300,8 @@ let prop_scheduler_conserves =
   QCheck.Test.make ~name:"scheduler conserves tokens" ~count:15
     QCheck.(triple (int_range 1 30) (int_range 1 60) (int_range 0 100000))
     (fun (n, mean, seed) ->
-      let rng = Rng.create seed in
       let reqs =
-        Scheduler.workload rng ~n ~rate_per_s:10_000.0 ~mean_prefill:mean ~mean_decode:5
+        Thelp.chat_requests ~seed ~n ~rate_per_s:10_000.0 ~mean_prefill:mean ~mean_decode:5
       in
       let r = Scheduler.simulate config reqs in
       let expected =
