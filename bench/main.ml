@@ -479,11 +479,14 @@ let par_report ?(path = "BENCH_par.json") () =
    (the two results must Marshal byte-identically — the sharded
    determinism guarantee), allocation per request on the serial leg
    (the ALLOC-HOT budget; worker-domain allocations are invisible to
-   Gc.allocated_bytes, so only j=1 is meaningful), telemetry retention
-   at 10^5 vs 10^6 requests (the flat-memory claim), and a policy x
-   fleet-size grid under a fail/recover schedule.  CI archives the JSON
-   and fails the build on an identity mismatch, a flatness ratio above
-   1.5x, or words/request above 2x the committed baseline. *)
+   Gc.allocated_bytes, so only j=1 is meaningful), the same trace on a
+   single shard (replay_ratio = serial_s / shards1_s: near 1 when each
+   request is drawn once, ~shards when every shard replays the whole
+   trace), telemetry retention at 10^5 vs 10^6 requests (the flat-memory
+   claim), and a policy x fleet-size grid under a fail/recover schedule.
+   CI archives the JSON and fails the build on an identity mismatch, a
+   replay ratio above 1.5, a flatness ratio above 1.5x, or words/request
+   above 2x the committed baseline. *)
 
 let fleet_sim_spec cfg =
   (* Chat traffic offered at 85% of the fleet's fluid capacity: loaded
@@ -520,14 +523,22 @@ let fleet_report ?(path = "BENCH_fleet.json") () =
   let identical =
     String.equal (Marshal.to_string r1 []) (Marshal.to_string rj [])
   in
+  let _, shards1_s, _ =
+    fleet_timed ~domains:1 ~policy:ll ~requests
+      { cfg with Hnlpu.Fleet.shards = 1 }
+      spec
+  in
+  let replay_ratio = serial_s /. shards1_s in
   let words_per_request = serial_words /. float_of_int requests in
   let ttft_p50 = Hnlpu.Obs.Sketch.quantile r1.Hnlpu.Fleet.ttft 0.5 in
   let ttft_p99 = Hnlpu.Obs.Sketch.quantile r1.Hnlpu.Fleet.ttft 0.99 in
   Printf.printf
     "  headline: %d nodes, %dk requests (ll): serial %.2f s, j=%d %.2f s \
-     (%.2fM req/s), %.1f words/request, TTFT p50 %.2f ms p99 %.2f ms%s\n%!"
+     (%.2fM req/s), 1 shard %.2f s (replay x%.2f), %.1f words/request, \
+     TTFT p50 %.2f ms p99 %.2f ms%s\n%!"
     nodes (requests / 1000) serial_s domains parallel_s
     (float_of_int requests /. parallel_s /. 1e6)
+    shards1_s replay_ratio
     words_per_request (ttft_p50 *. 1e3) (ttft_p99 *. 1e3)
     (if identical then "" else "  [MISMATCH]");
   (* Telemetry retention on an instrumented run must not grow with the
@@ -617,6 +628,8 @@ let fleet_report ?(path = "BENCH_fleet.json") () =
               ("domains", J.int domains);
               ("serial_s", J.number serial_s);
               ("parallel_s", J.number parallel_s);
+              ("shards1_s", J.number shards1_s);
+              ("replay_ratio", J.number replay_ratio);
               ( "sim_requests_per_s",
                 J.number (float_of_int requests /. parallel_s) );
               ("words_per_request", J.number words_per_request);

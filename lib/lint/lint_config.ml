@@ -66,7 +66,6 @@ let default_hot_paths =
     ("Hnlpu_system.Arrivals.emit_mmpp", Leaf);
     ("Hnlpu_system.Fleet.Hot", Leaf);
     ("Hnlpu_system.Fleet.hash_user", Leaf);
-    ("Hnlpu_system.Fleet.shard_of_node", Leaf);
     ("Hnlpu_system.Fleet.apply_event", Leaf);
     ("Hnlpu_system.Fleet.route_redispatch", Leaf);
     ("Hnlpu_system.Fleet.run_shard", Driver);

@@ -5,7 +5,9 @@
    state lives in the all-float sub-record [fl] (flat representation:
    float stores don't box); the current request's token counts and user
    id are immediate ints on the cursor itself.  Every random draw goes
-   through the immediate-int SplitMix64 [Rng]. *)
+   through the immediate-int SplitMix64 [Rng]: arrivals and lengths
+   through the stream's own generator, the MMPP modulating chain through
+   a second one that depends on the seed alone. *)
 
 open Hnlpu_util
 
@@ -74,7 +76,8 @@ type fl = {
 type clock = { mutable arrival_s : float }
 
 type t = {
-  rng : Rng.t;
+  rng : Rng.t;  (* arrival gaps, thinning, lengths and users *)
+  chain : Rng.t;  (* MMPP state and dwell draws, shared by every stream *)
   spec : spec;
   fl : fl;
   clock : clock;
@@ -124,12 +127,17 @@ let[@inline] unit_draw rng =
    helper whose boxed float return costs ~3 words on every variate. *)
 let[@inline] exp_draw rng rate = -.log (1.0 -. unit_draw rng) /. rate
 
-let create ~seed spec =
+(* The chain generator is the seed's own SplitMix64 sequence
+   ([Rng.create seed]).  [Rng.derive] double-mixes every (seed, stream)
+   pair before its first draw, so no arrival stream starts on it. *)
+let create ?(stream = 0) ~seed spec =
   validate spec;
-  let rng = Rng.derive seed ~stream:0 in
+  let rng = Rng.derive seed ~stream in
+  let chain = Rng.create seed in
   let t =
     {
       rng;
+      chain;
       spec;
       fl = { now_s = 0.0; dwell_until_s = 0.0 };
       clock = { arrival_s = 0.0 };
@@ -142,8 +150,8 @@ let create ~seed spec =
   in
   (match spec.process with
   | Mmpp { rates_per_s; mean_dwell_s } ->
-      t.mmpp_state <- Rng.int rng (Array.length rates_per_s);
-      t.fl.dwell_until_s <- exp_draw rng (1.0 /. mean_dwell_s)
+      t.mmpp_state <- Rng.int chain (Array.length rates_per_s);
+      t.fl.dwell_until_s <- exp_draw chain (1.0 /. mean_dwell_s)
   | Poisson _ | Diurnal _ -> ());
   t
 
@@ -181,7 +189,9 @@ let rec emit_diurnal t =
 
 (* Emit Poisson arrivals at the dwelling state's rate; a candidate gap
    that overshoots the dwell is discarded and redrawn in the next state —
-   valid because the exponential is memoryless. *)
+   valid because the exponential is memoryless.  Switches and dwells draw
+   from [t.chain] only, so every stream of one seed walks the same chain
+   whatever its arrival rate. *)
 let rec emit_mmpp t =
   match t.spec.process with
   | Mmpp { rates_per_s; mean_dwell_s } ->
@@ -193,10 +203,10 @@ let rec emit_mmpp t =
         let k = Array.length rates_per_s in
         (if k > 1 then
            (* Uniform switch to a *different* state. *)
-           let j = Rng.int t.rng (k - 1) in
+           let j = Rng.int t.chain (k - 1) in
            t.mmpp_state <- (if j >= t.mmpp_state then j + 1 else j));
         t.fl.dwell_until_s <-
-          t.fl.now_s +. exp_draw t.rng (1.0 /. mean_dwell_s);
+          t.fl.now_s +. exp_draw t.chain (1.0 /. mean_dwell_s);
         emit_mmpp t
       end
   | Poisson _ | Diurnal _ -> ()
@@ -218,4 +228,5 @@ let arrival_s t = t.clock.arrival_s
 let prefill_tokens t = t.prefill_tokens
 let decode_tokens t = t.decode_tokens
 let user t = t.user
+let mmpp_state t = t.mmpp_state
 let generated t = t.generated

@@ -30,10 +30,12 @@
       policies (a few requests carry most of the tokens when
       [alpha < 2]).
 
-    Everything is driven by an explicit seed through {!Hnlpu_util.Rng},
-    so a cursor restarted from the same seed replays the identical trace
-    (property-tested), which is what lets every {!Fleet} shard re-derive
-    the shared trace instead of receiving a materialized copy. *)
+    Everything is driven by an explicit seed and stream through
+    {!Hnlpu_util.Rng}, so a cursor restarted from the same seed and
+    stream replays the identical trace (property-tested).  Distinct
+    streams of one seed are independent substreams: {!Fleet} gives each
+    shard its own, at [1/shards] of the rate, so every request is drawn
+    once, by the shard that routes it. *)
 
 type length_dist =
   | Geometric of { mean : int }
@@ -70,12 +72,28 @@ val mean_tokens : length_dist -> float
     tail with [alpha <= 1]) — used to size default offered rates against
     fleet capacity. *)
 
+val validate : spec -> unit
+(** Raises [Invalid_argument] on a spec {!create} would reject. *)
+
 type t
 (** A cursor.  Mutable; not thread-safe — each {!Fleet} shard owns one. *)
 
-val create : seed:int -> spec -> t
-(** Validates the spec ([Invalid_argument] on nonpositive rates, means,
-    amplitude outside [0,1), alpha <= 0, empty MMPP, users < 1). *)
+val create : ?stream:int -> seed:int -> spec -> t
+(** A cursor over substream [stream] (default 0) of [seed].  Arrival
+    gaps, thinning, lengths and users draw from
+    [Rng.derive seed ~stream]; stream 0 is the historical single-trace
+    generator.
+
+    An [Mmpp] cursor draws its modulating chain (initial state, dwell
+    times, switches) from a second generator, [Rng.create seed], which
+    depends on the seed alone: every stream of one seed walks the same
+    chain, switching state at the same instants, whatever its rates —
+    so [s] streams at [1/s] of the rate superpose to one MMPP at the full
+    rate.  The chain costs one draw per state switch, not per request.
+
+    Validates the spec ([Invalid_argument] on nonpositive rates, means,
+    amplitude outside [0,1), alpha <= 0, empty MMPP, users < 1, a
+    negative [stream]). *)
 
 val next : t -> unit
 (** Advance to the next request, overwriting the current-request fields
@@ -103,6 +121,10 @@ val decode_tokens : t -> int
 
 val user : t -> int
 (** User id of the current request, in [\[0, users)]. *)
+
+val mmpp_state : t -> int
+(** Index of the [Mmpp] rate state the cursor dwells in (0 for the other
+    processes). *)
 
 val generated : t -> int
 (** Requests generated so far (0 before the first {!next}). *)

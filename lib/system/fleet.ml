@@ -119,9 +119,12 @@ let hash_user u =
   let h = h lxor (h lsr 32) in
   h land max_int
 
+let home_node cfg user = hash_user user mod cfg.nodes
+
 (* Shard ranges are [k*nodes/shards, (k+1)*nodes/shards).  The
    proportional guess [g*shards/nodes] is exact or one low (floor
-   arithmetic), never high — one upward correction suffices. *)
+   arithmetic), never high — one upward correction suffices.  Setup
+   only: it sizes each shard's Session_affinity user pool in [run]. *)
 let shard_of_node g ~nodes ~shards =
   let k = g * shards / nodes in
   let k = if k >= shards then shards - 1 else k in
@@ -143,7 +146,7 @@ type shard_state = {
   lo : int;  (* first global node id of the shard *)
   n : int;  (* nodes owned by the shard *)
   total_nodes : int;
-  total_shards : int;
+  users : int array;  (* Session_affinity: cursor user -> global user id *)
   rack_size : int;
   rack_cap : int;
   idle_after_s : float;
@@ -285,8 +288,9 @@ module Hot = struct
 
   let route_ll st = if st.heap_len = 0 then -1 else st.heap.(0)
 
+  (* [user] indexes the shard's own cursor, whose pool is [st.users]. *)
   let route_sa st user =
-    let home = hash_user user mod st.total_nodes in
+    let home = hash_user (Array.unsafe_get st.users user) mod st.total_nodes in
     probe_active st (home - st.lo) st.n
 
   (* Pop heap minima that would power up a capped rack, stashing them
@@ -445,17 +449,18 @@ type shard_out = {
   o_sink : Sink.t option;
 }
 
-let make_state cfg shard sink =
-  let lo = shard * cfg.nodes / cfg.shards in
-  let hi = (shard + 1) * cfg.nodes / cfg.shards in
-  let n = hi - lo in
+let shard_lo cfg shard = shard * cfg.nodes / cfg.shards
+
+let make_state cfg shard ~users sink =
+  let lo = shard_lo cfg shard in
+  let n = shard_lo cfg (shard + 1) - lo in
   let racks = ((n - 1) / cfg.rack_size) + 1 in
   let st =
     {
       lo;
       n;
       total_nodes = cfg.nodes;
-      total_shards = cfg.shards;
+      users;
       rack_size = cfg.rack_size;
       rack_cap = cfg.rack_power_cap;
       idle_after_s = cfg.idle_after_s;
@@ -502,34 +507,68 @@ let make_state cfg shard sink =
   st.heap_len <- n;
   st
 
-(* One shard's pass over the whole trace (ALLOC-HOT Driver: the arrays,
-   sketches and cursor above are setup; the request loop below must not
-   allocate). *)
-let run_shard cfg spec policy events requests seed with_obs shard =
+(* Session_affinity splits the user pool by home shard: the users whose
+   [hash_user] home node lies in [lo, lo + n), ascending. *)
+let home_users cfg total_users ~lo ~n =
+  let homed u =
+    let g = home_node cfg u in
+    g >= lo && g < lo + n
+  in
+  let count = ref 0 in
+  for u = 0 to total_users - 1 do
+    if homed u then incr count
+  done;
+  let users = Array.make !count 0 in
+  let k = ref 0 in
+  for u = 0 to total_users - 1 do
+    if homed u then begin
+      users.(!k) <- u;
+      incr k
+    end
+  done;
+  users
+
+(* One shard's pass over its own substream (ALLOC-HOT Driver: the
+   arrays, sketches, user table and cursor above are setup; the request
+   loop below must not allocate).  The shard draws exactly [count]
+   requests, all of which it routes: a Poisson stream at [1/shards] of
+   the rate (or, under Session_affinity, of its users' share of the
+   rate) on stream [shard] of the seed. *)
+let run_shard cfg spec policy events counts seed with_obs shard =
   let sink = if with_obs then Some (Sink.create ~events:false ()) else None in
-  let st = make_state cfg shard sink in
-  let cur = Arrivals.create ~seed spec in
-  (* Flat read cell: a per-request [Arrivals.arrival_s] accessor call
-     would box its float return, paid [shards] times per request. *)
-  let clk = Arrivals.clock cur in
+  let lo = shard_lo cfg shard in
+  let n = shard_lo cfg (shard + 1) - lo in
+  let users, share =
+    match policy with
+    | Session_affinity ->
+        let u = home_users cfg spec.Arrivals.users ~lo ~n in
+        (u, float (Array.length u) /. float spec.Arrivals.users)
+    | Round_robin | Least_loaded | Power_aware -> ([||], 1.0 /. float cfg.shards)
+  in
+  let st = make_state cfg shard ~users sink in
+  let count = counts.(shard) in
   let nev = Array.length events in
   let ep = ref 0 in
-  for i = 0 to requests - 1 do
-    Arrivals.next cur;
-    let now = clk.Arrivals.arrival_s in
-    while !ep < nev && (Array.unsafe_get events !ep).at_s <= now do
-      apply_event st policy (Array.unsafe_get events !ep);
-      incr ep
-    done;
-    let owner =
-      match policy with
-      | Session_affinity ->
-          shard_of_node
-            (hash_user (Arrivals.user cur) mod st.total_nodes)
-            ~nodes:st.total_nodes ~shards:st.total_shards
-      | Round_robin | Least_loaded | Power_aware -> i mod st.total_shards
+  if count > 0 then begin
+    let sspec =
+      Arrivals.with_mean_rate spec (Arrivals.mean_rate_per_s spec *. share)
     in
-    if owner = shard then begin
+    let sspec =
+      match policy with
+      | Session_affinity -> { sspec with Arrivals.users = Array.length users }
+      | Round_robin | Least_loaded | Power_aware -> sspec
+    in
+    let cur = Arrivals.create ~stream:shard ~seed sspec in
+    (* Flat read cell: a per-request [Arrivals.arrival_s] accessor call
+       would box its float return. *)
+    let clk = Arrivals.clock cur in
+    for _ = 1 to count do
+      Arrivals.next cur;
+      let now = clk.Arrivals.arrival_s in
+      while !ep < nev && (Array.unsafe_get events !ep).at_s <= now do
+        apply_event st policy (Array.unsafe_get events !ep);
+        incr ep
+      done;
       st.fl.now_s <- now;
       Hot.drain_idle st;
       let idx = Hot.route st policy (Arrivals.user cur) in
@@ -544,7 +583,13 @@ let run_shard cfg spec policy events requests seed with_obs shard =
           (Arrivals.prefill_tokens cur)
           (Arrivals.decode_tokens cur)
           idx
-    end
+    done
+  end;
+  (* Events after the shard's last arrival still apply: a late [Fail]
+     sheds its backlog however early the substream happened to stop. *)
+  while !ep < nev do
+    apply_event st policy (Array.unsafe_get events !ep);
+    incr ep
   done;
   (match st.m with
   | None -> ()
@@ -608,14 +653,48 @@ let validate_events cfg events =
       invalid_arg "Fleet.run: node_events not sorted by time"
   done
 
+(* Split [requests] in proportion to [weights] by largest remainder, so
+   the parts sum exactly; equal remainders favour the lower index. *)
+let apportion requests weights =
+  let total = Array.fold_left ( + ) 0 weights in
+  let counts = Array.map (fun w -> requests * w / total) weights in
+  let left = requests - Array.fold_left ( + ) 0 counts in
+  let rem k = requests * weights.(k) mod total in
+  let order = Array.init (Array.length weights) Fun.id in
+  Array.stable_sort (fun a b -> compare (rem b) (rem a)) order;
+  for i = 0 to left - 1 do
+    counts.(order.(i)) <- counts.(order.(i)) + 1
+  done;
+  counts
+
+(* Requests per shard: an even split, or under Session_affinity a split
+   in proportion to the users homed in each shard. *)
+let shard_requests cfg (spec : Arrivals.spec) policy requests =
+  let weights =
+    match policy with
+    | Session_affinity ->
+        let w = Array.make cfg.shards 0 in
+        for u = 0 to spec.Arrivals.users - 1 do
+          let k =
+            shard_of_node (home_node cfg u) ~nodes:cfg.nodes ~shards:cfg.shards
+          in
+          w.(k) <- w.(k) + 1
+        done;
+        w
+    | Round_robin | Least_loaded | Power_aware -> Array.make cfg.shards 1
+  in
+  apportion requests weights
+
 let run ?domains ?obs ?(node_events = [||]) ~policy ~requests ~seed cfg spec =
   validate_config cfg;
   if requests < 1 then invalid_arg "Fleet.run: requests < 1";
   validate_events cfg node_events;
+  Arrivals.validate spec;
   let with_obs = Option.is_some obs in
+  let counts = shard_requests cfg spec policy requests in
   let outs =
     Par.parallel_init ?domains cfg.shards
-      (run_shard cfg spec policy node_events requests seed with_obs)
+      (run_shard cfg spec policy node_events counts seed with_obs)
   in
   (* Merge in shard-index order — the Par convention that makes float
      sums and sink merges independent of the domain count. *)

@@ -16,23 +16,32 @@
     {2 Sharding and determinism}
 
     The node array is split into [config.shards] contiguous ranges, and
-    {!Hnlpu_par.Par} distributes the shards over domains.  Every shard
-    re-derives the {e same} full trace from the seed (an
-    {!Arrivals} cursor is cheap; a materialized trace is not) and
-    processes only the requests it owns — ownership is
-    [index mod shards], or the target node's shard under
-    [Session_affinity], so a request's routing never depends on another
-    shard's state.  Shard results merge in shard-index order.  Because
-    the shard count is part of [config] (not derived from the domain
-    count), results are {b byte-identical at any [-j]}; the determinism
-    test pins [-j ∈ {1,2,4,8}] including a failure/drain schedule.
+    {!Hnlpu_par.Par} distributes the shards over domains.  Each shard
+    draws its own {!Arrivals} substream ([~stream:shard] of the seed) and
+    routes every request it draws, so each request is generated exactly
+    once.  Under [Round_robin], [Least_loaded] and [Power_aware] shard
+    [k] draws [requests/shards] requests (one more when
+    [k < requests mod shards]) from the spec rescaled to [1/shards] of
+    its rate: a shard's arrivals are a Poisson stream at [λ/shards] (the
+    exact split of a Poisson process), not every [shards]-th arrival of
+    one shared trace.  Under [Session_affinity] a shard serves the users
+    whose home node it holds, at their share of the rate, and the
+    request count is apportioned over shards by largest remainder in
+    proportion to those users.  An [Mmpp] spec keeps one modulating
+    chain per seed, so every shard bursts together.  A request's routing
+    never depends on another shard's state; node events that fall after
+    a shard's last arrival still apply, in order.  Shard results merge
+    in shard-index order.  Because the shard count is part of [config]
+    (not derived from the domain count), results are {b byte-identical
+    at any [-j]}; the determinism test pins [-j ∈ {1,2,4,8}] including
+    a failure/drain schedule.  With [shards = 1] the single substream is
+    stream 0, the whole trace.
 
     The price of shard independence is that routing state is per-shard:
-    [Least_loaded] picks the least-loaded node {e of the request's own
-    shard} (requests interleave across shards round-robin, so shards
-    see statistically identical streams), and rack power caps are
-    enforced within each shard's rack slice.  With thousands of nodes
-    per shard this is the standard "power-of-d-choices over a
+    [Least_loaded] picks the least-loaded node {e of its own shard}
+    (every shard sees a statistically identical stream), and rack power
+    caps are enforced within each shard's rack slice.  With thousands of
+    nodes per shard this is the standard "power-of-d-choices over a
     partition" regime: imbalance numbers stay within a few percent of a
     global scan while the dispatch path stays lock-free. *)
 
@@ -105,6 +114,10 @@ val capacity_req_per_s : config -> Arrivals.spec -> float
     [nodes / E\[service seconds per request\]] under the spec's mean
     token counts — the natural unit for offered-rate sweeps.  Raises
     [Invalid_argument] on an invalid config (as {!run} would). *)
+
+val home_node : config -> int -> int
+(** The node [Session_affinity] pins a user id to (a hash of the id,
+    modulo [nodes]). *)
 
 type result = {
   r_nodes : int;

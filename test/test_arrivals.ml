@@ -1,13 +1,13 @@
 (* Properties of the streaming trace generator: the empirical arrival
    rate matches the configured process, heavy-tail exponents are
-   recoverable from the emitted lengths, and a cursor restarted from the
-   same seed replays the identical trace (the property Fleet's
-   shard-local re-derivation of the shared trace rests on). *)
+   recoverable from the emitted lengths, a cursor restarted from the
+   same seed replays the identical trace, and the substreams Fleet hands
+   its shards superpose to the full-rate process. *)
 
 open Hnlpu
 
-let pull_n spec seed n =
-  let c = Arrivals.create ~seed spec in
+let pull_n ?stream spec seed n =
+  let c = Arrivals.create ?stream ~seed spec in
   Array.init n (fun _ ->
       Arrivals.next c;
       ( Arrivals.arrival_s c,
@@ -101,6 +101,137 @@ let test_arrivals_monotone =
       done;
       !ok)
 
+(* --- substreams ------------------------------------------------------------ *)
+
+let diurnal =
+  Arrivals.Diurnal { mean_rate_per_s = 50.0; amplitude = 0.8; period_s = 8.0 }
+
+let test_default_stream_is_zero =
+  QCheck.Test.make ~name:"create = create ~stream:0 (Poisson, Diurnal)" ~count:20
+    QCheck.(pair (int_range 0 1) (int_range 1 10_000))
+    (fun (kind, seed) ->
+      let process, _ = process_under_test kind in
+      let spec = { (Arrivals.chat ~rate_per_s:1.0) with Arrivals.process } in
+      pull_n spec seed 300 = pull_n ~stream:0 spec seed 300)
+
+(* Stream 0 keeps the single-trace generator bit for bit: the first
+   requests of seed 42, pinned. *)
+let test_stream0_pinned () =
+  let check name process expected =
+    let spec = { (Arrivals.chat ~rate_per_s:1.0) with Arrivals.process } in
+    let got = Array.to_list (pull_n spec 42 3) in
+    List.iter2
+      (fun (t, p, d, u) (t', p', d', u') ->
+        Alcotest.(check (float 0.0)) (name ^ " arrival") t t';
+        Alcotest.(check (list int)) (name ^ " lengths, user") [ p; d; u ] [ p'; d'; u' ])
+      expected got
+  in
+  check "poisson" (Arrivals.Poisson { rate_per_s = 50.0 })
+    [
+      (0x1.e486c6ddc97a3p-6, 62, 157, 8118);
+      (0x1.ea6b0152d340ap-6, 302, 95, 2327);
+      (0x1.6e8885b49e95ep-4, 30, 90, 2859);
+    ];
+  check "diurnal" diurnal
+    [
+      (0x1.0d2e6e7b370bp-6, 157, 118, 8182);
+      (0x1.5d1c02fd98d04p-5, 25, 382, 3475);
+      (0x1.9d05d07eabcf4p-5, 61, 377, 6491);
+    ]
+
+(* [s] substreams at [λ/s], merged, cut at the earliest stream end so no
+   stream has run dry inside the window. *)
+let superpose process ~streams ~per_stream seed =
+  let spec = { (Arrivals.chat ~rate_per_s:1.0) with Arrivals.process } in
+  let rate = Arrivals.mean_rate_per_s spec /. float streams in
+  let sub = Arrivals.with_mean_rate spec rate in
+  let traces =
+    List.init streams (fun stream ->
+        Array.map (fun (t, _, _, _) -> t) (pull_n ~stream sub seed per_stream))
+  in
+  let horizon =
+    List.fold_left (fun h tr -> Float.min h tr.(per_stream - 1)) infinity traces
+  in
+  let merged = Array.concat traces in
+  Array.sort compare merged;
+  (horizon, List.filter (fun t -> t <= horizon) (Array.to_list merged))
+
+let test_superposition_rate =
+  QCheck.Test.make ~name:"s substreams at rate/s superpose to the rate" ~count:20
+    QCheck.(triple (int_range 0 1) (int_range 2 8) (int_range 1 10_000))
+    (fun (kind, streams, seed) ->
+      let process, tol = process_under_test kind in
+      let horizon, merged =
+        superpose process ~streams ~per_stream:(20_000 / streams) seed
+      in
+      let actual = float (List.length merged) /. horizon in
+      abs_float (actual -. 50.0) /. 50.0 < tol)
+
+let test_superposition_poisson_cv () =
+  let _, merged =
+    superpose (Arrivals.Poisson { rate_per_s = 50.0 }) ~streams:8
+      ~per_stream:2_500 3
+  in
+  let ts = Array.of_list merged in
+  let gaps = Array.init (Array.length ts - 1) (fun i -> ts.(i + 1) -. ts.(i)) in
+  let n = float (Array.length gaps) in
+  let mean = Array.fold_left ( +. ) 0.0 gaps /. n in
+  let var =
+    Array.fold_left (fun a g -> a +. ((g -. mean) ** 2.0)) 0.0 gaps /. n
+  in
+  let cv = sqrt var /. mean in
+  Alcotest.(check bool)
+    (Printf.sprintf "merged inter-arrival CV %.3f ~ 1" cv)
+    true
+    (abs_float (cv -. 1.0) < 0.05)
+
+(* The chain state as a function of time, sampled at every arrival of a
+   dense stream; a sparse stream's state is checked wherever the dense
+   samples on both sides agree. *)
+let mmpp_spec rate =
+  {
+    (Arrivals.chat ~rate_per_s:1.0) with
+    Arrivals.process =
+      Arrivals.Mmpp { rates_per_s = [| rate; 2.0 *. rate; 4.0 *. rate |]; mean_dwell_s = 0.5 };
+  }
+
+let states ?stream spec seed n =
+  let c = Arrivals.create ?stream ~seed spec in
+  Array.init n (fun _ ->
+      Arrivals.next c;
+      (Arrivals.arrival_s c, Arrivals.mmpp_state c))
+
+(* (checked, disagreeing) sparse samples against the dense trace. *)
+let chain_agreement dense sparse =
+  let checked = ref 0 and bad = ref 0 and j = ref 0 in
+  Array.iter
+    (fun (t, s) ->
+      while !j + 1 < Array.length dense && fst dense.(!j + 1) <= t do
+        incr j
+      done;
+      if !j + 1 < Array.length dense && fst dense.(!j) <= t then begin
+        let _, before = dense.(!j) and _, after = dense.(!j + 1) in
+        if before = after then begin
+          incr checked;
+          if s <> before then incr bad
+        end
+      end)
+    sparse;
+  (!checked, !bad)
+
+let test_mmpp_streams_share_chain () =
+  let dense = states ~stream:1 (mmpp_spec 400.0) 5 40_000 in
+  let sparse = states ~stream:2 (mmpp_spec 10.0) 5 500 in
+  let checked, bad = chain_agreement dense sparse in
+  Alcotest.(check bool) (Printf.sprintf "%d samples checked" checked) true (checked > 300);
+  Alcotest.(check int) "same seed: same state at the same time" 0 bad;
+  let other = states ~stream:2 (mmpp_spec 10.0) 6 500 in
+  let checked, bad = chain_agreement dense other in
+  Alcotest.(check bool)
+    (Printf.sprintf "other seed: %d of %d samples disagree" bad checked)
+    true
+    (bad > checked / 4)
+
 (* --- unit checks ---------------------------------------------------------- *)
 
 let test_with_mean_rate () =
@@ -185,7 +316,16 @@ let () =
             test_pareto_tail_recovered;
             test_restart_equals_fresh;
             test_arrivals_monotone;
+            test_default_stream_is_zero;
+            test_superposition_rate;
           ] );
+      ( "substreams",
+        [
+          Alcotest.test_case "stream 0 pinned" `Quick test_stream0_pinned;
+          Alcotest.test_case "merged Poisson CV" `Quick test_superposition_poisson_cv;
+          Alcotest.test_case "MMPP chain shared per seed" `Quick
+            test_mmpp_streams_share_chain;
+        ] );
       ( "units",
         [
           Alcotest.test_case "with_mean_rate" `Quick test_with_mean_rate;

@@ -203,6 +203,130 @@ let test_fleet_idle_nodes_report_zero () =
   Alcotest.(check int) "idle token rows" (nodes - requests)
     (zeros 0.0 r.Fleet.per_node_tokens)
 
+(* Request counts per shard, summed from the per-node rows. *)
+let shard_sums cfg (r : Fleet.result) =
+  Array.init cfg.Fleet.shards (fun k ->
+      let lo = k * cfg.Fleet.nodes / cfg.Fleet.shards in
+      let hi = (k + 1) * cfg.Fleet.nodes / cfg.Fleet.shards in
+      Array.fold_left ( + ) 0 (Array.sub r.Fleet.per_node_requests lo (hi - lo)))
+
+let non_sa = [ Fleet.Round_robin; Fleet.Least_loaded; Fleet.Power_aware ]
+
+let test_fleet_fewer_requests_than_shards () =
+  (* 3 requests over 8 single-node shards: shards 0-2 draw one request
+     each, the other five draw nothing and report zero rows. *)
+  let cfg = fleet_config 8 8 in
+  List.iter
+    (fun policy ->
+      let name = Fleet.policy_name policy in
+      let r =
+        Fleet.run ~domains:4 ~policy ~requests:3 ~seed:1 cfg (chat_spec cfg 0.5)
+      in
+      Alcotest.(check int) (name ^ " conserves") 3 Fleet.(r.dispatched + r.dropped);
+      Alcotest.(check (array int))
+        (name ^ " one request per leading shard")
+        [| 1; 1; 1; 0; 0; 0; 0; 0 |]
+        r.Fleet.per_node_requests;
+      Alcotest.(check int)
+        (name ^ " idle token rows")
+        5
+        (Array.fold_left (fun n t -> if t = 0.0 then n + 1 else n) 0 r.Fleet.per_node_tokens))
+    non_sa;
+  let r =
+    Fleet.run ~policy:Fleet.Session_affinity ~requests:3 ~seed:1 cfg (chat_spec cfg 0.5)
+  in
+  Alcotest.(check int) "sa conserves" 3 Fleet.(r.dispatched + r.dropped)
+
+let test_fleet_shard_counts () =
+  (* No events, so nothing drops: each shard routes exactly the requests
+     it was apportioned, 1003 = 251 + 251 + 251 + 250. *)
+  let cfg = fleet_config 64 4 in
+  List.iter
+    (fun policy ->
+      let r = Fleet.run ~policy ~requests:1003 ~seed:2 cfg (chat_spec cfg 0.6) in
+      Alcotest.(check (array int))
+        (Fleet.policy_name policy ^ " per-shard counts")
+        [| 251; 251; 251; 250 |] (shard_sums cfg r))
+    non_sa
+
+let test_fleet_session_affinity_home_shard () =
+  (* A dozen users over 8 shards: every request lands in its user's home
+     shard, even with a quarter of the nodes failing mid-trace, and only
+     home shards see work. *)
+  let cfg = fleet_config 64 8 in
+  let users = 12 in
+  let spec = { (chat_spec cfg 0.1) with Arrivals.users } in
+  let shard_of g = g * cfg.Fleet.shards / cfg.Fleet.nodes in
+  let home_shards = List.init users (fun u -> shard_of (Fleet.home_node cfg u)) in
+  let calm =
+    Fleet.run ~domains:2 ~policy:Fleet.Session_affinity ~requests:3_000 ~seed:4 cfg spec
+  in
+  let homes = List.init users (Fleet.home_node cfg) in
+  Array.iteri
+    (fun g n ->
+      if n > 0 then
+        Alcotest.(check bool) (Printf.sprintf "node %d is a home node" g) true
+          (List.mem g homes))
+    calm.Fleet.per_node_requests;
+  let r =
+    Fleet.run ~domains:2 ~node_events:(chaos cfg) ~policy:Fleet.Session_affinity
+      ~requests:3_000 ~seed:4 cfg spec
+  in
+  Alcotest.(check int) "conserves" 3_000 Fleet.(r.dispatched + r.dropped);
+  Array.iteri
+    (fun k n ->
+      Alcotest.(check bool)
+        (Printf.sprintf "shard %d: %d requests, home shard %b" k n
+           (List.mem k home_shards))
+        (List.mem k home_shards) (n > 0))
+    (shard_sums cfg r)
+
+let test_fleet_fail_after_last_arrival () =
+  (* Offered at 3x capacity, so every node ends the trace with a backlog
+     about twice the trace's length.  A Fail halfway through that backlog
+     comes after every shard's last arrival and must still shed it. *)
+  let cfg = fleet_config 8 4 in
+  let spec = chat_spec cfg 3.0 in
+  let requests = 4_000 in
+  let trace_s = float requests /. Arrivals.mean_rate_per_s spec in
+  let node_events = [| { Fleet.at_s = 2.0 *. trace_s; node = 0; kind = Fleet.Fail } |] in
+  let run domains =
+    Fleet.run ~domains ~node_events ~policy:Fleet.Least_loaded ~requests ~seed:23 cfg spec
+  in
+  let r = run 1 in
+  Alcotest.(check bool)
+    (Printf.sprintf "late Fail moved %.0f tokens" r.Fleet.redispatched_tokens)
+    true
+    (r.Fleet.redispatched_tokens > 0.0);
+  Alcotest.(check int) "conserves" requests Fleet.(r.dispatched + r.dropped);
+  let node_sum = Array.fold_left ( +. ) 0.0 r.Fleet.per_node_tokens in
+  Alcotest.(check bool) "per-node ledger = total" true
+    (abs_float (node_sum -. r.Fleet.total_tokens) /. r.Fleet.total_tokens < 1e-9);
+  Alcotest.(check bool) "j=1 = j=4" true
+    (String.equal (Marshal.to_string r []) (Marshal.to_string (run 4) []))
+
+let test_fleet_shards_agree_with_one () =
+  (* Splitting the trace into per-shard substreams is exact for Poisson
+     arrivals; what changes is routing scope (least-loaded within a
+     shard), which at 70% load costs little. *)
+  let run shards =
+    let cfg = fleet_config 64 shards in
+    Fleet.run ~domains:2 ~policy:Fleet.Least_loaded ~requests:40_000 ~seed:8 cfg
+      (chat_spec cfg 0.7)
+  in
+  let one = run 1 and four = run 4 in
+  let rel a b = abs_float (a -. b) /. b in
+  Alcotest.(check bool)
+    (Printf.sprintf "throughput %.4g vs %.4g" four.Fleet.throughput_tokens_per_s
+       one.Fleet.throughput_tokens_per_s)
+    true
+    (rel four.Fleet.throughput_tokens_per_s one.Fleet.throughput_tokens_per_s < 0.02);
+  let p50 r = Obs.Sketch.quantile r.Fleet.ttft 0.5 in
+  Alcotest.(check bool)
+    (Printf.sprintf "TTFT p50 %.4g vs %.4g" (p50 four) (p50 one))
+    true
+    (rel (p50 four) (p50 one) < 0.10)
+
 let test_fleet_sweep_frontier () =
   let cfg = fleet_config 16 2 in
   let spec = Arrivals.chat ~rate_per_s:1.0 in
@@ -275,5 +399,13 @@ let () =
             test_fleet_idle_nodes_report_zero;
           Alcotest.test_case "SLO capacity frontier" `Quick test_fleet_sweep_frontier;
           Alcotest.test_case "fleet validation" `Quick test_fleet_run_validation;
+          Alcotest.test_case "fewer requests than shards" `Quick
+            test_fleet_fewer_requests_than_shards;
+          Alcotest.test_case "per-shard request counts" `Quick test_fleet_shard_counts;
+          Alcotest.test_case "session affinity stays in home shard" `Quick
+            test_fleet_session_affinity_home_shard;
+          Alcotest.test_case "fail after the last arrival" `Quick
+            test_fleet_fail_after_last_arrival;
+          Alcotest.test_case "4 shards ~ 1 shard" `Quick test_fleet_shards_agree_with_one;
         ] );
     ]
