@@ -54,7 +54,15 @@ let tables_cmd =
   let run jobs which =
     set_jobs jobs;
     match which with
-    | None -> print_string (Experiments.render_all ())
+    | None ->
+      print_string (Experiments.render_all ());
+      List.iter
+        (fun (title, chart) -> Printf.printf "\n%s\n%s" title chart)
+        [
+          ("Figure 12 (area vs the MA SRAM baseline)", Experiments.figure12_chart ());
+          ("Figure 13 (energy per GEMV, log scale, nJ)", Experiments.figure13_chart ());
+          ("Figure 14 (execution-time breakdown per token)", Experiments.figure14_chart ());
+        ]
     | Some name ->
       let pick =
         match String.lowercase_ascii name with
@@ -71,9 +79,7 @@ let tables_cmd =
       in
       (match pick with
       | Some t -> Table.print t
-      | None ->
-        Printf.eprintf "unknown artifact %S\n" name;
-        exit 1)
+      | None -> invalid_arg (Printf.sprintf "tables: unknown artifact %S" name))
   in
   Cmd.v
     (Cmd.info "tables" ~doc:"Regenerate the paper's tables and figures")
@@ -505,9 +511,7 @@ let ablate_cmd =
       chunk ();
       print_newline ();
       window ()
-    | other ->
-      Printf.eprintf "unknown study %S\n" other;
-      exit 1
+    | other -> invalid_arg (Printf.sprintf "ablate: unknown study %S" other)
   in
   Cmd.v
     (Cmd.info "ablate" ~doc:"Ablation studies for the §8 design choices")
@@ -805,10 +809,6 @@ let fleet_cmd =
   let run jobs nodes shards n policy process rate prefill decode pareto users
       seed fail sweep =
     set_jobs jobs;
-    let die msg =
-      prerr_endline ("hnlpu fleet: " ^ msg);
-      exit 1
-    in
     if n < 1 then invalid_arg "fleet: --requests must be at least 1";
     let shards = match shards with Some s -> s | None -> min 8 nodes in
     let cfg = Fleet.config_of_model ~shards ~nodes config in
@@ -816,7 +816,8 @@ let fleet_cmd =
       match pareto with
       | None -> Arrivals.Geometric { mean = decode }
       | Some alpha ->
-        if alpha <= 1.0 then die "--pareto ALPHA must exceed 1 (finite mean)";
+        if alpha <= 1.0 then
+          invalid_arg "fleet: --pareto ALPHA must exceed 1 (finite mean)";
         (* xmin chosen so the (uncapped) Pareto mean alpha*xmin/(alpha-1)
            equals the requested --decode mean. *)
         Arrivals.Pareto
@@ -836,7 +837,15 @@ let fleet_cmd =
           { mean_rate_per_s = 1.0; amplitude = 0.6; period_s = 3600.0 }
       | "mmpp" ->
         Arrivals.Mmpp { rates_per_s = [| 0.5; 2.0 |]; mean_dwell_s = 60.0 }
-      | p -> die (Printf.sprintf "unknown process %S (poisson|diurnal|mmpp)" p)
+      | p ->
+        invalid_arg
+          (Printf.sprintf "fleet: unknown process %S (poisson|diurnal|mmpp)" p)
+    in
+    let policy =
+      match Fleet.policy_of_string policy with
+      | Some p -> p
+      | None ->
+        invalid_arg (Printf.sprintf "fleet: unknown policy %S (rr|ll|sa|pa)" policy)
     in
     let spec =
       {
@@ -911,11 +920,6 @@ let fleet_cmd =
              Fleet.interactive.Fleet.max_e2e_p99_s)
         t
     | None ->
-      let policy =
-        match Fleet.policy_of_string policy with
-        | Some p -> p
-        | None -> die (Printf.sprintf "unknown policy %S (rr|ll|sa|pa)" policy)
-      in
       let r = Fleet.run ?node_events ~policy ~requests:n ~seed cfg spec in
       Printf.printf
         "%s: %d dispatched, %d dropped, %s tokens (%s redispatched) in %s \

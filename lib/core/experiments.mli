@@ -40,8 +40,8 @@ val all : ?domains:int -> unit -> (string * Hnlpu_util.Table.t) list
     width); the list is identical for every width. *)
 
 val render_all : unit -> string
-(** All tables as one report (what [bench/main.exe] prints before the
-    micro-benchmarks). *)
+(** All tables as one report (what [hnlpu tables] prints before the
+    charts). *)
 
 (** {1 Figures as figures} — plain-text chart renderings. *)
 

@@ -1,4 +1,4 @@
-(** Plain-text charts, so the bench harness can render the paper's
+(** Plain-text charts, so [hnlpu tables] can render the paper's
     *figures* as figures, not only as tables. *)
 
 val bar : ?width:int -> ?log:bool -> (string * float) list -> string

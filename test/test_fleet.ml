@@ -327,6 +327,39 @@ let test_fleet_shards_agree_with_one () =
     true
     (rel (p50 four) (p50 one) < 0.10)
 
+(* The headline fleet (2,000 nodes, chat at 85% of capacity, least-loaded,
+   seed 7) run serially: worker-domain allocations are invisible to
+   [Gc.allocated_bytes], so only ~domains:1 measures the dispatch path. *)
+let headline_run ?obs requests =
+  let cfg = Fleet.config_of_model ~nodes:2_000 config in
+  Fleet.run ~domains:1 ?obs ~policy:Fleet.Least_loaded ~requests ~seed:7 cfg
+    (chat_spec cfg 0.85)
+
+let test_fleet_words_per_request () =
+  (* The dispatch path's allocation budget: 2x the 8 words/request the
+     ALLOC-HOT playbook reached. *)
+  let requests = 100_000 in
+  let a0 = Gc.allocated_bytes () in
+  ignore (headline_run requests);
+  let words =
+    (Gc.allocated_bytes () -. a0) /. float_of_int (Sys.word_size / 8)
+  in
+  let per_request = words /. float_of_int requests in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words/request <= 16" per_request)
+    true (per_request <= 16.0)
+
+let test_fleet_sink_flat () =
+  (* A counters-only sink retains the same words at 10x the requests: the
+     fleet's telemetry is bounded by its series, not by the trace. *)
+  let words n =
+    let obs = Obs.Sink.create ~events:false () in
+    ignore (headline_run ~obs n);
+    Obs.Sink.live_words obs
+  in
+  Alcotest.(check int) "live words at 10^4 = at 10^5 requests" (words 10_000)
+    (words 100_000)
+
 let test_fleet_sweep_frontier () =
   let cfg = fleet_config 16 2 in
   let spec = Arrivals.chat ~rate_per_s:1.0 in
@@ -407,5 +440,7 @@ let () =
           Alcotest.test_case "fail after the last arrival" `Quick
             test_fleet_fail_after_last_arrival;
           Alcotest.test_case "4 shards ~ 1 shard" `Quick test_fleet_shards_agree_with_one;
+          Alcotest.test_case "words per request" `Quick test_fleet_words_per_request;
+          Alcotest.test_case "sink flat 10^4 vs 10^5" `Quick test_fleet_sink_flat;
         ] );
     ]
