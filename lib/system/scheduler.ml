@@ -28,43 +28,16 @@ let requests ~n cur =
         decode_tokens = Arrivals.decode_tokens cur;
       })
 
-type token_kind = Prefill | Decode
+(* Events are immediate ints, so pushing one allocates nothing: [wakeup],
+   or [3 * id + kind] for request [id] and one of the kinds below. *)
+let wakeup = -1
+let ev_arrival = 0
+let ev_prefill = 1  (* A prefill token completed. *)
+let ev_decode = 2   (* A decode token completed. *)
 
-(* [ev_prefill]/[ev_decode] are this sequence's completion events, built
-   once at arrival and reused for every token — the simulator pushes one
-   completion per simulated token, and allocating a fresh [Complete] each
-   time was measurable minor-heap traffic under the domain pool. *)
-type seq = {
-  req : request;
-  id : int;
-  mutable prefill_remaining : int;
-  mutable prefill_inflight : int;
-  mutable decode_remaining : int;
-  mutable position : int;                 (** Tokens consumed so far. *)
-  mutable injected_first : float option;  (** First injection time. *)
-  mutable first_token : float option;     (** First decode completion. *)
-  mutable prefill_done : float option;    (** Last prefill-token completion. *)
-  mutable ev_prefill : event;
-  mutable ev_decode : event;
-}
-
-and event = Arrival of seq | Complete of seq * token_kind | Wakeup
-
-let dummy_seq =
-  (* Filler for the queues' and heap's freed slots; never injected. *)
-  {
-    req = { arrival_s = 0.0; prefill_tokens = 1; decode_tokens = 1 };
-    id = -1;
-    prefill_remaining = 0;
-    prefill_inflight = 0;
-    decode_remaining = 0;
-    position = 0;
-    injected_first = None;
-    first_token = None;
-    prefill_done = None;
-    ev_prefill = Wakeup;
-    ev_decode = Wakeup;
-  }
+(* Unset timestamps in the per-sequence float arrays are NaN. *)
+let is_unset (x : float) = x <> x
+[@@inline]
 
 let saturated_throughput ?tech ?(context = 2048) config =
   Perf.throughput_tokens_per_s ?tech config ~context
@@ -78,10 +51,17 @@ type clock = {
   mutable last_time : float;
   mutable makespan : float;
   mutable next_inject : float;
+  mutable woken_for : float;  (** Time of the last pipeline wakeup pushed. *)
 }
 
 let fresh_clock () =
-  { occupancy = 0.0; last_time = 0.0; makespan = 0.0; next_inject = 0.0 }
+  {
+    occupancy = 0.0;
+    last_time = 0.0;
+    makespan = 0.0;
+    next_inject = 0.0;
+    woken_for = neg_infinity;
+  }
 
 let capacity_profile ~slots failures =
   (* Presorted prefix sums: O(log failures) per query instead of folding
@@ -140,35 +120,30 @@ let simulate ?tech ?(context = 2048) ?(context_aware = false) ?(slot_failures = 
     slot_failures;
   let capacity_at = capacity_profile ~slots slot_failures in
   let ii = latency /. float_of_int slots in
-  let events : event Heap.t = Heap.create ~dummy:Wakeup () in
-  List.iteri
+  let reqs = Array.of_list requests in
+  let n = Array.length reqs in
+  (* Per-sequence state, indexed by request id. *)
+  let prefill_remaining = Array.make n 0 in
+  let prefill_inflight = Array.make n 0 in
+  let decode_remaining = Array.make n 0 in
+  let position = Array.make n 0 in  (* Tokens consumed so far. *)
+  let injected_first = Float.Array.make n Float.nan in
+  let first_token = Float.Array.make n Float.nan in  (* First decode completion. *)
+  let prefill_done = Float.Array.make n Float.nan in  (* Last prefill completion. *)
+  let events : int Heap.t = Heap.create ~dummy:wakeup () in
+  Array.iteri
     (fun id r ->
       if r.arrival_s < 0.0 || r.prefill_tokens < 1 || r.decode_tokens < 1 then
         invalid_arg "Scheduler.simulate: malformed request";
-      let s =
-        {
-          req = r;
-          id;
-          prefill_remaining = r.prefill_tokens;
-          prefill_inflight = 0;
-          decode_remaining = r.decode_tokens;
-          position = 0;
-          injected_first = None;
-          first_token = None;
-          prefill_done = None;
-          ev_prefill = Wakeup;
-          ev_decode = Wakeup;
-        }
-      in
-      s.ev_prefill <- Complete (s, Prefill);
-      s.ev_decode <- Complete (s, Decode);
-      Heap.push events ~priority:r.arrival_s (Arrival s))
-    requests;
+      prefill_remaining.(id) <- r.prefill_tokens;
+      decode_remaining.(id) <- r.decode_tokens;
+      Heap.push events ~priority:r.arrival_s ((3 * id) + ev_arrival))
+    reqs;
   List.iter
-    (fun (t, _) -> Heap.push events ~priority:t Wakeup)
+    (fun (t, _) -> Heap.push events ~priority:t wakeup)
     slot_failures;
-  let decode_queue : seq Fifo.t = Fifo.create ~dummy:dummy_seq () in
-  let prefill_queue : seq Fifo.t = Fifo.create ~dummy:dummy_seq () in
+  let decode_queue : int Fifo.t = Fifo.create ~dummy:(-1) () in
+  let prefill_queue : int Fifo.t = Fifo.create ~dummy:(-1) () in
   let busy = ref 0 in
   let completed = ref [] in
   let tokens = ref 0 and decode_tokens_out = ref 0 in
@@ -200,29 +175,25 @@ let simulate ?tech ?(context = 2048) ?(context_aware = false) ?(slot_failures = 
         last_busy := !busy
       end
   in
-  let record_completion (s : seq) ~finish =
+  let record_completion id ~finish =
     match obs with
     | None -> ()
     | Some o ->
       let module Sink = Hnlpu_obs.Sink in
       let module Event = Hnlpu_obs.Event in
       let m = Sink.metrics o in
-      let arrival = s.req.arrival_s in
-      let injected =
-        match s.injected_first with Some x -> x | None -> arrival
-      in
-      let prefill_done =
-        match s.prefill_done with Some x -> x | None -> injected
-      in
-      let first_token =
-        match s.first_token with Some x -> x | None -> finish
-      in
-      let track = obs_track ~thread:(Printf.sprintf "req%04d" s.id) in
+      let r = reqs.(id) in
+      let arrival = r.arrival_s in
+      (* A finished request has set all three timestamps. *)
+      let injected = Float.Array.get injected_first id in
+      let prefill_done = Float.Array.get prefill_done id in
+      let first_token = Float.Array.get first_token id in
+      let track = obs_track ~thread:(Printf.sprintf "req%04d" id) in
       let args =
         [
-          ("id", Event.I s.id);
-          ("prefill_tokens", Event.I s.req.prefill_tokens);
-          ("decode_tokens", Event.I s.req.decode_tokens);
+          ("id", Event.I id);
+          ("prefill_tokens", Event.I r.prefill_tokens);
+          ("decode_tokens", Event.I r.decode_tokens);
         ]
       in
       Sink.span o ~cat:"request" ~args ~track ~name:"request" ~start_s:arrival
@@ -246,10 +217,8 @@ let simulate ?tech ?(context = 2048) ?(context_aware = false) ?(slot_failures = 
   (* Hoisted out of [try_inject]: per-call refs (and the recursive [go]
      closure this loop used to be) were a few words on every event, which
      adds up at one [try_inject] per event over millions of events. *)
-  let injected_wakeup = ref false in
   let injecting = ref false in
   let try_inject now =
-    injected_wakeup := false;
     injecting := true;
     let capacity = capacity_at now in
     while
@@ -260,37 +229,34 @@ let simulate ?tech ?(context = 2048) ?(context_aware = false) ?(slot_failures = 
       if clock.next_inject > now then begin
         (* Pipeline entry busy: leave the queues untouched — popping the
            head and re-pushing it would rotate FIFO order on every
-           stalled injection — and wake up at the slot time. *)
-        if not !injected_wakeup then begin
-          Heap.push events ~priority:clock.next_inject Wakeup;
-          injected_wakeup := true
+           stalled injection — and wake up at the slot time.  One pending
+           wakeup per slot time: [next_inject] only grows, so a second
+           one at the same time would find the entry already taken. *)
+        if clock.woken_for <> clock.next_inject then begin
+          Heap.push events ~priority:clock.next_inject wakeup;
+          clock.woken_for <- clock.next_inject
         end;
         injecting := false
       end
       else begin
-        (* Two separate bindings, not a tuple destructure: the tuple
-           was a 3-word allocation per injected token. *)
         let from_decode = not (Fifo.is_empty decode_queue) in
-        let s =
+        let id =
           if from_decode then Fifo.pop decode_queue else Fifo.pop prefill_queue
         in
-        let kind = if from_decode then Decode else Prefill in
-        (match s.injected_first with
-        | None -> s.injected_first <- Some now
-        | Some _ -> ());
-        (match kind with
-        | Prefill ->
-          s.prefill_remaining <- s.prefill_remaining - 1;
-          s.prefill_inflight <- s.prefill_inflight + 1;
+        if is_unset (Float.Array.get injected_first id) then
+          Float.Array.set injected_first id now;
+        if not from_decode then begin
+          prefill_remaining.(id) <- prefill_remaining.(id) - 1;
+          prefill_inflight.(id) <- prefill_inflight.(id) + 1;
           (* More prefill tokens of this sequence stay in the queue. *)
-          if s.prefill_remaining > 0 then Fifo.push prefill_queue s
-        | Decode -> ());
+          if prefill_remaining.(id) > 0 then Fifo.push prefill_queue id
+        end;
         incr busy;
         clock.next_inject <- now +. ii;
-        s.position <- s.position + 1;
+        position.(id) <- position.(id) + 1;
         Heap.push events
-          ~priority:(now +. latency_at s.position)
-          (match kind with Prefill -> s.ev_prefill | Decode -> s.ev_decode)
+          ~priority:(now +. latency_at position.(id))
+          ((3 * id) + if from_decode then ev_decode else ev_prefill)
       end
     done
   in
@@ -298,42 +264,43 @@ let simulate ?tech ?(context = 2048) ?(context_aware = false) ?(slot_failures = 
     let t = Heap.min_priority events in
     let ev = Heap.take_min events in
     advance_clock t;
-    (match ev with
-    | Wakeup -> try_inject t
-    | Arrival s ->
-      Fifo.push prefill_queue s;
-      try_inject t
-    | Complete (s, kind) ->
-      decr busy;
-      incr tokens;
-      clock.makespan <- t;
-      (match kind with
-      | Prefill ->
-        s.prefill_inflight <- s.prefill_inflight - 1;
-        if s.prefill_remaining = 0 && s.prefill_inflight = 0 then begin
-          s.prefill_done <- Some t;
-          Fifo.push decode_queue s
+    if ev = wakeup then try_inject t
+    else begin
+      let id = ev / 3 and kind = ev mod 3 in
+      if kind = ev_arrival then Fifo.push prefill_queue id
+      else begin
+        decr busy;
+        incr tokens;
+        clock.makespan <- t;
+        if kind = ev_prefill then begin
+          prefill_inflight.(id) <- prefill_inflight.(id) - 1;
+          if prefill_remaining.(id) = 0 && prefill_inflight.(id) = 0 then begin
+            Float.Array.set prefill_done id t;
+            Fifo.push decode_queue id
+          end
         end
-      | Decode ->
-        incr decode_tokens_out;
-        if s.first_token = None then s.first_token <- Some t;
-        s.decode_remaining <- s.decode_remaining - 1;
-        if s.decode_remaining > 0 then Fifo.push decode_queue s
         else begin
-          let injected =
-            match s.injected_first with Some x -> x | None -> s.req.arrival_s
-          in
-          completed :=
-            {
-              request = s.req;
-              first_token_s = (match s.first_token with Some x -> x | None -> t);
-              finish_s = t;
-              queue_wait_s = injected -. s.req.arrival_s;
-            }
-            :: !completed;
-          record_completion s ~finish:t
-        end);
-      try_inject t);
+          incr decode_tokens_out;
+          if is_unset (Float.Array.get first_token id) then
+            Float.Array.set first_token id t;
+          decode_remaining.(id) <- decode_remaining.(id) - 1;
+          if decode_remaining.(id) > 0 then Fifo.push decode_queue id
+          else begin
+            let r = reqs.(id) in
+            completed :=
+              {
+                request = r;
+                first_token_s = Float.Array.get first_token id;
+                finish_s = t;
+                queue_wait_s = Float.Array.get injected_first id -. r.arrival_s;
+              }
+              :: !completed;
+            record_completion id ~finish:t
+          end
+        end
+      end;
+      try_inject t
+    end;
     sample_gauges t
   done;
   let makespan = clock.makespan in

@@ -56,7 +56,9 @@ val simulate :
   ?slot_failures:(float * int) list -> ?obs:Hnlpu_obs.Sink.t ->
   Hnlpu_model.Config.t -> request list -> result
 (** Run to completion of all requests.  [context] sets the per-token
-    latency operating point (default 2048).
+    latency operating point (default 2048).  Events at equal simulated
+    time run in an unspecified but deterministic order: the same inputs
+    always give the same result.
 
     [obs] installs a telemetry sink.  Each completed request records a
     "request" span with "queued"/"prefill"/"decode" child spans and a

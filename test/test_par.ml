@@ -5,7 +5,8 @@
      for every pool width (the determinism guarantee, property-tested);
    - whole sweeps (Slo.sweep, Ablation, Quant_eval) are bit-identical
      across domain counts, including merged telemetry;
-   - Scheduler.capacity_profile matches the naive fold it replaced;
+   - Scheduler.capacity_profile matches the naive fold it replaced, and
+     Scheduler.simulate stays within its words-per-token budget;
    - Slo.evaluate's single-pass percentile arrays match a recomputation. *)
 
 open Hnlpu
@@ -156,6 +157,33 @@ let test_simulate_with_failures_unchanged () =
   Alcotest.(check bool) "capacity shrank during run" true (naive 1.0 < 216);
   Alcotest.(check bool) "throughput positive" true
     (r.Scheduler.throughput_tokens_per_s > 0.0)
+
+let test_simulate_words_per_token () =
+  (* The event loop's allocation budget, below the knee and overloaded
+     (50% and 120% of the 829 req/s where the chat mix saturates one
+     node).  A wakeup storm — several pending wakeups per pipeline-entry
+     time, each re-pushing itself — reads ~46 words/token below the knee. *)
+  List.iter
+    (fun (label, load) ->
+      let reqs =
+        Scheduler.requests ~n:500
+          (Arrivals.create ~seed:1 (Arrivals.chat ~rate_per_s:(load *. 829.0)))
+      in
+      let tokens =
+        List.fold_left
+          (fun a q -> a + q.Scheduler.prefill_tokens + q.Scheduler.decode_tokens)
+          0 reqs
+      in
+      (* Warm the Perf latency cache so the budget covers the loop only. *)
+      ignore (Scheduler.simulate config reqs);
+      let a0 = Gc.allocated_bytes () in
+      ignore (Scheduler.simulate config reqs);
+      let words = (Gc.allocated_bytes () -. a0) /. float_of_int (Sys.word_size / 8) in
+      let per_token = words /. float_of_int tokens in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.2f words/token <= 8" label per_token)
+        true (per_token <= 8.0))
+    [ ("below knee", 0.5); ("overload", 1.2) ]
 
 (* --- Slo: single-pass evaluate and parallel sweep -------------------------- *)
 
@@ -604,6 +632,7 @@ let () =
           Alcotest.test_case "tie groups" `Quick test_capacity_profile_ties;
           Alcotest.test_case "failure workload" `Quick
             test_simulate_with_failures_unchanged;
+          Alcotest.test_case "words per token" `Quick test_simulate_words_per_token;
         ] );
       ( "slo",
         [

@@ -312,6 +312,50 @@ let prop_scheduler_conserves =
       r.Scheduler.tokens_processed = expected
       && List.length r.Scheduler.completed_requests = n)
 
+let prop_scheduler_bookkeeping =
+  (* Request ids index the scheduler's per-sequence state: unsorted input,
+     pile-ups on one arrival instant and slot failures must still return
+     every request once, with consistent timestamps. *)
+  let gen =
+    QCheck.Gen.(
+      let* spread = int_range 0 3 in
+      let request =
+        map3
+          (fun slot prefill_tokens decode_tokens ->
+            { Scheduler.arrival_s = 1e-3 *. float_of_int slot; prefill_tokens; decode_tokens })
+          (int_range 0 spread) (int_range 1 50) (int_range 1 20)
+      in
+      pair
+        (list_size (int_range 1 40) request)
+        (list_size (int_range 0 5) (pair (float_bound_inclusive 0.01) (int_range 0 40))))
+  in
+  let print (reqs, failures) =
+    Printf.sprintf "requests=[%s] failures=[%s]"
+      (String.concat ";"
+         (List.map
+            (fun q ->
+              Printf.sprintf "(%g,%d,%d)" q.Scheduler.arrival_s q.Scheduler.prefill_tokens
+                q.Scheduler.decode_tokens)
+            reqs))
+      (String.concat ";" (List.map (fun (t, k) -> Printf.sprintf "(%g,%d)" t k) failures))
+  in
+  QCheck.Test.make ~name:"scheduler id bookkeeping and edge orders" ~count:100
+    (QCheck.make ~print gen)
+    (fun (reqs, slot_failures) ->
+      let r = Scheduler.simulate ~slot_failures config reqs in
+      let done_ = List.map (fun c -> c.Scheduler.request) r.Scheduler.completed_requests in
+      List.sort compare done_ = List.sort compare reqs
+      && List.for_all
+           (fun c ->
+             c.Scheduler.request.Scheduler.arrival_s <= c.Scheduler.first_token_s
+             && c.Scheduler.first_token_s <= c.Scheduler.finish_s
+             && c.Scheduler.queue_wait_s >= 0.0)
+           r.Scheduler.completed_requests
+      && r.Scheduler.mean_slot_occupancy >= 0.0
+      && r.Scheduler.mean_slot_occupancy <= 1.0
+      && r.Scheduler.throughput_tokens_per_s
+         <= Scheduler.saturated_throughput config *. 1.001)
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let () =
@@ -352,5 +396,5 @@ let () =
           Alcotest.test_case "context-aware short = flat" `Quick test_scheduler_context_aware_matches_flat_when_short;
           Alcotest.test_case "empty" `Quick test_scheduler_empty_edge;
         ] );
-      qsuite "scheduler properties" [ prop_scheduler_conserves ];
+      qsuite "scheduler properties" [ prop_scheduler_conserves; prop_scheduler_bookkeeping ];
     ]
