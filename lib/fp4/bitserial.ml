@@ -4,14 +4,14 @@ let min_int_for bits = -(1 lsl (bits - 1))
 
 let max_int_for bits = (1 lsl (bits - 1)) - 1
 
-let check_range ~bits v =
-  if bits < 2 || bits > 32 then invalid_arg "Bitserial: bits must be in 2..32";
+let check_range ?(caller = "Bitserial") ~bits v =
+  if bits < 2 || bits > 32 then invalid_arg (caller ^ ": bits must be in 2..32");
   let lo = min_int_for bits and hi = max_int_for bits in
   Array.iteri
     (fun i x ->
       if x < lo || x > hi then
         invalid_arg
-          (Printf.sprintf "Bitserial: element %d (=%d) out of %d-bit range" i x
+          (Printf.sprintf "%s: element %d (=%d) out of %d-bit range" caller i x
              bits))
     v
 
@@ -63,3 +63,52 @@ let dot_by_planes ~bits ~weights v =
     total := !total + (!per_plane * plane_weight ~bits b)
   done;
   !total
+
+(* --- Packed view --------------------------------------------------------- *)
+
+let word_bits = 62
+
+let words_for n = (n + word_bits - 1) / word_bits
+
+let set_element packed ~pos i =
+  let k = pos + (i / word_bits) in
+  packed.(k) <- packed.(k) lor (1 lsl (i mod word_bits))
+
+let packed_planes ~bits v =
+  check_range ~bits v;
+  let n = Array.length v in
+  let words = words_for n in
+  let packed = Array.make (bits * words) 0 in
+  for i = 0 to n - 1 do
+    let repr = v.(i) land ((1 lsl bits) - 1) in
+    for b = 0 to bits - 1 do
+      if (repr lsr b) land 1 = 1 then set_element packed ~pos:(b * words) i
+    done
+  done;
+  packed
+
+(* SWAR: 2-bit, then 4-bit, then byte counts, then the bytes summed into the
+   low byte.  The masks stop below bit 62, so every constant is a
+   non-negative OCaml int. *)
+let popcount x =
+  let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
+  let x = x + (x lsr 8) in
+  let x = x + (x lsr 16) in
+  (x + (x lsr 32)) land 0x7F
+[@@inline]
+
+let rec popcount_and_from a i mask j stop acc =
+  if i = stop then acc
+  else
+    popcount_and_from a (i + 1) mask (j + 1) stop
+      (acc + popcount (Array.unsafe_get a i land Array.unsafe_get mask j))
+
+let popcount_and a ~pos mask ~mask_pos ~len =
+  if
+    len < 0 || pos < 0 || mask_pos < 0
+    || pos + len > Array.length a
+    || mask_pos + len > Array.length mask
+  then invalid_arg "Bitserial.popcount_and: word range out of bounds";
+  popcount_and_from a pos mask mask_pos (pos + len) 0

@@ -4,11 +4,17 @@ let block_size = 32
 
 let max_magnitude = 6.0 (* largest E2M1 value *)
 
-let quantize_block xs =
-  let n = Array.length xs in
-  if n = 0 || n > block_size then
-    invalid_arg "Blockscale.quantize_block: block must have 1..32 elements";
-  let amax = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 xs in
+(* [2.0 ** float_of_int e], exactly, including the underflow to 0 below
+   2^-1074 that the scale search relies on. *)
+let pow2 e = Float.ldexp 1.0 e
+
+(* Quantize [xs.(lo) .. xs.(lo + len - 1)] as one block. *)
+let quantize_slice xs lo len =
+  let amax = ref 0.0 in
+  for i = lo to lo + len - 1 do
+    amax := Float.max !amax (Float.abs xs.(i))
+  done;
+  let amax = !amax in
   let scale_exp =
     if amax = 0.0 then 0
     else
@@ -16,18 +22,23 @@ let quantize_block xs =
       let e = int_of_float (Float.ceil (log (amax /. max_magnitude) /. log 2.0)) in
       (* Guard against rounding of the log. *)
       let rec fix e =
-        if amax /. (2.0 ** float_of_int e) > max_magnitude then fix (e + 1)
-        else if e > -126 && amax /. (2.0 ** float_of_int (e - 1)) <= max_magnitude
-        then fix (e - 1)
+        if amax /. pow2 e > max_magnitude then fix (e + 1)
+        else if e > -126 && amax /. pow2 (e - 1) <= max_magnitude then fix (e - 1)
         else e
       in
       fix e
   in
-  let s = 2.0 ** float_of_int scale_exp in
-  { scale_exp; elements = Array.map (fun x -> Fp4.of_float (x /. s)) xs }
+  let s = pow2 scale_exp in
+  { scale_exp; elements = Array.init len (fun k -> Fp4.of_float (xs.(lo + k) /. s)) }
+
+let quantize_block xs =
+  let n = Array.length xs in
+  if n = 0 || n > block_size then
+    invalid_arg "Blockscale.quantize_block: block must have 1..32 elements";
+  quantize_slice xs 0 n
 
 let dequantize_block { scale_exp; elements } =
-  let s = 2.0 ** float_of_int scale_exp in
+  let s = pow2 scale_exp in
   Array.map (fun e -> s *. Fp4.to_float e) elements
 
 let quantize xs =
@@ -35,8 +46,7 @@ let quantize xs =
   let nblocks = (n + block_size - 1) / block_size in
   Array.init nblocks (fun b ->
       let lo = b * block_size in
-      let len = min block_size (n - lo) in
-      quantize_block (Array.sub xs lo len))
+      quantize_slice xs lo (min block_size (n - lo)))
 
 let dequantize blocks =
   Array.concat (Array.to_list (Array.map dequantize_block blocks))

@@ -24,21 +24,21 @@ let neg t = t lxor 8
 
 let of_float x =
   if Float.is_nan x then invalid_arg "Fp4.of_float: nan";
-  let sign = x < 0.0 in
   let m = Float.abs x in
-  (* Nearest magnitude; ties go to the even code (smaller mantissa bit). *)
-  let best = ref 0 and best_err = ref infinity in
-  for i = 0 to 7 do
-    let err = Float.abs (m -. magnitudes.(i)) in
-    if
-      err < !best_err
-      || (err = !best_err && i land 1 = 0 && !best land 1 = 1)
-    then begin
-      best := i;
-      best_err := err
-    end
-  done;
-  if !best = 0 then zero else if sign then !best lor 8 else !best
+  (* Nearest magnitude by the 7 midpoints; a tie goes to the even code
+     (smaller mantissa bit), hence [<=] below an even code and [<] below an
+     odd one. *)
+  let c =
+    if m <= 0.25 then 0
+    else if m < 0.75 then 1
+    else if m <= 1.25 then 2
+    else if m < 1.75 then 3
+    else if m <= 2.5 then 4
+    else if m < 3.5 then 5
+    else if m <= 5.0 then 6
+    else 7
+  in
+  if c <> 0 && x < 0.0 then c lor 8 else c
 
 let all = List.init 16 (fun i -> i)
 
@@ -48,9 +48,13 @@ let equal = Int.equal
 
 let pp fmt t = Format.fprintf fmt "%g" (to_float t)
 
-let to_half_units t =
-  let m = int_of_float (2.0 *. magnitudes.(magnitude_code t)) in
-  if is_negative t then -m else m
+(* [2 * to_float t] for each of the 16 codes. *)
+let half_units =
+  Array.init 16 (fun t ->
+      let m = int_of_float (2.0 *. magnitudes.(magnitude_code t)) in
+      if is_negative t then -m else m)
+
+let to_half_units t = Array.unsafe_get half_units (t land 15)
 
 let of_half_units h =
   let sign = h < 0 in

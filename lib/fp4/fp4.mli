@@ -25,7 +25,8 @@ val to_float : t -> float
 
 val of_float : float -> t
 (** Round-to-nearest-even quantization onto the E2M1 grid; saturates at
-    magnitude 6.  [-0.] and values rounding to zero map to +0. *)
+    magnitude 6, infinities included.  [-0.] and values rounding to zero
+    map to +0.  Raises [Invalid_argument] on NaN. *)
 
 val neg : t -> t
 (** Sign-bit flip.  [neg zero] is the -0 code, which still decodes to 0. *)

@@ -69,6 +69,16 @@ let default_hot_paths =
     ("Hnlpu_system.Fleet.apply_event", Leaf);
     ("Hnlpu_system.Fleet.route_redispatch", Leaf);
     ("Hnlpu_system.Fleet.run_shard", Driver);
+    (* Operator machines: the POPCNT word loop and the E2M1 half-unit
+       lookup run once per word and per MAC; the ME and MA GEMVs are
+       drivers whose per-plane, per-region and per-tile loops allocate
+       nothing (ns and words per GEMV are on hnbench's datapath). *)
+    ("Hnlpu_fp4.Bitserial.popcount", Leaf);
+    ("Hnlpu_fp4.Bitserial.popcount_and", Leaf);
+    ("Hnlpu_fp4.Bitserial.popcount_and_from", Leaf);
+    ("Hnlpu_fp4.Fp4.to_half_units", Leaf);
+    ("Hnlpu_neuron.Metal_embedding.run", Driver);
+    ("Hnlpu_neuron.Mac_array.run", Driver);
   ]
 
 let default = { hot_paths = default_hot_paths }

@@ -5,6 +5,9 @@ type t = {
   gemv : Gemv.t;
   tree_stats : Csa.stats;  (** One neuron's product-reduction tree. *)
   product_bits : int;
+  mult_transistors : int;
+      (** The weight matrix's constant multipliers: depends on the weights
+          only, so it is counted once here. *)
 }
 
 let make gemv =
@@ -13,7 +16,17 @@ let make gemv =
   let product_bits = gemv.Gemv.act_bits + 4 in
   let dummy = Array.make gemv.Gemv.in_features 0 in
   let _, tree_stats = Csa.reduce ~width:product_bits dummy in
-  { gemv; tree_stats; product_bits }
+  let mult_transistors =
+    (* One multiply-by-constant unit per weight, costed per code. *)
+    let cost =
+      Array.init 16 (fun c ->
+          Census.fp4_constant_multiplier ~input_bits:gemv.Gemv.act_bits (Fp4.of_code c))
+    in
+    Array.fold_left
+      (fun acc row -> Array.fold_left (fun acc w -> acc + cost.(Fp4.code w)) acc row)
+      0 gemv.Gemv.weights
+  in
+  { gemv; tree_stats; product_bits; mult_transistors }
 
 let tree_stats t = t.tree_stats
 
@@ -28,19 +41,9 @@ let glitch_factor = 1.8
 let report ?(tech = Tech.n5) t =
   let g = t.gemv in
   let n = g.Gemv.in_features and m = g.Gemv.out_features in
-  let mult_tr =
-    (* Actual constant multipliers of this weight matrix. *)
-    Array.fold_left
-      (fun acc row ->
-        Array.fold_left
-          (fun acc w ->
-            acc + Census.fp4_constant_multiplier ~input_bits:g.Gemv.act_bits w)
-          acc row)
-      0 g.Gemv.weights
-  in
   let tree_tr = Census.csa_cost t.tree_stats * m in
   let out_regs = Census.register (t.product_bits + 12) * m in
-  let transistors = float_of_int (mult_tr + tree_tr + out_regs) in
+  let transistors = float_of_int (t.mult_transistors + tree_tr + out_regs) in
   let fa_ops_per_neuron =
     t.tree_stats.Csa.full_adders + (t.tree_stats.Csa.half_adders / 2)
     + t.tree_stats.Csa.cpa_width
@@ -62,13 +65,16 @@ let report ?(tech = Tech.n5) t =
 
 let run t x =
   let g = t.gemv in
+  Gemv.check_activations ~caller:"Cell_embedding.run" g x;
   (* Form all products combinationally, then reduce per neuron — the CE
      datapath shape.  Must equal the reference by construction. *)
   let out =
     Array.map
       (fun row ->
         let acc = ref 0 in
-        Array.iteri (fun i w -> acc := !acc + (Fp4.to_half_units w * x.(i))) row;
+        for i = 0 to g.Gemv.in_features - 1 do
+          acc := !acc + (Fp4.to_half_units row.(i) * x.(i))
+        done;
         !acc)
       g.Gemv.weights
   in

@@ -16,7 +16,8 @@ val make : Gemv.t -> t
 
 val run : t -> int array -> int array * Report.t
 (** Execute, returning half-unit results (always equal to
-    {!Gemv.reference}) and the PPA report at 5 nm. *)
+    {!Gemv.reference}) and the PPA report at 5 nm.  Rejects bad activations
+    with {!Gemv.check_activations}. *)
 
 val report : ?tech:Hnlpu_gates.Tech.t -> t -> Report.t
 

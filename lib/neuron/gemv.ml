@@ -36,6 +36,14 @@ let random_activations rng t =
 
 let paper_benchmark rng = random rng ~in_features:1024 ~out_features:128 ~act_bits:8
 
+let check_activations ~caller t x =
+  let n = Array.length x in
+  if n <> t.in_features then
+    invalid_arg
+      (Printf.sprintf "%s: %d activations, expected in_features = %d" caller n
+         t.in_features);
+  Bitserial.check_range ~caller ~bits:t.act_bits x
+
 let reference t x =
   if Array.length x <> t.in_features then
     invalid_arg "Gemv.reference: activation length mismatch";

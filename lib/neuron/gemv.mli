@@ -32,6 +32,12 @@ val paper_benchmark : Hnlpu_util.Rng.t -> t
 (** The paper's operator benchmark: 1x1024 input against a 1024x128 FP4
     weight matrix ("typical dimension in an LLM attention block"). *)
 
+val check_activations : caller:string -> t -> int array -> unit
+(** [check_activations ~caller t x] raises [Invalid_argument], with a
+    message starting ["<caller>: "], unless [x] has [in_features] elements
+    and each fits in [act_bits] (two's complement).  Every machine's [run]
+    calls it first, so all three reject the same inputs. *)
+
 val reference : t -> int array -> int array
 (** [reference t x]: exact dot products in half-units,
     [y.(o) = sum_i to_half_units weights.(o).(i) * x.(i)]. *)

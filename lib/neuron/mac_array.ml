@@ -50,25 +50,27 @@ let report ?(tech = Tech.n5) t =
   }
 
 let run t x =
-  let ref_out = Gemv.reference t.gemv x in
-  (* Emulate the tiled execution: accumulate tile by tile and check that the
-     tiling reproduces the reference exactly. *)
-  let out = Array.make t.gemv.Gemv.out_features 0 in
-  let per_row = max 1 (t.n_macs / t.gemv.Gemv.in_features) in
-  ignore per_row;
-  let flat = ref [] in
-  Array.iteri
-    (fun o row ->
-      Array.iteri (fun i w -> flat := (o, Hnlpu_fp4.Fp4.to_half_units w * x.(i)) :: !flat) row)
-    t.gemv.Gemv.weights;
-  let items = Array.of_list (List.rev !flat) in
-  let n = Array.length items in
+  let g = t.gemv in
+  Gemv.check_activations ~caller:"Mac_array.run" g x;
+  let ref_out = Gemv.reference g x in
+  (* Emulate the tiled execution: the array consumes the flattened
+     (neuron, input) MAC stream n_macs at a time, and the tiling must
+     reproduce the reference exactly. *)
+  let n = g.Gemv.in_features in
+  let total = Gemv.total_macs g in
+  let out = Array.make g.Gemv.out_features 0 in
+  let o = ref 0 and i = ref 0 in
   let pos = ref 0 in
-  while !pos < n do
-    let stop = min n (!pos + t.n_macs) in
-    for k = !pos to stop - 1 do
-      let o, p = items.(k) in
-      out.(o) <- out.(o) + p
+  while !pos < total do
+    let stop = min total (!pos + t.n_macs) in
+    for _ = !pos to stop - 1 do
+      let row = g.Gemv.weights.(!o) in
+      out.(!o) <- out.(!o) + (Hnlpu_fp4.Fp4.to_half_units row.(!i) * x.(!i));
+      incr i;
+      if !i = n then begin
+        i := 0;
+        incr o
+      end
     done;
     pos := stop
   done;

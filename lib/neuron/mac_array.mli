@@ -16,7 +16,8 @@ val make : ?n_macs:int -> Gemv.t -> t
 val run : t -> int array -> int array * Report.t
 (** Execute one GEMV the way the array would (tile by tile), returning the
     half-unit results — always equal to {!Gemv.reference} — and the PPA
-    report under {!Hnlpu_gates.Tech.n5}. *)
+    report under {!Hnlpu_gates.Tech.n5}.  Rejects bad activations with
+    {!Gemv.check_activations}. *)
 
 val report : ?tech:Hnlpu_gates.Tech.t -> t -> Report.t
 (** PPA report without executing (structure-only). *)

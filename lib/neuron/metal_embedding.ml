@@ -5,9 +5,12 @@ type t = {
   gemv : Gemv.t;
   slack : float;
   capacity : int;  (** Ports per POPCNT region. *)
-  routing : int array array array;
-      (** [routing.(o).(c)]: input indices of neuron [o] routed to region
-          [c] — the "metal wires". *)
+  words : int;  (** Packed words per plane, and per region mask. *)
+  masks : int array;
+      (** The "metal wires": words [(o * regions + c) * words] onwards are
+          the set of inputs neuron [o] routes to region [c], in the layout
+          of {!Bitserial.packed_planes}. *)
+  load : int array;  (** [load.(c)]: wires in region [c] of the fullest neuron. *)
   count_bits : int;  (** Width of a region's popcount result. *)
   popcount_stats : Csa.stats;  (** One region's tree at full capacity. *)
   tree_stats : Csa.stats;  (** The 16-way product reduction tree. *)
@@ -15,35 +18,38 @@ type t = {
 
 let regions = 16
 
+(* Region [c]'s multiplier constant, in half-units. *)
+let constants = Array.init regions (fun c -> Fp4.to_half_units (Fp4.of_code c))
+
 let make ?(slack = 2.0) gemv =
   if slack < 1.0 then invalid_arg "Metal_embedding.make: slack below 1.0";
   let n = gemv.Gemv.in_features in
   let balanced = (n + regions - 1) / regions in
   let capacity = int_of_float (ceil (float_of_int balanced *. slack)) in
-  let routing =
-    Array.map
-      (fun row ->
-        let buckets = Array.make regions [] in
-        Array.iteri
-          (fun i w ->
-            let c = Fp4.code w in
-            buckets.(c) <- i :: buckets.(c))
-          row;
-        Array.map (fun l -> Array.of_list (List.rev l)) buckets)
-      gemv.Gemv.weights
-  in
+  let words = Bitserial.words_for n in
+  let masks = Array.make (gemv.Gemv.out_features * regions * words) 0 in
+  let load = Array.make regions 0 in
+  let counts = Array.make regions 0 in
   Array.iteri
-    (fun o buckets ->
+    (fun o row ->
+      Array.fill counts 0 regions 0;
       Array.iteri
-        (fun c bucket ->
-          if Array.length bucket > capacity then
+        (fun i w ->
+          let c = Fp4.code w in
+          Bitserial.set_element masks ~pos:(((o * regions) + c) * words) i;
+          counts.(c) <- counts.(c) + 1)
+        row;
+      Array.iteri
+        (fun c k ->
+          if k > capacity then
             invalid_arg
               (Printf.sprintf
                  "Metal_embedding.make: neuron %d region %d holds %d wires, \
                   capacity %d — increase slack"
-                 o c (Array.length bucket) capacity))
-        buckets)
-    routing;
+                 o c k capacity);
+          load.(c) <- max load.(c) k)
+        counts)
+    gemv.Gemv.weights;
   let count_bits =
     let rec bits k acc = if k = 0 then acc else bits (k lsr 1) (acc + 1) in
     bits capacity 0
@@ -51,17 +57,11 @@ let make ?(slack = 2.0) gemv =
   let _, popcount_stats = Csa.reduce ~width:1 (Array.make capacity 0) in
   (* 16 signed products of (count_bits + 4) bits. *)
   let _, tree_stats = Csa.reduce ~width:(count_bits + 4) (Array.make regions 0) in
-  { gemv; slack; capacity; routing; count_bits; popcount_stats; tree_stats }
+  { gemv; slack; capacity; words; masks; load; count_bits; popcount_stats; tree_stats }
 
 let region_capacity t = t.capacity
 
-let region_load t =
-  let load = Array.make regions 0 in
-  Array.iter
-    (fun buckets ->
-      Array.iteri (fun c b -> load.(c) <- max load.(c) (Array.length b)) buckets)
-    t.routing;
-  load
+let region_load t = Array.copy t.load
 
 let serial_cycles t = t.gemv.Gemv.act_bits
 
@@ -126,23 +126,23 @@ let report ?(tech = Tech.n5) t =
 
 let run t x =
   let g = t.gemv in
-  if Array.length x <> g.Gemv.in_features then
-    invalid_arg "Metal_embedding.run: activation length mismatch";
-  let bits = g.Gemv.act_bits in
-  let planes = Bitserial.planes ~bits x in
+  Gemv.check_activations ~caller:"Metal_embedding.run" g x;
+  let bits = g.Gemv.act_bits and words = t.words in
+  let planes = Bitserial.packed_planes ~bits x in
   let out = Array.make g.Gemv.out_features 0 in
+  let plane_sum = ref 0 in
   for b = 0 to bits - 1 do
-    let plane = planes.(b) in
     let pw = Bitserial.plane_weight ~bits b in
     for o = 0 to g.Gemv.out_features - 1 do
-      let plane_sum = ref 0 in
+      plane_sum := 0;
       for c = 0 to regions - 1 do
-        let bucket = t.routing.(o).(c) in
         (* POPCNT region c: count the set wires routed here. *)
-        let cnt = ref 0 in
-        Array.iter (fun i -> cnt := !cnt + Bitserial.plane_get plane i) bucket;
+        let cnt =
+          Bitserial.popcount_and planes ~pos:(b * words) t.masks
+            ~mask_pos:(((o * regions) + c) * words) ~len:words
+        in
         (* Multiply stage: count x constant. *)
-        plane_sum := !plane_sum + (Fp4.to_half_units (Fp4.of_code c) * !cnt)
+        plane_sum := !plane_sum + (constants.(c) * cnt)
       done;
       (* Shifting accumulator. *)
       out.(o) <- out.(o) + (pw * !plane_sum)

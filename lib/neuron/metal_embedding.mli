@@ -2,10 +2,14 @@
     Figures 4-2 and 5).
 
     Activations arrive bit-serially, LSB first.  Each input wire is routed
-    (by the M8–M11 metal layers — here, by the [routing] table) to the
-    POPCNT region of its weight's E2M1 code.  Per bit-plane the machine:
+    (by the M8–M11 metal layers) to the POPCNT region of its weight's E2M1
+    code.  Here the routing is stored as one bitmask per (neuron, region)
+    over the packed activation planes of {!Hnlpu_fp4.Bitserial}: a weight
+    is nothing but which mask its input's bit lands in.  Per bit-plane the
+    machine:
 
-    + counts the set wires of each region (POPCNT),
+    + counts the set wires of each region (POPCNT: [popcount (plane land
+      mask)] over whole words),
     + multiplies each count by the region's constant (16 multipliers),
     + reduces the 16 products with a small adder tree, and
     + accumulates the plane sums with weights [2^b] (negative for the sign
@@ -29,7 +33,7 @@ val make : ?slack:float -> Gemv.t -> t
 
 val run : t -> int array -> int array * Report.t
 (** Execute the bit-serial machine; returns half-unit results and the 5 nm
-    PPA report. *)
+    PPA report.  Rejects bad activations with {!Gemv.check_activations}. *)
 
 val report : ?tech:Hnlpu_gates.Tech.t -> t -> Report.t
 

@@ -104,6 +104,38 @@ let test_csa_width_bounds () =
   Alcotest.(check bool) "operand too wide rejected" true
     (raises (fun () -> Csa.reduce ~width:4 [| 16 |]))
 
+(* Every machine rejects a short, a long and an out-of-range activation
+   vector with a message naming it — never an index error. *)
+let bad_activations_gemv =
+  Hnlpu_neuron.Gemv.random (Rng.create 8) ~in_features:8 ~out_features:2 ~act_bits:8
+
+let test_rejects_bad_activations name run () =
+  List.iter
+    (fun (case, x) ->
+      let msg =
+        match run x with
+        | _ -> "accepted"
+        | exception Invalid_argument msg -> msg
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %s: %S names the machine" name case msg)
+        true
+        (String.starts_with ~prefix:(name ^ ": ") msg))
+    [ ("short", Array.make 5 0); ("long", Array.make 9 0); ("out of range", [| 0; 0; 1000; 0; 0; 0; 0; 0 |]) ]
+
+let machine_rejection_cases =
+  let open Hnlpu_neuron in
+  let g = bad_activations_gemv in
+  List.map
+    (fun (name, run) ->
+      Alcotest.test_case (name ^ " rejects bad activations") `Quick
+        (test_rejects_bad_activations name run))
+    [
+      ("Metal_embedding.run", fun x -> fst (Metal_embedding.run (Metal_embedding.make ~slack:16.0 g) x));
+      ("Cell_embedding.run", fun x -> fst (Cell_embedding.run (Cell_embedding.make g) x));
+      ("Mac_array.run", fun x -> fst (Mac_array.run (Mac_array.make g) x));
+    ]
+
 (* --- Config/scheduler misc ---------------------------------------------------------- *)
 
 let test_scheduler_requests_validation () =
@@ -163,7 +195,8 @@ let () =
           Alcotest.test_case "min-width gemv" `Quick test_gemv_min_width;
           Alcotest.test_case "bitserial bounds" `Quick test_bitserial_width_bounds;
           Alcotest.test_case "csa bounds" `Quick test_csa_width_bounds;
-        ] );
+        ]
+        @ machine_rejection_cases );
       ( "misc",
         [
           Alcotest.test_case "workload validation" `Quick test_scheduler_requests_validation;

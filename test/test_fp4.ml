@@ -79,6 +79,58 @@ let prop_of_float_is_nearest =
       let err = Float.abs (q -. clamped) in
       List.for_all (fun c -> err <= Float.abs (Fp4.to_float c -. clamped) +. 1e-12) Fp4.all)
 
+(* Oracle: nearest magnitude by an 8-way search, a tie going to the even
+   code.  The midpoint ladder in [Fp4.of_float] must agree with it. *)
+let of_float_by_search x =
+  if Float.is_nan x then invalid_arg "of_float_by_search: nan";
+  let magnitudes = Fp4.unique_magnitudes in
+  let sign = x < 0.0 in
+  let m = Float.abs x in
+  let best = ref 0 and best_err = ref infinity in
+  for i = 0 to 7 do
+    let err = Float.abs (m -. magnitudes.(i)) in
+    if err < !best_err || (err = !best_err && i land 1 = 0 && !best land 1 = 1) then begin
+      best := i;
+      best_err := err
+    end
+  done;
+  if !best = 0 then 0 else if sign then !best lor 8 else !best
+
+let test_of_float_matches_search_at_edges () =
+  let midpoints = [ 0.25; 0.75; 1.25; 1.75; 2.5; 3.5; 5.0 ] in
+  let around m = [ Float.pred m; m; Float.succ m ] in
+  let edges =
+    List.concat_map around (midpoints @ Array.to_list Fp4.unique_magnitudes)
+    @ [ 0.0; Float.min_float; Float.pred Float.min_float; 4.9e-324; 1e-310; 1e9; 2.0 ** 53.0 ]
+  in
+  List.iter
+    (fun x ->
+      List.iter
+        (fun x ->
+          Alcotest.(check int) (Printf.sprintf "of_float %h" x) (of_float_by_search x)
+            (Fp4.code (Fp4.of_float x)))
+        [ x; -.x ])
+    edges;
+  (* Beyond 2^53 the search's [m -. 6.0] rounds, and from 2^56 on every
+     candidate's error rounds to [m], so the search returns 0 for
+     infinities.  [Fp4.of_float] saturates, as documented. *)
+  Alcotest.(check int) "+inf saturates" 7 (Fp4.code (Fp4.of_float infinity));
+  Alcotest.(check int) "-inf saturates" 15 (Fp4.code (Fp4.of_float neg_infinity));
+  Alcotest.(check int) "2^60 saturates" 7 (Fp4.code (Fp4.of_float (2.0 ** 60.0)));
+  Alcotest.check_raises "nan" (Invalid_argument "Fp4.of_float: nan") (fun () ->
+      ignore (Fp4.of_float Float.nan))
+
+let prop_of_float_matches_search =
+  (* Magnitudes spread over [2^-1074, 2^53): the search is exact there. *)
+  QCheck.Test.make ~name:"of_float = 8-way search on random floats" ~count:2000
+    QCheck.(triple bool (float_bound_exclusive 1.0) (int_range (-1074) 52))
+    (fun (neg, f, e) ->
+      let m = if e < -1020 then Float.ldexp f e else Float.ldexp (1.0 +. f) e in
+      let x = if neg then -.m else m in
+      let y = if neg then -.(8.0 *. f) else 8.0 *. f in
+      Fp4.code (Fp4.of_float x) = of_float_by_search x
+      && Fp4.code (Fp4.of_float y) = of_float_by_search y)
+
 (* --- Blockscale ------------------------------------------------------ *)
 
 let test_blockscale_roundtrip_representable () =
@@ -163,6 +215,47 @@ let test_popcount_plane () =
   let p = Bytes.of_string "\001\000\001\001\000" in
   Alcotest.(check int) "popcount" 3 (Bitserial.popcount_plane p)
 
+let popcount_by_bits x =
+  let c = ref 0 in
+  for b = 0 to Sys.int_size - 1 do
+    if (x lsr b) land 1 = 1 then incr c
+  done;
+  !c
+
+let test_popcount_words () =
+  List.iter
+    (fun x -> Alcotest.(check int) (Printf.sprintf "popcount %x" x) (popcount_by_bits x) (Bitserial.popcount x))
+    [ 0; 1; 3; (1 lsl 61) lor 1; (1 lsl 62) - 1; max_int; -1; min_int ]
+
+let prop_packed_popcount =
+  (* Random planes up to 300 elements (several 62-bit words), random widths,
+     random region masks: each packed count equals the byte view's. *)
+  QCheck.Test.make ~name:"packed popcount = byte-plane popcount" ~count:300
+    QCheck.(triple (int_range 2 16) (int_range 0 300) (int_range 0 1000000))
+    (fun (bits, n, seed) ->
+      let rng = Hnlpu_util.Rng.create seed in
+      let lo = Bitserial.min_int_for bits in
+      let v = Array.init n (fun _ -> lo + Hnlpu_util.Rng.int rng (1 lsl bits)) in
+      let region = Array.init n (fun _ -> Hnlpu_util.Rng.int rng 3 = 0) in
+      let words = Bitserial.words_for n in
+      let all = Array.make words 0 and mask = Array.make words 0 in
+      for i = 0 to n - 1 do
+        Bitserial.set_element all ~pos:0 i;
+        if region.(i) then Bitserial.set_element mask ~pos:0 i
+      done;
+      let bytes = Bitserial.planes ~bits v and packed = Bitserial.packed_planes ~bits v in
+      Array.length packed = bits * words
+      && List.for_all
+           (fun b ->
+             let p = bytes.(b) in
+             let in_region = ref 0 in
+             Array.iteri (fun i r -> if r then in_region := !in_region + Bitserial.plane_get p i) region;
+             let pos = b * words in
+             Bitserial.popcount_and packed ~pos all ~mask_pos:0 ~len:words
+             = Bitserial.popcount_plane p
+             && Bitserial.popcount_and packed ~pos mask ~mask_pos:0 ~len:words = !in_region)
+           (List.init bits Fun.id))
+
 (* --- Csa --------------------------------------------------------------- *)
 
 let test_csa_exact_sum () =
@@ -232,8 +325,10 @@ let () =
           Alcotest.test_case "nearest rounding" `Quick test_of_float_nearest;
           Alcotest.test_case "negation involution" `Quick test_neg_involution;
           Alcotest.test_case "half units" `Quick test_half_units;
+          Alcotest.test_case "of_float = search at edges" `Quick
+            test_of_float_matches_search_at_edges;
         ] );
-      qsuite "fp4 properties" [ prop_of_float_is_nearest ];
+      qsuite "fp4 properties" [ prop_of_float_is_nearest; prop_of_float_matches_search ];
       ( "blockscale",
         [
           Alcotest.test_case "roundtrip representable" `Quick test_blockscale_roundtrip_representable;
@@ -249,8 +344,10 @@ let () =
           Alcotest.test_case "plane weights" `Quick test_plane_weights;
           Alcotest.test_case "range check" `Quick test_range_check;
           Alcotest.test_case "popcount plane" `Quick test_popcount_plane;
+          Alcotest.test_case "popcount words" `Quick test_popcount_words;
         ] );
-      qsuite "bitserial properties" [ prop_planes_roundtrip; prop_dot_by_planes ];
+      qsuite "bitserial properties"
+        [ prop_planes_roundtrip; prop_dot_by_planes; prop_packed_popcount ];
       ( "csa",
         [
           Alcotest.test_case "exact sum" `Quick test_csa_exact_sum;

@@ -88,28 +88,59 @@ let test_me_slack_rejects_overflow () =
      with Invalid_argument _ -> true)
 
 let prop_machines_agree =
+  (* in_features up to 300 crosses several packed-word boundaries (62
+     elements a word); n_macs is 1, or random and mostly not a divisor of
+     in_features, so tiles straddle neuron rows. *)
   QCheck.Test.make ~name:"MA = CE = ME = reference on random problems" ~count:60
-    QCheck.(triple small_nat small_nat (int_range 0 1000000))
-    (fun (a, b, seed) ->
-      let inf = 4 + (a mod 60) and outf = 1 + (b mod 12) in
+    QCheck.(triple (int_range 1 300) (int_range 1 12) (int_range 0 1000000))
+    (fun (inf, outf, seed) ->
       let rng = Rng.create seed in
       let g = Gemv.random rng ~in_features:inf ~out_features:outf ~act_bits:8 in
       let x = Gemv.random_activations rng g in
+      let n_macs = if Rng.int rng 4 = 0 then 1 else 1 + Rng.int rng (2 * inf) in
       let expect = Gemv.reference g x in
-      let ma, _ = Mac_array.run (Mac_array.make g) x in
+      let ma, _ = Mac_array.run (Mac_array.make ~n_macs g) x in
       let ce, _ = Cell_embedding.run (Cell_embedding.make g) x in
       let me, _ = Metal_embedding.run (Metal_embedding.make ~slack:16.0 g) x in
       ma = expect && ce = expect && me = expect)
 
 let prop_me_bit_widths =
   QCheck.Test.make ~name:"ME exact across activation widths" ~count:60
-    QCheck.(pair (int_range 2 12) (int_range 0 1000000))
-    (fun (bits, seed) ->
+    QCheck.(triple (int_range 2 16) (int_range 1 200) (int_range 0 1000000))
+    (fun (bits, inf, seed) ->
       let rng = Rng.create seed in
-      let g = Gemv.random rng ~in_features:24 ~out_features:3 ~act_bits:bits in
+      let g = Gemv.random rng ~in_features:inf ~out_features:3 ~act_bits:bits in
       let x = Gemv.random_activations rng g in
       let me, _ = Metal_embedding.run (Metal_embedding.make ~slack:16.0 g) x in
       me = Gemv.reference g x)
+
+(* --- Allocation per GEMV ------------------------------------------------ *)
+
+let test_words_per_gemv () =
+  (* O(out_features) words per GEMV: the result, the packed planes and the
+     report, never per wire or per MAC.  Gc.minor_words is exact for the
+     calling domain; Gc.allocated_bytes lags over a window this short. *)
+  let rng = Rng.create 7 in
+  let g = Gemv.paper_benchmark rng in
+  let x = Gemv.random_activations rng g in
+  let budget = 16 * g.Gemv.out_features in
+  let check name run =
+    ignore (run x);
+    let runs = 4 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to runs do
+      ignore (run x)
+    done;
+    let per_gemv = (Gc.minor_words () -. w0) /. float_of_int runs in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.0f words/GEMV <= %d" name per_gemv budget)
+      true
+      (per_gemv <= float_of_int budget)
+  in
+  let me = Metal_embedding.make g and ce = Cell_embedding.make g and ma = Mac_array.make g in
+  check "ME" (Metal_embedding.run me);
+  check "CE" (Cell_embedding.run ce);
+  check "MA" (Mac_array.run ma)
 
 (* --- Figure 12: area ratios ------------------------------------------- *)
 
@@ -233,6 +264,7 @@ let () =
           Alcotest.test_case "ME slack overflow" `Quick test_me_slack_rejects_overflow;
         ] );
       qsuite "machine properties" [ prop_machines_agree; prop_me_bit_widths ];
+      ("allocation", [ Alcotest.test_case "words per GEMV" `Quick test_words_per_gemv ]);
       ( "figure-12",
         [
           Alcotest.test_case "CE much bigger than SRAM" `Quick test_fig12_ce_much_bigger;
