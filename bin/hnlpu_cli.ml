@@ -1259,6 +1259,8 @@ let speculate_cmd =
     Arg.(value & opt float 0.7 & info [ "acceptance"; "a" ] ~doc:"Assumed acceptance rate.")
   in
   let run lookahead acceptance =
+    (* The projection validates [acceptance], so it runs before any output. *)
+    let rows = Ablation.speculative_sweep ~acceptance config in
     (* Functional demonstration on the tiny models. *)
     let target = Transformer.create (Weights.random (Rng.create 1) Config.tiny) in
     let draft = Transformer.create (Weights.random (Rng.create 2) Config.tiny_dense) in
@@ -1282,7 +1284,7 @@ let speculate_cmd =
             Units.group_thousands (int_of_float r.Ablation.spec_tokens_per_s);
             Printf.sprintf "%.2fx" r.Ablation.spec_speedup;
           ])
-      (Ablation.speculative_sweep ~acceptance config);
+      rows;
     Table.print
       ~title:
         (Printf.sprintf "Speculative decode on HNLPU (acceptance %.0f%%)"

@@ -11,10 +11,10 @@ type system = {
   tokens_per_s_mm2 : float;
 }
 
-let hnlpu ?tech ?(context = 2048) () =
+let hnlpu ?(context = 2048) () =
   let config = Hnlpu_model.Config.gpt_oss_120b in
-  let fp = Hnlpu_chip.Floorplan.table1 ?tech () in
-  let throughput = Hnlpu_system.Perf.throughput_tokens_per_s ?tech config ~context in
+  let fp = Hnlpu_chip.Floorplan.table1 () in
+  let throughput = Hnlpu_system.Perf.throughput_tokens_per_s config ~context in
   let power = Hnlpu_chip.Floorplan.system_power_w fp in
   let silicon = Hnlpu_chip.Floorplan.system_silicon_mm2 fp in
   {
@@ -54,7 +54,7 @@ let wse3 () =
     tokens_per_s_mm2 = Wse3.area_efficiency;
   }
 
-let table2 ?tech () = [ hnlpu ?tech (); h100 (); wse3 () ]
+let table2 () = [ hnlpu (); h100 (); wse3 () ]
 
 let throughput_ratio s ~over = s.throughput_tokens_per_s /. over.throughput_tokens_per_s
 

@@ -12,14 +12,14 @@ type system = {
   tokens_per_s_mm2 : float;
 }
 
-val hnlpu : ?tech:Hnlpu_gates.Tech.t -> ?context:int -> unit -> system
+val hnlpu : ?context:int -> unit -> system
 (** From {!Hnlpu_system.Perf} and {!Hnlpu_chip.Floorplan}. *)
 
 val h100 : unit -> system
 
 val wse3 : unit -> system
 
-val table2 : ?tech:Hnlpu_gates.Tech.t -> unit -> system list
+val table2 : unit -> system list
 (** [hnlpu; h100; wse3] at the paper's operating point. *)
 
 val throughput_ratio : system -> over:system -> float

@@ -12,10 +12,10 @@ type t = {
   advantage : float;
 }
 
-let analyze ?tech ?(context = 2048) () =
+let analyze ?(context = 2048) () =
   let config = Hnlpu_model.Config.gpt_oss_120b in
-  let fp = Hnlpu_chip.Floorplan.table1 ?tech () in
-  let throughput = Hnlpu_system.Perf.throughput_tokens_per_s ?tech config ~context in
+  let fp = Hnlpu_chip.Floorplan.table1 () in
+  let throughput = Hnlpu_system.Perf.throughput_tokens_per_s config ~context in
   let chips = 16.0 in
   let per_token w = w *. chips /. throughput *. 1e3 in
   let block_rows =

@@ -33,10 +33,8 @@ let active_weight_bytes_per_token (c : Config.t) =
   in
   float_of_int c.Config.num_layers *. per_layer *. c.Config.bits_per_param /. 8.0
 
-let roofline_tokens_per_s ?(efficiency = 0.3) (c : Config.t) ~batch =
+let roofline_tokens_per_s (c : Config.t) ~batch =
   if batch < 1 then invalid_arg "H100.roofline_tokens_per_s: batch must be >= 1";
-  if efficiency <= 0.0 || efficiency > 1.0 then
-    invalid_arg "H100.roofline_tokens_per_s: efficiency in (0,1]";
   (* A batch of B tokens activates B top-k draws; the union of experts it
      touches saturates toward the whole set (coupon-collector style). *)
   let experts = float_of_int (max 1 c.Config.experts) in
@@ -54,7 +52,7 @@ let roofline_tokens_per_s ?(efficiency = 0.3) (c : Config.t) ~batch =
   let bytes_per_step =
     float_of_int c.Config.num_layers *. (dense_bytes +. (covered *. expert_bytes))
   in
-  b *. spec.hbm_bandwidth_bytes_per_s *. efficiency /. bytes_per_step
+  b *. spec.hbm_bandwidth_bytes_per_s *. 0.3 /. bytes_per_step
 
 let price_per_gpu_usd = spec.node_price_usd /. float_of_int spec.gpus_per_node
 

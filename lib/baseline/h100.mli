@@ -31,11 +31,11 @@ val active_weight_bytes_per_token : Hnlpu_model.Config.t -> float
 (** Weights an autoregressive decode step must touch: attention + router +
     top-k experts across all layers, at the model's native precision. *)
 
-val roofline_tokens_per_s : ?efficiency:float -> Hnlpu_model.Config.t -> batch:int -> float
+val roofline_tokens_per_s : Hnlpu_model.Config.t -> batch:int -> float
 (** Bandwidth-bound decode throughput at a batch size: a batch of B reads
-    the union of its active experts once per step.  [efficiency] is the
-    sustained fraction of peak bandwidth (default 0.3, which reproduces the
-    concurrency-50 anchor within a few percent). *)
+    the union of its active experts once per step, sustaining 0.3 of peak
+    bandwidth (which reproduces the concurrency-50 anchor within a few
+    percent). *)
 
 val price_per_gpu_usd : float
 

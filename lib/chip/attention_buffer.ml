@@ -1,6 +1,8 @@
 open Hnlpu_gates
 open Hnlpu_model
 
+let tech = Tech.n5
+
 type t = { banks : int; bank_bytes : int; port_bits : int }
 
 let hnlpu = { banks = 20_000; bank_bytes = 16 * 1024; port_bits = 32 }
@@ -11,14 +13,14 @@ let capacity_bytes t = t.banks * t.bank_bytes
    generic small-macro figure in Tech; 0.41 reproduces Table 1's 136 mm². *)
 let bank_efficiency = 0.41
 
-let bandwidth_bytes_per_s ?(tech = Tech.n5) t =
+let bandwidth_bytes_per_s t =
   float_of_int (t.banks * (t.port_bits / 8)) *. tech.Tech.clock_ghz *. 1e9
 
-let area_mm2 ?(tech = Tech.n5) t =
+let area_mm2 t =
   let bits = float_of_int (capacity_bytes t * 8) in
   bits *. tech.Tech.sram_bitcell_um2 *. 1e-6 /. bank_efficiency
 
-let leakage_w ?(tech = Tech.n5) t =
+let leakage_w t =
   float_of_int (capacity_bytes t) /. 1e6 *. tech.Tech.sram_leak_w_per_mb
 
 let kv_elem_bytes = 2 (* FP16 cache entries *)

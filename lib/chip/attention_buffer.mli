@@ -17,13 +17,13 @@ val hnlpu : t
 val capacity_bytes : t -> int
 (** 320 MB. *)
 
-val bandwidth_bytes_per_s : ?tech:Hnlpu_gates.Tech.t -> t -> float
+val bandwidth_bytes_per_s : t -> float
 
-val area_mm2 : ?tech:Hnlpu_gates.Tech.t -> t -> float
+val area_mm2 : t -> float
 (** SRAM macro model with the dense-bank efficiency of this design;
     Table 1: 136.11 mm². *)
 
-val leakage_w : ?tech:Hnlpu_gates.Tech.t -> t -> float
+val leakage_w : t -> float
 
 val kv_bytes_per_position_per_chip : Hnlpu_model.Config.t -> int
 (** Bytes a chip stores per cached sequence position: its 2 KV heads (K

@@ -15,15 +15,15 @@ type t = {
   total_power_w : float;
 }
 
-val table1 : ?tech:Hnlpu_gates.Tech.t -> ?config:Hnlpu_model.Config.t -> unit -> t
+val table1 : ?config:Hnlpu_model.Config.t -> unit -> t
 (** The six Table 1 rows for gpt-oss 120B at N5. *)
 
 val system_silicon_mm2 : t -> float
 (** Total die area x 16 chips (paper: 13,232 mm²). *)
 
-val system_power_w : ?overhead:float -> t -> float
-(** Chip power x 16 x system overhead (power delivery, fans/pumps, host;
-    default 1.4) — Table 2's 6.9 kW. *)
+val system_power_w : t -> float
+(** Chip power x 16 x system overhead (power delivery, fans/pumps, host:
+    1.4) — Table 2's 6.9 kW. *)
 
 val area_share : t -> string -> float
 (** Fraction of total area held by a named block. *)

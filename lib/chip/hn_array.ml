@@ -1,6 +1,8 @@
 open Hnlpu_gates
 open Hnlpu_model
 
+let tech = Tech.n5
+
 let chips = float_of_int Hnlpu_noc.Topology.chips
 
 let weights_per_chip c = Params.hardwired c /. chips
@@ -9,7 +11,7 @@ let transistors_per_weight = float_of_int Census.popcount_port_transistors +. 1.
 
 let array_utilization = 0.85
 
-let area_mm2 ?(tech = Tech.n5) c =
+let area_mm2 c =
   weights_per_chip c *. transistors_per_weight
   /. (tech.Tech.transistor_density_per_mm2 *. array_utilization)
 
@@ -46,19 +48,19 @@ let stream_cycles ~bytes =
   let drain = 8 (* bit planes *) + 8 (* popcount/multiply/tree/acc drain *) in
   feed + drain
 
-let leakage_w ?(tech = Tech.n5) c =
+let leakage_w c =
   weights_per_chip c *. transistors_per_weight *. tech.Tech.leakage_w_per_transistor
 
-let power_of_active ?(tech = Tech.n5) c active =
+let power_of_active c active =
   (active *. active_site_fj_per_cycle *. 1e-15 *. tech.Tech.clock_ghz *. 1e9)
-  +. leakage_w ~tech c
+  +. leakage_w c
 
-let power_w ?tech c = power_of_active ?tech c (active_weights_per_token_per_chip c)
+let power_w c = power_of_active c (active_weights_per_token_per_chip c)
 
-let power_if_dense_w ?tech (c : Config.t) =
+let power_if_dense_w (c : Config.t) =
   let all = Some (max 1 c.Config.experts) in
   let active =
     float_of_int c.Config.num_layers
     *. active_weights_per_layer_per_chip ~experts_active:all c
   in
-  power_of_active ?tech c active
+  power_of_active c active

@@ -22,7 +22,7 @@ val array_utilization : float
 (** Placement utilization of the regular HN fabric (0.85 — far above the
     0.65 of random logic; the array is a stamped macro). *)
 
-val area_mm2 : ?tech:Hnlpu_gates.Tech.t -> Hnlpu_model.Config.t -> float
+val area_mm2 : Hnlpu_model.Config.t -> float
 
 val active_weights_per_token_per_chip : Hnlpu_model.Config.t -> float
 (** Weight sites that switch for one token across all layers of one chip:
@@ -39,11 +39,11 @@ val stream_cycles : bytes:int -> int
 
 val feed_bytes_per_cycle : int
 
-val power_w : ?tech:Hnlpu_gates.Tech.t -> Hnlpu_model.Config.t -> float
+val power_w : Hnlpu_model.Config.t -> float
 (** Table 1's 76.92 W: active-region clock/datapath power plus whole-array
     leakage; the clock-tree coefficient is calibrated to the paper's
     post-layout figure. *)
 
-val power_if_dense_w : ?tech:Hnlpu_gates.Tech.t -> Hnlpu_model.Config.t -> float
+val power_if_dense_w : Hnlpu_model.Config.t -> float
 (** Counterfactual power with every expert active — exhibits the sparsity
     claim of §7.1 (an order of magnitude above {!power_w}). *)

@@ -17,10 +17,9 @@ let coolant_c = 35.0
 
 let thermal_resistance_k_per_w = 0.08
 
-let analyze ?tech ?config ?(power_scale = 1.0) ?(coolant_c = coolant_c) ?obs
-    ?(obs_ts_s = 0.0) () =
+let analyze ?config ?(power_scale = 1.0) ?(coolant_c = coolant_c) ?obs () =
   if power_scale <= 0.0 then invalid_arg "Thermal.analyze: non-positive power scale";
-  let fp = Floorplan.table1 ?tech ?config () in
+  let fp = Floorplan.table1 ?config () in
   let densities =
     List.filter_map
       (fun (b : Floorplan.block) ->
@@ -59,12 +58,12 @@ let analyze ?tech ?config ?(power_scale = 1.0) ?(coolant_c = coolant_c) ?obs
       (fun d ->
         Hnlpu_obs.Sink.sample o ~track
           ~name:(Printf.sprintf "thermal/density_w_per_mm2/%s" d.thermal_block)
-          ~ts_s:obs_ts_s d.density_w_per_mm2)
+          ~ts_s:0.0 d.density_w_per_mm2)
       result.densities;
-    Hnlpu_obs.Sink.sample o ~track ~name:"thermal/junction_c" ~ts_s:obs_ts_s
+    Hnlpu_obs.Sink.sample o ~track ~name:"thermal/junction_c" ~ts_s:0.0
       junction;
     Hnlpu_obs.Sink.instant o ~cat:"thermal" ~track ~name:"operating_point"
-      ~ts_s:obs_ts_s
+      ~ts_s:0.0
       ~args:
         [
           ("power_scale", Event.F power_scale);

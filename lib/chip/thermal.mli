@@ -33,8 +33,8 @@ val thermal_resistance_k_per_w : float
     die this size). *)
 
 val analyze :
-  ?tech:Hnlpu_gates.Tech.t -> ?config:Hnlpu_model.Config.t -> ?power_scale:float ->
-  ?coolant_c:float -> ?obs:Hnlpu_obs.Sink.t -> ?obs_ts_s:float -> unit -> t
+  ?config:Hnlpu_model.Config.t -> ?power_scale:float ->
+  ?coolant_c:float -> ?obs:Hnlpu_obs.Sink.t -> unit -> t
 (** Evaluate the Table 1 floorplan.  [within_limits] requires the peak
     density under {!dlc_limit_w_per_mm2} and the junction under
     {!max_junction_c}.
@@ -45,8 +45,8 @@ val analyze :
     [coolant_c] (default {!coolant_c}) overrides the facility loop
     temperature.  Both feed the signoff THERM-* rules.
 
-    [obs] samples the operating point into a telemetry sink at [obs_ts_s]
-    (default 0): per-block power-density and junction-temperature counter
+    [obs] samples the operating point into a telemetry sink at time 0:
+    per-block power-density and junction-temperature counter
     series, an "operating_point" instant tagged with the power scale and
     coolant temperature, and peak/average/rise gauges — the feedback signal
     the ROADMAP's power-aware admission throttling will close on. *)

@@ -50,12 +50,12 @@ let softmax_hw v =
   let z = Array.fold_left ( +. ) 0.0 e in
   Array.map (fun x -> x /. z) e
 
-let rmsnorm_hw ?(eps = 1e-6) ~gain v =
+let rmsnorm_hw ~gain v =
   if Array.length gain <> Array.length v then
     invalid_arg "Vex_sim.rmsnorm_hw: length mismatch";
   let n = float_of_int (Array.length v) in
   let ms = Array.fold_left (fun a x -> a +. (x *. x)) 0.0 v /. n in
-  let inv = rsqrt_hw (ms +. eps) in
+  let inv = rsqrt_hw (ms +. 1e-6) in
   Array.mapi (fun i x -> x *. inv *. gain.(i)) v
 
 let swiglu_hw ~gate ~up =

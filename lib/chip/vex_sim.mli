@@ -15,7 +15,11 @@
     Property tests bound the relative error (< 1e-3 for exp/rsqrt over
     their working ranges) and check that a transformer layer evaluated with
     these units tracks the float layer — the numerics HNLPU actually
-    ships. *)
+    ships.
+
+    No tool or example calls this module; it stays as the §4.3 model of the
+    VEX nonlinear units, which test_decoding checks against the float
+    {!Hnlpu_tensor.Vec} reference. *)
 
 val exp_hw : float -> float
 (** Working range ~[-87, 87] (FP32 class); clamps outside. *)
@@ -30,7 +34,7 @@ val silu_hw : float -> float
 val softmax_hw : Hnlpu_tensor.Vec.t -> Hnlpu_tensor.Vec.t
 (** Max-subtracted, hardware [exp], exact-ish normalization. *)
 
-val rmsnorm_hw : ?eps:float -> gain:Hnlpu_tensor.Vec.t -> Hnlpu_tensor.Vec.t -> Hnlpu_tensor.Vec.t
+val rmsnorm_hw : gain:Hnlpu_tensor.Vec.t -> Hnlpu_tensor.Vec.t -> Hnlpu_tensor.Vec.t
 
 val swiglu_hw : gate:Hnlpu_tensor.Vec.t -> up:Hnlpu_tensor.Vec.t -> Hnlpu_tensor.Vec.t
 

@@ -55,11 +55,8 @@ module Sampler = Hnlpu_model.Sampler
 module Rope = Hnlpu_model.Rope
 module Hn_linear = Hnlpu_model.Hn_linear
 module Lora = Hnlpu_model.Lora
-module Tokenizer = Hnlpu_model.Tokenizer
 module Quant_eval = Hnlpu_model.Quant_eval
-module Generation = Hnlpu_model.Generation
 module Speculative = Hnlpu_model.Speculative
-module Checkpoint = Hnlpu_model.Checkpoint
 
 (** {1 Lithography and NRE (Sea-of-Neurons)} *)
 

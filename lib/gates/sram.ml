@@ -1,9 +1,9 @@
-type t = { capacity_bits : int; word_bits : int; banks : int }
+type t = { capacity_bits : int; word_bits : int }
 
-let make ?(banks = 1) ~capacity_bytes ~word_bits () =
-  if capacity_bytes <= 0 || word_bits <= 0 || banks <= 0 then
+let make ~capacity_bytes ~word_bits () =
+  if capacity_bytes <= 0 || word_bits <= 0 then
     invalid_arg "Sram.make: sizes must be positive";
-  { capacity_bits = capacity_bytes * 8; word_bits; banks }
+  { capacity_bits = capacity_bytes * 8; word_bits }
 
 let area_mm2 (tech : Tech.t) t =
   let cell_mm2 = tech.sram_bitcell_um2 *. 1e-6 in

@@ -6,10 +6,9 @@
 type t = {
   capacity_bits : int;
   word_bits : int;  (** Bits delivered per read access. *)
-  banks : int;
 }
 
-val make : ?banks:int -> capacity_bytes:int -> word_bits:int -> unit -> t
+val make : capacity_bytes:int -> word_bits:int -> unit -> t
 
 val area_mm2 : Tech.t -> t -> float
 (** Macro area: bit-cell array divided by the macro efficiency factor. *)

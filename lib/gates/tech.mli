@@ -1,7 +1,8 @@
-(** Technology-node constants (default: the paper's 5 nm point).
+(** Technology-node constants for the paper's 5 nm point.
 
-    Every physical estimate in this repository flows through one of these
-    records, so a what-if at another node is a one-record change.  The 5 nm
+    Every physical estimate in this repository reads {!n5}, the one record
+    the paper evaluates, so a what-if at another node is an edit to that
+    record.  The 5 nm
     values come from the paper (§2.2, §6, Appendix B) and public PDK data;
     the energy coefficients are calibrated order-of-magnitude figures —
     EXPERIMENTS.md documents which reproduced ratio is sensitive to which

@@ -24,11 +24,11 @@ type row = {
 let paper_prices =
   [ ("Kimi-K2", 462.0e6); ("DeepSeek-V3", 353.0e6); ("QwQ", 69.0e6); ("Llama-3", 38.0e6) ]
 
-let row ?(anchor = Mask_cost.Pessimistic) (c : Config.t) =
+let row (c : Config.t) =
   let frac = chips_fractional c in
   let nre =
-    Mask_cost.homogeneous_cost anchor
-    +. (frac *. Mask_cost.embedding_cost_per_chip anchor)
+    Mask_cost.homogeneous_cost Mask_cost.Pessimistic
+    +. (frac *. Mask_cost.embedding_cost_per_chip Mask_cost.Pessimistic)
   in
   {
     model = c.Config.name;
@@ -40,4 +40,4 @@ let row ?(anchor = Mask_cost.Pessimistic) (c : Config.t) =
     paper_nre_usd = List.assoc_opt c.Config.name paper_prices;
   }
 
-let table4 ?anchor () = List.map (row ?anchor) Config.table4_models
+let table4 () = List.map row Config.table4_models

@@ -33,9 +33,9 @@ type row = {
   paper_nre_usd : float option;  (** The Table 4 entry when the model is one. *)
 }
 
-val table4 : ?anchor:Mask_cost.anchor -> unit -> row list
-(** The four Table 4 rows (pessimistic anchor by default, matching the
-    paper's prices). *)
+val table4 : unit -> row list
+(** The four Table 4 rows, priced at the pessimistic mask anchor that
+    matches the paper's prices. *)
 
-val row : ?anchor:Mask_cost.anchor -> Hnlpu_model.Config.t -> row
-(** NRE estimate for any model config. *)
+val row : Hnlpu_model.Config.t -> row
+(** NRE estimate for any model config (pessimistic anchor). *)

@@ -24,15 +24,13 @@ let r_via_stack_ohm = 90.0
 let c_per_um_ff = 0.22
 let c_fixed_ff = 7.36
 
-let hn_array_area_mm2 ?tech c = Hnlpu_chip.Hn_array.area_mm2 ?tech c
-
-let supply_m ?tech c =
-  let area_m2 = hn_array_area_mm2 ?tech c *. 1e-6 in
+let supply_m c =
+  let area_m2 = Hnlpu_chip.Hn_array.area_mm2 c *. 1e-6 in
   List.fold_left (fun acc pitch -> acc +. (area_m2 /. (pitch *. 1e-9))) 0.0 pitches_nm
 
-let analyze ?tech (c : Config.t) =
+let analyze (c : Config.t) =
   let wires = Hnlpu_chip.Hn_array.weights_per_chip c in
-  let supply = supply_m ?tech c in
+  let supply = supply_m c in
   let demand = wires *. mean_wire_length_um *. 1e-6 in
   let utilization = demand /. supply in
   let r = (r_per_um_ohm *. mean_wire_length_um) +. r_via_stack_ohm in
@@ -48,5 +46,5 @@ let analyze ?tech (c : Config.t) =
     congestion_free = utilization < 0.70;
   }
 
-let max_embeddable_weights ?tech c =
-  0.70 *. supply_m ?tech c /. (mean_wire_length_um *. 1e-6)
+let max_embeddable_weights c =
+  0.70 *. supply_m c /. (mean_wire_length_um *. 1e-6)

@@ -26,9 +26,9 @@ type t = {
 
 val mean_wire_length_um : float
 
-val analyze : ?tech:Hnlpu_gates.Tech.t -> Hnlpu_model.Config.t -> t
+val analyze : Hnlpu_model.Config.t -> t
 
 val max_embeddable_weights :
-  ?tech:Hnlpu_gates.Tech.t -> Hnlpu_model.Config.t -> float
+  Hnlpu_model.Config.t -> float
 (** Weights per chip at exactly the 70% routing ceiling — headroom check
     for larger models on the same die. *)

@@ -82,14 +82,14 @@ let hnlpu_tile =
   in
   { ports; tiles_per_chip = reference_tiles_per_chip ports }
 
-let plan ?(tile = hnlpu_tile) (c : Config.t) =
+let plan (c : Config.t) =
   Config.validate c;
   if c.Config.total_params_override <> None then
     invalid_arg "Sea_of_neurons.plan: footprint-only model has no shapes";
-  let demands = layer_demands c tile in
+  let demands = layer_demands c hnlpu_tile in
   let tiles_needed = tiles_of_demands c.Config.num_layers demands in
   let chips_needed =
-    int_of_float (ceil (tiles_needed /. float_of_int tile.tiles_per_chip))
+    int_of_float (ceil (tiles_needed /. float_of_int hnlpu_tile.tiles_per_chip))
   in
   let weight_total, weighted_util =
     List.fold_left
@@ -107,7 +107,7 @@ let plan ?(tile = hnlpu_tile) (c : Config.t) =
     fits_reference_16 = chips_needed <= 16;
   }
 
-let utilization_penalty ?tile (c : Config.t) =
-  let p = plan ?tile c in
+let utilization_penalty (c : Config.t) =
+  let p = plan c in
   let ideal = Model_nre.chips_fractional c in
   float_of_int p.chips_needed /. ideal

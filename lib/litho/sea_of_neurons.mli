@@ -14,7 +14,11 @@
     So the same homogeneous mask set serves other models — at a
     utilization penalty this module quantifies.  Re-spinning a model with
     different hyper-parameters is a metal-only change as long as the tile
-    demand fits the prefab supply. *)
+    demand fits the prefab supply.
+
+    No tool or example calls this module; it stays as the §3.2/§8 prefab
+    planner, whose gpt-oss plan (16 chips) and utilization penalty over
+    {!Model_nre}'s pro-rata chip count test_prefab pins. *)
 
 type tile_spec = {
   ports : int;           (** Input ports per tile (2880 x 1.25 slack). *)
@@ -41,10 +45,10 @@ type plan = {
   fits_reference_16 : bool;          (** Within the 16-chip gpt-oss build. *)
 }
 
-val plan : ?tile:tile_spec -> Hnlpu_model.Config.t -> plan
+val plan : Hnlpu_model.Config.t -> plan
 (** Raises on footprint-only models (no shapes to bind). *)
 
-val utilization_penalty : ?tile:tile_spec -> Hnlpu_model.Config.t -> float
+val utilization_penalty : Hnlpu_model.Config.t -> float
 (** chips_needed / ideal pro-rata chips — 1.0 when the model's shapes
     tile perfectly (gpt-oss by construction); larger when fragmentation
     or chaining wastes ports. *)

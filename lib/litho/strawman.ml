@@ -1,6 +1,8 @@
 open Hnlpu_gates
 open Hnlpu_model
 
+let tech = Tech.n5
+
 type t = {
   cmac_transistors : int;
   area_mm2 : float;
@@ -10,7 +12,7 @@ type t = {
 
 let paper_cmac_transistors = 208
 
-let estimate ?(tech = Tech.n5) ?(anchor = Mask_cost.Pessimistic) config =
+let estimate config =
   let params = Params.hardwired config in
   let area_mm2 =
     params *. float_of_int paper_cmac_transistors
@@ -21,7 +23,7 @@ let estimate ?(tech = Tech.n5) ?(anchor = Mask_cost.Pessimistic) config =
     cmac_transistors = paper_cmac_transistors;
     area_mm2;
     chips;
-    mask_cost_usd = Mask_cost.full_custom anchor ~chips;
+    mask_cost_usd = Mask_cost.full_custom Mask_cost.Pessimistic ~chips;
   }
 
 type amortization = {
@@ -49,8 +51,8 @@ let gpu_economics () =
     cost_per_unit_usd = (mask_bill +. wafer_bill) /. float_of_int units;
   }
 
-let hardwired_economics ?(tech = Tech.n5) config =
-  let s = estimate ~tech config in
+let hardwired_economics config =
+  let s = estimate config in
   (* One unit needs [chips] good dies; each wafer yields tens of
      reticle-sized dies, but the dies are all different, so wafer count is
      bounded below by exposure-field assortment: ~5 wafers (Figure 2). *)

@@ -9,12 +9,11 @@ type t = {
   mask_cost_usd : float;   (** One full set per heterogeneous chip. *)
 }
 
-val estimate : ?tech:Hnlpu_gates.Tech.t -> ?anchor:Mask_cost.anchor ->
-  Hnlpu_model.Config.t -> t
+val estimate : Hnlpu_model.Config.t -> t
 (** Straw-man for a model: area = hardwired params x 208 T at raw density
     (the paper's "most optimistic estimation" uses no utilization derate),
-    chips = area / reticle limit, masks = chips x full set.  Default
-    anchor: pessimistic ($30M), matching the paper's $6B quote. *)
+    chips = area / reticle limit, masks = chips x full set at the
+    pessimistic anchor ($30M), matching the paper's $6B quote. *)
 
 (** {1 Figure 2: amortization} *)
 
@@ -32,5 +31,5 @@ val gpu_economics : unit -> amortization
 (** The H100 side of Figure 2: one $30M set, 20,000 wafers at $18K,
     ~500,000 units -> $780/unit. *)
 
-val hardwired_economics : ?tech:Hnlpu_gates.Tech.t -> Hnlpu_model.Config.t -> amortization
+val hardwired_economics : Hnlpu_model.Config.t -> amortization
 (** The straw-man side: ~200 sets, ~5 wafers, 1 unit -> ~$6B/unit. *)

@@ -73,8 +73,8 @@ module Side_channel = struct
      cost per parameter. *)
   let field_programmable_cost_factor = 10.0
 
-  let area_overhead_mm2 ?(tech = Hnlpu_gates.Tech.n5) (c : Config.t) =
+  let area_overhead_mm2 (c : Config.t) =
     let params_per_chip = capacity_params c /. 16.0 in
     params_per_chip *. 9.3 *. field_programmable_cost_factor
-    /. (tech.Hnlpu_gates.Tech.transistor_density_per_mm2 *. 0.85)
+    /. (Hnlpu_gates.Tech.n5.transistor_density_per_mm2 *. 0.85)
 end

@@ -56,7 +56,7 @@ module Side_channel : sig
   (** Largest uniform rank the 1% budget supports (for gpt-oss: every
       attention and expert projection adapted). *)
 
-  val area_overhead_mm2 : ?tech:Hnlpu_gates.Tech.t -> Config.t -> float
+  val area_overhead_mm2 : Config.t -> float
   (** Extra silicon per chip.  Field-programmable HNs need weight storage
     cells, ~10x the metal-embedded cost per parameter. *)
 end

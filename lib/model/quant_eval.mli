@@ -6,7 +6,11 @@
     This module quantifies that premise on the runnable reference model:
     a float checkpoint and its MXFP4 twin are compared on perplexity,
     hidden-state geometry and next-token agreement over synthetic
-    sequences. *)
+    sequences.
+
+    No tool or example calls this module; it stays as the check on §2.2's
+    FP4 premise, which test_system2 bounds (perplexity within 25% of
+    float) and test_par runs as a sweep-determinism reference. *)
 
 type report = {
   sequences : int;

@@ -5,10 +5,10 @@
     is part of the VEX unit's nonlinear repertoire in HNLPU; here it is the
     functional reference. *)
 
-val apply : ?theta:float -> head_dim:int -> pos:int -> Hnlpu_tensor.Vec.t -> Hnlpu_tensor.Vec.t
+val apply : head_dim:int -> pos:int -> Hnlpu_tensor.Vec.t -> Hnlpu_tensor.Vec.t
 (** Rotate one head vector (length [head_dim], must be even) for position
-    [pos].  [theta] is the base frequency, default 10000. *)
+    [pos], with base frequency 10000. *)
 
-val apply_heads : ?theta:float -> head_dim:int -> pos:int -> Hnlpu_tensor.Vec.t -> Hnlpu_tensor.Vec.t
+val apply_heads : head_dim:int -> pos:int -> Hnlpu_tensor.Vec.t -> Hnlpu_tensor.Vec.t
 (** Apply to a flat concatenation of heads (length a multiple of
     [head_dim]). *)

@@ -6,7 +6,8 @@ type strategy =
   | Top_k of int * float
   | Top_p of float * float
 
-let check_temp t = if t <= 0.0 then invalid_arg "Sampler: non-positive temperature"
+let check_temp t =
+  if not (t > 0.0) then invalid_arg "Sampler: temperature must be positive"
 
 let multinomial rng probs =
   let u = Hnlpu_util.Rng.float rng 1.0 in
@@ -39,7 +40,7 @@ let dist strategy logits =
     Vec.softmax masked
   | Top_p (p, t) ->
     check_temp t;
-    if p <= 0.0 || p > 1.0 then invalid_arg "Sampler: p must be in (0, 1]";
+    if not (p > 0.0 && p <= 1.0) then invalid_arg "Sampler: p must be in (0, 1]";
     let probs = Vec.softmax (Vec.scale (1.0 /. t) logits) in
     (* Keep the most likely tokens until their mass reaches p; the token
        that crosses the threshold is included (standard nucleus rule). *)

@@ -26,8 +26,9 @@ val reset : t -> unit
 
 val fork : t -> t
 (** An independent continuation of the same sequence: shares the weights,
-    copies the KV cache and counters.  The branching primitive beam search
-    needs ({!Generation.beam_search}). *)
+    copies the KV cache and counters.  {!Speculative} forks draft and
+    target to propose and verify a block without disturbing their
+    committed state. *)
 
 val forward : t -> token:int -> Hnlpu_tensor.Vec.t
 (** Consume one token id, return next-token logits (length [vocab]).

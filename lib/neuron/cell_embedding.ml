@@ -1,6 +1,8 @@
 open Hnlpu_fp4
 open Hnlpu_gates
 
+let tech = Tech.n5
+
 type t = {
   gemv : Gemv.t;
   tree_stats : Csa.stats;  (** One neuron's product-reduction tree. *)
@@ -38,7 +40,7 @@ let cycles t =
    multiply the switched capacitance.  1.8x is a standard planning figure. *)
 let glitch_factor = 1.8
 
-let report ?(tech = Tech.n5) t =
+let report t =
   let g = t.gemv in
   let n = g.Gemv.in_features and m = g.Gemv.out_features in
   let tree_tr = Census.csa_cost t.tree_stats * m in

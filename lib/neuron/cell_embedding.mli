@@ -19,7 +19,7 @@ val run : t -> int array -> int array * Report.t
     {!Gemv.reference}) and the PPA report at 5 nm.  Rejects bad activations
     with {!Gemv.check_activations}. *)
 
-val report : ?tech:Hnlpu_gates.Tech.t -> t -> Report.t
+val report : t -> Report.t
 
 val tree_stats : t -> Hnlpu_fp4.Csa.stats
 (** Structural statistics of one neuron's adder tree. *)

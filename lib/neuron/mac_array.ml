@@ -1,5 +1,7 @@
 open Hnlpu_gates
 
+let tech = Tech.n5
+
 type t = { gemv : Gemv.t; n_macs : int; sram : Sram.t }
 
 let make ?(n_macs = 1024) gemv =
@@ -22,7 +24,7 @@ let pipeline_fill t =
 
 let cycles t = tiles t + pipeline_fill t
 
-let report ?(tech = Tech.n5) t =
+let report t =
   let macs = float_of_int t.n_macs in
   let mac_tr = float_of_int (Census.fp4_full_mac ~input_bits:t.gemv.Gemv.act_bits) in
   let logic_tr = (macs *. mac_tr) +. float_of_int (Census.register (t.n_macs * 4)) in

@@ -19,5 +19,5 @@ val run : t -> int array -> int array * Report.t
     report under {!Hnlpu_gates.Tech.n5}.  Rejects bad activations with
     {!Gemv.check_activations}. *)
 
-val report : ?tech:Hnlpu_gates.Tech.t -> t -> Report.t
+val report : t -> Report.t
 (** PPA report without executing (structure-only). *)

@@ -17,7 +17,11 @@
     property-tested: (1) after the drain, every accumulator equals the
     reference dot product; (2) at every cycle, each accumulator equals the
     partial dot product over the planes it has folded in — the pipeline
-    never holds a value that is not a true prefix sum. *)
+    never holds a value that is not a true prefix sum.
+
+    No tool or example calls this module; it stays as the §6.1 cycle-level
+    model, which test_rtl checks against {!Gemv.reference} and
+    {!Metal_embedding}. *)
 
 type cycle_state = {
   cycle : int;

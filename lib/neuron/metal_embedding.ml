@@ -1,6 +1,8 @@
 open Hnlpu_fp4
 open Hnlpu_gates
 
+let tech = Tech.n5
+
 type t = {
   gemv : Gemv.t;
   slack : float;
@@ -84,7 +86,7 @@ let accumulator_bits t =
   let rec bits k acc = if k = 0 then acc else bits (k lsr 1) (acc + 1) in
   t.gemv.Gemv.act_bits + 5 + bits t.gemv.Gemv.in_features 0
 
-let report ?(tech = Tech.n5) t =
+let report t =
   let g = t.gemv in
   let m = g.Gemv.out_features in
   let popcount_tr = Census.popcount_region ~ports:t.capacity * regions in

@@ -35,7 +35,7 @@ val run : t -> int array -> int array * Report.t
 (** Execute the bit-serial machine; returns half-unit results and the 5 nm
     PPA report.  Rejects bad activations with {!Gemv.check_activations}. *)
 
-val report : ?tech:Hnlpu_gates.Tech.t -> t -> Report.t
+val report : t -> Report.t
 
 val region_capacity : t -> int
 (** Ports provisioned per POPCNT region. *)

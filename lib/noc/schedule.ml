@@ -240,7 +240,7 @@ let run_symbolic ~producers ~mode plan =
     deliveries = List.rev !deliveries;
   }
 
-let run_all_reduce ?plan ?obs ?(link = Link.cxl3) ?(t0_s = 0.0) ~group vals =
+let run_all_reduce ?plan ?obs ?(link = Link.cxl3) ~group vals =
   (match vals with
   | [] -> invalid_arg "Schedule.run_all_reduce: empty"
   | _ -> ());
@@ -250,7 +250,7 @@ let run_all_reduce ?plan ?obs ?(link = Link.cxl3) ?(t0_s = 0.0) ~group vals =
   (* Transfers of one step start together at the step's offset into the
      plan's makespan; the telemetry timeline reuses the same link model as
      {!makespan}, so spans and the reported makespan agree. *)
-  let step_start = ref t0_s in
+  let step_start = ref 0.0 in
   let emit_step phase step =
     match obs with
     | None -> ()
@@ -275,8 +275,8 @@ let run_all_reduce ?plan ?obs ?(link = Link.cxl3) ?(t0_s = 0.0) ~group vals =
           Hnlpu_obs.Metrics.observe m "noc/transfer_s" d)
         step;
       step_start := !step_start +. !worst;
-      Hnlpu_obs.Metrics.set_stamped m ~stamp:(!step_start -. t0_s)
-        "noc/makespan_s" (!step_start -. t0_s)
+      Hnlpu_obs.Metrics.set_stamped m ~stamp:!step_start
+        "noc/makespan_s" !step_start
   in
   let state = Hashtbl.create 16 in
   List.iter (fun (c, v) -> Hashtbl.replace state c (Array.copy v)) vals;

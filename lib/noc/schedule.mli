@@ -117,7 +117,7 @@ val run_symbolic :
 (** {1 Execution on values} *)
 
 val run_all_reduce :
-  ?plan:t -> ?obs:Hnlpu_obs.Sink.t -> ?link:Link.t -> ?t0_s:float ->
+  ?plan:t -> ?obs:Hnlpu_obs.Sink.t -> ?link:Link.t ->
   group:Topology.chip list -> Collective.valued -> Collective.valued
 (** Execute an all-reduce plan transfer by transfer on real vectors
     (merging at receivers on the first step, overwriting on later steps)
@@ -128,6 +128,6 @@ val run_all_reduce :
 
     [obs] records one span per transfer — on the sending chip's track,
     tagged with bytes, step index and destination — timed with [link]
-    (default {!Link.cxl3}) from [t0_s] (default 0) so the stream agrees
+    (default {!Link.cxl3}) from time 0 so the stream agrees
     with {!makespan}; per-plan byte/transfer counters and a makespan gauge
     land in the metrics registry.  Values computed are unaffected. *)

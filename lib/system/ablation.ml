@@ -21,22 +21,22 @@ let interconnect_options =
     ("wafer-scale", mk 2.0e12 10.0e-9);
   ]
 
-let throughput_with_link ?(tech = Hnlpu_gates.Tech.n5) ~link ~context (c : Config.t) =
+let throughput_with_link ~link ~context (c : Config.t) =
   let layers = float_of_int c.Config.num_layers in
   let comm = layers *. Perf.per_layer_comm_s ~link c in
   let rest =
     layers
-    *. (Perf.per_layer_projection_s ~tech c +. Perf.per_layer_nonlinear_s ~tech c
-       +. Perf.per_layer_attention_s ~tech c ~context
-       +. Perf.per_layer_stall_s ~tech c ~context)
+    *. (Perf.per_layer_projection_s c +. Perf.per_layer_nonlinear_s c
+       +. Perf.per_layer_attention_s c ~context
+       +. Perf.per_layer_stall_s c ~context)
   in
   let total = comm +. rest in
   (float_of_int (Perf.pipeline_slots c) /. total, comm /. total)
 
-let interconnect_sweep ?tech ?(context = 2048) ?domains c =
+let interconnect_sweep ?(context = 2048) ?domains c =
   Par.parallel_map ?domains
     (fun (link_name, link) ->
-      let throughput, comm_fraction = throughput_with_link ?tech ~link ~context c in
+      let throughput, comm_fraction = throughput_with_link ~link ~context c in
       {
         link_name;
         bandwidth_gbps = link.Link.bandwidth_bytes_per_s /. 1e9;
@@ -62,7 +62,7 @@ type programmability_row = {
    factor on the 1% side-channel). *)
 let field_programmable_factor = 10.0
 
-let programmability ?(tech = Hnlpu_gates.Tech.n5) (c : Config.t) =
+let programmability (c : Config.t) =
   let base_chips = Topology.chips in
   let die = 827.08 in
   let metal =
@@ -92,8 +92,8 @@ let programmability ?(tech = Hnlpu_gates.Tech.n5) (c : Config.t) =
   let comm = layers *. Perf.per_layer_comm_s c in
   let rest =
     layers
-    *. (Perf.per_layer_projection_s ~tech c +. Perf.per_layer_nonlinear_s ~tech c
-       +. Perf.per_layer_attention_s ~tech c ~context)
+    *. (Perf.per_layer_projection_s c +. Perf.per_layer_nonlinear_s c
+       +. Perf.per_layer_attention_s c ~context)
   in
   let field =
     {
@@ -115,8 +115,8 @@ type precision_row = {
   throughput_tokens_per_s : float;
 }
 
-let precision_sweep ?(tech = Hnlpu_gates.Tech.n5) ?domains (c : Config.t) =
-  let cycle = Hnlpu_gates.Tech.cycle_time_s tech in
+let precision_sweep ?domains (c : Config.t) =
+  let cycle = Hnlpu_gates.Tech.cycle_time_s Hnlpu_gates.Tech.n5 in
   Par.parallel_map ?domains
     (fun bits ->
       let bytes_per_elem = float_of_int bits /. 8.0 in
@@ -134,8 +134,8 @@ let precision_sweep ?(tech = Hnlpu_gates.Tech.n5) ?domains (c : Config.t) =
       let layers = float_of_int c.Config.num_layers in
       let total =
         layers
-        *. (Perf.per_layer_comm_s c +. proj +. Perf.per_layer_nonlinear_s ~tech c
-           +. Perf.per_layer_attention_s ~tech c ~context:2048)
+        *. (Perf.per_layer_comm_s c +. proj +. Perf.per_layer_nonlinear_s c
+           +. Perf.per_layer_attention_s c ~context:2048)
       in
       {
         act_bits = bits;
@@ -186,12 +186,12 @@ type window_row = {
   speedup : float;
 }
 
-let sliding_window_sweep ?tech ?domains () =
+let sliding_window_sweep ?domains () =
   let full = Config.gpt_oss_120b and sw = Config.gpt_oss_120b_sw in
   Par.parallel_map ?domains
     (fun context ->
-      let tf = Perf.throughput_tokens_per_s ?tech full ~context in
-      let tw = Perf.throughput_tokens_per_s ?tech sw ~context in
+      let tf = Perf.throughput_tokens_per_s full ~context in
+      let tw = Perf.throughput_tokens_per_s sw ~context in
       { window_context = context; full_tokens_per_s = tf;
         windowed_tokens_per_s = tw; speedup = tw /. tf })
     Perf.figure14_contexts
@@ -203,11 +203,11 @@ type speculative_row = {
   spec_speedup : float;      (** Over plain decode. *)
 }
 
-let speculative_sweep ?tech ?(context = 2048) ?(acceptance = 0.7) ?domains
+let speculative_sweep ?(context = 2048) ?(acceptance = 0.7) ?domains
     (c : Config.t) =
-  if acceptance < 0.0 || acceptance >= 1.0 then
+  if not (acceptance >= 0.0 && acceptance < 1.0) then
     invalid_arg "Ablation.speculative_sweep: acceptance in [0,1)";
-  let base = Perf.throughput_tokens_per_s ?tech c ~context in
+  let base = Perf.throughput_tokens_per_s c ~context in
   Par.parallel_map ?domains
     (fun k ->
       (* Greedy speculative: accepted prefix length has expectation
@@ -216,7 +216,7 @@ let speculative_sweep ?tech ?(context = 2048) ?(acceptance = 0.7) ?domains
          through the pipeline as one block). *)
       let a = acceptance in
       let expected = (a *. (1.0 -. (a ** float_of_int k)) /. (1.0 -. a)) +. 1.0 in
-      let pass_latency = Perf.prefill_chunk_latency_s ?tech c ~chunk:(k + 1) ~context in
+      let pass_latency = Perf.prefill_chunk_latency_s c ~chunk:(k + 1) ~context in
       let tput =
         float_of_int (Perf.pipeline_slots c) *. expected /. pass_latency
       in
@@ -228,8 +228,8 @@ let speculative_sweep ?tech ?(context = 2048) ?(acceptance = 0.7) ?domains
       })
     [ 1; 2; 4; 8 ]
 
-let chunk_sweep ?tech ?(context = 2048) ?domains c =
+let chunk_sweep ?(context = 2048) ?domains c =
   Par.parallel_map ?domains
     (fun chunk ->
-      (chunk, Perf.prefill_throughput_tokens_per_s ?tech c ~chunk ~context))
+      (chunk, Perf.prefill_throughput_tokens_per_s c ~chunk ~context))
     [ 1; 2; 4; 8; 16; 32; 64 ]

@@ -29,7 +29,7 @@ val interconnect_options : (string * Hnlpu_noc.Link.t) list
 (** PCIe5-class, CXL 3.0 (the design point), NVLink-class, wafer-scale. *)
 
 val interconnect_sweep :
-  ?tech:Hnlpu_gates.Tech.t -> ?context:int -> ?domains:int ->
+  ?context:int -> ?domains:int ->
   Hnlpu_model.Config.t -> interconnect_row list
 (** All sweeps in this module map their design points across the
     {!Hnlpu_par.Par} pool; [?domains] overrides the pool width and results
@@ -47,7 +47,7 @@ type programmability_row = {
           collective groups. *)
 }
 
-val programmability : ?tech:Hnlpu_gates.Tech.t -> Hnlpu_model.Config.t -> programmability_row list
+val programmability : Hnlpu_model.Config.t -> programmability_row list
 (** [metal-programmable; field-programmable] for the model. *)
 
 type precision_row = {
@@ -58,7 +58,7 @@ type precision_row = {
 }
 
 val precision_sweep :
-  ?tech:Hnlpu_gates.Tech.t -> ?domains:int -> Hnlpu_model.Config.t -> precision_row list
+  ?domains:int -> Hnlpu_model.Config.t -> precision_row list
 (** Activation width 4 / 8 / 16 bits (the design streams FP16). *)
 
 type slack_row = {
@@ -83,7 +83,7 @@ type window_row = {
 }
 
 val sliding_window_sweep :
-  ?tech:Hnlpu_gates.Tech.t -> ?domains:int -> unit -> window_row list
+  ?domains:int -> unit -> window_row list
 (** Full attention vs the real gpt-oss's alternating 128-token sliding
     window across the Figure 14 contexts: windowing halves the attention
     term on even layers, so the speedup grows with context (and defers the
@@ -97,7 +97,7 @@ type speculative_row = {
 }
 
 val speculative_sweep :
-  ?tech:Hnlpu_gates.Tech.t -> ?context:int -> ?acceptance:float -> ?domains:int ->
+  ?context:int -> ?acceptance:float -> ?domains:int ->
   Hnlpu_model.Config.t -> speculative_row list
 (** Speculative decoding on HNLPU: a draft's k-token proposal verifies as
     one chunked-prefill pass (the §5.2 batching lever), so at acceptance
@@ -105,6 +105,6 @@ val speculative_sweep :
     decode throughput for lookaheads 1/2/4/8 (default acceptance 0.7). *)
 
 val chunk_sweep :
-  ?tech:Hnlpu_gates.Tech.t -> ?context:int -> ?domains:int ->
+  ?context:int -> ?domains:int ->
   Hnlpu_model.Config.t -> (int * float) list
 (** Prefill chunk size -> tokens/s (the batching lever of §5.2). *)

@@ -86,18 +86,17 @@ let validate_config c =
   if not (c.decode_token_latency_s > 0.0) then
     invalid_arg "Fleet: decode_token_latency_s <= 0"
 
-let config_of_model ?tech ?(context = 2048) ?(shards = 8) ?(rack_size = 16)
-    ?(rack_power_cap = 12) ~nodes mconfig =
+let config_of_model ?(context = 2048) ?(shards = 8) ~nodes mconfig =
   {
     nodes;
     shards = min shards (max 1 nodes);
-    rack_size;
-    rack_power_cap;
+    rack_size = 16;
+    rack_power_cap = 12;
     idle_after_s = 30.0;
     prefill_tokens_per_s =
-      Perf.prefill_throughput_tokens_per_s ?tech mconfig ~chunk:8 ~context;
-    decode_tokens_per_s = Perf.throughput_tokens_per_s ?tech mconfig ~context;
-    decode_token_latency_s = Perf.token_latency_cached ?tech mconfig ~context;
+      Perf.prefill_throughput_tokens_per_s mconfig ~chunk:8 ~context;
+    decode_tokens_per_s = Perf.throughput_tokens_per_s mconfig ~context;
+    decode_token_latency_s = Perf.token_latency_cached mconfig ~context;
   }
 
 let capacity_req_per_s cfg (spec : Arrivals.spec) =

@@ -95,19 +95,16 @@ type config = {
 }
 
 val config_of_model :
-  ?tech:Hnlpu_gates.Tech.t ->
   ?context:int ->
   ?shards:int ->
-  ?rack_size:int ->
-  ?rack_power_cap:int ->
   nodes:int ->
   Hnlpu_model.Config.t ->
   config
 (** Node rates from the {!Perf} model at [context] (default 2048):
     decode = {!Perf.throughput_tokens_per_s}, prefill =
     {!Perf.prefill_throughput_tokens_per_s} at chunk 8, per-token
-    latency = {!Perf.token_latency_cached}.  Defaults: [shards] 8,
-    [rack_size] 16, [rack_power_cap] 12, [idle_after_s] 30. *)
+    latency = {!Perf.token_latency_cached}.  [shards] defaults to 8;
+    [rack_size] is 16, [rack_power_cap] 12 and [idle_after_s] 30. *)
 
 val capacity_req_per_s : config -> Arrivals.spec -> float
 (** Aggregate request rate the fleet can absorb at 100% utilization:

@@ -60,7 +60,7 @@ let per_layer_comm_s ?(link = Link.cxl3) (c : Config.t) =
          *. link_contention_factor))
     0.0 steps
 
-let cycle_s (tech : Hnlpu_gates.Tech.t) = Hnlpu_gates.Tech.cycle_time_s tech
+let cycle_s = Hnlpu_gates.Tech.cycle_time_s Hnlpu_gates.Tech.n5
 
 (* FP16 activations stream into each HN bank; one shared stream feeds the
    Q/K/V banks (same input slice) and one feeds up+gate (same vector). *)
@@ -72,23 +72,23 @@ let per_layer_projection_cycles (c : Config.t) =
   + stream c.Config.hidden          (* up + gate (shared stream) *)
   + stream c.Config.expert_hidden   (* down projection *)
 
-let per_layer_projection_s ?(tech = Hnlpu_gates.Tech.n5) c =
-  float_of_int (per_layer_projection_cycles c) *. cycle_s tech
+let per_layer_projection_s c =
+  float_of_int (per_layer_projection_cycles c) *. cycle_s
 
-let per_layer_nonlinear_s ?(tech = Hnlpu_gates.Tech.n5) c =
-  float_of_int (Vex.nonlinear_cycles c) *. cycle_s tech
+let per_layer_nonlinear_s c =
+  float_of_int (Vex.nonlinear_cycles c) *. cycle_s
 
-let per_layer_attention_s ?(tech = Hnlpu_gates.Tech.n5) (c : Config.t) ~context =
+let per_layer_attention_s (c : Config.t) ~context =
   (* Sliding-window configs alternate windowed/full layers; the per-layer
      average halves the long-context attention cost. *)
   match c.Config.sliding_window with
-  | None -> float_of_int (Vex.attention_cycles c ~context) *. cycle_s tech
+  | None -> float_of_int (Vex.attention_cycles c ~context) *. cycle_s
   | Some w ->
     let full = float_of_int (Vex.attention_cycles c ~context) in
     let windowed = float_of_int (Vex.attention_cycles c ~context:(min context w)) in
-    (full +. windowed) /. 2.0 *. cycle_s tech
+    (full +. windowed) /. 2.0 *. cycle_s
 
-let per_layer_stall_s ?(tech = Hnlpu_gates.Tech.n5) (c : Config.t) ~context =
+let per_layer_stall_s (c : Config.t) ~context =
   let spilled = Attention_buffer.spilled_bytes_per_token Attention_buffer.hnlpu c ~context in
   (* With a sliding window only the full-attention half of the layers ever
      touches far-away KV, halving the spill traffic; the fetch overlaps
@@ -101,40 +101,40 @@ let per_layer_stall_s ?(tech = Hnlpu_gates.Tech.n5) (c : Config.t) ~context =
   let per_layer = spilled *. fetch_fraction /. float_of_int c.Config.num_layers in
   let fetch = Hbm.fetch_time_s Hbm.hnlpu ~bytes:per_layer in
   Hbm.stall_s Hbm.hnlpu ~fetch_s:fetch
-    ~compute_s:(float_of_int overlap_cycles *. cycle_s tech)
+    ~compute_s:(float_of_int overlap_cycles *. cycle_s)
 
-let token_breakdown ?(tech = Hnlpu_gates.Tech.n5) (c : Config.t) ~context =
+let token_breakdown (c : Config.t) ~context =
   let layers = float_of_int c.Config.num_layers in
-  let sampling = float_of_int (Vex.sampling_cycles c) *. cycle_s tech in
+  let sampling = float_of_int (Vex.sampling_cycles c) *. cycle_s in
   {
     comm_s = layers *. per_layer_comm_s c;
-    projection_s = layers *. per_layer_projection_s ~tech c;
-    nonlinear_s = (layers *. per_layer_nonlinear_s ~tech c) +. sampling;
-    attention_s = layers *. per_layer_attention_s ~tech c ~context;
-    stall_s = layers *. per_layer_stall_s ~tech c ~context;
+    projection_s = layers *. per_layer_projection_s c;
+    nonlinear_s = (layers *. per_layer_nonlinear_s c) +. sampling;
+    attention_s = layers *. per_layer_attention_s c ~context;
+    stall_s = layers *. per_layer_stall_s c ~context;
   }
 
-let token_latency_s ?tech c ~context = total_s (token_breakdown ?tech c ~context)
+let token_latency_s c ~context = total_s (token_breakdown c ~context)
 
 (* Memoized variant for the hot consumers (SLO bisection probes the same
    operating point dozens of times; parallel sweeps hit it from several
    domains at once, hence the mutex).  Keys are plain records — structural
    equality is exact.  The table is bounded defensively; real runs touch a
    handful of operating points. *)
-let latency_cache : (Hnlpu_gates.Tech.t option * Config.t * int, float) Hashtbl.t =
+let latency_cache : (Config.t * int, float) Hashtbl.t =
   Hashtbl.create 64
 
 let latency_cache_mutex = Mutex.create ()
 
-let token_latency_cached ?tech c ~context =
-  let key = (tech, c, context) in
+let token_latency_cached c ~context =
+  let key = (c, context) in
   Mutex.lock latency_cache_mutex;
   let hit = Hashtbl.find_opt latency_cache key in
   Mutex.unlock latency_cache_mutex;
   match hit with
   | Some l -> l
   | None ->
-    let l = token_latency_s ?tech c ~context in
+    let l = token_latency_s c ~context in
     Mutex.lock latency_cache_mutex;
     if Hashtbl.length latency_cache > 4096 then Hashtbl.reset latency_cache;
     if not (Hashtbl.mem latency_cache key) then Hashtbl.add latency_cache key l;
@@ -143,8 +143,8 @@ let token_latency_cached ?tech c ~context =
 
 let pipeline_slots = Control_unit.pipeline_slots
 
-let throughput_tokens_per_s ?tech c ~context =
-  float_of_int (pipeline_slots c) /. token_latency_s ?tech c ~context
+let throughput_tokens_per_s c ~context =
+  float_of_int (pipeline_slots c) /. token_latency_s c ~context
 
 (* --- Prefill -------------------------------------------------------------- *)
 
@@ -160,18 +160,18 @@ let per_layer_comm_chunk_s ?(link = Link.cxl3) (c : Config.t) ~chunk =
          *. link_contention_factor))
     0.0 steps
 
-let prefill_chunk_latency_s ?(tech = Hnlpu_gates.Tech.n5) (c : Config.t) ~chunk ~context =
+let prefill_chunk_latency_s (c : Config.t) ~chunk ~context =
   if chunk < 1 then invalid_arg "Perf.prefill_chunk_latency_s: chunk >= 1";
   let layers = float_of_int c.Config.num_layers in
   let per_token =
-    per_layer_projection_s ~tech c +. per_layer_nonlinear_s ~tech c
-    +. per_layer_attention_s ~tech c ~context
+    per_layer_projection_s c +. per_layer_nonlinear_s c
+    +. per_layer_attention_s c ~context
   in
   layers *. (per_layer_comm_chunk_s c ~chunk +. (float_of_int chunk *. per_token))
 
-let prefill_throughput_tokens_per_s ?tech c ~chunk ~context =
+let prefill_throughput_tokens_per_s c ~chunk ~context =
   float_of_int (pipeline_slots c * chunk)
-  /. prefill_chunk_latency_s ?tech c ~chunk ~context
+  /. prefill_chunk_latency_s c ~chunk ~context
 
 (* --- Figure 11 stage decomposition ------------------------------------------ *)
 
@@ -187,7 +187,7 @@ let stage_names =
     "S6: SwiGLU + HN-DOWN + all-chip all-reduce";
   ]
 
-let stage_times_s ?(tech = Hnlpu_gates.Tech.n5) (c : Config.t) ~context =
+let stage_times_s (c : Config.t) ~context =
   let link = Link.cxl3 in
   let step bytes =
     (link.Link.phy_latency_s +. engine_base_s
@@ -195,10 +195,10 @@ let stage_times_s ?(tech = Hnlpu_gates.Tech.n5) (c : Config.t) ~context =
     *. link_contention_factor
   in
   let fp16 = Link.bytes_per_value in
-  let cyc n = float_of_int n *. cycle_s tech in
+  let cyc n = float_of_int n *. cycle_s in
   let stream n = cyc (Hnlpu_chip.Hn_array.stream_cycles ~bytes:(n * 2)) in
-  let attn = per_layer_attention_s ~tech c ~context /. 2.0 in
-  let nl = per_layer_nonlinear_s ~tech c /. 2.0 in
+  let attn = per_layer_attention_s c ~context /. 2.0 in
+  let nl = per_layer_nonlinear_s c /. 2.0 in
   let q_bytes = Config.q_dim c / 4 * fp16 in
   let kv_bytes = Config.kv_dim c / 4 * fp16 in
   let h4_bytes = c.Config.hidden / 4 * fp16 in
@@ -217,5 +217,5 @@ let stage_times_s ?(tech = Hnlpu_gates.Tech.n5) (c : Config.t) ~context =
 
 let figure14_contexts = [ 2048; 8192; 65536; 131072; 262144; 524288 ]
 
-let figure14 ?tech c =
-  List.map (fun l -> (l, token_breakdown ?tech c ~context:l)) figure14_contexts
+let figure14 c =
+  List.map (fun l -> (l, token_breakdown c ~context:l)) figure14_contexts

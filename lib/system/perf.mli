@@ -51,22 +51,22 @@ val comm_steps_per_layer : int
 
 val per_layer_comm_s : ?link:Hnlpu_noc.Link.t -> Hnlpu_model.Config.t -> float
 
-val per_layer_projection_s : ?tech:Hnlpu_gates.Tech.t -> Hnlpu_model.Config.t -> float
+val per_layer_projection_s : Hnlpu_model.Config.t -> float
 
-val per_layer_nonlinear_s : ?tech:Hnlpu_gates.Tech.t -> Hnlpu_model.Config.t -> float
+val per_layer_nonlinear_s : Hnlpu_model.Config.t -> float
 
-val per_layer_attention_s : ?tech:Hnlpu_gates.Tech.t -> Hnlpu_model.Config.t -> context:int -> float
+val per_layer_attention_s : Hnlpu_model.Config.t -> context:int -> float
 
-val per_layer_stall_s : ?tech:Hnlpu_gates.Tech.t -> Hnlpu_model.Config.t -> context:int -> float
+val per_layer_stall_s : Hnlpu_model.Config.t -> context:int -> float
 
-val token_breakdown : ?tech:Hnlpu_gates.Tech.t -> Hnlpu_model.Config.t -> context:int -> breakdown
+val token_breakdown : Hnlpu_model.Config.t -> context:int -> breakdown
 (** Whole-token decomposition (all layers + sampling, which counts as
     nonlinear). *)
 
-val token_latency_s : ?tech:Hnlpu_gates.Tech.t -> Hnlpu_model.Config.t -> context:int -> float
+val token_latency_s : Hnlpu_model.Config.t -> context:int -> float
 
-val token_latency_cached : ?tech:Hnlpu_gates.Tech.t -> Hnlpu_model.Config.t -> context:int -> float
-(** Same value as {!token_latency_s}, memoized on [(tech, config,
+val token_latency_cached : Hnlpu_model.Config.t -> context:int -> float
+(** Same value as {!token_latency_s}, memoized on [(config,
     context)] behind a mutex — the hot consumers (SLO bisection, the
     scheduler's context-aware latency buckets, parallel sweeps) probe the
     same operating points repeatedly. *)
@@ -74,7 +74,7 @@ val token_latency_cached : ?tech:Hnlpu_gates.Tech.t -> Hnlpu_model.Config.t -> c
 val pipeline_slots : Hnlpu_model.Config.t -> int
 (** 216 for gpt-oss 120B. *)
 
-val throughput_tokens_per_s : ?tech:Hnlpu_gates.Tech.t -> Hnlpu_model.Config.t -> context:int -> float
+val throughput_tokens_per_s : Hnlpu_model.Config.t -> context:int -> float
 (** 249,960 tokens/s at 2K context for gpt-oss 120B. *)
 
 (** {1 Prefill}
@@ -87,17 +87,17 @@ val throughput_tokens_per_s : ?tech:Hnlpu_gates.Tech.t -> Hnlpu_model.Config.t -
     asymptote of the HN input buses. *)
 
 val prefill_chunk_latency_s :
-  ?tech:Hnlpu_gates.Tech.t -> Hnlpu_model.Config.t -> chunk:int -> context:int -> float
+  Hnlpu_model.Config.t -> chunk:int -> context:int -> float
 (** Latency of a [chunk]-token prefill group through the whole pipeline. *)
 
 val prefill_throughput_tokens_per_s :
-  ?tech:Hnlpu_gates.Tech.t -> Hnlpu_model.Config.t -> chunk:int -> context:int -> float
+  Hnlpu_model.Config.t -> chunk:int -> context:int -> float
 (** [pipeline_slots * chunk / chunk latency]; ~5x the decode rate at
     chunk 8 and >1M tokens/s toward the asymptote — the mechanism behind
     the paper's high prefill throughput under mixed workloads. *)
 
 val stage_times_s :
-  ?tech:Hnlpu_gates.Tech.t -> Hnlpu_model.Config.t -> context:int -> (string * float) list
+  Hnlpu_model.Config.t -> context:int -> (string * float) list
 (** Per-stage decode latencies of the six-stage Figure 11 pipeline; they
     sum to the per-layer total.  Labels are {!stage_names}, in order — the
     two can never disagree. *)
@@ -105,7 +105,7 @@ val stage_times_s :
 val figure14_contexts : int list
 (** The six context lengths of Figure 14: 2K..512K. *)
 
-val figure14 : ?tech:Hnlpu_gates.Tech.t -> Hnlpu_model.Config.t -> (int * breakdown) list
+val figure14 : Hnlpu_model.Config.t -> (int * breakdown) list
 (** The full Figure 14 sweep (per-token breakdowns). *)
 
 val stage_names : string list

@@ -39,8 +39,8 @@ let ev_decode = 2   (* A decode token completed. *)
 let is_unset (x : float) = x <> x
 [@@inline]
 
-let saturated_throughput ?tech ?(context = 2048) config =
-  Perf.throughput_tokens_per_s ?tech config ~context
+let saturated_throughput ?(context = 2048) config =
+  Perf.throughput_tokens_per_s config ~context
 
 let obs_track = Hnlpu_obs.Event.track ~process:"scheduler"
 
@@ -96,9 +96,9 @@ let capacity_profile ~slots failures =
 let rec pow2_bucket b position =
   if b >= max 2048 position then b else pow2_bucket (2 * b) position
 
-let simulate ?tech ?(context = 2048) ?(context_aware = false) ?(slot_failures = [])
+let simulate ?(context = 2048) ?(context_aware = false) ?(slot_failures = [])
     ?obs config requests =
-  let latency = Perf.token_latency_cached ?tech config ~context in
+  let latency = Perf.token_latency_cached config ~context in
   (* Context-aware latency, bucketed at powers of two and memoized. *)
   let bucket_cache = Hashtbl.create 16 in
   let latency_at position =
@@ -108,7 +108,7 @@ let simulate ?tech ?(context = 2048) ?(context_aware = false) ?(slot_failures = 
       match Hashtbl.find_opt bucket_cache b with
       | Some l -> l
       | None ->
-        let l = Perf.token_latency_cached ?tech config ~context:b in
+        let l = Perf.token_latency_cached config ~context:b in
         Hashtbl.add bucket_cache b l;
         l
     end

@@ -52,7 +52,7 @@ val capacity_profile : slots:int -> (float * int) list -> float -> int
     where the naive fold over the failure list was the hot path. *)
 
 val simulate :
-  ?tech:Hnlpu_gates.Tech.t -> ?context:int -> ?context_aware:bool ->
+  ?context:int -> ?context_aware:bool ->
   ?slot_failures:(float * int) list -> ?obs:Hnlpu_obs.Sink.t ->
   Hnlpu_model.Config.t -> request list -> result
 (** Run to completion of all requests.  [context] sets the per-token
@@ -81,6 +81,6 @@ val simulate :
     Throughput degrades proportionally and no request is lost. *)
 
 val saturated_throughput :
-  ?tech:Hnlpu_gates.Tech.t -> ?context:int -> Hnlpu_model.Config.t -> float
+  ?context:int -> Hnlpu_model.Config.t -> float
 (** Closed-loop upper bound [slots / token_latency] — must agree with
     {!Perf.throughput_tokens_per_s}. *)

@@ -2,6 +2,10 @@ type objectives = { ttft_p95_s : float; e2e_p95_s : float }
 
 let interactive = { ttft_p95_s = 0.2; e2e_p95_s = 30.0 }
 
+let check_objectives obj =
+  if not (obj.ttft_p95_s > 0.0 && obj.e2e_p95_s > 0.0) then
+    invalid_arg "Slo: objectives must be positive"
+
 type evaluation = {
   rate_per_s : float;
   throughput_tokens_per_s : float;
@@ -13,7 +17,8 @@ type evaluation = {
 
 let evaluate ?(seed = 1234) ?(requests = 150) ?(mean_prefill = 256)
     ?(mean_decode = 128) ?obs config obj ~rate_per_s =
-  if rate_per_s <= 0.0 then invalid_arg "Slo.evaluate: rate must be positive";
+  check_objectives obj;
+  if not (rate_per_s > 0.0) then invalid_arg "Slo.evaluate: rate must be positive";
   let spec =
     {
       (Arrivals.chat ~rate_per_s) with
@@ -53,8 +58,9 @@ let evaluate ?(seed = 1234) ?(requests = 150) ?(mean_prefill = 256)
 
 let sweep ?seed ?requests ?mean_prefill ?mean_decode ?domains ?obs config obj
     ~rates =
+  check_objectives obj;
   List.iter
-    (fun r -> if r <= 0.0 then invalid_arg "Slo.sweep: rates must be positive")
+    (fun r -> if not (r > 0.0) then invalid_arg "Slo.sweep: rates must be positive")
     rates;
   (* Each rate gets a private sink; merging in index order afterwards keeps
      the combined telemetry identical whatever the domain count.  The
@@ -84,9 +90,8 @@ let sweep ?seed ?requests ?mean_prefill ?mean_decode ?domains ?obs config obj
     Array.iter (fun s -> Hnlpu_obs.Sink.merge_into ~into s) sinks);
   evals
 
-let max_rate ?seed ?requests ?(mean_prefill = 256) ?(mean_decode = 128)
-    ?(tolerance = 0.05) config obj =
-  if tolerance <= 0.0 then invalid_arg "Slo.max_rate: tolerance must be positive";
+let max_rate ?seed ?requests ?(mean_prefill = 256) ?(mean_decode = 128) config
+    obj =
   let meets rate =
     (evaluate ?seed ?requests ~mean_prefill ~mean_decode config obj ~rate_per_s:rate)
       .meets
@@ -103,7 +108,7 @@ let max_rate ?seed ?requests ?(mean_prefill = 256) ?(mean_decode = 128)
        workloads), report it. *)
     if meets !hi then !hi
     else begin
-      while (!hi -. !lo) /. !hi > tolerance do
+      while (!hi -. !lo) /. !hi > 0.05 do
         let mid = sqrt (!lo *. !hi) in
         if meets mid then lo := mid else hi := mid
       done;

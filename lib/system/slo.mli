@@ -10,6 +10,8 @@ type objectives = {
   ttft_p95_s : float;     (** Time-to-first-token 95th percentile. *)
   e2e_p95_s : float;      (** Arrival-to-completion 95th percentile. *)
 }
+(** Both bounds must be positive (not NaN): {!evaluate}, {!sweep} and
+    {!max_rate} raise [Invalid_argument] otherwise. *)
 
 val interactive : objectives
 (** 200 ms TTFT, 30 s end-to-end — chat-grade targets. *)
@@ -46,7 +48,6 @@ val sweep :
 
 val max_rate :
   ?seed:int -> ?requests:int -> ?mean_prefill:int -> ?mean_decode:int ->
-  ?tolerance:float -> Hnlpu_model.Config.t -> objectives -> float
-(** Largest arrival rate (requests/s, within [tolerance] relative, default
-    5%) whose simulation meets the objectives.  Bisection between 1 and
+  Hnlpu_model.Config.t -> objectives -> float
+(** Largest arrival rate (requests/s, within 5% relative) whose simulation meets the objectives.  Bisection between 1 and
     an upper bound derived from the token-throughput ceiling. *)

@@ -18,11 +18,11 @@ type t = {
   stage_stats : stage_stat list;
 }
 
-let run ?(tech = Hnlpu_gates.Tech.n5) ?(context = 2048) ?(tokens = 2000) ?obs
+let run ?(context = 2048) ?(tokens = 2000) ?obs
     ?(obs_tokens = 32) (c : Config.t) =
   if tokens < 10 then invalid_arg "Trace.run: need at least 10 tokens";
   if obs_tokens < 0 then invalid_arg "Trace.run: obs_tokens must be >= 0";
-  let per_layer = Perf.stage_times_s ~tech c ~context in
+  let per_layer = Perf.stage_times_s c ~context in
   let layers = c.Config.num_layers in
   (* The full pipeline: layer-major, stage-minor. *)
   let services =
@@ -35,7 +35,7 @@ let run ?(tech = Hnlpu_gates.Tech.n5) ?(context = 2048) ?(tokens = 2000) ?obs
   in
   let n_stages = Array.length services in
   let ii_target =
-    Perf.token_latency_s ~tech c ~context /. float_of_int (Perf.pipeline_slots c)
+    Perf.token_latency_s c ~context /. float_of_int (Perf.pipeline_slots c)
   in
   let slots = Array.map (fun (_, d) -> max 1 (int_of_float (ceil (d /. ii_target)))) services in
   let ii = Array.mapi (fun i (_, d) -> d /. float_of_int slots.(i)) services in
@@ -108,8 +108,8 @@ let run ?(tech = Hnlpu_gates.Tech.n5) ?(context = 2048) ?(tokens = 2000) ?obs
       sim_time_s = sim_time;
       measured_throughput_tokens_per_s = measured_tp;
       measured_latency_s = !latency_sum /. (window +. 1.0);
-      predicted_throughput_tokens_per_s = Perf.throughput_tokens_per_s ~tech c ~context;
-      predicted_latency_s = Perf.token_latency_s ~tech c ~context;
+      predicted_throughput_tokens_per_s = Perf.throughput_tokens_per_s c ~context;
+      predicted_latency_s = Perf.token_latency_s c ~context;
       total_slots = Array.fold_left ( + ) 0 slots;
       stage_stats;
     }

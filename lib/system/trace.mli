@@ -34,7 +34,7 @@ type t = {
 }
 
 val run :
-  ?tech:Hnlpu_gates.Tech.t -> ?context:int -> ?tokens:int ->
+  ?context:int -> ?tokens:int ->
   ?obs:Hnlpu_obs.Sink.t -> ?obs_tokens:int -> Hnlpu_model.Config.t -> t
 (** Simulate [tokens] (default 2,000) through the pipeline at a context
     length (default 2048) and compare against {!Perf}.

@@ -46,7 +46,7 @@ let ledger (c : Config.t) =
     entry "MoE all-chip all-reduce" h (Schedule.all_chip_all_reduce ~bytes:h) 1;
   ]
 
-let analyze ?tech ?(context = 2048) (c : Config.t) =
+let analyze ?(context = 2048) (c : Config.t) =
   let entries = ledger c in
   (* Column collectives run on all four columns, row collectives on all
      four rows; the all-chip plan already spans the machine. *)
@@ -60,7 +60,7 @@ let analyze ?tech ?(context = 2048) (c : Config.t) =
            acc +. float_of_int (e.link_bytes * e.per_layer * machine_factor e))
          0.0 entries
   in
-  let throughput = Perf.throughput_tokens_per_s ?tech c ~context in
+  let throughput = Perf.throughput_tokens_per_s c ~context in
   let demand = bytes_per_token *. throughput in
   let capacity =
     float_of_int (List.length (Topology.links ()))

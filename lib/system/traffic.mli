@@ -31,6 +31,6 @@ type t = {
       (** The M/M/1 factor within 40% of {!Perf.link_contention_factor}. *)
 }
 
-val analyze : ?tech:Hnlpu_gates.Tech.t -> ?context:int -> Hnlpu_model.Config.t -> t
+val analyze : ?context:int -> Hnlpu_model.Config.t -> t
 
 val to_table : t -> Hnlpu_util.Table.t

@@ -16,7 +16,7 @@ type blue_green = {
 }
 
 let blue_green ?(systems = 1) plan =
-  if plan.updates_per_year < 0.0 || plan.years <= 0.0 then
+  if not (plan.updates_per_year >= 0.0 && plan.years > 0.0) then
     invalid_arg "Deployment.blue_green: bad plan";
   (* Updates during the lifetime, excluding the initial build; Table 3's
      "annual updates over 3 years" convention is two re-spins. *)

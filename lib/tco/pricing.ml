@@ -12,8 +12,8 @@ let pick bound lo hi = match bound with Optimistic -> lo | Pessimistic -> hi
 
 let die_area_mm2 = 827.08
 
-let wafer_per_chip_usd ?(tech = Tech.n5) () =
-  Yield.cost_per_good_die tech ~die_area_mm2
+let wafer_per_chip_usd () =
+  Yield.cost_per_good_die Tech.n5 ~die_area_mm2
 
 let package_test_usd bound =
   let per_wafer = pick bound 3000.0 5000.0 in
@@ -26,8 +26,8 @@ let hbm_usd bound =
 
 let system_integration_usd bound = pick bound 1900.0 3800.0
 
-let recurring_per_chip_usd ?tech bound =
-  wafer_per_chip_usd ?tech () +. package_test_usd bound +. hbm_usd bound
+let recurring_per_chip_usd bound =
+  wafer_per_chip_usd () +. package_test_usd bound +. hbm_usd bound
   +. system_integration_usd bound
 
 let design_architecture_usd bound = pick bound 1.87e6 3.74e6

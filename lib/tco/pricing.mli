@@ -12,7 +12,7 @@ val range : (bound -> float) -> float * float
 
 (** {1 HNLPU recurring cost, per chip (Table 5)} *)
 
-val wafer_per_chip_usd : ?tech:Hnlpu_gates.Tech.t -> unit -> float
+val wafer_per_chip_usd : unit -> float
 (** $629: Murphy-yield cost of one good 827 mm² die. *)
 
 val package_test_usd : bound -> float
@@ -24,7 +24,7 @@ val hbm_usd : bound -> float
 val system_integration_usd : bound -> float
 (** $1,900 – $3,800 per chip: chassis, board, cooling, CXL. *)
 
-val recurring_per_chip_usd : ?tech:Hnlpu_gates.Tech.t -> bound -> float
+val recurring_per_chip_usd : bound -> float
 
 (** {1 HNLPU design & development NRE (Table 5)} *)
 

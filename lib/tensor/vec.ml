@@ -68,14 +68,14 @@ let softmax_masked a ~valid =
 
 let softmax a = softmax_masked a ~valid:(Array.length a)
 
-let rmsnorm ?(eps = 1e-6) ~gain a =
+let rmsnorm ~gain a =
   check_same_length "Vec.rmsnorm" gain a;
   let n = Array.length a in
   let ms = ref 0.0 in
   for i = 0 to n - 1 do
     ms := !ms +. (a.(i) *. a.(i))
   done;
-  let inv = 1.0 /. sqrt ((!ms /. float_of_int n) +. eps) in
+  let inv = 1.0 /. sqrt ((!ms /. float_of_int n) +. 1e-6) in
   Array.mapi (fun i x -> x *. inv *. gain.(i)) a
 
 let silu a = Array.map (fun x -> x /. (1.0 +. exp (-.x))) a

@@ -38,7 +38,7 @@ val softmax_masked : t -> valid:int -> t
 (** Softmax over the first [valid] entries; the rest are zero — used for
     causal attention over a growing context. *)
 
-val rmsnorm : ?eps:float -> gain:t -> t -> t
+val rmsnorm : gain:t -> t -> t
 (** Root-mean-square normalization: [x / rms x * gain] (paper §4.1 lists
     RMSNorm among the hardwired nonlinearities). *)
 

@@ -5,9 +5,9 @@ val rel_error : float -> float -> float
 (** [rel_error expected actual] is |actual - expected| / max(|expected|, eps).
     Zero when both are zero. *)
 
-val close : ?rel:float -> ?abs:float -> float -> float -> bool
-(** [close ~rel ~abs a b] holds when |a - b| <= abs or the relative error is
-    within [rel].  Defaults: [rel = 1e-9], [abs = 0.0]. *)
+val close : ?rel:float -> float -> float -> bool
+(** [close ~rel a b] holds when the relative error is within [rel]
+    (default [1e-9]). *)
 
 val within_pct : float -> expected:float -> actual:float -> bool
 (** [within_pct p ~expected ~actual]: relative error no more than [p] percent.

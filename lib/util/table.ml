@@ -1,5 +1,3 @@
-type align = Left | Right
-
 type row = Cells of string list | Separator
 
 type t = { headers : string list; ncols : int; mutable rows : row list }
@@ -15,22 +13,15 @@ let add_row t cells =
 
 let add_sep t = t.rows <- Separator :: t.rows
 
-let pad align width s =
+(* The first column (the row label) is left-aligned, the numbers right. *)
+let pad ~left width s =
   let n = width - String.length s in
   if n <= 0 then s
-  else
-    match align with
-    | Left -> s ^ String.make n ' '
-    | Right -> String.make n ' ' ^ s
+  else if left then s ^ String.make n ' '
+  else String.make n ' ' ^ s
 
-let render ?aligns t =
+let render t =
   let rows = List.rev t.rows in
-  let aligns =
-    match aligns with
-    | Some a when List.length a = t.ncols -> Array.of_list a
-    | Some _ -> invalid_arg "Table.render: aligns arity mismatch"
-    | None -> Array.init t.ncols (fun i -> if i = 0 then Left else Right)
-  in
   let widths = Array.of_list (List.map String.length t.headers) in
   List.iter
     (function
@@ -51,7 +42,7 @@ let render ?aligns t =
     List.iteri
       (fun i c ->
         Buffer.add_string buf (if i = 0 then "| " else " | ");
-        Buffer.add_string buf (pad aligns.(i) widths.(i) c))
+        Buffer.add_string buf (pad ~left:(i = 0) widths.(i) c))
       cells;
     Buffer.add_string buf " |\n"
   in
@@ -116,7 +107,7 @@ let to_json t =
   in
   "[" ^ String.concat "," rows ^ "]"
 
-let print ?aligns ?title t =
+let print ?title t =
   (match title with
   | Some s ->
     print_string s;
@@ -124,4 +115,4 @@ let print ?aligns ?title t =
     print_string (String.make (String.length s) '=');
     print_newline ()
   | None -> ());
-  print_string (render ?aligns t)
+  print_string (render t)

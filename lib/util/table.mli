@@ -3,8 +3,6 @@
     The benchmark harness and CLI print every reproduced paper table through
     this module so all outputs share one visual format. *)
 
-type align = Left | Right
-
 type t
 
 val create : headers:string list -> t
@@ -16,11 +14,11 @@ val add_row : t -> string list -> unit
 val add_sep : t -> unit
 (** Horizontal separator row, for grouping (as in the paper's Table 3). *)
 
-val render : ?aligns:align list -> t -> string
-(** Render with box-drawing rules.  [aligns] defaults to left for the first
-    column and right for the rest — the usual label-then-numbers layout. *)
+val render : t -> string
+(** Render with box-drawing rules: the first column left-aligned, the rest
+    right-aligned — the usual label-then-numbers layout. *)
 
-val print : ?aligns:align list -> ?title:string -> t -> unit
+val print : ?title:string -> t -> unit
 (** [render] to stdout, optionally preceded by an underlined title. *)
 
 val to_csv : t -> string

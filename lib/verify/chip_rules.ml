@@ -1,7 +1,7 @@
 open Hnlpu_chip
 
-let thermal ?tech ?config ?power_scale ?coolant_c ~subject () =
-  match Thermal.analyze ?tech ?config ?power_scale ?coolant_c () with
+let thermal ?config ?power_scale ?coolant_c ~subject () =
+  match Thermal.analyze ?config ?power_scale ?coolant_c () with
   | exception Invalid_argument msg ->
     [
       Diagnostic.error ~rule:"THERM-DENS" ~subject

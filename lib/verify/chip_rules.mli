@@ -9,7 +9,7 @@
       rise) must stay under {!Hnlpu_chip.Thermal.max_junction_c} (105 °C). *)
 
 val thermal :
-  ?tech:Hnlpu_gates.Tech.t -> ?config:Hnlpu_model.Config.t ->
+  ?config:Hnlpu_model.Config.t ->
   ?power_scale:float -> ?coolant_c:float -> subject:string -> unit ->
   Diagnostic.t list
 (** Run {!Hnlpu_chip.Thermal.analyze} at the bundle's operating point

@@ -23,14 +23,14 @@ type design = {
   execution : Execution.t;
 }
 
-let reference ?(seed = 42) ?(bank_in = 48) ?(bank_out = 6) () =
+let reference ?(seed = 42) () =
   let config = Config.gpt_oss_120b in
   let chips =
     List.map
       (fun chip ->
         let g =
-          Gemv.random (Rng.create (seed + chip)) ~in_features:bank_in
-            ~out_features:bank_out ~act_bits:8
+          Gemv.random (Rng.create (seed + chip)) ~in_features:48
+            ~out_features:6 ~act_bits:8
         in
         (* Slack 16 admits any region skew a random FP4 row can produce. *)
         { chip; netlist = Hn_compiler.compile ~slack:16.0 g; schematic = g })

@@ -30,9 +30,9 @@ type design = {
                                          linted by DET-LINT. *)
 }
 
-val reference : ?seed:int -> ?bank_in:int -> ?bank_out:int -> unit -> design
+val reference : ?seed:int -> unit -> design
 (** The gpt-oss 120B reference design: 16 chips each carrying a compiled
-    [bank_in x bank_out] (default 48x6) representative neuron bank, the
+    48x6 representative neuron bank, the
     row/column collective plans the dataflow uses, the canonical stage
     map, and a 64K worst-case context.  Signoff-clean by construction. *)
 

@@ -264,17 +264,16 @@ let defuse ~subject coll (plan : Schedule.t) =
 
 (* --- BUF-LIVE -------------------------------------------------------------- *)
 
-let headroom_bytes ?(buf = Attention_buffer.hnlpu) (config : Config.t)
-    ~max_context =
-  let cap = Attention_buffer.capacity_bytes buf in
+let headroom_bytes (config : Config.t) ~max_context =
+  let cap = Attention_buffer.capacity_bytes Attention_buffer.hnlpu in
   let per_pos = Attention_buffer.kv_bytes_per_position_per_chip config in
   let worst_positions = (max_context + Topology.rows - 1) / Topology.rows in
   let resident = min (per_pos * worst_positions) cap in
   cap - resident
 
-let buffer_liveness ?buf ~subject ~(config : Config.t) ~max_context
+let buffer_liveness ~subject ~(config : Config.t) ~max_context
     (plan : Schedule.t) =
-  let headroom = headroom_bytes ?buf config ~max_context in
+  let headroom = headroom_bytes config ~max_context in
   (* Per-chip static occupancy interval: the chip's working payload (the
      largest value it ever holds or sends) is live across the whole plan;
      each step adds RX staging for incoming transfers and TX staging for
@@ -390,7 +389,7 @@ let determinism ~subject (e : Execution.t) =
 
 (* --- Per-plan driver ------------------------------------------------------- *)
 
-let check_plan ?buf ~subject ~config ~max_context coll plan =
+let check_plan ~subject ~config ~max_context coll plan =
   deadlock ~subject coll plan
   @ defuse ~subject coll plan
-  @ buffer_liveness ?buf ~subject ~config ~max_context plan
+  @ buffer_liveness ~subject ~config ~max_context plan

@@ -39,15 +39,13 @@ val defuse :
 (** [NOC-DEFUSE].  [Raw] plans declare no payload semantics and are
     skipped with an [Info]. *)
 
-val headroom_bytes :
-  ?buf:Hnlpu_chip.Attention_buffer.t -> Hnlpu_model.Config.t ->
-  max_context:int -> int
+val headroom_bytes : Hnlpu_model.Config.t -> max_context:int -> int
 (** Attention-buffer bytes left for NOC staging after the worst-striped
     chip's resident KV at [max_context] (clamped at zero when the KV
     already spills) — the budget [BUF-LIVE] checks against. *)
 
 val buffer_liveness :
-  ?buf:Hnlpu_chip.Attention_buffer.t -> subject:string ->
+  subject:string ->
   config:Hnlpu_model.Config.t -> max_context:int -> Hnlpu_noc.Schedule.t ->
   Diagnostic.t list
 (** [BUF-LIVE] over one plan. *)
@@ -57,7 +55,7 @@ val determinism :
 (** [DET-LINT] over a declared execution config. *)
 
 val check_plan :
-  ?buf:Hnlpu_chip.Attention_buffer.t -> subject:string ->
+  subject:string ->
   config:Hnlpu_model.Config.t -> max_context:int -> Noc_rules.collective ->
   Hnlpu_noc.Schedule.t -> Diagnostic.t list
 (** {!deadlock} @ {!defuse} @ {!buffer_liveness} — every per-plan static

@@ -117,7 +117,7 @@ let weight_partition ~subject (c : Config.t) =
       ]
     else errors
 
-let buffer_budget ?(buf = Attention_buffer.hnlpu) ?(hbm = Hbm.hnlpu) ~subject
+let buffer_budget ~subject
     (c : Config.t) ~max_context =
   if max_context < 0 then
     [ Diagnostic.error ~rule:"BUF-OVFL" ~subject "negative max context %d" max_context ]
@@ -128,7 +128,7 @@ let buffer_budget ?(buf = Attention_buffer.hnlpu) ?(hbm = Hbm.hnlpu) ~subject
        positions. *)
     let worst_positions = (max_context + rows - 1) / rows in
     let need = per_pos * worst_positions in
-    let cap = Attention_buffer.capacity_bytes buf in
+    let cap = Attention_buffer.capacity_bytes Attention_buffer.hnlpu in
     if need <= cap then
       [
         Diagnostic.info ~rule:"BUF-OVFL" ~subject
@@ -140,17 +140,17 @@ let buffer_budget ?(buf = Attention_buffer.hnlpu) ?(hbm = Hbm.hnlpu) ~subject
       ]
     else begin
       let spill_resident = float_of_int (need - cap) in
-      if spill_resident > Hbm.capacity_bytes hbm then
+      if spill_resident > Hbm.capacity_bytes Hbm.hnlpu then
         [
           Diagnostic.error ~rule:"BUF-OVFL" ~subject
             "context %d spills %.1f GB of KV per chip — beyond the %.0f GB \
              HBM capacity"
             max_context (spill_resident /. 1e9)
-            (Hbm.capacity_bytes hbm /. 1e9);
+            (Hbm.capacity_bytes Hbm.hnlpu /. 1e9);
         ]
       else begin
-        let per_token = Attention_buffer.spilled_bytes_per_token buf c ~context:max_context in
-        let fetch_s = Hbm.fetch_time_s hbm ~bytes:per_token in
+        let per_token = Attention_buffer.spilled_bytes_per_token Attention_buffer.hnlpu c ~context:max_context in
+        let fetch_s = Hbm.fetch_time_s Hbm.hnlpu ~bytes:per_token in
         let token_s = Perf.token_latency_s c ~context:max_context in
         if fetch_s > token_s then
           [

@@ -33,7 +33,6 @@ val weight_partition :
     and single ownership of every expert. *)
 
 val buffer_budget :
-  ?buf:Hnlpu_chip.Attention_buffer.t -> ?hbm:Hnlpu_chip.Hbm.t ->
   subject:string -> Hnlpu_model.Config.t -> max_context:int -> Diagnostic.t list
 (** [BUF-OVFL]: worst-case per-chip KV bytes at [max_context] vs SRAM
     capacity; beyond it, the spilled working set must fit HBM and stream

@@ -1,5 +1,4 @@
-(* Tests for the Hardwired-Neuron compiler (netlist / TCL / LVS / DRC) and
-   the byte-level tokenizer. *)
+(* Tests for the Hardwired-Neuron compiler (netlist / TCL / LVS / DRC). *)
 
 open Hnlpu
 open Hnlpu_litho
@@ -265,45 +264,6 @@ let test_diff_shape_mismatch () =
        false
      with Invalid_argument _ -> true)
 
-(* --- Tokenizer ------------------------------------------------------------------ *)
-
-let test_tokenizer_roundtrip () =
-  let s = "Hello, HNLPU!\n" in
-  Alcotest.(check string) "roundtrip" s (Tokenizer.decode (Tokenizer.encode s))
-
-let test_tokenizer_bos () =
-  (match Tokenizer.encode "a" with
-  | [ b; 97 ] -> Alcotest.(check int) "bos first" Tokenizer.bos b
-  | _ -> Alcotest.fail "unexpected encoding");
-  Alcotest.(check (list int)) "no bos" [ 97 ] (Tokenizer.encode ~add_bos:false "a")
-
-let test_tokenizer_specials_dropped () =
-  Alcotest.(check string) "specials invisible" "ab"
-    (Tokenizer.decode [ Tokenizer.bos; 97; Tokenizer.pad; 98; Tokenizer.eos ])
-
-let test_tokenizer_names () =
-  Alcotest.(check string) "printable" "'A'" (Tokenizer.token_name 65);
-  Alcotest.(check string) "control" "0x0A" (Tokenizer.token_name 10);
-  Alcotest.(check string) "special" "<bos>" (Tokenizer.token_name Tokenizer.bos)
-
-let test_tiny_byte_model_runs () =
-  Config.validate Tokenizer.tiny_byte_config;
-  let w = Weights.random (Rng.create 11) Tokenizer.tiny_byte_config in
-  let t = Transformer.create w in
-  let out =
-    Transformer.generate (Rng.create 12) t
-      ~prompt:(Tokenizer.encode "hi")
-      ~max_new_tokens:8 (Sampler.Top_k (20, 1.0))
-  in
-  Alcotest.(check int) "8 tokens" 8 (List.length out);
-  (* Decoding must never raise, whatever bytes come out. *)
-  ignore (Tokenizer.decode out)
-
-let prop_tokenizer_roundtrip =
-  QCheck.Test.make ~name:"byte tokenizer roundtrips all strings" ~count:200
-    QCheck.string
-    (fun s -> Tokenizer.decode (Tokenizer.encode s) = s)
-
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let () =
@@ -344,13 +304,4 @@ let () =
           Alcotest.test_case "counts changes" `Quick test_diff_counts_changes;
           Alcotest.test_case "shape mismatch" `Quick test_diff_shape_mismatch;
         ] );
-      ( "tokenizer",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_tokenizer_roundtrip;
-          Alcotest.test_case "bos" `Quick test_tokenizer_bos;
-          Alcotest.test_case "specials dropped" `Quick test_tokenizer_specials_dropped;
-          Alcotest.test_case "token names" `Quick test_tokenizer_names;
-          Alcotest.test_case "tiny-byte model" `Quick test_tiny_byte_model_runs;
-        ] );
-      qsuite "tokenizer properties" [ prop_tokenizer_roundtrip ];
     ]

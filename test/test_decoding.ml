@@ -1,5 +1,5 @@
-(* Tests for beam-search decoding (Transformer.fork + Generation) and the
-   hardware nonlinear units (Vex_sim). *)
+(* Tests for KV-cache forking (Transformer.fork, used by Speculative) and
+   the hardware nonlinear units (Vex_sim). *)
 
 open Hnlpu
 
@@ -27,91 +27,6 @@ let test_fork_equals_replay () =
   let fresh = make_tiny 2 in
   let via_replay = Transformer.prefill fresh [ 4; 5; 6 ] in
   Alcotest.(check (float 0.0)) "fork = replay" 0.0 (Vec.max_abs_diff via_fork via_replay)
-
-(* --- beam search -------------------------------------------------------------- *)
-
-let test_beam1_is_greedy () =
-  let a = make_tiny 3 and b = make_tiny 3 in
-  let greedy_ref =
-    Transformer.generate (Rng.create 0) a ~prompt:[ 7 ] ~max_new_tokens:6 Sampler.Greedy
-  in
-  let beam = Generation.greedy b ~prompt:[ 7 ] ~max_new_tokens:6 () in
-  Alcotest.(check (list int)) "beam=1 = greedy" greedy_ref beam
-
-let test_beam_score_at_least_greedy () =
-  let t = make_tiny 4 in
-  let prompt = [ 2 ] in
-  let hyps = Generation.beam_search t ~prompt ~beams:4 ~max_new_tokens:5 () in
-  let best = List.hd hyps in
-  let t2 = make_tiny 4 in
-  let greedy = Generation.greedy t2 ~prompt ~max_new_tokens:5 () in
-  let score seq =
-    let t3 = make_tiny 4 in
-    Transformer.score t3 (prompt @ seq)
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "beam %.4f >= greedy %.4f" best.Generation.logprob (score greedy))
-    true
-    (best.Generation.logprob >= score greedy -. 1e-6)
-
-let test_beam_scores_internally_consistent () =
-  (* The search's accumulated log-prob must equal Transformer.score. *)
-  let t = make_tiny 5 in
-  let prompt = [ 9; 1 ] in
-  let hyps = Generation.beam_search t ~prompt ~beams:3 ~max_new_tokens:4 () in
-  List.iter
-    (fun h ->
-      let t2 = make_tiny 5 in
-      let s = Transformer.score t2 (prompt @ h.Generation.tokens) in
-      (* score covers prompt transitions too; subtract the prompt-only part. *)
-      let t3 = make_tiny 5 in
-      let prompt_part = Transformer.score t3 prompt in
-      Alcotest.(check bool)
-        (Printf.sprintf "consistent %.4f vs %.4f" h.Generation.logprob (s -. prompt_part))
-        true
-        (Float.abs (h.Generation.logprob -. (s -. prompt_part)) < 1e-6))
-    hyps
-
-let test_beam_ranked_and_bounded () =
-  let t = make_tiny 6 in
-  let hyps = Generation.beam_search t ~prompt:[ 1 ] ~beams:4 ~max_new_tokens:4 () in
-  Alcotest.(check bool) "at most beams" true (List.length hyps <= 4);
-  let scores = List.map (fun h -> h.Generation.normalized) hyps in
-  Alcotest.(check bool) "ranked" true
-    (List.sort (fun a b -> compare b a) scores = scores)
-
-let test_beam_stop_token () =
-  let t = make_tiny 7 in
-  (* Declare greedy's own first emission the stop token: the search must
-     finish immediately, with the stop token as its only output. *)
-  let t2 = make_tiny 7 in
-  let g = Generation.greedy t2 ~prompt:[ 3 ] ~max_new_tokens:1 () in
-  match g with
-  | [ first ] ->
-    let hyps =
-      Generation.beam_search t ~prompt:[ 3 ] ~beams:1 ~max_new_tokens:8 ~stop:first ()
-    in
-    let best = List.hd hyps in
-    Alcotest.(check bool) "finished" true best.Generation.finished;
-    Alcotest.(check (list int)) "stopped on the stop token" [ first ]
-      best.Generation.tokens
-  | _ -> Alcotest.fail "expected one token"
-
-let test_length_penalty_prefers_longer () =
-  let t = make_tiny 8 in
-  let plain = Generation.beam_search t ~prompt:[ 1 ] ~beams:3 ~max_new_tokens:5 () in
-  let penalized =
-    Generation.beam_search t ~prompt:[ 1 ] ~beams:3 ~max_new_tokens:5
-      ~length_penalty:1.0 ()
-  in
-  (* With alpha > 0 the normalized score is log-prob / penalty > log-prob
-     (penalty > 1 for len >= 2): normalization strictly increases scores. *)
-  List.iter2
-    (fun (a : Generation.hypothesis) (b : Generation.hypothesis) ->
-      ignore a;
-      Alcotest.(check bool) "normalized >= raw" true
-        (b.Generation.normalized >= b.Generation.logprob -. 1e-9))
-    plain penalized
 
 (* --- Vex_sim hardware nonlinearities ----------------------------------------- *)
 
@@ -177,15 +92,6 @@ let () =
         [
           Alcotest.test_case "independence" `Quick test_fork_independent;
           Alcotest.test_case "fork = replay" `Quick test_fork_equals_replay;
-        ] );
-      ( "beam-search",
-        [
-          Alcotest.test_case "beam 1 = greedy" `Quick test_beam1_is_greedy;
-          Alcotest.test_case "beats greedy" `Quick test_beam_score_at_least_greedy;
-          Alcotest.test_case "scores consistent" `Quick test_beam_scores_internally_consistent;
-          Alcotest.test_case "ranked & bounded" `Quick test_beam_ranked_and_bounded;
-          Alcotest.test_case "stop token" `Quick test_beam_stop_token;
-          Alcotest.test_case "length penalty" `Quick test_length_penalty_prefers_longer;
         ] );
       ( "vex-sim",
         [

@@ -1,5 +1,4 @@
-(* Tests for speculative decoding (functional + throughput model) and
-   checkpoint serialization. *)
+(* Tests for speculative decoding (functional + throughput model). *)
 
 open Hnlpu
 
@@ -79,83 +78,6 @@ let test_spec_throughput_model () =
   Alcotest.(check bool) "all lookaheads beat plain decode" true
     (List.for_all (fun r -> r.Ablation.spec_speedup > 1.0) rows)
 
-(* --- Checkpoint -------------------------------------------------------------- *)
-
-let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name
-
-let test_checkpoint_roundtrip_bits () =
-  let w = Weights.random (Rng.create 50) Config.tiny in
-  let w' = Checkpoint.of_bytes (Checkpoint.to_bytes w) in
-  let a = Transformer.create w and b = Transformer.create w' in
-  let la = Transformer.prefill a [ 1; 2; 3 ] and lb = Transformer.prefill b [ 1; 2; 3 ] in
-  Alcotest.(check (float 0.0)) "bit-identical logits" 0.0 (Vec.max_abs_diff la lb)
-
-let test_checkpoint_file_roundtrip () =
-  let w = Weights.random (Rng.create 51) Config.tiny_hnlpu in
-  let path = tmp "hnlpu_ckpt_test.bin" in
-  Checkpoint.save path w;
-  let w' = Checkpoint.load path in
-  Sys.remove path;
-  Alcotest.(check string) "config survives" w.Weights.config.Config.name
-    w'.Weights.config.Config.name;
-  Alcotest.(check int) "param count survives" (Weights.count_params w)
-    (Weights.count_params w')
-
-let test_checkpoint_dense_roundtrip () =
-  let w = Weights.random (Rng.create 52) Config.tiny_dense in
-  let w' = Checkpoint.of_bytes (Checkpoint.to_bytes w) in
-  Alcotest.(check bool) "router absent" true (w'.Weights.layers.(0).Weights.w_router = None)
-
-let test_checkpoint_rejects_bad_magic () =
-  let w = Weights.random (Rng.create 53) Config.tiny in
-  let b = Checkpoint.to_bytes w in
-  Bytes.set b 0 'X';
-  Alcotest.(check bool) "bad magic" true
-    (try
-       ignore (Checkpoint.of_bytes b);
-       false
-     with Failure _ -> true)
-
-let test_checkpoint_rejects_truncation () =
-  let w = Weights.random (Rng.create 54) Config.tiny in
-  let b = Checkpoint.to_bytes w in
-  let cut = Bytes.sub b 0 (Bytes.length b - 17) in
-  Alcotest.(check bool) "truncated" true
-    (try
-       ignore (Checkpoint.of_bytes cut);
-       false
-     with Failure _ -> true)
-
-let test_checkpoint_rejects_trailing () =
-  let w = Weights.random (Rng.create 55) Config.tiny in
-  let b = Checkpoint.to_bytes w in
-  let padded = Bytes.cat b (Bytes.make 3 '\000') in
-  Alcotest.(check bool) "trailing bytes" true
-    (try
-       ignore (Checkpoint.of_bytes padded);
-       false
-     with Failure _ -> true)
-
-let test_checkpoint_size_scales () =
-  let w = Weights.random (Rng.create 56) Config.tiny in
-  let sz = Checkpoint.size_bytes w in
-  let params = Weights.count_params w in
-  (* float64 storage: >= 8 bytes per parameter, plus bounded framing. *)
-  Alcotest.(check bool) (Printf.sprintf "%d bytes for %d params" sz params) true
-    (sz >= 8 * params && sz < (8 * params) + (params / 2) + 4096)
-
-let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
-
-let prop_checkpoint_roundtrip =
-  QCheck.Test.make ~name:"checkpoint roundtrips arbitrary tiny models" ~count:10
-    QCheck.(int_range 0 100000)
-    (fun seed ->
-      let w = Weights.random (Rng.create seed) Config.tiny in
-      let w' = Checkpoint.of_bytes (Checkpoint.to_bytes w) in
-      let a = Transformer.create w and b = Transformer.create w' in
-      Vec.max_abs_diff (Transformer.forward a ~token:1) (Transformer.forward b ~token:1)
-      = 0.0)
-
 let () =
   Alcotest.run "hnlpu_serving2"
     [
@@ -168,15 +90,4 @@ let () =
           Alcotest.test_case "validation" `Quick test_spec_validation;
           Alcotest.test_case "throughput model" `Quick test_spec_throughput_model;
         ] );
-      ( "checkpoint",
-        [
-          Alcotest.test_case "roundtrip bits" `Quick test_checkpoint_roundtrip_bits;
-          Alcotest.test_case "file roundtrip" `Quick test_checkpoint_file_roundtrip;
-          Alcotest.test_case "dense roundtrip" `Quick test_checkpoint_dense_roundtrip;
-          Alcotest.test_case "bad magic" `Quick test_checkpoint_rejects_bad_magic;
-          Alcotest.test_case "truncation" `Quick test_checkpoint_rejects_truncation;
-          Alcotest.test_case "trailing bytes" `Quick test_checkpoint_rejects_trailing;
-          Alcotest.test_case "size" `Quick test_checkpoint_size_scales;
-        ] );
-      qsuite "checkpoint properties" [ prop_checkpoint_roundtrip ];
     ]

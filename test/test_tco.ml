@@ -24,7 +24,7 @@ let test_hbm_cost () =
   within 0.1 "hbm hi" 3840.0 hi
 
 let test_recurring_per_chip () =
-  let lo, hi = Pricing.range (Pricing.recurring_per_chip_usd ?tech:None) in
+  let lo, hi = Pricing.range Pricing.recurring_per_chip_usd in
   within 1.0 "recurring lo" 4560.0 lo;
   within 1.0 "recurring hi" 8454.0 hi
 
