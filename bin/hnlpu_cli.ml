@@ -810,13 +810,16 @@ let fleet_cmd =
       seed fail sweep =
     set_jobs jobs;
     if n < 1 then invalid_arg "fleet: --requests must be at least 1";
+    if List.exists (fun u -> not (u > 0.0 && Float.is_finite u))
+         (Option.value sweep ~default:[])
+    then invalid_arg "fleet: --sweep fractions must be positive and finite";
     let shards = match shards with Some s -> s | None -> min 8 nodes in
     let cfg = Fleet.config_of_model ~shards ~nodes config in
     let decode_dist =
       match pareto with
       | None -> Arrivals.Geometric { mean = decode }
       | Some alpha ->
-        if alpha <= 1.0 then
+        if not (alpha > 1.0 && Float.is_finite alpha) then
           invalid_arg "fleet: --pareto ALPHA must exceed 1 (finite mean)";
         (* xmin chosen so the (uncapped) Pareto mean alpha*xmin/(alpha-1)
            equals the requested --decode mean. *)

@@ -28,6 +28,3 @@ let ts_s = function
 let end_s = function
   | Span { ts_s; dur_s; _ } -> ts_s +. dur_s
   | Instant { ts_s; _ } | Counter { ts_s; _ } -> ts_s
-
-let track_of = function
-  | Span { track; _ } | Instant { track; _ } | Counter { track; _ } -> track

@@ -40,5 +40,3 @@ val ts_s : t -> float
 
 val end_s : t -> float
 (** End timestamp: [ts_s + dur_s] for spans, [ts_s] otherwise. *)
-
-val track_of : t -> track

@@ -6,9 +6,6 @@
     floats — which JSON cannot represent — render as [null].  Values are
     built as already-rendered strings; no intermediate tree. *)
 
-val escape : string -> string
-(** Backslash-escape quotes, backslashes and control characters. *)
-
 val string : string -> string
 (** A quoted, escaped JSON string literal. *)
 

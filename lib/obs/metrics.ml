@@ -56,15 +56,17 @@ let set_stamped t ~stamp name v =
 
 let set t name v = set_stamped t ~stamp:neg_infinity name v
 
-(* Cold: first observation of [name] or a kind clash. *)
-let observe_slow t name v =
+let hist t name =
   match Hashtbl.find_opt t.series name with
-  | Some (Hist s) -> Sketch.observe s v
+  | Some (Hist s) -> s
   | Some s -> clash name s
   | None ->
     let s = Sketch.create () in
     Hashtbl.add t.series name (Hist s);
-    Sketch.observe s v
+    s
+
+(* Cold: first observation of [name] or a kind clash. *)
+let observe_slow t name v = Sketch.observe (hist t name) v
 
 let observe t name v =
   match Hashtbl.find t.series name with
@@ -140,17 +142,8 @@ let merge_into ~into src =
         | Some s -> clash name s
         | None ->
           Hashtbl.add into.series name (Gauge { value = g.value; stamp = g.stamp }))
-      | Some (Hist s) -> (
-        match Hashtbl.find_opt into.series name with
-        | Some (Hist si) -> Sketch.merge_into ~into:si s
-        | Some other -> clash name other
-        | None ->
-          let fresh = Sketch.create () in
-          Sketch.merge_into ~into:fresh s;
-          Hashtbl.add into.series name (Hist fresh)))
+      | Some (Hist s) -> Sketch.merge_into ~into:(hist into name) s)
     (names src)
-
-let is_empty t = Hashtbl.length t.series = 0
 
 let live_words t =
   (* Estimate of heap words retained by the registry: per-series payload

@@ -35,6 +35,13 @@ val observe : t -> string -> float -> unit
 (** Histogram sample into the name's sketch.  Raises [Invalid_argument]
     on a NaN sample. *)
 
+val hist : t -> string -> Sketch.t
+(** The name's histogram sketch, registered empty on first use — the
+    handle for recording a whole batch at once (e.g. a
+    {!Sketch.merge_into} of a run's already-aggregated sketch) instead
+    of one {!observe} per sample.  Raises [Invalid_argument] if [name]
+    is already bound to another kind. *)
+
 val counter : t -> string -> float option
 
 val gauge : t -> string -> float option
@@ -67,8 +74,6 @@ val merge_into : into:t -> t -> unit
     float-added [sum]/[mean] still want the fixed task-index order all
     callers use).  Names are visited sorted.  Raises [Invalid_argument]
     if a name is bound to different kinds in the two registries. *)
-
-val is_empty : t -> bool
 
 val live_words : t -> int
 (** Estimated heap words retained by the registry (series payloads,

@@ -105,8 +105,6 @@ let observe t v =
 
 let count t = t.count
 
-let sum t = t.s.sum
-
 let mean t = if t.count = 0 then nan else t.s.sum /. float_of_int t.count
 
 let min_v t = t.s.lo

@@ -56,11 +56,9 @@ val observe : t -> float -> unit
 
 val count : t -> int
 
-val sum : t -> float
-(** Exact running sum (float addition in observation order). *)
-
 val mean : t -> float
-(** [sum / count]; [nan] when empty. *)
+(** Running sum (float addition in observation order) over [count];
+    [nan] when empty. *)
 
 val min_v : t -> float
 (** Exact smallest observation; [infinity] when empty. *)

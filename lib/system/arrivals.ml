@@ -44,8 +44,19 @@ let mean_rate_per_s spec =
   | Mmpp { rates_per_s; _ } ->
       Array.fold_left ( +. ) 0.0 rates_per_s /. float (Array.length rates_per_s)
 
+(* NaN fails [r > 0.0]; an infinite rate would stack every arrival at
+   one instant. *)
+let check_rates who process =
+  let check r =
+    if not (r > 0.0 && Float.is_finite r) then
+      invalid_arg (who ^ ": rate not positive and finite")
+  in
+  match process with
+  | Poisson { rate_per_s } -> check rate_per_s
+  | Diurnal { mean_rate_per_s; _ } -> check mean_rate_per_s
+  | Mmpp { rates_per_s; _ } -> Array.iter check rates_per_s
+
 let with_mean_rate spec rate =
-  if not (rate > 0.0) then invalid_arg "Arrivals.with_mean_rate: rate <= 0";
   let process =
     match spec.process with
     | Poisson _ -> Poisson { rate_per_s = rate }
@@ -55,6 +66,7 @@ let with_mean_rate spec rate =
         let k = rate /. current in
         Mmpp { rates_per_s = Array.map (fun r -> r *. k) rates_per_s; mean_dwell_s }
   in
+  check_rates "Arrivals.with_mean_rate" process;
   { spec with process }
 
 let mean_tokens = function
@@ -97,19 +109,15 @@ let validate_dist name = function
       if cap < 1 then invalid_arg ("Arrivals.create: " ^ name ^ " cap < 1")
 
 let validate spec =
+  check_rates "Arrivals.create" spec.process;
   (match spec.process with
-  | Poisson { rate_per_s } ->
-      if not (rate_per_s > 0.0) then invalid_arg "Arrivals.create: rate <= 0"
-  | Diurnal { mean_rate_per_s; amplitude; period_s } ->
-      if not (mean_rate_per_s > 0.0) then invalid_arg "Arrivals.create: rate <= 0";
+  | Poisson _ -> ()
+  | Diurnal { amplitude; period_s; _ } ->
       if not (amplitude >= 0.0 && amplitude < 1.0) then
         invalid_arg "Arrivals.create: amplitude outside [0, 1)";
       if not (period_s > 0.0) then invalid_arg "Arrivals.create: period <= 0"
   | Mmpp { rates_per_s; mean_dwell_s } ->
       if Array.length rates_per_s = 0 then invalid_arg "Arrivals.create: empty MMPP";
-      Array.iter
-        (fun r -> if not (r > 0.0) then invalid_arg "Arrivals.create: rate <= 0")
-        rates_per_s;
       if not (mean_dwell_s > 0.0) then invalid_arg "Arrivals.create: dwell <= 0");
   validate_dist "prefill" spec.prefill;
   validate_dist "decode" spec.decode;

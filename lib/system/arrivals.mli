@@ -65,7 +65,8 @@ val mean_rate_per_s : spec -> float
 val with_mean_rate : spec -> float -> spec
 (** Same process shape rescaled to the given long-run rate — how
     {!Fleet.sweep} walks a capacity frontier without changing the
-    process's character. *)
+    process's character.  Raises [Invalid_argument] unless every
+    resulting rate is positive and finite. *)
 
 val mean_tokens : length_dist -> float
 (** Expected tokens per request (cap ignored; [infinity] for a Pareto
@@ -73,7 +74,8 @@ val mean_tokens : length_dist -> float
     fleet capacity. *)
 
 val validate : spec -> unit
-(** Raises [Invalid_argument] on a spec {!create} would reject. *)
+(** Raises [Invalid_argument] on a spec {!create} would reject: among
+    others, any process rate that is not positive and finite. *)
 
 type t
 (** A cursor.  Mutable; not thread-safe — each {!Fleet} shard owns one. *)

@@ -101,6 +101,7 @@ let config_of_model ?(context = 2048) ?(shards = 8) ~nodes mconfig =
 
 let capacity_req_per_s cfg (spec : Arrivals.spec) =
   validate_config cfg;
+  Arrivals.validate spec;
   let p = Arrivals.mean_tokens spec.Arrivals.prefill in
   let d = Arrivals.mean_tokens spec.Arrivals.decode in
   let service_s =
@@ -173,7 +174,6 @@ type shard_state = {
   ttft : Sketch.t;
   e2e : Sketch.t;
   queue : Sketch.t;
-  m : Metrics.t option;
 }
 
 (* Everything request-rate-proportional: registered as an ALLOC-HOT Leaf
@@ -360,16 +360,7 @@ module Hot = struct
     if span > st.fl.makespan_s then st.fl.makespan_s <- span;
     Sketch.observe st.ttft ttft;
     Sketch.observe st.e2e e2e;
-    Sketch.observe st.queue queue;
-    match st.m with
-    | None -> ()
-    | Some m ->
-        (* Token totals land once per shard in the epilogue: a per-request
-           [incr ~by] would allocate the optional's [Some] every event. *)
-        Metrics.incr m "fleet/requests";
-        Metrics.observe m "fleet/ttft_s" ttft;
-        Metrics.observe m "fleet/e2e_s" e2e;
-        Metrics.observe m "fleet/queue_wait_s" queue
+    Sketch.observe st.queue queue
 end
 
 (* Failed nodes re-dispatch through the policy; for session affinity the
@@ -445,12 +436,11 @@ type shard_out = {
   o_queue : Sketch.t;
   o_node_tokens : float array;
   o_node_requests : int array;
-  o_sink : Sink.t option;
 }
 
 let shard_lo cfg shard = shard * cfg.nodes / cfg.shards
 
-let make_state cfg shard ~users sink =
+let make_state cfg shard ~users =
   let lo = shard_lo cfg shard in
   let n = shard_lo cfg (shard + 1) - lo in
   let racks = ((n - 1) / cfg.rack_size) + 1 in
@@ -494,7 +484,6 @@ let make_state cfg shard ~users sink =
       ttft = Sketch.create ();
       e2e = Sketch.create ();
       queue = Sketch.create ();
-      m = Option.map Sink.metrics sink;
     }
   in
   (* All nodes start active with free_at 0 and ids ascending: the
@@ -533,8 +522,7 @@ let home_users cfg total_users ~lo ~n =
    requests, all of which it routes: a Poisson stream at [1/shards] of
    the rate (or, under Session_affinity, of its users' share of the
    rate) on stream [shard] of the seed. *)
-let run_shard cfg spec policy events counts seed with_obs shard =
-  let sink = if with_obs then Some (Sink.create ~events:false ()) else None in
+let run_shard cfg spec policy events counts seed shard =
   let lo = shard_lo cfg shard in
   let n = shard_lo cfg (shard + 1) - lo in
   let users, share =
@@ -544,7 +532,7 @@ let run_shard cfg spec policy events counts seed with_obs shard =
         (u, float (Array.length u) /. float spec.Arrivals.users)
     | Round_robin | Least_loaded | Power_aware -> ([||], 1.0 /. float cfg.shards)
   in
-  let st = make_state cfg shard ~users sink in
+  let st = make_state cfg shard ~users in
   let count = counts.(shard) in
   let nev = Array.length events in
   let ep = ref 0 in
@@ -571,12 +559,7 @@ let run_shard cfg spec policy events counts seed with_obs shard =
       st.fl.now_s <- now;
       Hot.drain_idle st;
       let idx = Hot.route st policy (Arrivals.user cur) in
-      if idx < 0 then begin
-        st.dropped <- st.dropped + 1;
-        match st.m with
-        | None -> ()
-        | Some m -> Metrics.incr m "fleet/dropped"
-      end
+      if idx < 0 then st.dropped <- st.dropped + 1
       else
         Hot.assign st
           (Arrivals.prefill_tokens cur)
@@ -590,19 +573,6 @@ let run_shard cfg spec policy events counts seed with_obs shard =
     apply_event st policy (Array.unsafe_get events !ep);
     incr ep
   done;
-  (match st.m with
-  | None -> ()
-  | Some m ->
-      (* Stamp = value, so the shard-merge "latest stamp wins" rule
-         yields the fleet max for both gauges at any merge order. *)
-      Metrics.set_stamped m ~stamp:st.fl.makespan_s "fleet/makespan_s"
-        st.fl.makespan_s;
-      Metrics.set_stamped m
-        ~stamp:(float st.peak_rack_hot)
-        "fleet/peak_rack_hot"
-        (float st.peak_rack_hot);
-      Metrics.incr m ~by:st.fl.tokens "fleet/tokens";
-      Metrics.incr m ~by:st.fl.redispatched "fleet/redispatched_tokens");
   {
     o_lo = st.lo;
     o_dispatched = st.dispatched;
@@ -618,7 +588,6 @@ let run_shard cfg spec policy events counts seed with_obs shard =
     o_queue = st.queue;
     o_node_tokens = st.node_tokens;
     o_node_requests = st.node_requests;
-    o_sink = sink;
   }
 
 type result = {
@@ -684,19 +653,37 @@ let shard_requests cfg (spec : Arrivals.spec) policy requests =
   in
   apportion requests weights
 
+(* Every aggregate an [?obs] sink asks for is already in the merged
+   result, so the run writes its telemetry once, here, on the calling
+   domain: the dispatch path never touches the registry.  Series for
+   events that never happened (no dispatch, no drop) are not created. *)
+let publish m r =
+  if r.dispatched > 0 then begin
+    Metrics.incr m ~by:(float r.dispatched) "fleet/requests";
+    Sketch.merge_into ~into:(Metrics.hist m "fleet/ttft_s") r.ttft;
+    Sketch.merge_into ~into:(Metrics.hist m "fleet/e2e_s") r.e2e;
+    Sketch.merge_into ~into:(Metrics.hist m "fleet/queue_wait_s") r.queue_wait
+  end;
+  if r.dropped > 0 then Metrics.incr m ~by:(float r.dropped) "fleet/dropped";
+  Metrics.incr m ~by:r.total_tokens "fleet/tokens";
+  Metrics.incr m ~by:r.redispatched_tokens "fleet/redispatched_tokens";
+  (* Stamp = value, so merging registries keeps the larger of each. *)
+  Metrics.set_stamped m ~stamp:r.makespan_s "fleet/makespan_s" r.makespan_s;
+  let peak = float r.peak_rack_hot in
+  Metrics.set_stamped m ~stamp:peak "fleet/peak_rack_hot" peak
+
 let run ?domains ?obs ?(node_events = [||]) ~policy ~requests ~seed cfg spec =
   validate_config cfg;
   if requests < 1 then invalid_arg "Fleet.run: requests < 1";
   validate_events cfg node_events;
   Arrivals.validate spec;
-  let with_obs = Option.is_some obs in
   let counts = shard_requests cfg spec policy requests in
   let outs =
     Par.parallel_init ?domains cfg.shards
-      (run_shard cfg spec policy node_events counts seed with_obs)
+      (run_shard cfg spec policy node_events counts seed)
   in
   (* Merge in shard-index order — the Par convention that makes float
-     sums and sink merges independent of the domain count. *)
+     sums independent of the domain count. *)
   let per_node_tokens = Array.make cfg.nodes 0.0 in
   let per_node_requests = Array.make cfg.nodes 0 in
   let ttft = Sketch.create () in
@@ -728,43 +715,38 @@ let run ?domains ?obs ?(node_events = [||]) ~policy ~requests ~seed cfg spec =
       if o.o_peak_rack_hot > !peak then peak := o.o_peak_rack_hot;
       overrides := !overrides + o.o_overrides)
     outs;
-  (match obs with
-  | None -> ()
-  | Some s ->
-      Array.iter
-        (fun o ->
-          match o.o_sink with
-          | Some ps -> Sink.merge_into ~into:s ps
-          | None -> ())
-        outs);
   let max_node_tokens = Array.fold_left Float.max 0.0 per_node_tokens in
   let mean_node_tokens =
     Array.fold_left ( +. ) 0.0 per_node_tokens /. float cfg.nodes
   in
-  {
-    r_nodes = cfg.nodes;
-    r_shards = cfg.shards;
-    dispatched = !dispatched;
-    dropped = !dropped;
-    total_tokens = !tokens;
-    redispatched_tokens = !redispatched;
-    makespan_s = !makespan;
-    throughput_tokens_per_s =
-      (if !makespan > 0.0 then !tokens /. !makespan else 0.0);
-    imbalance =
-      (if mean_node_tokens > 0.0 then max_node_tokens /. mean_node_tokens
-       else 1.0);
-    mean_utilization =
-      (if !makespan > 0.0 then !busy /. (float cfg.nodes *. !makespan)
-       else 0.0);
-    peak_rack_hot = !peak;
-    power_cap_overrides = !overrides;
-    ttft;
-    e2e;
-    queue_wait;
-    per_node_tokens;
-    per_node_requests;
-  }
+  let r =
+    {
+      r_nodes = cfg.nodes;
+      r_shards = cfg.shards;
+      dispatched = !dispatched;
+      dropped = !dropped;
+      total_tokens = !tokens;
+      redispatched_tokens = !redispatched;
+      makespan_s = !makespan;
+      throughput_tokens_per_s =
+        (if !makespan > 0.0 then !tokens /. !makespan else 0.0);
+      imbalance =
+        (if mean_node_tokens > 0.0 then max_node_tokens /. mean_node_tokens
+         else 1.0);
+      mean_utilization =
+        (if !makespan > 0.0 then !busy /. (float cfg.nodes *. !makespan)
+         else 0.0);
+      peak_rack_hot = !peak;
+      power_cap_overrides = !overrides;
+      ttft;
+      e2e;
+      queue_wait;
+      per_node_tokens;
+      per_node_requests;
+    }
+  in
+  Option.iter (fun s -> publish (Sink.metrics s) r) obs;
+  r
 
 type objectives = { max_ttft_p99_s : float; max_e2e_p99_s : float }
 

@@ -10,8 +10,10 @@
     capacity, queueing behind the node's next-free time.  That
     abstraction is what makes 2,000 nodes × 10⁶ requests tractable —
     the per-request dispatch path allocates ~nothing (ALLOC-HOT Leaf,
-    see [Lint_config]) and telemetry lives in {!Hnlpu_obs.Sketch}
-    histograms, so memory stays flat however long the trace runs.
+    see [Lint_config]), latencies land in {!Hnlpu_obs.Sketch}
+    histograms so memory stays flat however long the trace runs, and
+    telemetry never touches the dispatch path: it is published from the
+    merged result once the run is over.
 
     {2 Sharding and determinism}
 
@@ -110,7 +112,7 @@ val capacity_req_per_s : config -> Arrivals.spec -> float
 (** Aggregate request rate the fleet can absorb at 100% utilization:
     [nodes / E\[service seconds per request\]] under the spec's mean
     token counts — the natural unit for offered-rate sweeps.  Raises
-    [Invalid_argument] on an invalid config (as {!run} would). *)
+    [Invalid_argument] on an invalid config or spec (as {!run} would). *)
 
 val home_node : config -> int -> int
 (** The node [Session_affinity] pins a user id to (a hash of the id,
@@ -148,10 +150,15 @@ val run :
   result
 (** Simulate [requests] arrivals from the spec over the fleet.
     [node_events] must be sorted by time (checked); events apply to each
-    shard's own nodes as simulated time passes.  [?obs] receives
-    per-shard counters/sketches merged in shard order plus
-    sim-time-stamped gauges, so the registry too is identical at any
-    [-j].  Raises [Invalid_argument] on a non-positive node/shard/
+    shard's own nodes as simulated time passes.  [?obs] receives the
+    run's aggregates, published once after the shard merge: counters
+    [fleet/requests] (only when a request was dispatched),
+    [fleet/dropped] (only when a request was dropped), [fleet/tokens]
+    and [fleet/redispatched_tokens]; gauges [fleet/makespan_s] and
+    [fleet/peak_rack_hot], each stamped with its own value; and the
+    result's sketches as histograms [fleet/ttft_s], [fleet/e2e_s] and
+    [fleet/queue_wait_s] (present with [fleet/requests]).  Being the
+    result, the registry too is identical at any [-j].  Raises [Invalid_argument] on a non-positive node/shard/
     request count, [shards > nodes], or unsorted events. *)
 
 type objectives = { max_ttft_p99_s : float; max_e2e_p99_s : float }

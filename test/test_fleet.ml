@@ -70,6 +70,11 @@ let test_fleet_run_deterministic_across_domains () =
       Fleet.run ~domains ~obs ~node_events:(chaos cfg) ~policy:Fleet.Least_loaded
         ~requests:20_000 ~seed:7 cfg spec
     in
+    (* The failed quarter's work moves to live nodes, so nothing drops
+       and the sink holds no dropped series at all. *)
+    Alcotest.(check int) "nothing dropped" 0 r.Fleet.dropped;
+    Alcotest.(check bool) "no fleet/dropped series" true
+      (Obs.Metrics.counter (Obs.Sink.metrics obs) "fleet/dropped" = None);
     (Marshal.to_string r [], Obs.Metrics.to_json (Obs.Sink.metrics obs))
   in
   let ref_r, ref_m = run 1 in
@@ -91,16 +96,38 @@ let test_fleet_policies_deterministic () =
   in
   List.iter
     (fun policy ->
+      let name = Fleet.policy_name policy in
       let run domains =
-        Marshal.to_string
-          (Fleet.run ~domains ~node_events:(chaos cfg) ~policy ~requests:10_000
-             ~seed:11 cfg spec)
-          []
+        let obs = Obs.Sink.create ~events:false () in
+        let r =
+          Fleet.run ~domains ~obs ~node_events:(chaos cfg) ~policy ~requests:10_000
+            ~seed:11 cfg spec
+        in
+        (r, Obs.Sink.metrics obs)
       in
+      let r1, m1 = run 1 and r4, m4 = run 4 in
       Alcotest.(check bool)
-        (Printf.sprintf "%s identical j=1 vs j=4" (Fleet.policy_name policy))
+        (Printf.sprintf "%s identical j=1 vs j=4" name)
         true
-        (String.equal (run 1) (run 4)))
+        (String.equal (Marshal.to_string r1 []) (Marshal.to_string r4 []));
+      Alcotest.(check string)
+        (name ^ " registry identical j=1 vs j=4")
+        (Obs.Metrics.to_json m1) (Obs.Metrics.to_json m4);
+      (* The registry is the result, published: same counts, same
+         sketch, same token total. *)
+      match Obs.Metrics.histogram m1 "fleet/ttft_s" with
+      | None -> Alcotest.fail (name ^ ": no fleet/ttft_s series")
+      | Some h ->
+          Alcotest.(check int) (name ^ " ttft count = dispatched") r1.Fleet.dispatched
+            h.Obs.Metrics.count;
+          Alcotest.(check (float 0.0))
+            (name ^ " ttft p99 = result p99")
+            (Obs.Sketch.quantile r1.Fleet.ttft 0.99)
+            h.Obs.Metrics.p99;
+          Alcotest.(check (option (float 0.0)))
+            (name ^ " tokens = total_tokens")
+            (Some r1.Fleet.total_tokens)
+            (Obs.Metrics.counter m1 "fleet/tokens"))
     [ Fleet.Round_robin; Fleet.Least_loaded; Fleet.Session_affinity; Fleet.Power_aware ]
 
 let test_fleet_conservation_and_accounting () =
@@ -181,11 +208,16 @@ let test_fleet_total_outage_drops () =
     Fleet.fail_recover_schedule ~nodes:8 ~fraction:1.0 ~at_s:0.1
       ~recover_after_s:1e6
   in
+  let obs = Obs.Sink.create ~events:false () in
   let r =
-    Fleet.run ~domains:1 ~node_events:events ~policy:Fleet.Least_loaded
+    Fleet.run ~domains:1 ~obs ~node_events:events ~policy:Fleet.Least_loaded
       ~requests:2_000 ~seed:17 cfg spec
   in
   Alcotest.(check bool) "outage drops requests" true (r.Fleet.dropped > 0);
+  Alcotest.(check (option (float 0.0)))
+    "fleet/dropped = dropped"
+    (Some (float r.Fleet.dropped))
+    (Obs.Metrics.counter (Obs.Sink.metrics obs) "fleet/dropped");
   Alcotest.(check int) "accounting still closes" 2_000
     Fleet.(r.dispatched + r.dropped)
 
@@ -337,17 +369,25 @@ let headline_run ?obs requests =
 
 let test_fleet_words_per_request () =
   (* The dispatch path's allocation budget: 2x the 8 words/request the
-     ALLOC-HOT playbook reached. *)
+     ALLOC-HOT playbook reached.  A counters-only sink adds at most one
+     word per request: the run publishes its telemetry once, at the end. *)
   let requests = 100_000 in
-  let a0 = Gc.allocated_bytes () in
-  ignore (headline_run requests);
-  let words =
-    (Gc.allocated_bytes () -. a0) /. float_of_int (Sys.word_size / 8)
+  let per_request ?obs () =
+    let a0 = Gc.allocated_bytes () in
+    ignore (headline_run ?obs requests);
+    let words =
+      (Gc.allocated_bytes () -. a0) /. float_of_int (Sys.word_size / 8)
+    in
+    words /. float_of_int requests
   in
-  let per_request = words /. float_of_int requests in
+  let off = per_request () in
+  let on = per_request ~obs:(Obs.Sink.create ~events:false ()) () in
   Alcotest.(check bool)
-    (Printf.sprintf "%.2f words/request <= 16" per_request)
-    true (per_request <= 16.0)
+    (Printf.sprintf "%.2f words/request <= 16" off)
+    true (off <= 16.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "obs on %.2f <= obs off %.2f + 1 words/request" on off)
+    true (on <= off +. 1.0)
 
 let test_fleet_sink_flat () =
   (* A counters-only sink retains the same words at 10x the requests: the
