@@ -12,24 +12,26 @@ let pow2 e = Float.ldexp 1.0 e
 let quantize_slice xs lo len =
   let amax = ref 0.0 in
   for i = lo to lo + len - 1 do
-    amax := Float.max !amax (Float.abs xs.(i))
+    let a = Float.abs xs.(i) in
+    if a > !amax then amax := a
   done;
   let amax = !amax in
   let scale_exp =
     if amax = 0.0 then 0
-    else
+    else begin
       (* Largest power of two such that amax/2^e <= 6. *)
-      let e = int_of_float (Float.ceil (log (amax /. max_magnitude) /. log 2.0)) in
+      let e = ref (int_of_float (Float.ceil (log (amax /. max_magnitude) /. log 2.0))) in
       (* Guard against rounding of the log. *)
-      let rec fix e =
-        if amax /. pow2 e > max_magnitude then fix (e + 1)
-        else if e > -126 && amax /. pow2 (e - 1) <= max_magnitude then fix (e - 1)
-        else e
-      in
-      fix e
+      while amax /. pow2 !e > max_magnitude do
+        incr e
+      done;
+      while !e > -126 && amax /. pow2 (!e - 1) <= max_magnitude do
+        decr e
+      done;
+      !e
+    end
   in
-  let s = pow2 scale_exp in
-  { scale_exp; elements = Array.init len (fun k -> Fp4.of_float (xs.(lo + k) /. s)) }
+  { scale_exp; elements = Fp4.quantize_slice xs ~lo ~len ~scale_exp }
 
 let quantize_block xs =
   let n = Array.length xs in

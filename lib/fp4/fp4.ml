@@ -22,23 +22,30 @@ let to_float t =
 
 let neg t = t lxor 8
 
-let of_float x =
+let[@inline] of_float x =
   if Float.is_nan x then invalid_arg "Fp4.of_float: nan";
   let m = Float.abs x in
-  (* Nearest magnitude by the 7 midpoints; a tie goes to the even code
-     (smaller mantissa bit), hence [<=] below an even code and [<] below an
-     odd one. *)
+  (* Nearest magnitude: the code counts the 7 midpoints [m] passes; a tie
+     goes to the even code (smaller mantissa bit), hence [>] at a midpoint
+     above an even code and [>=] above an odd one.  Counting instead of
+     branching keeps the loop free of unpredictable jumps. *)
   let c =
-    if m <= 0.25 then 0
-    else if m < 0.75 then 1
-    else if m <= 1.25 then 2
-    else if m < 1.75 then 3
-    else if m <= 2.5 then 4
-    else if m < 3.5 then 5
-    else if m <= 5.0 then 6
-    else 7
+    Bool.to_int (m > 0.25) + Bool.to_int (m >= 0.75) + Bool.to_int (m > 1.25)
+    + Bool.to_int (m >= 1.75) + Bool.to_int (m > 2.5) + Bool.to_int (m >= 3.5)
+    + Bool.to_int (m > 5.0)
   in
-  if c <> 0 && x < 0.0 then c lor 8 else c
+  c lor (8 * Bool.to_int (x < 0.0) * Bool.to_int (c <> 0))
+
+(* [of_float] is inlined into the element loop here, in the module that
+   owns it: called from another module (which sees this one through
+   -opaque) every call would box its float argument. *)
+let quantize_slice xs ~lo ~len ~scale_exp =
+  let s = Float.ldexp 1.0 scale_exp in
+  let out = Array.make len 0 in
+  for k = 0 to len - 1 do
+    out.(k) <- of_float (xs.(lo + k) /. s)
+  done;
+  out
 
 let all = List.init 16 (fun i -> i)
 

@@ -28,6 +28,12 @@ val of_float : float -> t
     magnitude 6, infinities included.  [-0.] and values rounding to zero
     map to +0.  Raises [Invalid_argument] on NaN. *)
 
+val quantize_slice : float array -> lo:int -> len:int -> scale_exp:int -> t array
+(** [quantize_slice xs ~lo ~len ~scale_exp] is
+    [Array.init len (fun k -> of_float (xs.(lo + k) /. 2. ** scale_exp))]
+    without a boxed float per element: the MXFP4 block quantizer's element
+    loop ({!Blockscale}). *)
+
 val neg : t -> t
 (** Sign-bit flip.  [neg zero] is the -0 code, which still decodes to 0. *)
 

@@ -79,6 +79,14 @@ let default_hot_paths =
     ("Hnlpu_fp4.Fp4.to_half_units", Leaf);
     ("Hnlpu_neuron.Metal_embedding.run", Driver);
     ("Hnlpu_neuron.Mac_array.run", Driver);
+    (* Model and dataflow forward: each kernel allocates its result in
+       the prologue, then runs loops that allocate nothing — the GEMV's
+       column blocks, the per-(head, position) streaming softmax over the
+       flat KV buffers, and the MXFP4 element loop. *)
+    ("Hnlpu_tensor.Mat.gemv", Driver);
+    ("Hnlpu_model.Transformer.attention", Driver);
+    ("Hnlpu_system.Dataflow.column_attention", Driver);
+    ("Hnlpu_fp4.Fp4.quantize_slice", Driver);
   ]
 
 let default = { hot_paths = default_hot_paths }

@@ -13,8 +13,8 @@ val clear : t -> unit
 (** Drop all cached positions. *)
 
 val copy : t -> t
-(** Deep-enough copy: the two caches evolve independently afterwards (the
-    cached vectors themselves are immutable once appended). *)
+(** Deep copy: the flat K/V buffers are copied, so appends to either cache
+    (which write into those buffers in place) never show in the other. *)
 
 val length : t -> layer:int -> int
 (** Number of cached positions for a layer. *)
@@ -23,10 +23,15 @@ val append : t -> layer:int -> k:Hnlpu_tensor.Vec.t -> v:Hnlpu_tensor.Vec.t -> u
 (** [k] and [v] are the flat (kv_heads * head_dim) projections for the new
     position. *)
 
-val key : t -> layer:int -> head:int -> pos:int -> Hnlpu_tensor.Vec.t
-(** Cached key of a KV head at a position (length [head_dim]). *)
+val keys : t -> layer:int -> float array
+(** The layer's flat K buffer, read in place by the attention loop: the key
+    of KV head [h] at position [p] is the [head_dim] floats from offset
+    [p * kv_dim + h * head_dim].  Only the first [length] positions are
+    meaningful, and an {!append} may replace the buffer, so re-read it
+    after every append. *)
 
-val value : t -> layer:int -> head:int -> pos:int -> Hnlpu_tensor.Vec.t
+val values : t -> layer:int -> float array
+(** The V buffer, laid out like {!keys}. *)
 
 val bytes_per_position : Config.t -> kv_bytes_per_element:int -> int
 (** Cache growth per decoded token across all layers — sizes the attention

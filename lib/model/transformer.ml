@@ -39,6 +39,7 @@ let reset t =
 let attention t layer_idx (l : Weights.layer) x_norm =
   let c = config t in
   let d = c.Config.head_dim in
+  let kv_dim = Config.kv_dim c in
   let scale = 1.0 /. sqrt (float_of_int d) in
   let q = Mat.gemv l.Weights.wq x_norm in
   let k = Mat.gemv l.Weights.wk x_norm in
@@ -47,6 +48,8 @@ let attention t layer_idx (l : Weights.layer) x_norm =
   let k = Rope.apply_heads ~head_dim:d ~pos:t.pos k in
   Kv_cache.append t.cache ~layer:layer_idx ~k ~v;
   let len = Kv_cache.length t.cache ~layer:layer_idx in
+  let ks = Kv_cache.keys t.cache ~layer:layer_idx in
+  let vs = Kv_cache.values t.cache ~layer:layer_idx in
   (* Sliding-window layers only attend over the last [w] positions. *)
   let first_pos =
     match Config.layer_window c ~layer:layer_idx with
@@ -54,32 +57,43 @@ let attention t layer_idx (l : Weights.layer) x_norm =
     | Some w -> max 0 (len - w)
   in
   let group = Config.gqa_group c in
+  (* Each head accumulates straight into its slice of [out]. *)
   let out = Array.make (Config.q_dim c) 0.0 in
+  let m = ref neg_infinity and z = ref 0.0 and dot = ref 0.0 in
   for h = 0 to c.Config.q_heads - 1 do
-    let kv = h / group in
-    let qh = Array.sub q (h * d) d in
+    let qo = h * d in
+    let kvo = h / group * d in
     (* FlashAttention-style streaming softmax: single pass with a running
-       max and normalizer — the computation flow the VEX unit adopts. *)
-    let m = ref neg_infinity and z = ref 0.0 in
-    let acc = Array.make d 0.0 in
+       max and normalizer — the computation flow the VEX unit adopts.  One
+       [exp] per step: below the running max the correction is exp 0 = 1,
+       above it the new weight is. *)
+    m := neg_infinity;
+    z := 0.0;
     for p = first_pos to len - 1 do
-      let kp = Kv_cache.key t.cache ~layer:layer_idx ~head:kv ~pos:p in
-      let s = Vec.dot qh kp *. scale in
-      let m' = Float.max !m s in
-      let correction = exp (!m -. m') in
-      let w = exp (s -. m') in
+      let base = (p * kv_dim) + kvo in
+      dot := 0.0;
       for i = 0 to d - 1 do
-        acc.(i) <- acc.(i) *. correction
+        dot := !dot +. (q.(qo + i) *. ks.(base + i))
       done;
-      z := (!z *. correction) +. w;
-      let vp = Kv_cache.value t.cache ~layer:layer_idx ~head:kv ~pos:p in
-      for i = 0 to d - 1 do
-        acc.(i) <- acc.(i) +. (w *. vp.(i))
-      done;
-      m := m'
+      let s = !dot *. scale in
+      if s <= !m then begin
+        let w = exp (s -. !m) in
+        for i = 0 to d - 1 do
+          out.(qo + i) <- out.(qo + i) +. (w *. vs.(base + i))
+        done;
+        z := !z +. w
+      end
+      else begin
+        let corr = exp (!m -. s) in
+        for i = 0 to d - 1 do
+          out.(qo + i) <- (out.(qo + i) *. corr) +. vs.(base + i)
+        done;
+        z := (!z *. corr) +. 1.0;
+        m := s
+      end
     done;
     for i = 0 to d - 1 do
-      out.((h * d) + i) <- acc.(i) /. !z
+      out.(qo + i) <- out.(qo + i) /. !z
     done
   done;
   Mat.gemv l.Weights.wo out

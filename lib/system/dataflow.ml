@@ -11,8 +11,15 @@ type chip_layer_weights = {
   experts : (int * Weights.expert) list;  (** Resident experts. *)
 }
 
-type kv_entry = { pos : int; k : Vec.t; v : Vec.t }
-(** One cached position of a column's KV heads (width kv_dim / 4). *)
+(* One chip's share of a column's KV cache for one layer: the positions it
+   holds, in increasing order, and their K and V rows (width kv_dim / 4,
+   the column's KV heads) back to back.  The buffers double when full. *)
+type stripe = {
+  mutable n : int;
+  mutable positions : int array;
+  mutable ks : float array;
+  mutable vs : float array;
+}
 
 type collective_counts = {
   col_all_reduce : int;
@@ -25,9 +32,12 @@ type t = {
   weights : Weights.t;
   config : Config.t;
   chip_weights : chip_layer_weights array array;  (** [layer].[chip] *)
-  kv : kv_entry list ref array array;  (** [layer].[chip], reverse order *)
+  kv : stripe array array;  (** [layer].[chip] *)
   mutable pos : int;
-  mutable counts : collective_counts;
+  mutable col_all_reduces : int;
+  mutable row_all_reduces : int;
+  mutable col_all_gathers : int;
+  mutable all_chip_all_reduces : int;
 }
 
 let create (w : Weights.t) =
@@ -55,29 +65,50 @@ let create (w : Weights.t) =
         w.Weights.layers;
     kv =
       Array.init c.Config.num_layers (fun _ ->
-          Array.init Topology.chips (fun _ -> ref []));
+          Array.init Topology.chips (fun _ ->
+              { n = 0; positions = [||]; ks = [||]; vs = [||] }));
     pos = 0;
-    counts =
-      { col_all_reduce = 0; row_all_reduce = 0; col_all_gather = 0;
-        all_chip_all_reduce = 0 };
+    col_all_reduces = 0;
+    row_all_reduces = 0;
+    col_all_gathers = 0;
+    all_chip_all_reduces = 0;
   }
 
 let position t = t.pos
 
-let collectives t = t.counts
+let collectives t =
+  {
+    col_all_reduce = t.col_all_reduces;
+    row_all_reduce = t.row_all_reduces;
+    col_all_gather = t.col_all_gathers;
+    all_chip_all_reduce = t.all_chip_all_reduces;
+  }
 
-let kv_positions_on_chip t ~chip ~layer = List.length !(t.kv.(layer).(chip))
+let kv_positions_on_chip t ~chip ~layer = t.kv.(layer).(chip).n
 
-let bump_col t = t.counts <- { t.counts with col_all_reduce = t.counts.col_all_reduce + 1 }
-let bump_row t = t.counts <- { t.counts with row_all_reduce = t.counts.row_all_reduce + 1 }
-let bump_gather t = t.counts <- { t.counts with col_all_gather = t.counts.col_all_gather + 1 }
-let bump_all t =
-  t.counts <- { t.counts with all_chip_all_reduce = t.counts.all_chip_all_reduce + 1 }
+let grow buf ~used ~need ~zero =
+  if need <= Array.length buf then buf
+  else begin
+    let bigger = Array.make (max need (2 * Array.length buf)) zero in
+    Array.blit buf 0 bigger 0 used;
+    bigger
+  end
+
+let stripe_append st ~pos ~k ~v =
+  let width = Array.length k in
+  let used = st.n * width in
+  st.positions <- grow st.positions ~used:st.n ~need:(st.n + 1) ~zero:0;
+  st.ks <- grow st.ks ~used ~need:(used + width) ~zero:0.0;
+  st.vs <- grow st.vs ~used ~need:(used + width) ~zero:0.0;
+  st.positions.(st.n) <- pos;
+  Array.blit k 0 st.ks used width;
+  Array.blit v 0 st.vs used width;
+  st.n <- st.n + 1
 
 (* Column all-reduce of per-chip partial vectors: every chip of the column
    ends with the sum.  Returns the (identical) result. *)
 let col_all_reduce t ~col partials =
-  bump_col t;
+  t.col_all_reduces <- t.col_all_reduces + 1;
   let group = Topology.col_group col in
   let vals = List.map2 (fun chip v -> (chip, v)) group partials in
   Collective.sum vals
@@ -86,7 +117,7 @@ let col_all_reduce t ~col partials =
    striped KV cache (Figure 10-IV/V).  [q_col] holds the column's
    q_heads/4 query heads; each chip contributes statistics over its own
    positions, combined exactly as the VEX units would after the
-   column-wise exchange. *)
+   column-wise exchange.  K and V are read in place from the stripes. *)
 let column_attention t ~layer ~col q_col =
   let c = t.config in
   let d = c.Config.head_dim in
@@ -99,57 +130,75 @@ let column_attention t ~layer ~col q_col =
     | Some w -> max 0 (t.pos + 1 - w)
   in
   let q_heads_per_col = c.Config.q_heads / 4 in
-  let group = Topology.col_group col in
+  let group = Config.gqa_group c in
+  let width = Config.kv_dim c / 4 in
+  let stripes = t.kv.(layer) in
   let out = Array.make (q_heads_per_col * d) 0.0 in
+  (* Per-chip partial statistics (max, sum, weighted value), by row. *)
+  let ms = Array.make Topology.rows neg_infinity in
+  let zs = Array.make Topology.rows 0.0 in
+  let accs = Array.make (Topology.rows * d) 0.0 in
+  let m = ref neg_infinity and z = ref 0.0 and dot = ref 0.0 in
+  let global_m = ref neg_infinity in
   for hq = 0 to q_heads_per_col - 1 do
-    let qh = Array.sub q_col (hq * d) d in
-    (* Local KV head index within the column's slice. *)
-    let kv_local = hq / Config.gqa_group c in
-    (* Per-chip partial statistics: (max, sum, weighted value). *)
-    let stats =
-      List.map
-        (fun chip ->
-          let entries = List.rev !(t.kv.(layer).(chip)) in
-          let m = ref neg_infinity and z = ref 0.0 in
-          let acc = Array.make d 0.0 in
-          List.iter
-            (fun { pos; k; v } ->
-              if pos >= first_pos then begin
-              let ks = Array.sub k (kv_local * d) d in
-              let vs = Array.sub v (kv_local * d) d in
-              let s = Vec.dot qh ks *. scale in
-              let m' = Float.max !m s in
-              let corr = exp (!m -. m') in
-              let w = exp (s -. m') in
-              for i = 0 to d - 1 do
-                acc.(i) <- (acc.(i) *. corr) +. (w *. vs.(i))
-              done;
-              z := (!z *. corr) +. w;
-              m := m'
-              end)
-            entries;
-          (!m, !z, acc))
-        group
-    in
-    (* Column-wise exchange and exact combination of the partials. *)
-    bump_col t;
-    let global_m =
-      List.fold_left (fun acc (m, _, _) -> Float.max acc m) neg_infinity stats
-    in
-    let z = ref 0.0 in
-    let acc = Array.make d 0.0 in
-    List.iter
-      (fun (m, zi, oi) ->
-        if zi > 0.0 then begin
-          let corr = exp (m -. global_m) in
-          z := !z +. (zi *. corr);
+    let qo = hq * d in
+    (* Offset of the local KV head within the column's slice. *)
+    let kvo = hq / group * d in
+    for row = 0 to Topology.rows - 1 do
+      let st = stripes.(Topology.chip_at ~row ~col) in
+      let ks = st.ks and vs = st.vs in
+      let ao = row * d in
+      m := neg_infinity;
+      z := 0.0;
+      Array.fill accs ao d 0.0;
+      for j = 0 to st.n - 1 do
+        if st.positions.(j) >= first_pos then begin
+          let base = (j * width) + kvo in
+          dot := 0.0;
           for i = 0 to d - 1 do
-            acc.(i) <- acc.(i) +. (oi.(i) *. corr)
-          done
-        end)
-      stats;
+            dot := !dot +. (q_col.(qo + i) *. ks.(base + i))
+          done;
+          let s = !dot *. scale in
+          (* One [exp] per step: below the running max the correction is
+             exp 0 = 1, above it the new weight is. *)
+          if s <= !m then begin
+            let w = exp (s -. !m) in
+            for i = 0 to d - 1 do
+              accs.(ao + i) <- accs.(ao + i) +. (w *. vs.(base + i))
+            done;
+            z := !z +. w
+          end
+          else begin
+            let corr = exp (!m -. s) in
+            for i = 0 to d - 1 do
+              accs.(ao + i) <- (accs.(ao + i) *. corr) +. vs.(base + i)
+            done;
+            z := (!z *. corr) +. 1.0;
+            m := s
+          end
+        end
+      done;
+      ms.(row) <- !m;
+      zs.(row) <- !z
+    done;
+    (* Column-wise exchange and exact combination of the partials. *)
+    t.col_all_reduces <- t.col_all_reduces + 1;
+    global_m := neg_infinity;
+    for row = 0 to Topology.rows - 1 do
+      if ms.(row) > !global_m then global_m := ms.(row)
+    done;
+    z := 0.0;
+    for row = 0 to Topology.rows - 1 do
+      if zs.(row) > 0.0 then begin
+        let corr = exp (ms.(row) -. !global_m) in
+        z := !z +. (zs.(row) *. corr);
+        for i = 0 to d - 1 do
+          out.(qo + i) <- out.(qo + i) +. (accs.((row * d) + i) *. corr)
+        done
+      end
+    done;
     for i = 0 to d - 1 do
-      out.((hq * d) + i) <- acc.(i) /. !z
+      out.(qo + i) <- out.(qo + i) /. !z
     done
   done;
   out
@@ -176,7 +225,7 @@ let layer_forward t ~layer x =
         let k = Rope.apply_heads ~head_dim:d ~pos:t.pos k in
         (* Store the new KV on chip (pos mod 4) of this column. *)
         let owner = Topology.kv_owner ~seq_pos:t.pos ~col in
-        t.kv.(layer).(owner) := { pos = t.pos; k; v } :: !(t.kv.(layer).(owner));
+        stripe_append t.kv.(layer).(owner) ~pos:t.pos ~k ~v;
         (q, k, v))
   in
   (* Column-local attention. *)
@@ -195,10 +244,10 @@ let layer_forward t ~layer x =
               (chip, Mat.gemv lw.(chip).wo attn))
             attn_cols
         in
-        bump_row t;
+        t.row_all_reduces <- t.row_all_reduces + 1;
         Collective.sum partials)
   in
-  bump_gather t;
+  t.col_all_gathers <- t.col_all_gathers + 1;
   let xo = Array.concat xo_slices in
   let x = Vec.add x xo in
   (* FFN with MoE (Figure 10-VII..IX). *)
@@ -227,7 +276,7 @@ let layer_forward t ~layer x =
             Vec.scale probs.(rank) (Mat.gemv ew.Weights.w_down (Vec.swiglu ~gate ~up)))
           top
       in
-      bump_all t;
+      t.all_chip_all_reduces <- t.all_chip_all_reduces + 1;
       List.fold_left Vec.add (Vec.zeros c.Config.hidden) partials
   in
   Vec.add x y

@@ -37,9 +37,9 @@ type collective_counts = {
 }
 
 val collectives : t -> collective_counts
-(** Cumulative collective-operation counts — lets tests confirm the §5
-    claim that MoE expert projection needs no inter-chip exchange while
-    attention needs column-group collectives. *)
+(** Snapshot of the cumulative collective-operation counts — lets tests
+    confirm the §5 claim that MoE expert projection needs no inter-chip
+    exchange while attention needs column-group collectives. *)
 
 val kv_positions_on_chip : t -> chip:Hnlpu_noc.Topology.chip -> layer:int -> int
 (** Cached positions a chip holds — checks the mod-4 striping balance. *)

@@ -42,17 +42,44 @@ let row m r = Array.sub m.data (r * m.cols) m.cols
 
 let col m c = Array.init m.rows (fun r -> get m r c)
 
+(* Four output columns per pass over the rows, each in its own local
+   accumulator that stays in a register.  Every column sums its rows in
+   increasing order and skips zero activations, so the result does not
+   depend on the blocking. *)
 let gemv m x =
   if Array.length x <> m.rows then invalid_arg "Mat.gemv: dimension mismatch";
-  let out = Array.make m.cols 0.0 in
-  for r = 0 to m.rows - 1 do
-    let xi = x.(r) in
-    if xi <> 0.0 then begin
-      let base = r * m.cols in
-      for c = 0 to m.cols - 1 do
-        out.(c) <- out.(c) +. (xi *. m.data.(base + c))
-      done
-    end
+  let rows = m.rows and cols = m.cols and data = m.data in
+  let out = Array.make cols 0.0 in
+  let a0 = ref 0.0 and a1 = ref 0.0 and a2 = ref 0.0 and a3 = ref 0.0 in
+  let blocked = cols - (cols mod 4) in
+  for blk = 0 to (blocked / 4) - 1 do
+    let c0 = 4 * blk in
+    a0 := 0.0;
+    a1 := 0.0;
+    a2 := 0.0;
+    a3 := 0.0;
+    for r = 0 to rows - 1 do
+      let xi = Array.unsafe_get x r in
+      if xi <> 0.0 then begin
+        let b = (r * cols) + c0 in
+        a0 := !a0 +. (xi *. Array.unsafe_get data b);
+        a1 := !a1 +. (xi *. Array.unsafe_get data (b + 1));
+        a2 := !a2 +. (xi *. Array.unsafe_get data (b + 2));
+        a3 := !a3 +. (xi *. Array.unsafe_get data (b + 3))
+      end
+    done;
+    out.(c0) <- !a0;
+    out.(c0 + 1) <- !a1;
+    out.(c0 + 2) <- !a2;
+    out.(c0 + 3) <- !a3
+  done;
+  for c = blocked to cols - 1 do
+    a0 := 0.0;
+    for r = 0 to rows - 1 do
+      let xi = Array.unsafe_get x r in
+      if xi <> 0.0 then a0 := !a0 +. (xi *. Array.unsafe_get data ((r * cols) + c))
+    done;
+    out.(c) <- !a0
   done;
   out
 

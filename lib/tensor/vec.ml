@@ -10,9 +10,16 @@ let check_same_length name a b =
   if Array.length a <> Array.length b then
     invalid_arg (name ^ ": length mismatch")
 
+(* The element-wise operations are explicit loops: [Array.map] over a
+   float array boxes every element it hands to the closure and every
+   result it gets back. *)
 let add a b =
   check_same_length "Vec.add" a b;
-  Array.mapi (fun i x -> x +. b.(i)) a
+  let out = Array.create_float (Array.length a) in
+  for i = 0 to Array.length a - 1 do
+    out.(i) <- a.(i) +. b.(i)
+  done;
+  out
 
 let add_inplace dst src =
   check_same_length "Vec.add_inplace" dst src;
@@ -22,13 +29,26 @@ let add_inplace dst src =
 
 let sub a b =
   check_same_length "Vec.sub" a b;
-  Array.mapi (fun i x -> x -. b.(i)) a
+  let out = Array.create_float (Array.length a) in
+  for i = 0 to Array.length a - 1 do
+    out.(i) <- a.(i) -. b.(i)
+  done;
+  out
 
-let scale s a = Array.map (fun x -> s *. x) a
+let scale s a =
+  let out = Array.create_float (Array.length a) in
+  for i = 0 to Array.length a - 1 do
+    out.(i) <- s *. a.(i)
+  done;
+  out
 
 let mul a b =
   check_same_length "Vec.mul" a b;
-  Array.mapi (fun i x -> x *. b.(i)) a
+  let out = Array.create_float (Array.length a) in
+  for i = 0 to Array.length a - 1 do
+    out.(i) <- a.(i) *. b.(i)
+  done;
+  out
 
 let dot a b =
   check_same_length "Vec.dot" a b;
@@ -76,9 +96,19 @@ let rmsnorm ~gain a =
     ms := !ms +. (a.(i) *. a.(i))
   done;
   let inv = 1.0 /. sqrt ((!ms /. float_of_int n) +. 1e-6) in
-  Array.mapi (fun i x -> x *. inv *. gain.(i)) a
+  let out = Array.create_float n in
+  for i = 0 to n - 1 do
+    out.(i) <- a.(i) *. inv *. gain.(i)
+  done;
+  out
 
-let silu a = Array.map (fun x -> x /. (1.0 +. exp (-.x))) a
+let silu a =
+  let out = Array.create_float (Array.length a) in
+  for i = 0 to Array.length a - 1 do
+    let x = a.(i) in
+    out.(i) <- x /. (1.0 +. exp (-.x))
+  done;
+  out
 
 let swiglu ~gate ~up = mul (silu gate) up
 

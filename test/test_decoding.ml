@@ -28,6 +28,28 @@ let test_fork_equals_replay () =
   let via_replay = Transformer.prefill fresh [ 4; 5; 6 ] in
   Alcotest.(check (float 0.0)) "fork = replay" 0.0 (Vec.max_abs_diff via_fork via_replay)
 
+let test_fork_deep_diverges () =
+  (* Forked at position 24, after the flat KV buffers have grown several
+     times and with room left in them: the two continuations append into
+     the same offsets, interleaved, so a fork that shared its buffers would
+     read the other's keys.  Each must equal a fresh replay of its own
+     sequence. *)
+  let prefix = List.init 24 (fun i -> ((i * 5) + 1) mod 64) in
+  let a = make_tiny 3 in
+  ignore (Transformer.prefill a prefix);
+  let b = Transformer.fork a in
+  let cont_a = [ 9; 9; 9; 9 ] and cont_b = [ 40; 41; 42; 43 ] in
+  let la = ref [||] and lb = ref [||] in
+  List.iter2
+    (fun ta tb ->
+      la := Transformer.forward a ~token:ta;
+      lb := Transformer.forward b ~token:tb)
+    cont_a cont_b;
+  let replay cont = Transformer.prefill (make_tiny 3) (prefix @ cont) in
+  Alcotest.(check (float 0.0)) "a = replay" 0.0 (Vec.max_abs_diff !la (replay cont_a));
+  Alcotest.(check (float 0.0)) "b = replay" 0.0 (Vec.max_abs_diff !lb (replay cont_b));
+  Alcotest.(check bool) "continuations diverge" true (Vec.max_abs_diff !la !lb > 1e-6)
+
 (* --- Vex_sim hardware nonlinearities ----------------------------------------- *)
 
 let test_exp_accuracy () =
@@ -92,6 +114,7 @@ let () =
         [
           Alcotest.test_case "independence" `Quick test_fork_independent;
           Alcotest.test_case "fork = replay" `Quick test_fork_equals_replay;
+          Alcotest.test_case "deep fork diverges" `Quick test_fork_deep_diverges;
         ] );
       ( "vex-sim",
         [

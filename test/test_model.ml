@@ -125,11 +125,12 @@ let test_kv_cache_basic () =
   Kv_cache.append cache ~layer:0 ~k:(Array.make kv_dim 3.0) ~v:(Array.make kv_dim 4.0);
   Alcotest.(check int) "two entries" 2 (Kv_cache.length cache ~layer:0);
   Alcotest.(check int) "other layer untouched" 0 (Kv_cache.length cache ~layer:1);
-  let k0 = Kv_cache.key cache ~layer:0 ~head:1 ~pos:0 in
-  Alcotest.(check int) "head slice width" Config.tiny.Config.head_dim (Array.length k0);
-  Alcotest.(check (float 0.0)) "first key" 1.0 k0.(0);
-  let v1 = Kv_cache.value cache ~layer:0 ~head:0 ~pos:1 in
-  Alcotest.(check (float 0.0)) "second value" 4.0 v1.(0)
+  (* Position p, KV head h starts at p * kv_dim + h * head_dim. *)
+  let head_dim = Config.tiny.Config.head_dim in
+  let ks = Kv_cache.keys cache ~layer:0 and vs = Kv_cache.values cache ~layer:0 in
+  Alcotest.(check (float 0.0)) "first key, head 1" 1.0 ks.(head_dim);
+  Alcotest.(check (float 0.0)) "second key, last element" 3.0 ks.((2 * kv_dim) - 1);
+  Alcotest.(check (float 0.0)) "second value, head 0" 4.0 vs.(kv_dim)
 
 let test_kv_cache_clear () =
   let cache = Kv_cache.create Config.tiny in

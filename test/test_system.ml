@@ -58,21 +58,31 @@ let test_mapping_rejects_unmappable () =
 
 let tiny = Hnlpu_model.Config.tiny_hnlpu
 
-let test_dataflow_matches_reference () =
-  let w = Hnlpu_model.Weights.random (Rng.create 77) tiny in
+(* Max logit difference relative to the reference logits' RMS. *)
+let rel_err lr ld =
+  let scale = Hnlpu_tensor.Vec.norm2 lr /. sqrt (float_of_int (Array.length lr)) in
+  Hnlpu_tensor.Vec.max_abs_diff lr ld /. Float.max scale 1e-12
+
+(* Feeds [tokens] to the reference and the dataflow on the same weights;
+   every step's logits must agree.  Returns the last reference logits. *)
+let check_dataflow_matches ~seed config tokens =
+  let w = Hnlpu_model.Weights.random (Rng.create seed) config in
   let reference = Hnlpu_model.Transformer.create w in
   let distributed = Dataflow.create w in
-  let prompt = [ 3; 14; 15; 9; 2; 6 ] in
-  List.iter
-    (fun tok ->
+  List.fold_left
+    (fun _ tok ->
+      let pos = Dataflow.position distributed in
       let lr = Hnlpu_model.Transformer.forward reference ~token:tok in
       let ld = Dataflow.forward distributed ~token:tok in
-      let scale = Hnlpu_tensor.Vec.norm2 lr /. sqrt (float_of_int (Array.length lr)) in
-      let err = Hnlpu_tensor.Vec.max_abs_diff lr ld /. Float.max scale 1e-12 in
+      let err = rel_err lr ld in
       Alcotest.(check bool)
-        (Printf.sprintf "token %d err %.2e" tok err)
-        true (err < 1e-4))
-    prompt
+        (Printf.sprintf "%s position %d err %.2e" config.Hnlpu_model.Config.name pos err)
+        true (err < 1e-4);
+      lr)
+    [||] tokens
+
+let test_dataflow_matches_reference () =
+  ignore (check_dataflow_matches ~seed:77 tiny [ 3; 14; 15; 9; 2; 6 ])
 
 let prop_dataflow_equivalence =
   QCheck.Test.make ~name:"16-chip dataflow = reference transformer" ~count:8
@@ -85,11 +95,23 @@ let prop_dataflow_equivalence =
         (fun tok ->
           let lr = Hnlpu_model.Transformer.forward reference ~token:tok in
           let ld = Dataflow.forward distributed ~token:tok in
-          let scale =
-            Hnlpu_tensor.Vec.norm2 lr /. sqrt (float_of_int (Array.length lr))
-          in
-          Hnlpu_tensor.Vec.max_abs_diff lr ld /. Float.max scale 1e-12 < 1e-4)
+          rel_err lr ld < 1e-4)
         prompt)
+
+let test_dataflow_matches_reference_long () =
+  (* 48 tokens: past the first growths of both models' flat KV buffers,
+     and, with a window of 4, far enough that the even layers' [first_pos]
+     filter drops most of every chip's stripe.  The windowed model must
+     also really differ from the full one by the end. *)
+  let tokens = List.init 48 (fun i -> ((i * 13) + 5) mod 64) in
+  let full = check_dataflow_matches ~seed:80 tiny tokens in
+  let windowed =
+    check_dataflow_matches ~seed:80
+      { tiny with Hnlpu_model.Config.name = "tiny-hnlpu-sw4"; sliding_window = Some 4 }
+      tokens
+  in
+  Alcotest.(check bool) "window changes the logits" true
+    (Hnlpu_tensor.Vec.max_abs_diff full windowed > 1e-6)
 
 let test_dataflow_kv_striping () =
   let w = Hnlpu_model.Weights.random (Rng.create 78) tiny in
@@ -372,6 +394,8 @@ let () =
       ( "dataflow",
         [
           Alcotest.test_case "matches reference" `Quick test_dataflow_matches_reference;
+          Alcotest.test_case "matches reference, 48 tokens" `Quick
+            test_dataflow_matches_reference_long;
           Alcotest.test_case "kv striping" `Quick test_dataflow_kv_striping;
           Alcotest.test_case "collective pattern" `Quick test_dataflow_collective_pattern;
         ] );
