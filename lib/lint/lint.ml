@@ -62,19 +62,39 @@ let fixture_expectations =
 
 let clean_fixture = "Fixture_clean"
 
-(* The fixtures' hot function, registered the way library hot paths are. *)
+(* The fixtures' hot functions, registered the way library hot paths
+   are: the seeded-broken loop, and the clean module's unboxed int64
+   chains, which must stay silent. *)
 let fixture_config =
   {
     Lint_config.hot_paths =
       ("Lint_fixtures.Fixture_alloc_hot.hot_loop", Lint_config.Leaf)
+      :: ("Lint_fixtures.Fixture_clean.draw_bits", Lint_config.Leaf)
+      :: ("Lint_fixtures.Fixture_clean.exponent", Lint_config.Leaf)
       :: Lint_config.default_hot_paths;
   }
 
 let subject_in_module ~fixture subject =
   List.exists (String.equal fixture) (String.split_on_char '.' subject)
 
-(* (family, caught) per rule family, plus whether the clean module is
-   clean. *)
+let mentions s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.equal (String.sub s i m) sub || go (i + 1)) in
+  go 0
+
+(* ALLOC-HOT's int64 model must still see a genuinely boxed int64: the
+   fixture passes one to a non-inlined function. *)
+let boxed_int64_caught ds =
+  List.exists
+    (fun d ->
+      String.equal d.D.rule "ALLOC-HOT"
+      && D.rank d.D.severity >= D.rank D.Error
+      && subject_in_module ~fixture:"Fixture_alloc_hot" d.D.subject
+      && mentions d.D.message "int64")
+    ds
+
+(* (family, caught) per rule family and for the boxed int64, plus
+   whether the clean module is clean. *)
 let self_test ~dirs () =
   let ds = run ~config:fixture_config ~dirs () in
   let caught =
@@ -90,6 +110,7 @@ let self_test ~dirs () =
         in
         (rule, hit))
       fixture_expectations
+    @ [ ("ALLOC-HOT/int64", boxed_int64_caught ds) ]
   in
   let clean =
     not

@@ -43,10 +43,7 @@ let default_hot_paths =
        are separately named ([observe_slow], [incr_slow], ...) so the
        component-wise prefix match leaves them out. *)
     ("Hnlpu_obs.Sketch.observe", Leaf);
-    ("Hnlpu_obs.Sketch.octave_pos", Leaf);
-    ("Hnlpu_obs.Sketch.octave_neg", Leaf);
-    ("Hnlpu_obs.Sketch.bucket_index_pos", Leaf);
-    ("Hnlpu_obs.Sketch.bucket_index_neg", Leaf);
+    ("Hnlpu_obs.Sketch.bucket_index", Leaf);
     ("Hnlpu_obs.Metrics.observe", Leaf);
     ("Hnlpu_obs.Metrics.incr", Leaf);
     ("Hnlpu_obs.Metrics.set_stamped", Leaf);
@@ -97,7 +94,7 @@ let rules = [ "ALLOC-HOT"; "DET-SRC"; "PAR-ESCAPE"; "EXN-SWALLOW" ]
 
 let describe = function
   | "ALLOC-HOT" ->
-    "allocating construct (closure, tuple, record, list, boxed int64, \
+    "allocating construct (closure, tuple, record, list, escaping int64, \
      Printf, partial application) inside a configured hot path"
   | "DET-SRC" ->
     "nondeterminism source: Random.* instead of Util.Rng, wall-clock \

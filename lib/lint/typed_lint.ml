@@ -2,12 +2,13 @@
    checked mechanically over the compiler's [.cmt] output.
 
    - ALLOC-HOT   allocating constructs inside the configured hot-path
-                 set (closures, tuples, records, list cons/append, boxed
-                 int64/int32 results, Printf/Format, partial
-                 applications, allocating stdlib calls).  Per-body and
-                 syntactic: it does not chase calls, which is exactly
-                 what makes it cheap and predictable; callees on a hot
-                 path belong in the hot set themselves.
+                 set (closures, tuples, records, list cons/append,
+                 escaping unboxed int64/int32/nativeint values, Printf/
+                 Format, partial applications, allocating stdlib
+                 calls).  Per-body and syntactic: it does not chase
+                 calls, which is exactly what makes it cheap and
+                 predictable; callees on a hot path belong in the hot
+                 set themselves.
    - DET-SRC     nondeterminism sources: [Random.*] instead of the
                  seed-derived [Util.Rng], wall-clock/CPU-clock reads,
                  unordered [Hashtbl] iteration, polymorphic compare
@@ -78,11 +79,23 @@ let is_function_type ty =
 
 let is_boxed_int_type ty =
   match Types.get_desc ty with
-  | Types.Tconstr (p, [], _) ->
+  | Types.Tconstr (p, [], _) -> (
     Path.same p Predef.path_int64
     || Path.same p Predef.path_int32
     || Path.same p Predef.path_nativeint
+    ||
+    (* Unification can leave the abbreviation [Int64.t] in place. *)
+    match last2 (path_parts p) with
+    | Some (("Int64" | "Int32" | "Nativeint"), "t") -> true
+    | _ -> false)
   | _ -> false
+
+(* The declared type of the [i]-th parameter of an arrow type. *)
+let rec nth_param ty i =
+  match Types.get_desc ty with
+  | Types.Tarrow (_, a, rest, _) -> if i = 0 then Some a else nth_param rest (i - 1)
+  | Types.Tpoly (t, _) -> nth_param t i
+  | _ -> None
 
 (* --- Attribute handling -------------------------------------------------- *)
 
@@ -110,6 +123,18 @@ let lint_ignores attrs =
       | "hnlpu.lint_ignore" -> attr_payload_strings a
       | _ -> [])
     attrs
+
+let is_inline_attr (a : Parsetree.attribute) =
+  match a.attr_name.txt with
+  | "inline" | "ocaml.inline" -> (
+    match a.attr_payload with
+    | Parsetree.PStr
+        [ { pstr_desc =
+              Parsetree.Pstr_eval
+                ({ pexp_desc = Parsetree.Pexp_ident { txt = Longident.Lident "never"; _ }; _ }, _);
+            _ } ] -> false
+    | _ -> true)
+  | _ -> false
 
 (* --- Stdlib knowledge ---------------------------------------------------- *)
 
@@ -239,6 +264,9 @@ type state = {
   mutable raise_depth : int;            (* inside a raise/invalid_arg arg? *)
   mutable ignore_stack : string list list;
   mutable static_funs : expression list;  (* physically static closures *)
+  mutable inline_ids : Ident.t list;    (* same-module [@inline] functions *)
+  mutable inline_funs : expression list;  (* their curried chains *)
+  mutable fresh : Ident.t list;         (* locals holding an unboxed int64 *)
   mutable diags : D.t list;
 }
 
@@ -258,20 +286,27 @@ let emit st ~rule ~severity ~loc fmt =
           :: st.diags)
     fmt
 
-(* Mark the curried [fun a -> fun b -> ...] chain rooted at [e] as
-   non-allocating (either statically allocated at the module level, or
-   already accounted for by an enclosing flag). *)
-let rec mark_chain st e =
+(* The [fun] nodes of the curried [fun a -> fun b -> ...] chain rooted
+   at [e]. *)
+let rec chain_funs e =
   match e.exp_desc with
   | Texp_function { cases = [ { c_guard = None; c_rhs; _ } ]; _ } ->
-    st.static_funs <- e :: st.static_funs;
-    mark_chain st c_rhs
-  | Texp_function _ -> st.static_funs <- e :: st.static_funs
+    e :: chain_funs c_rhs
+  | Texp_function _ -> [ e ]
   | Texp_let (_, _, body) ->
     (* Optional arguments with defaults desugar to a [let] between the
        curried [fun] nodes — keep following the chain through it. *)
-    mark_chain st body
-  | _ -> ()
+    chain_funs body
+  | _ -> []
+
+(* Mark the chain rooted at [e] as non-allocating (either statically
+   allocated at the module level, or already accounted for by an
+   enclosing flag). *)
+let mark_chain st e = st.static_funs <- chain_funs e @ st.static_funs
+
+let is_inline_binding (vb : value_binding) =
+  List.exists is_inline_attr vb.vb_attributes
+  || List.exists is_inline_attr vb.vb_expr.exp_attributes
 
 let mark_children_of_chain st e =
   match e.exp_desc with
@@ -399,6 +434,147 @@ let alloc st ~loc fmt =
           what)
     fmt
 
+(* Boxed integers.  ocamlopt keeps an int64 (int32, nativeint) unboxed
+   from the primitive that produces it to the primitive that consumes
+   it, across [let]s, and boxes it only where it escapes: when it is
+   returned from a function that is not inlined, passed to a call that
+   is not an unboxing primitive or a same-module [@inline] function,
+   stored into a mutable field, an array or a ref (a new block is
+   flagged as an allocation anyway), or captured by a closure.  Producers are [%]-primitives and [[@unboxed]] externals
+   with an int64 result, same-module [@inline] calls, and locals bound
+   to one of these ("fresh" values); a parameter or a field read is
+   already boxed and costs nothing more where it goes.  Any other call
+   with an int64 result allocates its box in the callee. *)
+
+type callee =
+  | Prim of Primitive.description * Types.type_expr  (* declared type *)
+  | Inline
+  | Call of string
+
+let callee st (f : expression) =
+  match f.exp_desc with
+  | Texp_ident (p, _, vd) -> (
+    match vd.Types.val_kind with
+    | Types.Val_prim d -> Prim (d, vd.Types.val_type)
+    | _ ->
+      match p with
+      | Path.Pident id when List.exists (Ident.same id) st.inline_ids -> Inline
+      | _ -> Call (Path.name p))
+  | _ -> Call "a computed function"
+
+let is_compiler_prim (d : Primitive.description) =
+  String.length d.prim_name > 0 && d.prim_name.[0] = '%'
+
+(* Polymorphic comparisons are specialized to unboxed integer compares
+   at int64/int32/nativeint. *)
+let comparison_prims =
+  [ "%equal"; "%notequal"; "%lessthan"; "%greaterthan"; "%lessequal";
+    "%greaterequal"; "%compare" ]
+
+(* Does primitive [d], declared at [ty], take argument [i] unboxed?  A
+   [%]-primitive does when that parameter is declared int64 (a type
+   variable, as in [Array.set] or [ref], means a stored pointer); a C
+   external only with [[@unboxed]]. *)
+let prim_unboxes_arg (d : Primitive.description) ty i =
+  if is_compiler_prim d then
+    List.exists (String.equal d.prim_name) comparison_prims
+    || match nth_param ty i with Some a -> is_boxed_int_type a | None -> false
+  else
+    match List.nth_opt d.prim_native_repr_args i with
+    | Some (Primitive.Unboxed_integer _) -> true
+    | _ -> false
+
+let prim_unboxed_result (d : Primitive.description) =
+  is_compiler_prim d
+  || match d.prim_native_repr_res with
+     | Primitive.Unboxed_integer _ -> true
+     | _ -> false
+
+let rec fresh st (e : expression) =
+  is_boxed_int_type e.exp_type
+  &&
+  match e.exp_desc with
+  | Texp_apply (f, _) -> (
+    match callee st f with
+    | Prim (d, _) -> prim_unboxed_result d
+    | Inline -> true
+    | Call _ -> false)
+  | Texp_ident (Path.Pident id, _, _) -> List.exists (Ident.same id) st.fresh
+  | Texp_let (_, vbs, body) ->
+    List.iter (bind_fresh st) vbs;
+    fresh st body
+  | Texp_sequence (_, body) -> fresh st body
+  | Texp_ifthenelse (_, a, Some b) -> fresh st a || fresh st b
+  | Texp_match (_, cases, _) ->
+    List.exists (fun (c : computation case) -> fresh st c.c_rhs) cases
+  | _ -> false
+
+and bind_fresh st (vb : value_binding) =
+  match vb.vb_pat.pat_desc with
+  | Tpat_var (id, _) when fresh st vb.vb_expr -> st.fresh <- id :: st.fresh
+  | _ -> ()
+
+let boxed_int_escape st ~loc fmt =
+  Printf.ksprintf
+    (fun where ->
+      alloc st ~loc "an unboxed int64/int32/nativeint is boxed where it is %s" where)
+    fmt
+
+let boxed_int_check_apply st (e : expression) funct args =
+  let c = callee st funct in
+  List.iteri
+    (fun i (_, a) ->
+      match a with
+      | Some a when fresh st a -> (
+        match c with
+        | Prim (d, ty) when prim_unboxes_arg d ty i -> ()
+        | Inline -> ()
+        | Prim (d, _) ->
+          boxed_int_escape st ~loc:a.exp_loc "passed to primitive %s" d.prim_name
+        | Call name ->
+          boxed_int_escape st ~loc:a.exp_loc "passed to the non-inlined %s" name)
+      | _ -> ())
+    args;
+  if is_boxed_int_type e.exp_type then
+    match c with
+    | Call name ->
+      alloc st ~loc:e.exp_loc "call to %s returns a boxed int64/int32/nativeint" name
+    | Prim (d, _) when not (prim_unboxed_result d) ->
+      alloc st ~loc:e.exp_loc "external %s returns a boxed int64/int32/nativeint"
+        d.prim_name
+    | Prim _ | Inline -> ()
+
+(* Fresh int64 locals mentioned inside closure [e] live in its
+   environment, boxed. *)
+let boxed_int_check_captured st (e : expression) =
+  let super = Tast_iterator.default_iterator in
+  let it =
+    {
+      super with
+      Tast_iterator.expr =
+        (fun sub x ->
+          (match x.exp_desc with
+          | Texp_ident (Path.Pident id, _, _)
+            when List.exists (Ident.same id) st.fresh ->
+            boxed_int_escape st ~loc:x.exp_loc "captured by a closure (%s)"
+              (Ident.name id)
+          | _ -> ());
+          super.Tast_iterator.expr sub x);
+    }
+  in
+  super.Tast_iterator.expr it e
+
+let boxed_int_check_returned st (e : expression) =
+  match e.exp_desc with
+  | Texp_function { cases; _ } when not (List.memq e st.inline_funs) ->
+    List.iter
+      (fun (c : value case) ->
+        if fresh st c.c_rhs then
+          boxed_int_escape st ~loc:c.c_rhs.exp_loc
+            "returned from a function that is not [@inline]")
+      cases
+  | _ -> ()
+
 let alloc_check_apply st (e : expression) funct args =
   match funct.exp_desc with
   | Texp_ident (p, _, _) -> (
@@ -423,15 +599,13 @@ let alloc_check_apply st (e : expression) funct args =
           alloc st ~loc:e.exp_loc
             "partial application of %s (allocates a closure per call)"
             (Path.name p)
-        else if is_boxed_int_type e.exp_type then
-          alloc st ~loc:e.exp_loc
-            "call to %s returns a boxed int64/int32/nativeint" (Path.name p)
-        else ignore args)
+        else boxed_int_check_apply st e funct args)
   | _ ->
     (* Application of a computed function: still catch visible partial
        application. *)
     if is_function_type e.exp_type then
       alloc st ~loc:e.exp_loc "partial application (allocates a closure per call)"
+    else boxed_int_check_apply st e funct args
 
 (* --- PAR-ESCAPE ---------------------------------------------------------- *)
 
@@ -551,6 +725,9 @@ let lint_structure ~config ~modname (str : structure) =
       raise_depth = 0;
       ignore_stack = [];
       static_funs = [];
+      inline_ids = [];
+      inline_funs = [];
+      fresh = [];
       diags = [];
     }
   in
@@ -563,6 +740,13 @@ let lint_structure ~config ~modname (str : structure) =
   in
   let value_binding sub (vb : value_binding) =
     let name = binding_name vb in
+    (* Definitions precede their uses, so an [@inline] function is known
+       before any call to it is checked. *)
+    (match vb.vb_pat.pat_desc with
+    | Tpat_var (id, _) when is_inline_binding vb ->
+      st.inline_ids <- id :: st.inline_ids;
+      st.inline_funs <- chain_funs vb.vb_expr @ st.inline_funs
+    | _ -> ());
     let ignores = lint_ignores vb.vb_attributes in
     (match name with Some n -> st.scope_rev <- n :: st.scope_rev | None -> ());
     (* Nested bindings of a hot binding inherit the outer hot context —
@@ -643,10 +827,14 @@ let lint_structure ~config ~modname (str : structure) =
         args
     | _ -> ());
     (* ALLOC-HOT inside hot function bodies. *)
+    (match e.exp_desc with
+    | Texp_let (_, vbs, _) -> List.iter (bind_fresh st) vbs
+    | _ -> ());
     if alloc_context st <> `Cold && not (ignored st "ALLOC-HOT") then begin
       match e.exp_desc with
       | Texp_function _ when not (List.memq e st.static_funs) ->
-        alloc st ~loc:e.exp_loc "closure allocated per call"
+        alloc st ~loc:e.exp_loc "closure allocated per call";
+        boxed_int_check_captured st e
       | Texp_tuple parts ->
         alloc st ~loc:e.exp_loc "tuple allocation (%d words)"
           (List.length parts + 1)
@@ -656,6 +844,8 @@ let lint_structure ~config ~modname (str : structure) =
         else alloc st ~loc:e.exp_loc "constructor %s allocation" cd.Types.cstr_name
       | Texp_record _ -> alloc st ~loc:e.exp_loc "record allocation"
       | Texp_array _ -> alloc st ~loc:e.exp_loc "array literal allocation"
+      | Texp_setfield (_, _, lbl, v) when fresh st v ->
+        boxed_int_escape st ~loc:v.exp_loc "stored in field %s" lbl.Types.lbl_name
       | Texp_lazy _ -> alloc st ~loc:e.exp_loc "lazy thunk allocation"
       | Texp_apply (funct, args) -> alloc_check_apply st e funct args
       | _ -> ()
@@ -676,6 +866,10 @@ let lint_structure ~config ~modname (str : structure) =
       st.fun_depth <- st.fun_depth + 1;
       if inner then st.inner_funs <- st.inner_funs + 1;
       super.Tast_iterator.expr sub e;
+      (* Returns are checked after the body, whose [let]s bind the fresh
+         locals a result may name. *)
+      if alloc_context st <> `Cold && not (ignored st "ALLOC-HOT") then
+        boxed_int_check_returned st e;
       if inner then st.inner_funs <- st.inner_funs - 1;
       st.fun_depth <- st.fun_depth - 1
     | Texp_while _ | Texp_for _ ->

@@ -3,15 +3,17 @@
    code are:
 
    - [observe] is an ALLOC-HOT Leaf hot path (see [Lint_config]), so the
-     bucket index comes from a binary search over a precomputed table of
-     exact power-of-two boundaries — no [frexp] (returns a tuple), no
-     [Int64.bits_of_float] (boxes), no local refs (box).  The search is
-     a top-level tail recursion over immediate ints.
+     bucket index is read straight off the IEEE-754 bits: for a normal
+     |v| = 2^e * (1 + m / 2^52), octave e + 64 is the biased exponent
+     minus 959 and the sub-bucket is the top five bits of [m], which is
+     exactly [trunc ((|v| / 2^e - 1) * 32)].  [Int64.bits_of_float] is
+     an [[@unboxed]] external and the shifts and masks are int64
+     primitives, so the word never leaves registers and the index costs
+     no search and no allocation.
    - The float scalars live in their own all-float record so updating
      them is a flat store, not a fresh float box per event.
-   - Determinism: bucket edges are exact powers of two and the sub-bucket
-     index is one divide (exact, power-of-two divisor) plus one
-     [int_of_float] truncation — identical on every platform. *)
+   - Determinism: the index is integer arithmetic on the bit pattern,
+     identical on every platform. *)
 
 (* 32 linear sub-buckets per octave: relative half-width 1/64. *)
 let relative_error = 1.0 /. 64.0
@@ -48,36 +50,12 @@ let create () =
     neg = [||];
   }
 
-(* Invariant: bounds.(lo) <= v < bounds.(hi); returns the octave index. *)
-let rec octave_pos v lo hi =
-  if hi - lo <= 1 then lo
-  else
-    let mid = (lo + hi) lsr 1 in
-    if v < Array.unsafe_get bounds mid then octave_pos v lo mid
-    else octave_pos v mid hi
-
-(* Mirror search for v < 0: bounds.(lo) <= -v < bounds.(hi), phrased as
-   comparisons on v itself so the magnitude is never materialized (a
-   [Float.abs] result crossing a call boundary would be boxed). *)
-let rec octave_neg v lo hi =
-  if hi - lo <= 1 then lo
-  else
-    let mid = (lo + hi) lsr 1 in
-    if v > -.Array.unsafe_get bounds mid then octave_neg v lo mid
-    else octave_neg v mid hi
-
-let bucket_index_pos v =
-  let o = octave_pos v 0 octaves in
-  (* v / 2^e is exact, so the sub-bucket is a pure truncation. *)
-  let s = int_of_float (((v /. Array.unsafe_get bounds o) -. 1.0) *. 32.0) in
-  let s = if s < 0 then 0 else if s > 31 then 31 else s in
-  (o lsl 5) + s
-
-let bucket_index_neg v =
-  let o = octave_neg v 0 octaves in
-  let s = int_of_float (((-.v /. Array.unsafe_get bounds o) -. 1.0) *. 32.0) in
-  let s = if s < 0 then 0 else if s > 31 then 31 else s in
-  (o lsl 5) + s
+(* Bucket of |v| for 2^-64 <= |v| < 2^64: the biased exponent and the
+   top five mantissa bits are bits 47..62 of the IEEE word, and octave 0
+   starts at biased exponent 1023 - 64 = 959. *)
+let[@inline] bucket_index v =
+  (Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float v) 47) land 0xFFFF)
+  - (959 lsl 5)
 
 (* Cold: runs at most once per sketch, on the first negative sample. *)
 let grow_neg t = t.neg <- Array.make buckets 0
@@ -92,14 +70,14 @@ let observe t v =
     if v < tiny then t.zero <- t.zero + 1
     else if v >= huge then t.pos_overflow <- t.pos_overflow + 1
     else begin
-      let i = bucket_index_pos v in
+      let i = bucket_index v in
       Array.unsafe_set t.pos i (Array.unsafe_get t.pos i + 1)
     end
   else if v > -.tiny then t.zero <- t.zero + 1
   else if v <= -.huge then t.neg_overflow <- t.neg_overflow + 1
   else begin
     if Array.length t.neg = 0 then grow_neg t;
-    let i = bucket_index_neg v in
+    let i = bucket_index v in
     Array.unsafe_set t.neg i (Array.unsafe_get t.neg i + 1)
   end
 

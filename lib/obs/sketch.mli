@@ -2,8 +2,8 @@
 
     A fixed-bucket base-2 log-histogram: constant memory however many
     samples it absorbs, fully deterministic (no sampling, no randomness,
-    no libm — bucket indices come from comparisons against exact
-    power-of-two boundaries, so the state is a pure function of the
+    no libm — a bucket index is integer arithmetic on the sample's
+    IEEE-754 bits, so the state is a pure function of the
     observation multiset plus the exact [sum]/[min]/[max] scalars), and
     mergeable.  This is what lets the telemetry layer survive 10⁸-event
     serving runs: every {!Hnlpu_obs.Metrics} histogram is one of these
@@ -49,10 +49,16 @@ val relative_error : float
 val create : unit -> t
 
 val observe : t -> float -> unit
-(** Absorb one sample in O(log octaves) with zero minor-heap allocation
+(** Absorb one sample in O(1) with zero minor-heap allocation
     (the ALLOC-HOT lint gates this — see [Lint_config]).  Raises
     [Invalid_argument] on a NaN sample: an instrumented NaN means the
     instrumentation itself is broken, which must not pass silently. *)
+
+val bucket_index : float -> int
+(** [bucket_index v] is the bucket of [|v|] within one sign's 4096,
+    for [2{^-64} <= |v| < 2{^64}]: [32 * (e + 64) + s] where
+    [2{^e} <= |v| < 2{^e+1}] and [s = trunc ((|v| / 2{^e} - 1) * 32)].
+    Outside that range the result is meaningless. *)
 
 val count : t -> int
 

@@ -8,11 +8,13 @@
      (float stores into [float array] are unboxed writes);
    - the per-shard mutable float scalars live in the all-float record
      [sfl] (flat representation, no boxing on store);
-   - the least-loaded structure is an {e indexed} binary min-heap — two
-     int arrays [heap]/[pos] over the [free_at] key array — so routing
-     is O(log n) and re-keying a node after assignment is a sift, not a
-     rebuild; ties break toward the lower node id, reproducing the
-     historical first-minimum scan exactly;
+   - the least-loaded structure is an {e indexed} binary min-heap: int
+     arrays [heap] (slot -> node) and [pos] (node -> slot), plus a
+     parallel [key] float array holding each slot's [free_at], so the
+     sifts compare keys in slot order without the node -> [free_at]
+     indirection.  Routing is O(log n) and re-keying a node after
+     assignment is a sift, not a rebuild; ties break toward the lower
+     node id, reproducing the historical first-minimum scan exactly;
    - hot/idle power tracking uses a lazy-deletion deadline heap: one
      entry per hot {e period} (re-pushed on pop while still busy), not
      per request;
@@ -157,7 +159,8 @@ type shard_state = {
   node_tokens : float array;
   node_requests : int array;
   status : int array;  (* 0 active / 1 drained / 2 failed *)
-  heap : int array;  (* heap slot -> node id, keyed by free_at *)
+  heap : int array;  (* heap slot -> node id *)
+  key : float array;  (* heap slot -> free_at of its node *)
   pos : int array;  (* node id -> heap slot, -1 when absent *)
   mutable heap_len : int;
   hot : int array;  (* 0 cold / 1 hot *)
@@ -179,48 +182,64 @@ type shard_state = {
 (* Everything request-rate-proportional: registered as an ALLOC-HOT Leaf
    (Lint_config), so any allocation below is a lint error. *)
 module Hot = struct
-  (* Lexicographic (free_at, id): among equally-free nodes the lower id
-     wins, matching the historical first-minimum scan. *)
-  let less st i j =
-    st.free_at.(i) < st.free_at.(j)
-    || (st.free_at.(i) = st.free_at.(j) && i < j)
+  (* Slots are ordered lexicographically by (key, id): among equally-free
+     nodes the lower id wins, matching the historical first-minimum
+     scan.  A total order, so the minimum is the same node however the
+     heap happens to be arranged.  The sifts move a hole rather than
+     swapping: the moving node's own key is [free_at.(i)], every other
+     comparison reads [key] in slot order. *)
+  let[@inline] before st i s =
+    let k = st.free_at.(i) and ks = st.key.(s) in
+    k < ks || (k = ks && i < st.heap.(s))
 
-  let rec sift_up st p =
-    if p > 0 then begin
+  let[@inline] place st p i =
+    st.heap.(p) <- i;
+    st.key.(p) <- st.free_at.(i);
+    st.pos.(i) <- p
+
+  (* Slot [src]'s node moves into slot [dst]. *)
+  let[@inline] move st src dst =
+    let j = st.heap.(src) in
+    st.heap.(dst) <- j;
+    st.key.(dst) <- st.key.(src);
+    st.pos.(j) <- dst
+
+  (* Settles node [i] upward from the hole at slot [p]. *)
+  let rec sift_up st i p =
+    if p = 0 then place st p i
+    else begin
       let parent = (p - 1) / 2 in
-      let i = st.heap.(p) and j = st.heap.(parent) in
-      if less st i j then begin
-        st.heap.(p) <- j;
-        st.pos.(j) <- p;
-        st.heap.(parent) <- i;
-        st.pos.(i) <- parent;
-        sift_up st parent
+      if before st i parent then begin
+        move st parent p;
+        sift_up st i parent
       end
+      else place st p i
     end
 
-  let rec sift_down st p =
+  (* Settles node [i] downward from the hole at slot [p]. *)
+  let rec sift_down st i p =
     let l = (2 * p) + 1 in
-    if l < st.heap_len then begin
+    if l >= st.heap_len then place st p i
+    else begin
       let r = l + 1 in
-      let s =
-        if r < st.heap_len && less st st.heap.(r) st.heap.(l) then r else l
+      let c =
+        if r < st.heap_len
+           && (st.key.(r) < st.key.(l)
+              || (st.key.(r) = st.key.(l) && st.heap.(r) < st.heap.(l)))
+        then r
+        else l
       in
-      if less st st.heap.(s) st.heap.(p) then begin
-        let a = st.heap.(p) and b = st.heap.(s) in
-        st.heap.(p) <- b;
-        st.pos.(b) <- p;
-        st.heap.(s) <- a;
-        st.pos.(a) <- s;
-        sift_down st s
+      if before st i c then place st p i
+      else begin
+        move st c p;
+        sift_down st i c
       end
     end
 
   let heap_add st i =
     let p = st.heap_len in
     st.heap_len <- p + 1;
-    st.heap.(p) <- i;
-    st.pos.(i) <- p;
-    sift_up st p
+    sift_up st i p
 
   let heap_remove st i =
     let p = st.pos.(i) in
@@ -230,17 +249,15 @@ module Hot = struct
       st.pos.(i) <- -1;
       if p <> last then begin
         let j = st.heap.(last) in
-        st.heap.(p) <- j;
-        st.pos.(j) <- p;
-        sift_up st p;
-        sift_down st p
+        if p > 0 && before st j ((p - 1) / 2) then sift_up st j p
+        else sift_down st j p
       end
     end
 
   (* [free_at] only ever grows, so a re-key is a pure sift-down. *)
   let heap_update st i =
     let p = st.pos.(i) in
-    if p >= 0 then sift_down st p
+    if p >= 0 then sift_down st i p
 
   (* The cool-down deadline reads the node's just-updated [free_at]
      rather than taking the finish time as a (boxed) float argument. *)
@@ -461,6 +478,7 @@ let make_state cfg shard ~users =
       node_requests = Array.make n 0;
       status = Array.make n 0;
       heap = Array.make n 0;
+      key = Array.make n 0.0;
       pos = Array.make n (-1);
       heap_len = 0;
       hot = Array.make n 0;

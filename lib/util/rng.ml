@@ -1,153 +1,78 @@
-(* SplitMix64 (Steele, Lea & Flood 2014), bit-exact, with the 64-bit state
-   held as two untagged 32-bit halves in immediate-int fields.
+(* SplitMix64 (Steele, Lea & Flood 2014): the textbook algorithm on one
+   native 64-bit state word.
 
-   The obvious representation — [{ mutable state : int64 }] — allocates a
-   boxed [Int64.t] for the state store and for every arithmetic
-   intermediate that crosses a function boundary: ~6 minor-heap words per
-   draw.  Monte-Carlo sweeps make tens of millions of draws, and under the
-   domain pool every minor collection is a stop-the-world synchronization
-   of all domains, so that boxing rate was the dominant cost of running
-   sweeps in parallel.  Emulating the mod-2^64 arithmetic on native ints
-   makes drawing allocation-free while producing the exact same stream
-   ([test_par] pins every public operation against a boxed-Int64 reference
-   implementation).
+   The state lives in an 8-byte [Bytes.t] read and written with the
+   [%caml_bytes_get64u]/[%caml_bytes_set64u] primitives.  ocamlopt keeps
+   the int64 such a primitive returns unboxed for as long as it flows
+   only into other int64 primitives ([Int64.add], [Int64.mul], shifts,
+   [Int64.to_int]) or into the [%caml_bytes_set64u] store, so a draw is
+   one add and two real 64-bit multiplies and allocates nothing.  The
+   obvious [{ mutable state : int64 }] record boxes on every state store,
+   because a record field of type int64 holds a pointer.
 
-   Arithmetic notes, for a 63-bit native [int]:
-   - products of 32-bit halves can reach 2^64 and wrap mod 2^63; since
-     2^32 divides 2^63, [(a * b) land 0xFFFFFFFF] still yields the exact
-     low 32 bits, so low-half and cross products need no limb splitting;
-   - only the high 32 bits of a full 32x32 product need 16-bit limbs
-     ([mul_hi32]), where every intermediate stays below 2^33. *)
+   Hot paths in other modules draw through the immediate-int [bits53],
+   [int] and [bool]: under the dev profile's [-opaque] a cross-module
+   call is never inlined, and an int64 or float crossing a non-inlined
+   call is boxed, while an immediate int never is.  [test_par] pins every
+   public operation against a boxed-int64 reference implementation. *)
 
-type t = {
-  mutable hi : int;      (* state, high 32 bits *)
-  mutable lo : int;      (* state, low 32 bits *)
-  mutable out_hi : int;  (* last mixed output, high 32 bits *)
-  mutable out_lo : int;  (* last mixed output, low 32 bits *)
-}
+type t = Bytes.t
 
-let () = assert (Sys.int_size >= 63)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let mask32 = 0xFFFFFFFF
+let gamma = 0x9E3779B97F4A7C15L
 
-(* 0x9E3779B97F4A7C15, the golden-ratio gamma. *)
-let gamma_hi = 0x9E3779B9
-let gamma_lo = 0x7F4A7C15
+let[@inline] mix z =
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  Int64.logxor z (Int64.shift_right_logical z 31)
 
-(* Mix multipliers 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB. *)
-let m1_hi = 0xBF58476D
-let m1_lo = 0x1CE4E5B9
-let m2_hi = 0x94D049BB
-let m2_lo = 0x133111EB
+(* Advances the state by gamma and returns the mixed output. *)
+let[@inline] next t =
+  let s = Int64.add (get64u t 0) gamma in
+  set64u t 0 s;
+  mix s
 
-(* High 32 bits of the exact 64-bit product of two 32-bit values. *)
-let[@inline] mul_hi32 a b =
-  let a1 = a lsr 16 and a0 = a land 0xFFFF in
-  let b1 = b lsr 16 and b0 = b land 0xFFFF in
-  let mid = (a0 * b1) + (a1 * b0) + ((a0 * b0) lsr 16) in
-  (a1 * b1) + (mid lsr 16)
-
-(* Writes mix (hi, lo) into [t.out_hi]/[t.out_lo]; leaves the state alone. *)
-let[@inline] mix_into t hi lo =
-  (* z ^= z >>> 30 *)
-  let lo = lo lxor (((hi lsl 2) land mask32) lor (lo lsr 30)) in
-  let hi = hi lxor (hi lsr 30) in
-  (* z *= 0xBF58476D1CE4E5B9 *)
-  let plo = (lo * m1_lo) land mask32 in
-  let phi = (mul_hi32 lo m1_lo + (lo * m1_hi) + (hi * m1_lo)) land mask32 in
-  (* z ^= z >>> 27 *)
-  let lo = plo lxor (((phi lsl 5) land mask32) lor (plo lsr 27)) in
-  let hi = phi lxor (phi lsr 27) in
-  (* z *= 0x94D049BB133111EB *)
-  let plo = (lo * m2_lo) land mask32 in
-  let phi = (mul_hi32 lo m2_lo + (lo * m2_hi) + (hi * m2_lo)) land mask32 in
-  (* z ^= z >>> 31 *)
-  t.out_lo <- plo lxor (((phi lsl 1) land mask32) lor (plo lsr 31));
-  t.out_hi <- phi lxor (phi lsr 31)
-
-(* Advances the state by gamma and mixes it into the output halves. *)
-let[@inline] next_out t =
-  let lo = t.lo + gamma_lo in
-  let hi = (t.hi + gamma_hi + (lo lsr 32)) land mask32 in
-  let lo = lo land mask32 in
-  t.hi <- hi;
-  t.lo <- lo;
-  mix_into t hi lo
-
-(* Stream constructors allocate their state record by nature; they run
+(* Stream constructors allocate their state word by nature; they run
    once per stream at setup, never per draw. *)
 
-let create seed =
-  (* Halves of the sign-extended 64-bit image of [seed]. *)
-  { hi = (seed asr 32) land mask32; lo = seed land mask32; out_hi = 0; out_lo = 0 }
+let[@inline] of_state s =
+  let t = Bytes.create 8 in
+  set64u t 0 s;
+  t
 [@@hnlpu.lint_ignore "ALLOC-HOT"]
 
-let copy t =
-  { hi = t.hi; lo = t.lo; out_hi = 0; out_lo = 0 }
-[@@hnlpu.lint_ignore "ALLOC-HOT"]
+let create seed = of_state (Int64.of_int seed)
 
-let next_int64 t =
-  next_out t;
-  Int64.logor
-    (Int64.shift_left (Int64.of_int t.out_hi) 32)
-    (Int64.of_int t.out_lo)
+let copy t = of_state (get64u t 0)
 
-let split t =
-  next_out t;
-  let r = { hi = 0; lo = 0; out_hi = 0; out_lo = 0 } in
-  mix_into r t.out_hi t.out_lo;
-  r.hi <- r.out_hi;
-  r.lo <- r.out_lo;
-  r.out_hi <- 0;
-  r.out_lo <- 0;
-  r
-[@@hnlpu.lint_ignore "ALLOC-HOT"]
+let next_int64 t = next t
+
+let split t = of_state (mix (next t))
 
 let derive seed ~stream =
   if stream < 0 then invalid_arg "Rng.derive: negative stream";
   (* Double-mix the (seed, stream) pair so adjacent streams land far
      apart in state space; independent of any shared generator, so
      parallel tasks can derive their stream from their index alone. *)
-  let k = stream + 1 in
-  let khi = (k asr 32) land mask32 and klo = k land mask32 in
-  (* gamma * (stream + 1) mod 2^64 ... *)
-  let plo = (gamma_lo * klo) land mask32 in
-  let phi = (mul_hi32 gamma_lo klo + (gamma_lo * khi) + (gamma_hi * klo)) land mask32 in
-  (* ... + seed mod 2^64. *)
-  let lo = plo + (seed land mask32) in
-  let hi = (phi + ((seed asr 32) land mask32) + (lo lsr 32)) land mask32 in
-  let lo = lo land mask32 in
-  let r = { hi = 0; lo = 0; out_hi = 0; out_lo = 0 } in
-  mix_into r hi lo;
-  mix_into r r.out_hi r.out_lo;
-  r.hi <- r.out_hi;
-  r.lo <- r.out_lo;
-  r.out_hi <- 0;
-  r.out_lo <- 0;
-  r
-[@@hnlpu.lint_ignore "ALLOC-HOT"]
+  let s = Int64.add (Int64.of_int seed) (Int64.mul gamma (Int64.of_int (stream + 1))) in
+  of_state (mix (mix s))
 
 let[@inline] int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  next_out t;
-  let mask = ((t.out_hi lsl 31) lor (t.out_lo lsr 1)) land max_int in
+  let mask = Int64.to_int (Int64.shift_right_logical (next t) 1) land max_int in
   mask mod bound
 
 (* 53 uniform bits as an immediate int: the allocation-free primitive
-   the float draws build on.  Hot paths in other modules draw through
-   this because an immediate-int return never allocates, whereas a
-   non-inlined [float] call boxes its result (~2 words per draw). *)
-let[@inline] bits53 t =
-  next_out t;
-  (t.out_hi lsl 21) lor (t.out_lo lsr 11)
+   the float draws build on. *)
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (next t) 11)
 
 let[@inline] float t bound =
   (* 53 uniform mantissa bits. *)
   float_of_int (bits53 t) /. 9007199254740992.0 *. bound
 
-let bool t =
-  next_out t;
-  t.out_lo land 1 = 1
+let bool t = Int64.to_int (next t) land 1 = 1
 
 (* Rejection draw of a nonzero unit float, at the module level: the
    let-bound [draw] closures gaussian/exponential used to build cost an
@@ -160,8 +85,10 @@ let gaussian t =
   let u1 = nonzero_unit t and u2 = float t 1.0 in
   sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
 
+(* NaN fails [rate > 0.0]; an infinite rate would return 0 or NaN. *)
 let exponential t rate =
-  if rate <= 0.0 then invalid_arg "Rng.exponential: rate must be positive";
+  if not (rate > 0.0 && Float.is_finite rate) then
+    invalid_arg "Rng.exponential: rate must be positive and finite";
   -.log (nonzero_unit t) /. rate
 
 let shuffle t a =

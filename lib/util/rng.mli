@@ -32,11 +32,12 @@ val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive. *)
 
 val bits53 : t -> int
-(** 53 uniform bits as an immediate int — the allocation-free draw
-    primitive.  [float t b] equals
-    [float_of_int (bits53 t) /. 2.0 ** 53.0 *. b]; hot paths in other
-    modules draw through [bits53] because an immediate-int return never
-    allocates, where a non-inlined [float] call boxes its result. *)
+(** 53 uniform bits as an immediate int: the top 53 bits of the next
+    64-bit output, the allocation-free draw primitive.  [float t b]
+    equals [float_of_int (bits53 t) /. 2.0 ** 53.0 *. b].  Hot paths in
+    other modules draw through [bits53]: an immediate-int return never
+    allocates, while a cross-module [float] call boxes its result (no
+    module is inlined into another under the dev profile's [-opaque]). *)
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
@@ -48,7 +49,8 @@ val gaussian : t -> float
 (** Standard normal deviate (Box–Muller). *)
 
 val exponential : t -> float -> float
-(** [exponential t rate] samples Exp(rate); used for Poisson arrivals. *)
+(** [exponential t rate] samples Exp(rate).  [rate] must be positive and
+    finite; NaN and infinity raise [Invalid_argument]. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

@@ -1,6 +1,24 @@
 (* Deliberately clean module: pure, allocation-free-when-hot patterns
    the lint engine must stay silent on — the zero-findings control for
-   test_lint and the self-test. *)
+   test_lint and the self-test.  [draw_bits] and [exponent] are
+   registered hot: int64 values flowing only between primitives and
+   same-module [@inline] functions are never boxed. *)
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] mix z =
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  Int64.logxor z (Int64.shift_right_logical z 31)
+
+let draw_bits state =
+  let s = Int64.add (get64u state 0) 0x9E3779B97F4A7C15L in
+  set64u state 0 s;
+  let z = mix s in
+  if z = 0L then 0 else Int64.to_int (Int64.shift_right_logical z 11)
+
+let exponent v =
+  Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float v) 52) land 0x7FF
 
 let clamp lo hi x = if x < lo then lo else if x > hi then hi else x
 

@@ -63,6 +63,25 @@ let test_expected_severities () =
         true hit)
     Lint.fixture_expectations
 
+let test_boxed_int64_fires () =
+  (* The fixture's int64 is unboxed arithmetic until it is passed to a
+     non-inlined function: that escape, and only that, boxes. *)
+  let ds = run_fixtures () in
+  let int64_findings =
+    List.filter
+      (fun d ->
+        String.equal d.D.rule "ALLOC-HOT"
+        && D.rank d.D.severity >= D.rank D.Error
+        && List.exists (String.equal "Fixture_alloc_hot")
+             (String.split_on_char '.' d.D.subject)
+        && Thelp.contains d.D.message "int64")
+      ds
+  in
+  Alcotest.(check int) "one boxed int64 in Fixture_alloc_hot" 1
+    (List.length int64_findings);
+  Alcotest.(check bool) "it is the non-inlined call" true
+    (Thelp.contains (List.hd int64_findings).D.message "low_byte")
+
 let test_clean_module_zero_findings () =
   let ds = run_fixtures () in
   let dirty =
@@ -159,6 +178,7 @@ let () =
           Alcotest.test_case "expected severities" `Quick test_expected_severities;
           Alcotest.test_case "clean module stays clean" `Quick
             test_clean_module_zero_findings;
+          Alcotest.test_case "boxed int64 fires" `Quick test_boxed_int64_fires;
         ] );
       ( "determinism",
         [

@@ -818,6 +818,51 @@ let prop_sketch_merge_split_invariant =
            (fun p -> Sketch.quantile a p = Sketch.quantile c p)
            (0.0 :: 1.0 :: quantile_points))
 
+(* The binary search over exact octave bounds that [Sketch.bucket_index]
+   replaced, kept as its reference: octave o holds [2^(o-64), 2^(o-63)),
+   and the sub-bucket is the exact truncation of (|v| / 2^e - 1) * 32. *)
+let reference_bucket_index v =
+  let bounds = Array.init 129 (fun i -> Float.ldexp 1.0 (i - 64)) in
+  let a = Float.abs v in
+  let rec octave lo hi =
+    if hi - lo <= 1 then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if a < bounds.(mid) then octave lo mid else octave mid hi
+  in
+  let o = octave 0 128 in
+  let s = int_of_float (((a /. bounds.(o)) -. 1.0) *. 32.0) in
+  (o lsl 5) + max 0 (min 31 s)
+
+let bucket_matches v =
+  Sketch.bucket_index v = reference_bucket_index v
+  && Sketch.bucket_index (-.v) = reference_bucket_index (-.v)
+
+let prop_sketch_bucket_index_random =
+  QCheck.Test.make ~name:"bucket index = binary search, both signs, all octaves"
+    ~count:2000
+    QCheck.(pair (int_range (-64) 63) (float_bound_exclusive 1.0))
+    (fun (e, u) -> bucket_matches (Float.ldexp (1.0 +. u) e))
+
+let test_sketch_bucket_index_edges () =
+  let lo = Float.ldexp 1.0 (-64) and hi = Float.ldexp 1.0 64 in
+  let in_range v = v >= lo && v < hi in
+  let edges =
+    List.concat_map
+      (fun k ->
+        let p = Float.ldexp 1.0 k in
+        [ p; Float.pred p; Float.succ p ])
+      (List.init 129 (fun i -> i - 64))
+  in
+  List.iter
+    (fun v ->
+      if in_range v then
+        Alcotest.(check bool) (Printf.sprintf "bucket of +-%h" v) true (bucket_matches v))
+    (lo :: Float.pred hi :: edges);
+  Alcotest.(check int) "2^-64 is the first bucket" 0 (Sketch.bucket_index lo);
+  Alcotest.(check int) "pred 2^64 is the last bucket" 4095
+    (Sketch.bucket_index (Float.pred hi))
+
 (* --- Gauge stamps: shard-merge order cannot change gauges --------------------- *)
 
 let test_gauge_stamp_merge () =
@@ -971,6 +1016,8 @@ let () =
             test_scheduler_sink_flat;
           Alcotest.test_case "tiny and overflow" `Quick
             test_sketch_tiny_and_overflow;
+          Alcotest.test_case "bucket index at powers of two" `Quick
+            test_sketch_bucket_index_edges;
         ] );
       ( "gauge-stamps",
         [
@@ -993,5 +1040,6 @@ let () =
           prop_sketch_constant;
           prop_sketch_denormal_adjacent;
           prop_sketch_merge_split_invariant;
+          prop_sketch_bucket_index_random;
         ];
     ]

@@ -485,9 +485,10 @@ let test_env_domains_valid_and_unset () =
 
 (* --- Rng: unboxed representation is bit-exact ------------------------------- *)
 
-(* The original boxed-[int64] SplitMix64, kept verbatim as the reference:
-   the production generator now runs on immediate ints (two 32-bit halves)
-   and must reproduce it bit for bit, or every committed experiment table
+(* The textbook boxed-[int64] SplitMix64, a record holding the state as
+   an [int64] field, kept as the reference.  The production generator
+   keeps its state in an 8-byte buffer so that no draw boxes, and must
+   reproduce this one bit for bit, or every committed experiment table
    would silently shift. *)
 module Ref_rng = struct
   type t = { mutable state : int64 }
@@ -495,6 +496,8 @@ module Ref_rng = struct
   let golden_gamma = 0x9E3779B97F4A7C15L
 
   let create seed = { state = Int64.of_int seed }
+
+  let copy t = { state = t.state }
 
   let mix z =
     let z =
@@ -527,23 +530,36 @@ module Ref_rng = struct
     in
     mask mod bound
 
+  let bits53 t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 11)
+
   let float t bound =
     let bits = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
     bits /. 9007199254740992.0 *. bound
+
+  let bool t = Int64.logand (next_int64 t) 1L = 1L
 end
 
+let int_bounds = [| 1; 2; 7; 1000; 1 lsl 30; max_int |]
+let float_bounds = [| 1.0; 1e-9; 2048.0 |]
+
+(* A run of 10⁴ draws cycling through every draw operation. *)
 let agree_for_draws rng ref_rng =
   let ok = ref true in
-  for _ = 1 to 16 do
-    if Rng.next_int64 rng <> Ref_rng.next_int64 ref_rng then ok := false
+  for k = 0 to 9_999 do
+    let same =
+      match k mod 5 with
+      | 0 -> Rng.next_int64 rng = Ref_rng.next_int64 ref_rng
+      | 1 ->
+        let b = int_bounds.(k / 5 mod Array.length int_bounds) in
+        Rng.int rng b = Ref_rng.int ref_rng b
+      | 2 ->
+        let b = float_bounds.(k / 5 mod Array.length float_bounds) in
+        Rng.float rng b = Ref_rng.float ref_rng b
+      | 3 -> Rng.bits53 rng = Ref_rng.bits53 ref_rng
+      | _ -> Rng.bool rng = Ref_rng.bool ref_rng
+    in
+    if not same then ok := false
   done;
-  List.iter
-    (fun bound -> if Rng.int rng bound <> Ref_rng.int ref_rng bound then ok := false)
-    [ 1; 2; 7; 1000; 1 lsl 30; max_int ];
-  List.iter
-    (fun bound ->
-      if Rng.float rng bound <> Ref_rng.float ref_rng bound then ok := false)
-    [ 1.0; 1e-9; 2048.0 ];
   !ok
 
 let prop_rng_create_matches_reference =
@@ -552,6 +568,11 @@ let prop_rng_create_matches_reference =
     (fun seed ->
       let a = Rng.create seed and b = Ref_rng.create seed in
       agree_for_draws a b
+      &&
+      (* A copy replays the original's stream without touching it. *)
+      let ac = Rng.copy a and bc = Ref_rng.copy b in
+      agree_for_draws ac bc
+      && agree_for_draws a b
       &&
       (* Splitting must track too: both the child stream and the advanced
          parent stream. *)
@@ -563,6 +584,31 @@ let prop_rng_derive_matches_reference =
     QCheck.(pair int (int_range 0 1024))
     (fun (seed, stream) ->
       agree_for_draws (Rng.derive seed ~stream) (Ref_rng.derive seed ~stream))
+
+(* The per-request draws allocate nothing.  Gc.minor_words is exact for
+   the calling domain. *)
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let test_draws_allocate_nothing () =
+  let n = 100_000 in
+  let rng = Rng.create 1 in
+  let sink = ref 0 in
+  let cur = Arrivals.create ~seed:1 (Arrivals.chat ~rate_per_s:1000.0) in
+  List.iter
+    (fun (name, f) ->
+      let words = minor_words_of f in
+      Alcotest.(check (float 0.0)) (Printf.sprintf "%s: minor words for %d calls" name n)
+        0.0 words)
+    [
+      ("Rng.bits53", fun () -> for _ = 1 to n do sink := !sink lxor Rng.bits53 rng done);
+      ("Rng.int", fun () -> for _ = 1 to n do sink := !sink lxor Rng.int rng 1000 done);
+      ("Rng.bool", fun () -> for _ = 1 to n do if Rng.bool rng then incr sink done);
+      ("Arrivals.next", fun () -> for _ = 1 to n do Arrivals.next cur done);
+    ];
+  ignore !sink
 
 (* --- Counters-only sinks ---------------------------------------------------- *)
 
@@ -671,7 +717,11 @@ let () =
             test_env_domains_valid_and_unset;
         ] );
       ( "rng-exact",
-        [ qt prop_rng_create_matches_reference; qt prop_rng_derive_matches_reference ] );
+        [
+          qt prop_rng_create_matches_reference;
+          qt prop_rng_derive_matches_reference;
+          Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocate_nothing;
+        ] );
       ( "counters-only",
         [
           Alcotest.test_case "sink semantics" `Quick test_counters_only_sink;

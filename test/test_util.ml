@@ -47,6 +47,17 @@ let test_rng_exponential_mean () =
   done;
   Alcotest.(check bool) "mean near 1/rate" true (Float.abs (Stats.mean s -. 0.5) < 0.02)
 
+let test_rng_exponential_rejects_bad_rate () =
+  (* NaN and infinity fail the guard like zero and negatives do: a NaN
+     rate would otherwise return NaN variates. *)
+  List.iter
+    (fun rate ->
+      Alcotest.check_raises
+        (Printf.sprintf "rate %h" rate)
+        (Invalid_argument "Rng.exponential: rate must be positive and finite")
+        (fun () -> ignore (Rng.exponential (Rng.create 4) rate)))
+    [ 0.0; -0.0; -1.0; nan; infinity; neg_infinity ]
+
 let test_rng_shuffle_permutation () =
   let r = Rng.create 5 in
   let a = Array.init 50 Fun.id in
@@ -187,6 +198,8 @@ let () =
           Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
           Alcotest.test_case "gaussian moments" `Slow test_rng_gaussian_moments;
           Alcotest.test_case "exponential mean" `Slow test_rng_exponential_mean;
+          Alcotest.test_case "exponential rejects bad rate" `Quick
+            test_rng_exponential_rejects_bad_rate;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
         ] );
       ( "stats",
