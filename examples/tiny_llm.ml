@@ -50,10 +50,11 @@ let () =
   (* The distributed run's communication ledger. *)
   let c = Dataflow.collectives distributed in
   Printf.printf
-    "collectives used: %d column all-reduces, %d row all-reduces,\n\
-    \                  %d column all-gathers, %d all-chip all-reduces\n\n"
-    c.Dataflow.col_all_reduce c.Dataflow.row_all_reduce c.Dataflow.col_all_gather
-    c.Dataflow.all_chip_all_reduce;
+    "collectives used: %d column all-reduces, %d column reduces,\n\
+    \                  %d row all-reduces, %d column all-gathers,\n\
+    \                  %d all-chip all-reduces\n\n"
+    c.Dataflow.col_all_reduce c.Dataflow.col_reduce c.Dataflow.row_all_reduce
+    c.Dataflow.col_all_gather c.Dataflow.all_chip_all_reduce;
 
   (* 3: one projection on actual HN bit-serial hardware arithmetic. *)
   let x = Transformer.hidden_state reference in

@@ -91,6 +91,7 @@ module Vex_sim = Hnlpu_chip.Vex_sim
 (** {1 System (dataflow, performance, scheduling)} *)
 
 module Mapping = Hnlpu_system.Mapping
+module Layer_program = Hnlpu_system.Layer_program
 module Dataflow = Hnlpu_system.Dataflow
 module Perf = Hnlpu_system.Perf
 module Scheduler = Hnlpu_system.Scheduler

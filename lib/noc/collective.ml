@@ -24,56 +24,3 @@ let sum vals =
 let all_reduce vals =
   let s = sum vals in
   List.map (fun (c, _) -> (c, Array.copy s)) vals
-
-let sorted vals = List.sort (fun (a, _) (b, _) -> compare a b) vals
-
-let gather vals =
-  check_group vals;
-  Array.concat (List.map snd (sorted vals))
-
-let all_gather vals =
-  let g = gather vals in
-  List.map (fun (c, _) -> (c, Array.copy g)) vals
-
-let scatter ~chips v =
-  let k = List.length chips in
-  if k = 0 then invalid_arg "Collective.scatter: empty group";
-  let n = Array.length v in
-  if n mod k <> 0 then invalid_arg "Collective.scatter: uneven shards";
-  let shard = n / k in
-  List.mapi (fun i c -> (c, Array.sub v (i * shard) shard)) (List.sort compare chips)
-
-let broadcast ~chips v = List.map (fun c -> (c, Array.copy v)) chips
-
-(* --- Timing ------------------------------------------------------------- *)
-
-let check_size group =
-  if group < 1 then invalid_arg "Collective: group size must be positive"
-
-let broadcast_time ?(link = Link.cxl3) ~group ~bytes () =
-  check_size group;
-  float_of_int (group - 1) *. Link.transfer_time_s link ~bytes
-
-let reduce_time ?(link = Link.cxl3) ~group ~bytes () =
-  check_size group;
-  float_of_int (group - 1) *. Link.transfer_time_s link ~bytes
-
-let all_reduce_time ?link ~group ~bytes () =
-  reduce_time ?link ~group ~bytes () +. broadcast_time ?link ~group ~bytes ()
-
-let all_gather_time ?(link = Link.cxl3) ~group ~shard_bytes () =
-  check_size group;
-  float_of_int (group - 1) *. Link.transfer_time_s link ~bytes:shard_bytes
-
-let scatter_time ?(link = Link.cxl3) ~group ~shard_bytes () =
-  check_size group;
-  float_of_int (group - 1) *. Link.transfer_time_s link ~bytes:shard_bytes
-
-let all_chip_all_reduce_time ?link ~bytes () =
-  all_reduce_time ?link ~group:Topology.rows ~bytes ()
-  +. all_reduce_time ?link ~group:Topology.cols ~bytes ()
-
-let transfers_of_all_reduce ~group = 2 * (group - 1)
-
-let transfer_energy ?(link = Link.cxl3) ~transfers ~bytes () =
-  float_of_int transfers *. Link.transfer_energy_j link ~bytes

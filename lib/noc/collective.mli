@@ -1,63 +1,17 @@
-(** Collective operations over row/column groups (paper §4.3: the
+(** Value-level collectives over per-chip vectors (paper §4.3: the
     Interconnect Engine supports Broadcast/Reduce row-wise and
     Scatter/Broadcast/Reduce/Gather column-wise).
 
-    Two aspects are modelled separately:
-
-    - {b Function}: value-level collectives over per-chip vectors, used by
-      the dataflow simulator to check that the §5 mapping computes the same
-      numbers as the unpartitioned reference.
-    - {b Timing/energy}: each chip's interconnect engine has one transmit
-      and one receive port, so star-shaped collectives serialize over the
-      group; ring all-gather keeps every port busy.  An all-reduce is a
-      reduce followed by a broadcast; the 16-chip all-reduce is hierarchical
-      (column all-reduce, then row all-reduce), as in Figure 10-IX. *)
+    Function only: the dataflow simulator checks with it that the §5
+    mapping computes the reference's numbers, and NOC-EXEC diffs what a
+    plan computes against {!sum}.  Plans and their timing live in
+    {!Schedule}. *)
 
 type valued = (Topology.chip * Hnlpu_tensor.Vec.t) list
 (** A value per chip of a group. *)
 
-(** {1 Function} *)
-
 val sum : valued -> Hnlpu_tensor.Vec.t
-(** Element-wise sum of the group's vectors. *)
+(** Element-wise sum of the group's vectors, in list order. *)
 
 val all_reduce : valued -> valued
 (** Everyone ends with {!sum}. *)
-
-val gather : valued -> Hnlpu_tensor.Vec.t
-(** Concatenation in ascending chip order. *)
-
-val all_gather : valued -> valued
-(** Everyone ends with {!gather}. *)
-
-val scatter : chips:Topology.chip list -> Hnlpu_tensor.Vec.t -> valued
-(** Split a vector into [length chips] equal shards, ascending chip order.
-    Raises if the length is not divisible. *)
-
-val broadcast : chips:Topology.chip list -> Hnlpu_tensor.Vec.t -> valued
-
-(** {1 Timing} *)
-
-val broadcast_time : ?link:Link.t -> group:int -> bytes:int -> unit -> float
-(** Root streams to [group-1] peers through one TX port: serialized. *)
-
-val reduce_time : ?link:Link.t -> group:int -> bytes:int -> unit -> float
-
-val all_reduce_time : ?link:Link.t -> group:int -> bytes:int -> unit -> float
-(** Reduce + broadcast. *)
-
-val all_gather_time : ?link:Link.t -> group:int -> shard_bytes:int -> unit -> float
-(** Ring: [group-1] steps, all ports busy. *)
-
-val scatter_time : ?link:Link.t -> group:int -> shard_bytes:int -> unit -> float
-
-val all_chip_all_reduce_time : ?link:Link.t -> bytes:int -> unit -> float
-(** Hierarchical over the 4x4 fabric: column all-reduce then row
-    all-reduce. *)
-
-val transfers_of_all_reduce : group:int -> int
-(** Number of point-to-point transfers (for energy and reporting). *)
-
-(** {1 Energy} *)
-
-val transfer_energy : ?link:Link.t -> transfers:int -> bytes:int -> unit -> float

@@ -6,9 +6,10 @@
       [phy_latency + engine_overhead + payload / bandwidth]
 
     where [engine_overhead] covers the interconnect engine's packetization,
-    flow control and synchronization between pipeline stages.  The default
-    is calibrated so that the per-layer collective schedule reproduces the
-    paper's Figure 14 communication share (see {!Hnlpu_system.Calibration}).
+    flow control and synchronization between pipeline stages.  It times
+    the {!Schedule} plans; the performance model charges its own per-step
+    overhead ([Hnlpu_system.Perf.engine_base_s], 200 ns) — two values for
+    one overhead, listed in EXPERIMENTS.md's calibrated-constant index.
     Energy is [pj_per_bit] x payload. *)
 
 type t = {
@@ -19,7 +20,7 @@ type t = {
 }
 
 val cxl3 : t
-(** 128 GB/s, 90 ns PHY+protocol, calibrated engine overhead, 8 pJ/bit. *)
+(** 128 GB/s, 90 ns PHY+protocol, 290 ns engine overhead, 8 pJ/bit. *)
 
 val transfer_time_s : t -> bytes:int -> float
 (** Latency of one point-to-point transfer.  Zero-byte transfers still pay

@@ -282,16 +282,22 @@ let run_all_reduce ?plan ?obs ?(link = Link.cxl3) ~group vals =
   List.iter (fun (c, v) -> Hashtbl.replace state c (Array.copy v)) vals;
   List.iteri
     (fun phase step ->
+      List.iter
+        (fun { src; dst; _ } ->
+          if not (Hashtbl.mem state src && Hashtbl.mem state dst) then
+            invalid_arg
+              (Printf.sprintf
+                 "Schedule.run_all_reduce: transfer %d -> %d in step %d leaves \
+                  the group"
+                 src dst phase))
+        step;
       emit_step phase step;
       (* Phase 0 is the reduce (receivers accumulate); phase 1 the
          broadcast (receivers overwrite). *)
       let incoming = Hashtbl.create 16 in
       List.iter
         (fun { src; dst; _ } ->
-          let v = try Hashtbl.find state src with Not_found ->
-            invalid_arg "Schedule.run_all_reduce: chip without value"
-          in
-          Hashtbl.add incoming dst (Array.copy v))
+          Hashtbl.add incoming dst (Array.copy (Hashtbl.find state src)))
         step;
       Hashtbl.iter
         (fun dst v ->

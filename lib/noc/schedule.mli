@@ -1,7 +1,7 @@
 (** Explicit collective schedules: who sends what to whom, when.
 
-    {!Collective} gives closed-form latencies; this module materializes
-    the underlying step-by-step transfer plans so they can be checked
+    This module materializes the step-by-step transfer plans of the
+    collectives so they can be checked
     against the fabric (every transfer must ride an existing row/column
     link; port limits respected) and executed on values (the reduction a
     plan computes must equal the mathematical collective).
@@ -124,7 +124,9 @@ val run_all_reduce :
     and return the per-chip results — must equal {!Collective.all_reduce}
     (tested).  [plan] defaults to {!all_reduce} over [group]; passing a
     user plan lets signoff diff what the plan {e computes} against the
-    mathematical sum (the NOC-EXEC rule).
+    mathematical sum (the NOC-EXEC rule).  Before each step runs, both
+    endpoints of every transfer must hold a value: a transfer that leaves
+    the group raises [Invalid_argument] naming the transfer.
 
     [obs] records one span per transfer — on the sending chip's track,
     tagged with bytes, step index and destination — timed with [link]

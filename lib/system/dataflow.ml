@@ -23,6 +23,7 @@ type stripe = {
 
 type collective_counts = {
   col_all_reduce : int;
+  col_reduce : int;
   row_all_reduce : int;
   col_all_gather : int;
   all_chip_all_reduce : int;
@@ -34,10 +35,7 @@ type t = {
   chip_weights : chip_layer_weights array array;  (** [layer].[chip] *)
   kv : stripe array array;  (** [layer].[chip] *)
   mutable pos : int;
-  mutable col_all_reduces : int;
-  mutable row_all_reduces : int;
-  mutable col_all_gathers : int;
-  mutable all_chip_all_reduces : int;
+  tally : int array;  (** Collectives performed, per {!Layer_program} entry. *)
 }
 
 let create (w : Weights.t) =
@@ -68,20 +66,31 @@ let create (w : Weights.t) =
           Array.init Topology.chips (fun _ ->
               { n = 0; positions = [||]; ks = [||]; vs = [||] }));
     pos = 0;
-    col_all_reduces = 0;
-    row_all_reduces = 0;
-    col_all_gathers = 0;
-    all_chip_all_reduces = 0;
+    tally = Array.make (List.length Layer_program.program) 0;
   }
 
 let position t = t.pos
 
+let tally t op =
+  let i = Layer_program.index op in
+  t.tally.(i) <- t.tally.(i) + 1
+
 let collectives t =
+  let count kind group =
+    let n = ref 0 in
+    List.iteri
+      (fun i (e : Layer_program.entry) ->
+        if e.kind = kind && e.group = group then n := !n + t.tally.(i))
+      Layer_program.program;
+    !n
+  in
+  let open Layer_program in
   {
-    col_all_reduce = t.col_all_reduces;
-    row_all_reduce = t.row_all_reduces;
-    col_all_gather = t.col_all_gathers;
-    all_chip_all_reduce = t.all_chip_all_reduces;
+    col_all_reduce = count All_reduce Each_column;
+    col_reduce = count Reduce Each_column;
+    row_all_reduce = count All_reduce Each_row;
+    col_all_gather = count All_gather Each_column;
+    all_chip_all_reduce = count All_chip_all_reduce All_chips;
   }
 
 let kv_positions_on_chip t ~chip ~layer = t.kv.(layer).(chip).n
@@ -105,10 +114,12 @@ let stripe_append st ~pos ~k ~v =
   Array.blit v 0 st.vs used width;
   st.n <- st.n + 1
 
-(* Column all-reduce of per-chip partial vectors: every chip of the column
-   ends with the sum.  Returns the (identical) result. *)
-let col_all_reduce t ~col partials =
-  t.col_all_reduces <- t.col_all_reduces + 1;
+(* Column collective [op] over per-chip partial vectors, summed in group
+   order.  An all-reduce leaves the sum on every chip of the column, a
+   reduce only on the KV owner, which alone stores it; either way the
+   value is the same. *)
+let col_sum t op ~col partials =
+  tally t op;
   let group = Topology.col_group col in
   let vals = List.map2 (fun chip v -> (chip, v)) group partials in
   Collective.sum vals
@@ -182,7 +193,6 @@ let column_attention t ~layer ~col q_col =
       zs.(row) <- !z
     done;
     (* Column-wise exchange and exact combination of the partials. *)
-    t.col_all_reduces <- t.col_all_reduces + 1;
     global_m := neg_infinity;
     for row = 0 to Topology.rows - 1 do
       if ms.(row) > !global_m then global_m := ms.(row)
@@ -201,6 +211,10 @@ let column_attention t ~layer ~col q_col =
       out.(qo + i) <- out.(qo + i) /. !z
     done
   done;
+  (* One statistics and one partial-O exchange per column covers all of
+     its query heads. *)
+  tally t Layer_program.Stats;
+  tally t Layer_program.Partial_o;
   out
 
 let layer_forward t ~layer x =
@@ -218,9 +232,9 @@ let layer_forward t ~layer x =
           let lo, len = Mapping.x_slice c ~chip in
           Mat.gemv (proj lw.(chip)) (Array.sub x_norm lo len)
         in
-        let q = col_all_reduce t ~col (List.map (partial (fun w -> w.wq)) group) in
-        let k = col_all_reduce t ~col (List.map (partial (fun w -> w.wk)) group) in
-        let v = col_all_reduce t ~col (List.map (partial (fun w -> w.wv)) group) in
+        let q = col_sum t Layer_program.Q ~col (List.map (partial (fun w -> w.wq)) group) in
+        let k = col_sum t Layer_program.K ~col (List.map (partial (fun w -> w.wk)) group) in
+        let v = col_sum t Layer_program.V ~col (List.map (partial (fun w -> w.wv)) group) in
         let q = Rope.apply_heads ~head_dim:d ~pos:t.pos q in
         let k = Rope.apply_heads ~head_dim:d ~pos:t.pos k in
         (* Store the new KV on chip (pos mod 4) of this column. *)
@@ -244,10 +258,12 @@ let layer_forward t ~layer x =
               (chip, Mat.gemv lw.(chip).wo attn))
             attn_cols
         in
-        t.row_all_reduces <- t.row_all_reduces + 1;
+        tally t Layer_program.Xo_row;
         Collective.sum partials)
   in
-  t.col_all_gathers <- t.col_all_gathers + 1;
+  for _ = 1 to Topology.cols do
+    tally t Layer_program.Xo_gather
+  done;
   let xo = Array.concat xo_slices in
   let x = Vec.add x xo in
   (* FFN with MoE (Figure 10-VII..IX). *)
@@ -276,7 +292,7 @@ let layer_forward t ~layer x =
             Vec.scale probs.(rank) (Mat.gemv ew.Weights.w_down (Vec.swiglu ~gate ~up)))
           top
       in
-      t.all_chip_all_reduces <- t.all_chip_all_reduces + 1;
+      tally t Layer_program.Moe;
       List.fold_left Vec.add (Vec.zeros c.Config.hidden) partials
   in
   Vec.add x y

@@ -5,7 +5,8 @@
     {!Mapping} layout), stitched together with the {!Hnlpu_noc.Collective}
     operations the Interconnect Engine provides:
 
-    + QKV: per-chip partial products, column all-reduce (Fig. 10-II/III);
+    + QKV: per-chip partial products; a column all-reduce for Q, column
+      reduces to the KV owner for K and V (Fig. 10-II/III);
     + KV cache: position [l] stored on chip [(l mod 4)] of its column;
     + attention: per-chip streaming softmax over local positions, column
       exchange of (max, sum) statistics and partial outputs (Fig. 10-IV/V);
@@ -30,16 +31,20 @@ val forward : t -> token:int -> Hnlpu_tensor.Vec.t
 (** One decode step through the distributed dataflow; returns logits. *)
 
 type collective_counts = {
-  col_all_reduce : int;
-  row_all_reduce : int;
-  col_all_gather : int;
-  all_chip_all_reduce : int;
+  col_all_reduce : int;  (** Q, softmax statistics and partial O. *)
+  col_reduce : int;  (** K and V, to the KV owner. *)
+  row_all_reduce : int;  (** Xo. *)
+  col_all_gather : int;  (** Xo. *)
+  all_chip_all_reduce : int;  (** MoE combine. *)
 }
 
 val collectives : t -> collective_counts
-(** Snapshot of the cumulative collective-operation counts — lets tests
-    confirm the §5 claim that MoE expert projection needs no inter-chip
-    exchange while attention needs column-group collectives. *)
+(** Cumulative collectives performed, folded by kind and group from one
+    tally per {!Layer_program} entry.  Each collective counts once per
+    column or row it runs on (the statistics and partial-O exchanges once
+    per column, however many query heads they carry), so a MoE layer adds
+    12 column all-reduces, 8 column reduces, 4 row all-reduces, 4 column
+    all-gathers and 1 all-chip all-reduce. *)
 
 val kv_positions_on_chip : t -> chip:Hnlpu_noc.Topology.chip -> layer:int -> int
 (** Cached positions a chip holds — checks the mod-4 striping balance. *)

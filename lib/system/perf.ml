@@ -26,39 +26,25 @@ let engine_base_s = 200.0e-9
 
 let link_contention_factor = 4.17
 
-(* Collective steps of one layer (parallel-link engines; an all-reduce over
-   a group of 4 is a reduce step plus a broadcast step):
-   QKV: 2 (Q all-reduce) + 1 (K reduce) + 1 (V reduce)
-   Attention: 2 (softmax stats) + 2 (partial O)
-   Output: 2 (row all-reduce) + 1 (column all-gather)
-   MoE combine: 4 (hierarchical all-chip all-reduce). *)
-let comm_steps payloads = List.concat_map (fun (steps, bytes) -> List.init steps (fun _ -> bytes)) payloads
+(* One collective step of [bytes] over [link]: fixed PHY and engine terms
+   plus serialization, inflated by link contention. *)
+let step_s link bytes =
+  (link.Link.phy_latency_s +. engine_base_s
+  +. (float_of_int bytes /. link.Link.bandwidth_bytes_per_s))
+  *. link_contention_factor
 
-let layer_payloads (c : Config.t) =
-  let fp16 = Link.bytes_per_value in
-  [
-    (2, Config.q_dim c / 4 * fp16);    (* Q all-reduce *)
-    (1, Config.kv_dim c / 4 * fp16);   (* K reduce *)
-    (1, Config.kv_dim c / 4 * fp16);   (* V reduce *)
-    (2, 64);                           (* softmax statistics *)
-    (2, Config.q_dim c / 4 * fp16);    (* partial attention output *)
-    (2, c.Config.hidden / 4 * fp16);   (* Xo row all-reduce *)
-    (1, c.Config.hidden / 4 * fp16);   (* Xo column all-gather *)
-    (4, c.Config.hidden * fp16);       (* MoE all-chip all-reduce *)
-  ]
-
-let comm_steps_per_layer = 15
-
-let per_layer_comm_s ?(link = Link.cxl3) (c : Config.t) =
-  let steps = comm_steps (layer_payloads c) in
-  assert (List.length steps = comm_steps_per_layer);
+(* One collective step moves a whole chunk's payloads: the fixed terms are
+   paid once per chunk, the serialization term scales.  Decode is
+   [chunk = 1]. *)
+let per_layer_comm_chunk_s ?(link = Link.cxl3) (c : Config.t) ~chunk =
   List.fold_left
-    (fun acc bytes ->
-      acc
-      +. ((link.Link.phy_latency_s +. engine_base_s
-          +. (float_of_int bytes /. link.Link.bandwidth_bytes_per_s))
-         *. link_contention_factor))
-    0.0 steps
+    (fun acc { Layer_program.payload_bytes; steps; _ } ->
+      let s = step_s link (payload_bytes c * chunk) in
+      let rec charge acc n = if n = 0 then acc else charge (acc +. s) (n - 1) in
+      charge acc steps)
+    0.0 Layer_program.program
+
+let per_layer_comm_s ?link c = per_layer_comm_chunk_s ?link c ~chunk:1
 
 let cycle_s = Hnlpu_gates.Tech.cycle_time_s Hnlpu_gates.Tech.n5
 
@@ -148,18 +134,6 @@ let throughput_tokens_per_s c ~context =
 
 (* --- Prefill -------------------------------------------------------------- *)
 
-let per_layer_comm_chunk_s ?(link = Link.cxl3) (c : Config.t) ~chunk =
-  (* One collective step moves the whole chunk's payloads: the fixed terms
-     are paid once per chunk, the serialization term scales. *)
-  let steps = comm_steps (layer_payloads c) in
-  List.fold_left
-    (fun acc bytes ->
-      acc
-      +. ((link.Link.phy_latency_s +. engine_base_s
-          +. (float_of_int (bytes * chunk) /. link.Link.bandwidth_bytes_per_s))
-         *. link_contention_factor))
-    0.0 steps
-
 let prefill_chunk_latency_s (c : Config.t) ~chunk ~context =
   if chunk < 1 then invalid_arg "Perf.prefill_chunk_latency_s: chunk >= 1";
   let layers = float_of_int c.Config.num_layers in
@@ -188,32 +162,29 @@ let stage_names =
   ]
 
 let stage_times_s (c : Config.t) ~context =
-  let link = Link.cxl3 in
-  let step bytes =
-    (link.Link.phy_latency_s +. engine_base_s
-    +. (float_of_int bytes /. link.Link.bandwidth_bytes_per_s))
-    *. link_contention_factor
+  let stream n =
+    float_of_int (Hnlpu_chip.Hn_array.stream_cycles ~bytes:(n * 2)) *. cycle_s
   in
-  let fp16 = Link.bytes_per_value in
-  let cyc n = float_of_int n *. cycle_s in
-  let stream n = cyc (Hnlpu_chip.Hn_array.stream_cycles ~bytes:(n * 2)) in
   let attn = per_layer_attention_s c ~context /. 2.0 in
   let nl = per_layer_nonlinear_s c /. 2.0 in
-  let q_bytes = Config.q_dim c / 4 * fp16 in
-  let kv_bytes = Config.kv_dim c / 4 * fp16 in
-  let h4_bytes = c.Config.hidden / 4 * fp16 in
-  let h_bytes = c.Config.hidden * fp16 in
-  List.map2
-    (fun name t -> (name, t))
-    stage_names
+  let compute =
     [
-      stream (c.Config.hidden / 4) +. (2.0 *. step q_bytes) +. (2.0 *. step kv_bytes);
-      attn +. (2.0 *. step 64);
-      attn +. (2.0 *. step q_bytes);
-      stream (Config.q_dim c / 4) +. (2.0 *. step h4_bytes) +. step h4_bytes;
+      stream (c.Config.hidden / 4);
+      attn;
+      attn;
+      stream (Config.q_dim c / 4);
       nl +. stream c.Config.hidden;
-      nl +. stream c.Config.expert_hidden +. (4.0 *. step h_bytes);
+      nl +. stream c.Config.expert_hidden;
     ]
+  in
+  List.mapi
+    (fun i (name, compute) ->
+      let comm acc { Layer_program.stage; steps; payload_bytes; _ } =
+        if stage <> i + 1 then acc
+        else acc +. (float_of_int steps *. step_s Link.cxl3 (payload_bytes c))
+      in
+      (name, List.fold_left comm compute Layer_program.program))
+    (List.combine stage_names compute)
 
 let figure14_contexts = [ 2048; 8192; 65536; 131072; 262144; 524288 ]
 

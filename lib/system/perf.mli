@@ -6,14 +6,14 @@
     A token's latency sums per-layer components over the 36 layers, plus
     output sampling:
 
-    - {b Communication}: 15 collective steps per layer (QKV all-reduce and
-      reduces, attention statistics and partial-output exchanges, the output
-      projection's row all-reduce + column all-gather, and the 4-step
-      hierarchical all-chip all-reduce of the MoE combine).  Each step costs
+    - {b Communication}: the 15 collective steps per layer of the
+      {!Layer_program}.  Each step costs
       [(phy + engine + payload/bandwidth) * contention]: with up to 216
       tokens in flight, every link is time-shared by the stages of ~36
       layers, and the contention factor (calibrated to Figure 14's 82.9%
-      share at 2K context) models that queueing.
+      share at 2K context) models that queueing.  Decode, prefill chunks
+      and the Figure 11 stage times fold this one step cost over the
+      program.
     - {b Projection}: the HN arrays compute in a handful of bit-serial
       cycles, but activation vectors enter each bank through a
       {!Hnlpu_chip.Hn_array.feed_bytes_per_cycle} input lane — the visible
@@ -41,13 +41,12 @@ val fractions : breakdown -> breakdown
 (** Each component divided by the total — the Figure 14 percentages. *)
 
 val engine_base_s : float
-(** Fixed per-step collective sequencing overhead (200 ns). *)
+(** Fixed per-step collective sequencing overhead (200 ns).  The
+    {!Hnlpu_noc.Schedule} plans are timed with [Link.cxl3]'s 290 ns
+    instead; EXPERIMENTS.md's calibrated-constant index records both. *)
 
 val link_contention_factor : float
 (** Queueing multiplier on collective steps (calibrated, see above). *)
-
-val comm_steps_per_layer : int
-(** 15 — see the module preamble. *)
 
 val per_layer_comm_s : ?link:Hnlpu_noc.Link.t -> Hnlpu_model.Config.t -> float
 

@@ -19,46 +19,29 @@ type t = {
 }
 
 let ledger (c : Config.t) =
-  let fp16 = Link.bytes_per_value in
-  let q = Config.q_dim c / 4 * fp16 in
-  let kv = Config.kv_dim c / 4 * fp16 in
-  let h4 = c.Config.hidden / 4 * fp16 in
-  let h = c.Config.hidden * fp16 in
-  let entry collective payload plan per_layer =
-    let link_bytes =
-      List.fold_left
-        (fun acc step ->
-          List.fold_left (fun a (tr : Schedule.transfer) -> a + tr.Schedule.bytes) acc step)
-        0 plan
-    in
-    ignore payload;
-    { collective; payload_bytes = payload; link_bytes; per_layer }
-  in
-  let col = Topology.col_group 0 and row = Topology.row_group 0 in
-  [
-    entry "Q all-reduce (col)" q (Schedule.all_reduce ~group:col ~bytes:q) 1;
-    entry "K reduce (col)" kv (Schedule.reduce ~root:0 ~group:col ~bytes:kv) 1;
-    entry "V reduce (col)" kv (Schedule.reduce ~root:0 ~group:col ~bytes:kv) 1;
-    entry "softmax stats (col)" 64 (Schedule.all_reduce ~group:col ~bytes:64) 1;
-    entry "partial-O all-reduce (col)" q (Schedule.all_reduce ~group:col ~bytes:q) 1;
-    entry "Xo all-reduce (row)" h4 (Schedule.all_reduce ~group:row ~bytes:h4) 1;
-    entry "Xo all-gather (col)" h4 (Schedule.all_gather ~group:col ~shard_bytes:h4) 1;
-    entry "MoE all-chip all-reduce" h (Schedule.all_chip_all_reduce ~bytes:h) 1;
-  ]
+  List.map
+    (fun (e : Layer_program.entry) ->
+      {
+        collective = e.Layer_program.label;
+        payload_bytes = e.Layer_program.payload_bytes c;
+        link_bytes = Schedule.total_bytes (Layer_program.plan c e);
+        per_layer = 1;
+      })
+    Layer_program.program
 
 let analyze ?(context = 2048) (c : Config.t) =
   let entries = ledger c in
   (* Column collectives run on all four columns, row collectives on all
      four rows; the all-chip plan already spans the machine. *)
-  let machine_factor e =
-    if e.collective = "MoE all-chip all-reduce" then 1 else 4
-  in
   let bytes_per_token =
     float_of_int c.Config.num_layers
-    *. List.fold_left
-         (fun acc e ->
-           acc +. float_of_int (e.link_bytes * e.per_layer * machine_factor e))
-         0.0 entries
+    *. List.fold_left2
+         (fun acc (p : Layer_program.entry) e ->
+           acc
+           +. float_of_int
+                (e.link_bytes * e.per_layer
+                * Layer_program.instances p.Layer_program.group))
+         0.0 Layer_program.program entries
   in
   let throughput = Perf.throughput_tokens_per_s c ~context in
   let demand = bytes_per_token *. throughput in

@@ -1,10 +1,10 @@
 (** Interconnect traffic accounting — and an independent check on the
     performance model's calibration.
 
-    This module counts the actual bytes each collective moves per token
-    (via the explicit {!Hnlpu_noc.Schedule} plans), aggregates the demand
-    at the operating throughput, and compares against the fabric's
-    capacity.  The fabric runs at ~70% load: heavily used but not
+    This module counts the actual bytes each {!Layer_program} entry moves
+    per token (its {!Hnlpu_noc.Schedule} plan's bytes times its group
+    instances), aggregates the demand at the operating throughput, and
+    compares against the fabric's capacity.  The fabric runs at ~70% load: heavily used but not
     saturated — consistent with §8's point that better interconnect
     (wafer-scale) is the first lever.
 

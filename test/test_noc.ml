@@ -85,29 +85,6 @@ let test_sum_and_all_reduce () =
       Alcotest.(check (array (float 1e-12))) "everyone has the sum" [| 1111.0; 2222.0 |] x)
     reduced
 
-let test_gather_scatter_roundtrip () =
-  let group = Topology.row_group 0 in
-  let whole = Array.init 8 float_of_int in
-  let scattered = Collective.scatter ~chips:group whole in
-  Alcotest.(check int) "four shards" 4 (List.length scattered);
-  Alcotest.(check (array (float 0.0))) "gather inverts scatter" whole
-    (Collective.gather scattered)
-
-let test_all_gather () =
-  let group = Topology.row_group 2 in
-  let v = vals group [ [| 1.0 |]; [| 2.0 |]; [| 3.0 |]; [| 4.0 |] ] in
-  List.iter
-    (fun (_, x) ->
-      Alcotest.(check (array (float 0.0))) "concatenated" [| 1.0; 2.0; 3.0; 4.0 |] x)
-    (Collective.all_gather v)
-
-let test_scatter_validation () =
-  Alcotest.(check bool) "uneven scatter rejected" true
-    (try
-       ignore (Collective.scatter ~chips:(Topology.row_group 0) (Array.make 7 0.0));
-       false
-     with Invalid_argument _ -> true)
-
 let test_ragged_rejected () =
   Alcotest.(check bool) "ragged group rejected" true
     (try
@@ -125,27 +102,41 @@ let prop_all_reduce_order_invariant =
       let b = Collective.sum (List.rev v) in
       Hnlpu_tensor.Vec.max_abs_diff a b < 1e-9)
 
-(* --- Collective: timing ------------------------------------------------------ *)
+(* --- Collective: timing --------------------------------------------------
+   Collectives are timed by their step-by-step Schedule plans. *)
 
 let test_timing_monotone_in_group () =
-  let t2 = Collective.all_reduce_time ~group:2 ~bytes:1024 () in
-  let t4 = Collective.all_reduce_time ~group:4 ~bytes:1024 () in
-  Alcotest.(check bool) "bigger group slower" true (t4 > t2)
+  (* A ring all-gather takes group - 1 steps. *)
+  let ring group = Schedule.makespan (Schedule.all_gather ~group ~shard_bytes:1024) in
+  Alcotest.(check bool) "bigger group slower" true
+    (ring (Topology.row_group 0) > ring [ 0; 1 ])
 
 let test_all_reduce_is_reduce_plus_broadcast () =
-  let r = Collective.reduce_time ~group:4 ~bytes:512 () in
-  let b = Collective.broadcast_time ~group:4 ~bytes:512 () in
-  let ar = Collective.all_reduce_time ~group:4 ~bytes:512 () in
-  Alcotest.(check (float 1e-15)) "composition" (r +. b) ar
+  let group = Topology.col_group 2 in
+  let r = Schedule.reduce ~root:2 ~group ~bytes:512 in
+  let b = Schedule.broadcast ~root:2 ~group ~bytes:512 in
+  let ar = Schedule.all_reduce ~group ~bytes:512 in
+  Alcotest.(check bool) "plan composition" true (r @ b = ar);
+  Alcotest.(check (float 1e-15)) "composition"
+    (Schedule.makespan r +. Schedule.makespan b) (Schedule.makespan ar)
 
 let test_hierarchical_all_chip () =
-  let col = Collective.all_reduce_time ~group:4 ~bytes:1024 () in
-  let whole = Collective.all_chip_all_reduce_time ~bytes:1024 () in
+  let col = Schedule.makespan (Schedule.all_reduce ~group:(Topology.col_group 0) ~bytes:1024) in
+  let whole = Schedule.makespan (Schedule.all_chip_all_reduce ~bytes:1024) in
   Alcotest.(check (float 1e-15)) "two-level" (2.0 *. col) whole
 
 let test_transfer_counts () =
-  Alcotest.(check int) "all-reduce of 4 = 6 transfers" 6
-    (Collective.transfers_of_all_reduce ~group:4)
+  let group = Topology.row_group 3 and root = 12 and bytes = 64 in
+  List.iter
+    (fun (name, want, plan) ->
+      Alcotest.(check int) name want (Schedule.transfer_count plan))
+    [
+      ("reduce of 4", 3, Schedule.reduce ~root ~group ~bytes);
+      ("broadcast to 4", 3, Schedule.broadcast ~root ~group ~bytes);
+      ("scatter to 4", 3, Schedule.scatter ~root ~group ~shard_bytes:bytes);
+      ("all-reduce of 4", 6, Schedule.all_reduce ~group ~bytes);
+      ("ring all-gather of 4", 12, Schedule.all_gather ~group ~shard_bytes:bytes);
+    ]
 
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
@@ -171,9 +162,6 @@ let () =
       ( "collective-function",
         [
           Alcotest.test_case "sum/all-reduce" `Quick test_sum_and_all_reduce;
-          Alcotest.test_case "gather/scatter" `Quick test_gather_scatter_roundtrip;
-          Alcotest.test_case "all-gather" `Quick test_all_gather;
-          Alcotest.test_case "scatter validation" `Quick test_scatter_validation;
           Alcotest.test_case "ragged rejected" `Quick test_ragged_rejected;
         ] );
       qsuite "collective properties" [ prop_all_reduce_order_invariant ];

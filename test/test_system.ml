@@ -127,19 +127,45 @@ let test_dataflow_kv_striping () =
     Hnlpu_noc.Topology.all_chips
 
 let test_dataflow_collective_pattern () =
-  let w = Hnlpu_model.Weights.random (Rng.create 79) tiny in
-  let d = Dataflow.create w in
-  ignore (Dataflow.forward d ~token:1);
-  let c = Dataflow.collectives d in
-  let layers = tiny.Hnlpu_model.Config.num_layers in
-  (* Per layer: 4 columns x (Q, K, V) + 4 columns x attention-stats x
-     q-heads-per-col... at least the QKV reduces; exactly one all-chip
-     all-reduce (MoE) and one gather; 4 row all-reduces. *)
-  Alcotest.(check int) "one MoE all-reduce per layer" layers c.Dataflow.all_chip_all_reduce;
-  Alcotest.(check int) "one gather per layer" layers c.Dataflow.col_all_gather;
-  Alcotest.(check int) "four row all-reduces per layer" (4 * layers)
-    c.Dataflow.row_all_reduce;
-  Alcotest.(check bool) "column collectives happen" true (c.Dataflow.col_all_reduce > 0)
+  (* The forward runs exactly the layer program: every entry, once per
+     group instance, on every layer of every token. *)
+  let tokens = 3 in
+  let check_config (c : Hnlpu_model.Config.t) =
+    let d = Dataflow.create (Hnlpu_model.Weights.random (Rng.create 79) c) in
+    for tok = 1 to tokens do
+      ignore (Dataflow.forward d ~token:tok)
+    done;
+    let per_layer kind group =
+      List.fold_left
+        (fun acc (e : Layer_program.entry) ->
+          if e.Layer_program.kind = kind && e.Layer_program.group = group then
+            acc + Layer_program.instances group
+          else acc)
+        0 Layer_program.program
+    in
+    let got = Dataflow.collectives d in
+    let n = tokens * c.Hnlpu_model.Config.num_layers in
+    let check name pinned from_program got =
+      Alcotest.(check int) (name ^ " per layer in the program") pinned from_program;
+      Alcotest.(check int) (c.Hnlpu_model.Config.name ^ ": " ^ name)
+        (n * from_program) got
+    in
+    let open Layer_program in
+    check "column all-reduces (Q, stats, partial O)" 12
+      (per_layer All_reduce Each_column) got.Dataflow.col_all_reduce;
+    check "column reduces (K, V)" 8 (per_layer Reduce Each_column)
+      got.Dataflow.col_reduce;
+    check "row all-reduces (Xo)" 4 (per_layer All_reduce Each_row)
+      got.Dataflow.row_all_reduce;
+    check "column all-gathers (Xo)" 4 (per_layer All_gather Each_column)
+      got.Dataflow.col_all_gather;
+    check "all-chip all-reduces (MoE)" 1
+      (per_layer All_chip_all_reduce All_chips)
+      got.Dataflow.all_chip_all_reduce
+  in
+  check_config tiny;
+  check_config
+    { tiny with Hnlpu_model.Config.name = "tiny-hnlpu-sw4"; sliding_window = Some 4 }
 
 (* --- Perf: Table 2 / Figure 14 --------------------------------------------------- *)
 

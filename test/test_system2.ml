@@ -55,6 +55,32 @@ let test_schedule_executes_correctly () =
       Alcotest.(check bool) "same sum" true (Vec.max_abs_diff a b < 1e-9))
     via_plan via_math
 
+let test_layer_program_matches_plans () =
+  (* Every step charge is the length of the entry's plan, with one named
+     exception: the column all-gather is charged 1 step while the ring plan
+     takes 3 (ROADMAP, "One per-layer collective program").  Traffic's link
+     bytes are the plan's bytes. *)
+  let traffic = Traffic.analyze config in
+  List.iter2
+    (fun (e : Layer_program.entry) (l : Traffic.ledger_entry) ->
+      let plan = Layer_program.plan config e in
+      let label = e.Layer_program.label in
+      (match e.Layer_program.kind with
+      | Layer_program.All_gather ->
+        Alcotest.(check int) (label ^ ": ring plan") 3 (List.length plan);
+        Alcotest.(check int) (label ^ ": charged") 1 e.Layer_program.steps
+      | _ ->
+        Alcotest.(check int) (label ^ ": steps") (List.length plan)
+          e.Layer_program.steps);
+      Alcotest.(check string) "ledger label" label l.Traffic.collective;
+      Alcotest.(check int) (label ^ ": link bytes") (Schedule.total_bytes plan)
+        l.Traffic.link_bytes)
+    Layer_program.program traffic.Traffic.entries;
+  Alcotest.(check int) "15 steps per layer" 15
+    (List.fold_left
+       (fun acc (e : Layer_program.entry) -> acc + e.Layer_program.steps)
+       0 Layer_program.program)
+
 let prop_schedules_valid =
   QCheck.Test.make ~name:"all generated schedules are fabric-valid" ~count:50
     QCheck.(pair (int_range 0 3) (int_range 1 10000))
@@ -176,6 +202,8 @@ let () =
           Alcotest.test_case "all-chip" `Quick test_schedule_all_chip;
           Alcotest.test_case "rejects non-links" `Quick test_schedule_rejects_nonlinks;
           Alcotest.test_case "makespan" `Quick test_schedule_makespan_model;
+          Alcotest.test_case "layer program = plans" `Quick
+            test_layer_program_matches_plans;
           Alcotest.test_case "executes correctly" `Quick test_schedule_executes_correctly;
         ] );
       qsuite "schedule properties" [ prop_schedules_valid; prop_schedule_allreduce_correct ];

@@ -575,6 +575,34 @@ let test_bundle_det_lint_survives_disk () =
   Alcotest.(check bool) "DET-LINT fires from disk" true
     (Diagnostic.has_rule ~min_severity:Diagnostic.Error "DET-LINT" ds)
 
+let test_bundle_stray_transfer_is_error () =
+  (* A plan transfer that leaves its group (chip 7 is not in column 1;
+     chip 39 does not exist) used to crash signoff with Not_found. *)
+  let dir = "bundle-stray-transfer" in
+  ignore (Bundle.export ~dir reference);
+  let edit file ~from ~into =
+    let path = Filename.concat (Filename.concat dir "plans") file in
+    let lines =
+      String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all)
+    in
+    Alcotest.(check bool) ("edits " ^ file) true (List.mem from lines);
+    let lines = List.map (fun l -> if l = from then into else l) lines in
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc (String.concat "\n" lines))
+  in
+  edit "plan01-all-reduce.col1.plan" ~from:"5 -> 1 : 2048" ~into:"5 -> 7 : 2048";
+  edit "plan03-all-reduce.col3.plan" ~from:"11 -> 3 : 2048" ~into:"11 -> 39 : 2048";
+  let ds = Signoff.check (Bundle.load dir) in
+  let exec_errors =
+    List.filter (fun d -> d.Diagnostic.rule = "NOC-EXEC") (errors_only ds)
+  in
+  Alcotest.(check int) "one NOC-EXEC error per edited plan" 2
+    (List.length exec_errors);
+  Alcotest.(check bool) "the errors name the transfers" true
+    (List.exists (fun d -> Thelp.contains d.Diagnostic.message "5 -> 7") exec_errors
+    && List.exists (fun d -> Thelp.contains d.Diagnostic.message "11 -> 39") exec_errors);
+  Alcotest.(check int) "exit 2" 2 (Diagnostic.exit_code ds)
+
 let test_bundle_missing_rejected () =
   Alcotest.(check bool) "missing directory rejected" true
     (try
@@ -700,6 +728,8 @@ let () =
             test_bundle_seeded_violation_survives_disk;
           Alcotest.test_case "det lint survives disk" `Quick
             test_bundle_det_lint_survives_disk;
+          Alcotest.test_case "stray transfer is an error" `Quick
+            test_bundle_stray_transfer_is_error;
           Alcotest.test_case "missing bundle rejected" `Quick
             test_bundle_missing_rejected;
           Alcotest.test_case "bad manifest rejected" `Quick
