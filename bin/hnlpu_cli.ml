@@ -298,20 +298,20 @@ let trace_cmd =
   let run reqs tokens context out jsonl metrics_json =
     let obs = Obs.Sink.create () in
     (* One sink, three simulators, one simulated timeline: the serving
-       scheduler, the stage-level decode pipeline, and the NoC column
-       all-reduces of the MoE combine — plus the thermal operating point. *)
+       scheduler, the stage-level decode pipeline, and the NoC plan of the
+       MoE combine (the layer program's all-chip all-reduce) — plus the
+       thermal operating point. *)
     let r = Scheduler.simulate ~context ~obs config reqs in
     let t = Trace.run ~tokens ~context ~obs config in
-    let bytes = Config.q_dim config / Topology.cols * 2 in
-    List.iter
-      (fun col ->
-        let group = Topology.col_group col in
-        let plan = Schedule.all_reduce ~group ~bytes in
-        let vals =
-          List.map (fun c -> (c, Array.init 8 (fun i -> float_of_int (c + i)))) group
-        in
-        ignore (Schedule.run_all_reduce ~plan ~obs ~group vals))
-      [ 0; 1; 2; 3 ];
+    let moe =
+      List.nth Layer_program.program (Layer_program.index Layer_program.Moe)
+    in
+    let vals =
+      List.map
+        (fun c -> (c, Array.init 8 (fun i -> float_of_int (c + i))))
+        Topology.all_chips
+    in
+    ignore (Schedule.run ~obs (Layer_program.collective config moe ~instance:0) vals);
     let th = Thermal.analyze ~config ~obs () in
     write_file out (Obs.Chrome_trace.to_json (Obs.Sink.events obs));
     (match jsonl with

@@ -4,58 +4,120 @@ type step = transfer list
 
 type t = step list
 
-let check_group group =
-  match group with
-  | [] -> invalid_arg "Schedule: empty group"
-  | _ ->
-    List.iter
-      (fun c -> if not (Topology.valid c) then invalid_arg "Schedule: bad chip")
+type collective =
+  | Reduce of { root : Topology.chip; group : Topology.chip list; bytes : int }
+  | Broadcast of { root : Topology.chip; group : Topology.chip list; bytes : int }
+  | All_reduce of { group : Topology.chip list; bytes : int }
+  | All_gather of { group : Topology.chip list; shard_bytes : int }
+  | Scatter of { root : Topology.chip; group : Topology.chip list; shard_bytes : int }
+  | All_chip_all_reduce of { bytes : int }
+
+let members = function
+  | Reduce { group; _ } | Broadcast { group; _ } | All_reduce { group; _ }
+  | All_gather { group; _ } | Scatter { group; _ } ->
+    group
+  | All_chip_all_reduce _ -> Topology.all_chips
+
+let peers root group = List.filter (( <> ) root) group
+
+let malformed coll =
+  let group = members coll in
+  let root, bytes =
+    match coll with
+    | Reduce { root; bytes; _ } | Broadcast { root; bytes; _ } -> (Some root, bytes)
+    | Scatter { root; shard_bytes; _ } -> (Some root, shard_bytes)
+    | All_reduce { bytes; _ } | All_chip_all_reduce { bytes } -> (None, bytes)
+    | All_gather { shard_bytes; _ } -> (None, shard_bytes)
+  in
+  (if group = [] then [ "the group is empty" ] else [])
+  @ List.filter_map
+      (fun c ->
+        if Topology.valid c then None
+        else Some (Printf.sprintf "chip %d is not on the fabric" c))
       group
+  @ (if List.length (List.sort_uniq compare group) < List.length group then
+       [ "a chip is listed twice in the group" ]
+     else [])
+  @ (match root with
+    | Some r when not (List.mem r group) ->
+      [ Printf.sprintf "root %d is not in the group" r ]
+    | _ -> [])
+  @ if bytes < 0 then [ Printf.sprintf "payload %d B is negative" bytes ] else []
 
-let peers root group = List.filter (fun c -> c <> root) group
+let canonical coll =
+  (match malformed coll with
+  | [] -> ()
+  | why :: _ -> invalid_arg ("Schedule.canonical: " ^ why));
+  let rec plan = function
+    | Reduce { root; group; bytes } ->
+      [ List.map (fun src -> { src; dst = root; bytes }) (peers root group) ]
+    | Broadcast { root; group; bytes } ->
+      [ List.map (fun dst -> { src = root; dst; bytes }) (peers root group) ]
+    | Scatter { root; group; shard_bytes } ->
+      plan (Broadcast { root; group; bytes = shard_bytes })
+    | All_reduce { group; bytes } ->
+      let root = List.fold_left min max_int group in
+      plan (Reduce { root; group; bytes }) @ plan (Broadcast { root; group; bytes })
+    | All_gather { group; shard_bytes } ->
+      let ring = Array.of_list (List.sort compare group) in
+      let k = Array.length ring in
+      (* Step s: every chip forwards the shard it received s steps ago to
+         its ring successor. *)
+      List.init (k - 1) (fun _ ->
+          List.init k (fun i ->
+              { src = ring.(i); dst = ring.((i + 1) mod k); bytes = shard_bytes }))
+    | All_chip_all_reduce { bytes } ->
+      (* All four columns concurrently, then all four rows. *)
+      let phase line which =
+        List.concat_map
+          (fun i -> List.nth (plan (All_reduce { group = line i; bytes })) which)
+          [ 0; 1; 2; 3 ]
+      in
+      Topology.
+        [ phase col_group 0; phase col_group 1; phase row_group 0; phase row_group 1 ]
+  in
+  plan coll
 
-let reduce ~root ~group ~bytes =
-  check_group group;
-  if not (List.mem root group) then invalid_arg "Schedule.reduce: root not in group";
-  [ List.map (fun src -> { src; dst = root; bytes }) (peers root group) ]
-
-let broadcast ~root ~group ~bytes =
-  check_group group;
-  if not (List.mem root group) then invalid_arg "Schedule.broadcast: root not in group";
-  [ List.map (fun dst -> { src = root; dst; bytes }) (peers root group) ]
-
-let all_reduce ~group ~bytes =
-  check_group group;
-  let root = List.fold_left min max_int group in
-  reduce ~root ~group ~bytes @ broadcast ~root ~group ~bytes
-
-let all_gather ~group ~shard_bytes =
-  check_group group;
-  let ring = Array.of_list (List.sort compare group) in
-  let k = Array.length ring in
-  (* Step s: every chip forwards the shard it received s steps ago to its
-     ring successor. *)
-  List.init (k - 1) (fun _ ->
-      List.init k (fun i ->
-          { src = ring.(i); dst = ring.((i + 1) mod k); bytes = shard_bytes }))
+let reduce ~root ~group ~bytes = canonical (Reduce { root; group; bytes })
+let broadcast ~root ~group ~bytes = canonical (Broadcast { root; group; bytes })
+let all_reduce ~group ~bytes = canonical (All_reduce { group; bytes })
+let all_gather ~group ~shard_bytes = canonical (All_gather { group; shard_bytes })
 
 let scatter ~root ~group ~shard_bytes =
-  check_group group;
-  if not (List.mem root group) then invalid_arg "Schedule.scatter: root not in group";
-  [ List.map (fun dst -> { src = root; dst; bytes = shard_bytes }) (peers root group) ]
+  canonical (Scatter { root; group; shard_bytes })
 
-let all_chip_all_reduce ~bytes =
-  let col_phase which =
-    List.concat_map
-      (fun col -> List.nth (all_reduce ~group:(Topology.col_group col) ~bytes) which)
-      [ 0; 1; 2; 3 ]
-  in
-  let row_phase which =
-    List.concat_map
-      (fun row -> List.nth (all_reduce ~group:(Topology.row_group row) ~bytes) which)
-      [ 0; 1; 2; 3 ]
-  in
-  [ col_phase 0; col_phase 1; row_phase 0; row_phase 1 ]
+let all_chip_all_reduce ~bytes = canonical (All_chip_all_reduce { bytes })
+
+type merge_mode = Accumulate | Overwrite | Union
+
+type semantics = {
+  producers : Topology.chip list;
+  mode : int -> merge_mode;
+  required : Topology.chip list;
+}
+
+let semantics coll =
+  match coll with
+  | Reduce { root; group; _ } ->
+    { producers = group; mode = (fun _ -> Accumulate); required = [ root ] }
+  | Broadcast { root; group; _ } | Scatter { root; group; _ } ->
+    { producers = [ root ]; mode = (fun _ -> Overwrite); required = peers root group }
+  | All_reduce { group; _ } ->
+    (* Reduce to the root, then broadcast back. *)
+    {
+      producers = group;
+      mode = (fun s -> if s = 0 then Accumulate else Overwrite);
+      required = group;
+    }
+  | All_gather { group; _ } ->
+    { producers = group; mode = (fun _ -> Union); required = group }
+  | All_chip_all_reduce _ ->
+    (* Column all-reduce (steps 0-1), then row all-reduce (steps 2-3). *)
+    {
+      producers = Topology.all_chips;
+      mode = (fun s -> if s = 0 || s = 2 then Accumulate else Overwrite);
+      required = Topology.all_chips;
+    }
 
 type violation =
   | Not_a_link of Topology.chip * Topology.chip
@@ -116,8 +178,6 @@ let endpoints plan =
 module ISet = Set.Make (Int)
 module IMap = Map.Make (Int)
 
-type merge_mode = Accumulate | Overwrite | Union
-
 type delivery = {
   d_step : int;
   d_index : int;
@@ -154,7 +214,7 @@ let run_symbolic ~producers ~mode plan =
     (fun s step ->
       let m = mode s in
       (* Snapshot every sender before applying any delivery: transfers of one
-         step read start-of-step state, matching {!run_all_reduce}. *)
+         step read start-of-step state, matching {!run}. *)
       let snap =
         List.map
           (fun { src; dst; bytes } ->
@@ -193,10 +253,8 @@ let run_symbolic ~producers ~mode plan =
               Hashtbl.replace state dst (tag d.d_index payload)
             | _ ->
               races := (s, dst, List.length incoming) :: !races;
-              (* run_all_reduce applies same-step overwrites in hash-table
-                 order — last writer wins nondeterministically.  Pick the
-                 lowest sender so the analysis itself stays deterministic;
-                 the race is already reported. *)
+              (* The lowest sender wins, as in {!run}; the race is
+                 already reported. *)
               let d, payload =
                 List.fold_left
                   (fun ((a, _) as best) ((b, _) as cand) ->
@@ -240,13 +298,12 @@ let run_symbolic ~producers ~mode plan =
     deliveries = List.rev !deliveries;
   }
 
-let run_all_reduce ?plan ?obs ?(link = Link.cxl3) ~group vals =
-  (match vals with
-  | [] -> invalid_arg "Schedule.run_all_reduce: empty"
-  | _ -> ());
-  let plan =
-    match plan with Some p -> p | None -> all_reduce ~group ~bytes:0
-  in
+(* --- Execution on values ---------------------------------------------------- *)
+
+let run ?plan ?obs ?(link = Link.cxl3) coll vals =
+  (match vals with [] -> invalid_arg "Schedule.run: empty" | _ -> ());
+  let plan = match plan with Some p -> p | None -> canonical coll in
+  let mode = (semantics coll).mode in
   (* Transfers of one step start together at the step's offset into the
      plan's makespan; the telemetry timeline reuses the same link model as
      {!makespan}, so spans and the reported makespan agree. *)
@@ -278,34 +335,49 @@ let run_all_reduce ?plan ?obs ?(link = Link.cxl3) ~group vals =
       Hnlpu_obs.Metrics.set_stamped m ~stamp:!step_start
         "noc/makespan_s" !step_start
   in
-  let state = Hashtbl.create 16 in
-  List.iter (fun (c, v) -> Hashtbl.replace state c (Array.copy v)) vals;
+  let held = Array.make Topology.chips false in
+  let state = Array.make Topology.chips [||] in
+  List.iter
+    (fun (c, v) ->
+      if not (Topology.valid c) then invalid_arg "Schedule.run: bad chip";
+      held.(c) <- true;
+      state.(c) <- Array.copy v)
+    vals;
+  let holds c = Topology.valid c && held.(c) in
+  let winner = Array.make Topology.chips max_int in
   List.iteri
     (fun phase step ->
       List.iter
         (fun { src; dst; _ } ->
-          if not (Hashtbl.mem state src && Hashtbl.mem state dst) then
+          if not (holds src && holds dst) then
             invalid_arg
               (Printf.sprintf
-                 "Schedule.run_all_reduce: transfer %d -> %d in step %d leaves \
-                  the group"
+                 "Schedule.run: transfer %d -> %d in step %d leaves the group"
                  src dst phase))
         step;
       emit_step phase step;
-      (* Phase 0 is the reduce (receivers accumulate); phase 1 the
-         broadcast (receivers overwrite). *)
-      let incoming = Hashtbl.create 16 in
-      List.iter
-        (fun { src; dst; _ } ->
-          Hashtbl.add incoming dst (Array.copy (Hashtbl.find state src)))
-        step;
-      Hashtbl.iter
-        (fun dst v ->
-          match phase with
-          | 0 ->
-            let cur = Hashtbl.find state dst in
-            Array.iteri (fun i x -> cur.(i) <- cur.(i) +. x) v
-          | _ -> Hashtbl.replace state dst v)
-        incoming)
+      (* Every transfer of a step reads start-of-step state; deliveries
+         then land in plan order. *)
+      let sent =
+        List.map (fun { src; dst; _ } -> (src, dst, Array.copy state.(src))) step
+      in
+      match mode phase with
+      | Accumulate ->
+        List.iter
+          (fun (_, dst, v) -> Hnlpu_tensor.Vec.add_inplace state.(dst) v)
+          sent
+      | Overwrite ->
+        (* Same-step writes to one chip resolve to the lowest sender, as in
+           {!run_symbolic}. *)
+        List.iter (fun (_, dst, _) -> winner.(dst) <- max_int) sent;
+        List.iter (fun (src, dst, _) -> winner.(dst) <- min winner.(dst) src) sent;
+        List.iter
+          (fun (src, dst, v) -> if src = winner.(dst) then state.(dst) <- v)
+          sent
+      | Union ->
+        invalid_arg "Schedule.run: an all-gather merges shards, not vectors")
     plan;
-  List.map (fun (c, _) -> (c, Hashtbl.find state c)) vals
+  List.map (fun (c, _) -> (c, state.(c))) vals
+
+let run_all_reduce ?plan ?obs ?link ~group vals =
+  run ?plan ?obs ?link (All_reduce { group; bytes = 0 }) vals

@@ -50,16 +50,18 @@ let instances = function
   | Each_row -> Topology.rows
   | All_chips -> 1
 
-let plan c e =
+let collective c e ~instance =
   let bytes = e.payload_bytes c in
   let group =
     match e.group with
-    | Each_column -> Topology.col_group 0
-    | Each_row -> Topology.row_group 0
+    | Each_column -> Topology.col_group instance
+    | Each_row -> Topology.row_group instance
     | All_chips -> Topology.all_chips
   in
   match e.kind with
-  | All_reduce -> Schedule.all_reduce ~group ~bytes
-  | Reduce -> Schedule.reduce ~root:(List.hd group) ~group ~bytes
-  | All_gather -> Schedule.all_gather ~group ~shard_bytes:bytes
-  | All_chip_all_reduce -> Schedule.all_chip_all_reduce ~bytes
+  | All_reduce -> Schedule.All_reduce { group; bytes }
+  | Reduce -> Schedule.Reduce { root = List.hd group; group; bytes }
+  | All_gather -> Schedule.All_gather { group; shard_bytes = bytes }
+  | All_chip_all_reduce -> Schedule.All_chip_all_reduce { bytes }
+
+let plan c e = Schedule.canonical (collective c e ~instance:0)

@@ -2,7 +2,8 @@
     fixed sequence of collectives every layer runs, fixed at fabrication
     like the weights.  It is the one authoritative copy: {!Perf} charges
     its steps, {!Traffic} maps its entries to {!Hnlpu_noc.Schedule} plans,
-    and {!Dataflow} tallies each collective it performs against it.
+    {!Dataflow} tallies each collective it performs against it, and
+    signoff checks the plan of every entry on every instance.
 
     In order, with the steps charged per layer (15 in all): Q column
     all-reduce (2), K and V column reduces to the KV owner (1 each),
@@ -36,6 +37,13 @@ val index : op -> int
 val instances : group -> int
 (** Concurrent instances per layer: 4 columns, 4 rows, or 1. *)
 
+val collective :
+  Hnlpu_model.Config.t -> entry -> instance:int -> Hnlpu_noc.Schedule.collective
+(** The entry's collective on one instance: column or row [instance]
+    (0..3), or the whole machine (pass 0).  Reduces are rooted at the
+    group's lowest chip.  Signoff checks the plan of every entry on every
+    instance. *)
+
 val plan : Hnlpu_model.Config.t -> entry -> Hnlpu_noc.Schedule.t
-(** The entry's plan on its first instance (column 0, row 0, or the whole
-    machine); reduces are rooted at the group's lowest chip. *)
+(** {!Hnlpu_noc.Schedule.canonical} of the entry's collective on its
+    first instance. *)

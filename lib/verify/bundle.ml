@@ -294,20 +294,21 @@ let parse_plan path =
   let coll =
     match req "collective" !kind with
     | "reduce", _ ->
-      Noc_rules.Reduce
+      Schedule.Reduce
         { root = the_root (); group = the_group (); bytes = the_bytes () }
     | "broadcast", _ ->
-      Noc_rules.Broadcast
+      Schedule.Broadcast
         { root = the_root (); group = the_group (); bytes = the_bytes () }
     | "all-reduce", _ ->
-      Noc_rules.All_reduce { group = the_group (); bytes = the_bytes () }
+      Schedule.All_reduce { group = the_group (); bytes = the_bytes () }
     | "all-gather", _ ->
-      Noc_rules.All_gather
+      Schedule.All_gather
         { group = the_group (); shard_bytes = the_shard () }
     | "scatter", _ ->
-      Noc_rules.Scatter
+      Schedule.Scatter
         { root = the_root (); group = the_group (); shard_bytes = the_shard () }
-    | "raw", _ -> Noc_rules.Raw
+    | "all-chip-all-reduce", _ ->
+      Schedule.All_chip_all_reduce { bytes = the_bytes () }
     | other, line -> fail path line "unknown collective kind %S" other
   in
   (req "name" !name, coll, plan)
@@ -319,20 +320,21 @@ let plan_to_string name coll (plan : Schedule.t) =
   add "# hnlpu collective plan\n";
   add "name %s\n" name;
   (match coll with
-  | Noc_rules.Reduce { root; group = g; bytes } ->
+  | Schedule.Reduce { root; group = g; bytes } ->
     add "collective reduce\nroot %d\ngroup %s\nbytes %d\n" root (group g) bytes
-  | Noc_rules.Broadcast { root; group = g; bytes } ->
+  | Schedule.Broadcast { root; group = g; bytes } ->
     add "collective broadcast\nroot %d\ngroup %s\nbytes %d\n" root (group g)
       bytes
-  | Noc_rules.All_reduce { group = g; bytes } ->
+  | Schedule.All_reduce { group = g; bytes } ->
     add "collective all-reduce\ngroup %s\nbytes %d\n" (group g) bytes
-  | Noc_rules.All_gather { group = g; shard_bytes } ->
+  | Schedule.All_gather { group = g; shard_bytes } ->
     add "collective all-gather\ngroup %s\nshard-bytes %d\n" (group g)
       shard_bytes
-  | Noc_rules.Scatter { root; group = g; shard_bytes } ->
+  | Schedule.Scatter { root; group = g; shard_bytes } ->
     add "collective scatter\nroot %d\ngroup %s\nshard-bytes %d\n" root
       (group g) shard_bytes
-  | Noc_rules.Raw -> add "collective raw\n");
+  | Schedule.All_chip_all_reduce { bytes } ->
+    add "collective all-chip-all-reduce\nbytes %d\n" bytes);
   List.iter
     (fun step ->
       add "step\n";

@@ -15,7 +15,9 @@
     plans/NAME.plan     collective plans, checked in filename order:
                         header keys (name, collective, group, root,
                         bytes / shard-bytes), then 'step' markers and
-                        'SRC -> DST : BYTES' transfer lines
+                        'SRC -> DST : BYTES' transfer lines; collective
+                        is reduce, broadcast, all-reduce, all-gather,
+                        scatter or all-chip-all-reduce (bytes only)
     stage_map           optional 'LAYER STAGE' lines; canonical map of
                         the manifest config when absent
     v}

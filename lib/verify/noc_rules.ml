@@ -1,13 +1,5 @@
 open Hnlpu_noc
 
-type collective =
-  | Reduce of { root : Topology.chip; group : Topology.chip list; bytes : int }
-  | Broadcast of { root : Topology.chip; group : Topology.chip list; bytes : int }
-  | All_reduce of { group : Topology.chip list; bytes : int }
-  | All_gather of { group : Topology.chip list; shard_bytes : int }
-  | Scatter of { root : Topology.chip; group : Topology.chip list; shard_bytes : int }
-  | Raw
-
 let links ~subject (plan : Schedule.t) =
   List.concat
     (List.mapi
@@ -106,107 +98,69 @@ let expect ~subject ~what ~chip ~got ~want =
         "chip %d %s %d B, expected %d B" chip what got want;
     ]
 
+let malformed ~subject coll (plan : Schedule.t) =
+  List.map
+    (fun why ->
+      Diagnostic.error ~rule:"NOC-BYTES" ~subject
+        "declared collective is malformed: %s" why)
+    (Schedule.malformed coll)
+  @ List.concat
+      (List.mapi
+         (fun step ->
+           List.filter_map (fun { Schedule.src; dst; bytes } ->
+               if bytes >= 0 then None
+               else
+                 Some
+                   (Diagnostic.error ~rule:"NOC-BYTES" ~subject
+                      "step %d: transfer chip %d -> chip %d carries a \
+                       negative payload (%d B)"
+                      step src dst bytes)))
+         plan)
+
 let conservation ~subject coll (plan : Schedule.t) =
   let sent, received = tally plan in
-  let peers root group = List.filter (( <> ) root) group in
-  match coll with
-  | Raw -> []
-  | Reduce { root; group; bytes } ->
-    stray_endpoints ~subject group plan
-    @ expect ~subject ~what:"delivers to the root" ~chip:root ~got:(received root)
-        ~want:((List.length group - 1) * bytes)
-    @ List.concat_map
-        (fun p ->
-          expect ~subject ~what:"injects its partial of" ~chip:p ~got:(sent p)
-            ~want:bytes)
-        (peers root group)
-  | Broadcast { root; group; bytes } ->
-    stray_endpoints ~subject group plan
-    @ expect ~subject ~what:"fans out" ~chip:root ~got:(sent root)
-        ~want:((List.length group - 1) * bytes)
-    @ List.concat_map
-        (fun p ->
-          expect ~subject ~what:"takes delivery of" ~chip:p ~got:(received p)
-            ~want:bytes)
-        (peers root group)
-  | All_reduce { group; bytes } ->
-    (* Reference shape: reduce to the lowest chip, then broadcast back. *)
-    let root = List.fold_left min max_int group in
-    let k = List.length group in
-    stray_endpoints ~subject group plan
-    @ expect ~subject ~what:"merges" ~chip:root ~got:(received root)
-        ~want:((k - 1) * bytes)
-    @ expect ~subject ~what:"fans out" ~chip:root ~got:(sent root)
-        ~want:((k - 1) * bytes)
-    @ List.concat_map
-        (fun p ->
-          expect ~subject ~what:"injects its partial of" ~chip:p ~got:(sent p)
-            ~want:bytes
-          @ expect ~subject ~what:"takes delivery of" ~chip:p ~got:(received p)
-              ~want:bytes)
-        (peers root group)
-  | All_gather { group; shard_bytes } ->
-    let k = List.length group in
-    stray_endpoints ~subject group plan
-    @ List.concat_map
-        (fun c ->
-          expect ~subject ~what:"forwards" ~chip:c ~got:(sent c)
-            ~want:((k - 1) * shard_bytes)
-          @ expect ~subject ~what:"collects" ~chip:c ~got:(received c)
-              ~want:((k - 1) * shard_bytes))
-        group
-  | Scatter { root; group; shard_bytes } ->
-    stray_endpoints ~subject group plan
-    @ expect ~subject ~what:"scatters" ~chip:root ~got:(sent root)
-        ~want:((List.length group - 1) * shard_bytes)
-    @ List.concat_map
-        (fun p ->
-          expect ~subject ~what:"takes delivery of" ~chip:p ~got:(received p)
-            ~want:shard_bytes)
-        (peers root group)
-
-let canonical_plan = function
-  | Reduce { root; group; bytes } -> Some (Schedule.reduce ~root ~group ~bytes)
-  | Broadcast { root; group; bytes } ->
-    Some (Schedule.broadcast ~root ~group ~bytes)
-  | All_reduce { group; bytes } -> Some (Schedule.all_reduce ~group ~bytes)
-  | All_gather { group; shard_bytes } ->
-    Some (Schedule.all_gather ~group ~shard_bytes)
-  | Scatter { root; group; shard_bytes } ->
-    Some (Schedule.scatter ~root ~group ~shard_bytes)
-  | Raw -> None
+  let want_sent, want_received = tally (Schedule.canonical coll) in
+  let group = Schedule.members coll in
+  stray_endpoints ~subject group plan
+  @ List.concat_map
+      (fun c ->
+        expect ~subject ~what:"sends" ~chip:c ~got:(sent c) ~want:(want_sent c)
+        @ expect ~subject ~what:"receives" ~chip:c ~got:(received c)
+            ~want:(want_received c))
+      (List.sort_uniq compare group)
 
 (* Execution cross-check: byte conservation is a whole-plan tally, so a plan
    can move the right amounts yet order them so receivers merge the wrong
    operands.  Running the plan on random vectors and diffing against the
    mathematical sum catches exactly that class. *)
 let execution ?(seed = 7) ~subject coll (plan : Schedule.t) =
-  match coll with
-  | All_reduce { group; _ } -> (
+  let { Schedule.producers; mode; required } = Schedule.semantics coll in
+  if mode 0 <> Schedule.Accumulate then []
+  else
     let rng = Hnlpu_util.Rng.create seed in
     let vals =
-      List.map (fun c -> (c, Hnlpu_tensor.Vec.gaussian rng 8)) group
+      List.map (fun c -> (c, Hnlpu_tensor.Vec.gaussian rng 8)) producers
     in
     let expected = Collective.sum vals in
-    match Schedule.run_all_reduce ~plan ~group vals with
+    match Schedule.run ~plan coll vals with
     | exception Invalid_argument msg ->
       [
         Diagnostic.error ~rule:"NOC-EXEC" ~subject
-          "plan is not executable as an all-reduce: %s" msg;
+          "plan is not executable as declared: %s" msg;
       ]
     | results -> (
       let off =
         List.filter_map
-          (fun (c, v) ->
-            let diff = Hnlpu_tensor.Vec.max_abs_diff v expected in
+          (fun c ->
+            let diff = Hnlpu_tensor.Vec.max_abs_diff (List.assoc c results) expected in
             if diff > 1e-9 then Some (c, diff) else None)
-          results
+          required
       in
       match off with
       | [] ->
         [
           Diagnostic.info ~rule:"NOC-EXEC" ~subject
-            "executed on random vectors: every chip ends with the \
+            "executed on random vectors: every required chip ends with the \
              mathematical sum";
         ]
       | _ ->
@@ -214,44 +168,40 @@ let execution ?(seed = 7) ~subject coll (plan : Schedule.t) =
           (fun (c, diff) ->
             Diagnostic.error ~rule:"NOC-EXEC" ~subject
               "executing the plan leaves chip %d off the mathematical sum \
-               by %g — the bytes balance but the values are wrong"
+               by %g"
               c diff)
-          off))
-  | _ -> []
+          off)
 
 let makespan_budget = 1.1
 
 let makespan ?link ~subject coll (plan : Schedule.t) =
-  match canonical_plan coll with
-  | None -> []
-  | Some canonical ->
-    let actual = Schedule.makespan ?link plan in
-    let expected = Schedule.makespan ?link canonical in
-    if expected > 0.0 && actual > makespan_budget *. expected then
-      [
-        Diagnostic.warning ~rule:"NOC-MAKESPAN" ~subject
-          "plan makespan %.3g us is %.0f%% of the canonical schedule's \
-           %.3g us (budget %.0f%%)"
-          (actual *. 1e6)
-          (100.0 *. actual /. expected)
-          (expected *. 1e6)
-          (100.0 *. makespan_budget);
-      ]
-    else
-      [
-        Diagnostic.info ~rule:"NOC-MAKESPAN" ~subject
-          "makespan %.3g us within %.0f%% of the canonical schedule"
-          (actual *. 1e6)
-          (100.0 *. makespan_budget);
-      ]
+  let actual = Schedule.makespan ?link plan in
+  let expected = Schedule.makespan ?link (Schedule.canonical coll) in
+  if expected > 0.0 && actual > makespan_budget *. expected then
+    [
+      Diagnostic.warning ~rule:"NOC-MAKESPAN" ~subject
+        "plan makespan %.3g us is %.0f%% of the canonical schedule's \
+         %.3g us (budget %.0f%%)"
+        (actual *. 1e6)
+        (100.0 *. actual /. expected)
+        (expected *. 1e6)
+        (100.0 *. makespan_budget);
+    ]
+  else
+    [
+      Diagnostic.info ~rule:"NOC-MAKESPAN" ~subject
+        "makespan %.3g us within %.0f%% of the canonical schedule"
+        (actual *. 1e6)
+        (100.0 *. makespan_budget);
+    ]
 
 let check ?(dynamic = true) ~subject coll plan =
-  let static =
-    links ~subject plan @ contention ~subject plan
-    @ conservation ~subject coll plan
-  in
-  let static =
-    if static = [] then
+  let fabric = links ~subject plan @ contention ~subject plan in
+  match malformed ~subject coll plan with
+  | _ :: _ as bad -> bad @ fabric
+  | [] ->
+    (match fabric @ conservation ~subject coll plan with
+    | [] ->
       [
         Diagnostic.info ~rule:"NOC-BYTES" ~subject
           "%d step(s), %d transfer(s), %d B moved — links, ports and byte \
@@ -260,8 +210,6 @@ let check ?(dynamic = true) ~subject coll plan =
           (Schedule.transfer_count plan)
           (Schedule.total_bytes plan);
       ]
-    else static
-  in
-  static
-  @ (if dynamic then execution ~subject coll plan else [])
-  @ makespan ~subject coll plan
+    | static -> static)
+    @ (if dynamic then execution ~subject coll plan else [])
+    @ makespan ~subject coll plan

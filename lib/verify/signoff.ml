@@ -14,7 +14,7 @@ type chip_design = {
 type design = {
   config : Config.t;
   chips : chip_design list;
-  plans : (string * Noc_rules.collective * Schedule.t) list;
+  plans : (string * Schedule.collective * Schedule.t) list;
   stage_map : System_rules.stage_slot list;
   claimed_slots : int;
   max_context : int;
@@ -22,6 +22,19 @@ type design = {
   coolant_c : float;
   execution : Execution.t;
 }
+
+(* "q.col0" ... "moe.all": the program entry, then its instance. *)
+let plan_name (e : Layer_program.entry) ~instance =
+  let op =
+    match e.op with
+    | Layer_program.Q -> "q" | K -> "k" | V -> "v" | Stats -> "stats"
+    | Partial_o -> "partial-o" | Xo_row -> "xo-row" | Xo_gather -> "xo-gather"
+    | Moe -> "moe"
+  in
+  match e.group with
+  | Layer_program.Each_column -> Printf.sprintf "%s.col%d" op instance
+  | Each_row -> Printf.sprintf "%s.row%d" op instance
+  | All_chips -> op ^ ".all"
 
 let reference ?(seed = 42) () =
   let config = Config.gpt_oss_120b in
@@ -36,38 +49,13 @@ let reference ?(seed = 42) () =
         { chip; netlist = Hn_compiler.compile ~slack:16.0 g; schematic = g })
       Topology.all_chips
   in
-  let bytes = Config.q_dim config / Topology.cols * 2 in
   let plans =
-    List.map
-      (fun col ->
-        let group = Topology.col_group col in
-        ( Printf.sprintf "all-reduce.col%d" col,
-          Noc_rules.All_reduce { group; bytes },
-          Schedule.all_reduce ~group ~bytes ))
-      [ 0; 1; 2; 3 ]
-    @ List.map
-        (fun row ->
-          let group = Topology.row_group row in
-          ( Printf.sprintf "all-gather.row%d" row,
-            Noc_rules.All_gather { group; shard_bytes = bytes },
-            Schedule.all_gather ~group ~shard_bytes:bytes ))
-        [ 0; 1; 2; 3 ]
-    @ [
-        ( "reduce.row0",
-          Noc_rules.Reduce { root = 0; group = Topology.row_group 0; bytes },
-          Schedule.reduce ~root:0 ~group:(Topology.row_group 0) ~bytes );
-        ( "broadcast.col0",
-          Noc_rules.Broadcast { root = 0; group = Topology.col_group 0; bytes },
-          Schedule.broadcast ~root:0 ~group:(Topology.col_group 0) ~bytes );
-        ( "scatter.row3",
-          Noc_rules.Scatter
-            { root = 15; group = Topology.row_group 3; shard_bytes = bytes },
-          Schedule.scatter ~root:15 ~group:(Topology.row_group 3)
-            ~shard_bytes:bytes );
-        ( "all-chip.all-reduce",
-          Noc_rules.Raw,
-          Schedule.all_chip_all_reduce ~bytes );
-      ]
+    List.concat_map
+      (fun (e : Layer_program.entry) ->
+        List.init (Layer_program.instances e.group) (fun instance ->
+            let coll = Layer_program.collective config e ~instance in
+            (plan_name e ~instance, coll, Schedule.canonical coll)))
+      Layer_program.program
   in
   {
     config;
@@ -112,8 +100,11 @@ let check ?(dynamic = true) d =
     family "static dataflow"
       (List.concat_map
          (fun (name, coll, plan) ->
-           Static.check_plan ~subject:name ~config:d.config
-             ~max_context:d.max_context coll plan)
+           (* A malformed plan already has its NOC-BYTES errors. *)
+           if Noc_rules.malformed ~subject:name coll plan <> [] then []
+           else
+             Static.check_plan ~subject:name ~config:d.config
+               ~max_context:d.max_context coll plan)
          d.plans
       @ Static.determinism ~subject:"execution" d.execution)
   in
@@ -169,15 +160,14 @@ let map_plan target f d =
         d.plans;
   }
 
-(* Replace a whole plan entry — declared collective and schedule together —
-   for fixtures that must stay NOC-BYTES/NOC-MAKESPAN-clean at a different
-   payload size. *)
-let replace_entry target entry d =
+(* Replace a plan's declared collective and schedule together, for
+   fixtures that change what the plan declares. *)
+let replace_entry target coll plan d =
   {
     d with
     plans =
       List.map
-        (fun ((name, _, _) as e) -> if name = target then entry else e)
+        (fun ((name, _, _) as e) -> if name = target then (name, coll, plan) else e)
         d.plans;
   }
 
@@ -232,7 +222,7 @@ let fixture rule =
       d
   | "NOC-LINK" ->
     (* Divert one reduce transfer to a diagonal chip: no such link. *)
-    map_plan "reduce.row0"
+    map_plan "k.col0"
       (List.map (function
         | { Schedule.src; dst = _; bytes } :: rest ->
           let diagonal =
@@ -244,11 +234,11 @@ let fixture rule =
         | step -> step))
       d
   | "NOC-PORT" ->
-    map_plan "broadcast.col0"
+    map_plan "v.col0"
       (List.map (function t :: rest -> t :: t :: rest | step -> step))
       d
   | "NOC-BYTES" ->
-    map_plan "reduce.row0"
+    map_plan "k.col1"
       (List.map (function _ :: rest -> rest | step -> step))
       d
   | "PIPE-MAP" ->
@@ -266,7 +256,7 @@ let fixture rule =
        chip's whole-plan byte tally is untouched (NOC-BYTES clean), but the
        root now merges a pre-reduction partial and one peer gets overwritten
        with it — the value is wrong. *)
-    map_plan "all-reduce.col0"
+    map_plan "q.col0"
       (function
         | [ t0 :: r0; u0 :: r1 ] -> [ u0 :: r0; t0 :: r1 ]
         | plan -> plan)
@@ -275,26 +265,22 @@ let fixture rule =
     (* Serialize the broadcast phase into singleton steps: still computes
        the right value and conserves bytes, but roughly doubles the
        makespan — a Warning, not an Error. *)
-    map_plan "all-reduce.col1"
+    map_plan "q.col1"
       (function
         | [ reduce; bcast ] -> reduce :: List.map (fun t -> [ t ]) bcast
         | plan -> plan)
       d
   | "NOC-DEADLOCK" ->
-    (* Replace the star broadcast with a same-step forwarding ring among the
-       three peers: each send can only forward what the same step delivers,
-       and the wait-for graph closes on itself. *)
-    map_plan "broadcast.col0"
-      (function
-        | [ ({ Schedule.bytes; _ } :: _) ] ->
-          [
-            [
-              { Schedule.src = 4; dst = 8; bytes };
-              { Schedule.src = 8; dst = 12; bytes };
-              { Schedule.src = 12; dst = 4; bytes };
-            ];
-          ]
-        | plan -> plan)
+    (* Every program collective starts with all members holding a value, so
+       no forwarding can wait.  Declare column 3's Q collective a broadcast
+       from chip 3 instead, and run it as a same-step forwarding ring among
+       the three peers: each send can only forward what the same step
+       delivers, and the wait-for graph closes on itself. *)
+    let group = Topology.col_group 3 and bytes = 2048 in
+    let t src dst = { Schedule.src; dst; bytes } in
+    replace_entry "q.col3"
+      (Schedule.Broadcast { root = 3; group; bytes })
+      [ [ t 7 11; t 11 15; t 15 7 ] ]
       d
   | "NOC-DEFUSE" ->
     (* Same trick as the NOC-EXEC fixture, on another column: swapping the
@@ -302,7 +288,7 @@ let fixture rule =
        tally intact, but the root accumulates a pre-reduction value and one
        peer is overwritten with it — visible statically as wrong final
        contribution multisets. *)
-    map_plan "all-reduce.col2"
+    map_plan "q.col2"
       (function
         | [ t0 :: r0; u0 :: r1 ] -> [ u0 :: r0; t0 :: r1 ]
         | plan -> plan)
@@ -312,13 +298,11 @@ let fixture rule =
        clean, but one chip's working shard plus same-step RX and TX staging
        (3 x 32 MB) cannot fit in the headroom the 64K-context KV leaves in
        the 320 MB attention buffer. *)
-    let group = Topology.row_group 1 in
-    let shard_bytes = 32_000_000 in
-    replace_entry "all-gather.row1"
-      ( "all-gather.row1",
-        Noc_rules.All_gather { group; shard_bytes },
-        Schedule.all_gather ~group ~shard_bytes )
-      d
+    let coll =
+      Schedule.All_gather
+        { group = Topology.col_group 1; shard_bytes = 32_000_000 }
+    in
+    replace_entry "xo-gather.col1" coll (Schedule.canonical coll) d
   | "DET-LINT" ->
     { d with execution = { d.execution with Execution.workload_seed = Execution.Wall_clock } }
   | "THERM-DENS" ->

@@ -18,7 +18,8 @@ type chip_design = {
 type design = {
   config : Hnlpu_model.Config.t;
   chips : chip_design list;          (** One ME netlist per fabric chip. *)
-  plans : (string * Noc_rules.collective * Hnlpu_noc.Schedule.t) list;
+  plans : (string * Hnlpu_noc.Schedule.collective * Hnlpu_noc.Schedule.t) list;
+      (** Named collective plans, checked in order. *)
   stage_map : System_rules.stage_slot list;
   claimed_slots : int;               (** What the scheduler batches against. *)
   max_context : int;                 (** Worst case the buffers must absorb. *)
@@ -32,16 +33,20 @@ type design = {
 
 val reference : ?seed:int -> unit -> design
 (** The gpt-oss 120B reference design: 16 chips each carrying a compiled
-    48x6 representative neuron bank, the
-    row/column collective plans the dataflow uses, the canonical stage
-    map, and a 64K worst-case context.  Signoff-clean by construction. *)
+    48x6 representative neuron bank, the collective plans the dataflow
+    uses — the canonical plan of every {!Hnlpu_system.Layer_program}
+    entry on every instance, in program order, 29 in all, named from op
+    and instance ([q.col0] ... [moe.all]) — the canonical stage map, and a
+    64K worst-case context.  Signoff-clean by construction. *)
 
 val check : ?dynamic:bool -> design -> Diagnostic.t list
 (** The full rule set: per-chip congestion/DRC/LVS, cross-chip mask
     uniformity, per-plan link/port/byte/execution/makespan checks, the
     {!Static} dataflow passes (deadlock, def-use, buffer liveness,
     determinism lint), pipeline mapping, weight partition, buffer budget,
-    scheduler slots, and the thermal operating point.  [dynamic:false]
+    scheduler slots, and the thermal operating point.  A plan that
+    {!Noc_rules.malformed} rejects gets its [NOC-BYTES] errors and link
+    and port checks only.  [dynamic:false]
     (default [true]) skips the NOC-EXEC value execution — the
     static-only pre-admission mode behind [hnlpu check --static]. *)
 

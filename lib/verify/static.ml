@@ -3,69 +3,6 @@ open Hnlpu_chip
 open Hnlpu_model
 open Hnlpu_system
 
-(* --- Collective semantics -------------------------------------------------- *)
-
-(* What a declared collective means to the dataflow analyses: who holds a
-   value before step 0, how receivers merge, which chips must end with
-   which contribution multiset, and whose final state a delivery must reach
-   to count as live.  [Raw] plans declare no payload semantics, so only the
-   deadlock analysis (with every endpoint assumed a producer) applies. *)
-type semantics = {
-  producers : Topology.chip list;
-  mode : int -> Schedule.merge_mode;
-  expected : (Topology.chip * (Topology.chip * int) list) list;
-  required : Topology.chip list;
-}
-
-let full_set group = List.map (fun c -> (c, 1)) (List.sort_uniq compare group)
-
-let semantics_of = function
-  | Noc_rules.Raw -> None
-  | Noc_rules.Reduce { root; group; _ } ->
-    Some
-      {
-        producers = group;
-        mode = (fun _ -> Schedule.Accumulate);
-        expected = [ (root, full_set group) ];
-        required = [ root ];
-      }
-  | Noc_rules.Broadcast { root; group; _ } ->
-    let peers = List.filter (( <> ) root) group in
-    Some
-      {
-        producers = [ root ];
-        mode = (fun _ -> Schedule.Overwrite);
-        expected = List.map (fun p -> (p, [ (root, 1) ])) peers;
-        required = peers;
-      }
-  | Noc_rules.All_reduce { group; _ } ->
-    Some
-      {
-        producers = group;
-        (* Reduce phase first, broadcast phases after — the same split
-           {!Schedule.run_all_reduce} applies. *)
-        mode = (fun s -> if s = 0 then Schedule.Accumulate else Schedule.Overwrite);
-        expected = List.map (fun c -> (c, full_set group)) group;
-        required = group;
-      }
-  | Noc_rules.All_gather { group; _ } ->
-    Some
-      {
-        producers = group;
-        mode = (fun _ -> Schedule.Union);
-        expected = List.map (fun c -> (c, full_set group)) group;
-        required = group;
-      }
-  | Noc_rules.Scatter { root; group; _ } ->
-    let peers = List.filter (( <> ) root) group in
-    Some
-      {
-        producers = [ root ];
-        mode = (fun _ -> Schedule.Overwrite);
-        expected = List.map (fun p -> (p, [ (root, 1) ])) peers;
-        required = peers;
-      }
-
 (* --- NOC-DEADLOCK ---------------------------------------------------------- *)
 
 (* Transfers within a step start together, but a chip that holds no value
@@ -75,11 +12,7 @@ let semantics_of = function
    written by an earlier step (or producers) wait on nothing, which is why
    the canonical ring all-gather — everyone a producer — is clean. *)
 let deadlock ~subject coll (plan : Schedule.t) =
-  let producers =
-    match semantics_of coll with
-    | Some s -> s.producers
-    | None -> Schedule.endpoints plan (* raw: no one starts empty *)
-  in
+  let { Schedule.producers; _ } = Schedule.semantics coll in
   let written = Hashtbl.create 16 in
   List.iter (fun c -> Hashtbl.replace written c ()) producers;
   let cycles = ref [] in
@@ -183,84 +116,80 @@ let multiset_diff ~got ~want =
   (missing, extra)
 
 let defuse ~subject coll (plan : Schedule.t) =
-  match semantics_of coll with
-  | None ->
+  let { Schedule.producers; mode; required } = Schedule.semantics coll in
+  (* Every required chip must end with one copy of each producer's value. *)
+  let want = List.map (fun c -> (c, 1)) (List.sort_uniq compare producers) in
+  let sym = Schedule.run_symbolic ~producers ~mode plan in
+  let reads =
+    List.map
+      (fun d ->
+        Diagnostic.error ~rule:"NOC-DEFUSE" ~subject
+          "step %d: chip %d forwards to chip %d before anything is \
+           written to it (read of a never-written buffer)"
+          d.Schedule.d_step d.Schedule.d_src d.Schedule.d_dst)
+      sym.Schedule.unwritten_reads
+  in
+  let races =
+    List.map
+      (fun (s, dst, writers) ->
+        Diagnostic.error ~rule:"NOC-DEFUSE" ~subject
+          "step %d: %d same-step writes race for chip %d's slot — \
+           last-writer-wins order is undefined"
+          s writers dst)
+      sym.Schedule.overwrite_races
+  in
+  let finals =
+    List.concat_map
+      (fun chip ->
+        let got =
+          Option.value ~default:[] (List.assoc_opt chip sym.Schedule.finals)
+        in
+        if got = want then []
+        else
+          let missing, extra = multiset_diff ~got ~want in
+          let part label = function
+            | [] -> ""
+            | ms -> Printf.sprintf "; %s %s" label (multiset_to_string ms)
+          in
+          [
+            Diagnostic.error ~rule:"NOC-DEFUSE" ~subject
+              "chip %d ends with contributions %s, expected %s%s%s" chip
+              (multiset_to_string got) (multiset_to_string want)
+              (part "missing" missing) (part "duplicated" extra);
+          ])
+      required
+  in
+  let live =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun chip ->
+           Option.value ~default:[] (List.assoc_opt chip sym.Schedule.live))
+         required)
+  in
+  let dead =
+    List.filter
+      (fun d -> not (List.mem d.Schedule.d_index live))
+      sym.Schedule.deliveries
+  in
+  let dead_warnings =
+    List.map
+      (fun d ->
+        Diagnostic.warning ~rule:"NOC-DEFUSE" ~subject
+          "step %d: transfer chip %d -> chip %d (%d B) reaches no required \
+           chip's final value — dead transfer"
+          d.Schedule.d_step d.Schedule.d_src d.Schedule.d_dst
+          d.Schedule.d_bytes)
+      dead
+  in
+  match reads @ races @ finals @ dead_warnings with
+  | [] ->
     [
       Diagnostic.info ~rule:"NOC-DEFUSE" ~subject
-        "raw plan declares no payload semantics — def-use analysis skipped";
+        "def-use clean: %d deliveries all live; every required chip ends \
+         with exactly the declared contributions"
+        (List.length sym.Schedule.deliveries);
     ]
-  | Some { producers; mode; expected; required } ->
-    let sym = Schedule.run_symbolic ~producers ~mode plan in
-    let reads =
-      List.map
-        (fun d ->
-          Diagnostic.error ~rule:"NOC-DEFUSE" ~subject
-            "step %d: chip %d forwards to chip %d before anything is \
-             written to it (read of a never-written buffer)"
-            d.Schedule.d_step d.Schedule.d_src d.Schedule.d_dst)
-        sym.Schedule.unwritten_reads
-    in
-    let races =
-      List.map
-        (fun (s, dst, writers) ->
-          Diagnostic.error ~rule:"NOC-DEFUSE" ~subject
-            "step %d: %d same-step writes race for chip %d's slot — \
-             last-writer-wins order is undefined"
-            s writers dst)
-        sym.Schedule.overwrite_races
-    in
-    let finals =
-      List.concat_map
-        (fun (chip, want) ->
-          let got =
-            Option.value ~default:[] (List.assoc_opt chip sym.Schedule.finals)
-          in
-          if got = want then []
-          else
-            let missing, extra = multiset_diff ~got ~want in
-            let part label = function
-              | [] -> ""
-              | ms -> Printf.sprintf "; %s %s" label (multiset_to_string ms)
-            in
-            [
-              Diagnostic.error ~rule:"NOC-DEFUSE" ~subject
-                "chip %d ends with contributions %s, expected %s%s%s" chip
-                (multiset_to_string got) (multiset_to_string want)
-                (part "missing" missing) (part "duplicated" extra);
-            ])
-        expected
-    in
-    let live =
-      List.sort_uniq compare
-        (List.concat_map
-           (fun chip ->
-             Option.value ~default:[] (List.assoc_opt chip sym.Schedule.live))
-           required)
-    in
-    let dead =
-      List.filter
-        (fun d -> not (List.mem d.Schedule.d_index live))
-        sym.Schedule.deliveries
-    in
-    let dead_warnings =
-      List.map
-        (fun d ->
-          Diagnostic.warning ~rule:"NOC-DEFUSE" ~subject
-            "step %d: transfer chip %d -> chip %d (%d B) reaches no required \
-             chip's final value — dead transfer"
-            d.Schedule.d_step d.Schedule.d_src d.Schedule.d_dst
-            d.Schedule.d_bytes)
-        dead
-    in
-    (match reads @ races @ finals @ dead_warnings with
-    | [] ->
-      [
-        Diagnostic.info ~rule:"NOC-DEFUSE" ~subject
-          "def-use clean: %d deliveries all live; every required chip ends \
-           with exactly the declared contributions"
-          (List.length sym.Schedule.deliveries);
-      ]
-    | ds -> ds)
+  | ds -> ds
 
 (* --- BUF-LIVE -------------------------------------------------------------- *)
 

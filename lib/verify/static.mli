@@ -26,18 +26,18 @@
       out of rate order, hash-order exports. *)
 
 val deadlock :
-  subject:string -> Noc_rules.collective -> Hnlpu_noc.Schedule.t ->
+  subject:string -> Hnlpu_noc.Schedule.collective -> Hnlpu_noc.Schedule.t ->
   Diagnostic.t list
 (** [NOC-DEADLOCK].  Producers (who hold a value before step 0) come from
-    the declared collective; [Raw] plans assume every endpoint is a
-    producer, so only cross-plan knowledge could flag them.  [Info] when
-    acyclic. *)
+    {!Hnlpu_noc.Schedule.semantics} of the declared collective.  [Info]
+    when acyclic. *)
 
 val defuse :
-  subject:string -> Noc_rules.collective -> Hnlpu_noc.Schedule.t ->
+  subject:string -> Hnlpu_noc.Schedule.collective -> Hnlpu_noc.Schedule.t ->
   Diagnostic.t list
-(** [NOC-DEFUSE].  [Raw] plans declare no payload semantics and are
-    skipped with an [Info]. *)
+(** [NOC-DEFUSE] under {!Hnlpu_noc.Schedule.semantics}: every required
+    chip must end with exactly one copy of each producer's value, and
+    every delivery must reach a required chip. *)
 
 val headroom_bytes : Hnlpu_model.Config.t -> max_context:int -> int
 (** Attention-buffer bytes left for NOC staging after the worst-striped
@@ -56,7 +56,8 @@ val determinism :
 
 val check_plan :
   subject:string ->
-  config:Hnlpu_model.Config.t -> max_context:int -> Noc_rules.collective ->
-  Hnlpu_noc.Schedule.t -> Diagnostic.t list
+  config:Hnlpu_model.Config.t -> max_context:int ->
+  Hnlpu_noc.Schedule.collective -> Hnlpu_noc.Schedule.t -> Diagnostic.t list
 (** {!deadlock} @ {!defuse} @ {!buffer_liveness} — every per-plan static
-    pass ({!determinism} is per-design, not per-plan). *)
+    pass ({!determinism} is per-design, not per-plan).  The plan must be
+    well formed ({!Noc_rules.malformed} empty). *)

@@ -76,6 +76,42 @@ let test_reference_clean () =
     (Diagnostic.count Diagnostic.Warning reference_diagnostics);
   Alcotest.(check int) "exit 0" 0 (Diagnostic.exit_code reference_diagnostics)
 
+let test_reference_checks_the_program () =
+  (* Signoff checks exactly the plans the layer program runs: every entry
+     on every instance, in program order, each at its canonical plan. *)
+  let config = reference.Signoff.config in
+  let program =
+    List.concat_map
+      (fun (e : Hnlpu_system.Layer_program.entry) ->
+        List.init (Hnlpu_system.Layer_program.instances e.group) (fun instance ->
+            Hnlpu_system.Layer_program.collective config e ~instance))
+      Hnlpu_system.Layer_program.program
+  in
+  Alcotest.(check int) "29 plans" 29 (List.length reference.Signoff.plans);
+  Alcotest.(check bool) "the program's collectives, in order" true
+    (List.map (fun (_, coll, _) -> coll) reference.Signoff.plans = program);
+  List.iter
+    (fun (name, coll, plan) ->
+      Alcotest.(check bool) (name ^ " is canonical") true (plan = Schedule.canonical coll))
+    reference.Signoff.plans;
+  List.iter
+    (fun (i, want) ->
+      let name, _, _ = List.nth reference.Signoff.plans i in
+      Alcotest.(check string) "named from op and instance" want name)
+    [ (0, "q.col0"); (4, "k.col0"); (23, "xo-row.row3"); (28, "moe.all") ];
+  (* Every plan whose receivers add is executed: the Q, K, V, stats,
+     partial-O and Xo-row instances, and the MoE all-chip all-reduce. *)
+  let executed =
+    List.filter_map
+      (fun d ->
+        if d.Diagnostic.rule = "NOC-EXEC" && d.Diagnostic.severity = Diagnostic.Info
+        then Some d.Diagnostic.subject
+        else None)
+      reference_diagnostics
+  in
+  Alcotest.(check int) "NOC-EXEC on the 25 additive plans" 25 (List.length executed);
+  Alcotest.(check bool) "MoE included" true (List.mem "moe.all" executed)
+
 let test_reference_reports_every_family () =
   (* The clean run still mentions each rule family at Info level, so a
      silent rule cannot be mistaken for a passing one. *)
@@ -140,7 +176,7 @@ let test_defuse_fixture_conserves_bytes () =
      convict it without executing anything. *)
   let d = Signoff.fixture "NOC-DEFUSE" in
   let name, coll, plan =
-    List.find (fun (n, _, _) -> n = "all-reduce.col2") d.Signoff.plans
+    List.find (fun (n, _, _) -> n = "q.col2") d.Signoff.plans
   in
   Alcotest.(check int) "NOC-BYTES still clean" 0
     (List.length (errors_only (Noc_rules.conservation ~subject:name coll plan)));
@@ -152,7 +188,7 @@ let test_exec_fixture_conserves_bytes () =
      swapped transfers still balance every chip's byte tally. *)
   let d = Signoff.fixture "NOC-EXEC" in
   let name, coll, plan =
-    List.find (fun (n, _, _) -> n = "all-reduce.col0") d.Signoff.plans
+    List.find (fun (n, _, _) -> n = "q.col0") d.Signoff.plans
   in
   Alcotest.(check int) "NOC-BYTES still clean" 0
     (List.length (errors_only (Noc_rules.conservation ~subject:name coll plan)));
@@ -252,7 +288,7 @@ let prop_all_reduce_verifies =
     (fun shape ->
       let group = group_of shape in
       let bytes = 4096 in
-      clean (Noc_rules.All_reduce { group; bytes }) (Schedule.all_reduce ~group ~bytes))
+      clean (Schedule.All_reduce { group; bytes }) (Schedule.all_reduce ~group ~bytes))
 
 let prop_all_gather_verifies =
   QCheck.Test.make ~name:"all_gather verifies clean on every group shape"
@@ -261,7 +297,7 @@ let prop_all_gather_verifies =
       let group = group_of shape in
       let shard_bytes = 1024 in
       clean
-        (Noc_rules.All_gather { group; shard_bytes })
+        (Schedule.All_gather { group; shard_bytes })
         (Schedule.all_gather ~group ~shard_bytes))
 
 let prop_dropped_transfer_flagged =
@@ -278,7 +314,7 @@ let prop_dropped_transfer_flagged =
       in
       List.exists
         (fun d -> d.Diagnostic.rule = "NOC-BYTES")
-        (errors_only (Noc_rules.check ~subject:"p" (Noc_rules.All_reduce { group; bytes }) mutated)))
+        (errors_only (Noc_rules.check ~subject:"p" (Schedule.All_reduce { group; bytes }) mutated)))
 
 let prop_wrong_link_flagged =
   QCheck.Test.make ~name:"rewiring a transfer off the fabric is flagged"
@@ -303,7 +339,7 @@ let prop_wrong_link_flagged =
            (fun d -> d.Diagnostic.rule = "NOC-LINK")
            (errors_only
               (Noc_rules.check ~subject:"p"
-                 (Noc_rules.All_gather { group; shard_bytes = bytes })
+                 (Schedule.All_gather { group; shard_bytes = bytes })
                  mutated)))
 
 let prop_exec_passes_on_canonical =
@@ -316,7 +352,7 @@ let prop_exec_passes_on_canonical =
       List.for_all
         (fun d -> d.Diagnostic.severity = Diagnostic.Info)
         (Noc_rules.execution ~subject:"p"
-           (Noc_rules.All_reduce { group; bytes })
+           (Schedule.All_reduce { group; bytes })
            plan))
 
 let prop_exec_catches_swapped_src =
@@ -338,7 +374,7 @@ let prop_exec_catches_swapped_src =
           d.Diagnostic.rule = "NOC-EXEC"
           && d.Diagnostic.severity = Diagnostic.Error)
         (Noc_rules.execution ~subject:"p"
-           (Noc_rules.All_reduce { group; bytes })
+           (Schedule.All_reduce { group; bytes })
            mutated))
 
 (* --- Static dataflow analyses ------------------------------------------------ *)
@@ -351,7 +387,7 @@ let static_clean coll plan =
        ~max_context coll plan)
   = []
 
-let col0_broadcast = Noc_rules.Broadcast { root = 0; group = Topology.col_group 0; bytes = 64 }
+let col0_broadcast = Schedule.Broadcast { root = 0; group = Topology.col_group 0; bytes = 64 }
 
 let test_deadlock_cycle_reported () =
   (* A same-step forwarding ring among three unwritten chips: nobody can
@@ -378,7 +414,7 @@ let test_deadlock_chain_is_not_cycle () =
 let test_defuse_unwritten_read () =
   (* A scatter where a peer forwards before the root sent it anything. *)
   let coll =
-    Noc_rules.Scatter { root = 15; group = Topology.row_group 3; shard_bytes = 64 }
+    Schedule.Scatter { root = 15; group = Topology.row_group 3; shard_bytes = 64 }
   in
   let plan = [ [ { Schedule.src = 12; dst = 13; bytes = 64 } ] ] in
   Alcotest.(check bool) "never-written read flagged" true
@@ -400,7 +436,7 @@ let test_defuse_dead_transfer_warning () =
      bytes-visible, value-correct (transfers read start-of-step state), but
      the copy reaches no required chip — a dead transfer, Warning only. *)
   let group = Topology.row_group 0 in
-  let coll = Noc_rules.Reduce { root = 0; group; bytes = 64 } in
+  let coll = Schedule.Reduce { root = 0; group; bytes = 64 } in
   let plan =
     match Schedule.reduce ~root:0 ~group ~bytes:64 with
     | [ step ] -> [ step @ [ { Schedule.src = 1; dst = 2; bytes = 64 } ] ]
@@ -452,16 +488,6 @@ let test_det_lint_hazards () =
   hazard "hash-order export"
     { E.deterministic with E.export_order = E.Hash_order }
 
-let test_static_raw_plan_skipped () =
-  (* Raw plans declare no payload semantics: deadlock assumes every
-     endpoint is a producer and def-use is skipped — Info only. *)
-  let plan = Schedule.all_chip_all_reduce ~bytes:8192 in
-  Alcotest.(check bool) "info only" true
-    (List.for_all
-       (fun d -> d.Diagnostic.severity = Diagnostic.Info)
-       (Static.deadlock ~subject:"p" Noc_rules.Raw plan
-       @ Static.defuse ~subject:"p" Noc_rules.Raw plan))
-
 (* Every canonical Schedule generator passes every static pass, across all
    group shapes (the acceptance-criteria property). *)
 let prop_static_passes_canonical_generators =
@@ -475,51 +501,94 @@ let prop_static_passes_canonical_generators =
       List.for_all
         (fun (coll, plan) -> static_clean coll plan)
         [
-          ( Noc_rules.Reduce { root; group; bytes },
+          ( Schedule.Reduce { root; group; bytes },
             Schedule.reduce ~root ~group ~bytes );
-          ( Noc_rules.Broadcast { root; group; bytes },
+          ( Schedule.Broadcast { root; group; bytes },
             Schedule.broadcast ~root ~group ~bytes );
-          ( Noc_rules.All_reduce { group; bytes },
+          ( Schedule.All_reduce { group; bytes },
             Schedule.all_reduce ~group ~bytes );
-          ( Noc_rules.All_gather { group; shard_bytes = bytes },
+          ( Schedule.All_gather { group; shard_bytes = bytes },
             Schedule.all_gather ~group ~shard_bytes:bytes );
-          ( Noc_rules.Scatter { root; group; shard_bytes = bytes },
+          ( Schedule.Scatter { root; group; shard_bytes = bytes },
             Schedule.scatter ~root ~group ~shard_bytes:bytes );
-          (Noc_rules.Raw, Schedule.all_chip_all_reduce ~bytes);
+          ( Schedule.All_chip_all_reduce { bytes },
+            Schedule.all_chip_all_reduce ~bytes );
         ])
 
-(* Permuting the steps of a canonical all-reduce either stays correct (a
-   2-chip group is symmetric) or breaks it — and whenever the dynamic
-   NOC-EXEC cross-check convicts the permuted plan, the static passes
-   convict it too, and vice versa.  Static admission never waves through a
-   plan that execution would reject. *)
+(* Every ordering of four steps, by index 0..23. *)
+let permutation k steps =
+  let rec pick k = function
+    | [] -> []
+    | xs ->
+      let n = List.length xs in
+      let f = List.fold_left ( * ) 1 (List.init (n - 1) (fun i -> i + 1)) in
+      let x = List.nth xs (k / f) in
+      x :: pick (k mod f) (List.filter (fun y -> y <> x) xs)
+  in
+  pick k steps
+
+(* Permuting the steps of a canonical all-reduce (of a group, or of the
+   whole machine) either stays correct (a 2-chip group is symmetric; the
+   all-chip row and column phases commute) or breaks it — and whenever the
+   dynamic NOC-EXEC cross-check convicts the permuted plan, the static
+   passes convict it too, and vice versa.  Static admission never waves
+   through a plan that execution would reject. *)
 let prop_permuted_steps_static_matches_exec =
   QCheck.Test.make
     ~name:"step-permuted all_reduce: static verdict == NOC-EXEC verdict"
     ~count:100
-    QCheck.(pair group_arb bool)
-    (fun (shape, swap) ->
+    QCheck.(triple group_arb bool (int_bound 23))
+    (fun (shape, swap, perm) ->
       let group = group_of shape in
       let bytes = 1024 in
-      let coll = Noc_rules.All_reduce { group; bytes } in
-      let plan =
+      let agree coll plan =
+        let static_bad =
+          errors_only
+            (Static.deadlock ~subject:"p" coll plan
+            @ Static.defuse ~subject:"p" coll plan)
+          <> []
+        in
+        let exec_bad =
+          errors_only (Noc_rules.execution ~subject:"p" coll plan) <> []
+        in
+        static_bad = exec_bad
+      in
+      let group_plan =
         match (Schedule.all_reduce ~group ~bytes, swap) with
         | [ s0; s1 ], true -> [ s1; s0 ]
         | plan, _ -> plan
       in
-      let static_bad =
-        errors_only
-          (Static.deadlock ~subject:"p" coll plan
-          @ Static.defuse ~subject:"p" coll plan)
-        <> []
-      in
-      let exec_bad = errors_only (Noc_rules.execution ~subject:"p" coll plan) <> [] in
-      static_bad = exec_bad)
+      agree (Schedule.All_reduce { group; bytes }) group_plan
+      && agree
+           (Schedule.All_chip_all_reduce { bytes })
+           (permutation perm (Schedule.all_chip_all_reduce ~bytes)))
 
-let test_all_chip_all_reduce_raw_clean () =
+let test_all_chip_all_reduce_clean () =
   let plan = Schedule.all_chip_all_reduce ~bytes:8192 in
-  Alcotest.(check int) "links and ports clean" 0
-    (List.length (errors_only (Noc_rules.check ~subject:"p" Noc_rules.Raw plan)))
+  let ds =
+    Noc_rules.check ~subject:"p" (Schedule.All_chip_all_reduce { bytes = 8192 }) plan
+  in
+  Alcotest.(check int) "no errors" 0 (List.length (errors_only ds));
+  Alcotest.(check int) "no warnings" 0 (Diagnostic.count Diagnostic.Warning ds);
+  Alcotest.(check bool) "executed" true (Diagnostic.has_rule "NOC-EXEC" ds)
+
+let test_broadcast_extra_transfer_into_root () =
+  (* The reference broadcast gives the root nothing to receive and the
+     peers nothing to send, so a peer writing back into the root moves
+     bytes the collective never declared. *)
+  let group = Topology.col_group 0 and bytes = 64 in
+  let plan =
+    match Schedule.broadcast ~root:0 ~group ~bytes with
+    | [ step ] -> [ step @ [ { Schedule.src = 4; dst = 0; bytes } ] ]
+    | p -> p
+  in
+  let ds =
+    errors_only
+      (Noc_rules.conservation ~subject:"p"
+         (Schedule.Broadcast { root = 0; group; bytes })
+         plan)
+  in
+  Alcotest.(check int) "root receives and peer sends flagged" 2 (List.length ds)
 
 let test_contention_rx_overmerge () =
   (* 7 distinct senders into chip 0: degree is 6. *)
@@ -575,23 +644,25 @@ let test_bundle_det_lint_survives_disk () =
   Alcotest.(check bool) "DET-LINT fires from disk" true
     (Diagnostic.has_rule ~min_severity:Diagnostic.Error "DET-LINT" ds)
 
+(* Replace one whole line of an exported plan file. *)
+let edit_plan dir file ~from ~into =
+  let path = Filename.concat (Filename.concat dir "plans") file in
+  let lines =
+    String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all)
+  in
+  Alcotest.(check bool) ("edits " ^ file) true (List.mem from lines);
+  let lines = List.map (fun l -> if l = from then into else l) lines in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (String.concat "\n" lines))
+
 let test_bundle_stray_transfer_is_error () =
   (* A plan transfer that leaves its group (chip 7 is not in column 1;
      chip 39 does not exist) used to crash signoff with Not_found. *)
   let dir = "bundle-stray-transfer" in
   ignore (Bundle.export ~dir reference);
-  let edit file ~from ~into =
-    let path = Filename.concat (Filename.concat dir "plans") file in
-    let lines =
-      String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all)
-    in
-    Alcotest.(check bool) ("edits " ^ file) true (List.mem from lines);
-    let lines = List.map (fun l -> if l = from then into else l) lines in
-    Out_channel.with_open_bin path (fun oc ->
-        output_string oc (String.concat "\n" lines))
-  in
-  edit "plan01-all-reduce.col1.plan" ~from:"5 -> 1 : 2048" ~into:"5 -> 7 : 2048";
-  edit "plan03-all-reduce.col3.plan" ~from:"11 -> 3 : 2048" ~into:"11 -> 39 : 2048";
+  let edit = edit_plan dir in
+  edit "plan01-q.col1.plan" ~from:"5 -> 1 : 2048" ~into:"5 -> 7 : 2048";
+  edit "plan03-q.col3.plan" ~from:"11 -> 3 : 2048" ~into:"11 -> 39 : 2048";
   let ds = Signoff.check (Bundle.load dir) in
   let exec_errors =
     List.filter (fun d -> d.Diagnostic.rule = "NOC-EXEC") (errors_only ds)
@@ -602,6 +673,33 @@ let test_bundle_stray_transfer_is_error () =
     (List.exists (fun d -> Thelp.contains d.Diagnostic.message "5 -> 7") exec_errors
     && List.exists (fun d -> Thelp.contains d.Diagnostic.message "11 -> 39") exec_errors);
   Alcotest.(check int) "exit 2" 2 (Diagnostic.exit_code ds)
+
+let test_bundle_malformed_plans_are_errors () =
+  (* Each edit used to crash signoff inside NOC-MAKESPAN with an unlocated
+     Invalid_argument; each is now one NOC-BYTES Error naming the plan. *)
+  List.iteri
+    (fun i (file, subject, from, into, says) ->
+      let dir = Printf.sprintf "bundle-malformed-%d" i in
+      ignore (Bundle.export ~dir reference);
+      edit_plan dir file ~from ~into;
+      let ds = Signoff.check (Bundle.load dir) in
+      match errors_only ds with
+      | [ d ] ->
+        Alcotest.(check string) (into ^ ": rule") "NOC-BYTES" d.Diagnostic.rule;
+        Alcotest.(check string) (into ^ ": subject") subject d.Diagnostic.subject;
+        Alcotest.(check bool) (into ^ ": says " ^ says) true
+          (Thelp.contains d.Diagnostic.message says);
+        Alcotest.(check int) (into ^ ": exit 2") 2 (Diagnostic.exit_code ds)
+      | ds -> Alcotest.failf "%s: expected one error, got %d" into (List.length ds))
+    [
+      ("plan04-k.col0.plan", "k.col0", "group 0 4 8 12", "group 0 4 8 16",
+       "chip 16 is not on the fabric");
+      ("plan04-k.col0.plan", "k.col0", "root 0", "root 5", "root 5 is not in the group");
+      ("plan04-k.col0.plan", "k.col0", "4 -> 0 : 256", "4 -> 0 : -256",
+       "negative payload (-256 B)");
+      ("plan28-moe.all.plan", "moe.all", "4 -> 0 : 5760", "4 -> 0 : -1",
+       "negative payload (-1 B)");
+    ]
 
 let test_bundle_missing_rejected () =
   Alcotest.(check bool) "missing directory rejected" true
@@ -707,6 +805,8 @@ let () =
       ( "reference",
         [
           Alcotest.test_case "signoff clean" `Quick test_reference_clean;
+          Alcotest.test_case "checks the layer program" `Quick
+            test_reference_checks_the_program;
           Alcotest.test_case "every family audited" `Quick
             test_reference_reports_every_family;
         ] );
@@ -730,6 +830,8 @@ let () =
             test_bundle_det_lint_survives_disk;
           Alcotest.test_case "stray transfer is an error" `Quick
             test_bundle_stray_transfer_is_error;
+          Alcotest.test_case "malformed plans are errors" `Quick
+            test_bundle_malformed_plans_are_errors;
           Alcotest.test_case "missing bundle rejected" `Quick
             test_bundle_missing_rejected;
           Alcotest.test_case "bad manifest rejected" `Quick
@@ -747,8 +849,10 @@ let () =
         ] );
       ( "noc rules",
         [
-          Alcotest.test_case "all-chip all-reduce raw" `Quick
-            test_all_chip_all_reduce_raw_clean;
+          Alcotest.test_case "all-chip all-reduce clean" `Quick
+            test_all_chip_all_reduce_clean;
+          Alcotest.test_case "broadcast extra transfer into the root" `Quick
+            test_broadcast_extra_transfer_into_root;
           Alcotest.test_case "rx overmerge" `Quick test_contention_rx_overmerge;
         ] );
       qsuite "noc properties"
@@ -770,7 +874,6 @@ let () =
             test_defuse_dead_transfer_warning;
           Alcotest.test_case "buffer liveness bands" `Quick test_buf_live_bands;
           Alcotest.test_case "determinism hazards" `Quick test_det_lint_hazards;
-          Alcotest.test_case "raw plan skipped" `Quick test_static_raw_plan_skipped;
         ] );
       qsuite "static properties"
         [
