@@ -56,11 +56,12 @@ let tables_cmd =
     match which with
     | None ->
       print_string (Experiments.render_all ());
+      let reports = Experiments.neuron_reports () in
       List.iter
         (fun (title, chart) -> Printf.printf "\n%s\n%s" title chart)
         [
-          ("Figure 12 (area vs the MA SRAM baseline)", Experiments.figure12_chart ());
-          ("Figure 13 (energy per GEMV, log scale, nJ)", Experiments.figure13_chart ());
+          ("Figure 12 (area vs the MA SRAM baseline)", Experiments.figure12_chart reports);
+          ("Figure 13 (energy per GEMV, log scale, nJ)", Experiments.figure13_chart reports);
           ("Figure 14 (execution-time breakdown per token)", Experiments.figure14_chart ());
         ]
     | Some name ->

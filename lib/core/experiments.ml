@@ -30,9 +30,10 @@ let neuron_reports ?(seed = 20260706) () =
     Metal_embedding.report (Metal_embedding.make g);
   ]
 
-let figure12 ?seed () =
+(* Figures 12 and 13 are drawn from one set of reports, so [all] can build
+   the three machines once for both. *)
+let area_table reports =
   let open Hnlpu_neuron in
-  let reports = neuron_reports ?seed () in
   let baseline = List.hd reports in
   let t = Table.create ~headers:[ "Design"; "Area (mm2)"; "vs 64KB SRAM (paper)" ] in
   let paper = [ "1.00x"; "14.3x"; "0.95x" ] in
@@ -47,9 +48,8 @@ let figure12 ?seed () =
     reports;
   t
 
-let figure13 ?seed () =
+let energy_table reports =
   let tech = Hnlpu_gates.Tech.n5 in
-  let reports = neuron_reports ?seed () in
   let t =
     Table.create
       ~headers:[ "Design"; "Execution cycles"; "Energy (nJ)"; "Leakage (mW)" ]
@@ -65,6 +65,10 @@ let figure13 ?seed () =
         ])
     reports;
   t
+
+let figure12 ?seed () = area_table (neuron_reports ?seed ())
+
+let figure13 ?seed () = energy_table (neuron_reports ?seed ())
 
 let table1 () = Hnlpu_chip.Floorplan.to_table (Hnlpu_chip.Floorplan.table1 ())
 
@@ -106,8 +110,7 @@ let figure14 () =
       let pct x = Units.percent ~digits:1 x in
       Table.add_row t
         [
-          (if l >= 65536 then Printf.sprintf "%dK" (l / 1024)
-           else Printf.sprintf "%dK" (l / 1024));
+          Printf.sprintf "%dK" (l / 1024);
           Printf.sprintf "%.1f" (Perf.total_s b *. 1e6);
           pct f.Perf.comm_s;
           pct f.Perf.projection_s;
@@ -145,34 +148,40 @@ let table4 () =
 let table5 () = Hnlpu_tco.Cost_breakdown.to_table ()
 
 let all ?domains () =
-  (* Each artifact is an independent pure thunk; building them across the
-     domain pool keeps paper order because collection is by index. *)
-  Hnlpu_par.Par.parallel_map ?domains
-    (fun (name, thunk) -> (name, thunk ()))
-    [
-      ("Figure 2: economics of hardwiring", figure2);
-      ("Figure 12: area comparison", fun () -> figure12 ());
-      ("Figure 13: time and energy comparison", fun () -> figure13 ());
-      ("Table 1: single-chip characteristics", table1);
-      ("Table 2: system-level comparison", table2);
-      ("Figure 14: execution-time breakdown", figure14);
-      ("Table 3: 3-year TCO and carbon", table3);
-      ("Table 4: NRE on various models", table4);
-      ("Table 5: HNLPU cost analysis", table5);
-    ]
+  (* Each job is an independent pure thunk yielding one or more artifacts;
+     building them across the domain pool keeps paper order because
+     collection is by index.  Figures 12 and 13 are one job, sharing one
+     neuron build. *)
+  let one name thunk () = [ (name, thunk ()) ] in
+  List.concat
+    (Hnlpu_par.Par.parallel_map ?domains
+       (fun job -> job ())
+       [
+         one "Figure 2: economics of hardwiring" figure2;
+         (fun () ->
+           let reports = neuron_reports () in
+           [
+             ("Figure 12: area comparison", area_table reports);
+             ("Figure 13: time and energy comparison", energy_table reports);
+           ]);
+         one "Table 1: single-chip characteristics" table1;
+         one "Table 2: system-level comparison" table2;
+         one "Figure 14: execution-time breakdown" figure14;
+         one "Table 3: 3-year TCO and carbon" table3;
+         one "Table 4: NRE on various models" table4;
+         one "Table 5: HNLPU cost analysis" table5;
+       ])
 
-let figure12_chart ?seed () =
+let figure12_chart reports =
   let open Hnlpu_neuron in
-  let reports = neuron_reports ?seed () in
   let baseline = List.hd reports in
   Chart.bar
     (List.map
        (fun r -> (r.Report.design, Report.area_ratio r ~baseline))
        reports)
 
-let figure13_chart ?seed () =
+let figure13_chart reports =
   let tech = Hnlpu_gates.Tech.n5 in
-  let reports = neuron_reports ?seed () in
   Chart.bar ~log:true
     (List.map
        (fun r ->

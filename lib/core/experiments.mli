@@ -37,7 +37,9 @@ val table5 : unit -> Hnlpu_util.Table.t
 val all : ?domains:int -> unit -> (string * Hnlpu_util.Table.t) list
 (** Every experiment, in paper order, with its identifier.  Artifacts
     build across the {!Hnlpu_par.Par} pool ([domains] overrides its
-    width); the list is identical for every width. *)
+    width); the list is identical for every width.  Figures 12 and 13
+    share one {!neuron_reports} build, so their tables equal
+    [figure12 ()] and [figure13 ()] run alone. *)
 
 val render_all : unit -> string
 (** All tables as one report (what [hnlpu tables] prints before the
@@ -45,11 +47,13 @@ val render_all : unit -> string
 
 (** {1 Figures as figures} — plain-text chart renderings. *)
 
-val figure12_chart : ?seed:int -> unit -> string
-(** Area bars, normalized to the MA SRAM. *)
+val figure12_chart : Hnlpu_neuron.Report.t list -> string
+(** Area bars of {!neuron_reports}, normalized to the first (the MA
+    SRAM). *)
 
-val figure13_chart : ?seed:int -> unit -> string
-(** Energy bars on a log scale (the paper's axis). *)
+val figure13_chart : Hnlpu_neuron.Report.t list -> string
+(** Energy bars of {!neuron_reports} on a log scale (the paper's axis).
+    [hnlpu tables] draws both charts from one build. *)
 
 val figure14_chart : unit -> string
 (** 100%-stacked breakdown bars across context lengths. *)

@@ -17,14 +17,23 @@ val block_size : int
 val quantize_block : float array -> t
 (** Quantize up to [block_size] floats: picks the E8M0 scale so the largest
     magnitude maps near the top of the E2M1 range, then rounds each element.
-    Raises [Invalid_argument] on an empty or oversized block. *)
+    The scale exponent is the smallest [e >= -126] with
+    [amax <= 6 *. 2. ** e]; a block whose maximum is below [6 * 2^-126]
+    gets the exponent of a log-seeded search, which may go below -126.
+    Raises [Invalid_argument] on an empty or oversized block, and
+    [Invalid_argument "Blockscale.quantize: non-finite element at index i"]
+    on a NaN or infinite element (the first, by index). *)
 
 val dequantize_block : t -> float array
 
 val quantize : float array -> t array
-(** Quantize a whole vector block-by-block (last block may be short). *)
+(** Quantize a whole vector block-by-block (last block may be short).
+    Raises the same located [Invalid_argument] as {!quantize_block} on a
+    non-finite element, with its index in the whole vector. *)
 
 val dequantize : t array -> float array
+(** [Array.concat] of {!dequantize_block} over the blocks, written into
+    one array. *)
 
 val quantization_error : float array -> float
 (** RMS relative error of a quantize/dequantize round-trip; used by tests to

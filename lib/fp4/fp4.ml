@@ -22,18 +22,30 @@ let to_float t =
 
 let neg t = t lxor 8
 
+(* Nearest code by quarter units.  The 7 midpoints between magnitudes,
+   0.25 0.75 1.25 1.75 2.5 3.5 5, are the integers 1 3 5 7 10 14 20 in
+   q = 4 * |x|; a tie goes to the even code (smaller mantissa bit), so
+   q must pass 1, 5, 10 and 20 strictly and reach 3, 7 and 14.  For
+   k = floor q, entry [2k] is the code of a q strictly between k and
+   k + 1 (it has passed every midpoint <= k) and entry [2k + 1] the code
+   of q = k (it has passed the strict midpoints < k and the others <= k).
+   From q = 24 (magnitude 6) on, every entry is 7. *)
+let by_quarter =
+  let strict = [ 1; 5; 10; 20 ] and reached = [ 3; 7; 14 ] in
+  let count p l = List.length (List.filter p l) in
+  Array.init 50 (fun i ->
+      let k = i / 2 in
+      let exact = i land 1 = 1 in
+      count (fun m -> m < k || (m = k && not exact)) strict + count (fun m -> m <= k) reached)
+
 let[@inline] of_float x =
   if Float.is_nan x then invalid_arg "Fp4.of_float: nan";
-  let m = Float.abs x in
-  (* Nearest magnitude: the code counts the 7 midpoints [m] passes; a tie
-     goes to the even code (smaller mantissa bit), hence [>] at a midpoint
-     above an even code and [>=] above an odd one.  Counting instead of
-     branching keeps the loop free of unpredictable jumps. *)
-  let c =
-    Bool.to_int (m > 0.25) + Bool.to_int (m >= 0.75) + Bool.to_int (m > 1.25)
-    + Bool.to_int (m >= 1.75) + Bool.to_int (m > 2.5) + Bool.to_int (m >= 3.5)
-    + Bool.to_int (m > 5.0)
-  in
+  (* Scaling by 4 is exact, and an overflow to infinity saturates like
+     any q >= 24. *)
+  let q = Float.abs x *. 4.0 in
+  let q = if q < 24.0 then q else 24.0 in
+  let k = int_of_float q in
+  let c = Array.unsafe_get by_quarter ((2 * k) + Bool.to_int (float_of_int k = q)) in
   c lor (8 * Bool.to_int (x < 0.0) * Bool.to_int (c <> 0))
 
 (* [of_float] is inlined into the element loop here, in the module that

@@ -258,6 +258,26 @@ let max_tracks_per_layer t =
   let l = Array.length layers in
   t.out_features * ((t.in_features + l - 1) / l)
 
+(* The wires sharing a key, each run in wire order, runs in key order: a
+   stable sort by the key, cut where the key changes.  (A list sort: an
+   array this long lives in the major heap, where every store of the
+   merge pays a write barrier.) *)
+let runs cmp wires =
+  let rec cut groups run = function
+    | [] -> List.rev (List.rev run :: groups)
+    | w :: rest -> (
+      match run with
+      | prev :: _ when cmp prev w <> 0 -> cut (List.rev run :: groups) [ w ] rest
+      | _ -> cut groups (w :: run) rest)
+  in
+  match List.stable_sort cmp wires with [] -> [] | w :: rest -> cut [] [ w ] rest
+
+let by_track a b =
+  match Int.compare a.track b.track with 0 -> String.compare a.layer b.layer | c -> c
+
+let by_port a b =
+  match Int.compare a.neuron b.neuron with 0 -> Int.compare a.region b.region | c -> c
+
 let drc ?tracks_per_layer t =
   let limit =
     match tracks_per_layer with
@@ -265,40 +285,31 @@ let drc ?tracks_per_layer t =
     | None -> max_tracks_per_layer t
   in
   let violations = ref [] in
-  let used : (string * int, wire list ref) Hashtbl.t = Hashtbl.create 1024 in
-  let ports : (int * int, wire list ref) Hashtbl.t = Hashtbl.create 1024 in
-  let push tbl key w =
-    match Hashtbl.find_opt tbl key with
-    | Some ws -> ws := w :: !ws
-    | None -> Hashtbl.add tbl key (ref [ w ])
-  in
   List.iter
     (fun w ->
-      if not (Array.exists (( = ) w.layer) layers) then
+      if not (Array.exists (String.equal w.layer) layers) then
         violations := Out_of_window w :: !violations;
       if w.track < 0 || w.track >= limit then
-        violations := Out_of_window w :: !violations;
-      push used (w.layer, w.track) w;
-      push ports (w.neuron, w.region) w)
+        violations := Out_of_window w :: !violations)
     t.wires;
-  let conflicts = ref [] in
-  Hashtbl.iter
-    (fun (layer, track) ws ->
-      if List.length !ws > 1 then
-        conflicts := Track_conflict (layer, track, List.rev !ws) :: !conflicts)
-    used;
-  Hashtbl.iter
-    (fun (neuron, region) ws ->
-      if List.length !ws > t.region_capacity then
-        conflicts := Port_overflow (neuron, region, List.rev !ws) :: !conflicts)
-    ports;
-  let key = function
-    | Track_conflict (l, t, _) -> (0, t, 0, l)
-    | Port_overflow (n, r, _) -> (1, n, r, "")
-    | Out_of_window w -> (2, w.neuron, w.input, w.layer)
+  (* Conflicts in (track, layer) order, then overflows in (neuron, region)
+     order. *)
+  let conflicts =
+    List.filter_map
+      (function
+        | w :: _ :: _ as ws -> Some (Track_conflict (w.layer, w.track, ws))
+        | _ -> None)
+      (runs by_track t.wires)
   in
-  List.rev !violations
-  @ List.sort (fun a b -> compare (key a) (key b)) !conflicts
+  let overflows =
+    List.filter_map
+      (function
+        | w :: _ as ws when List.length ws > t.region_capacity ->
+          Some (Port_overflow (w.neuron, w.region, ws))
+        | _ -> None)
+      (runs by_port t.wires)
+  in
+  List.rev_append !violations (conflicts @ overflows)
 
 let report t =
   let per_layer = Hashtbl.create 8 in

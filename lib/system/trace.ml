@@ -24,21 +24,24 @@ let run ?(context = 2048) ?(tokens = 2000) ?obs
   if obs_tokens < 0 then invalid_arg "Trace.run: obs_tokens must be >= 0";
   let per_layer = Perf.stage_times_s c ~context in
   let layers = c.Config.num_layers in
-  (* The full pipeline: layer-major, stage-minor. *)
-  let services =
+  (* The full pipeline: layer-major, stage-minor.  Labels and durations
+     live in separate arrays, so the step loop below reads each duration
+     unboxed. *)
+  let labels =
     Array.concat
       (List.init layers (fun l ->
            Array.of_list
-             (List.mapi
-                (fun s (_, d) -> (Printf.sprintf "L%02d/S%d" l (s + 1), d))
-                per_layer)))
+             (List.mapi (fun s _ -> Printf.sprintf "L%02d/S%d" l (s + 1)) per_layer)))
   in
-  let n_stages = Array.length services in
+  let dur =
+    Array.concat (List.init layers (fun _ -> Array.of_list (List.map snd per_layer)))
+  in
+  let n_stages = Array.length dur in
   let ii_target =
     Perf.token_latency_s c ~context /. float_of_int (Perf.pipeline_slots c)
   in
-  let slots = Array.map (fun (_, d) -> max 1 (int_of_float (ceil (d /. ii_target)))) services in
-  let ii = Array.mapi (fun i (_, d) -> d /. float_of_int slots.(i)) services in
+  let slots = Array.map (fun d -> max 1 (int_of_float (ceil (d /. ii_target)))) dur in
+  let ii = Array.mapi (fun i d -> d /. float_of_int slots.(i)) dur in
   (* enter.(s) = entry time of the previous token into stage s;
      exit_prev.(s) = exit time of the current token from stage s-1. *)
   let last_entry = Array.make n_stages neg_infinity in
@@ -51,36 +54,41 @@ let run ?(context = 2048) ?(tokens = 2000) ?obs
   let inject_ii = Array.fold_left Float.max 0.0 ii in
   (* Span recording covers the first [obs_tokens] tokens: enough to see the
      pipeline fill and reach steady state without drowning the ring buffer
-     in tokens x stages spans.  One track per (stage, slot) keeps spans on
-     a track disjoint — token t+slots enters at least d seconds after
-     token t. *)
-  let emit_span t s enter d =
-    match obs with
-    | None -> ()
-    | Some o when t >= obs_tokens -> ignore o
-    | Some o ->
-      let label, _ = services.(s) in
-      Hnlpu_obs.Sink.span o ~cat:"stage"
-        ~args:[ ("token", Hnlpu_obs.Event.I t); ("stage", Hnlpu_obs.Event.I s) ]
-        ~track:
-          (Hnlpu_obs.Event.track ~process:"pipeline"
-             ~thread:(Printf.sprintf "%s#%d" label (t mod slots.(s))))
-        ~name:(Printf.sprintf "tok%03d" t)
-        ~start_s:enter ~dur_s:d
-  in
+     in tokens x stages spans.  The loop only notes those tokens' entry
+     times; the spans are emitted after it, so the loop makes no call. *)
+  let traced = match obs with None -> 0 | Some _ -> min tokens obs_tokens in
+  let traced_entry = Array.make (traced * n_stages) 0.0 in
   for t = 0 to tokens - 1 do
     let clock = ref (float_of_int t *. inject_ii) in
     for s = 0 to n_stages - 1 do
-      let _, d = services.(s) in
-      let enter = Float.max !clock (last_entry.(s) +. ii.(s)) in
+      (* [Float.max], written out: neither operand is ever NaN. *)
+      let free = last_entry.(s) +. ii.(s) in
+      let enter = if free > !clock then free else !clock in
       last_entry.(s) <- enter;
       busy.(s) <- busy.(s) +. ii.(s);
       if s = 0 then entry0.(t) <- enter;
-      emit_span t s enter d;
-      clock := enter +. d
+      if t < traced then traced_entry.((t * n_stages) + s) <- enter;
+      clock := enter +. dur.(s)
     done;
     completion.(t) <- !clock
   done;
+  (* One track per (stage, slot) keeps spans on a track disjoint — token
+     t+slots enters at least d seconds after token t. *)
+  Option.iter
+    (fun o ->
+      for t = 0 to traced - 1 do
+        for s = 0 to n_stages - 1 do
+          Hnlpu_obs.Sink.span o ~cat:"stage"
+            ~args:[ ("token", Hnlpu_obs.Event.I t); ("stage", Hnlpu_obs.Event.I s) ]
+            ~track:
+              (Hnlpu_obs.Event.track ~process:"pipeline"
+                 ~thread:(Printf.sprintf "%s#%d" labels.(s) (t mod slots.(s))))
+            ~name:(Printf.sprintf "tok%03d" t)
+            ~start_s:traced_entry.((t * n_stages) + s)
+            ~dur_s:dur.(s)
+        done
+      done)
+    obs;
   (* Steady-state window: drop the warm-up half. *)
   let lo = tokens / 2 in
   let window = float_of_int (tokens - 1 - lo) in
@@ -91,16 +99,13 @@ let run ?(context = 2048) ?(tokens = 2000) ?obs
     latency_sum := !latency_sum +. (completion.(t) -. entry0.(t))
   done;
   let stage_stats =
-    Array.to_list
-      (Array.mapi
-         (fun s (label, d) ->
-           {
-             stage_label = label;
-             service_s = d;
-             slots = slots.(s);
-             utilization = Float.min 1.0 (busy.(s) /. sim_time);
-           })
-         services)
+    List.init n_stages (fun s ->
+        {
+          stage_label = labels.(s);
+          service_s = dur.(s);
+          slots = slots.(s);
+          utilization = Float.min 1.0 (busy.(s) /. sim_time);
+        })
   in
   let result =
     {

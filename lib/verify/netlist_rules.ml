@@ -11,42 +11,38 @@ let congestion ?tracks_per_layer ~subject (n : Hn_compiler.netlist) =
     | None -> Hn_compiler.max_tracks_per_layer n
   in
   (* Congestion is track demand: how many distinct tracks a layer needs.
-     (Two wires on one track are a short — ME-TRACK's business, not ours.) *)
-  let tracks = Hashtbl.create 1024 and top = Hashtbl.create 8 in
+     (Two wires on one track are a short — ME-TRACK's business, not ours.)
+     Wires on a layer outside the window count nowhere. *)
+  let layers = Hn_compiler.layers in
+  let tracks = Array.make (Array.length layers) [] in
   List.iter
     (fun (w : Hn_compiler.wire) ->
-      Hashtbl.replace tracks (w.layer, w.track) ();
-      Hashtbl.replace top w.layer
-        (max w.track (Option.value ~default:(-1) (Hashtbl.find_opt top w.layer))))
+      Array.iteri
+        (fun i layer -> if String.equal layer w.layer then tracks.(i) <- w.track :: tracks.(i))
+        layers)
     n.Hn_compiler.wires;
-  let count = Hashtbl.create 8 in
-  Hashtbl.iter
-    (fun (layer, _) () ->
-      Hashtbl.replace count layer
-        (1 + Option.value ~default:0 (Hashtbl.find_opt count layer)))
-    tracks;
+  let count = Array.map (fun ts -> List.length (List.sort_uniq Int.compare ts)) tracks in
+  let top = Array.map (List.fold_left Int.max (-1)) tracks in
   let histogram =
     String.concat "  "
-      (List.map
-         (fun layer ->
-           let c = Option.value ~default:0 (Hashtbl.find_opt count layer) in
-           Printf.sprintf "%s:%d (%.0f%%)" layer c
-             (100.0 *. float_of_int c /. float_of_int (max 1 limit)))
-         (Array.to_list Hn_compiler.layers))
+      (Array.to_list
+         (Array.mapi
+            (fun i layer ->
+              Printf.sprintf "%s:%d (%.0f%%)" layer count.(i)
+                (100.0 *. float_of_int count.(i) /. float_of_int (max 1 limit)))
+            layers))
   in
   let errors =
     List.filter_map
-      (fun layer ->
-        let c = Option.value ~default:0 (Hashtbl.find_opt count layer) in
-        if c > limit then
+      (fun i ->
+        if count.(i) > limit then
           Some
             (Diagnostic.error ~rule:"ME-CONGEST" ~subject
                "layer %s congested: %d tracks demanded of the %d-track window \
                 (max track %d)"
-               layer c limit
-               (Option.value ~default:(-1) (Hashtbl.find_opt top layer)))
+               layers.(i) count.(i) limit top.(i))
         else None)
-      (Array.to_list Hn_compiler.layers)
+      (List.init (Array.length layers) Fun.id)
   in
   errors
   @ [

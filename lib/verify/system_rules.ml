@@ -92,14 +92,19 @@ let weight_partition ~subject (c : Config.t) =
       @ tile "Wo" (Config.q_dim c) h (Mapping.wo_slice c)
       @
       (* Every expert on exactly one chip, and chips agree with the
-         round-robin inverse. *)
+         round-robin inverse.  Each chip's expert list is built once. *)
+      let chip_experts =
+        List.map
+          (fun chip -> (chip, Mapping.experts_of_chip c ~chip))
+          Hnlpu_noc.Topology.all_chips
+      in
       List.concat
         (List.init c.Config.experts (fun e ->
              let owner = Mapping.chip_of_expert c ~expert:e in
              let owners =
-               List.filter
-                 (fun chip -> List.mem e (Mapping.experts_of_chip c ~chip))
-                 Hnlpu_noc.Topology.all_chips
+               List.filter_map
+                 (fun (chip, experts) -> if List.mem e experts then Some chip else None)
+                 chip_experts
              in
              if owners = [ owner ] then []
              else

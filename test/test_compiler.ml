@@ -97,6 +97,73 @@ let test_drc_violations_carry_wires () =
       ws
   | vs -> Alcotest.failf "expected one track conflict, got %d violations" (List.length vs)
 
+(* DRC's specification, written out quadratically: out-of-window wires in
+   wire order (an unknown layer before a track outside the window), then
+   track conflicts by (track, layer), then port overflows by (neuron,
+   region), each listing its wires in wire order. *)
+let drc_spec (n : Hn_compiler.netlist) =
+  let open Hn_compiler in
+  let limit = max_tracks_per_layer n in
+  let ws = n.wires in
+  let out_of_window =
+    List.concat_map
+      (fun w ->
+        (if Array.mem w.layer layers then [] else [ Out_of_window w ])
+        @ if w.track < 0 || w.track >= limit then [ Out_of_window w ] else [])
+      ws
+  in
+  let groups key =
+    List.map
+      (fun k -> (k, List.filter (fun w -> key w = k) ws))
+      (List.sort_uniq compare (List.map key ws))
+  in
+  out_of_window
+  @ List.filter_map
+      (fun ((track, layer), g) ->
+        if List.length g > 1 then Some (Track_conflict (layer, track, g)) else None)
+      (groups (fun w -> (w.track, w.layer)))
+  @ List.filter_map
+      (fun ((neuron, region), g) ->
+        if List.length g > n.region_capacity then Some (Port_overflow (neuron, region, g))
+        else None)
+      (groups (fun w -> (w.neuron, w.region)))
+
+let test_drc_order_matches_spec () =
+  (* Seeded sabotage: wires moved onto each other's tracks, onto stray
+     layers, outside the track window and into crowded regions, with the
+     port capacity shrunk on some netlists. *)
+  let stray = [| "M3"; "M12"; "M8 "; "m9" |] in
+  let seen = Array.make 3 false in
+  for seed = 1 to 40 do
+    let rng = Rng.create (1000 + seed) in
+    let n = Hn_compiler.compile ~slack:4.0 (small_gemv seed) in
+    let pick a = a.(Rng.int rng (Array.length a)) in
+    let wires = Array.of_list n.Hn_compiler.wires in
+    for _ = 1 to 1 + Rng.int rng 12 do
+      let i = Rng.int rng (Array.length wires) and j = Rng.int rng (Array.length wires) in
+      let w = wires.(i) in
+      wires.(i) <-
+        (match Rng.int rng 5 with
+         | 0 -> { w with Hn_compiler.layer = wires.(j).Hn_compiler.layer; track = wires.(j).Hn_compiler.track }
+         | 1 -> { w with Hn_compiler.layer = pick stray; track = Rng.int rng 4 }
+         | 2 -> { w with Hn_compiler.track = pick [| -1; 72; 1_000; wires.(j).Hn_compiler.track |] }
+         | 3 -> { w with Hn_compiler.region = wires.(j).Hn_compiler.region; neuron = wires.(j).Hn_compiler.neuron }
+         | _ -> { w with Hn_compiler.layer = pick Hn_compiler.layers })
+    done;
+    let capacity = if seed mod 3 = 0 then 1 + Rng.int rng 3 else n.Hn_compiler.region_capacity in
+    let broken = { n with Hn_compiler.wires = Array.to_list wires; region_capacity = capacity } in
+    let got = Hn_compiler.drc broken in
+    List.iter
+      (function
+        | Hn_compiler.Track_conflict _ -> seen.(0) <- true
+        | Port_overflow _ -> seen.(1) <- true
+        | Out_of_window _ -> seen.(2) <- true)
+      got;
+    Alcotest.(check bool) (Printf.sprintf "seed %d: drc = spec" seed) true (got = drc_spec broken)
+  done;
+  Alcotest.(check (array bool)) "conflicts, overflows and strays all seeded" [| true; true; true |]
+    seen
+
 (* --- Compiler: LVS -------------------------------------------------------- *)
 
 let test_lvs_passes () =
@@ -277,6 +344,7 @@ let () =
           Alcotest.test_case "drc track conflict" `Quick test_drc_detects_conflicts;
           Alcotest.test_case "drc bad layer" `Quick test_drc_detects_bad_layer;
           Alcotest.test_case "drc derived bound" `Quick test_drc_derived_bound;
+          Alcotest.test_case "drc order = spec" `Quick test_drc_order_matches_spec;
           Alcotest.test_case "drc violations carry wires" `Quick
             test_drc_violations_carry_wires;
           Alcotest.test_case "full-width neuron" `Quick test_compile_full_width_neuron;

@@ -361,7 +361,7 @@ let test_fleet_shards_agree_with_one () =
 
 (* The headline fleet (2,000 nodes, chat at 85% of capacity, least-loaded,
    seed 7) run serially: worker-domain allocations are invisible to
-   [Gc.allocated_bytes], so only ~domains:1 measures the dispatch path. *)
+   [Gc.minor_words], so only ~domains:1 measures the dispatch path. *)
 let headline_run ?obs requests =
   let cfg = Fleet.config_of_model ~nodes:2_000 config in
   Fleet.run ~domains:1 ?obs ~policy:Fleet.Least_loaded ~requests ~seed:7 cfg
@@ -370,15 +370,15 @@ let headline_run ?obs requests =
 let test_fleet_words_per_request () =
   (* The dispatch path's allocation budget: 2x the 8 words/request the
      ALLOC-HOT playbook reached.  A counters-only sink adds at most one
-     word per request: the run publishes its telemetry once, at the end. *)
+     word per request: the run publishes its telemetry once, at the end.
+     Gc.minor_words is exact for the calling domain; Gc.allocated_bytes
+     drifts by several words/request between identical runs while a
+     second domain is alive. *)
   let requests = 100_000 in
   let per_request ?obs () =
-    let a0 = Gc.allocated_bytes () in
+    let w0 = Gc.minor_words () in
     ignore (headline_run ?obs requests);
-    let words =
-      (Gc.allocated_bytes () -. a0) /. float_of_int (Sys.word_size / 8)
-    in
-    words /. float_of_int requests
+    (Gc.minor_words () -. w0) /. float_of_int requests
   in
   let off = per_request () in
   let on = per_request ~obs:(Obs.Sink.create ~events:false ()) () in

@@ -100,7 +100,9 @@ let test_of_float_matches_search_at_edges () =
   let midpoints = [ 0.25; 0.75; 1.25; 1.75; 2.5; 3.5; 5.0 ] in
   let around m = [ Float.pred m; m; Float.succ m ] in
   let edges =
-    List.concat_map around (midpoints @ Array.to_list Fp4.unique_magnitudes)
+    (* Every quarter unit up to 7.5: [of_float] reads its code by them. *)
+    List.concat_map around
+      (midpoints @ Array.to_list Fp4.unique_magnitudes @ List.init 31 (fun k -> float_of_int k /. 4.0))
     @ [ 0.0; Float.min_float; Float.pred Float.min_float; 4.9e-324; 1e-310; 1e9; 2.0 ** 53.0 ]
   in
   List.iter
@@ -163,6 +165,94 @@ let test_blockscale_error_bound () =
   let xs = Array.init 4096 (fun _ -> Hnlpu_util.Rng.gaussian rng) in
   let e = Blockscale.quantization_error xs in
   Alcotest.(check bool) (Printf.sprintf "rms rel err %.3f < 0.25" e) true (e < 0.25)
+
+let test_blockscale_dequantize_is_concat () =
+  (* One-pass dequantize against the per-block oracle, short last block
+     and an empty vector included. *)
+  let rng = Thelp.rng ~seed:5 () in
+  List.iter
+    (fun n ->
+      let xs =
+        Array.init n (fun i -> Hnlpu_util.Rng.gaussian rng *. Float.ldexp 1.0 ((i mod 41) - 20))
+      in
+      let blocks = Blockscale.quantize xs in
+      Alcotest.(check (array (float 0.0)))
+        (Printf.sprintf "n = %d" n)
+        (Array.concat (Array.to_list (Array.map Blockscale.dequantize_block blocks)))
+        (Blockscale.dequantize blocks))
+    [ 0; 1; 31; 32; 33; 100; 1024 ]
+
+(* The E8M0 exponent's specification: the smallest e >= -126 with
+   amax <= 6 * 2^e; below 6 * 2^-126, the log-seeded search. *)
+let spec_scale_exp amax =
+  let pow2 = Float.ldexp 1.0 in
+  if amax = 0.0 then 0
+  else if amax >= 6.0 *. pow2 (-126) then begin
+    let rec up e = if amax <= 6.0 *. pow2 e then e else up (e + 1) in
+    up (-126)
+  end
+  else begin
+    let e = ref (int_of_float (Float.ceil (log (amax /. 6.0) /. log 2.0))) in
+    while amax /. pow2 !e > 6.0 do
+      incr e
+    done;
+    while !e > -126 && amax /. pow2 (!e - 1) <= 6.0 do
+      decr e
+    done;
+    !e
+  end
+
+let test_blockscale_exponent_spec () =
+  let pow2 = Float.ldexp 1.0 in
+  let amaxes =
+    List.concat
+      [
+        (* Subnormals and the tiny-amax boundary. *)
+        [ 4.9e-324; 1e-320; 2.2e-310; Float.min_float; 6.0 *. pow2 (-127) ];
+        List.concat_map
+          (fun x -> [ Float.pred x; x; Float.succ x ])
+          [ 6.0 *. pow2 (-126); 6.0 *. pow2 (-126) /. 4.0 ];
+        (* 6 * 2^e and one ulp either side, over the whole exponent range. *)
+        List.concat_map
+          (fun e ->
+            let x = 6.0 *. pow2 e in
+            [ Float.pred x; x; Float.succ x ])
+          (List.init 200 (fun i -> (i * 11) - 1100) @ [ -126; -125; -1; 0; 1; 1019; 1020; 1021 ]);
+        (* Mantissa 0.75 (1.5 * 2^k) boundaries, and mantissa 0.5. *)
+        List.concat_map
+          (fun k ->
+            let x = 1.5 *. pow2 k in
+            [ Float.pred x; x; Float.succ x; pow2 k; Float.pred (pow2 k) ])
+          [ -1070; -1030; -1000; -124; -123; -10; 0; 2; 3; 100; 1020; 1023 ];
+        [ pow2 1020; Float.succ (pow2 1020); Float.max_float ];
+      ]
+    |> List.filter Float.is_finite
+  in
+  List.iter
+    (fun amax ->
+      List.iter
+        (fun x ->
+          Alcotest.(check int)
+            (Printf.sprintf "scale_exp of %h" x)
+            (spec_scale_exp amax)
+            (Blockscale.quantize_block [| 0.0; x; amax /. 2.0 |]).Blockscale.scale_exp)
+        [ amax; -.amax ])
+    amaxes
+
+let test_blockscale_rejects_non_finite () =
+  let expect_index name i f =
+    Alcotest.check_raises name
+      (Invalid_argument (Printf.sprintf "Blockscale.quantize: non-finite element at index %d" i))
+      (fun () -> ignore (f ()))
+  in
+  List.iter
+    (fun (label, bad) ->
+      let at n i = Array.init n (fun k -> if k = i then bad else float_of_int k) in
+      expect_index (label ^ " first, block") 0 (fun () -> Blockscale.quantize_block (at 32 0));
+      expect_index (label ^ " mid-block, block") 13 (fun () -> Blockscale.quantize_block (at 32 13));
+      expect_index (label ^ " first, vector") 0 (fun () -> Blockscale.quantize (at 70 0));
+      expect_index (label ^ " mid-block, vector") 45 (fun () -> Blockscale.quantize (at 70 45)))
+    [ ("+inf", infinity); ("-inf", neg_infinity); ("nan", Float.nan) ]
 
 let prop_blockscale_max_in_range =
   QCheck.Test.make ~name:"block scale keeps elements in E2M1 range" ~count:200
@@ -336,6 +426,11 @@ let () =
           Alcotest.test_case "zero block" `Quick test_blockscale_zero_block;
           Alcotest.test_case "vector api" `Quick test_blockscale_vector;
           Alcotest.test_case "error bound" `Quick test_blockscale_error_bound;
+          Alcotest.test_case "dequantize = concat of blocks" `Quick
+            test_blockscale_dequantize_is_concat;
+          Alcotest.test_case "scale exponent = spec" `Quick test_blockscale_exponent_spec;
+          Alcotest.test_case "non-finite input is located" `Quick
+            test_blockscale_rejects_non_finite;
         ] );
       qsuite "blockscale properties" [ prop_blockscale_max_in_range ];
       ( "bitserial",

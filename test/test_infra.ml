@@ -201,8 +201,9 @@ let test_calibration_registry () =
 (* --- Figure charts ---------------------------------------------------------- *)
 
 let test_figure_charts_render () =
-  let f12 = Hnlpu.Experiments.figure12_chart () in
-  let f13 = Hnlpu.Experiments.figure13_chart () in
+  let reports = Hnlpu.Experiments.neuron_reports () in
+  let f12 = Hnlpu.Experiments.figure12_chart reports in
+  let f13 = Hnlpu.Experiments.figure13_chart reports in
   let f14 = Hnlpu.Experiments.figure14_chart () in
   Alcotest.(check bool) "figure 12 mentions all designs" true
     (Thelp.contains f12 "Metal-Embedding" && Thelp.contains f12 "Cell-Embedding");

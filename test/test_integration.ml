@@ -17,6 +17,17 @@ let test_experiment_count () =
   (* 4 figures + 5 tables... Figure 2 + 12 + 13 + 14 and Tables 1-5. *)
   Alcotest.(check int) "nine experiments" 9 (List.length (Experiments.all ()))
 
+let test_shared_neuron_build () =
+  (* [all] builds the neuron reports once for Figures 12 and 13; each
+     table must equal the figure built alone. *)
+  let all = Experiments.all () in
+  List.iter
+    (fun (prefix, alone) ->
+      match List.find_opt (fun (name, _) -> String.starts_with ~prefix name) all with
+      | None -> Alcotest.failf "%s missing from Experiments.all" prefix
+      | Some (name, t) -> Alcotest.(check string) name (Table.render alone) (Table.render t))
+    [ ("Figure 12:", Experiments.figure12 ()); ("Figure 13:", Experiments.figure13 ()) ]
+
 let test_tiny_llm_on_hn_arithmetic () =
   (* Quantize a tiny transformer's FFN-down projection onto the ME machine
      and check the hardware path tracks the float path through a real
@@ -148,6 +159,7 @@ let () =
         [
           Alcotest.test_case "all render" `Quick test_all_experiments_render;
           Alcotest.test_case "count" `Quick test_experiment_count;
+          Alcotest.test_case "figures 12/13 share one build" `Quick test_shared_neuron_build;
         ] );
       ( "cross-layer",
         [

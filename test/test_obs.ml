@@ -505,6 +505,29 @@ let test_pipeline_trace_obs () =
       (List.length t.Hnlpu.Trace.stage_stats)
       s.Metrics.count
 
+let test_pipeline_trace_obs_identical () =
+  (* Recording spans must not move a number: the result is Marshal-identical
+     with and without a sink, and one span is kept per (token, stage) of
+     the first [obs_tokens] tokens. *)
+  let bytes t = Marshal.to_string (t : Hnlpu.Trace.t) [ Marshal.No_sharing ] in
+  List.iter
+    (fun (tokens, obs_tokens) ->
+      let plain = Hnlpu.Trace.run ~tokens config in
+      let obs = Sink.create () in
+      let traced = Hnlpu.Trace.run ~tokens ~obs ~obs_tokens config in
+      Alcotest.(check string)
+        (Printf.sprintf "%d tokens, %d traced" tokens obs_tokens)
+        (bytes plain) (bytes traced);
+      let spans =
+        List.filter
+          (fun ((tr : Event.track), _, _, _) -> tr.Event.process = "pipeline")
+          (spans_of (Sink.events obs))
+      in
+      Alcotest.(check int) "spans = traced tokens x stages"
+        (min tokens obs_tokens * List.length plain.Hnlpu.Trace.stage_stats)
+        (List.length spans))
+    [ (20, 0); (20, 3); (12, 40) ]
+
 (* --- NoC instrumentation ------------------------------------------------------ *)
 
 let test_noc_obs () =
@@ -993,7 +1016,11 @@ let () =
           Alcotest.test_case "request spans" `Quick test_scheduler_spans;
         ] );
       ( "pipeline",
-        [ Alcotest.test_case "trace obs" `Quick test_pipeline_trace_obs ] );
+        [
+          Alcotest.test_case "trace obs" `Quick test_pipeline_trace_obs;
+          Alcotest.test_case "trace obs leaves results identical" `Quick
+            test_pipeline_trace_obs_identical;
+        ] );
       ("noc", [ Alcotest.test_case "all-reduce obs" `Quick test_noc_obs ]);
       ("thermal", [ Alcotest.test_case "gauges" `Quick test_thermal_obs ]);
       ( "end-to-end",

@@ -162,7 +162,9 @@ let test_simulate_words_per_token () =
   (* The event loop's allocation budget, below the knee and overloaded
      (50% and 120% of the 829 req/s where the chat mix saturates one
      node).  A wakeup storm — several pending wakeups per pipeline-entry
-     time, each re-pushing itself — reads ~46 words/token below the knee. *)
+     time, each re-pushing itself — reads ~46 words/token below the knee.
+     Gc.minor_words is exact for the calling domain; Gc.allocated_bytes
+     also counts what another live domain's collections account late. *)
   List.iter
     (fun (label, load) ->
       let reqs =
@@ -176,9 +178,9 @@ let test_simulate_words_per_token () =
       in
       (* Warm the Perf latency cache so the budget covers the loop only. *)
       ignore (Scheduler.simulate config reqs);
-      let a0 = Gc.allocated_bytes () in
+      let w0 = Gc.minor_words () in
       ignore (Scheduler.simulate config reqs);
-      let words = (Gc.allocated_bytes () -. a0) /. float_of_int (Sys.word_size / 8) in
+      let words = Gc.minor_words () -. w0 in
       let per_token = words /. float_of_int tokens in
       Alcotest.(check bool)
         (Printf.sprintf "%s: %.2f words/token <= 8" label per_token)
