@@ -1,4 +1,4 @@
-type t = { scale_exp : int; elements : Fp4.t array }
+type t = { scale_exp : int; codes : Bytes.t }
 
 let block_size = 32
 
@@ -51,7 +51,7 @@ let quantize_slice xs lo len =
     if a > !amax then amax := a
   done;
   let scale_exp = scale_exp_of !amax in
-  { scale_exp; elements = Fp4.quantize_slice xs ~lo ~len ~scale_exp }
+  { scale_exp; codes = Fp4.quantize_slice xs ~lo ~len ~scale_exp }
 
 let quantize_block xs =
   let n = Array.length xs in
@@ -60,17 +60,18 @@ let quantize_block xs =
   quantize_slice xs 0 n
 
 (* The 16 codes' decoded values, read by index so the element loops below
-   make no call (and box no float) per element. *)
+   make no call (and box no float) per element.  The bounds check stays:
+   [t] is a plain record, so a hand-built block may hold a byte above 15. *)
 let decoded = Array.init 16 (fun c -> Fp4.to_float (Fp4.of_code c))
 
-let dequantize_into out pos { scale_exp; elements } =
+let dequantize_into out pos { scale_exp; codes } =
   let s = pow2 scale_exp in
-  for k = 0 to Array.length elements - 1 do
-    out.(pos + k) <- s *. decoded.((elements.(k) :> int))
+  for k = 0 to Bytes.length codes - 1 do
+    out.(pos + k) <- s *. decoded.(Char.code (Bytes.unsafe_get codes k))
   done
 
 let dequantize_block b =
-  let out = Array.create_float (Array.length b.elements) in
+  let out = Array.create_float (Bytes.length b.codes) in
   dequantize_into out 0 b;
   out
 
@@ -82,13 +83,13 @@ let quantize xs =
       quantize_slice xs lo (min block_size (n - lo)))
 
 let dequantize blocks =
-  let n = Array.fold_left (fun n b -> n + Array.length b.elements) 0 blocks in
+  let n = Array.fold_left (fun n b -> n + Bytes.length b.codes) 0 blocks in
   let out = Array.create_float n in
   let pos = ref 0 in
   Array.iter
     (fun b ->
       dequantize_into out !pos b;
-      pos := !pos + Array.length b.elements)
+      pos := !pos + Bytes.length b.codes)
     blocks;
   out
 

@@ -7,9 +7,13 @@
     the quantize/dequantize path used to prepare synthetic weights and to
     check end-to-end numerics. *)
 
-type t = { scale_exp : int; elements : Fp4.t array }
-(** One quantized block: decoded value of element [i] is
-    [2. ** scale_exp *. Fp4.to_float elements.(i)]. *)
+type t = { scale_exp : int; codes : Bytes.t }
+(** One quantized block: byte [i] of [codes] is element [i]'s E2M1 code,
+    so its decoded value is
+    [2. ** scale_exp *. Fp4.to_float (Fp4.of_code (Bytes.get_uint8 codes i))].
+    A full block costs 9 words: 3 for the record and 6 for its 32 code
+    bytes (header, four data words, one padding word); the array holding
+    the blocks adds one more each. *)
 
 val block_size : int
 (** MX block size, 32. *)

@@ -7,14 +7,6 @@ type stats = {
 
 let empty_stats = { full_adders = 0; half_adders = 0; depth = 0; cpa_width = 0 }
 
-let add_stats a b =
-  {
-    full_adders = a.full_adders + b.full_adders;
-    half_adders = a.half_adders + b.half_adders;
-    depth = max a.depth b.depth;
-    cpa_width = max a.cpa_width b.cpa_width;
-  }
-
 (* A 3:2 compressor preserves the column-weighted sum (a+b+c = s + 2*carry),
    so the value flowing through the tree is fully determined by the per-column
    set-bit counts, while the *structure* is determined by per-column wire

@@ -16,10 +16,6 @@ type stats = {
 
 val empty_stats : stats
 
-val add_stats : stats -> stats -> stats
-(** Component-wise sum except [depth] and [cpa_width], which take the max —
-    the composition law for independent units operating in parallel. *)
-
 val reduce : width:int -> int array -> int * stats
 (** [reduce ~width xs] sums the integers [xs], each of which must lie in
     [\[0, 2^width)], through bit-level 3:2 compression.  Returns the exact

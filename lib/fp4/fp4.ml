@@ -53,9 +53,9 @@ let[@inline] of_float x =
    -opaque) every call would box its float argument. *)
 let quantize_slice xs ~lo ~len ~scale_exp =
   let s = Float.ldexp 1.0 scale_exp in
-  let out = Array.make len 0 in
+  let out = Bytes.create len in
   for k = 0 to len - 1 do
-    out.(k) <- of_float (xs.(lo + k) /. s)
+    Bytes.unsafe_set out k (Char.unsafe_chr (of_float (xs.(lo + k) /. s)))
   done;
   out
 
@@ -64,8 +64,6 @@ let all = List.init 16 (fun i -> i)
 let unique_magnitudes = Array.copy magnitudes
 
 let equal = Int.equal
-
-let pp fmt t = Format.fprintf fmt "%g" (to_float t)
 
 (* [2 * to_float t] for each of the 16 codes. *)
 let half_units =

@@ -28,9 +28,9 @@ val of_float : float -> t
     magnitude 6, infinities included.  [-0.] and values rounding to zero
     map to +0.  Raises [Invalid_argument] on NaN. *)
 
-val quantize_slice : float array -> lo:int -> len:int -> scale_exp:int -> t array
-(** [quantize_slice xs ~lo ~len ~scale_exp] is
-    [Array.init len (fun k -> of_float (xs.(lo + k) /. 2. ** scale_exp))]
+val quantize_slice : float array -> lo:int -> len:int -> scale_exp:int -> Bytes.t
+(** [quantize_slice xs ~lo ~len ~scale_exp] is the [len] codes
+    [of_float (xs.(lo + k) /. 2. ** scale_exp)], one byte each, written
     without a boxed float per element: the MXFP4 block quantizer's element
     loop ({!Blockscale}). *)
 
@@ -49,8 +49,6 @@ val unique_magnitudes : float array
 (** The 8 distinct non-negative representable magnitudes, ascending. *)
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit
 
 (** {1 Fixed-point view}
 

@@ -13,6 +13,32 @@ let default_scan_dirs = [ "_build/default/lib"; "lib" ]
 let default_fixture_dirs =
   [ "_build/default/test/lint_fixtures"; "test/lint_fixtures" ]
 
+let library path =
+  match String.index_opt path '.' with Some i -> String.sub path 0 i | None -> path
+
+(* A hot-path entry is matched by name, so one whose definition was
+   renamed or re-scoped silently stops checking anything.  An entry is
+   stale when its library was scanned but no binding path extends it;
+   entries for libraries outside the scan (a [--dir] subset, the
+   fixture-only self-test) are not judged. *)
+let stale_hot_paths (config : Lint_config.t) mods defined =
+  let libs =
+    List.sort_uniq String.compare
+      (List.map (fun (m : Cmt_scan.source) -> library m.Cmt_scan.modname) mods)
+  in
+  List.filter_map
+    (fun (entry, _) ->
+      if
+        List.mem (library entry) libs
+        && not (List.exists (fun path -> Lint_config.path_matches ~prefix:entry path) defined)
+      then
+        Some
+          (D.error ~rule:"LINT-HOTPATH" ~subject:entry
+             "hot-path entry names no definition in the scanned modules, so \
+              ALLOC-HOT checks nothing under it — rename or remove the entry")
+      else None)
+    config.Lint_config.hot_paths
+
 (* Lint every module found under [dirs].  Unreadable cmt files surface
    as LINT-LOAD warnings rather than silent gaps: an analyzer that
    quietly skips a module reports a clean bill it never earned. *)
@@ -23,13 +49,15 @@ let run ?(config = Lint_config.default) ~dirs () =
       (Printf.sprintf
          "no .cmt files under %s — build first (dune build @all)"
          (String.concat ", " dirs));
-  let ds =
-    List.concat_map
+  let linted =
+    List.map
       (fun (m : Cmt_scan.source) ->
         Typed_lint.lint_structure ~config ~modname:m.Cmt_scan.modname
           m.Cmt_scan.structure)
       mods
   in
+  let ds = List.concat_map fst linted in
+  let stale = stale_hot_paths config mods (List.concat_map snd linted) in
   let load_warnings =
     List.map
       (fun path ->
@@ -38,7 +66,7 @@ let run ?(config = Lint_config.default) ~dirs () =
            build artifact) — this module was NOT linted")
       failed
   in
-  D.normalize (ds @ load_warnings)
+  D.normalize (ds @ stale @ load_warnings)
 
 let run_with_baseline ?config ?baseline ~dirs () =
   let ds = run ?config ~dirs () in
@@ -62,13 +90,18 @@ let fixture_expectations =
 
 let clean_fixture = "Fixture_clean"
 
+(* The hot-path entry planted stale: it names a function the fixture
+   module does not define, as an entry left behind by a rename would. *)
+let stale_fixture_entry = "Lint_fixtures.Fixture_alloc_hot.renamed_loop"
+
 (* The fixtures' hot functions, registered the way library hot paths
-   are: the seeded-broken loop, and the clean module's unboxed int64
-   chains, which must stay silent. *)
+   are: the seeded-broken loop, the clean module's unboxed int64
+   chains, which must stay silent, and the stale entry. *)
 let fixture_config =
   {
     Lint_config.hot_paths =
       ("Lint_fixtures.Fixture_alloc_hot.hot_loop", Lint_config.Leaf)
+      :: (stale_fixture_entry, Lint_config.Leaf)
       :: ("Lint_fixtures.Fixture_clean.draw_bits", Lint_config.Leaf)
       :: ("Lint_fixtures.Fixture_clean.exponent", Lint_config.Leaf)
       :: Lint_config.default_hot_paths;
@@ -93,8 +126,16 @@ let boxed_int64_caught ds =
       && mentions d.D.message "int64")
     ds
 
-(* (family, caught) per rule family and for the boxed int64, plus
-   whether the clean module is clean. *)
+(* The stale entry is an Error, and the live entries beside it are not. *)
+let stale_entry_caught ds =
+  List.filter_map
+    (fun d ->
+      if String.equal d.D.rule "LINT-HOTPATH" then Some (d.D.subject, d.D.severity) else None)
+    ds
+  = [ (stale_fixture_entry, D.Error) ]
+
+(* (family, caught) per rule family, for the boxed int64 and for the
+   stale hot-path entry, plus whether the clean module is clean. *)
 let self_test ~dirs () =
   let ds = run ~config:fixture_config ~dirs () in
   let caught =
@@ -110,7 +151,7 @@ let self_test ~dirs () =
         in
         (rule, hit))
       fixture_expectations
-    @ [ ("ALLOC-HOT/int64", boxed_int64_caught ds) ]
+    @ [ ("ALLOC-HOT/int64", boxed_int64_caught ds); ("LINT-HOTPATH", stale_entry_caught ds) ]
   in
   let clean =
     not

@@ -11,7 +11,8 @@
    a hot function (e.g. [Scheduler.simulate]'s internal loops) are hot
    too.  Code can opt out of specific rules with
    [[@@hnlpu.lint_ignore "RULE ..."]] — see the README's Source lint
-   section. *)
+   section.  An entry that names no binding in a scanned library is a
+   LINT-HOTPATH error (see {!Lint.stale_hot_paths}). *)
 
 (* Two grades of hot code:
 
@@ -67,23 +68,29 @@ let default_hot_paths =
     ("Hnlpu_system.Fleet.route_redispatch", Leaf);
     ("Hnlpu_system.Fleet.run_shard", Driver);
     (* Operator machines: the POPCNT word loop and the E2M1 half-unit
-       lookup run once per word and per MAC; the ME and MA GEMVs are
-       drivers whose per-plane, per-region and per-tile loops allocate
-       nothing (ns and words per GEMV are on hnbench's datapath). *)
+       lookup run once per word and per MAC; the reference, ME, CE and
+       MA GEMVs are drivers whose per-plane, per-region, per-row and
+       per-tile loops allocate nothing while reading the weight bytes
+       (ns and words per GEMV are on hnbench's datapath). *)
     ("Hnlpu_fp4.Bitserial.popcount", Leaf);
     ("Hnlpu_fp4.Bitserial.popcount_and", Leaf);
     ("Hnlpu_fp4.Bitserial.popcount_and_from", Leaf);
     ("Hnlpu_fp4.Fp4.to_half_units", Leaf);
+    ("Hnlpu_neuron.Gemv.reference", Driver);
     ("Hnlpu_neuron.Metal_embedding.run", Driver);
+    ("Hnlpu_neuron.Cell_embedding.run", Driver);
     ("Hnlpu_neuron.Mac_array.run", Driver);
     (* Model and dataflow forward: each kernel allocates its result in
        the prologue, then runs loops that allocate nothing — the GEMV's
        column blocks, the per-(head, position) streaming softmax over the
-       flat KV buffers, and the MXFP4 element loop. *)
+       flat KV buffers, and the MXFP4 element loops: the amax scan and
+       the byte-writing quantizer per block, the decode per block. *)
     ("Hnlpu_tensor.Mat.gemv", Driver);
     ("Hnlpu_model.Transformer.attention", Driver);
     ("Hnlpu_system.Dataflow.column_attention", Driver);
     ("Hnlpu_fp4.Fp4.quantize_slice", Driver);
+    ("Hnlpu_fp4.Blockscale.quantize_slice", Driver);
+    ("Hnlpu_fp4.Blockscale.dequantize_into", Leaf);
   ]
 
 let default = { hot_paths = default_hot_paths }
@@ -106,6 +113,7 @@ let describe = function
   | "EXN-SWALLOW" ->
     "catch-all exception handler that discards the exception"
   | "LINT-BASELINE" -> "stale baseline entry that matched no finding"
+  | "LINT-HOTPATH" -> "hot-path entry that names no definition in a scanned library"
   | r -> invalid_arg (Printf.sprintf "Lint_config.describe: unknown rule %S" r)
 
 (* [path] extends [prefix] component-wise: "A.B" covers "A.B" and

@@ -21,6 +21,9 @@
    - EXN-SWALLOW catch-all exception handlers that discard the
                  exception (the worker-loop bug class).
 
+   [lint_structure] also returns the qualified path of every named
+   binding, from which {!Lint} finds hot-path entries that name nothing.
+
    Suppression is structured, never silent: a binding can opt out of
    named rules with [[@@hnlpu.lint_ignore "RULE ..."]] (the annotation
    sits next to the code it excuses), and whole findings can be accepted
@@ -268,6 +271,7 @@ type state = {
   mutable inline_funs : expression list;  (* their curried chains *)
   mutable fresh : Ident.t list;         (* locals holding an unboxed int64 *)
   mutable diags : D.t list;
+  mutable defined : string list;        (* qualified path of every named binding *)
 }
 
 let subject st =
@@ -729,6 +733,7 @@ let lint_structure ~config ~modname (str : structure) =
       inline_funs = [];
       fresh = [];
       diags = [];
+      defined = [];
     }
   in
   let super = Tast_iterator.default_iterator in
@@ -748,7 +753,11 @@ let lint_structure ~config ~modname (str : structure) =
       st.inline_funs <- chain_funs vb.vb_expr @ st.inline_funs
     | _ -> ());
     let ignores = lint_ignores vb.vb_attributes in
-    (match name with Some n -> st.scope_rev <- n :: st.scope_rev | None -> ());
+    (match name with
+    | Some n ->
+      st.scope_rev <- n :: st.scope_rev;
+      st.defined <- subject st :: st.defined
+    | None -> ());
     (* Nested bindings of a hot binding inherit the outer hot context —
        only the outermost hot binding establishes the reference depths. *)
     let kind_here =
@@ -889,4 +898,4 @@ let lint_structure ~config ~modname (str : structure) =
   in
   let it = { super with Tast_iterator.value_binding; structure_item; expr } in
   it.Tast_iterator.structure it str;
-  List.rev st.diags
+  (List.rev st.diags, st.defined)

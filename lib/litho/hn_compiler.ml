@@ -28,25 +28,23 @@ let compile ?(slack = 2.0) (g : Gemv.t) =
      construction, which DRC then confirms. *)
   let track_next = Array.make (Array.length layers) 0 in
   let wires = ref [] in
-  Array.iteri
-    (fun neuron row ->
-      let port_next = Array.make regions 0 in
-      Array.iteri
-        (fun input w ->
-          let region = Hnlpu_fp4.Fp4.code w in
-          let port = port_next.(region) in
-          if port >= capacity then
-            invalid_arg
-              (Printf.sprintf
-                 "Hn_compiler.compile: neuron %d region %d overflows capacity %d"
-                 neuron region capacity);
-          port_next.(region) <- port + 1;
-          let li = (neuron + input) mod Array.length layers in
-          let track = track_next.(li) in
-          track_next.(li) <- track + 1;
-          wires := { neuron; input; region; port; layer = layers.(li); track } :: !wires)
-        row)
-    g.Gemv.weights;
+  for neuron = 0 to g.Gemv.out_features - 1 do
+    let port_next = Array.make regions 0 in
+    for input = 0 to n - 1 do
+      let region = Hnlpu_fp4.Fp4.code (Gemv.code g neuron input) in
+      let port = port_next.(region) in
+      if port >= capacity then
+        invalid_arg
+          (Printf.sprintf
+             "Hn_compiler.compile: neuron %d region %d overflows capacity %d"
+             neuron region capacity);
+      port_next.(region) <- port + 1;
+      let li = (neuron + input) mod Array.length layers in
+      let track = track_next.(li) in
+      track_next.(li) <- track + 1;
+      wires := { neuron; input; region; port; layer = layers.(li); track } :: !wires
+    done
+  done;
   {
     in_features = n;
     out_features = g.Gemv.out_features;
@@ -238,10 +236,9 @@ let lvs t (g : Gemv.t) =
     Array.iteri
       (fun o row ->
         Array.iteri
-          (fun i w ->
-            if not (Hnlpu_fp4.Fp4.equal w extracted.(o).(i)) then ok := false)
+          (fun i w -> if not (Hnlpu_fp4.Fp4.equal w (Gemv.code g o i)) then ok := false)
           row)
-      g.Gemv.weights;
+      extracted;
     !ok
   with Failure _ -> false
 

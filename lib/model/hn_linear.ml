@@ -48,7 +48,7 @@ let apply t x =
 
 let dequantized t =
   Mat.init ~rows:(in_features t) ~cols:(out_features t) (fun i o ->
-      t.neuron_scales.(o) *. Fp4.to_float t.gemv.Gemv.weights.(o).(i))
+      t.neuron_scales.(o) *. Fp4.to_float (Gemv.code t.gemv o i))
 
 let apply_float t x = Mat.gemv (dequantized t) x
 

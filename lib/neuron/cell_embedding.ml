@@ -24,13 +24,9 @@ let make gemv =
       Array.init 16 (fun c ->
           Census.fp4_constant_multiplier ~input_bits:gemv.Gemv.act_bits (Fp4.of_code c))
     in
-    Array.fold_left
-      (fun acc row -> Array.fold_left (fun acc w -> acc + cost.(Fp4.code w)) acc row)
-      0 gemv.Gemv.weights
+    Bytes.fold_left (fun acc c -> acc + cost.(Char.code c)) 0 gemv.Gemv.codes
   in
   { gemv; tree_stats; product_bits; mult_transistors }
-
-let tree_stats t = t.tree_stats
 
 let cycles t =
   let mult_levels = Timing.fa_levels * 2 in
@@ -70,15 +66,16 @@ let run t x =
   Gemv.check_activations ~caller:"Cell_embedding.run" g x;
   (* Form all products combinationally, then reduce per neuron — the CE
      datapath shape.  Must equal the reference by construction. *)
-  let out =
-    Array.map
-      (fun row ->
-        let acc = ref 0 in
-        for i = 0 to g.Gemv.in_features - 1 do
-          acc := !acc + (Fp4.to_half_units row.(i) * x.(i))
-        done;
-        !acc)
-      g.Gemv.weights
-  in
+  let n = g.Gemv.in_features and codes = g.Gemv.codes in
+  let out = Array.make g.Gemv.out_features 0 in
+  let acc = ref 0 in
+  for o = 0 to g.Gemv.out_features - 1 do
+    let row = o * n in
+    acc := 0;
+    for i = 0 to n - 1 do
+      acc := !acc + (E2m1.half_units.(Char.code (Bytes.unsafe_get codes (row + i))) * x.(i))
+    done;
+    out.(o) <- !acc
+  done;
   assert (out = Gemv.reference g x);
   (out, report t)

@@ -20,6 +20,3 @@ val run : t -> int array -> int array * Report.t
     with {!Gemv.check_activations}. *)
 
 val report : t -> Report.t
-
-val tree_stats : t -> Hnlpu_fp4.Csa.stats
-(** Structural statistics of one neuron's adder tree. *)

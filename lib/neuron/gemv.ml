@@ -2,32 +2,46 @@ open Hnlpu_util
 open Hnlpu_fp4
 
 type t = {
-  weights : Fp4.t array array;
+  codes : Bytes.t;
   in_features : int;
   out_features : int;
   act_bits : int;
 }
 
+let check_dims ~in_features ~out_features =
+  if out_features <= 0 then invalid_arg "Gemv.make: no output rows";
+  if in_features <= 0 then invalid_arg "Gemv.make: no input columns"
+
+(* Byte [k] of the row-major codes is [code_at k], drawn in index order. *)
+let create ~in_features ~out_features ~act_bits code_at =
+  if act_bits < 2 || act_bits > 16 then
+    invalid_arg "Gemv.make: act_bits out of range";
+  let codes = Bytes.create (out_features * in_features) in
+  for k = 0 to Bytes.length codes - 1 do
+    Bytes.set_uint8 codes k (code_at k)
+  done;
+  { codes; in_features; out_features; act_bits }
+
 let make ~weights ~act_bits =
   let out_features = Array.length weights in
-  if out_features = 0 then invalid_arg "Gemv.make: no output rows";
-  let in_features = Array.length weights.(0) in
-  if in_features = 0 then invalid_arg "Gemv.make: no input columns";
+  let in_features = if out_features = 0 then 0 else Array.length weights.(0) in
+  check_dims ~in_features ~out_features;
   Array.iter
     (fun row ->
       if Array.length row <> in_features then
         invalid_arg "Gemv.make: ragged weight matrix")
     weights;
-  if act_bits < 2 || act_bits > 16 then
-    invalid_arg "Gemv.make: act_bits out of range";
-  { weights; in_features; out_features; act_bits }
+  create ~in_features ~out_features ~act_bits (fun k ->
+      Fp4.code weights.(k / in_features).(k mod in_features))
 
 let random rng ~in_features ~out_features ~act_bits =
-  let weights =
-    Array.init out_features (fun _ ->
-        Array.init in_features (fun _ -> Fp4.of_code (Rng.int rng 16)))
-  in
-  make ~weights ~act_bits
+  check_dims ~in_features ~out_features;
+  create ~in_features ~out_features ~act_bits (fun _ -> Rng.int rng 16)
+
+let code t o i =
+  if o < 0 || o >= t.out_features || i < 0 || i >= t.in_features then
+    invalid_arg "Gemv.code: index out of range";
+  Fp4.of_code (Bytes.get_uint8 t.codes ((o * t.in_features) + i))
 
 let random_activations rng t =
   let lo = Bitserial.min_int_for t.act_bits in
@@ -45,16 +59,19 @@ let check_activations ~caller t x =
   Bitserial.check_range ~caller ~bits:t.act_bits x
 
 let reference t x =
-  if Array.length x <> t.in_features then
-    invalid_arg "Gemv.reference: activation length mismatch";
-  Array.map
-    (fun row ->
-      let acc = ref 0 in
-      for i = 0 to t.in_features - 1 do
-        acc := !acc + (Fp4.to_half_units row.(i) * x.(i))
-      done;
-      !acc)
-    t.weights
+  let n = t.in_features in
+  if Array.length x <> n then invalid_arg "Gemv.reference: activation length mismatch";
+  let out = Array.make t.out_features 0 in
+  let acc = ref 0 in
+  for o = 0 to t.out_features - 1 do
+    let row = o * n in
+    acc := 0;
+    for i = 0 to n - 1 do
+      acc := !acc + (E2m1.half_units.(Char.code (Bytes.unsafe_get t.codes (row + i))) * x.(i))
+    done;
+    out.(o) <- !acc
+  done;
+  out
 
 let reference_float t x =
   Array.map (fun h -> float_of_int h /. 2.0) (reference t x)

@@ -58,16 +58,16 @@ let run t x =
   (* Emulate the tiled execution: the array consumes the flattened
      (neuron, input) MAC stream n_macs at a time, and the tiling must
      reproduce the reference exactly. *)
-  let n = g.Gemv.in_features in
+  let n = g.Gemv.in_features and codes = g.Gemv.codes in
   let total = Gemv.total_macs g in
   let out = Array.make g.Gemv.out_features 0 in
   let o = ref 0 and i = ref 0 in
   let pos = ref 0 in
   while !pos < total do
     let stop = min total (!pos + t.n_macs) in
-    for _ = !pos to stop - 1 do
-      let row = g.Gemv.weights.(!o) in
-      out.(!o) <- out.(!o) + (Hnlpu_fp4.Fp4.to_half_units row.(!i) * x.(!i));
+    (* The stream position is the weight's index in the row-major codes. *)
+    for k = !pos to stop - 1 do
+      out.(!o) <- out.(!o) + (E2m1.half_units.(Char.code (Bytes.unsafe_get codes k)) * x.(!i));
       incr i;
       if !i = n then begin
         i := 0;

@@ -9,16 +9,13 @@ type cycle_state = {
   planes_folded : int;
 }
 
-type t = { machine : Metal_embedding.t; gemv : Gemv.t; routing : int array array }
+type t = { machine : Metal_embedding.t; gemv : Gemv.t }
 
 let regions = 16
 
-let make ?slack g =
-  let machine = Metal_embedding.make ?slack g in
-  (* Recover the routing (input -> region) from the weights directly; the
-     Metal_embedding internals are private. *)
-  let routing = Array.map (Array.map Fp4.code) g.Gemv.weights in
-  { machine; gemv = g; routing }
+(* The routing (input -> region) is the weight code itself; the
+   Metal_embedding internals are private. *)
+let make ?slack g = { machine = Metal_embedding.make ?slack g; gemv = g }
 
 let total_cycles t = t.gemv.Gemv.act_bits + 3
 
@@ -26,19 +23,16 @@ let partial_reference (g : Gemv.t) x ~planes =
   let bits = g.Gemv.act_bits in
   if planes < 0 || planes > bits then invalid_arg "Me_rtl.partial_reference";
   let ps = Bitserial.planes ~bits x in
-  Array.map
-    (fun row ->
+  Array.init g.Gemv.out_features (fun o ->
       let acc = ref 0 in
       for b = 0 to planes - 1 do
         let pw = Bitserial.plane_weight ~bits b in
-        Array.iteri
-          (fun i w ->
-            if Bitserial.plane_get ps.(b) i = 1 then
-              acc := !acc + (pw * Fp4.to_half_units w))
-          row
+        for i = 0 to g.Gemv.in_features - 1 do
+          if Bitserial.plane_get ps.(b) i = 1 then
+            acc := !acc + (pw * Fp4.to_half_units (Gemv.code g o i))
+        done
       done;
       !acc)
-    g.Gemv.weights
 
 let run t x =
   let g = t.gemv in
@@ -73,7 +67,7 @@ let run t x =
       for o = 0 to m - 1 do
         let s = ref 0 in
         for c = 0 to regions - 1 do
-          s := !s + (Fp4.to_half_units (Fp4.of_code c) * popcnt.(o).(c))
+          s := !s + (E2m1.half_units.(c) * popcnt.(o).(c))
         done;
         plane_sum.(o) <- !s
       done;
@@ -86,10 +80,11 @@ let run t x =
         Array.fill popcnt.(o) 0 regions 0
       done;
       for o = 0 to m - 1 do
-        let route = t.routing.(o) in
         for i = 0 to g.Gemv.in_features - 1 do
-          if Bitserial.plane_get planes.(p) i = 1 then
-            popcnt.(o).(route.(i)) <- popcnt.(o).(route.(i)) + 1
+          if Bitserial.plane_get planes.(p) i = 1 then begin
+            let c = Fp4.code (Gemv.code g o i) in
+            popcnt.(o).(c) <- popcnt.(o).(c) + 1
+          end
         done
       done;
       popcnt_plane := Some p

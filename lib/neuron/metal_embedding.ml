@@ -20,9 +20,6 @@ type t = {
 
 let regions = 16
 
-(* Region [c]'s multiplier constant, in half-units. *)
-let constants = Array.init regions (fun c -> Fp4.to_half_units (Fp4.of_code c))
-
 let make ?(slack = 2.0) gemv =
   if slack < 1.0 then invalid_arg "Metal_embedding.make: slack below 1.0";
   let n = gemv.Gemv.in_features in
@@ -32,26 +29,24 @@ let make ?(slack = 2.0) gemv =
   let masks = Array.make (gemv.Gemv.out_features * regions * words) 0 in
   let load = Array.make regions 0 in
   let counts = Array.make regions 0 in
-  Array.iteri
-    (fun o row ->
-      Array.fill counts 0 regions 0;
-      Array.iteri
-        (fun i w ->
-          let c = Fp4.code w in
-          Bitserial.set_element masks ~pos:(((o * regions) + c) * words) i;
-          counts.(c) <- counts.(c) + 1)
-        row;
-      Array.iteri
-        (fun c k ->
-          if k > capacity then
-            invalid_arg
-              (Printf.sprintf
-                 "Metal_embedding.make: neuron %d region %d holds %d wires, \
-                  capacity %d — increase slack"
-                 o c k capacity);
-          load.(c) <- max load.(c) k)
-        counts)
-    gemv.Gemv.weights;
+  for o = 0 to gemv.Gemv.out_features - 1 do
+    Array.fill counts 0 regions 0;
+    for i = 0 to n - 1 do
+      let c = Bytes.get_uint8 gemv.Gemv.codes ((o * n) + i) in
+      Bitserial.set_element masks ~pos:(((o * regions) + c) * words) i;
+      counts.(c) <- counts.(c) + 1
+    done;
+    Array.iteri
+      (fun c k ->
+        if k > capacity then
+          invalid_arg
+            (Printf.sprintf
+               "Metal_embedding.make: neuron %d region %d holds %d wires, \
+                capacity %d — increase slack"
+               o c k capacity);
+        load.(c) <- max load.(c) k)
+      counts
+  done;
   let count_bits =
     let rec bits k acc = if k = 0 then acc else bits (k lsr 1) (acc + 1) in
     bits capacity 0
@@ -143,8 +138,8 @@ let run t x =
           Bitserial.popcount_and planes ~pos:(b * words) t.masks
             ~mask_pos:(((o * regions) + c) * words) ~len:words
         in
-        (* Multiply stage: count x constant. *)
-        plane_sum := !plane_sum + (constants.(c) * cnt)
+        (* Multiply stage: count x region c's constant. *)
+        plane_sum := !plane_sum + (E2m1.half_units.(c) * cnt)
       done;
       (* Shifting accumulator. *)
       out.(o) <- out.(o) + (pw * !plane_sum)

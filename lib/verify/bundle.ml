@@ -198,13 +198,13 @@ let schematic_to_string (g : Gemv.t) =
   Buffer.add_string buf
     (Printf.sprintf "# hn-schematic in=%d out=%d act-bits=%d\n" g.Gemv.in_features
        g.Gemv.out_features g.Gemv.act_bits);
-  Array.iter
-    (fun row ->
-      Buffer.add_string buf
-        (String.concat " "
-           (Array.to_list (Array.map (fun w -> string_of_int (Fp4.code w)) row)));
-      Buffer.add_char buf '\n')
-    g.Gemv.weights;
+  for o = 0 to g.Gemv.out_features - 1 do
+    for i = 0 to g.Gemv.in_features - 1 do
+      if i > 0 then Buffer.add_char buf ' ';
+      Buffer.add_string buf (string_of_int (Fp4.code (Gemv.code g o i)))
+    done;
+    Buffer.add_char buf '\n'
+  done;
   Buffer.contents buf
 
 (* When a bundle ships no schematic, LVS runs against what the wires

@@ -92,10 +92,10 @@ let lvs ~subject (n : Hn_compiler.netlist) (g : Hnlpu_neuron.Gemv.t) =
         (fun o row ->
           Array.iteri
             (fun i w ->
-              if not (Hnlpu_fp4.Fp4.equal w extracted.(o).(i)) then
+              if not (Hnlpu_fp4.Fp4.equal (Hnlpu_neuron.Gemv.code g o i) w) then
                 mismatches := (o, i) :: !mismatches)
             row)
-        g.Hnlpu_neuron.Gemv.weights;
+        extracted;
       (match List.rev !mismatches with
       | [] ->
         [

@@ -190,13 +190,14 @@ let test_extract_weights_roundtrip () =
   let g = small_gemv 7 in
   let n = Hn_compiler.compile ~slack:4.0 g in
   let extracted = Hn_compiler.extract_weights n in
+  Alcotest.(check int) "one row per neuron" g.Gemv.out_features (Array.length extracted);
   Array.iteri
     (fun o row ->
+      Alcotest.(check int) "one code per input" g.Gemv.in_features (Array.length row);
       Array.iteri
-        (fun i w ->
-          Alcotest.(check bool) "same code" true (Fp4.equal w extracted.(o).(i)))
+        (fun i w -> Alcotest.(check bool) "same code" true (Fp4.equal (Gemv.code g o i) w))
         row)
-    g.Gemv.weights
+    extracted
 
 (* --- Compiler: TCL round-trip ----------------------------------------------- *)
 

@@ -254,12 +254,90 @@ let test_blockscale_rejects_non_finite () =
       expect_index (label ^ " mid-block, vector") 45 (fun () -> Blockscale.quantize (at 70 45)))
     [ ("+inf", infinity); ("-inf", neg_infinity); ("nan", Float.nan) ]
 
+(* An adversarial corpus: the E2M1 grid points and midpoints (both signs)
+   at every binary exponent from -1080 to 1030, exact and one ulp either
+   side, plus subnormal, max_float and all-subnormal-powers blocks. *)
+let adversarial_blocks () =
+  let mantissas =
+    [| 0.0; 0.25; 0.5; 0.75; 1.0; 1.25; 1.5; 1.75; 2.0; 2.5; 3.0; 3.5; 4.0; 5.0; 6.0; 5.5 |]
+  in
+  let blocks = ref [] in
+  for e = -1080 to 1030 do
+    List.iter
+      (fun nudge ->
+        let b =
+          Array.init 32 (fun j ->
+              let x = nudge (Float.ldexp mantissas.(j land 15) e) in
+              if j >= 16 then -.x else x)
+        in
+        if Array.for_all Float.is_finite b then blocks := b :: !blocks)
+      [ Fun.id; Float.pred; Float.succ ]
+  done;
+  blocks :=
+    [| 4.9e-324; 1e-320; -2.2e-310; Float.min_float; Float.max_float; -.Float.max_float |]
+    :: !blocks;
+  blocks := Array.init 32 (fun j -> Float.ldexp 1.0 (-1074 + j)) :: !blocks;
+  List.rev !blocks
+
+(* Digests of a representation-free rendering: each block's exponent and
+   codes, and the bits of each dequantized float. *)
+let codes_digest blocks =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (b : Blockscale.t) ->
+      Buffer.add_string buf (string_of_int b.Blockscale.scale_exp);
+      Buffer.add_char buf ':';
+      Bytes.iter
+        (fun c -> Buffer.add_char buf "0123456789abcdef".[Char.code c])
+        b.Blockscale.codes;
+      Buffer.add_char buf ';')
+    blocks;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let floats_digest ys =
+  let buf = Buffer.create 4096 in
+  Array.iter (fun y -> Buffer.add_string buf (Printf.sprintf "%Lx," (Int64.bits_of_float y))) ys;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_blockscale_digests_pinned () =
+  (* Pinned from the [Fp4.t array] block layout that byte codes replaced:
+     the layout changed, no code and no decoded bit did. *)
+  let corpus = adversarial_blocks () in
+  Alcotest.(check int) "corpus size" 6317 (List.length corpus);
+  let blocks = List.map Blockscale.quantize_block corpus in
+  Alcotest.(check string) "quantize_block codes" "930896a65cb05eb420bd05b3e1461305"
+    (codes_digest blocks);
+  Alcotest.(check string) "dequantize_block bits" "a3d5f40eb9281835626a65f76a18622f"
+    (floats_digest (Array.concat (List.map Blockscale.dequantize_block blocks)));
+  let whole = Blockscale.quantize (Array.concat corpus) in
+  Alcotest.(check string) "quantize of the concatenation" "cca0472d2139633b94ded2ce04e5da4f"
+    (codes_digest (Array.to_list whole));
+  Alcotest.(check string) "dequantize of the concatenation" "a3d5f40eb9281835626a65f76a18622f"
+    (floats_digest (Blockscale.dequantize whole));
+  let rng = Hnlpu_util.Rng.create 3 in
+  let gauss = Blockscale.quantize (Array.init (1 lsl 18) (fun _ -> Hnlpu_util.Rng.gaussian rng)) in
+  Alcotest.(check string) "quantize of 2^18 Gaussians" "6f95eca0e4298a6d98f73eeb83cb50e6"
+    (codes_digest (Array.to_list gauss));
+  Alcotest.(check string) "dequantize of 2^18 Gaussians" "b835c5939a112423144d36c31eca6065"
+    (floats_digest (Blockscale.dequantize gauss))
+
+let test_blockscale_footprint () =
+  (* One byte per code: 10 words per full block (record, code bytes and
+     the array slot), 81,921 for 2^18 elements; 303,105 when each code
+     took a word. *)
+  let rng = Hnlpu_util.Rng.create 3 in
+  let blocks = Blockscale.quantize (Array.init (1 lsl 18) (fun _ -> Hnlpu_util.Rng.gaussian rng)) in
+  let words = Obj.reachable_words (Obj.repr blocks) in
+  Alcotest.(check bool) (Printf.sprintf "%d words <= 82,000" words) true (words <= 82_000)
+
 let prop_blockscale_max_in_range =
   QCheck.Test.make ~name:"block scale keeps elements in E2M1 range" ~count:200
     QCheck.(array_of_size (Gen.int_range 1 32) (float_bound_exclusive 1e6))
     (fun xs ->
       let b = Blockscale.quantize_block xs in
-      Array.for_all (fun e -> Float.abs (Fp4.to_float e) <= 6.0) b.Blockscale.elements)
+      Bytes.for_all
+        (fun c -> Char.code c < 16 && Float.abs (Fp4.to_float (Fp4.of_code (Char.code c))) <= 6.0)
+        b.Blockscale.codes)
 
 (* --- Bitserial -------------------------------------------------------- *)
 
@@ -429,6 +507,8 @@ let () =
           Alcotest.test_case "dequantize = concat of blocks" `Quick
             test_blockscale_dequantize_is_concat;
           Alcotest.test_case "scale exponent = spec" `Quick test_blockscale_exponent_spec;
+          Alcotest.test_case "digests pinned" `Quick test_blockscale_digests_pinned;
+          Alcotest.test_case "footprint" `Quick test_blockscale_footprint;
           Alcotest.test_case "non-finite input is located" `Quick
             test_blockscale_rejects_non_finite;
         ] );

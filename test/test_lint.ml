@@ -1,7 +1,8 @@
 (* Tests for the source-level lint engine (Hnlpu_lint):
 
    - every rule family catches its seeded-broken fixture and the clean
-     fixture stays clean (the self-test CI runs);
+     fixture stays clean (the self-test CI runs), and a hot-path entry
+     naming nothing in a scanned library is an error;
    - the fixture set covers exactly the configured rule families — a new
      rule without a fixture, or a stale fixture, fails here;
    - output is deterministic: two runs serialize byte-identically;
@@ -93,6 +94,32 @@ let test_clean_module_zero_findings () =
   in
   Alcotest.(check int) "no findings on Fixture_clean" 0 (List.length dirty)
 
+let test_stale_hot_path_scoped () =
+  (* Only entries of a scanned library are judged: the fixture scan sees
+     Lint_fixtures, so its missing function is an Error, while the entry
+     for a library outside the scan says nothing either way.  A module
+     entry is live through the bindings it contains. *)
+  let config =
+    {
+      Lint_config.hot_paths =
+        [
+          ("Lint_fixtures.Fixture_clean.no_such_function", Lint_config.Leaf);
+          ("Lint_fixtures.No_such_module", Lint_config.Driver);
+          ("Lint_fixtures.Fixture_clean", Lint_config.Driver);
+          ("Hnlpu_fp4.Fp4.no_such_function", Lint_config.Leaf);
+        ];
+    }
+  in
+  let stale =
+    List.filter_map
+      (fun d -> if d.D.rule = "LINT-HOTPATH" then Some (d.D.subject, D.severity_label d.D.severity) else None)
+      (Lint.run ~config ~dirs:(fixture_dirs ()) ())
+  in
+  Alcotest.(check (list (pair string string)))
+    "stale entries of the scanned library"
+    [ ("Lint_fixtures.Fixture_clean.no_such_function", "ERROR"); ("Lint_fixtures.No_such_module", "ERROR") ]
+    stale
+
 (* --- Determinism ----------------------------------------------------------- *)
 
 let test_json_byte_identical () =
@@ -179,6 +206,7 @@ let () =
           Alcotest.test_case "clean module stays clean" `Quick
             test_clean_module_zero_findings;
           Alcotest.test_case "boxed int64 fires" `Quick test_boxed_int64_fires;
+          Alcotest.test_case "stale hot-path entry scoped" `Quick test_stale_hot_path_scoped;
         ] );
       ( "determinism",
         [

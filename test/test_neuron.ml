@@ -30,6 +30,51 @@ let test_gemv_validation () =
        false
      with Invalid_argument _ -> true)
 
+let test_gemv_codes_round_trip () =
+  (* [make] packs each row into the bytes; [code] reads back exactly the
+     matrix it was given, over ragged-free random shapes. *)
+  let rng = Rng.create 21 in
+  List.iter
+    (fun (outf, inf) ->
+      let weights =
+        Array.init outf (fun _ -> Array.init inf (fun _ -> Hnlpu_fp4.Fp4.of_code (Rng.int rng 16)))
+      in
+      let g = Gemv.make ~weights ~act_bits:8 in
+      Alcotest.(check int) (Printf.sprintf "%dx%d bytes" outf inf) (outf * inf) (Bytes.length g.Gemv.codes);
+      let back = Array.init outf (fun o -> Array.init inf (fun i -> Gemv.code g o i)) in
+      Alcotest.(check bool) (Printf.sprintf "%dx%d codes" outf inf) true (back = weights))
+    [ (1, 1); (1, 7); (7, 1); (3, 33); (128, 1024) ];
+  let g = Gemv.make ~weights:[| [| Hnlpu_fp4.Fp4.zero |] |] ~act_bits:8 in
+  Alcotest.check_raises "row out of range" (Invalid_argument "Gemv.code: index out of range")
+    (fun () -> ignore (Gemv.code g 1 0));
+  Alcotest.check_raises "column out of range" (Invalid_argument "Gemv.code: index out of range")
+    (fun () -> ignore (Gemv.code g 0 (-1)))
+
+(* The nested [Array.init] that [Gemv.random] replaced: the oracle for its
+   draw order. *)
+let nested_random rng ~in_features ~out_features =
+  Array.init out_features (fun _ ->
+      Array.init in_features (fun _ -> Hnlpu_fp4.Fp4.of_code (Rng.int rng 16)))
+
+let test_gemv_random_draw_order () =
+  List.iter
+    (fun (seed, inf, outf) ->
+      let a = Rng.create seed and b = Rng.create seed in
+      let g = Gemv.random a ~in_features:inf ~out_features:outf ~act_bits:8 in
+      let oracle = nested_random b ~in_features:inf ~out_features:outf in
+      let got = Array.init outf (fun o -> Array.init inf (fun i -> Gemv.code g o i)) in
+      Alcotest.(check bool) (Printf.sprintf "seed %d %dx%d codes" seed outf inf) true (got = oracle);
+      Alcotest.(check int) "generator left in the same state" (Rng.int b 1_000_000) (Rng.int a 1_000_000))
+    [ (0, 1024, 128); (5, 48, 6); (9, 3, 7); (11, 2880, 2) ]
+
+let test_gemv_footprint () =
+  (* One byte per code: 16,384 data words for the 131,072 codes, plus the
+     bytes' padding word and header and the 5-word record.  An
+     [Fp4.t array array] took 131,334. *)
+  let g = Gemv.paper_benchmark (Rng.create 0) in
+  let words = Obj.reachable_words (Obj.repr g) in
+  Alcotest.(check bool) (Printf.sprintf "%d words <= 16,400" words) true (words <= 16_400)
+
 let test_gemv_paper_shape () =
   let g = Gemv.paper_benchmark (Rng.create 0) in
   Alcotest.(check int) "1024 in" 1024 g.Gemv.in_features;
@@ -253,6 +298,9 @@ let () =
           Alcotest.test_case "manual reference" `Quick test_gemv_reference_manual;
           Alcotest.test_case "validation" `Quick test_gemv_validation;
           Alcotest.test_case "paper benchmark shape" `Quick test_gemv_paper_shape;
+          Alcotest.test_case "codes round trip" `Quick test_gemv_codes_round_trip;
+          Alcotest.test_case "random draw order" `Quick test_gemv_random_draw_order;
+          Alcotest.test_case "footprint" `Quick test_gemv_footprint;
         ] );
       ( "machines",
         [
