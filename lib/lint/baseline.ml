@@ -12,7 +12,9 @@
    the CI gate (which fails on Error) passes while the acceptance stays
    visible in the JSON report.  Entries that match nothing are reported
    as LINT-BASELINE warnings: a stale suppression hides future
-   regressions under an obsolete excuse. *)
+   regressions under an obsolete excuse.  Only entries of scanned
+   libraries are judged, so a scan scoped with [--dir] stays quiet about
+   the rest of the baseline. *)
 
 module D = Hnlpu_verify.Diagnostic
 
@@ -71,8 +73,10 @@ let save path (t : t) =
     (fun () -> output_string oc (to_string t))
 
 (* Downgrade baselined findings to Info (reason appended) and append a
-   LINT-BASELINE warning per stale entry. *)
-let apply (t : t) ds =
+   LINT-BASELINE warning per stale entry of a scanned library ([libs]).
+   An entry of any other library is not judged: nothing was scanned that
+   could have matched it. *)
+let apply ~libs (t : t) ds =
   let used = Array.make (List.length t) false in
   let lookup d =
     let rec go i = function
@@ -103,7 +107,7 @@ let apply (t : t) ds =
     List.concat
       (List.mapi
          (fun i e ->
-           if used.(i) then []
+           if used.(i) || not (List.mem (Lint_config.library e.subject) libs) then []
            else
              [
                D.warning ~rule:"LINT-BASELINE" ~subject:e.subject

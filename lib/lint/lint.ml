@@ -13,23 +13,16 @@ let default_scan_dirs = [ "_build/default/lib"; "lib" ]
 let default_fixture_dirs =
   [ "_build/default/test/lint_fixtures"; "test/lint_fixtures" ]
 
-let library path =
-  match String.index_opt path '.' with Some i -> String.sub path 0 i | None -> path
-
 (* A hot-path entry is matched by name, so one whose definition was
    renamed or re-scoped silently stops checking anything.  An entry is
    stale when its library was scanned but no binding path extends it;
    entries for libraries outside the scan (a [--dir] subset, the
    fixture-only self-test) are not judged. *)
-let stale_hot_paths (config : Lint_config.t) mods defined =
-  let libs =
-    List.sort_uniq String.compare
-      (List.map (fun (m : Cmt_scan.source) -> library m.Cmt_scan.modname) mods)
-  in
+let stale_hot_paths (config : Lint_config.t) ~libs defined =
   List.filter_map
     (fun (entry, _) ->
       if
-        List.mem (library entry) libs
+        List.mem (Lint_config.library entry) libs
         && not (List.exists (fun path -> Lint_config.path_matches ~prefix:entry path) defined)
       then
         Some
@@ -39,10 +32,11 @@ let stale_hot_paths (config : Lint_config.t) mods defined =
       else None)
     config.Lint_config.hot_paths
 
-(* Lint every module found under [dirs].  Unreadable cmt files surface
-   as LINT-LOAD warnings rather than silent gaps: an analyzer that
-   quietly skips a module reports a clean bill it never earned. *)
-let run ?(config = Lint_config.default) ~dirs () =
+(* Lint every module found under [dirs], returning the findings and the
+   libraries scanned.  Unreadable cmt files surface as LINT-LOAD warnings
+   rather than silent gaps: an analyzer that quietly skips a module
+   reports a clean bill it never earned. *)
+let scan ?(config = Lint_config.default) ~dirs () =
   let mods, failed = Cmt_scan.load_dirs dirs in
   if mods = [] then
     failwith
@@ -57,7 +51,11 @@ let run ?(config = Lint_config.default) ~dirs () =
       mods
   in
   let ds = List.concat_map fst linted in
-  let stale = stale_hot_paths config mods (List.concat_map snd linted) in
+  let libs =
+    List.sort_uniq String.compare
+      (List.map (fun (m : Cmt_scan.source) -> Lint_config.library m.Cmt_scan.modname) mods)
+  in
+  let stale = stale_hot_paths config ~libs (List.concat_map snd linted) in
   let load_warnings =
     List.map
       (fun path ->
@@ -66,13 +64,17 @@ let run ?(config = Lint_config.default) ~dirs () =
            build artifact) — this module was NOT linted")
       failed
   in
-  D.normalize (ds @ stale @ load_warnings)
+  (D.normalize (ds @ stale @ load_warnings), libs)
 
+let run ?config ~dirs () = fst (scan ?config ~dirs ())
+
+(* Baseline entries are judged against the same libraries as hot-path
+   entries: those the scan covered. *)
 let run_with_baseline ?config ?baseline ~dirs () =
-  let ds = run ?config ~dirs () in
+  let ds, libs = scan ?config ~dirs () in
   match baseline with
   | None -> ds
-  | Some b -> D.normalize (Baseline.apply b ds)
+  | Some b -> D.normalize (Baseline.apply ~libs b ds)
 
 (* --- Fixture self-test --------------------------------------------------- *)
 

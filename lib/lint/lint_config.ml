@@ -44,6 +44,9 @@ let default_hot_paths =
        are separately named ([observe_slow], [incr_slow], ...) so the
        component-wise prefix match leaves them out. *)
     ("Hnlpu_obs.Sketch.observe", Leaf);
+    ("Hnlpu_obs.Sketch.observe_cell", Leaf);
+    ("Hnlpu_obs.Sketch.observe_body", Leaf);
+    ("Hnlpu_obs.Sketch.bump", Leaf);
     ("Hnlpu_obs.Sketch.bucket_index", Leaf);
     ("Hnlpu_obs.Metrics.observe", Leaf);
     ("Hnlpu_obs.Metrics.incr", Leaf);
@@ -115,6 +118,10 @@ let describe = function
   | "LINT-BASELINE" -> "stale baseline entry that matched no finding"
   | "LINT-HOTPATH" -> "hot-path entry that names no definition in a scanned library"
   | r -> invalid_arg (Printf.sprintf "Lint_config.describe: unknown rule %S" r)
+
+(* The library a dotted path belongs to: its first component. *)
+let library path =
+  match String.index_opt path '.' with Some i -> String.sub path 0 i | None -> path
 
 (* [path] extends [prefix] component-wise: "A.B" covers "A.B" and
    "A.B.anything" but not "A.Bc". *)

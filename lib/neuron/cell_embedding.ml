@@ -65,7 +65,9 @@ let run t x =
   let g = t.gemv in
   Gemv.check_activations ~caller:"Cell_embedding.run" g x;
   (* Form all products combinationally, then reduce per neuron — the CE
-     datapath shape.  Must equal the reference by construction. *)
+     datapath shape.  Equal to [Gemv.reference] by construction; test_neuron
+     checks that at the paper benchmark's size, so the GEMV is not run
+     twice here. *)
   let n = g.Gemv.in_features and codes = g.Gemv.codes in
   let out = Array.make g.Gemv.out_features 0 in
   let acc = ref 0 in
@@ -77,5 +79,4 @@ let run t x =
     done;
     out.(o) <- !acc
   done;
-  assert (out = Gemv.reference g x);
   (out, report t)

@@ -54,10 +54,10 @@ let report t =
 let run t x =
   let g = t.gemv in
   Gemv.check_activations ~caller:"Mac_array.run" g x;
-  let ref_out = Gemv.reference g x in
   (* Emulate the tiled execution: the array consumes the flattened
      (neuron, input) MAC stream n_macs at a time, and the tiling must
-     reproduce the reference exactly. *)
+     reproduce [Gemv.reference] exactly (test_neuron checks it at the
+     paper benchmark's size and on random tilings). *)
   let n = g.Gemv.in_features and codes = g.Gemv.codes in
   let total = Gemv.total_macs g in
   let out = Array.make g.Gemv.out_features 0 in
@@ -76,5 +76,4 @@ let run t x =
     done;
     pos := stop
   done;
-  assert (out = ref_out);
   (out, report t)

@@ -12,6 +12,17 @@
      no search and no allocation.
    - The float scalars live in their own all-float record so updating
      them is a flat store, not a fresh float box per event.
+   - Each sign's bucket counts are unsigned 32-bit counters packed into
+     one [Bytes.t] (16 KB, half an [int array]), read and written with
+     the unchecked [%caml_bytes_get32u]/[%caml_bytes_set32u] primitives.
+     As with [Rng]'s 64-bit state word, the int32 such a primitive
+     returns stays unboxed while it flows only into [Int32.to_int] or the
+     store, so a bump allocates nothing.  A count that would pass
+     2^32 - 1 raises instead of wrapping.
+   - A float argument to a non-inlined call is boxed at the call site, so
+     callers that compute their samples can hand them over through a
+     [Float.Array.t] cell ([observe_cell]) and keep them unboxed end to
+     end; both entry points inline the same body.
    - Determinism: the index is integer arithmetic on the bit pattern,
      identical on every platform. *)
 
@@ -35,9 +46,21 @@ type t = {
   mutable zero : int; (* |v| < 2^-64, including 0. and -0. *)
   mutable pos_overflow : int; (* v >= 2^64, including +inf *)
   mutable neg_overflow : int; (* v <= -(2^64), including -inf *)
-  pos : int array;
-  mutable neg : int array; (* [||] until the first negative sample *)
+  pos : Bytes.t; (* [buckets] unsigned 32-bit counts *)
+  mutable neg : Bytes.t; (* [Bytes.empty] until the first negative sample *)
 }
+
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let max_count = 0xFFFF_FFFF
+
+(* Count of bucket [i]; [i] is in [0, buckets) wherever this is called. *)
+let[@inline] get b i = Int32.to_int (get32u b (i lsl 2)) land max_count
+
+let[@inline] set b i c = set32u b (i lsl 2) (Int32.of_int c)
+
+let counters () = Bytes.make (buckets * 4) '\000'
 
 let create () =
   {
@@ -46,8 +69,8 @@ let create () =
     zero = 0;
     pos_overflow = 0;
     neg_overflow = 0;
-    pos = Array.make buckets 0;
-    neg = [||];
+    pos = counters ();
+    neg = Bytes.empty;
   }
 
 (* Bucket of |v| for 2^-64 <= |v| < 2^64: the biased exponent and the
@@ -58,28 +81,38 @@ let[@inline] bucket_index v =
   - (959 lsl 5)
 
 (* Cold: runs at most once per sketch, on the first negative sample. *)
-let grow_neg t = t.neg <- Array.make buckets 0
+let grow_neg t = t.neg <- counters ()
 
-let observe t v =
+(* Cold: a full 32-bit bucket. *)
+let full caller = invalid_arg (caller ^ ": bucket count would exceed 2^32 - 1")
+
+let[@inline] bump b i =
+  let c = get b i in
+  if c = max_count then full "Sketch.observe";
+  set b i (c + 1)
+
+(* The bucket is bumped before the scalars move, so a full bucket leaves
+   the sketch as it was. *)
+let[@inline] observe_body t v =
   if Float.is_nan v then invalid_arg "Sketch.observe: nan sample";
-  t.count <- t.count + 1;
-  t.s.sum <- t.s.sum +. v;
-  if v < t.s.lo then t.s.lo <- v;
-  if v > t.s.hi then t.s.hi <- v;
   if v >= 0.0 then
     if v < tiny then t.zero <- t.zero + 1
     else if v >= huge then t.pos_overflow <- t.pos_overflow + 1
-    else begin
-      let i = bucket_index v in
-      Array.unsafe_set t.pos i (Array.unsafe_get t.pos i + 1)
-    end
+    else bump t.pos (bucket_index v)
   else if v > -.tiny then t.zero <- t.zero + 1
   else if v <= -.huge then t.neg_overflow <- t.neg_overflow + 1
   else begin
-    if Array.length t.neg = 0 then grow_neg t;
-    let i = bucket_index v in
-    Array.unsafe_set t.neg i (Array.unsafe_get t.neg i + 1)
-  end
+    if Bytes.length t.neg = 0 then grow_neg t;
+    bump t.neg (bucket_index v)
+  end;
+  t.count <- t.count + 1;
+  t.s.sum <- t.s.sum +. v;
+  if v < t.s.lo then t.s.lo <- v;
+  if v > t.s.hi then t.s.hi <- v
+
+let observe t v = observe_body t v
+
+let observe_cell t cell i = observe_body t (Float.Array.get cell i)
 
 let count t = t.count
 
@@ -112,13 +145,13 @@ let nth_interior t k =
       else k := !k - n
   in
   take t.neg_overflow t.s.lo;
-  if Array.length t.neg > 0 then
+  if Bytes.length t.neg > 0 then
     for i = buckets - 1 downto 0 do
-      take t.neg.(i) (-.rep i)
+      take (get t.neg i) (-.rep i)
     done;
   take t.zero 0.0;
   for i = 0 to buckets - 1 do
-    take t.pos.(i) (rep i)
+    take (get t.pos i) (rep i)
   done;
   take t.pos_overflow t.s.hi;
   !out
@@ -147,37 +180,51 @@ let quantile t p =
     else (xlo *. (1.0 -. frac)) +. (nth t hi *. frac)
   end
 
+(* Every bucket sum is checked before any is stored, so a merge that
+   would overflow leaves [into] as it was. *)
+let merge_counters ~into src =
+  for i = 0 to buckets - 1 do
+    if get into i + get src i > max_count then full "Sketch.merge_into"
+  done;
+  for i = 0 to buckets - 1 do
+    set into i (get into i + get src i)
+  done
+
 let merge_into ~into src =
+  merge_counters ~into:into.pos src.pos;
+  if Bytes.length src.neg > 0 then begin
+    if Bytes.length into.neg = 0 then grow_neg into;
+    merge_counters ~into:into.neg src.neg
+  end;
   into.count <- into.count + src.count;
   into.s.sum <- into.s.sum +. src.s.sum;
   if src.s.lo < into.s.lo then into.s.lo <- src.s.lo;
   if src.s.hi > into.s.hi then into.s.hi <- src.s.hi;
   into.zero <- into.zero + src.zero;
   into.pos_overflow <- into.pos_overflow + src.pos_overflow;
-  into.neg_overflow <- into.neg_overflow + src.neg_overflow;
-  for i = 0 to buckets - 1 do
-    into.pos.(i) <- into.pos.(i) + src.pos.(i)
-  done;
-  if Array.length src.neg > 0 then begin
-    if Array.length into.neg = 0 then grow_neg into;
-    for i = 0 to buckets - 1 do
-      into.neg.(i) <- into.neg.(i) + src.neg.(i)
-    done
-  end
+  into.neg_overflow <- into.neg_overflow + src.neg_overflow
 
+(* Exact heap words: t (7 fields) and scalars (3 float fields), each
+   plus a header, and each counter block's header and payload (a
+   [Bytes.t] of [n] bytes spans [n / 8 + 1] words, [Bytes.empty] too). *)
 let live_words t =
-  let arr a = if Array.length a = 0 then 0 else Array.length a + 1 in
-  (* t (7 fields) + scalars (3 float fields), each plus a header word. *)
-  8 + 4 + arr t.pos + arr t.neg
+  let block b = (Bytes.length b / 8) + 2 in
+  8 + 4 + block t.pos + block t.neg
 
 let nonempty_buckets t =
   let live = ref 0 in
-  let bump c = if c > 0 then Stdlib.incr live in
-  bump t.zero;
-  bump t.pos_overflow;
-  bump t.neg_overflow;
-  Array.iter bump t.pos;
-  Array.iter bump t.neg;
+  let note c = if c > 0 then Stdlib.incr live in
+  note t.zero;
+  note t.pos_overflow;
+  note t.neg_overflow;
+  let side b =
+    if Bytes.length b > 0 then
+      for i = 0 to buckets - 1 do
+        note (get b i)
+      done
+  in
+  side t.pos;
+  side t.neg;
   !live
 
 let to_json t =

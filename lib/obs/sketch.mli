@@ -13,7 +13,14 @@
 
     Each binary octave [\[2{^e}, 2{^e+1})] for [e] in [\[-64, 64)] is
     split into 32 linear sub-buckets (4096 buckets per sign, the
-    negative side allocated only when a negative sample arrives).
+    negative side allocated only when a negative sample arrives).  Each
+    bucket count is an unsigned 32-bit counter, so one sign's buckets
+    take 16 KB (2,050 heap words) and a sketch with only non-negative
+    samples retains 2,064 words ({!live_words}).  A bucket holds at most
+    [2{^32} - 1] samples: an {!observe} or {!merge_into} that would pass
+    that raises [Invalid_argument] and leaves the sketch unchanged,
+    rather than wrap.  The zero and overflow buckets and {!count} are
+    native ints with no such limit.
     Magnitudes below [2{^-64}] collapse into a single zero bucket whose
     representative is [0.]; magnitudes at or above [2{^64}] (including
     infinities) land in a per-sign overflow bucket represented by the
@@ -52,7 +59,16 @@ val observe : t -> float -> unit
 (** Absorb one sample in O(1) with zero minor-heap allocation
     (the ALLOC-HOT lint gates this — see [Lint_config]).  Raises
     [Invalid_argument] on a NaN sample: an instrumented NaN means the
-    instrumentation itself is broken, which must not pass silently. *)
+    instrumentation itself is broken, which must not pass silently.
+    Also raises [Invalid_argument] if the sample's bucket already holds
+    [2{^32} - 1] samples. *)
+
+val observe_cell : t -> Float.Array.t -> int -> unit
+(** [observe_cell t cell i] is [observe t (Float.Array.get cell i)]
+    without the float crossing a call: a computed float passed to
+    {!observe} from another module is boxed at the call site, one stored
+    into a [Float.Array.t] is not.  Hot loops keep a small cell of
+    samples and allocate nothing per event. *)
 
 val bucket_index : float -> int
 (** [bucket_index v] is the bucket of [|v|] within one sign's 4096,
@@ -80,7 +96,9 @@ val quantile : t -> float -> float
     the two are drop-in interchangeable. *)
 
 val merge_into : into:t -> t -> unit
-(** Fold [src]'s state into [into].  Bucket counts, [count], [min] and
+(** Fold [src]'s state into [into] ([src] may be [into] itself).  Raises
+    [Invalid_argument], leaving [into] unchanged, if a merged bucket
+    would hold more than [2{^32} - 1] samples.  Bucket counts, [count], [min] and
     [max] merge commutatively — any merge order yields identical buckets
     and therefore identical quantiles.  [sum] (and hence [mean]) is
     float addition of the two partial sums, so byte-identical [mean]
@@ -89,8 +107,9 @@ val merge_into : into:t -> t -> unit
     convention). *)
 
 val live_words : t -> int
-(** Approximate heap words retained by this sketch (scalar fields plus
-    bucket arrays).  Constant once both sign arrays exist, so telemetry
+(** Heap words retained by this sketch (scalar fields plus bucket
+    counters): 2,064 with one sign's counters, 4,112 with both — equal to
+    [Obj.reachable_words].  Constant in the sample count, so telemetry
     memory stays flat while request counts grow. *)
 
 val to_json : t -> string

@@ -17,7 +17,13 @@
      node id, reproducing the historical first-minimum scan exactly;
    - hot/idle power tracking uses a lazy-deletion deadline heap: one
      entry per hot {e period} (re-pushed on pop while still busy), not
-     per request;
+     per request.  Its earliest deadline is mirrored in [sfl.idle_next],
+     refreshed on push and take only, so the per-request drain check is
+     a flat float compare rather than a [Heap.min_priority] call whose
+     float return is boxed;
+   - the three latency samples of a request reach their sketches through
+     the [samples] cell and [Sketch.observe_cell]: a float argument to
+     [Sketch.observe] would be boxed at each call;
    - everything request-rate-proportional lives in [module Hot], which
      Lint_config registers as an ALLOC-HOT Leaf (any allocation is an
      error); [run_shard] is the Driver around it. *)
@@ -88,7 +94,10 @@ let validate_config c =
   if not (c.decode_token_latency_s > 0.0) then
     invalid_arg "Fleet: decode_token_latency_s <= 0"
 
+(* The decode rate is [Perf.throughput_tokens_per_s] from the one cached
+   token latency, rather than a second, uncached latency evaluation. *)
 let config_of_model ?(context = 2048) ?(shards = 8) ~nodes mconfig =
+  let tok_lat = Perf.token_latency_cached mconfig ~context in
   {
     nodes;
     shards = min shards (max 1 nodes);
@@ -97,8 +106,8 @@ let config_of_model ?(context = 2048) ?(shards = 8) ~nodes mconfig =
     idle_after_s = 30.0;
     prefill_tokens_per_s =
       Perf.prefill_throughput_tokens_per_s mconfig ~chunk:8 ~context;
-    decode_tokens_per_s = Perf.throughput_tokens_per_s mconfig ~context;
-    decode_token_latency_s = Perf.token_latency_cached mconfig ~context;
+    decode_tokens_per_s = float_of_int (Perf.pipeline_slots mconfig) /. tok_lat;
+    decode_token_latency_s = tok_lat;
   }
 
 let capacity_req_per_s cfg (spec : Arrivals.spec) =
@@ -138,6 +147,7 @@ let shard_of_node g ~nodes ~shards =
    all-float record is flat. *)
 type sfl = {
   mutable now_s : float;
+  mutable idle_next : float;  (* earliest [idle] deadline; infinity when empty *)
   mutable busy_s : float;
   mutable makespan_s : float;
   mutable tokens : float;
@@ -174,6 +184,7 @@ type shard_state = {
   mutable dispatched : int;
   mutable dropped : int;
   fl : sfl;
+  samples : Float.Array.t;  (* ttft, e2e, queue of the request in hand *)
   ttft : Sketch.t;
   e2e : Sketch.t;
   queue : Sketch.t;
@@ -259,6 +270,11 @@ module Hot = struct
     let p = st.pos.(i) in
     if p >= 0 then sift_down st i p
 
+  (* Inlined at both call sites, so the deadline never crosses a call. *)
+  let[@inline] idle_push st i deadline =
+    Heap.push st.idle ~priority:deadline i;
+    if deadline < st.fl.idle_next then st.fl.idle_next <- deadline
+
   (* The cool-down deadline reads the node's just-updated [free_at]
      rather than taking the finish time as a (boxed) float argument. *)
   let mark_hot st i =
@@ -268,25 +284,24 @@ module Hot = struct
       let h = st.rack_hot.(r) + 1 in
       st.rack_hot.(r) <- h;
       if h > st.peak_rack_hot then st.peak_rack_hot <- h;
-      Heap.push st.idle ~priority:(st.free_at.(i) +. st.idle_after_s) i
+      idle_push st i (st.free_at.(i) +. st.idle_after_s)
     end
 
   (* Retire cool-down deadlines that have passed; an entry whose node
      got more work since is re-pushed at its new deadline (lazy
      deletion, one live entry per hot period). *)
   let rec drain_idle st =
-    if
-      (not (Heap.is_empty st.idle))
-      && Heap.min_priority st.idle <= st.fl.now_s
-    then begin
+    if st.fl.idle_next <= st.fl.now_s then begin
       let i = Heap.take_min st.idle in
+      st.fl.idle_next <-
+        (if Heap.is_empty st.idle then infinity else Heap.min_priority st.idle);
       if st.hot.(i) = 1 then begin
         let deadline = st.free_at.(i) +. st.idle_after_s in
         if deadline <= st.fl.now_s then begin
           st.hot.(i) <- 0;
           st.rack_hot.(i / st.rack_size) <- st.rack_hot.(i / st.rack_size) - 1
         end
-        else Heap.push st.idle ~priority:deadline i
+        else idle_push st i deadline
       end;
       drain_idle st
     end
@@ -375,9 +390,12 @@ module Hot = struct
     let completion = now +. e2e in
     let span = if finish > completion then finish else completion in
     if span > st.fl.makespan_s then st.fl.makespan_s <- span;
-    Sketch.observe st.ttft ttft;
-    Sketch.observe st.e2e e2e;
-    Sketch.observe st.queue queue
+    Float.Array.set st.samples 0 ttft;
+    Float.Array.set st.samples 1 e2e;
+    Float.Array.set st.samples 2 queue;
+    Sketch.observe_cell st.ttft st.samples 0;
+    Sketch.observe_cell st.e2e st.samples 1;
+    Sketch.observe_cell st.queue st.samples 2
 end
 
 (* Failed nodes re-dispatch through the policy; for session affinity the
@@ -494,11 +512,13 @@ let make_state cfg shard ~users =
       fl =
         {
           now_s = 0.0;
+          idle_next = infinity;
           busy_s = 0.0;
           makespan_s = 0.0;
           tokens = 0.0;
           redispatched = 0.0;
         };
+      samples = Float.Array.make 3 0.0;
       ttft = Sketch.create ();
       e2e = Sketch.create ();
       queue = Sketch.create ();

@@ -8,7 +8,8 @@
    - output is deterministic: two runs serialize byte-identically;
    - the baseline round-trips through its textual format, downgrades
      matched findings to Info with the reason attached, and reports
-     stale entries instead of silently skipping them. *)
+     stale entries of scanned libraries instead of silently skipping
+     them. *)
 
 module D = Hnlpu_verify.Diagnostic
 module Lint = Hnlpu_lint.Lint
@@ -161,7 +162,7 @@ let test_baseline_apply_downgrades_and_flags_stale () =
   let stale =
     Baseline.entry ~rule:"EXN-SWALLOW" ~subject:"M.gone" ~reason:"was removed"
   in
-  let out = D.normalize (Baseline.apply (sample_entries @ [ stale ]) ds) in
+  let out = D.normalize (Baseline.apply ~libs:[ "M" ] (sample_entries @ [ stale ]) ds) in
   let find subject = List.find (fun d -> String.equal d.D.subject subject) out in
   let matched = find "M.f" in
   Alcotest.(check string) "matched finding downgraded" "INFO"
@@ -174,6 +175,40 @@ let test_baseline_apply_downgrades_and_flags_stale () =
   Alcotest.(check int) "stale entries reported" 2 (List.length lint_baseline);
   Alcotest.(check bool) "stale subject named" true
     (List.exists (fun d -> String.equal d.D.subject "M.gone") lint_baseline)
+
+(* The library build tree: [../lib] from [_build/default/test], where the
+   suite's own links have compiled every library. *)
+let lib_dir sub =
+  match
+    List.find_opt Sys.file_exists
+      [ Filename.concat "../lib" sub; Filename.concat "_build/default/lib" sub ]
+  with
+  | Some d -> d
+  | None -> Alcotest.fail "library .cmt files not found — build with `dune build @all'"
+
+let test_baseline_scoped_to_scanned_libraries () =
+  (* A baseline entry is judged only when its library was scanned: the
+     fp4-only scan says nothing about Hnlpu_util entries, live or stale,
+     while the full scan matches the live one and flags the planted
+     stale one. *)
+  let baseline =
+    [
+      Baseline.entry ~rule:"ALLOC-HOT" ~subject:"Hnlpu_util.Heap.peek"
+        ~reason:"option+tuple convenience accessor";
+      Baseline.entry ~rule:"ALLOC-HOT" ~subject:"Hnlpu_util.Heap.renamed_away"
+        ~reason:"planted stale entry";
+    ]
+  in
+  let stale dirs =
+    List.filter_map
+      (fun d -> if d.D.rule = "LINT-BASELINE" then Some d.D.subject else None)
+      (Lint.run_with_baseline ~baseline ~dirs ())
+  in
+  Alcotest.(check (list string)) "fp4-only scan judges no Hnlpu_util entry" []
+    (stale [ lib_dir "fp4" ]);
+  Alcotest.(check (list string)) "full scan flags the planted stale entry"
+    [ "Hnlpu_util.Heap.renamed_away" ]
+    (stale [ lib_dir "" ])
 
 let test_repo_baseline_matches_format () =
   (* The committed baseline (when visible from the test's cwd) parses and
@@ -222,5 +257,7 @@ let () =
             test_baseline_apply_downgrades_and_flags_stale;
           Alcotest.test_case "committed baseline well-formed" `Quick
             test_repo_baseline_matches_format;
+          Alcotest.test_case "scoped to scanned libraries" `Quick
+            test_baseline_scoped_to_scanned_libraries;
         ] );
     ]

@@ -84,15 +84,49 @@ let test_gemv_paper_shape () =
 
 (* --- Machines compute the same answer ---------------------------------- *)
 
-let test_ma_matches_reference () =
+(* CE and MA do not re-run the reference inside [run], so their agreement
+   is checked here: the small case, then the paper benchmark's 1024x128
+   shape over several seeds, with random and with extreme activations. *)
+let paper_cases () =
+  List.concat_map
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = Gemv.paper_benchmark rng in
+      let half = 1 lsl (g.Gemv.act_bits - 1) in
+      let n = g.Gemv.in_features in
+      [
+        (Printf.sprintf "seed %d random" seed, g, Gemv.random_activations rng g);
+        (Printf.sprintf "seed %d all-min" seed, g, Array.make n (-half));
+        (Printf.sprintf "seed %d all-max" seed, g, Array.make n (half - 1));
+      ])
+    [ 1; 2; 3; 4 ]
+
+let check_machine name run_of =
   let g, x = small_gemv () in
-  let out, _ = Mac_array.run (Mac_array.make g) x in
-  Alcotest.(check (array int)) "MA = reference" (Gemv.reference g x) out
+  Alcotest.(check (array int)) (name ^ " = reference") (Gemv.reference g x) (run_of g x);
+  List.iter
+    (fun (case, g, x) ->
+      Alcotest.(check (array int))
+        (Printf.sprintf "%s = reference, paper benchmark %s" name case)
+        (Gemv.reference g x) (run_of g x))
+    (paper_cases ())
+
+let test_ma_matches_reference () =
+  check_machine "MA" (fun g x -> fst (Mac_array.run (Mac_array.make g) x));
+  (* Tiles that straddle neuron rows at the full size. *)
+  let rng = Rng.create 5 in
+  let g = Gemv.paper_benchmark rng in
+  let x = Gemv.random_activations rng g in
+  List.iter
+    (fun n_macs ->
+      Alcotest.(check (array int))
+        (Printf.sprintf "MA = reference, paper benchmark, %d MACs" n_macs)
+        (Gemv.reference g x)
+        (fst (Mac_array.run (Mac_array.make ~n_macs g) x)))
+    [ 1; 1000; 3072 ]
 
 let test_ce_matches_reference () =
-  let g, x = small_gemv () in
-  let out, _ = Cell_embedding.run (Cell_embedding.make g) x in
-  Alcotest.(check (array int)) "CE = reference" (Gemv.reference g x) out
+  check_machine "CE" (fun g x -> fst (Cell_embedding.run (Cell_embedding.make g) x))
 
 let test_me_matches_reference () =
   let g, x = small_gemv () in

@@ -750,6 +750,106 @@ let test_scheduler_sink_flat () =
   Alcotest.(check int) "live words at 2k = at 20k requests" (words 2_000)
     (words 20_000)
 
+let test_sketch_live_words_pinned () =
+  (* Two scalar blocks (12 words) and one sign's 4096 32-bit counters: a
+     16,384-byte [Bytes.t] spans 2,049 words plus its header, and the
+     absent negative side is the 2-word [Bytes.empty]. *)
+  let check label expect sk =
+    Alcotest.(check int) (label ^ ": live_words") expect (Sketch.live_words sk);
+    Alcotest.(check int) (label ^ ": reachable words") expect
+      (Obj.reachable_words (Obj.repr sk))
+  in
+  let sk = Sketch.create () in
+  check "fresh" 2_064 sk;
+  let rng = Hnlpu.Rng.create 5 in
+  for _ = 1 to 100_000 do
+    Sketch.observe sk (exp (40.0 *. (Hnlpu.Rng.float rng 1.0 -. 0.5)))
+  done;
+  check "after 10^5 samples" 2_064 sk;
+  Sketch.observe sk (-1.0);
+  check "with a negative sample" 4_112 sk
+
+let test_sketch_bucket_limit () =
+  (* Self-merging doubles every count: 31 doublings take one sample's
+     bucket to 2^31, the 32nd would reach 2^32 and raises, leaving the
+     sketch as it was. *)
+  let full = Invalid_argument "Sketch.merge_into: bucket count would exceed 2^32 - 1" in
+  let sk = feed_sketch [| 1.0 |] in
+  for _ = 1 to 31 do
+    Sketch.merge_into ~into:sk sk
+  done;
+  Alcotest.(check int) "2^31 after 31 doublings" (1 lsl 31) (Sketch.count sk);
+  Alcotest.check_raises "32nd doubling raises" full (fun () -> Sketch.merge_into ~into:sk sk);
+  Alcotest.(check int) "count unchanged by the failed merge" (1 lsl 31) (Sketch.count sk);
+  Alcotest.(check (float 0.0)) "median unchanged" 1.0 (Sketch.quantile sk 0.5);
+  (* A bucket at 2^32 - 1 = 2^31 + (2^31 - 1): binary doubling builds the
+     second term in [acc]. *)
+  let acc = Sketch.create () and pow = feed_sketch [| 1.0 |] in
+  for _ = 0 to 30 do
+    Sketch.merge_into ~into:acc pow;
+    Sketch.merge_into ~into:pow pow
+  done;
+  Sketch.merge_into ~into:acc pow;
+  Alcotest.(check int) "bucket at 2^32 - 1" 0xFFFF_FFFF (Sketch.count acc);
+  Alcotest.check_raises "observe into a full bucket raises"
+    (Invalid_argument "Sketch.observe: bucket count would exceed 2^32 - 1")
+    (fun () -> Sketch.observe acc 1.0);
+  Alcotest.(check int) "count unchanged by the failed observe" 0xFFFF_FFFF (Sketch.count acc);
+  (* Other buckets still take samples. *)
+  Sketch.observe acc 2.0;
+  Alcotest.(check (float 0.0)) "a different bucket still counts" 2.0 (Sketch.max_v acc)
+
+let test_sketch_observe_allocates_nothing () =
+  (* 10^4 calls of each entry point allocate no minor-heap word.  The
+     [observe] samples are boxed once, up front (a float computed at the
+     call site would be boxed by the caller); [observe_cell] reads them
+     from a flat cell.  Both signs are warmed up first, so the lazy
+     negative counters exist before measuring. *)
+  let samples = List.init 100 (fun i -> (float_of_int (i - 30) *. 1.37) +. 0.01) in
+  let sk = Sketch.create () in
+  let rec feed = function
+    | [] -> ()
+    | v :: rest ->
+      Sketch.observe sk v;
+      feed rest
+  in
+  feed samples;
+  let cell = Float.Array.make 3 0.0 in
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  Alcotest.(check (float 0.0)) "observe: minor words for 10^4 calls" 0.0
+    (words (fun () ->
+         for _ = 1 to 100 do
+           feed samples
+         done));
+  Alcotest.(check (float 0.0)) "observe_cell: minor words for 10^4 calls" 0.0
+    (words (fun () ->
+         for i = 1 to 10_000 do
+           Float.Array.set cell 1 ((float_of_int (i - 3_000) *. 0.37) +. 0.01);
+           Sketch.observe_cell sk cell 1
+         done));
+  Alcotest.(check int) "every call counted" 20_100 (Sketch.count sk)
+
+let test_sketch_observe_cell_is_observe () =
+  let rng = Hnlpu.Rng.create 17 in
+  let xs = Array.init 5_000 (fun _ -> exp (8.0 *. (Hnlpu.Rng.float rng 1.0 -. 0.5)) -. 0.5) in
+  let cell = Float.Array.make 1 0.0 in
+  let via_cell = Sketch.create () in
+  Array.iter
+    (fun x ->
+      Float.Array.set cell 0 x;
+      Sketch.observe_cell via_cell cell 0)
+    xs;
+  Alcotest.(check string) "same JSON as observe" (Sketch.to_json (feed_sketch xs))
+    (Sketch.to_json via_cell);
+  Alcotest.check_raises "nan through the cell raises"
+    (Invalid_argument "Sketch.observe: nan sample") (fun () ->
+      Float.Array.set cell 0 nan;
+      Sketch.observe_cell via_cell cell 0)
+
 let test_sketch_tiny_and_overflow () =
   (* Below 2^-64 everything collapses into the zero bucket (absolute
      error <= 2^-64); at or above 2^64 the overflow bucket reports the
@@ -1043,6 +1143,13 @@ let () =
             test_scheduler_sink_flat;
           Alcotest.test_case "tiny and overflow" `Quick
             test_sketch_tiny_and_overflow;
+          Alcotest.test_case "live words pinned" `Quick
+            test_sketch_live_words_pinned;
+          Alcotest.test_case "32-bit bucket limit" `Quick test_sketch_bucket_limit;
+          Alcotest.test_case "observe allocates nothing" `Quick
+            test_sketch_observe_allocates_nothing;
+          Alcotest.test_case "observe_cell = observe" `Quick
+            test_sketch_observe_cell_is_observe;
           Alcotest.test_case "bucket index at powers of two" `Quick
             test_sketch_bucket_index_edges;
         ] );
