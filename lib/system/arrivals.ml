@@ -75,10 +75,14 @@ let mean_tokens = function
       if alpha <= 1.0 then infinity else alpha *. xmin /. (alpha -. 1.0)
 
 (* All-float so stores into [now_s]/[dwell_until_s] are flat writes, not
-   box allocations. *)
+   box allocations, and reads of the per-spec constants are flat loads:
+   a length draw reads its parameter here rather than taking it as a
+   float argument, which a non-inlined call would box. *)
 type fl = {
   mutable now_s : float;  (* process clock: candidate-arrival frontier *)
   mutable dwell_until_s : float;  (* MMPP: when the current state expires *)
+  prefill_param : float;  (* see [length_param] *)
+  decode_param : float;
 }
 
 (* The published arrival time lives in its own (private in the .mli)
@@ -127,13 +131,20 @@ let validate spec =
    to [Rng.float rng 1.0], but the int return of [bits53] never
    allocates where a non-inlined [Rng.float] call boxes its result.
    This module makes three draws per request on the Leaf hot path. *)
-let[@inline] unit_draw rng =
-  float_of_int (Rng.bits53 rng) /. 9007199254740992.0
+let[@inline] unit_draw rng = float_of_int (Rng.bits53 rng) *. 0x1p-53
 
 (* Exp(rate) by inverse CDF on [1-u] in (0, 1].  Local rather than
    [Rng.exponential]: that one draws through a non-inlined rejection
    helper whose boxed float return costs ~3 words on every variate. *)
 let[@inline] exp_draw rng rate = -.log (1.0 -. unit_draw rng) /. rate
+
+(* A length draw's parameter, computed once per cursor: a Geometric
+   length's Exp rate [1 / mean], a Pareto length's exponent [-1 / alpha].
+   The same divisions the draws used to make per request, so every
+   length is unchanged. *)
+let length_param = function
+  | Geometric { mean } -> 1.0 /. float mean
+  | Pareto { alpha; _ } -> -1.0 /. alpha
 
 (* The chain generator is the seed's own SplitMix64 sequence
    ([Rng.create seed]).  [Rng.derive] double-mixes every (seed, stream)
@@ -147,7 +158,13 @@ let create ?(stream = 0) ~seed spec =
       rng;
       chain;
       spec;
-      fl = { now_s = 0.0; dwell_until_s = 0.0 };
+      fl =
+        {
+          now_s = 0.0;
+          dwell_until_s = 0.0;
+          prefill_param = length_param spec.prefill;
+          decode_param = length_param spec.decode;
+        };
       clock = { arrival_s = 0.0 };
       mmpp_state = 0;
       prefill_tokens = 1;
@@ -165,14 +182,15 @@ let create ?(stream = 0) ~seed spec =
 
 let two_pi = 8.0 *. atan 1.0
 
-let draw_tokens t dist =
+(* [decode] picks the side whose [length_param] applies. *)
+let draw_tokens t dist ~decode =
+  let param = if decode then t.fl.decode_param else t.fl.prefill_param in
   match dist with
-  | Geometric { mean } ->
-      1 + int_of_float (exp_draw t.rng (1.0 /. float mean))
-  | Pareto { alpha; xmin; cap } ->
+  | Geometric _ -> 1 + int_of_float (exp_draw t.rng param)
+  | Pareto { xmin; cap; _ } ->
       (* Inverse-CDF: x = xmin * u^(-1/alpha) with u in (0, 1]. *)
       let u = 1.0 -. unit_draw t.rng in
-      let x = xmin *. (u ** (-1.0 /. alpha)) in
+      let x = xmin *. (u ** param) in
       let n = if x >= float cap then cap else int_of_float x in
       if n < 1 then 1 else n
 
@@ -226,8 +244,8 @@ let next t =
   | Diurnal _ -> emit_diurnal t
   | Mmpp _ -> emit_mmpp t);
   t.clock.arrival_s <- t.fl.now_s;
-  t.prefill_tokens <- draw_tokens t t.spec.prefill;
-  t.decode_tokens <- draw_tokens t t.spec.decode;
+  t.prefill_tokens <- draw_tokens t t.spec.prefill ~decode:false;
+  t.decode_tokens <- draw_tokens t t.spec.decode ~decode:true;
   t.user <- (if t.spec.users = 1 then 0 else Rng.int t.rng t.spec.users);
   t.generated <- t.generated + 1
 

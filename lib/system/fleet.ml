@@ -8,13 +8,20 @@
      (float stores into [float array] are unboxed writes);
    - the per-shard mutable float scalars live in the all-float record
      [sfl] (flat representation, no boxing on store);
-   - the least-loaded structure is an {e indexed} binary min-heap: int
-     arrays [heap] (slot -> node) and [pos] (node -> slot), plus a
-     parallel [key] float array holding each slot's [free_at], so the
-     sifts compare keys in slot order without the node -> [free_at]
-     indirection.  Routing is O(log n) and re-keying a node after
-     assignment is a sift, not a rebuild; ties break toward the lower
-     node id, reproducing the historical first-minimum scan exactly;
+   - routing reads indexed 4-ary min-heaps ([iheap]: slot -> element in
+     [slots], each slot's key in a parallel float array so the sifts
+     compare keys in slot order, element -> slot in a [pos] array shared
+     by every heap over the same elements).  Slot p's children are
+     4p+1..4p+4, so a 250-node shard sifts 4 levels deep, not 8.  Ties
+     break toward the lower id, reproducing the historical first-minimum
+     scan exactly; the order is total, so the minimum is the same node
+     however a heap happens to be arranged;
+   - Least_loaded, Round_robin and Session_affinity keep one heap of all
+     active nodes.  Power_aware keeps three: [all] holds the active hot
+     nodes, [cold.(r)] rack r's active cold nodes, and [racks] the racks
+     below their cap with a non-empty cold heap, keyed by that heap's
+     top.  The choice is the lesser of two tops, O(log n) per request;
+     only the all-capped override scans the racks (and is counted);
    - hot/idle power tracking uses a lazy-deletion deadline heap: one
      entry per hot {e period} (re-pushed on pop while still busy), not
      per request.  Its earliest deadline is mirrored in [sfl.idle_next],
@@ -23,7 +30,10 @@
      float return is boxed;
    - the three latency samples of a request reach their sketches through
      the [samples] cell and [Sketch.observe_cell]: a float argument to
-     [Sketch.observe] would be boxed at each call;
+     [Sketch.observe] would be boxed at each call.  No float crosses a
+     call on the request path: sifts read the moving element's key from
+     its source array, and [Arrivals] keeps its per-spec rates in its
+     all-float record;
    - everything request-rate-proportional lives in [module Hot], which
      Lint_config registers as an ALLOC-HOT Leaf (any allocation is an
      error); [run_shard] is the Driver around it. *)
@@ -94,8 +104,9 @@ let validate_config c =
   if not (c.decode_token_latency_s > 0.0) then
     invalid_arg "Fleet: decode_token_latency_s <= 0"
 
-(* The decode rate is [Perf.throughput_tokens_per_s] from the one cached
-   token latency, rather than a second, uncached latency evaluation. *)
+(* Both rates come from Perf's memo: the decode rate is
+   [Perf.throughput_tokens_per_s] from the one cached token latency, and
+   the prefill rate is read, not re-evaluated, on every set-up. *)
 let config_of_model ?(context = 2048) ?(shards = 8) ~nodes mconfig =
   let tok_lat = Perf.token_latency_cached mconfig ~context in
   {
@@ -104,8 +115,7 @@ let config_of_model ?(context = 2048) ?(shards = 8) ~nodes mconfig =
     rack_size = 16;
     rack_power_cap = 12;
     idle_after_s = 30.0;
-    prefill_tokens_per_s =
-      Perf.prefill_throughput_tokens_per_s mconfig ~chunk:8 ~context;
+    prefill_tokens_per_s = Perf.prefill_throughput_cached mconfig ~chunk:8 ~context;
     decode_tokens_per_s = float_of_int (Perf.pipeline_slots mconfig) /. tok_lat;
     decode_token_latency_s = tok_lat;
   }
@@ -154,6 +164,43 @@ type sfl = {
   mutable redispatched : float;
 }
 
+(* An indexed 4-ary min-heap over the elements [0, Array.length pos).
+   [src] is the element -> key array the heap orders by (a node's
+   [free_at], a rack's [rack_key]); [keys] mirrors it in slot order.
+   Heaps over one element set share [src] and [pos]: an element sits in
+   at most one of them.  Every slot from [len] on holds a sentinel (key
+   [infinity], element [max_int]), three of them past the capacity, so a
+   sift-down compares all four children of a slot without asking which
+   exist: a sentinel never wins against an element. *)
+type iheap = {
+  slots : int array;  (* slot -> element *)
+  keys : float array;  (* slot -> key of its element *)
+  src : float array;  (* element -> current key *)
+  pos : int array;  (* element -> slot in its heap, -1 when in none *)
+  mutable len : int;
+}
+
+let empty_heap ~src ~pos capacity =
+  {
+    slots = Array.make (capacity + 3) max_int;
+    keys = Array.make (capacity + 3) infinity;
+    src;
+    pos;
+    len = 0;
+  }
+
+(* Elements [first, first + n), ids ascending: with equal keys the
+   identity arrangement already satisfies the heap order. *)
+let full_heap ~src ~pos ~first n =
+  let h = empty_heap ~src ~pos n in
+  for k = 0 to n - 1 do
+    h.slots.(k) <- first + k;
+    h.keys.(k) <- src.(first + k);
+    pos.(first + k) <- k
+  done;
+  h.len <- n;
+  h
+
 type shard_state = {
   lo : int;  (* first global node id of the shard *)
   n : int;  (* nodes owned by the shard *)
@@ -169,15 +216,14 @@ type shard_state = {
   node_tokens : float array;
   node_requests : int array;
   status : int array;  (* 0 active / 1 drained / 2 failed *)
-  heap : int array;  (* heap slot -> node id *)
-  key : float array;  (* heap slot -> free_at of its node *)
-  pos : int array;  (* node id -> heap slot, -1 when absent *)
-  mutable heap_len : int;
+  pa : bool;  (* Power_aware: [all] holds hot nodes only, [cold]/[racks] live *)
+  all : iheap;  (* active nodes; under Power_aware the active hot ones *)
+  cold : iheap array;  (* Power_aware: rack -> its active cold nodes *)
+  racks : iheap;  (* Power_aware: racks below the cap with cold nodes *)
+  rack_key : float array;  (* rack -> key of its cold heap's top *)
   hot : int array;  (* 0 cold / 1 hot *)
   rack_hot : int array;
   idle : int Heap.t;  (* lazy-deletion cool-down deadlines *)
-  scratch : int array;  (* Power_aware pop stash *)
-  mutable scratch_len : int;
   mutable peak_rack_hot : int;
   mutable overrides : int;
   mutable rr : int;
@@ -193,103 +239,170 @@ type shard_state = {
 (* Everything request-rate-proportional: registered as an ALLOC-HOT Leaf
    (Lint_config), so any allocation below is a lint error. *)
 module Hot = struct
-  (* Slots are ordered lexicographically by (key, id): among equally-free
-     nodes the lower id wins, matching the historical first-minimum
-     scan.  A total order, so the minimum is the same node however the
-     heap happens to be arranged.  The sifts move a hole rather than
-     swapping: the moving node's own key is [free_at.(i)], every other
-     comparison reads [key] in slot order. *)
-  let[@inline] before st i s =
-    let k = st.free_at.(i) and ks = st.key.(s) in
-    k < ks || (k = ks && i < st.heap.(s))
+  (* Slots are ordered lexicographically by (key, element): among
+     equally-free nodes the lower id wins, matching the historical
+     first-minimum scan.  Racks are contiguous node ranges, so the lower
+     rack also holds the lower top node.  The sifts move a hole rather
+     than swapping: the moving element's own key is [src.(e)], every
+     other comparison reads [keys] in slot order.  Slot indices stay
+     below the padded capacity by construction, so the sift primitives
+     read and write unchecked. *)
+  let[@inline] before h e s =
+    let k = Array.unsafe_get h.src e and ks = Array.unsafe_get h.keys s in
+    k < ks || (k = ks && e < Array.unsafe_get h.slots s)
 
-  let[@inline] place st p i =
-    st.heap.(p) <- i;
-    st.key.(p) <- st.free_at.(i);
-    st.pos.(i) <- p
+  (* The lesser of slots [a] and [b], computed without a branch: which
+     child is least is a coin flip the branch predictor cannot learn. *)
+  let[@inline] least h a b =
+    let ka = Array.unsafe_get h.keys a and kb = Array.unsafe_get h.keys b in
+    let b_first =
+      Bool.to_int (kb < ka)
+      lor (Bool.to_int (kb = ka)
+          land Bool.to_int (Array.unsafe_get h.slots b < Array.unsafe_get h.slots a))
+    in
+    a lxor ((a lxor b) land (-b_first))
 
-  (* Slot [src]'s node moves into slot [dst]. *)
-  let[@inline] move st src dst =
-    let j = st.heap.(src) in
-    st.heap.(dst) <- j;
-    st.key.(dst) <- st.key.(src);
-    st.pos.(j) <- dst
+  (* Whether heap [a]'s top precedes heap [b]'s (both non-empty). *)
+  let[@inline] less_tops a b =
+    let ka = a.keys.(0) and kb = b.keys.(0) in
+    ka < kb || (ka = kb && a.slots.(0) < b.slots.(0))
 
-  (* Settles node [i] upward from the hole at slot [p]. *)
-  let rec sift_up st i p =
-    if p = 0 then place st p i
+  let[@inline] place h p e =
+    Array.unsafe_set h.slots p e;
+    Array.unsafe_set h.keys p (Array.unsafe_get h.src e);
+    Array.unsafe_set h.pos e p
+
+  (* Slot [from]'s element moves into slot [dst]. *)
+  let[@inline] move h from dst =
+    let j = Array.unsafe_get h.slots from in
+    Array.unsafe_set h.slots dst j;
+    Array.unsafe_set h.keys dst (Array.unsafe_get h.keys from);
+    Array.unsafe_set h.pos j dst
+
+  (* Settles element [e] upward from the hole at slot [p]. *)
+  let rec sift_up h e p =
+    if p = 0 then place h p e
     else begin
-      let parent = (p - 1) / 2 in
-      if before st i parent then begin
-        move st parent p;
-        sift_up st i parent
+      let parent = (p - 1) lsr 2 in
+      if before h e parent then begin
+        move h parent p;
+        sift_up h e parent
       end
-      else place st p i
+      else place h p e
     end
 
-  (* Settles node [i] downward from the hole at slot [p]. *)
-  let rec sift_down st i p =
-    let l = (2 * p) + 1 in
-    if l >= st.heap_len then place st p i
+  (* Settles element [e] downward from the hole at slot [p]. *)
+  let rec sift_down h e p =
+    let c0 = (4 * p) + 1 in
+    if c0 >= h.len then place h p e
     else begin
-      let r = l + 1 in
-      let c =
-        if r < st.heap_len
-           && (st.key.(r) < st.key.(l)
-              || (st.key.(r) = st.key.(l) && st.heap.(r) < st.heap.(l)))
-        then r
-        else l
-      in
-      if before st i c then place st p i
+      let c = least h (least h c0 (c0 + 1)) (least h (c0 + 2) (c0 + 3)) in
+      if before h e c then place h p e
       else begin
-        move st c p;
-        sift_down st i c
+        move h c p;
+        sift_down h e c
       end
     end
 
-  let heap_add st i =
-    let p = st.heap_len in
-    st.heap_len <- p + 1;
-    sift_up st i p
+  let add h e =
+    let p = h.len in
+    h.len <- p + 1;
+    sift_up h e p
 
-  let heap_remove st i =
-    let p = st.pos.(i) in
-    if p >= 0 then begin
-      let last = st.heap_len - 1 in
-      st.heap_len <- last;
-      st.pos.(i) <- -1;
-      if p <> last then begin
-        let j = st.heap.(last) in
-        if p > 0 && before st j ((p - 1) / 2) then sift_up st j p
-        else sift_down st j p
-      end
+  (* The last slot's element [j] refills [e]'s slot; the last slot
+     becomes a sentinel. *)
+  let remove h e =
+    let p = h.pos.(e) in
+    let last = h.len - 1 in
+    let j = h.slots.(last) in
+    h.len <- last;
+    h.pos.(e) <- -1;
+    h.slots.(last) <- max_int;
+    h.keys.(last) <- infinity;
+    if p <> last then
+      if p > 0 && before h j ((p - 1) lsr 2) then sift_up h j p else sift_down h j p
+
+  (* Re-settles [e] after its key moved either way. *)
+  let update h e =
+    let p = h.pos.(e) in
+    if p > 0 && before h e ((p - 1) lsr 2) then sift_up h e p else sift_down h e p
+
+  (* A node's [free_at] only grows while it sits in a heap, so its re-key
+     is a pure sift-down. *)
+  let requeue h i = sift_down h i h.pos.(i)
+
+  (* Power_aware: rack [r] belongs in [racks] while it is below the cap
+     and has an active cold node, keyed by that node's [free_at]. *)
+  let refresh_rack st r =
+    let c = st.cold.(r) in
+    let t = st.racks in
+    if c.len > 0 && st.rack_hot.(r) < st.rack_cap then begin
+      st.rack_key.(r) <- c.keys.(0);
+      if t.pos.(r) < 0 then add t r else update t r
     end
+    else if t.pos.(r) >= 0 then remove t r
 
-  (* [free_at] only ever grows, so a re-key is a pure sift-down. *)
-  let heap_update st i =
-    let p = st.pos.(i) in
-    if p >= 0 then sift_down st i p
+  (* An active node enters or leaves routing (Recover; Drain or Fail). *)
+  let attach st i =
+    if st.pa && st.hot.(i) = 0 then begin
+      let r = i / st.rack_size in
+      add st.cold.(r) i;
+      refresh_rack st r
+    end
+    else add st.all i
+
+  let detach st i =
+    if st.pa && st.hot.(i) = 0 then begin
+      let r = i / st.rack_size in
+      remove st.cold.(r) i;
+      refresh_rack st r
+    end
+    else remove st.all i
 
   (* Inlined at both call sites, so the deadline never crosses a call. *)
   let[@inline] idle_push st i deadline =
     Heap.push st.idle ~priority:deadline i;
     if deadline < st.fl.idle_next then st.fl.idle_next <- deadline
 
-  (* The cool-down deadline reads the node's just-updated [free_at]
-     rather than taking the finish time as a (boxed) float argument. *)
-  let mark_hot st i =
-    if st.hot.(i) = 0 then begin
-      st.hot.(i) <- 1;
-      let r = i / st.rack_size in
-      let h = st.rack_hot.(r) + 1 in
-      st.rack_hot.(r) <- h;
-      if h > st.peak_rack_hot then st.peak_rack_hot <- h;
-      idle_push st i (st.free_at.(i) +. st.idle_after_s)
+  (* Cold node [i] took work (its [free_at] already grown): it turns hot.
+     The cool-down deadline reads that [free_at] rather than taking the
+     finish time as a (boxed) float argument.  Under Power_aware the
+     node moves from its rack's cold heap to [all], and the rack may
+     reach its cap. *)
+  let warm st i =
+    st.hot.(i) <- 1;
+    let r = i / st.rack_size in
+    let h = st.rack_hot.(r) + 1 in
+    st.rack_hot.(r) <- h;
+    if h > st.peak_rack_hot then st.peak_rack_hot <- h;
+    idle_push st i (st.free_at.(i) +. st.idle_after_s);
+    if st.pa then begin
+      remove st.cold.(r) i;
+      add st.all i;
+      refresh_rack st r
+    end
+    else requeue st.all i
+
+  (* Re-keys active node [i] after its [free_at] grew; the hot check is
+     the whole cost for a node that is already hot. *)
+  let[@inline] touch st i = if st.hot.(i) = 0 then warm st i else requeue st.all i
+
+  (* Hot node [i] of rack [r] cooled down. *)
+  let cool st i r =
+    st.hot.(i) <- 0;
+    st.rack_hot.(r) <- st.rack_hot.(r) - 1;
+    if st.pa then begin
+      if st.status.(i) = 0 then begin
+        remove st.all i;
+        add st.cold.(r) i
+      end;
+      refresh_rack st r
     end
 
   (* Retire cool-down deadlines that have passed; an entry whose node
      got more work since is re-pushed at its new deadline (lazy
-     deletion, one live entry per hot period). *)
+     deletion, one live entry per hot period).  Callers check
+     [idle_next <= now_s] first. *)
   let rec drain_idle st =
     if st.fl.idle_next <= st.fl.now_s then begin
       let i = Heap.take_min st.idle in
@@ -297,10 +410,7 @@ module Hot = struct
         (if Heap.is_empty st.idle then infinity else Heap.min_priority st.idle);
       if st.hot.(i) = 1 then begin
         let deadline = st.free_at.(i) +. st.idle_after_s in
-        if deadline <= st.fl.now_s then begin
-          st.hot.(i) <- 0;
-          st.rack_hot.(i / st.rack_size) <- st.rack_hot.(i / st.rack_size) - 1
-        end
+        if deadline <= st.fl.now_s then cool st i (i / st.rack_size)
         else idle_push st i deadline
       end;
       drain_idle st
@@ -317,49 +427,45 @@ module Hot = struct
     st.rr <- st.rr + 1;
     probe_active st start st.n
 
-  let route_ll st = if st.heap_len = 0 then -1 else st.heap.(0)
+  let route_ll st = if st.all.len = 0 then -1 else st.all.slots.(0)
 
   (* [user] indexes the shard's own cursor, whose pool is [st.users]. *)
   let route_sa st user =
     let home = hash_user (Array.unsafe_get st.users user) mod st.total_nodes in
     probe_active st (home - st.lo) st.n
 
-  (* Pop heap minima that would power up a capped rack, stashing them
-     for restoration; accept the first node that is already hot or in
-     an under-cap rack. *)
-  let rec pa_pop st =
-    if st.heap_len = 0 then -1
+  (* The least (free_at, id) top among the racks' cold heaps, -1 when
+     every one is empty. *)
+  let rec min_cold st r best =
+    if r = Array.length st.cold then best
     else begin
-      let i = st.heap.(0) in
-      if st.hot.(i) = 1 || st.rack_hot.(i / st.rack_size) < st.rack_cap then i
-      else begin
-        heap_remove st i;
-        st.scratch.(st.scratch_len) <- i;
-        st.scratch_len <- st.scratch_len + 1;
-        pa_pop st
-      end
+      let c = st.cold.(r) in
+      if c.len > 0
+         && (best < 0
+            ||
+            let k = c.keys.(0) and kb = st.free_at.(best) in
+            k < kb || (k = kb && c.slots.(0) < best))
+      then min_cold st (r + 1) c.slots.(0)
+      else min_cold st (r + 1) best
     end
 
-  let rec pa_restore st k =
-    if k < st.scratch_len then begin
-      heap_add st st.scratch.(k);
-      pa_restore st (k + 1)
-    end
-
+  (* Least-loaded among hot nodes and cold nodes of racks under the cap:
+     the lesser of [all]'s top and the top of the cold heap that
+     [racks]' top names. *)
   let route_pa st =
-    st.scratch_len <- 0;
-    let choice = pa_pop st in
-    let all_capped = choice < 0 && st.scratch_len > 0 in
-    pa_restore st 0;
-    st.scratch_len <- 0;
-    if choice >= 0 then choice
-    else if all_capped then begin
+    let h = st.all and t = st.racks in
+    if t.len > 0 then begin
+      let c = st.cold.(t.slots.(0)) in
+      if h.len > 0 && less_tops h c then h.slots.(0) else c.slots.(0)
+    end
+    else if h.len > 0 then h.slots.(0)
+    else begin
       (* Every active node is cold inside a capped rack: power up past
          the cap rather than drop the request, and count the override. *)
-      st.overrides <- st.overrides + 1;
-      route_ll st
+      let i = min_cold st 0 (-1) in
+      if i >= 0 then st.overrides <- st.overrides + 1;
+      i
     end
-    else -1
 
   let route st policy user =
     match policy with
@@ -380,8 +486,7 @@ module Hot = struct
     let service_s = prefill_s +. (df /. st.decode_rate) in
     let finish = start +. service_s in
     st.free_at.(idx) <- finish;
-    heap_update st idx;
-    mark_hot st idx;
+    touch st idx;
     st.node_tokens.(idx) <- st.node_tokens.(idx) +. pf +. df;
     st.node_requests.(idx) <- st.node_requests.(idx) + 1;
     st.dispatched <- st.dispatched + 1;
@@ -415,15 +520,15 @@ let apply_event st policy ev =
     match ev.kind with
     | Drain -> if st.status.(i) = 0 then begin
         st.status.(i) <- 1;
-        Hot.heap_remove st i
+        Hot.detach st i
       end
     | Fail ->
         if st.status.(i) <> 2 then begin
-          if st.status.(i) = 0 then Hot.heap_remove st i;
+          if st.status.(i) = 0 then Hot.detach st i;
           st.status.(i) <- 2;
           let now = ev.at_s in
           st.fl.now_s <- now;
-          Hot.drain_idle st;
+          if st.fl.idle_next <= now then Hot.drain_idle st;
           let backlog_s = st.free_at.(i) -. now in
           st.free_at.(i) <- now;
           if backlog_s > 0.0 then begin
@@ -440,8 +545,7 @@ let apply_event st policy ev =
               let start = if free > now then free else now in
               let finish = start +. backlog_s in
               st.free_at.(tgt) <- finish;
-              Hot.heap_update st tgt;
-              Hot.mark_hot st tgt;
+              Hot.touch st tgt;
               if finish > st.fl.makespan_s then st.fl.makespan_s <- finish
             end
             (* No eligible node: the backlog dies with its node and
@@ -452,7 +556,7 @@ let apply_event st policy ev =
         if st.status.(i) <> 0 then begin
           st.status.(i) <- 0;
           if ev.at_s > st.free_at.(i) then st.free_at.(i) <- ev.at_s;
-          Hot.heap_add st i
+          Hot.attach st i
         end
   end
 
@@ -475,63 +579,72 @@ type shard_out = {
 
 let shard_lo cfg shard = shard * cfg.nodes / cfg.shards
 
-let make_state cfg shard ~users =
+let make_state cfg shard ~policy ~users =
   let lo = shard_lo cfg shard in
   let n = shard_lo cfg (shard + 1) - lo in
-  let racks = ((n - 1) / cfg.rack_size) + 1 in
-  let st =
-    {
-      lo;
-      n;
-      total_nodes = cfg.nodes;
-      users;
-      rack_size = cfg.rack_size;
-      rack_cap = cfg.rack_power_cap;
-      idle_after_s = cfg.idle_after_s;
-      prefill_rate = cfg.prefill_tokens_per_s;
-      decode_rate = cfg.decode_tokens_per_s;
-      tok_lat = cfg.decode_token_latency_s;
-      free_at = Array.make n 0.0;
-      node_tokens = Array.make n 0.0;
-      node_requests = Array.make n 0;
-      status = Array.make n 0;
-      heap = Array.make n 0;
-      key = Array.make n 0.0;
-      pos = Array.make n (-1);
-      heap_len = 0;
-      hot = Array.make n 0;
-      rack_hot = Array.make racks 0;
-      idle = Heap.create ~dummy:(-1) ();
-      scratch = Array.make n 0;
-      scratch_len = 0;
-      peak_rack_hot = 0;
-      overrides = 0;
-      rr = 0;
-      dispatched = 0;
-      dropped = 0;
-      fl =
-        {
-          now_s = 0.0;
-          idle_next = infinity;
-          busy_s = 0.0;
-          makespan_s = 0.0;
-          tokens = 0.0;
-          redispatched = 0.0;
-        };
-      samples = Float.Array.make 3 0.0;
-      ttft = Sketch.create ();
-      e2e = Sketch.create ();
-      queue = Sketch.create ();
-    }
+  let nracks = ((n - 1) / cfg.rack_size) + 1 in
+  let free_at = Array.make n 0.0 in
+  let pos = Array.make n (-1) in
+  let rack_key = Array.make nracks 0.0 in
+  (* All nodes start active and cold with free_at 0.  Least_loaded and
+     the others route over one heap of them; Power_aware starts with no
+     hot node, every node in its rack's cold heap and every rack below
+     its (positive) cap. *)
+  let pa = policy = Power_aware in
+  let all, cold, racks =
+    if pa then
+      ( empty_heap ~src:free_at ~pos n,
+        Array.init nracks (fun r ->
+            let first = r * cfg.rack_size in
+            full_heap ~src:free_at ~pos ~first (min cfg.rack_size (n - first))),
+        full_heap ~src:rack_key ~pos:(Array.make nracks (-1)) ~first:0 nracks )
+    else
+      ( full_heap ~src:free_at ~pos ~first:0 n,
+        [||],
+        empty_heap ~src:rack_key ~pos:[||] 0 )
   in
-  (* All nodes start active with free_at 0 and ids ascending: the
-     identity arrangement already satisfies the heap order. *)
-  for i = 0 to n - 1 do
-    st.heap.(i) <- i;
-    st.pos.(i) <- i
-  done;
-  st.heap_len <- n;
-  st
+  {
+    lo;
+    n;
+    total_nodes = cfg.nodes;
+    users;
+    rack_size = cfg.rack_size;
+    rack_cap = cfg.rack_power_cap;
+    idle_after_s = cfg.idle_after_s;
+    prefill_rate = cfg.prefill_tokens_per_s;
+    decode_rate = cfg.decode_tokens_per_s;
+    tok_lat = cfg.decode_token_latency_s;
+    free_at;
+    node_tokens = Array.make n 0.0;
+    node_requests = Array.make n 0;
+    status = Array.make n 0;
+    pa;
+    all;
+    cold;
+    racks;
+    rack_key;
+    hot = Array.make n 0;
+    rack_hot = Array.make nracks 0;
+    idle = Heap.create ~dummy:(-1) ();
+    peak_rack_hot = 0;
+    overrides = 0;
+    rr = 0;
+    dispatched = 0;
+    dropped = 0;
+    fl =
+      {
+        now_s = 0.0;
+        idle_next = infinity;
+        busy_s = 0.0;
+        makespan_s = 0.0;
+        tokens = 0.0;
+        redispatched = 0.0;
+      };
+    samples = Float.Array.make 3 0.0;
+    ttft = Sketch.create ();
+    e2e = Sketch.create ();
+    queue = Sketch.create ();
+  }
 
 (* Session_affinity splits the user pool by home shard: the users whose
    [hash_user] home node lies in [lo, lo + n), ascending. *)
@@ -570,7 +683,7 @@ let run_shard cfg spec policy events counts seed shard =
         (u, float (Array.length u) /. float spec.Arrivals.users)
     | Round_robin | Least_loaded | Power_aware -> ([||], 1.0 /. float cfg.shards)
   in
-  let st = make_state cfg shard ~users in
+  let st = make_state cfg shard ~policy ~users in
   let count = counts.(shard) in
   let nev = Array.length events in
   let ep = ref 0 in
@@ -595,7 +708,7 @@ let run_shard cfg spec policy events counts seed shard =
         incr ep
       done;
       st.fl.now_s <- now;
-      Hot.drain_idle st;
+      if st.fl.idle_next <= now then Hot.drain_idle st;
       let idx = Hot.route st policy (Arrivals.user cur) in
       if idx < 0 then st.dropped <- st.dropped + 1
       else

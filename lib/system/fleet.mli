@@ -52,15 +52,19 @@
     - [Round_robin]: cyclic over the shard's nodes, skipping inactive
       ones;
     - [Least_loaded]: the node with the earliest next-free time, via an
-      indexed min-heap — O(log n) per dispatch;
+      indexed 4-ary min-heap — O(log n) per dispatch;
     - [Session_affinity]: a user-id hash pins each user to a home node
       (KV/prefix locality), probing forward within the shard when the
       home node is failed or drained;
     - [Power_aware]: least-loaded among nodes that are already hot or
       whose rack is under [rack_power_cap] hot nodes — trades queueing
-      delay for rack power headroom (ROADMAP's rack-cap item).  When
-      every candidate rack is capped the request falls back to plain
-      least-loaded and [power_cap_overrides] counts the violation. *)
+      delay for rack power headroom (ROADMAP's rack-cap item).  Also
+      O(log n) per dispatch: a heap of the hot nodes, one heap of cold
+      nodes per rack and a heap of the racks below their cap, so the
+      choice is the lesser of two heap tops.  When every candidate rack
+      is capped the request falls back to plain least-loaded (a scan
+      over the shard's racks) and [power_cap_overrides] counts the
+      violation. *)
 type policy = Round_robin | Least_loaded | Session_affinity | Power_aware
 
 val policy_name : policy -> string

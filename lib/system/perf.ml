@@ -102,31 +102,6 @@ let token_breakdown (c : Config.t) ~context =
 
 let token_latency_s c ~context = total_s (token_breakdown c ~context)
 
-(* Memoized variant for the hot consumers (SLO bisection probes the same
-   operating point dozens of times; parallel sweeps hit it from several
-   domains at once, hence the mutex).  Keys are plain records — structural
-   equality is exact.  The table is bounded defensively; real runs touch a
-   handful of operating points. *)
-let latency_cache : (Config.t * int, float) Hashtbl.t =
-  Hashtbl.create 64
-
-let latency_cache_mutex = Mutex.create ()
-
-let token_latency_cached c ~context =
-  let key = (c, context) in
-  Mutex.lock latency_cache_mutex;
-  let hit = Hashtbl.find_opt latency_cache key in
-  Mutex.unlock latency_cache_mutex;
-  match hit with
-  | Some l -> l
-  | None ->
-    let l = token_latency_s c ~context in
-    Mutex.lock latency_cache_mutex;
-    if Hashtbl.length latency_cache > 4096 then Hashtbl.reset latency_cache;
-    if not (Hashtbl.mem latency_cache key) then Hashtbl.add latency_cache key l;
-    Mutex.unlock latency_cache_mutex;
-    l
-
 let pipeline_slots = Control_unit.pipeline_slots
 
 let throughput_tokens_per_s c ~context =
@@ -146,6 +121,48 @@ let prefill_chunk_latency_s (c : Config.t) ~chunk ~context =
 let prefill_throughput_tokens_per_s c ~chunk ~context =
   float_of_int (pipeline_slots c * chunk)
   /. prefill_chunk_latency_s c ~chunk ~context
+
+(* --- Memo ------------------------------------------------------------------ *)
+
+(* Memoized operating points for the hot consumers (SLO bisection probes
+   the same point dozens of times, every fleet set-up reads its decode
+   latency and prefill rate; parallel sweeps hit the table from several
+   domains at once, hence the mutex).  One table holds every memoized
+   quantity.  A [Latency] key is laid out as the (config, context) pair
+   it replaced, so the scheduler's lookup hashes and compares what it
+   always did.  Keys are plain values, so structural equality is exact.
+   The table is bounded defensively; real runs touch a handful of
+   operating points. *)
+type memo_key =
+  | Latency of Config.t * int  (* context *)
+  | Prefill of Config.t * int * int  (* chunk, context *)
+
+let memo_eval = function
+  | Latency (c, context) -> token_latency_s c ~context
+  | Prefill (c, chunk, context) -> prefill_throughput_tokens_per_s c ~chunk ~context
+
+let memo : (memo_key, float) Hashtbl.t = Hashtbl.create 64
+
+let memo_mutex = Mutex.create ()
+
+let memoized key =
+  Mutex.lock memo_mutex;
+  let hit = Hashtbl.find_opt memo key in
+  Mutex.unlock memo_mutex;
+  match hit with
+  | Some v -> v
+  | None ->
+    let v = memo_eval key in
+    Mutex.lock memo_mutex;
+    if Hashtbl.length memo > 4096 then Hashtbl.reset memo;
+    if not (Hashtbl.mem memo key) then Hashtbl.add memo key v;
+    Mutex.unlock memo_mutex;
+    v
+
+let token_latency_cached c ~context = memoized (Latency (c, context))
+
+let prefill_throughput_cached c ~chunk ~context =
+  memoized (Prefill (c, chunk, context))
 
 (* --- Figure 11 stage decomposition ------------------------------------------ *)
 

@@ -95,6 +95,11 @@ val prefill_throughput_tokens_per_s :
     chunk 8 and >1M tokens/s toward the asymptote — the mechanism behind
     the paper's high prefill throughput under mixed workloads. *)
 
+val prefill_throughput_cached :
+  Hnlpu_model.Config.t -> chunk:int -> context:int -> float
+(** Same value as {!prefill_throughput_tokens_per_s}, memoized in the
+    table behind {!token_latency_cached}. *)
+
 val stage_times_s :
   Hnlpu_model.Config.t -> context:int -> (string * float) list
 (** Per-stage decode latencies of the six-stage Figure 11 pipeline; they

@@ -68,9 +68,9 @@ let[@inline] int t bound =
    the float draws build on. *)
 let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (next t) 11)
 
-let[@inline] float t bound =
-  (* 53 uniform mantissa bits. *)
-  float_of_int (bits53 t) /. 9007199254740992.0 *. bound
+(* 53 uniform mantissa bits.  Scaling by 2^-53 is exact for every
+   53-bit integer, so the multiply equals the division by 2^53. *)
+let[@inline] float t bound = float_of_int (bits53 t) *. 0x1p-53 *. bound
 
 let bool t = Int64.to_int (next t) land 1 = 1
 

@@ -598,7 +598,21 @@ let test_draws_allocate_nothing () =
   let n = 100_000 in
   let rng = Rng.create 1 in
   let sink = ref 0 in
-  let cur = Arrivals.create ~seed:1 (Arrivals.chat ~rate_per_s:1000.0) in
+  let chat = Arrivals.chat ~rate_per_s:1000.0 in
+  let cursor process decode =
+    Arrivals.create ~seed:1 { chat with Arrivals.process; decode }
+  in
+  let pareto = Arrivals.Pareto { alpha = 1.5; xmin = 40.0; cap = 4096 } in
+  let cur = Arrivals.create ~seed:1 chat in
+  let diurnal =
+    cursor
+      (Arrivals.Diurnal { mean_rate_per_s = 1000.0; amplitude = 0.7; period_s = 2.0 })
+      chat.Arrivals.decode
+  in
+  let mmpp =
+    cursor (Arrivals.Mmpp { rates_per_s = [| 500.0; 2000.0; 1000.0 |]; mean_dwell_s = 0.5 }) pareto
+  in
+  let poisson_pareto = cursor chat.Arrivals.process pareto in
   List.iter
     (fun (name, f) ->
       let words = minor_words_of f in
@@ -609,6 +623,10 @@ let test_draws_allocate_nothing () =
       ("Rng.int", fun () -> for _ = 1 to n do sink := !sink lxor Rng.int rng 1000 done);
       ("Rng.bool", fun () -> for _ = 1 to n do if Rng.bool rng then incr sink done);
       ("Arrivals.next", fun () -> for _ = 1 to n do Arrivals.next cur done);
+      ("Arrivals.next diurnal", fun () -> for _ = 1 to n do Arrivals.next diurnal done);
+      ("Arrivals.next mmpp/pareto", fun () -> for _ = 1 to n do Arrivals.next mmpp done);
+      ( "Arrivals.next poisson/pareto",
+        fun () -> for _ = 1 to n do Arrivals.next poisson_pareto done );
     ];
   ignore !sink
 
@@ -646,7 +664,7 @@ let test_slo_sweep_counters_only_metrics_match () =
   Alcotest.(check int) "counters-only sink sees none" 0 (List.length ev_off);
   Alcotest.(check string) "metrics registries identical" m_full m_off
 
-(* --- Perf.token_latency_cached --------------------------------------------- *)
+(* --- Perf's memo ------------------------------------------------------------- *)
 
 let test_latency_cache_agrees () =
   List.iter
@@ -654,7 +672,14 @@ let test_latency_cache_agrees () =
       Alcotest.(check (float 0.0))
         (Printf.sprintf "cached = direct at %d" context)
         (Perf.token_latency_s config ~context)
-        (Perf.token_latency_cached config ~context))
+        (Perf.token_latency_cached config ~context);
+      List.iter
+        (fun chunk ->
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "prefill cached = direct at chunk %d, context %d" chunk context)
+            (Perf.prefill_throughput_tokens_per_s config ~chunk ~context)
+            (Perf.prefill_throughput_cached config ~chunk ~context))
+        [ 1; 8; 64; 8 ])
     [ 2048; 8192; 65536; 2048 ]
 
 let qt t = QCheck_alcotest.to_alcotest t
