@@ -1,7 +1,9 @@
 (* Prints one line per case: the fleet under every policy, arrival
    process, failure schedule and domain count; power-aware routing under
    tight rack caps, cool-downs, drains, failures and forced overrides;
-   one arrival trace per process and length kind; and the Rng streams.
+   the token-level Scheduler across loads, context-aware latency, slot
+   failures, equal-time ties and an [obs] sink; one arrival trace per
+   process and length kind; and the Rng streams.
    Floats print as %h (exact hex), ints plainly; a field named [md5]
    digests a longer rendering in the same notation, so the file does not
    depend on the toolchain's Marshal format. *)
@@ -159,6 +161,123 @@ let pa_cases () =
   in
   result_line "pa overrides" r
 
+(* --- Scheduler: loads x context_aware x slot failures, ties, obs ------- *)
+
+(* Where the Scheduler saturates on the chat mix (hnbench's node-chat
+   offers 50% and 120% of it). *)
+let saturation_req_per_s = 829.0
+
+let sched_requests = 200
+
+let chat_requests ~seed ~load =
+  Scheduler.requests ~n:sched_requests
+    (Arrivals.create ~seed
+       (Arrivals.chat ~rate_per_s:(load *. saturation_req_per_s)))
+
+(* Completion order matters: the digest walks [completed_requests] as
+   returned. *)
+let scheduler_line label (r : Scheduler.result) =
+  let rows =
+    md5 (fun b ->
+        List.iter
+          (fun (c : Scheduler.completed) ->
+            Printf.bprintf b "%h %h %h\n" c.Scheduler.first_token_s
+              c.Scheduler.finish_s c.Scheduler.queue_wait_s)
+          r.Scheduler.completed_requests)
+  in
+  Printf.printf
+    "%s makespan=%h tokens=%d decode=%d throughput=%h occupancy=%h rows_md5=%s\n"
+    label r.Scheduler.makespan_s r.Scheduler.tokens_processed
+    r.Scheduler.decode_tokens_out r.Scheduler.throughput_tokens_per_s
+    r.Scheduler.mean_slot_occupancy rows
+
+let scheduler_cases () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun load ->
+          let reqs = chat_requests ~seed ~load in
+          let span = float sched_requests /. (load *. saturation_req_per_s) in
+          (* Two steps: a third of the 216 slots, then another sixth. *)
+          let steps = [ (span /. 3.0, 72); (span *. 2.0 /. 3.0, 36) ] in
+          List.iter
+            (fun context_aware ->
+              List.iter
+                (fun (fname, slot_failures) ->
+                  scheduler_line
+                    (Printf.sprintf "sched seed=%d load=%h ca=%b %s" seed load
+                       context_aware fname)
+                    (Scheduler.simulate ~context_aware ~slot_failures model reqs))
+                [ ("calm", []); ("fail", steps) ])
+            [ false; true ])
+        [ 0.5; 1.2; 3.0 ])
+    [ 1; 2 ];
+  (* Chat sequences stay below 2,048 positions, where [context_aware]
+     changes nothing; long sequences cross the bucket boundaries. *)
+  let long =
+    {
+      (Arrivals.chat ~rate_per_s:40.0) with
+      Arrivals.prefill = Arrivals.Geometric { mean = 1536 };
+      decode = Arrivals.Geometric { mean = 768 };
+    }
+  in
+  let reqs = Scheduler.requests ~n:30 (Arrivals.create ~seed:5 long) in
+  List.iter
+    (fun (fname, slot_failures) ->
+      scheduler_line
+        (Printf.sprintf "sched long ca=true %s" fname)
+        (Scheduler.simulate ~context_aware:true ~slot_failures model reqs))
+    [ ("calm", []); ("fail", [ (0.2, 72); (0.4, 36) ]) ];
+  (* Equal-time ties: which of two events at one time pops first is the
+     event queue's order, so these pin it. *)
+  let reqs = chat_requests ~seed:3 ~load:1.2 in
+  let at_zero =
+    List.map (fun q -> { q with Scheduler.arrival_s = 0.0 }) reqs
+  in
+  scheduler_line "sched ties all-at-zero"
+    (Scheduler.simulate model at_zero);
+  (* Arrival times on a 5 ms grid: runs of requests share a time. *)
+  let gridded =
+    List.map
+      (fun q ->
+        {
+          q with
+          Scheduler.arrival_s =
+            Float.of_int (Float.to_int (q.Scheduler.arrival_s /. 5e-3)) *. 5e-3;
+        })
+      reqs
+  in
+  scheduler_line "sched ties duplicate-times"
+    (Scheduler.simulate ~context_aware:true model gridded);
+  (* The same requests in a seeded shuffle. *)
+  let shuffled = Array.of_list reqs in
+  let g = Rng.create 11 in
+  for i = Array.length shuffled - 1 downto 1 do
+    let j = Rng.int g (i + 1) in
+    let x = shuffled.(i) in
+    shuffled.(i) <- shuffled.(j);
+    shuffled.(j) <- x
+  done;
+  scheduler_line "sched ties unsorted"
+    (Scheduler.simulate
+       ~slot_failures:[ (0.05, 100); (0.02, 50) ]
+       model (Array.to_list shuffled));
+  (* An [obs] sink: the result is the uninstrumented one, and the
+     histograms count every request. *)
+  let obs = Obs.Sink.create () in
+  let r = Scheduler.simulate ~obs model (chat_requests ~seed:4 ~load:0.5) in
+  let m = Obs.Sink.metrics obs in
+  let count name =
+    match Obs.Metrics.histogram m name with
+    | Some s -> s.Obs.Metrics.count
+    | None -> -1
+  in
+  scheduler_line
+    (Printf.sprintf "sched obs ttft=%d e2e=%d queue_wait=%d"
+       (count "scheduler/ttft_s") (count "scheduler/e2e_s")
+       (count "scheduler/queue_wait_s"))
+    r
+
 (* --- Fleet set-up ------------------------------------------------------ *)
 
 let config_cases () =
@@ -225,6 +344,7 @@ let rng_cases () =
 let () =
   fleet_cases ();
   pa_cases ();
+  scheduler_cases ();
   config_cases ();
   arrival_cases ();
   rng_cases ()
