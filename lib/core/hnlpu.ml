@@ -12,7 +12,6 @@ module Stats = Hnlpu_util.Stats
 module Units = Hnlpu_util.Units
 module Table = Hnlpu_util.Table
 module Approx = Hnlpu_util.Approx
-module Heap = Hnlpu_util.Heap
 module Chart = Hnlpu_util.Chart
 
 (** {1 Deterministic domain-parallel execution} *)

@@ -16,7 +16,7 @@
 
 (* Two grades of hot code:
 
-   - [Leaf]: small per-event operations (Rng draws, Heap/Fifo ops).
+   - [Leaf]: small per-event operations (Rng draws, event-queue ops).
      Callers invoke them inside their event loops, so every allocation
      in the body is a per-event allocation — all of them are errors.
    - [Driver]: large entry points ([Scheduler.simulate],
@@ -35,8 +35,6 @@ type t = {
 let default_hot_paths =
   [
     ("Hnlpu_util.Rng", Leaf);
-    ("Hnlpu_util.Heap", Leaf);
-    ("Hnlpu_util.Fifo", Leaf);
     ("Hnlpu_util.Stats.percentile_in_place", Leaf);
     (* Telemetry per-event entry points: once a series exists, recording
        into it must allocate nothing, or instrumented runs lose the
@@ -51,6 +49,10 @@ let default_hot_paths =
     ("Hnlpu_obs.Metrics.observe", Leaf);
     ("Hnlpu_obs.Metrics.incr", Leaf);
     ("Hnlpu_obs.Metrics.set_stamped", Leaf);
+    (* The Scheduler's private event heap and request-id rings: one push
+       and one pop per simulated token. *)
+    ("Hnlpu_system.Scheduler.Events", Leaf);
+    ("Hnlpu_system.Scheduler.Ring", Leaf);
     ("Hnlpu_system.Scheduler.simulate", Driver);
     ("Hnlpu_system.Slo.evaluate", Driver);
     (* Fleet-scale serving: the trace cursor and the dispatch fast path

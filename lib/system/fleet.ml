@@ -16,18 +16,21 @@
      break toward the lower id, reproducing the historical first-minimum
      scan exactly; the order is total, so the minimum is the same node
      however a heap happens to be arranged;
-   - Least_loaded, Round_robin and Session_affinity keep one heap of all
-     active nodes.  Power_aware keeps three: [all] holds the active hot
-     nodes, [cold.(r)] rack r's active cold nodes, and [racks] the racks
-     below their cap with a non-empty cold heap, keyed by that heap's
-     top.  The choice is the lesser of two tops, O(log n) per request;
-     only the all-capped override scans the racks (and is counted);
-   - hot/idle power tracking uses a lazy-deletion deadline heap: one
-     entry per hot {e period} (re-pushed on pop while still busy), not
-     per request.  Its earliest deadline is mirrored in [sfl.idle_next],
-     refreshed on push and take only, so the per-request drain check is
-     a flat float compare rather than a [Heap.min_priority] call whose
-     float return is boxed;
+   - Least_loaded keeps one heap of all active nodes.  Power_aware
+     keeps three: [all] holds the active hot nodes, [cold.(r)] rack r's
+     active cold nodes, and [racks] the racks below their cap with a
+     non-empty cold heap, keyed by that heap's top.  The choice is the
+     lesser of two tops, O(log n) per request; only the all-capped
+     override scans the racks (and is counted).  Round_robin and
+     Session_affinity probe node status in index order and keep no
+     heap ([ranks] is false);
+   - hot/idle power tracking is one more [iheap], over the hot nodes,
+     keyed by each node's cool-down deadline in [idle.src] with its own
+     [pos] array: one entry per hot {e period}, re-keyed in place when a
+     node that got more work reaches its old deadline, not per request.
+     The per-request drain check reads the earliest deadline straight
+     from [idle.keys.(0)] (the sentinel [infinity] when no node is
+     hot): a flat float compare, no call;
    - the three latency samples of a request reach their sketches through
      the [samples] cell and [Sketch.observe_cell]: a float argument to
      [Sketch.observe] would be boxed at each call.  No float crosses a
@@ -38,7 +41,6 @@
      Lint_config registers as an ALLOC-HOT Leaf (any allocation is an
      error); [run_shard] is the Driver around it. *)
 
-open Hnlpu_util
 open Hnlpu_obs
 module Par = Hnlpu_par.Par
 
@@ -157,7 +159,6 @@ let shard_of_node g ~nodes ~shards =
    all-float record is flat. *)
 type sfl = {
   mutable now_s : float;
-  mutable idle_next : float;  (* earliest [idle] deadline; infinity when empty *)
   mutable busy_s : float;
   mutable makespan_s : float;
   mutable tokens : float;
@@ -217,13 +218,14 @@ type shard_state = {
   node_requests : int array;
   status : int array;  (* 0 active / 1 drained / 2 failed *)
   pa : bool;  (* Power_aware: [all] holds hot nodes only, [cold]/[racks] live *)
+  ranks : bool;  (* Least_loaded or Power_aware: [all] is maintained *)
   all : iheap;  (* active nodes; under Power_aware the active hot ones *)
   cold : iheap array;  (* Power_aware: rack -> its active cold nodes *)
   racks : iheap;  (* Power_aware: racks below the cap with cold nodes *)
   rack_key : float array;  (* rack -> key of its cold heap's top *)
   hot : int array;  (* 0 cold / 1 hot *)
   rack_hot : int array;
-  idle : int Heap.t;  (* lazy-deletion cool-down deadlines *)
+  idle : iheap;  (* hot nodes by cool-down deadline *)
   mutable peak_rack_hot : int;
   mutable overrides : int;
   mutable rr : int;
@@ -327,8 +329,8 @@ module Hot = struct
     let p = h.pos.(e) in
     if p > 0 && before h e ((p - 1) lsr 2) then sift_up h e p else sift_down h e p
 
-  (* A node's [free_at] only grows while it sits in a heap, so its re-key
-     is a pure sift-down. *)
+  (* A node's [free_at] and a hot node's deadline only grow while it
+     sits in a heap, so its re-key is a pure sift-down. *)
   let requeue h i = sift_down h i h.pos.(i)
 
   (* Power_aware: rack [r] belongs in [racks] while it is below the cap
@@ -349,7 +351,7 @@ module Hot = struct
       add st.cold.(r) i;
       refresh_rack st r
     end
-    else add st.all i
+    else if st.ranks then add st.all i
 
   let detach st i =
     if st.pa && st.hot.(i) = 0 then begin
@@ -357,16 +359,10 @@ module Hot = struct
       remove st.cold.(r) i;
       refresh_rack st r
     end
-    else remove st.all i
+    else if st.ranks then remove st.all i
 
-  (* Inlined at both call sites, so the deadline never crosses a call. *)
-  let[@inline] idle_push st i deadline =
-    Heap.push st.idle ~priority:deadline i;
-    if deadline < st.fl.idle_next then st.fl.idle_next <- deadline
-
-  (* Cold node [i] took work (its [free_at] already grown): it turns hot.
-     The cool-down deadline reads that [free_at] rather than taking the
-     finish time as a (boxed) float argument.  Under Power_aware the
+  (* Cold node [i] took work (its [free_at] already grown): it turns hot
+     and enters [idle] at its cool-down deadline.  Under Power_aware the
      node moves from its rack's cold heap to [all], and the rack may
      reach its cap. *)
   let warm st i =
@@ -375,17 +371,19 @@ module Hot = struct
     let h = st.rack_hot.(r) + 1 in
     st.rack_hot.(r) <- h;
     if h > st.peak_rack_hot then st.peak_rack_hot <- h;
-    idle_push st i (st.free_at.(i) +. st.idle_after_s);
+    st.idle.src.(i) <- st.free_at.(i) +. st.idle_after_s;
+    add st.idle i;
     if st.pa then begin
       remove st.cold.(r) i;
       add st.all i;
       refresh_rack st r
     end
-    else requeue st.all i
+    else if st.ranks then requeue st.all i
 
   (* Re-keys active node [i] after its [free_at] grew; the hot check is
      the whole cost for a node that is already hot. *)
-  let[@inline] touch st i = if st.hot.(i) = 0 then warm st i else requeue st.all i
+  let[@inline] touch st i =
+    if st.hot.(i) = 0 then warm st i else if st.ranks then requeue st.all i
 
   (* Hot node [i] of rack [r] cooled down. *)
   let cool st i r =
@@ -399,19 +397,24 @@ module Hot = struct
       refresh_rack st r
     end
 
-  (* Retire cool-down deadlines that have passed; an entry whose node
-     got more work since is re-pushed at its new deadline (lazy
-     deletion, one live entry per hot period).  Callers check
-     [idle_next <= now_s] first. *)
+  (* Retire cool-down deadlines that have passed, earliest (deadline,
+     id) first: a node idle since its deadline cools, one that got more
+     work since is re-keyed at its new deadline (one entry per hot
+     period).  Callers check [idle.keys.(0) <= now_s] first; cooling
+     only changes set membership, so the order among equal deadlines
+     decides nothing. *)
   let rec drain_idle st =
-    if st.fl.idle_next <= st.fl.now_s then begin
-      let i = Heap.take_min st.idle in
-      st.fl.idle_next <-
-        (if Heap.is_empty st.idle then infinity else Heap.min_priority st.idle);
-      if st.hot.(i) = 1 then begin
-        let deadline = st.free_at.(i) +. st.idle_after_s in
-        if deadline <= st.fl.now_s then cool st i (i / st.rack_size)
-        else idle_push st i deadline
+    let h = st.idle in
+    if h.keys.(0) <= st.fl.now_s then begin
+      let i = h.slots.(0) in
+      let deadline = st.free_at.(i) +. st.idle_after_s in
+      if deadline <= st.fl.now_s then begin
+        remove h i;
+        cool st i (i / st.rack_size)
+      end
+      else begin
+        h.src.(i) <- deadline;
+        requeue h i
       end;
       drain_idle st
     end
@@ -528,7 +531,7 @@ let apply_event st policy ev =
           st.status.(i) <- 2;
           let now = ev.at_s in
           st.fl.now_s <- now;
-          if st.fl.idle_next <= now then Hot.drain_idle st;
+          if st.idle.keys.(0) <= now then Hot.drain_idle st;
           let backlog_s = st.free_at.(i) -. now in
           st.free_at.(i) <- now;
           if backlog_s > 0.0 then begin
@@ -586,11 +589,12 @@ let make_state cfg shard ~policy ~users =
   let free_at = Array.make n 0.0 in
   let pos = Array.make n (-1) in
   let rack_key = Array.make nracks 0.0 in
-  (* All nodes start active and cold with free_at 0.  Least_loaded and
-     the others route over one heap of them; Power_aware starts with no
-     hot node, every node in its rack's cold heap and every rack below
-     its (positive) cap. *)
+  (* All nodes start active and cold with free_at 0.  Least_loaded
+     routes over one heap of them; Power_aware starts with no hot node,
+     every node in its rack's cold heap and every rack below its
+     (positive) cap; Round_robin and Session_affinity keep no heap. *)
   let pa = policy = Power_aware in
+  let ranks = pa || policy = Least_loaded in
   let all, cold, racks =
     if pa then
       ( empty_heap ~src:free_at ~pos n,
@@ -599,7 +603,8 @@ let make_state cfg shard ~policy ~users =
             full_heap ~src:free_at ~pos ~first (min cfg.rack_size (n - first))),
         full_heap ~src:rack_key ~pos:(Array.make nracks (-1)) ~first:0 nracks )
     else
-      ( full_heap ~src:free_at ~pos ~first:0 n,
+      ( (if ranks then full_heap ~src:free_at ~pos ~first:0 n
+         else empty_heap ~src:free_at ~pos 0),
         [||],
         empty_heap ~src:rack_key ~pos:[||] 0 )
   in
@@ -619,13 +624,14 @@ let make_state cfg shard ~policy ~users =
     node_requests = Array.make n 0;
     status = Array.make n 0;
     pa;
+    ranks;
     all;
     cold;
     racks;
     rack_key;
     hot = Array.make n 0;
     rack_hot = Array.make nracks 0;
-    idle = Heap.create ~dummy:(-1) ();
+    idle = empty_heap ~src:(Array.make n infinity) ~pos:(Array.make n (-1)) n;
     peak_rack_hot = 0;
     overrides = 0;
     rr = 0;
@@ -634,7 +640,6 @@ let make_state cfg shard ~policy ~users =
     fl =
       {
         now_s = 0.0;
-        idle_next = infinity;
         busy_s = 0.0;
         makespan_s = 0.0;
         tokens = 0.0;
@@ -708,7 +713,7 @@ let run_shard cfg spec policy events counts seed shard =
         incr ep
       done;
       st.fl.now_s <- now;
-      if st.fl.idle_next <= now then Hot.drain_idle st;
+      if st.idle.keys.(0) <= now then Hot.drain_idle st;
       let idx = Hot.route st policy (Arrivals.user cur) in
       if idx < 0 then st.dropped <- st.dropped + 1
       else

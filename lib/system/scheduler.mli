@@ -48,8 +48,8 @@ val capacity_profile : slots:int -> (float * int) list -> float -> int
     (unsorted [(time, lost)] pairs) into a query function: applied to a
     time [now] it returns the surviving capacity, [max 0 (slots - total
     slots lost at or before now)].  Sorting plus prefix sums happen once;
-    each query is a binary search — the scheduler calls it on every event,
-    where the naive fold over the failure list was the hot path. *)
+    each query is a binary search.  {!simulate} walks the same sorted
+    steps with a cursor instead, since its event times never decrease. *)
 
 val simulate :
   ?context:int -> ?context_aware:bool ->
@@ -57,8 +57,15 @@ val simulate :
   Hnlpu_model.Config.t -> request list -> result
 (** Run to completion of all requests.  [context] sets the per-token
     latency operating point (default 2048).  Events at equal simulated
-    time run in an unspecified but deterministic order: the same inputs
-    always give the same result.
+    time run in the order of the Scheduler's private binary event heap
+    (children 2i+1 and 2i+2, strict [<], last-to-root on removal) over
+    arrivals pushed in list order: deterministic, so the same inputs
+    always give the same result, and pinned by [test/digests].
+
+    The event loop allocates ~0 words per token: events are immediate
+    ints in that unboxed heap, the prefill and decode queues are int
+    rings, and event times never cross a call boxed.  What a run
+    allocates is O(requests): the [completed] rows and their list.
 
     [obs] installs a telemetry sink.  Each completed request records a
     "request" span with "queued"/"prefill"/"decode" child spans and a
@@ -78,7 +85,8 @@ val simulate :
     permanently loses [n] slots — the fault model behind the paper's
     spare-node maintenance provisioning (§8 "Yield and Fault Tolerance",
     Appendix B note 7).  In-flight tokens complete; admission shrinks.
-    Throughput degrades proportionally and no request is lost. *)
+    Throughput degrades proportionally and no request is lost.  A
+    negative or NaN time, or a negative [n], raises [Invalid_argument]. *)
 
 val saturated_throughput :
   ?context:int -> Hnlpu_model.Config.t -> float

@@ -369,10 +369,9 @@ let headline_run ?obs requests =
 
 let test_fleet_words_per_request () =
   (* The dispatch path allocates nothing per request: the samples reach
-     their sketches through a flat cell and the idle-heap deadline is
-     mirrored in a flat field, so what remains is setup and the
-     per-hot-period [Heap.min_priority] refresh, well under one word per
-     request.  A counters-only sink adds at most one word per request:
+     their sketches through a flat cell and the drain check reads the
+     cool-down heap's first key in place, so what remains is setup, well
+     under one word per request.  A counters-only sink adds at most one word per request:
      the run publishes its telemetry once, at the end.
      Gc.minor_words is exact for the calling domain; Gc.allocated_bytes
      drifts by several words/request between identical runs while a
@@ -392,13 +391,12 @@ let test_fleet_words_per_request () =
     (Printf.sprintf "obs on %.2f <= obs off %.2f + 1 words/request" on off)
     true (on <= off +. 1.0)
 
-(* Power_aware on MMPP bursts with a Pareto decode tail and a 10%
-   failure wave, and Round_robin on the same trace: the marginal minor
-   words between 10^4 and 10^5 requests, so the per-run set-up (sketches,
-   node arrays, heaps) cancels and what is left is the request path.
-   Both failure waves fall inside the shorter trace. *)
-let test_fleet_words_per_request_policies () =
-  let cfg = Fleet.config_of_model ~nodes:2_000 config in
+(* MMPP bursts with a Pareto decode tail and a 10% failure wave: the
+   marginal minor words per request between 10^4 and 10^5 requests, so
+   the per-run set-up (sketches, node arrays, heaps) cancels and what is
+   left is the request path.  Both failure waves fall inside the shorter
+   trace. *)
+let marginal_words_per_request cfg policy =
   let shape =
     {
       Arrivals.process = Arrivals.Mmpp { rates_per_s = [| 0.5; 2.0 |]; mean_dwell_s = 1.0 };
@@ -414,22 +412,40 @@ let test_fleet_words_per_request_policies () =
     Fleet.fail_recover_schedule ~nodes:cfg.Fleet.nodes ~fraction:0.1 ~at_s:(span /. 4.0)
       ~recover_after_s:(span /. 4.0)
   in
+  let words requests =
+    let w0 = Gc.minor_words () in
+    let r = Fleet.run ~domains:1 ~node_events ~policy ~requests ~seed:7 cfg spec in
+    let w = Gc.minor_words () -. w0 in
+    Alcotest.(check int) "conserves" requests Fleet.(r.dispatched + r.dropped);
+    w
+  in
+  let a = words short in
+  let b = words long in
+  (b -. a) /. float (long - short)
+
+let test_fleet_words_per_request_policies () =
+  let cfg = Fleet.config_of_model ~nodes:2_000 config in
   List.iter
     (fun policy ->
-      let words requests =
-        let w0 = Gc.minor_words () in
-        let r = Fleet.run ~domains:1 ~node_events ~policy ~requests ~seed:7 cfg spec in
-        let w = Gc.minor_words () -. w0 in
-        Alcotest.(check int) "conserves" requests Fleet.(r.dispatched + r.dropped);
-        w
-      in
-      let a = words short in
-      let b = words long in
-      let marginal = (b -. a) /. float (long - short) in
+      let marginal = marginal_words_per_request cfg policy in
       Alcotest.(check bool)
         (Printf.sprintf "%s: %.4f words/request <= 0.1" (Fleet.policy_name policy) marginal)
         true (marginal <= 0.1))
     [ Fleet.Power_aware; Fleet.Round_robin ]
+
+(* Cool-downs of 50 ms: nodes turn hot and cold thousands of times, so
+   the cool-down heap's take and re-key run on a good share of the
+   requests.  Its earliest deadline is a flat read of the heap's first
+   key; a boxed float on each cool-down read 0.20-0.27 words/request. *)
+let test_fleet_words_per_request_short_cooldown () =
+  let cfg = { (Fleet.config_of_model ~nodes:2_000 config) with Fleet.idle_after_s = 0.05 } in
+  List.iter
+    (fun policy ->
+      let marginal = marginal_words_per_request cfg policy in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.4f words/request <= 0.01" (Fleet.policy_name policy) marginal)
+        true (marginal <= 0.01))
+    [ Fleet.Round_robin; Fleet.Least_loaded; Fleet.Session_affinity; Fleet.Power_aware ]
 
 let test_fleet_sink_flat () =
   (* A counters-only sink retains the same words at 10x the requests: the
@@ -601,6 +617,8 @@ let () =
           Alcotest.test_case "words per request" `Quick test_fleet_words_per_request;
           Alcotest.test_case "words per request: pa and rr" `Quick
             test_fleet_words_per_request_policies;
+          Alcotest.test_case "words per request: short cool-downs" `Quick
+            test_fleet_words_per_request_short_cooldown;
           Alcotest.test_case "sink flat 10^4 vs 10^5" `Quick test_fleet_sink_flat;
         ] );
       ("power-aware", [ QCheck_alcotest.to_alcotest ~long:false prop_power_aware ]);

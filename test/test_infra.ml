@@ -1,85 +1,8 @@
 (* Tests for the reporting/infrastructure pieces added alongside the
-   experiments: charts, CSV export, the priority heap, and the chart
-   renderings of the paper's figures. *)
+   experiments: charts, CSV export, and the chart renderings of the
+   paper's figures. *)
 
 open Hnlpu_util
-
-(* --- Heap ---------------------------------------------------------------- *)
-
-let test_heap_ordering () =
-  let h = Heap.create () in
-  List.iter (fun p -> Heap.push h ~priority:p (int_of_float p)) [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
-  let out = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | None -> ()
-    | Some (_, v) ->
-      out := v :: !out;
-      drain ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "sorted ascending" [ 1; 2; 3; 4; 5 ] (List.rev !out)
-
-let test_heap_peek_pop () =
-  let h = Heap.create () in
-  Alcotest.(check bool) "empty peek" true (Heap.peek h = None);
-  Heap.push h ~priority:2.0 "b";
-  Heap.push h ~priority:1.0 "a";
-  (match Heap.peek h with
-  | Some (p, v) ->
-    Alcotest.(check (float 0.0)) "min priority" 1.0 p;
-    Alcotest.(check string) "min value" "a" v
-  | None -> Alcotest.fail "expected element");
-  Alcotest.(check int) "size" 2 (Heap.size h);
-  ignore (Heap.pop h);
-  Alcotest.(check int) "size after pop" 1 (Heap.size h)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drains in priority order" ~count:100
-    QCheck.(list (float_range (-100.0) 100.0))
-    (fun ps ->
-      let h = Heap.create () in
-      List.iter (fun p -> Heap.push h ~priority:p p) ps;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
-      in
-      let drained = drain [] in
-      drained = List.sort compare ps)
-
-let prop_heap_interleaved =
-  (* Regression for the pop space leak: interleaved pushes and pops (with
-     grows in between) must keep size and peek agreeing with a sorted-list
-     model at every step — exercising the slots pop vacates and push
-     refills. *)
-  QCheck.Test.make ~name:"interleaved push/pop tracks a sorted-list model"
-    ~count:200
-    QCheck.(list (pair bool (float_range (-100.0) 100.0)))
-    (fun ops ->
-      let h = Heap.create () in
-      let model = ref [] in
-      List.for_all
-        (fun (is_pop, p) ->
-          let step_ok =
-            if is_pop then
-              match (Heap.pop h, !model) with
-              | None, [] -> true
-              | Some (hp, _), m :: rest ->
-                model := rest;
-                hp = m
-              | _ -> false
-            else begin
-              Heap.push h ~priority:p p;
-              model := List.sort compare (p :: !model);
-              true
-            end
-          in
-          step_ok
-          && Heap.size h = List.length !model
-          && (match (Heap.peek h, !model) with
-             | None, [] -> true
-             | Some (hp, _), m :: _ -> hp = m
-             | _ -> false))
-        ops)
 
 (* --- Chart --------------------------------------------------------------- *)
 
@@ -211,17 +134,9 @@ let test_figure_charts_render () =
   Alcotest.(check bool) "figure 14 stacked rows" true
     (Thelp.contains f14 "512K" && Thelp.contains f14 "legend")
 
-let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
-
 let () =
   Alcotest.run "hnlpu_infra"
     [
-      ( "heap",
-        [
-          Alcotest.test_case "ordering" `Quick test_heap_ordering;
-          Alcotest.test_case "peek/pop" `Quick test_heap_peek_pop;
-        ] );
-      qsuite "heap properties" [ prop_heap_sorts; prop_heap_interleaved ];
       ( "chart",
         [
           Alcotest.test_case "bar" `Quick test_bar_renders;

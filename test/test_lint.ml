@@ -193,9 +193,9 @@ let test_baseline_scoped_to_scanned_libraries () =
      stale one. *)
   let baseline =
     [
-      Baseline.entry ~rule:"ALLOC-HOT" ~subject:"Hnlpu_util.Heap.peek"
-        ~reason:"option+tuple convenience accessor";
-      Baseline.entry ~rule:"ALLOC-HOT" ~subject:"Hnlpu_util.Heap.renamed_away"
+      Baseline.entry ~rule:"ALLOC-HOT" ~subject:"Hnlpu_util.Rng.next_int64"
+        ~reason:"boxed int64 reference accessor";
+      Baseline.entry ~rule:"ALLOC-HOT" ~subject:"Hnlpu_util.Rng.renamed_away"
         ~reason:"planted stale entry";
     ]
   in
@@ -207,7 +207,7 @@ let test_baseline_scoped_to_scanned_libraries () =
   Alcotest.(check (list string)) "fp4-only scan judges no Hnlpu_util entry" []
     (stale [ lib_dir "fp4" ]);
   Alcotest.(check (list string)) "full scan flags the planted stale entry"
-    [ "Hnlpu_util.Heap.renamed_away" ]
+    [ "Hnlpu_util.Rng.renamed_away" ]
     (stale [ lib_dir "" ])
 
 let test_repo_baseline_matches_format () =

@@ -227,6 +227,11 @@ let test_faults_validation () =
     (try
        ignore (Scheduler.simulate ~slot_failures:[ (-1.0, 1) ] config []);
        false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "NaN time rejected" true
+    (try
+       ignore (Scheduler.simulate ~slot_failures:[ (Float.nan, 1) ] config []);
+       false
      with Invalid_argument _ -> true)
 
 let () =
