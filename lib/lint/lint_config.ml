@@ -49,9 +49,9 @@ let default_hot_paths =
     ("Hnlpu_obs.Metrics.observe", Leaf);
     ("Hnlpu_obs.Metrics.incr", Leaf);
     ("Hnlpu_obs.Metrics.set_stamped", Leaf);
-    (* The Scheduler's private event heap and request-id rings: one push
-       and one pop per simulated token. *)
-    ("Hnlpu_system.Scheduler.Events", Leaf);
+    (* The Scheduler's private event streams and request-id rings: one
+       push and one pop per simulated token. *)
+    ("Hnlpu_system.Scheduler.Stream", Leaf);
     ("Hnlpu_system.Scheduler.Ring", Leaf);
     ("Hnlpu_system.Scheduler.simulate", Driver);
     ("Hnlpu_system.Slo.evaluate", Driver);

@@ -344,48 +344,175 @@ let test_scheduler_empty_edge () =
   let r = Scheduler.simulate config [] in
   Alcotest.(check int) "nothing" 0 r.Scheduler.tokens_processed
 
+(* 2,000 chat requests at [load] x the 829 req/s where the chat mix
+   saturates a node, and their token count. *)
+let chat_load ~load =
+  let reqs =
+    Scheduler.requests ~n:2_000
+      (Arrivals.create ~seed:3 (Arrivals.chat ~rate_per_s:(load *. 829.0)))
+  in
+  let tokens =
+    List.fold_left
+      (fun a q -> a + q.Scheduler.prefill_tokens + q.Scheduler.decode_tokens)
+      0 reqs
+  in
+  (reqs, tokens)
+
 let test_scheduler_words_per_token () =
   (* The event loop allocates only the per-request result rows, ~17 words
-     per request of ~256 tokens: events are immediate ints in a private
-     unboxed heap, the queues are int rings, and event times reach the
+     per request of ~256 tokens: events are immediate ints in private
+     unboxed streams, the queues are int rings, and event times reach the
      handlers through the all-float clock record.  A polymorphic heap and
      queues read 5.5-7.9 words/token.  2,000 chat requests below the knee
-     and overloaded (0.5 and 1.2 x the 829 req/s where the chat mix
-     saturates a node), with and without context-aware latency and two
-     slot-failure steps.  Gc.minor_words is exact for the calling
-     domain. *)
+     and overloaded, with and without context-aware latency and two
+     slot-failure steps, and with a counters-only sink, which keeps the
+     load gauges out of the registry until run end (sampling each change
+     into it read 9.06 words/token).  Gc.minor_words is exact for the
+     calling domain. *)
   List.iter
     (fun load ->
-      let rate = load *. 829.0 in
-      let reqs =
-        Scheduler.requests ~n:2_000
-          (Arrivals.create ~seed:3 (Arrivals.chat ~rate_per_s:rate))
+      let reqs, tokens = chat_load ~load in
+      let span = 2_000.0 /. (load *. 829.0) in
+      (* Warms the Perf latency memo for every bucket the runs reach. *)
+      ignore (Scheduler.simulate ~context_aware:true config reqs);
+      List.iter
+        (fun (context_aware, slot_failures, sink) ->
+          let obs = if sink then Some (Hnlpu_obs.Sink.create ~events:false ()) else None in
+          let w0 = Gc.minor_words () in
+          ignore (Scheduler.simulate ~context_aware ~slot_failures ?obs config reqs);
+          let per_token = (Gc.minor_words () -. w0) /. float tokens in
+          Alcotest.(check bool)
+            (Printf.sprintf
+               "load %.1f context_aware=%b failures=%d sink=%b: %.3f words/token <= 0.1"
+               load context_aware (List.length slot_failures) sink per_token)
+            true (per_token <= 0.1))
+        [
+          (false, [], false);
+          (true, [], false);
+          (false, [ (span /. 3.0, 72); (span *. 2.0 /. 3.0, 36) ], false);
+          (true, [ (span /. 3.0, 72); (span *. 2.0 /. 3.0, 36) ], false);
+          (false, [], true);
+        ])
+    [ 0.5; 1.2 ]
+
+let test_scheduler_simultaneous_arrivals_in_list_order () =
+  (* Requests that arrive together enter in list order, so queue wait
+     does not decrease along the list.  A binary event heap admitted
+     them as 0, n-1, .... *)
+  let reqs =
+    List.map
+      (fun q -> { q with Scheduler.arrival_s = 0.0 })
+      (Thelp.chat_requests ~seed:5 ~n:300 ~rate_per_s:1000.0 ~mean_prefill:40
+         ~mean_decode:10)
+  in
+  let r = Scheduler.simulate config reqs in
+  (* Each row holds its request's record itself, and two requests may
+     be equal, so a row is found by physical equality. *)
+  let waits =
+    List.map
+      (fun q ->
+        (List.find (fun c -> c.Scheduler.request == q) r.Scheduler.completed_requests)
+          .Scheduler.queue_wait_s)
+      reqs
+  in
+  let rec nondecreasing = function
+    | a :: (b :: _ as rest) -> a <= b && nondecreasing rest
+    | _ -> true
+  in
+  Alcotest.(check int) "all complete" 300 (List.length waits);
+  Alcotest.(check bool) "some request waits" true (List.exists (fun w -> w > 0.0) waits);
+  Alcotest.(check bool) "queue wait nondecreasing in list order" true
+    (nondecreasing waits)
+
+let test_scheduler_counters_only_registry () =
+  (* What a counters-only sink's registry holds equals what sampling
+     every gauge change into it gives: a sink that keeps events samples
+     each change as it happens. *)
+  let module M = Hnlpu_obs.Metrics in
+  List.iter
+    (fun (load, slot_failures) ->
+      let reqs, _ = chat_load ~load in
+      let registry events =
+        let obs = Hnlpu_obs.Sink.create ~events () in
+        ignore (Scheduler.simulate ~obs ~slot_failures config reqs);
+        Hnlpu_obs.Sink.metrics obs
       in
+      let counters_only = registry false and per_event = registry true in
+      let names = M.names per_event in
+      Alcotest.(check (list string)) "same series" names (M.names counters_only);
+      Alcotest.(check bool) "load gauges present" true
+        (List.mem "scheduler/queue_depth" names
+        && List.mem "scheduler/busy_slots" names);
+      List.iter
+        (fun name ->
+          let same f = f per_event name = f counters_only name in
+          Alcotest.(check bool) (name ^ " identical") true
+            (same M.counter && same M.gauge && same M.gauge_stamp
+           && same M.histogram))
+        names)
+    [ (0.5, []); (1.2, [ (0.5, 72); (1.5, 36) ]) ]
+
+let prop_scheduler_merge =
+  (* The event loop's stream merge against its contract: every request
+     and token completes, occupancy stays a fraction, and with distinct
+     arrival times the list's order is irrelevant (arrivals are read in
+     time order).  Some prompts cross the 2,048 and 4,096 latency
+     buckets; the failures lose at most 4 x 53 = 212 of the 216 slots. *)
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 1 300 in
+      let* gaps_us = list_repeat n (int_range 1 3_000) in
+      let* lengths =
+        list_repeat n
+          (pair
+             (frequency [ (19, int_range 1 64); (1, int_range 2_049 5_000) ])
+             (int_range 1 48))
+      in
+      let _, reqs =
+        List.fold_left2
+          (fun (t, acc) gap (prefill_tokens, decode_tokens) ->
+            let t = t +. (1e-6 *. float_of_int gap) in
+            (t, { Scheduler.arrival_s = t; prefill_tokens; decode_tokens } :: acc))
+          (0.0, []) gaps_us lengths
+      in
+      let span = 1.5e-3 *. float_of_int n in
+      let* failures =
+        list_size (int_range 0 4) (pair (float_bound_inclusive span) (int_range 0 53))
+      in
+      let* context_aware = bool in
+      let* shuffled = shuffle_l reqs in
+      return (List.rev reqs, shuffled, failures, context_aware))
+  in
+  let print (reqs, _, failures, context_aware) =
+    Printf.sprintf "n=%d context_aware=%b failures=[%s] longest=%d" (List.length reqs)
+      context_aware
+      (String.concat ";" (List.map (fun (t, k) -> Printf.sprintf "(%g,%d)" t k) failures))
+      (List.fold_left (fun m q -> max m q.Scheduler.prefill_tokens) 0 reqs)
+  in
+  QCheck.Test.make ~name:"stream merge contract" ~count:200
+    (QCheck.make ~print gen)
+    (fun (reqs, shuffled, slot_failures, context_aware) ->
+      let run reqs = Scheduler.simulate ~context_aware ~slot_failures config reqs in
+      let r = run reqs and s = run shuffled in
       let tokens =
         List.fold_left
           (fun a q -> a + q.Scheduler.prefill_tokens + q.Scheduler.decode_tokens)
           0 reqs
       in
-      let span = 2_000.0 /. rate in
-      (* Warms the Perf latency memo for every bucket the runs reach. *)
-      ignore (Scheduler.simulate ~context_aware:true config reqs);
-      List.iter
-        (fun (context_aware, slot_failures) ->
-          let w0 = Gc.minor_words () in
-          ignore (Scheduler.simulate ~context_aware ~slot_failures config reqs);
-          let per_token = (Gc.minor_words () -. w0) /. float tokens in
-          Alcotest.(check bool)
-            (Printf.sprintf
-               "load %.1f context_aware=%b failures=%d: %.3f words/token <= 0.1" load
-               context_aware (List.length slot_failures) per_token)
-            true (per_token <= 0.1))
-        [
-          (false, []);
-          (true, []);
-          (false, [ (span /. 3.0, 72); (span *. 2.0 /. 3.0, 36) ]);
-          (true, [ (span /. 3.0, 72); (span *. 2.0 /. 3.0, 36) ]);
-        ])
-    [ 0.5; 1.2 ]
+      let rows (r : Scheduler.result) =
+        List.sort compare
+          (List.map
+             (fun c ->
+               (c.Scheduler.first_token_s, c.Scheduler.finish_s, c.Scheduler.queue_wait_s))
+             r.Scheduler.completed_requests)
+      in
+      let bits x = Int64.bits_of_float x in
+      List.length r.Scheduler.completed_requests = List.length reqs
+      && r.Scheduler.tokens_processed = tokens
+      && r.Scheduler.mean_slot_occupancy <= 1.0
+      && bits r.Scheduler.makespan_s = bits s.Scheduler.makespan_s
+      && bits r.Scheduler.mean_slot_occupancy = bits s.Scheduler.mean_slot_occupancy
+      && rows r = rows s)
 
 let prop_scheduler_conserves =
   QCheck.Test.make ~name:"scheduler conserves tokens" ~count:15
@@ -489,6 +616,11 @@ let () =
           Alcotest.test_case "context-aware short = flat" `Quick test_scheduler_context_aware_matches_flat_when_short;
           Alcotest.test_case "empty" `Quick test_scheduler_empty_edge;
           Alcotest.test_case "words per token" `Quick test_scheduler_words_per_token;
+          Alcotest.test_case "t=0 arrivals in list order" `Quick
+            test_scheduler_simultaneous_arrivals_in_list_order;
+          Alcotest.test_case "counters-only sink registry" `Quick
+            test_scheduler_counters_only_registry;
         ] );
-      qsuite "scheduler properties" [ prop_scheduler_conserves; prop_scheduler_bookkeeping ];
+      qsuite "scheduler properties"
+        [ prop_scheduler_conserves; prop_scheduler_bookkeeping; prop_scheduler_merge ];
     ]
