@@ -232,6 +232,19 @@ let test_faults_validation () =
     (try
        ignore (Scheduler.simulate ~slot_failures:[ (Float.nan, 1) ] config []);
        false
+     with Invalid_argument _ -> true);
+  let arriving arrival_s =
+    [ { Scheduler.arrival_s; prefill_tokens = 4; decode_tokens = 4 } ]
+  in
+  Alcotest.(check bool) "negative arrival rejected" true
+    (try
+       ignore (Scheduler.simulate config (arriving (-1.0)));
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "NaN arrival rejected" true
+    (try
+       ignore (Scheduler.simulate config (arriving Float.nan));
+       false
      with Invalid_argument _ -> true)
 
 let () =
