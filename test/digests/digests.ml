@@ -3,7 +3,9 @@
    tight rack caps, cool-downs, drains, failures and forced overrides;
    the token-level Scheduler across loads, context-aware latency, slot
    failures, equal-time ties and an [obs] sink; one arrival trace per
-   process and length kind; and the Rng streams.
+   process and length kind; the Rng streams; the reference Transformer's
+   and the 16-chip Dataflow's logits; [Vec.top_k] orders; and
+   Metal-Embedding GEMV outputs.
    Floats print as %h (exact hex), ints plainly; a field named [md5]
    digests a longer rendering in the same notation, so the file does not
    depend on the toolchain's Marshal format. *)
@@ -341,10 +343,75 @@ let rng_cases () =
   stream "int1000" string_of_int (fun g -> Rng.int g 1000);
   stream "int7" string_of_int (fun g -> Rng.int g 7)
 
+(* --- Datapath: forwards, top-k, Metal-Embedding ------------------------- *)
+
+let logits_md5 forward ~tokens ~seed =
+  md5 (fun b ->
+      for i = 0 to tokens - 1 do
+        let token = ((i * 7) + seed) mod 64 in
+        Array.iter (Printf.bprintf b "%h ") (forward ~token);
+        Buffer.add_char b '\n'
+      done)
+
+let forward_cases () =
+  let tokens = 128 in
+  List.iter
+    (fun (name, config, seed) ->
+      let w = Weights.random (Rng.create seed) config in
+      let t = Transformer.create w and d = Dataflow.create w in
+      Printf.printf "forward %s seed=%d tokens=%d transformer_md5=%s dataflow_md5=%s\n" name
+        seed tokens
+        (logits_md5 (Transformer.forward t) ~tokens ~seed)
+        (logits_md5 (Dataflow.forward d) ~tokens ~seed))
+    [
+      ("tiny-hnlpu", Config.tiny_hnlpu, 1);
+      ("tiny-hnlpu", Config.tiny_hnlpu, 2);
+      ("tiny-hnlpu", Config.tiny_hnlpu, 3);
+      ("tiny-hnlpu-sw20", { Config.tiny_hnlpu with Config.sliding_window = Some 20 }, 1);
+    ]
+
+let top_k_cases () =
+  (* Values drawn from a handful of levels, so most entries tie; NaN and
+     both zeros among them. *)
+  let levels = [| 1.0; -1.0; 0.0; -0.0; 0.5; nan; infinity; neg_infinity |] in
+  List.iter
+    (fun (n, nlevels) ->
+      let g = Rng.create (n + nlevels) in
+      let a = Array.init n (fun _ -> levels.(Rng.int g nlevels)) in
+      let orders =
+        md5 (fun b ->
+            for k = 1 to n do
+              List.iter (fun (i, v) -> Printf.bprintf b "%d:%h " i v) (Vec.top_k k a);
+              Buffer.add_char b '\n'
+            done)
+      in
+      Printf.printf "top_k n=%d levels=%d md5=%s\n" n nlevels orders)
+    [ (16, 3); (16, 8); (64, 2); (64, 8); (200, 5) ]
+
+let me_cases () =
+  List.iter
+    (fun (in_features, out_features, slack) ->
+      let g = Rng.create 7 in
+      let gemv = Gemv.random g ~in_features ~out_features ~act_bits:8 in
+      let me = Metal_embedding.make ~slack gemv in
+      let outputs =
+        md5 (fun b ->
+            for _ = 1 to 8 do
+              let x = Gemv.random_activations g gemv in
+              Array.iter (Printf.bprintf b "%d ") (fst (Metal_embedding.run me x));
+              Buffer.add_char b '\n'
+            done)
+      in
+      Printf.printf "me %dx%d slack=%h md5=%s\n" in_features out_features slack outputs)
+    [ (32, 64, 8.0); (1024, 128, 2.0) ]
+
 let () =
   fleet_cases ();
   pa_cases ();
   scheduler_cases ();
   config_cases ();
   arrival_cases ();
-  rng_cases ()
+  rng_cases ();
+  forward_cases ();
+  top_k_cases ();
+  me_cases ()
