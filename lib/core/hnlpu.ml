@@ -52,6 +52,7 @@ module Transformer = Hnlpu_model.Transformer
 module Kv_cache = Hnlpu_model.Kv_cache
 module Sampler = Hnlpu_model.Sampler
 module Rope = Hnlpu_model.Rope
+module Attention = Hnlpu_model.Attention
 module Hn_linear = Hnlpu_model.Hn_linear
 module Lora = Hnlpu_model.Lora
 module Quant_eval = Hnlpu_model.Quant_eval

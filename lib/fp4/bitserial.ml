@@ -99,16 +99,27 @@ let popcount x =
   (x + (x lsr 32)) land 0x7F
 [@@inline]
 
-let rec popcount_and_from a i mask j stop acc =
+(* Eight masks per word: [p_k] at [j + k] and [n_k] at [j + 4 + k] select
+   the positive and the negative weights with bit k of the magnitude set. *)
+let signed_digit w masks j k =
+  popcount (w land Array.unsafe_get masks (j + k))
+  - popcount (w land Array.unsafe_get masks (j + 4 + k))
+[@@inline]
+
+let rec masked_dot_from a i masks j stop acc =
   if i = stop then acc
   else
-    popcount_and_from a (i + 1) mask (j + 1) stop
-      (acc + popcount (Array.unsafe_get a i land Array.unsafe_get mask j))
+    let w = Array.unsafe_get a i in
+    masked_dot_from a (i + 1) masks (j + 8) stop
+      (acc + signed_digit w masks j 0
+      + (signed_digit w masks j 1 lsl 1)
+      + (signed_digit w masks j 2 lsl 2)
+      + (signed_digit w masks j 3 lsl 3))
 
-let popcount_and a ~pos mask ~mask_pos ~len =
+let masked_dot a ~pos masks ~mask_pos ~len =
   if
     len < 0 || pos < 0 || mask_pos < 0
     || pos + len > Array.length a
-    || mask_pos + len > Array.length mask
-  then invalid_arg "Bitserial.popcount_and: word range out of bounds";
-  popcount_and_from a pos mask mask_pos (pos + len) 0
+    || mask_pos + (8 * len) > Array.length masks
+  then invalid_arg "Bitserial.masked_dot: word range out of bounds";
+  masked_dot_from a pos masks mask_pos (pos + len) 0

@@ -36,65 +36,36 @@ let reset t =
   t.last_hidden <- [||];
   Kv_cache.clear t.cache
 
-let attention t layer_idx (l : Weights.layer) x_norm =
+let attention t layer_idx (l : Weights.layer) ~angles x_norm =
   let c = config t in
   let d = c.Config.head_dim in
-  let kv_dim = Config.kv_dim c in
-  let scale = 1.0 /. sqrt (float_of_int d) in
   let q = Mat.gemv l.Weights.wq x_norm in
   let k = Mat.gemv l.Weights.wk x_norm in
   let v = Mat.gemv l.Weights.wv x_norm in
-  let q = Rope.apply_heads ~head_dim:d ~pos:t.pos q in
-  let k = Rope.apply_heads ~head_dim:d ~pos:t.pos k in
+  Rope.rotate angles q;
+  Rope.rotate angles k;
   Kv_cache.append t.cache ~layer:layer_idx ~k ~v;
   let len = Kv_cache.length t.cache ~layer:layer_idx in
   let ks = Kv_cache.keys t.cache ~layer:layer_idx in
   let vs = Kv_cache.values t.cache ~layer:layer_idx in
   (* Sliding-window layers only attend over the last [w] positions. *)
-  let first_pos =
+  let first =
     match Config.layer_window c ~layer:layer_idx with
     | None -> 0
     | Some w -> max 0 (len - w)
   in
+  (* One streaming-softmax pass per KV head covers its GQA group; each
+     head accumulates straight into its slice of [out]. *)
   let group = Config.gqa_group c in
-  (* Each head accumulates straight into its slice of [out]. *)
   let out = Array.make (Config.q_dim c) 0.0 in
-  let m = ref neg_infinity and z = ref 0.0 and dot = ref 0.0 in
-  for h = 0 to c.Config.q_heads - 1 do
-    let qo = h * d in
-    let kvo = h / group * d in
-    (* FlashAttention-style streaming softmax: single pass with a running
-       max and normalizer — the computation flow the VEX unit adopts.  One
-       [exp] per step: below the running max the correction is exp 0 = 1,
-       above it the new weight is. *)
-    m := neg_infinity;
-    z := 0.0;
-    for p = first_pos to len - 1 do
-      let base = (p * kv_dim) + kvo in
-      dot := 0.0;
-      for i = 0 to d - 1 do
-        dot := !dot +. (q.(qo + i) *. ks.(base + i))
-      done;
-      let s = !dot *. scale in
-      if s <= !m then begin
-        let w = exp (s -. !m) in
-        for i = 0 to d - 1 do
-          out.(qo + i) <- out.(qo + i) +. (w *. vs.(base + i))
-        done;
-        z := !z +. w
-      end
-      else begin
-        let corr = exp (!m -. s) in
-        for i = 0 to d - 1 do
-          out.(qo + i) <- (out.(qo + i) *. corr) +. vs.(base + i)
-        done;
-        z := (!z *. corr) +. 1.0;
-        m := s
-      end
-    done;
-    for i = 0 to d - 1 do
-      out.(qo + i) <- out.(qo + i) /. !z
-    done
+  let stats = Array.make (2 * c.Config.q_heads) 0.0 in
+  for kh = 0 to c.Config.kv_heads - 1 do
+    Attention.pass ~q ~qo:(kh * group * d) ~heads:group ~head_dim:d ~ks ~vs
+      ~stride:(Config.kv_dim c) ~kvo:(kh * d) ~first ~stop:len ~acc:out
+      ~ao:(kh * group * d) ~stats ~so:(2 * kh * group)
+  done;
+  for i = 0 to Array.length out - 1 do
+    out.(i) <- out.(i) /. stats.((2 * (i / d)) + 1)
   done;
   Mat.gemv l.Weights.wo out
 
@@ -130,10 +101,11 @@ let forward t ~token =
   if token < 0 || token >= c.Config.vocab then
     invalid_arg "Transformer.forward: token out of vocabulary";
   let x = ref (Mat.row t.weights.Weights.embedding token) in
+  let angles = Rope.angles ~head_dim:c.Config.head_dim ~pos:t.pos in
   Array.iteri
     (fun i l ->
       let x_norm = Vec.rmsnorm ~gain:l.Weights.attn_norm !x in
-      let attn = attention t i l x_norm in
+      let attn = attention t i l ~angles x_norm in
       x := Vec.add !x attn;
       let x_norm2 = Vec.rmsnorm ~gain:l.Weights.ffn_norm !x in
       let y = ffn t l x_norm2 in

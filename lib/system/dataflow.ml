@@ -114,6 +114,11 @@ let stripe_append st ~pos ~k ~v =
   Array.blit v 0 st.vs used width;
   st.n <- st.n + 1
 
+(* A stripe's positions ascend, so a window is a start index: the first
+   entry at or after [pos]. *)
+let rec stripe_start st ~pos j =
+  if j < st.n && st.positions.(j) < pos then stripe_start st ~pos (j + 1) else j
+
 (* Column collective [op] over per-chip partial vectors, summed in group
    order.  An all-reduce leaves the sum on every chip of the column, a
    reduce only on the KV owner, which alone stores it; either way the
@@ -127,83 +132,53 @@ let col_sum t op ~col partials =
 (* The GQA attention of one column for one token, over the column's
    striped KV cache (Figure 10-IV/V).  [q_col] holds the column's
    q_heads/4 query heads; each chip contributes statistics over its own
-   positions, combined exactly as the VEX units would after the
-   column-wise exchange.  K and V are read in place from the stripes. *)
+   positions, one {!Attention.pass} per local KV head, combined exactly as
+   the VEX units would after the column-wise exchange.  K and V are read
+   in place from the stripes. *)
 let column_attention t ~layer ~col q_col =
   let c = t.config in
   let d = c.Config.head_dim in
-  let scale = 1.0 /. sqrt (float_of_int d) in
-  (* Sliding-window layers only attend over the last [w] positions; the
-     striped caches filter by absolute position. *)
+  (* Sliding-window layers only attend over the last [w] positions. *)
   let first_pos =
     match Config.layer_window c ~layer with
     | None -> 0
     | Some w -> max 0 (t.pos + 1 - w)
   in
-  let q_heads_per_col = c.Config.q_heads / 4 in
+  let heads = c.Config.q_heads / 4 in
   let group = Config.gqa_group c in
   let width = Config.kv_dim c / 4 in
   let stripes = t.kv.(layer) in
-  let out = Array.make (q_heads_per_col * d) 0.0 in
-  (* Per-chip partial statistics (max, sum, weighted value), by row. *)
-  let ms = Array.make Topology.rows neg_infinity in
-  let zs = Array.make Topology.rows 0.0 in
-  let accs = Array.make (Topology.rows * d) 0.0 in
-  let m = ref neg_infinity and z = ref 0.0 and dot = ref 0.0 in
-  let global_m = ref neg_infinity in
-  for hq = 0 to q_heads_per_col - 1 do
+  (* Per-chip partials of every head: weighted values and (max, sum). *)
+  let accs = Array.make (Topology.rows * heads * d) 0.0 in
+  let stats = Array.make (Topology.rows * heads * 2) 0.0 in
+  for row = 0 to Topology.rows - 1 do
+    let st = stripes.(Topology.chip_at ~row ~col) in
+    let first = stripe_start st ~pos:first_pos 0 in
+    for kh = 0 to (width / d) - 1 do
+      let h0 = (row * heads) + (kh * group) in
+      Attention.pass ~q:q_col ~qo:(kh * group * d) ~heads:group ~head_dim:d ~ks:st.ks
+        ~vs:st.vs ~stride:width ~kvo:(kh * d) ~first ~stop:st.n ~acc:accs
+        ~ao:(h0 * d) ~stats ~so:(2 * h0)
+    done
+  done;
+  (* Column-wise exchange and exact combination of the partials. *)
+  let out = Array.make (heads * d) 0.0 in
+  let global_m = ref neg_infinity and z = ref 0.0 in
+  for hq = 0 to heads - 1 do
     let qo = hq * d in
-    (* Offset of the local KV head within the column's slice. *)
-    let kvo = hq / group * d in
-    for row = 0 to Topology.rows - 1 do
-      let st = stripes.(Topology.chip_at ~row ~col) in
-      let ks = st.ks and vs = st.vs in
-      let ao = row * d in
-      m := neg_infinity;
-      z := 0.0;
-      Array.fill accs ao d 0.0;
-      for j = 0 to st.n - 1 do
-        if st.positions.(j) >= first_pos then begin
-          let base = (j * width) + kvo in
-          dot := 0.0;
-          for i = 0 to d - 1 do
-            dot := !dot +. (q_col.(qo + i) *. ks.(base + i))
-          done;
-          let s = !dot *. scale in
-          (* One [exp] per step: below the running max the correction is
-             exp 0 = 1, above it the new weight is. *)
-          if s <= !m then begin
-            let w = exp (s -. !m) in
-            for i = 0 to d - 1 do
-              accs.(ao + i) <- accs.(ao + i) +. (w *. vs.(base + i))
-            done;
-            z := !z +. w
-          end
-          else begin
-            let corr = exp (!m -. s) in
-            for i = 0 to d - 1 do
-              accs.(ao + i) <- (accs.(ao + i) *. corr) +. vs.(base + i)
-            done;
-            z := (!z *. corr) +. 1.0;
-            m := s
-          end
-        end
-      done;
-      ms.(row) <- !m;
-      zs.(row) <- !z
-    done;
-    (* Column-wise exchange and exact combination of the partials. *)
     global_m := neg_infinity;
     for row = 0 to Topology.rows - 1 do
-      if ms.(row) > !global_m then global_m := ms.(row)
+      let m = stats.(2 * ((row * heads) + hq)) in
+      if m > !global_m then global_m := m
     done;
     z := 0.0;
     for row = 0 to Topology.rows - 1 do
-      if zs.(row) > 0.0 then begin
-        let corr = exp (ms.(row) -. !global_m) in
-        z := !z +. (zs.(row) *. corr);
+      let h = (row * heads) + hq in
+      if stats.((2 * h) + 1) > 0.0 then begin
+        let corr = exp (stats.(2 * h) -. !global_m) in
+        z := !z +. (stats.((2 * h) + 1) *. corr);
         for i = 0 to d - 1 do
-          out.(qo + i) <- out.(qo + i) +. (accs.((row * d) + i) *. corr)
+          out.(qo + i) <- out.(qo + i) +. (accs.((h * d) + i) *. corr)
         done
       end
     done;
@@ -217,10 +192,9 @@ let column_attention t ~layer ~col q_col =
   tally t Layer_program.Partial_o;
   out
 
-let layer_forward t ~layer x =
+let layer_forward t ~layer ~angles x =
   let c = t.config in
   let lw = t.chip_weights.(layer) in
-  let d = c.Config.head_dim in
   (* Attention block: RMSNorm is replicated on every chip. *)
   let gains = t.weights.Weights.layers.(layer) in
   let x_norm = Vec.rmsnorm ~gain:gains.Weights.attn_norm x in
@@ -235,8 +209,8 @@ let layer_forward t ~layer x =
         let q = col_sum t Layer_program.Q ~col (List.map (partial (fun w -> w.wq)) group) in
         let k = col_sum t Layer_program.K ~col (List.map (partial (fun w -> w.wk)) group) in
         let v = col_sum t Layer_program.V ~col (List.map (partial (fun w -> w.wv)) group) in
-        let q = Rope.apply_heads ~head_dim:d ~pos:t.pos q in
-        let k = Rope.apply_heads ~head_dim:d ~pos:t.pos k in
+        Rope.rotate angles q;
+        Rope.rotate angles k;
         (* Store the new KV on chip (pos mod 4) of this column. *)
         let owner = Topology.kv_owner ~seq_pos:t.pos ~col in
         stripe_append t.kv.(layer).(owner) ~pos:t.pos ~k ~v;
@@ -302,8 +276,9 @@ let forward t ~token =
   if token < 0 || token >= c.Config.vocab then
     invalid_arg "Dataflow.forward: token out of vocabulary";
   let x = ref (Mat.row t.weights.Weights.embedding token) in
+  let angles = Rope.angles ~head_dim:c.Config.head_dim ~pos:t.pos in
   for layer = 0 to c.Config.num_layers - 1 do
-    x := layer_forward t ~layer !x
+    x := layer_forward t ~layer ~angles !x
   done;
   t.pos <- t.pos + 1;
   let final = Vec.rmsnorm ~gain:t.weights.Weights.final_norm !x in

@@ -254,6 +254,10 @@ let simulate ?(context = 2048) ?(context_aware = false) ?(slot_failures = [])
           ~ts_s:clock.now clock.busy_slots
     end
   in
+  (* The latency sketches, fetched at the first completion so that a run
+     completing nothing registers none, and the cell that hands them
+     their samples unboxed. *)
+  let hists = ref [||] and samples = Float.Array.make 3 0.0 in
   let record_completion o id =
     let module Sink = Hnlpu_obs.Sink in
     let module Event = Hnlpu_obs.Event in
@@ -286,9 +290,16 @@ let simulate ?(context = 2048) ?(context_aware = false) ?(slot_failures = [])
         ~ts_s:first_token
     end;
     Hnlpu_obs.Metrics.incr m "scheduler/requests_completed";
-    Hnlpu_obs.Metrics.observe m "scheduler/ttft_s" (first_token -. arrival);
-    Hnlpu_obs.Metrics.observe m "scheduler/e2e_s" (finish -. arrival);
-    Hnlpu_obs.Metrics.observe m "scheduler/queue_wait_s" (injected -. arrival)
+    if Array.length !hists = 0 then
+      hists :=
+        Array.map (Hnlpu_obs.Metrics.hist m)
+          [| "scheduler/ttft_s"; "scheduler/e2e_s"; "scheduler/queue_wait_s" |];
+    Float.Array.set samples 0 (first_token -. arrival);
+    Float.Array.set samples 1 (finish -. arrival);
+    Float.Array.set samples 2 (injected -. arrival);
+    for i = 0 to 2 do
+      Hnlpu_obs.Sketch.observe_cell !hists.(i) samples i
+    done
   [@@hnlpu.lint_ignore "ALLOC-HOT"]
   (* Runs only when tracing ([obs]) is enabled, once per completed
      request; span and argument records inherently allocate. *)

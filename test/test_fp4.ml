@@ -412,6 +412,13 @@ let prop_packed_popcount =
         if region.(i) then Bitserial.set_element mask ~pos:0 i
       done;
       let bytes = Bitserial.planes ~bits v and packed = Bitserial.packed_planes ~bits v in
+      let popcount_and ~pos mask =
+        let c = ref 0 in
+        for k = 0 to words - 1 do
+          c := !c + Bitserial.popcount (packed.(pos + k) land mask.(k))
+        done;
+        !c
+      in
       Array.length packed = bits * words
       && List.for_all
            (fun b ->
@@ -419,9 +426,8 @@ let prop_packed_popcount =
              let in_region = ref 0 in
              Array.iteri (fun i r -> if r then in_region := !in_region + Bitserial.plane_get p i) region;
              let pos = b * words in
-             Bitserial.popcount_and packed ~pos all ~mask_pos:0 ~len:words
-             = Bitserial.popcount_plane p
-             && Bitserial.popcount_and packed ~pos mask ~mask_pos:0 ~len:words = !in_region)
+             popcount_and ~pos all = Bitserial.popcount_plane p
+             && popcount_and ~pos mask = !in_region)
            (List.init bits Fun.id))
 
 (* --- Csa --------------------------------------------------------------- *)

@@ -368,7 +368,9 @@ let test_scheduler_words_per_token () =
      slot-failure steps, and with a counters-only sink, which keeps the
      load gauges out of the registry until run end (sampling each change
      into it read 9.06 words/token).  Gc.minor_words is exact for the
-     calling domain. *)
+     calling domain.  The sink's three latency samples reach their
+     sketches through a float cell: passed to [Metrics.observe] they were
+     boxed, 0.088 words/token against 0.065 without a sink. *)
   List.iter
     (fun load ->
       let reqs, tokens = chat_load ~load in
@@ -381,11 +383,12 @@ let test_scheduler_words_per_token () =
           let w0 = Gc.minor_words () in
           ignore (Scheduler.simulate ~context_aware ~slot_failures ?obs config reqs);
           let per_token = (Gc.minor_words () -. w0) /. float tokens in
+          let bound = if sink then 0.075 else 0.1 in
           Alcotest.(check bool)
             (Printf.sprintf
-               "load %.1f context_aware=%b failures=%d sink=%b: %.3f words/token <= 0.1"
-               load context_aware (List.length slot_failures) sink per_token)
-            true (per_token <= 0.1))
+               "load %.1f context_aware=%b failures=%d sink=%b: %.3f words/token <= %g"
+               load context_aware (List.length slot_failures) sink per_token bound)
+            true (per_token <= bound))
         [
           (false, [], false);
           (true, [], false);

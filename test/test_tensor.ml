@@ -69,6 +69,30 @@ let test_argmax_topk () =
   let top = Vec.top_k 2 x in
   Alcotest.(check (list (pair int (float 0.0)))) "top2" [ (1, 5.0); (3, 5.0) ] top
 
+(* The polymorphic sort [Vec.top_k] used before it went monomorphic:
+   the reference its order must keep, ties, NaN and signed zeros
+   included. *)
+let top_k_by_polymorphic_sort k a =
+  let idx = Array.init (Array.length a) Fun.id in
+  Array.sort (fun i j -> match compare a.(j) a.(i) with 0 -> compare i j | c -> c) idx;
+  List.init k (fun r -> (idx.(r), a.(idx.(r))))
+
+let prop_top_k_order =
+  QCheck.Test.make ~name:"top_k = polymorphic sort, every k" ~count:300
+    QCheck.(pair (int_range 1 40) (int_range 0 1000000))
+    (fun (n, seed) ->
+      let rng = Rng.create seed in
+      let levels = [| 1.0; -1.0; 0.0; -0.0; nan; infinity; neg_infinity; 0.5 |] in
+      let a =
+        Array.init n (fun _ ->
+            if Rng.int rng 2 = 0 then levels.(Rng.int rng (Array.length levels))
+            else Rng.gaussian rng)
+      in
+      let same (i, x) (j, y) = i = j && Int64.bits_of_float x = Int64.bits_of_float y in
+      List.for_all
+        (fun k -> List.equal same (Vec.top_k k a) (top_k_by_polymorphic_sort k a))
+        (List.init n (fun k -> k + 1)))
+
 let prop_softmax_simplex =
   QCheck.Test.make ~name:"softmax lands on the simplex" ~count:200
     QCheck.(array_of_size (Gen.int_range 1 50) (float_range (-50.0) 50.0))
@@ -187,7 +211,8 @@ let () =
           Alcotest.test_case "swiglu" `Quick test_swiglu;
           Alcotest.test_case "argmax/topk" `Quick test_argmax_topk;
         ] );
-      qsuite "vec properties" [ prop_softmax_simplex; prop_rmsnorm_scale_invariant ];
+      qsuite "vec properties"
+        [ prop_softmax_simplex; prop_rmsnorm_scale_invariant; prop_top_k_order ];
       ( "mat",
         [
           Alcotest.test_case "gemv manual" `Quick test_mat_gemv_manual;
