@@ -95,14 +95,20 @@ let test_weights_rejects_external () =
 
 (* --- Rope ---------------------------------------------------------------- *)
 
+(* One head rotated out of place: the angles of [pos], then the rotation. *)
+let rope ~head_dim ~pos v =
+  let out = Array.copy v in
+  Rope.rotate (Rope.angles ~head_dim ~pos) out;
+  out
+
 let test_rope_pos0_identity () =
   let v = [| 1.0; 2.0; 3.0; 4.0 |] in
   Alcotest.(check (array (float 1e-12))) "pos 0 is identity" v
-    (Rope.apply ~head_dim:4 ~pos:0 v)
+    (rope ~head_dim:4 ~pos:0 v)
 
 let test_rope_preserves_norm () =
   let v = [| 1.0; 2.0; 3.0; 4.0; 5.0; 6.0 |] in
-  let r = Rope.apply ~head_dim:6 ~pos:17 v in
+  let r = rope ~head_dim:6 ~pos:17 v in
   Alcotest.(check (float 1e-9)) "rotation preserves norm"
     (Hnlpu_tensor.Vec.norm2 v) (Hnlpu_tensor.Vec.norm2 r)
 
@@ -111,7 +117,7 @@ let test_rope_relative_position () =
   let rng = Rng.create 3 in
   let q = Hnlpu_tensor.Vec.gaussian rng 8 and k = Hnlpu_tensor.Vec.gaussian rng 8 in
   let dot m n =
-    Hnlpu_tensor.Vec.dot (Rope.apply ~head_dim:8 ~pos:m q) (Rope.apply ~head_dim:8 ~pos:n k)
+    Hnlpu_tensor.Vec.dot (rope ~head_dim:8 ~pos:m q) (rope ~head_dim:8 ~pos:n k)
   in
   Alcotest.(check (float 1e-9)) "shift invariance" (dot 3 7) (dot 10 14)
 
