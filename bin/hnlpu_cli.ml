@@ -1140,9 +1140,12 @@ let lint_cmd =
       value & opt_all string []
       & info [ "dir" ] ~docv:"DIR"
           ~doc:
-            "Scan .cmt files under $(docv) (repeatable).  Default: the \
-             library build tree (_build/default/lib), i.e. the whole lib/ \
-             source tree as dune compiled it.")
+            "Scan .cmt files under $(docv) (repeatable); such a scan \
+             judges no DEAD-EXPORT.  Default: the library build tree \
+             (_build/default/lib), i.e. the whole lib/ source tree as dune \
+             compiled it, with DEAD-EXPORT judged against every unit of \
+             lib, bin, examples, hnbench and test (build with `dune build \
+             @check' first).")
   in
   let baseline_path =
     Arg.(
@@ -1202,7 +1205,11 @@ let lint_cmd =
         end
     end
     else begin
-      let dirs = if dirs = [] then Lint.default_scan_dirs else dirs in
+      (* A [--dir] scan sees only part of the tree, so it judges no
+         DEAD-EXPORT. *)
+      let dirs, refs =
+        if dirs = [] then (Lint.default_scan_dirs, Lint.default_ref_dirs) else (dirs, [])
+      in
       let baseline_file, baseline =
         match baseline_path with
         | Some path ->
@@ -1218,7 +1225,7 @@ let lint_cmd =
           else ("lint.baseline", None)
       in
       if update_baseline then begin
-        match Lint.run ~dirs () with
+        match Lint.run ~dirs ~refs () with
         | exception Failure msg ->
           prerr_endline ("hnlpu lint: " ^ msg);
           exit 3
@@ -1233,7 +1240,7 @@ let lint_cmd =
             baseline_file
       end
       else
-        match Lint.run_with_baseline ?baseline ~dirs () with
+        match Lint.run_with_baseline ?baseline ~dirs ~refs () with
         | exception Failure msg ->
           prerr_endline ("hnlpu lint: " ^ msg);
           exit 3
@@ -1249,7 +1256,8 @@ let lint_cmd =
          "Source-level static analysis over the compiler's typedtree \
           (.cmt files): hot-path allocation (ALLOC-HOT), nondeterminism \
           sources (DET-SRC), mutable state escaping into parallel tasks \
-          (PAR-ESCAPE) and swallowed exceptions (EXN-SWALLOW), gated by a \
+          (PAR-ESCAPE), swallowed exceptions (EXN-SWALLOW) and unused \
+          exports and optional parameters (DEAD-EXPORT), gated by a \
           committed baseline.  Exits 2 on unbaselined Error findings.")
     Term.(
       const run $ json $ verbose $ dirs $ baseline_path $ list_rules

@@ -10,6 +10,10 @@
 module D = Hnlpu_verify.Diagnostic
 
 let default_scan_dirs = [ "_build/default/lib"; "lib" ]
+
+(* Every unit whose references keep a library export alive. *)
+let default_ref_dirs =
+  List.map (Filename.concat "_build/default") [ "lib"; "bin"; "examples"; "hnbench"; "test" ]
 let default_fixture_dirs =
   [ "_build/default/test/lint_fixtures"; "test/lint_fixtures" ]
 
@@ -32,16 +36,39 @@ let stale_hot_paths (config : Lint_config.t) ~libs defined =
       else None)
     config.Lint_config.hot_paths
 
+let load_warning path =
+  D.warning ~rule:"LINT-LOAD" ~subject:path
+    "unreadable cmt file (compiler version mismatch or truncated build \
+     artifact) — this module was NOT linted"
+
+(* DEAD-EXPORT over the interfaces under [dirs], judged against the
+   units under [refs].  A reference unit without its [.cmt] would hide
+   its references, so then the rule judges nothing and says why. *)
+let dead_exports ~dirs ~refs =
+  match Cmt_scan.missing_cmts refs with
+  | [] ->
+    let interfaces, bad_intfs = Cmt_scan.load_interfaces dirs in
+    let units, bad_units = Cmt_scan.load_dirs refs in
+    Dead_export.check ~interfaces ~units @ List.map load_warning (bad_intfs @ bad_units)
+  | missing ->
+    List.map
+      (fun path ->
+        D.error ~rule:"LINT-LOAD" ~subject:path
+          "interface without its .cmt, so its unit's references are unseen \
+           and DEAD-EXPORT judged nothing — build with `dune build @check'")
+      missing
+
 (* Lint every module found under [dirs], returning the findings and the
-   libraries scanned.  Unreadable cmt files surface as LINT-LOAD warnings
-   rather than silent gaps: an analyzer that quietly skips a module
-   reports a clean bill it never earned. *)
-let scan ?(config = Lint_config.default) ~dirs () =
+   libraries scanned; with [refs] (reference units: none for a [--dir]
+   scan) also judge DEAD-EXPORT.  Unreadable cmt files surface as
+   LINT-LOAD warnings rather than silent gaps: an analyzer that quietly
+   skips a module reports a clean bill it never earned. *)
+let scan ?(config = Lint_config.default) ~dirs ~refs () =
   let mods, failed = Cmt_scan.load_dirs dirs in
   if mods = [] then
     failwith
       (Printf.sprintf
-         "no .cmt files under %s — build first (dune build @all)"
+         "no .cmt files under %s — build first (dune build @check)"
          (String.concat ", " dirs));
   let linted =
     List.map
@@ -56,25 +83,21 @@ let scan ?(config = Lint_config.default) ~dirs () =
       (List.map (fun (m : Cmt_scan.source) -> Lint_config.library m.Cmt_scan.modname) mods)
   in
   let stale = stale_hot_paths config ~libs (List.concat_map snd linted) in
-  let load_warnings =
-    List.map
-      (fun path ->
-        D.warning ~rule:"LINT-LOAD" ~subject:path
-          "unreadable cmt file (compiler version mismatch or truncated \
-           build artifact) — this module was NOT linted")
-      failed
-  in
-  (D.normalize (ds @ stale @ load_warnings), libs)
+  let dead = if refs = [] then [] else dead_exports ~dirs ~refs in
+  (D.normalize (ds @ stale @ dead @ List.map load_warning failed), libs)
 
-let run ?config ~dirs () = fst (scan ?config ~dirs ())
+let run ?config ~dirs ~refs () = fst (scan ?config ~dirs ~refs ())
 
 (* Baseline entries are judged against the same libraries as hot-path
-   entries: those the scan covered. *)
-let run_with_baseline ?config ?baseline ~dirs () =
-  let ds, libs = scan ?config ~dirs () in
+   entries: those the scan covered.  DEAD-EXPORT entries are judged only
+   when the rule ran. *)
+let run_with_baseline ?config ?baseline ~dirs ~refs () =
+  let ds, libs = scan ?config ~dirs ~refs () in
   match baseline with
   | None -> ds
-  | Some b -> D.normalize (Baseline.apply ~libs b ds)
+  | Some b ->
+    let b = if refs = [] then List.filter (fun e -> e.Baseline.rule <> "DEAD-EXPORT") b else b in
+    D.normalize (Baseline.apply ~libs b ds)
 
 (* --- Fixture self-test --------------------------------------------------- *)
 
@@ -88,6 +111,7 @@ let fixture_expectations =
     ("DET-SRC", "Fixture_det_src", D.Warning);
     ("PAR-ESCAPE", "Fixture_par_escape", D.Error);
     ("EXN-SWALLOW", "Fixture_exn_swallow", D.Error);
+    ("DEAD-EXPORT", "Fixture_dead_export", D.Error);
   ]
 
 let clean_fixture = "Fixture_clean"
@@ -136,10 +160,24 @@ let stale_entry_caught ds =
     ds
   = [ (stale_fixture_entry, D.Error) ]
 
-(* (family, caught) per rule family, for the boxed int64 and for the
-   stale hot-path entry, plus whether the clean module is clean. *)
+(* The unreferenced export and the knob no call passes are Errors, and
+   the fixture's referenced export and passed knob are silent. *)
+let dead_fixture_exports = [ "Lint_fixtures.Fixture_dead_export.scaled?never"; "Lint_fixtures.Fixture_dead_export.unused" ]
+
+let dead_exports_exact ds =
+  List.filter_map
+    (fun d ->
+      if subject_in_module ~fixture:"Fixture_dead_export" d.D.subject then Some (d.D.subject, d.D.rule, d.D.severity)
+      else None)
+    ds
+  = List.map (fun s -> (s, "DEAD-EXPORT", D.Error)) dead_fixture_exports
+
+(* (family, caught) per rule family, for the boxed int64, for the stale
+   hot-path entry and for the exact DEAD-EXPORT verdicts, plus whether
+   the clean module is clean.  The fixtures are their own reference
+   units. *)
 let self_test ~dirs () =
-  let ds = run ~config:fixture_config ~dirs () in
+  let ds = run ~config:fixture_config ~dirs ~refs:dirs () in
   let caught =
     List.map
       (fun (rule, fixture, min_sev) ->
@@ -153,7 +191,11 @@ let self_test ~dirs () =
         in
         (rule, hit))
       fixture_expectations
-    @ [ ("ALLOC-HOT/int64", boxed_int64_caught ds); ("LINT-HOTPATH", stale_entry_caught ds) ]
+    @ [
+        ("ALLOC-HOT/int64", boxed_int64_caught ds);
+        ("LINT-HOTPATH", stale_entry_caught ds);
+        ("DEAD-EXPORT/exact", dead_exports_exact ds);
+      ]
   in
   let clean =
     not

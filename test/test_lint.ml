@@ -3,6 +3,9 @@
    - every rule family catches its seeded-broken fixture and the clean
      fixture stays clean (the self-test CI runs), and a hot-path entry
      naming nothing in a scanned library is an error;
+   - DEAD-EXPORT flags exactly the fixture's unreferenced export and
+     never-passed knob, judges nothing in a scan without reference
+     units, and nothing when a reference unit lacks its .cmt;
    - the fixture set covers exactly the configured rule families — a new
      rule without a fixture, or a stale fixture, fails here;
    - output is deterministic: two runs serialize byte-identically;
@@ -28,7 +31,9 @@ let fixture_dirs () =
   | [] -> Alcotest.fail "lint fixtures not found — build with `dune build @all'"
   | dirs -> dirs
 
-let run_fixtures () = Lint.run ~config:Lint.fixture_config ~dirs:(fixture_dirs ()) ()
+let run_fixtures () =
+  let dirs = fixture_dirs () in
+  Lint.run ~config:Lint.fixture_config ~dirs ~refs:dirs ()
 
 (* --- Fixture coverage ----------------------------------------------------- *)
 
@@ -114,12 +119,68 @@ let test_stale_hot_path_scoped () =
   let stale =
     List.filter_map
       (fun d -> if d.D.rule = "LINT-HOTPATH" then Some (d.D.subject, D.severity_label d.D.severity) else None)
-      (Lint.run ~config ~dirs:(fixture_dirs ()) ())
+      (Lint.run ~config ~dirs:(fixture_dirs ()) ~refs:[] ())
   in
   Alcotest.(check (list (pair string string)))
     "stale entries of the scanned library"
     [ ("Lint_fixtures.Fixture_clean.no_such_function", "ERROR"); ("Lint_fixtures.No_such_module", "ERROR") ]
     stale
+
+(* --- DEAD-EXPORT ------------------------------------------------------------- *)
+
+let dead_export_findings ds =
+  List.filter_map
+    (fun d ->
+      if d.D.rule = "DEAD-EXPORT" then Some (d.D.subject, D.severity_label d.D.severity) else None)
+    ds
+
+let test_dead_export_fixture () =
+  (* The unreferenced export and the knob no call passes are Errors; the
+     referenced export and the passed knob say nothing. *)
+  Alcotest.(check (list (pair string string)))
+    "exactly the planted findings"
+    (List.map (fun s -> (s, "ERROR")) Lint.dead_fixture_exports)
+    (dead_export_findings (run_fixtures ()))
+
+let test_dead_export_scoped () =
+  (* A scan without reference units (what [--dir] runs) judges no
+     DEAD-EXPORT, and leaves that rule's baseline entries unjudged. *)
+  let baseline =
+    [
+      Baseline.entry ~rule:"DEAD-EXPORT" ~subject:"Lint_fixtures.Fixture_dead_export.unused"
+        ~reason:"planted";
+    ]
+  in
+  let ds = Lint.run_with_baseline ~baseline ~dirs:(fixture_dirs ()) ~refs:[] () in
+  Alcotest.(check (list (pair string string))) "no DEAD-EXPORT" [] (dead_export_findings ds);
+  Alcotest.(check bool) "no stale baseline entry" false
+    (List.exists (fun d -> d.D.rule = "LINT-BASELINE") ds)
+
+let test_dead_export_missing_cmt () =
+  (* An interface whose unit has no .cmt hides that unit's references:
+     LINT-LOAD names it and DEAD-EXPORT judges nothing. *)
+  let dirs = fixture_dirs () in
+  let cmti =
+    List.find
+      (fun f -> Thelp.contains f "Fixture_dead_export")
+      (Hnlpu_lint.Cmt_scan.files ~suffix:".cmti" dirs)
+  in
+  let tmp = Filename.concat (Filename.get_temp_dir_name ()) (Printf.sprintf "hnlpu-lint-%d" (Unix.getpid ())) in
+  Unix.mkdir tmp 0o755;
+  let copy = Filename.concat tmp (Filename.basename cmti) in
+  Out_channel.with_open_bin copy (fun oc ->
+      output_string oc (In_channel.with_open_bin cmti In_channel.input_all));
+  let ds =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove copy; Unix.rmdir tmp)
+      (fun () -> Lint.run ~config:Lint.fixture_config ~dirs ~refs:(dirs @ [ tmp ]) ())
+  in
+  Alcotest.(check (list (pair string string))) "no DEAD-EXPORT" [] (dead_export_findings ds);
+  Alcotest.(check (list (pair string string))) "LINT-LOAD names the interface"
+    [ (copy, "ERROR") ]
+    (List.filter_map
+       (fun d -> if d.D.rule = "LINT-LOAD" then Some (d.D.subject, D.severity_label d.D.severity) else None)
+       ds)
 
 (* --- Determinism ----------------------------------------------------------- *)
 
@@ -202,7 +263,7 @@ let test_baseline_scoped_to_scanned_libraries () =
   let stale dirs =
     List.filter_map
       (fun d -> if d.D.rule = "LINT-BASELINE" then Some d.D.subject else None)
-      (Lint.run_with_baseline ~baseline ~dirs ())
+      (Lint.run_with_baseline ~baseline ~dirs ~refs:[] ())
   in
   Alcotest.(check (list string)) "fp4-only scan judges no Hnlpu_util entry" []
     (stale [ lib_dir "fp4" ]);
@@ -242,6 +303,9 @@ let () =
             test_clean_module_zero_findings;
           Alcotest.test_case "boxed int64 fires" `Quick test_boxed_int64_fires;
           Alcotest.test_case "stale hot-path entry scoped" `Quick test_stale_hot_path_scoped;
+          Alcotest.test_case "dead export fixture" `Quick test_dead_export_fixture;
+          Alcotest.test_case "dead export scoped" `Quick test_dead_export_scoped;
+          Alcotest.test_case "dead export without cmt" `Quick test_dead_export_missing_cmt;
         ] );
       ( "determinism",
         [
