@@ -11,10 +11,10 @@ type system = {
   tokens_per_s_mm2 : float;
 }
 
-let hnlpu ?(context = 2048) () =
+let hnlpu () =
   let config = Hnlpu_model.Config.gpt_oss_120b in
   let fp = Hnlpu_chip.Floorplan.table1 () in
-  let throughput = Hnlpu_system.Perf.throughput_tokens_per_s config ~context in
+  let throughput = Hnlpu_system.Perf.throughput_tokens_per_s config ~context:2048 in
   let power = Hnlpu_chip.Floorplan.system_power_w fp in
   let silicon = Hnlpu_chip.Floorplan.system_silicon_mm2 fp in
   {

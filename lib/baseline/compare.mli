@@ -12,12 +12,10 @@ type system = {
   tokens_per_s_mm2 : float;
 }
 
-val hnlpu : ?context:int -> unit -> system
+val hnlpu : unit -> system
 (** From {!Hnlpu_system.Perf} and {!Hnlpu_chip.Floorplan}. *)
 
 val h100 : unit -> system
-
-val wse3 : unit -> system
 
 val table2 : unit -> system list
 (** [hnlpu; h100; wse3] at the paper's operating point. *)

@@ -12,7 +12,8 @@ type t = {
   advantage : float;
 }
 
-let analyze ?(context = 2048) () =
+let analyze () =
+  let context = 2048 in
   let config = Hnlpu_model.Config.gpt_oss_120b in
   let fp = Hnlpu_chip.Floorplan.table1 () in
   let throughput = Hnlpu_system.Perf.throughput_tokens_per_s config ~context in

@@ -23,6 +23,6 @@ type t = {
   advantage : float;             (** ~1,047x. *)
 }
 
-val analyze : ?context:int -> unit -> t
+val analyze : unit -> t
 
 val to_table : t -> Hnlpu_util.Table.t

@@ -10,6 +10,3 @@ val power_w : float
 val pipeline_slots : Hnlpu_model.Config.t -> int
 (** Maximum requests in flight: 6 pipeline stages per layer x layers
     (216 for gpt-oss 120B, §5.2). *)
-
-val stages_per_layer : int
-(** The six-stage intra-layer pipeline of Figure 11. *)

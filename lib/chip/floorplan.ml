@@ -41,7 +41,7 @@ let table1 ?(config = Hnlpu_model.Config.gpt_oss_120b) () =
       {
         block_name = "Interconnect Engine";
         area_mm2 = Interconnect_engine.area_mm2;
-        power_w = Interconnect_engine.power_w ();
+        power_w = Interconnect_engine.power_w;
       };
       { block_name = "HBM PHY"; area_mm2 = Hbm.phy_area_mm2; power_w = hbm_phy_power_w };
     ]

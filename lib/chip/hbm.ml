@@ -19,8 +19,6 @@ let fetch_time_s t ~bytes =
   if bytes < 0.0 then invalid_arg "Hbm.fetch_time_s: negative size";
   bytes /. t.effective_bandwidth_bytes_per_s
 
-let access_energy_j t ~bytes = bytes *. 8.0 *. t.pj_per_bit *. 1e-12
-
 let stall_s _t ~fetch_s ~compute_s = Float.max 0.0 (fetch_s -. compute_s)
 
 let fits_embedding t (c : Hnlpu_model.Config.t) =

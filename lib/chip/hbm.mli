@@ -20,8 +20,6 @@ val capacity_bytes : t -> float
 
 val fetch_time_s : t -> bytes:float -> float
 
-val access_energy_j : t -> bytes:float -> float
-
 val stall_s : t -> fetch_s:float -> compute_s:float -> float
 (** Residual stall after overlapping a prefetch stream with compute:
     [max 0 (fetch - compute)]. *)

@@ -18,15 +18,7 @@ val transistors_per_weight : float
     per-neuron multiplier/tree/accumulator overhead amortized over
     2880-input neurons (8 + 1.3). *)
 
-val array_utilization : float
-(** Placement utilization of the regular HN fabric (0.85 — far above the
-    0.65 of random logic; the array is a stamped macro). *)
-
 val area_mm2 : Hnlpu_model.Config.t -> float
-
-val active_weights_per_token_per_chip : Hnlpu_model.Config.t -> float
-(** Weight sites that switch for one token across all layers of one chip:
-    attention slices + router + the top-k experts' share. *)
 
 val active_fraction : Hnlpu_model.Config.t -> float
 (** Active / hardwired — the MoE sparsity (~3.9% for gpt-oss top-4/128). *)
@@ -36,8 +28,6 @@ val stream_cycles : bytes:int -> int
     bus delivers {!feed_bytes_per_cycle} per cycle, then the bit-serial
     planes drain.  This input streaming is what makes "Projection" a
     visible share of Figure 14. *)
-
-val feed_bytes_per_cycle : int
 
 val power_w : Hnlpu_model.Config.t -> float
 (** Table 1's 76.92 W: active-region clock/datapath power plus whole-array

@@ -4,11 +4,6 @@ let links_per_chip = Topology.degree 0
 
 let area_mm2 = 37.92
 
-let power_w ?(link = Link.cxl3) () =
+let power_w =
   float_of_int links_per_chip
-  *. link.Link.bandwidth_bytes_per_s *. 8.0 *. link.Link.pj_per_bit *. 1e-12
-
-let bisection_bandwidth_bytes_per_s ?(link = Link.cxl3) () =
-  (* Cutting the grid between two pairs of rows severs 2 links per column
-     pair x 4 columns x 2 row pairs = 16 links. *)
-  16.0 *. link.Link.bandwidth_bytes_per_s
+  *. Link.cxl3.Link.bandwidth_bytes_per_s *. 8.0 *. Link.cxl3.Link.pj_per_bit *. 1e-12

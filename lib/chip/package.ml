@@ -19,8 +19,6 @@ let hnlpu =
     module_test_yield = 0.995;
   }
 
-let module_yield t = t.assembly_yield *. t.module_test_yield
-
 let system_yield_kgm t ~modules =
   if modules <= 0 then invalid_arg "Package.system_yield_kgm";
   (* Modules are screened before integration; only board-level assembly of

@@ -17,10 +17,6 @@ type t = {
 
 val hnlpu : t
 
-val module_yield : t -> float
-(** Assembly x test: probability a module built from known-good parts
-    ships. *)
-
 val system_yield_kgm : t -> modules:int -> float
 (** With Known-Good-Module: modules are tested before system integration,
     so the system assembles from good modules and only board-level

@@ -28,10 +28,6 @@ val max_junction_c : float
 val coolant_c : float
 (** Facility water loop, 35 C. *)
 
-val thermal_resistance_k_per_w : float
-(** Die-to-coolant resistance of the cold-plate stack (~0.08 K/W for a
-    die this size). *)
-
 val analyze :
   ?config:Hnlpu_model.Config.t -> ?power_scale:float ->
   ?coolant_c:float -> ?obs:Hnlpu_obs.Sink.t -> unit -> t

@@ -4,9 +4,6 @@
     FlashAttention flow, reading K/V from the attention buffer at 32 cached
     KV heads per cycle. *)
 
-val kv_lanes : int
-(** 32 cached KV head-positions per cycle (paper figure). *)
-
 val attention_efficiency : float
 (** Sustained fraction of the peak lane rate.  The KV cache is interleaved
     across the 4 chips of a column ("chip-w/r-id = K/V-addr mod 4"), whose

@@ -29,8 +29,6 @@ val rsqrt_hw : float -> float
 
 val sigmoid_hw : float -> float
 
-val silu_hw : float -> float
-
 val softmax_hw : Hnlpu_tensor.Vec.t -> Hnlpu_tensor.Vec.t
 (** Max-subtracted, hardware [exp], exact-ish normalization. *)
 

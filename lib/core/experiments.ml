@@ -66,9 +66,9 @@ let energy_table reports =
     reports;
   t
 
-let figure12 ?seed () = area_table (neuron_reports ?seed ())
+let figure12 () = area_table (neuron_reports ())
 
-let figure13 ?seed () = energy_table (neuron_reports ?seed ())
+let figure13 () = energy_table (neuron_reports ())
 
 let table1 () = Hnlpu_chip.Floorplan.to_table (Hnlpu_chip.Floorplan.table1 ())
 

@@ -10,10 +10,10 @@ val figure2 : unit -> Hnlpu_util.Table.t
 val neuron_reports : ?seed:int -> unit -> Hnlpu_neuron.Report.t list
 (** The MA / CE / ME reports on the paper's 1024x128 FP4 GEMV. *)
 
-val figure12 : ?seed:int -> unit -> Hnlpu_util.Table.t
+val figure12 : unit -> Hnlpu_util.Table.t
 (** Area comparison (normalized to the MA SRAM). *)
 
-val figure13 : ?seed:int -> unit -> Hnlpu_util.Table.t
+val figure13 : unit -> Hnlpu_util.Table.t
 (** Execution cycles and energy per GEMV. *)
 
 val table1 : unit -> Hnlpu_util.Table.t

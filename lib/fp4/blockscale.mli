@@ -15,12 +15,10 @@ type t = { scale_exp : int; codes : Bytes.t }
     bytes (header, four data words, one padding word); the array holding
     the blocks adds one more each. *)
 
-val block_size : int
-(** MX block size, 32. *)
-
 val quantize_block : float array -> t
-(** Quantize up to [block_size] floats: picks the E8M0 scale so the largest
-    magnitude maps near the top of the E2M1 range, then rounds each element.
+(** Quantize up to 32 floats (one MX block): picks the E8M0 scale so the
+    largest magnitude maps near the top of the E2M1 range, then rounds each
+    element.
     The scale exponent is the smallest [e >= -126] with
     [amax <= 6 *. 2. ** e]; a block whose maximum is below [6 * 2^-126]
     gets the exponent of a log-seeded search, which may go below -126.

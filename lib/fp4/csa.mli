@@ -14,8 +14,6 @@ type stats = {
   cpa_width : int;      (** Width of the final carry-propagate adder. *)
 }
 
-val empty_stats : stats
-
 val reduce : width:int -> int array -> int * stats
 (** [reduce ~width xs] sums the integers [xs], each of which must lie in
     [\[0, 2^width)], through bit-level 3:2 compression.  Returns the exact

@@ -39,9 +39,6 @@ val neg : t -> t
 
 val is_negative : t -> bool
 
-val magnitude_code : t -> int
-(** The 3 low bits (exponent+mantissa), i.e. the code with sign cleared. *)
-
 val all : t list
 (** All 16 codes, in code order. *)
 

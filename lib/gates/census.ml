@@ -1,6 +1,4 @@
-let inverter = 2
 let nand2 = 4
-let nor2 = 4
 let xor2 = 8
 let mux2 = 12
 let full_adder = 28
@@ -10,9 +8,6 @@ let flipflop = 24
 let ripple_adder w = w * full_adder
 
 let register w = w * flipflop
-
-let negator w = (w * xor2) + ripple_adder w / 2
-(* XOR row plus an increment chain (half the cost of a general adder). *)
 
 let csa_cost (s : Hnlpu_fp4.Csa.stats) =
   (s.full_adders * full_adder)

@@ -8,14 +8,7 @@
 
 (** {1 Primitive gates} (transistors) *)
 
-val inverter : int
-val nand2 : int
-val nor2 : int
-val xor2 : int
-val mux2 : int
 val full_adder : int
-val half_adder : int
-val flipflop : int
 
 (** {1 Composite units} *)
 
@@ -25,16 +18,9 @@ val ripple_adder : int -> int
 val register : int -> int
 (** [register w]: w-bit flip-flop bank. *)
 
-val negator : int -> int
-(** [negator w]: two's-complement negate (XOR row + increment). *)
-
 val csa_cost : Hnlpu_fp4.Csa.stats -> int
 (** Transistors of a CSA tree from its structural statistics, including the
     final carry-propagate adder. *)
-
-val multiplier : int -> int -> int
-(** [multiplier a b]: generic a-bit x b-bit array multiplier (partial-product
-    AND matrix + CSA reduction + CPA) — what a GPU-style FP4 MAC pays. *)
 
 val fp4_constant_multiplier : input_bits:int -> Hnlpu_fp4.Fp4.t -> int
 (** Transistors of a multiply-by-constant unit for one E2M1 code on a

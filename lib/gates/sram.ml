@@ -12,9 +12,6 @@ let area_mm2 (tech : Tech.t) t =
 let read_energy_j (tech : Tech.t) t =
   float_of_int t.word_bits *. tech.sram_read_fj_per_bit *. 1e-15
 
-let write_energy_j (tech : Tech.t) t =
-  float_of_int t.word_bits *. tech.sram_write_fj_per_bit *. 1e-15
-
 let leakage_w (tech : Tech.t) t =
   float_of_int t.capacity_bits /. 8.0 /. 1e6 *. tech.sram_leak_w_per_mb
 

@@ -16,8 +16,6 @@ val area_mm2 : Tech.t -> t -> float
 val read_energy_j : Tech.t -> t -> float
 (** Energy of one word read. *)
 
-val write_energy_j : Tech.t -> t -> float
-
 val leakage_w : Tech.t -> t -> float
 
 val reads_to_stream : t -> total_bits:int -> int

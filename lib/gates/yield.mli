@@ -21,11 +21,6 @@ val cost_per_good_die : Tech.t -> die_area_mm2:float -> float
 val wafers_for : Tech.t -> die_area_mm2:float -> dies:int -> int
 (** Wafer starts needed to obtain [dies] good dies. *)
 
-val wafers_at_yield : Tech.t -> die_area_mm2:float -> yield_rate:float -> dies:int -> int
-(** Wafer starts at an explicitly assumed yield — the §8 fault-tolerance
-    scenario ("assumption of 1% yield implies producing ~50x more
-    wafers"). *)
-
 val wafer_bill_at_yield : Tech.t -> die_area_mm2:float -> yield_rate:float -> dies:int -> float
 (** Those wafers' cost: ~$0.5M for one 16-chip system and ~$22M for 50 at
     1% yield — marginal against the TCO (§8). *)

@@ -275,12 +275,8 @@ let by_track a b =
 let by_port a b =
   match Int.compare a.neuron b.neuron with 0 -> Int.compare a.region b.region | c -> c
 
-let drc ?tracks_per_layer t =
-  let limit =
-    match tracks_per_layer with
-    | Some n -> n
-    | None -> max_tracks_per_layer t
-  in
+let drc t =
+  let limit = max_tracks_per_layer t in
   let violations = ref [] in
   List.iter
     (fun w ->

@@ -68,8 +68,8 @@ val max_tracks_per_layer : netlist -> int
 (** The exact per-layer track window the compiler's round-robin assignment
     can reach for this bank shape: [out * ceil(in / 4)]. *)
 
-val drc : ?tracks_per_layer:int -> netlist -> drc_violation list
-(** Empty list = DRC clean.  [tracks_per_layer] defaults to
+val drc : netlist -> drc_violation list
+(** Empty list = DRC clean.  Tracks are bounded by
     {!max_tracks_per_layer} — the bound derived from the compiler's own
     assignment range.  Each violation carries the offending wires so
     downstream diagnostics can point at them. *)

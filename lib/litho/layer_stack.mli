@@ -30,11 +30,6 @@ type layer = {
   embedding : bool;  (** true for the 10 per-chip ME reticles. *)
 }
 
-val cost_units : litho_class -> float
-(** Normalized reticle cost: EUV = 6 units, any DUV flavour = 1 (the
-    paper's weighting; multi-patterning multiplies reticle *count*, which
-    the stack below already enumerates). *)
-
 val n5_stack : layer list
 (** The full 70-reticle N5 stack: 12 EUV + 58 DUV, of which 10 are the
     embedding layers (VIA7, M8 mandrel, M8 cut, VIA8, M9 mandrel, M9 cut,

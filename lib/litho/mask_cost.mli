@@ -13,9 +13,6 @@ type anchor = Optimistic | Pessimistic
 val full_set_usd : anchor -> float
 (** $15M / $30M. *)
 
-val unit_price : anchor -> float
-(** Dollars per normalized DUV unit (full set / 130). *)
-
 val homogeneous_cost : anchor -> float
 (** The shared prefab set: FEOL + M0–M7 + M12+, incl. all EUV. *)
 

@@ -9,8 +9,6 @@ let per_chip_weight_bytes =
 let chips_fractional (c : Config.t) =
   Params.total c *. c.Config.bits_per_param /. 8.0 /. per_chip_weight_bytes
 
-let chips c = int_of_float (ceil (chips_fractional c))
-
 type row = {
   model : string;
   params : float;

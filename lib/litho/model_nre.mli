@@ -20,9 +20,6 @@ val per_chip_weight_bytes : float
 val chips_fractional : Hnlpu_model.Config.t -> float
 (** Pro-rata chip count for a model's native footprint. *)
 
-val chips : Hnlpu_model.Config.t -> int
-(** Ceiling of {!chips_fractional} — the physical die count. *)
-
 type row = {
   model : string;
   params : float;

@@ -24,8 +24,6 @@ type t = {
   congestion_free : bool;
 }
 
-val mean_wire_length_um : float
-
 val analyze : Hnlpu_model.Config.t -> t
 
 val max_embeddable_weights :

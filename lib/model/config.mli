@@ -64,9 +64,7 @@ val tiny_hnlpu : t
     used by the distributed-dataflow equivalence tests. *)
 
 val kimi_k2 : t
-val deepseek_v3 : t
 val qwq_32b : t
-val llama3_8b : t
 
 val table4_models : t list
 (** The four rows of the paper's Table 4, in order. *)

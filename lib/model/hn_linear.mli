@@ -14,13 +14,10 @@
 
 type t
 
-val of_matrix : ?act_bits:int -> ?slack:float -> Hnlpu_tensor.Mat.t -> t
-(** Quantize a (in_features, out_features) float matrix.  [act_bits]
-    defaults to 8, [slack] to 8 — per-neuron max scaling concentrates
-    codes, so small banks need generous POPCNT region slack. *)
-
-val in_features : t -> int
-val out_features : t -> int
+val of_matrix : Hnlpu_tensor.Mat.t -> t
+(** Quantize a (in_features, out_features) float matrix for 8-bit
+    activations, with POPCNT region slack 8 — per-neuron max scaling
+    concentrates codes, so small banks need generous slack. *)
 
 val apply : t -> Hnlpu_tensor.Vec.t -> Hnlpu_tensor.Vec.t
 (** Run one GEMV on the ME machine. *)

@@ -13,9 +13,6 @@ val moe_per_layer : Config.t -> int
 
 val router_per_layer : Config.t -> int
 
-val embedding : Config.t -> int
-(** Token embedding + unembedding tables. *)
-
 val total : Config.t -> float
 (** All parameters, including embeddings. *)
 

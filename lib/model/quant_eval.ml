@@ -99,11 +99,3 @@ let evaluate ?(sequences = 8) ?(length = 12) ?domains rng (c : Config.t) =
     hidden_cosine = !cos_sum /. float_of_int !cos_n;
     top1_agreement = float_of_int !agree /. float_of_int !steps;
   }
-
-let pp fmt r =
-  Format.fprintf fmt
-    "@[<v>quantization fidelity over %d sequences (%d tokens):@ \
-     perplexity %.2f (float) vs %.2f (fp4), ratio %.3f@ \
-     hidden-state cosine %.4f, greedy top-1 agreement %.1f%%@]"
-    r.sequences r.tokens_scored r.ppl_float r.ppl_fp4 r.ppl_ratio r.hidden_cosine
-    (100.0 *. r.top1_agreement)

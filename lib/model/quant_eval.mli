@@ -36,5 +36,3 @@ val evaluate :
     the {!Hnlpu_par.Par} pool ([domains] overrides its width) with
     partial sums reduced in sequence order, so the report is identical
     for every domain count. *)
-
-val pp : Format.formatter -> report -> unit

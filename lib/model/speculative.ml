@@ -9,7 +9,7 @@ type stats = {
   tokens_per_pass : float;
 }
 
-let generate ~target ~draft ~prompt ~max_new_tokens ~lookahead ?stop () =
+let generate ~target ~draft ~prompt ~max_new_tokens ~lookahead () =
   if prompt = [] then invalid_arg "Speculative.generate: empty prompt";
   if lookahead <= 0 then invalid_arg "Speculative.generate: lookahead must be positive";
   if (Transformer.config target).Config.vocab <> (Transformer.config draft).Config.vocab
@@ -21,8 +21,7 @@ let generate ~target ~draft ~prompt ~max_new_tokens ~lookahead ?stop () =
   let t_state = ref target and d_state = ref draft in
   let out = ref [] and produced = ref 0 in
   let passes = ref 0 and drafted = ref 0 and accepted_total = ref 0 in
-  let stopped = ref false in
-  while (not !stopped) && !produced < max_new_tokens do
+  while !produced < max_new_tokens do
     (* 1. Draft proposes [lookahead] tokens greedily from its state. *)
     let dfork = Transformer.fork !d_state in
     let dlog = ref !d_logits in
@@ -55,14 +54,11 @@ let generate ~target ~draft ~prompt ~max_new_tokens ~lookahead ?stop () =
     let bonus = match !corrected with Some g -> g | None -> Vec.argmax !tl in
     let accepted = List.rev !accepted in
     accepted_total := !accepted_total + List.length accepted;
-    (* 3. Emit (respecting the budget and the stop token). *)
+    (* 3. Emit, respecting the budget. *)
     let emit tok =
-      if (not !stopped) && !produced < max_new_tokens then begin
-        match stop with
-        | Some s when s = tok -> stopped := true
-        | _ ->
-          out := tok :: !out;
-          incr produced
+      if !produced < max_new_tokens then begin
+        out := tok :: !out;
+        incr produced
       end
     in
     List.iter emit accepted;

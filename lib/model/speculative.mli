@@ -21,7 +21,7 @@ type stats = {
 
 val generate :
   target:Transformer.t -> draft:Transformer.t -> prompt:int list ->
-  max_new_tokens:int -> lookahead:int -> ?stop:int -> unit ->
+  max_new_tokens:int -> lookahead:int -> unit ->
   int list * stats
 (** Both models must share the vocabulary.  The transformers are reset
     first.  Raises on an empty prompt or non-positive lookahead. *)

@@ -18,19 +18,6 @@ let energy_j tech t =
 
 let area_ratio t ~baseline = t.area_mm2 /. baseline.area_mm2
 
-let pp tech fmt t =
-  Format.fprintf fmt
-    "@[<v>%s:@ area %s2 (%s transistors, %s SRAM)@ latency %d cycles (%s)@ \
-     energy %s (leakage %s)@]"
-    t.design
-    (Units.si (t.area_mm2 *. 1e-6))
-    (Units.si t.transistors)
-    (Units.bytes (float_of_int t.sram_bytes))
-    t.cycles
-    (Units.seconds (latency_s tech t))
-    (Units.joules (energy_j tech t))
-    (Units.watts t.leakage_power_w)
-
 let to_table tech reports =
   let table =
     Table.create

@@ -11,8 +11,6 @@ type t = {
   leakage_power_w : float;    (** Static power of the whole unit. *)
 }
 
-val latency_s : Hnlpu_gates.Tech.t -> t -> float
-
 val energy_j : Hnlpu_gates.Tech.t -> t -> float
 (** Dynamic energy plus leakage integrated over the op latency — the
     per-operation energy plotted in Figure 13. *)
@@ -20,8 +18,6 @@ val energy_j : Hnlpu_gates.Tech.t -> t -> float
 val area_ratio : t -> baseline:t -> float
 (** Area relative to a baseline design (Figure 12 normalizes to the
     MAC-array's 64 KB SRAM). *)
-
-val pp : Hnlpu_gates.Tech.t -> Format.formatter -> t -> unit
 
 val to_table : Hnlpu_gates.Tech.t -> t list -> Hnlpu_util.Table.t
 (** Comparison table across designs. *)

@@ -4,8 +4,6 @@
     the order of 16 FO4-equivalent gate levels; a full adder contributes two
     levels (majority + parity), a W-bit carry-lookahead adder 2*ceil(log2 W). *)
 
-val levels_per_cycle : int
-
 val fa_levels : int
 
 val cpa_levels : int -> int

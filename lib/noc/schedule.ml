@@ -300,7 +300,7 @@ let run_symbolic ~producers ~mode plan =
 
 (* --- Execution on values ---------------------------------------------------- *)
 
-let run ?plan ?obs ?(link = Link.cxl3) coll vals =
+let run ?plan ?obs coll vals =
   (match vals with [] -> invalid_arg "Schedule.run: empty" | _ -> ());
   let plan = match plan with Some p -> p | None -> canonical coll in
   let mode = (semantics coll).mode in
@@ -317,7 +317,7 @@ let run ?plan ?obs ?(link = Link.cxl3) coll vals =
       let worst = ref 0.0 in
       List.iter
         (fun { src; dst; bytes } ->
-          let d = Link.transfer_time_s link ~bytes in
+          let d = Link.transfer_time_s Link.cxl3 ~bytes in
           worst := Float.max !worst d;
           Hnlpu_obs.Sink.span o ~cat:"transfer"
             ~args:[ ("bytes", Event.I bytes); ("step", Event.I phase);
@@ -379,5 +379,5 @@ let run ?plan ?obs ?(link = Link.cxl3) coll vals =
     plan;
   List.map (fun (c, _) -> (c, state.(c))) vals
 
-let run_all_reduce ?plan ?obs ?link ~group vals =
-  run ?plan ?obs ?link (All_reduce { group; bytes = 0 }) vals
+let run_all_reduce ?plan ?obs ~group vals =
+  run ?plan ?obs (All_reduce { group; bytes = 0 }) vals

@@ -107,9 +107,6 @@ val transfer_count : t -> int
 val total_bytes : t -> int
 (** Sum of every transfer's payload over the whole plan. *)
 
-val endpoints : t -> Topology.chip list
-(** Every chip appearing as a source or destination, sorted, deduplicated. *)
-
 (** {1 Symbolic execution}
 
     The static counterpart of {!run}: instead of real vectors, every
@@ -156,7 +153,7 @@ val run_symbolic :
 (** {1 Execution on values} *)
 
 val run :
-  ?plan:t -> ?obs:Hnlpu_obs.Sink.t -> ?link:Link.t ->
+  ?plan:t -> ?obs:Hnlpu_obs.Sink.t ->
   collective -> Collective.valued -> Collective.valued
 (** Execute a plan of [collective] transfer by transfer on real vectors
     and return the per-chip results in the order of [vals].  Every chip of
@@ -172,13 +169,12 @@ val run :
     [Invalid_argument] naming the transfer.
 
     [obs] records one span per transfer — on the sending chip's track,
-    tagged with bytes, step index and destination — timed with [link]
-    (default {!Link.cxl3}) from time 0 so the stream agrees
-    with {!makespan}; per-plan byte/transfer counters and a makespan gauge
+    tagged with bytes, step index and destination — timed with
+    {!Link.cxl3} from time 0 so the stream agrees with {!makespan}; per-plan byte/transfer counters and a makespan gauge
     land in the metrics registry.  Values computed are unaffected. *)
 
 val run_all_reduce :
-  ?plan:t -> ?obs:Hnlpu_obs.Sink.t -> ?link:Link.t ->
+  ?plan:t -> ?obs:Hnlpu_obs.Sink.t ->
   group:Topology.chip list -> Collective.valued -> Collective.valued
 (** {!run} of [All_reduce] over [group]: every chip ends with
     {!Collective.sum} (tested). *)

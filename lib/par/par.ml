@@ -106,10 +106,6 @@ let shutdown pool =
     Array.iter Domain.join pool.workers
   end
 
-let with_pool ?domains f =
-  let pool = create ?domains () in
-  Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
-
 let run_tasks pool ~tasks f =
   if tasks > 0 then begin
     if not pool.live then invalid_arg "Par.run_tasks: pool is shut down";

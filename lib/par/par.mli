@@ -98,6 +98,3 @@ val shutdown : pool -> unit
 (** Join all workers.  Idempotent.  Re-raises the exception of any worker
     that died of a runtime catastrophe (e.g. [Out_of_memory]) instead of
     swallowing it. *)
-
-val with_pool : ?domains:int -> (pool -> 'a) -> 'a
-(** Scoped [create]/[shutdown]. *)

@@ -2,6 +2,9 @@ open Hnlpu_model
 open Hnlpu_noc
 module Par = Hnlpu_par.Par
 
+(* The sweeps run at the paper's 2K-token operating point. *)
+let context = 2048
+
 type interconnect_row = {
   link_name : string;
   bandwidth_gbps : float;
@@ -33,7 +36,7 @@ let throughput_with_link ~link ~context (c : Config.t) =
   let total = comm +. rest in
   (float_of_int (Perf.pipeline_slots c) /. total, comm /. total)
 
-let interconnect_sweep ?(context = 2048) ?domains c =
+let interconnect_sweep ?domains c =
   Par.parallel_map ?domains
     (fun (link_name, link) ->
       let throughput, comm_fraction = throughput_with_link ~link ~context c in
@@ -87,7 +90,6 @@ let programmability (c : Config.t) =
      reload, not a re-spin.  The price is silicon and communication: wider
      distribution scales collective depth ~ sqrt(chips). *)
   let comm_scale = sqrt (float_of_int fp_chips /. float_of_int base_chips) in
-  let context = 2048 in
   let layers = float_of_int c.Config.num_layers in
   let comm = layers *. Perf.per_layer_comm_s c in
   let rest =
@@ -135,7 +137,7 @@ let precision_sweep ?domains (c : Config.t) =
       let total =
         layers
         *. (Perf.per_layer_comm_s c +. proj +. Perf.per_layer_nonlinear_s c
-           +. Perf.per_layer_attention_s c ~context:2048)
+           +. Perf.per_layer_attention_s c ~context)
       in
       {
         act_bits = bits;
@@ -147,8 +149,8 @@ let precision_sweep ?domains (c : Config.t) =
 
 type slack_row = { slack : float; failure_rate : float; area_ratio : float }
 
-let slack_sweep rng ?domains ?(in_features = 2880) ?(trials = 200) () =
-  let regions = 16 in
+let slack_sweep rng ?domains ?(trials = 200) () =
+  let in_features = 2880 and regions = 16 in
   let balanced = (in_features + regions - 1) / regions in
   (* Split one generator per slack point sequentially up front, then run
      the Monte-Carlo trials in parallel: each point owns its stream, so
@@ -186,9 +188,9 @@ type window_row = {
   speedup : float;
 }
 
-let sliding_window_sweep ?domains () =
+let sliding_window_sweep () =
   let full = Config.gpt_oss_120b and sw = Config.gpt_oss_120b_sw in
-  Par.parallel_map ?domains
+  Par.parallel_map
     (fun context ->
       let tf = Perf.throughput_tokens_per_s full ~context in
       let tw = Perf.throughput_tokens_per_s sw ~context in
@@ -203,7 +205,7 @@ type speculative_row = {
   spec_speedup : float;      (** Over plain decode. *)
 }
 
-let speculative_sweep ?(context = 2048) ?(acceptance = 0.7) ?domains
+let speculative_sweep ?(acceptance = 0.7) ?domains
     (c : Config.t) =
   if not (acceptance >= 0.0 && acceptance < 1.0) then
     invalid_arg "Ablation.speculative_sweep: acceptance in [0,1)";
@@ -228,8 +230,8 @@ let speculative_sweep ?(context = 2048) ?(acceptance = 0.7) ?domains
       })
     [ 1; 2; 4; 8 ]
 
-let chunk_sweep ?(context = 2048) ?domains c =
-  Par.parallel_map ?domains
+let chunk_sweep c =
+  Par.parallel_map
     (fun chunk ->
       (chunk, Perf.prefill_throughput_tokens_per_s c ~chunk ~context))
     [ 1; 2; 4; 8; 16; 32; 64 ]

@@ -25,15 +25,12 @@ type interconnect_row = {
   comm_fraction : float;
 }
 
-val interconnect_options : (string * Hnlpu_noc.Link.t) list
-(** PCIe5-class, CXL 3.0 (the design point), NVLink-class, wafer-scale. *)
-
 val interconnect_sweep :
-  ?context:int -> ?domains:int ->
-  Hnlpu_model.Config.t -> interconnect_row list
-(** All sweeps in this module map their design points across the
-    {!Hnlpu_par.Par} pool; [?domains] overrides the pool width and results
-    are identical for every width. *)
+  ?domains:int -> Hnlpu_model.Config.t -> interconnect_row list
+(** All sweeps in this module run at 2K context and map their design
+    points across the {!Hnlpu_par.Par} pool; [?domains], where a sweep
+    takes it, overrides the pool width, and results are identical for
+    every width. *)
 
 type programmability_row = {
   variant : string;
@@ -68,10 +65,9 @@ type slack_row = {
 }
 
 val slack_sweep :
-  Hnlpu_util.Rng.t -> ?domains:int -> ?in_features:int -> ?trials:int ->
-  unit -> slack_row list
-(** Routing-failure probability vs region slack on random FP4 rows of the
-    model's hidden width.  One generator is split off [rng] per slack
+  Hnlpu_util.Rng.t -> ?domains:int -> ?trials:int -> unit -> slack_row list
+(** Routing-failure probability vs region slack on random FP4 rows of
+    gpt-oss's hidden width (2880).  One generator is split off [rng] per slack
     point before the (parallel) Monte-Carlo trials, so the result depends
     only on [rng]'s state, not on the domain count. *)
 
@@ -82,8 +78,7 @@ type window_row = {
   speedup : float;
 }
 
-val sliding_window_sweep :
-  ?domains:int -> unit -> window_row list
+val sliding_window_sweep : unit -> window_row list
 (** Full attention vs the real gpt-oss's alternating 128-token sliding
     window across the Figure 14 contexts: windowing halves the attention
     term on even layers, so the speedup grows with context (and defers the
@@ -97,14 +92,11 @@ type speculative_row = {
 }
 
 val speculative_sweep :
-  ?context:int -> ?acceptance:float -> ?domains:int ->
-  Hnlpu_model.Config.t -> speculative_row list
+  ?acceptance:float -> ?domains:int -> Hnlpu_model.Config.t -> speculative_row list
 (** Speculative decoding on HNLPU: a draft's k-token proposal verifies as
     one chunked-prefill pass (the §5.2 batching lever), so at acceptance
     rate a each pass yields [1 + sum a^i] tokens.  Returns the projected
     decode throughput for lookaheads 1/2/4/8 (default acceptance 0.7). *)
 
-val chunk_sweep :
-  ?context:int -> ?domains:int ->
-  Hnlpu_model.Config.t -> (int * float) list
+val chunk_sweep : Hnlpu_model.Config.t -> (int * float) list
 (** Prefill chunk size -> tokens/s (the batching lever of §5.2). *)

@@ -255,4 +255,3 @@ let prefill_tokens t = t.prefill_tokens
 let decode_tokens t = t.decode_tokens
 let user t = t.user
 let mmpp_state t = t.mmpp_state
-let generated t = t.generated

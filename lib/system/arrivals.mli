@@ -127,6 +127,3 @@ val user : t -> int
 val mmpp_state : t -> int
 (** Index of the [Mmpp] rate state the cursor dwells in (0 for the other
     processes). *)
-
-val generated : t -> int
-(** Requests generated so far (0 before the first {!next}). *)

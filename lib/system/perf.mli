@@ -40,11 +40,6 @@ val total_s : breakdown -> float
 val fractions : breakdown -> breakdown
 (** Each component divided by the total — the Figure 14 percentages. *)
 
-val engine_base_s : float
-(** Fixed per-step collective sequencing overhead (200 ns).  The
-    {!Hnlpu_noc.Schedule} plans are timed with [Link.cxl3]'s 290 ns
-    instead; EXPERIMENTS.md's calibrated-constant index records both. *)
-
 val link_contention_factor : float
 (** Queueing multiplier on collective steps (calibrated, see above). *)
 

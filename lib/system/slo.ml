@@ -15,7 +15,7 @@ type evaluation = {
   meets : bool;
 }
 
-let evaluate ?(seed = 1234) ?(requests = 150) ?(mean_prefill = 256)
+let evaluate ?(requests = 150) ?(mean_prefill = 256)
     ?(mean_decode = 128) ?obs config obj ~rate_per_s =
   check_objectives obj;
   if not (rate_per_s > 0.0) then invalid_arg "Slo.evaluate: rate must be positive";
@@ -26,7 +26,7 @@ let evaluate ?(seed = 1234) ?(requests = 150) ?(mean_prefill = 256)
       decode = Geometric { mean = mean_decode };
     }
   in
-  let reqs = Scheduler.requests ~n:requests (Arrivals.create ~seed spec) in
+  let reqs = Scheduler.requests ~n:requests (Arrivals.create ~seed:1234 spec) in
   let r = Scheduler.simulate ?obs config reqs in
   (* Two streaming sketches instead of a scratch sample array: constant
      memory however many requests complete, quantiles within
@@ -56,7 +56,7 @@ let evaluate ?(seed = 1234) ?(requests = 150) ?(mean_prefill = 256)
     meets = ttft_p95 <= obj.ttft_p95_s && e2e_p95 <= obj.e2e_p95_s;
   }
 
-let sweep ?seed ?requests ?mean_prefill ?mean_decode ?domains ?obs config obj
+let sweep ?requests ?mean_prefill ?mean_decode ?domains ?obs config obj
     ~rates =
   check_objectives obj;
   List.iter
@@ -80,7 +80,7 @@ let sweep ?seed ?requests ?mean_prefill ?mean_decode ?domains ?obs config obj
     Hnlpu_par.Par.parallel_map ?domains
       (fun (i, rate_per_s) ->
         let obs = if Array.length sinks = 0 then None else Some sinks.(i) in
-        evaluate ?seed ?requests ?mean_prefill ?mean_decode ?obs config obj
+        evaluate ?requests ?mean_prefill ?mean_decode ?obs config obj
           ~rate_per_s)
       tagged
   in
@@ -90,10 +90,10 @@ let sweep ?seed ?requests ?mean_prefill ?mean_decode ?domains ?obs config obj
     Array.iter (fun s -> Hnlpu_obs.Sink.merge_into ~into s) sinks);
   evals
 
-let max_rate ?seed ?requests ?(mean_prefill = 256) ?(mean_decode = 128) config
+let max_rate ?requests ?(mean_prefill = 256) ?(mean_decode = 128) config
     obj =
   let meets rate =
-    (evaluate ?seed ?requests ~mean_prefill ~mean_decode config obj ~rate_per_s:rate)
+    (evaluate ?requests ~mean_prefill ~mean_decode config obj ~rate_per_s:rate)
       .meets
   in
   (* Upper bound: the token-throughput ceiling over the mean request size. *)

@@ -26,17 +26,16 @@ type evaluation = {
 }
 
 val evaluate :
-  ?seed:int -> ?requests:int -> ?mean_prefill:int -> ?mean_decode:int ->
+  ?requests:int -> ?mean_prefill:int -> ?mean_decode:int ->
   ?obs:Hnlpu_obs.Sink.t ->
   Hnlpu_model.Config.t -> objectives -> rate_per_s:float -> evaluation
 (** One simulated operating point: [requests] (default 150) Poisson
-    arrivals at [rate_per_s] drawn from an {!Arrivals} cursor seeded with
-    [seed] (default 1234), with geometric prompt and decode lengths of
-    means [mean_prefill] (256) and [mean_decode] (128).  [obs] is passed
+    arrivals at [rate_per_s] drawn from an {!Arrivals} cursor with seed
+    1234, with geometric prompt and decode lengths of means [mean_prefill] (256) and [mean_decode] (128).  [obs] is passed
     through to {!Scheduler.simulate}. *)
 
 val sweep :
-  ?seed:int -> ?requests:int -> ?mean_prefill:int -> ?mean_decode:int ->
+  ?requests:int -> ?mean_prefill:int -> ?mean_decode:int ->
   ?domains:int -> ?obs:Hnlpu_obs.Sink.t ->
   Hnlpu_model.Config.t -> objectives -> rates:float list -> evaluation list
 (** [sweep config obj ~rates] evaluates each offered rate, in the given
@@ -47,7 +46,7 @@ val sweep :
     rate order after the sweep. *)
 
 val max_rate :
-  ?seed:int -> ?requests:int -> ?mean_prefill:int -> ?mean_decode:int ->
+  ?requests:int -> ?mean_prefill:int -> ?mean_decode:int ->
   Hnlpu_model.Config.t -> objectives -> float
 (** Largest arrival rate (requests/s, within 5% relative) whose simulation meets the objectives.  Bisection between 1 and
     an upper bound derived from the token-throughput ceiling. *)

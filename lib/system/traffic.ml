@@ -29,7 +29,7 @@ let ledger (c : Config.t) =
       })
     Layer_program.program
 
-let analyze ?(context = 2048) (c : Config.t) =
+let analyze (c : Config.t) =
   let entries = ledger c in
   (* Column collectives run on all four columns, row collectives on all
      four rows; the all-chip plan already spans the machine. *)
@@ -43,7 +43,7 @@ let analyze ?(context = 2048) (c : Config.t) =
                 * Layer_program.instances p.Layer_program.group))
          0.0 Layer_program.program entries
   in
-  let throughput = Perf.throughput_tokens_per_s c ~context in
+  let throughput = Perf.throughput_tokens_per_s c ~context:2048 in
   let demand = bytes_per_token *. throughput in
   let capacity =
     float_of_int (List.length (Topology.links ()))

@@ -31,6 +31,7 @@ type t = {
       (** The M/M/1 factor within 40% of {!Perf.link_contention_factor}. *)
 }
 
-val analyze : ?context:int -> Hnlpu_model.Config.t -> t
+val analyze : Hnlpu_model.Config.t -> t
+(** At 2K context. *)
 
 val to_table : t -> Hnlpu_util.Table.t

@@ -63,28 +63,26 @@ let total_at_grid ~volume ~kgco2e_per_kwh side =
     let s = h100_split volume in
     s.embodied_t +. operational_at ~kgco2e_per_kwh ~power_mw:(h100_power_mw volume)
 
-let grid_sweep ?(volume = Tco.High) intensities =
+let grid_sweep intensities =
   List.map
     (fun g ->
       if g < 0.0 then invalid_arg "Carbon.grid_sweep: negative intensity";
       ( g,
-        total_at_grid ~volume ~kgco2e_per_kwh:g `Hnlpu,
-        total_at_grid ~volume ~kgco2e_per_kwh:g `H100 ))
+        total_at_grid ~volume:Tco.High ~kgco2e_per_kwh:g `Hnlpu,
+        total_at_grid ~volume:Tco.High ~kgco2e_per_kwh:g `H100 ))
     intensities
 
-let advantage_at_grid ?(volume = Tco.High) ~kgco2e_per_kwh () =
-  total_at_grid ~volume ~kgco2e_per_kwh `H100
-  /. total_at_grid ~volume ~kgco2e_per_kwh `Hnlpu
+let advantage_at_grid ~kgco2e_per_kwh () =
+  total_at_grid ~volume:Tco.High ~kgco2e_per_kwh `H100
+  /. total_at_grid ~volume:Tco.High ~kgco2e_per_kwh `Hnlpu
 
-let g_per_million_tokens ?(volume = Tco.High) ?(utilization = 0.6) () =
-  if utilization <= 0.0 || utilization > 1.0 then
-    invalid_arg "Carbon.g_per_million_tokens: utilization in (0,1]";
-  let s = hnlpu_split volume in
+let g_per_million_tokens () =
+  let s = hnlpu_split Tco.High in
   let tokens =
     Hnlpu_system.Perf.throughput_tokens_per_s Hnlpu_model.Config.gpt_oss_120b
       ~context:2048
-    *. utilization *. Pricing.lifetime_hours *. 3600.0
-    *. float_of_int (Tco.hnlpu_systems volume)
+    *. 0.6 (* utilization *) *. Pricing.lifetime_hours *. 3600.0
+    *. float_of_int (Tco.hnlpu_systems Tco.High)
   in
   s.total_t *. 1e6 (* grams *) /. (tokens /. 1e6)
 

@@ -24,18 +24,17 @@ val operational_fraction : split -> float
     overwhelmingly operational; for the H100 cluster too, but 357x
     larger. *)
 
-val grid_sweep :
-  ?volume:Tco.volume -> float list -> (float * float * float) list
+val grid_sweep : float list -> (float * float * float) list
 (** For each grid intensity (kg CO2e/kWh): (intensity, HNLPU total t,
-    H100 total t).  At a fully decarbonized grid (0.0) only embodied
+    H100 total t), at the high volume.  At a fully decarbonized grid (0.0) only embodied
     carbon remains and the advantage drops to the manufacturing ratio. *)
 
-val advantage_at_grid : ?volume:Tco.volume -> kgco2e_per_kwh:float -> unit -> float
-(** H100 total / HNLPU total at a grid intensity. *)
+val advantage_at_grid : kgco2e_per_kwh:float -> unit -> float
+(** H100 total / HNLPU total at a grid intensity, at the high volume. *)
 
-val g_per_million_tokens : ?volume:Tco.volume -> ?utilization:float -> unit -> float
+val g_per_million_tokens : unit -> float
 (** HNLPU grams of CO2e per million tokens served over the 3-year life
-    (dynamic scenario, default 60% utilization). *)
+    (dynamic scenario, high volume, 60% utilization). *)
 
 val update_cadence_sweep : Tco.volume -> int list -> (int * float) list
 (** Re-spins over 3 years -> total tCO2e: how fast model churn erodes the

@@ -7,18 +7,8 @@ val chips_per_system : int
 
 type line = { item : string; lo_usd : float; hi_usd : float }
 
-val recurring_lines : unit -> line list
-(** Wafer, package & test, HBM, system integration (per chip). *)
-
-val nre_lines : unit -> line list
-(** Homogeneous mask, metal-embedding mask (16 chips), and the four design
-    & development items. *)
-
 val mask_nre_usd : Pricing.bound -> float
 (** Homogeneous + 16-chip ME masks: $32.31M – $64.61M. *)
-
-val nre_total_usd : Pricing.bound -> float
-(** Masks + design: $59.18M – $123.2M. *)
 
 val initial_build_usd : Pricing.bound -> systems:int -> float
 (** Full NRE + recurring for [systems] x 16 chips.

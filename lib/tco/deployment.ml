@@ -15,7 +15,7 @@ type blue_green = {
   serving_capacity_fraction : float;
 }
 
-let blue_green ?(systems = 1) plan =
+let blue_green plan =
   if not (plan.updates_per_year >= 0.0 && plan.years > 0.0) then
     invalid_arg "Deployment.blue_green: bad plan";
   (* Updates during the lifetime, excluding the initial build; Table 3's
@@ -23,7 +23,7 @@ let blue_green ?(systems = 1) plan =
   let total_updates =
     max 0 (int_of_float (Float.round (plan.updates_per_year *. plan.years)) - 1)
   in
-  let respin b = Cost_breakdown.respin_usd b ~systems *. float_of_int total_updates in
+  let respin b = Cost_breakdown.respin_usd b ~systems:1 *. float_of_int total_updates in
   let weeks = float_of_int total_updates *. plan.turnaround_weeks in
   {
     total_updates;
@@ -68,7 +68,10 @@ let hnlpu_tco_dynamic systems bound =
   in
   capex +. electricity +. maintenance +. (2.0 *. Cost_breakdown.respin_usd bound ~systems)
 
-let h100_cost_per_mtoken ~utilization =
+(* Both fleets serve at 60% of their peak decode rate. *)
+let utilization = 0.6
+
+let h100_cost_per_mtoken () =
   (* An H100 fleet sized for one HNLPU's throughput, priced per token. *)
   let gpus = Tco.equivalence_gpus_per_hnlpu in
   let nodes = gpus /. 8.0 in
@@ -91,13 +94,11 @@ let h100_cost_per_mtoken ~utilization =
   in
   (capex +. electricity +. maintenance) /. (tokens /. 1e6)
 
-let volume_sweep ?(utilization = 0.6) fleet_sizes =
-  if utilization <= 0.0 || utilization > 1.0 then
-    invalid_arg "Deployment.volume_sweep: utilization in (0,1]";
+let volume_sweep fleet_sizes =
   let per_system_tokens =
     decode_rate () *. utilization *. Pricing.lifetime_hours *. 3600.0
   in
-  let h100 = h100_cost_per_mtoken ~utilization in
+  let h100 = h100_cost_per_mtoken () in
   List.map
     (fun systems ->
       if systems <= 0 then invalid_arg "Deployment.volume_sweep: systems >= 1";
@@ -113,11 +114,11 @@ let volume_sweep ?(utilization = 0.6) fleet_sizes =
       })
     fleet_sizes
 
-let crossover_systems ?(utilization = 0.6) () =
+let crossover_systems () =
   let rec go n =
     if n > 1000 then None
     else begin
-      match volume_sweep ~utilization [ n ] with
+      match volume_sweep [ n ] with
       | [ p ] ->
         let _, hi = p.usd_per_mtoken in
         if hi < p.h100_usd_per_mtoken then Some n else go (n + 1)

@@ -28,7 +28,8 @@ type blue_green = {
   serving_capacity_fraction : float; (** Time-averaged capacity >= 1.0. *)
 }
 
-val blue_green : ?systems:int -> update_plan -> blue_green
+val blue_green : update_plan -> blue_green
+(** The plan's re-spins for one system. *)
 
 type volume_point = {
   systems : int;
@@ -38,11 +39,11 @@ type volume_point = {
   h100_usd_per_mtoken : float;       (** Equivalent-throughput cluster. *)
 }
 
-val volume_sweep : ?utilization:float -> int list -> volume_point list
-(** Cost per million tokens vs fleet size; [utilization] (default 0.6)
-    derates the peak decode rate.  The H100 column provisions the
-    equivalent GPUs at the same utilization. *)
+val volume_sweep : int list -> volume_point list
+(** Cost per million tokens vs fleet size at 60% utilization of the peak
+    decode rate.  The H100 column provisions the equivalent GPUs at the
+    same utilization. *)
 
-val crossover_systems : ?utilization:float -> unit -> int option
+val crossover_systems : unit -> int option
 (** Smallest fleet at which even the pessimistic HNLPU cost-per-token
     beats the H100 cluster (None if never within 1..1000). *)

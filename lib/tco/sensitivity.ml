@@ -21,10 +21,10 @@ let baseline =
 
 let mid (a, b) = (a +. b) /. 2.0
 
-let advantage ?(volume = Tco.High) p =
-  let systems = Tco.hnlpu_systems volume in
+let advantage p =
+  let systems = Tco.hnlpu_systems Tco.High in
   let chips = systems * Cost_breakdown.chips_per_system in
-  let gpus = float_of_int (Tco.h100_gpus volume) in
+  let gpus = float_of_int (Tco.h100_gpus Tco.High) in
   let nodes = gpus /. 8.0 in
   (* HNLPU side. *)
   let masks b =
@@ -81,10 +81,10 @@ type tornado_bar = {
   swing : float;
 }
 
-let tornado ?volume ?domains () =
+let tornado ?domains () =
   let sweep (name, set) =
-    let low_advantage = advantage ?volume (set baseline 0.5) in
-    let high_advantage = advantage ?volume (set baseline 2.0) in
+    let low_advantage = advantage (set baseline 0.5) in
+    let high_advantage = advantage (set baseline 2.0) in
     {
       factor = name;
       low_advantage;

@@ -19,7 +19,7 @@ type params = {
 val baseline : params
 (** All scales 1.0. *)
 
-val advantage : ?volume:Tco.volume -> params -> float
+val advantage : params -> float
 (** H100 3-year TCO over HNLPU dynamic TCO (midpoint of the
     optimistic/pessimistic band) under the scaled assumptions.  At
     {!baseline} and [High] volume this is ~56x (the geometric middle of
@@ -32,9 +32,9 @@ type tornado_bar = {
   swing : float;           (** |high - low|, the bar length. *)
 }
 
-val tornado : ?volume:Tco.volume -> ?domains:int -> unit -> tornado_bar list
-(** One bar per parameter, each swept over [0.5x, 2x] with the others at
-    baseline; sorted by decreasing swing.  Bars evaluate across the
+val tornado : ?domains:int -> unit -> tornado_bar list
+(** One bar per parameter at [High] volume, each swept over [0.5x, 2x]
+    with the others at baseline; sorted by decreasing swing.  Bars evaluate across the
     {!Hnlpu_par.Par} pool ([domains] overrides its width); the result is
     identical for every width. *)
 

@@ -2,8 +2,6 @@ type t = float array
 
 let zeros n = Array.make n 0.0
 
-let init = Array.init
-
 let gaussian rng n = Array.init n (fun _ -> Hnlpu_util.Rng.gaussian rng)
 
 let check_same_length name a b =
@@ -128,7 +126,3 @@ let top_k k (a : t) =
   let idx = Array.init (Array.length a) Fun.id in
   Array.stable_sort (fun i j -> Float.compare a.(j) a.(i)) idx;
   List.init k (fun r -> (idx.(r), a.(idx.(r))))
-
-let mean a =
-  if Array.length a = 0 then nan
-  else Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)

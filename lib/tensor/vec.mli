@@ -6,8 +6,6 @@ type t = float array
 
 val zeros : int -> t
 
-val init : int -> (int -> float) -> t
-
 val gaussian : Hnlpu_util.Rng.t -> int -> t
 (** Standard normal entries. *)
 
@@ -53,5 +51,3 @@ val argmax : t -> int
 val top_k : int -> t -> (int * float) list
 (** Indices and values of the k largest entries, descending.  Ties resolve
     to the lower index. *)
-
-val mean : t -> float

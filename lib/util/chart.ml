@@ -1,4 +1,4 @@
-let bar ?(width = 50) ?(log = false) rows =
+let bar ?(log = false) rows =
   if rows = [] then invalid_arg "Chart.bar: empty";
   let label_w =
     List.fold_left (fun acc (l, _) -> max acc (String.length l)) 0 rows
@@ -20,7 +20,7 @@ let bar ?(width = 50) ?(log = false) rows =
   let buf = Buffer.create 256 in
   List.iter2
     (fun (label, v) tv ->
-      let n = int_of_float (Float.round (float_of_int width *. (tv -. lo) /. span)) in
+      let n = int_of_float (Float.round (50.0 *. (tv -. lo) /. span)) in
       Buffer.add_string buf
         (Printf.sprintf "%-*s |%s %g\n" label_w label (String.make (max 0 n) '#') v))
     rows tvals;

@@ -1,8 +1,8 @@
 (** Plain-text charts, so [hnlpu tables] can render the paper's
     *figures* as figures, not only as tables. *)
 
-val bar : ?width:int -> ?log:bool -> (string * float) list -> string
-(** Horizontal bar chart.  [log] (default false) scales bars
+val bar : ?log:bool -> (string * float) list -> string
+(** Horizontal bar chart, 50 characters at full scale.  [log] (default false) scales bars
     logarithmically — Figure 13's energy axis is log-scale.  Values must
     be non-negative ([log] requires positive). *)
 

@@ -37,11 +37,6 @@ val percentile : float array -> float -> float
     instrumentation is broken, and any sorted-rank answer over it would
     be arbitrary. *)
 
-val percentile_in_place : float array -> float -> float
-(** As {!percentile}, but sorts the given array in place — hot sweep paths
-    reuse one scratch array across percentile queries instead of paying a
-    copy per call.  Same edge-case behavior as {!percentile}. *)
-
 val histogram : float array -> bins:int -> (float * int) array
 (** [histogram samples ~bins] buckets samples into [bins] equal-width bins
     over the sample range; returns (bin lower edge, count).  Empty input

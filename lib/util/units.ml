@@ -18,11 +18,9 @@ let si ?(digits = 2) x =
     end
   end
 
-let with_unit unit ?digits x = si ?digits x ^ unit
+let with_unit unit x = si x ^ unit
 
 let seconds = with_unit "s"
-let hertz = with_unit "Hz"
-let joules = with_unit "J"
 let watts = with_unit "W"
 let bytes = with_unit "B"
 

@@ -9,16 +9,12 @@ val si : ?digits:int -> float -> string
     Covers f(emto) .. P(eta); values outside fall back to scientific
     notation.  [digits] defaults to [2]. *)
 
-val seconds : ?digits:int -> float -> string
+val seconds : float -> string
 (** Time with unit, e.g. ["4.00us"], ["864us"], ["1.5ms"]. *)
 
-val hertz : ?digits:int -> float -> string
+val watts : float -> string
 
-val joules : ?digits:int -> float -> string
-
-val watts : ?digits:int -> float -> string
-
-val bytes : ?digits:int -> float -> string
+val bytes : float -> string
 (** Binary-ish rendering using decimal SI prefixes (KB = 1e3), matching how
     the paper quotes bandwidths and capacities. *)
 

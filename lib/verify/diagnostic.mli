@@ -37,15 +37,9 @@ val has_rule : ?min_severity:severity -> string -> t list -> bool
 (** Is a diagnostic with this rule ID (at least this severe, default
     [Info]) present? *)
 
-val worst : t list -> severity option
-(** None for an empty list. *)
-
 val exit_code : t list -> int
 (** 0 when nothing is worse than [Info], 1 when the worst is a [Warning],
     2 when any [Error] is present — the [hnlpu check] process exit code. *)
-
-val to_string : t -> string
-(** One line: [\[ERROR ME-TRACK\] chip03: ...]. *)
 
 val report : ?show_info:bool -> t list -> string
 (** Human report: one line per diagnostic (errors first) plus a summary

@@ -50,7 +50,7 @@ let congestion ?tracks_per_layer ~subject (n : Hn_compiler.netlist) =
         "track utilization of the %d-track window: %s" limit histogram;
     ]
 
-let drc ?tracks_per_layer ~subject n =
+let drc ~subject n =
   List.map
     (function
       | Hn_compiler.Track_conflict (layer, track, ws) ->
@@ -66,7 +66,7 @@ let drc ?tracks_per_layer ~subject n =
         Diagnostic.error ~rule:"ME-WINDOW" ~subject
           "wire %s outside the routing window: layer %s, track %d" (wire_name w)
           w.Hn_compiler.layer w.Hn_compiler.track)
-    (Hn_compiler.drc ?tracks_per_layer n)
+    (Hn_compiler.drc n)
 
 let lvs ~subject (n : Hn_compiler.netlist) (g : Hnlpu_neuron.Gemv.t) =
   if
@@ -179,7 +179,7 @@ let mask_uniformity chips =
       ]
     else diffs
 
-let check_chip ?tracks_per_layer ~subject n g =
-  congestion ?tracks_per_layer ~subject n
-  @ drc ?tracks_per_layer ~subject n
+let check_chip ~subject n g =
+  congestion ~subject n
+  @ drc ~subject n
   @ lvs ~subject n g

@@ -19,12 +19,6 @@ val congestion :
     {!Hnlpu_litho.Hn_compiler.max_tracks_per_layer}), plus an [Info]
     utilization histogram. *)
 
-val drc :
-  ?tracks_per_layer:int -> subject:string -> Hnlpu_litho.Hn_compiler.netlist ->
-  Diagnostic.t list
-(** [ME-TRACK] / [ME-PORT] / [ME-WINDOW], each pointing at the offending
-    wires. *)
-
 val lvs :
   subject:string -> Hnlpu_litho.Hn_compiler.netlist -> Hnlpu_neuron.Gemv.t ->
   Diagnostic.t list
@@ -38,6 +32,6 @@ val mask_uniformity :
     wire may sit outside M8-M11 (that would edit a shared mask). *)
 
 val check_chip :
-  ?tracks_per_layer:int -> subject:string -> Hnlpu_litho.Hn_compiler.netlist ->
+  subject:string -> Hnlpu_litho.Hn_compiler.netlist ->
   Hnlpu_neuron.Gemv.t -> Diagnostic.t list
 (** Congestion + DRC + LVS for one chip's netlist. *)

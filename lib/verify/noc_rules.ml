@@ -133,11 +133,11 @@ let conservation ~subject coll (plan : Schedule.t) =
    can move the right amounts yet order them so receivers merge the wrong
    operands.  Running the plan on random vectors and diffing against the
    mathematical sum catches exactly that class. *)
-let execution ?(seed = 7) ~subject coll (plan : Schedule.t) =
+let execution ~subject coll (plan : Schedule.t) =
   let { Schedule.producers; mode; required } = Schedule.semantics coll in
   if mode 0 <> Schedule.Accumulate then []
   else
-    let rng = Hnlpu_util.Rng.create seed in
+    let rng = Hnlpu_util.Rng.create 7 in
     let vals =
       List.map (fun c -> (c, Hnlpu_tensor.Vec.gaussian rng 8)) producers
     in

@@ -22,9 +22,6 @@
     - [NOC-MAKESPAN] — [Warning] when the plan's makespan exceeds the
       canonical schedule's for the declared collective by more than 10%. *)
 
-val links : subject:string -> Hnlpu_noc.Schedule.t -> Diagnostic.t list
-(** [NOC-LINK], with the step index and both endpoints. *)
-
 val contention : subject:string -> Hnlpu_noc.Schedule.t -> Diagnostic.t list
 (** [NOC-PORT]: same-step TX duplicates on one directed link, RX merges
     beyond the chip's degree. *)
@@ -45,18 +42,12 @@ val conservation :
     {!Hnlpu_noc.Schedule.canonical}, plus transfers leaving the group. *)
 
 val execution :
-  ?seed:int -> subject:string -> Hnlpu_noc.Schedule.collective ->
+  subject:string -> Hnlpu_noc.Schedule.collective ->
   Hnlpu_noc.Schedule.t -> Diagnostic.t list
 (** [NOC-EXEC]: execute the plan on seeded random vectors (collectives
     whose receivers add on step 0 only — empty otherwise) and require
     every required chip to end with {!Hnlpu_noc.Collective.sum}.  A plan
     the executor rejects ([Invalid_argument]) is an error too. *)
-
-val makespan :
-  ?link:Hnlpu_noc.Link.t -> subject:string -> Hnlpu_noc.Schedule.collective ->
-  Hnlpu_noc.Schedule.t -> Diagnostic.t list
-(** [NOC-MAKESPAN]: [Warning] beyond 110% of the canonical plan's
-    makespan, [Info] otherwise. *)
 
 val check :
   ?dynamic:bool -> subject:string -> Hnlpu_noc.Schedule.collective ->

@@ -14,9 +14,6 @@
 type stage_slot = { layer : int; stage : int }
 (** One pipeline slot: [layer] in [0, num_layers), [stage] in [0, 6). *)
 
-val stages_per_layer : int
-(** 6 — the Figure 11 stage split ({!Hnlpu_system.Perf.stage_names}). *)
-
 val canonical_stage_map : Hnlpu_model.Config.t -> stage_slot list
 (** Every (layer, stage) pair exactly once — what the control unit
     schedules. *)
