@@ -11,7 +11,6 @@ module Rng = Hnlpu_util.Rng
 module Stats = Hnlpu_util.Stats
 module Units = Hnlpu_util.Units
 module Table = Hnlpu_util.Table
-module Approx = Hnlpu_util.Approx
 module Chart = Hnlpu_util.Chart
 
 (** {1 Deterministic domain-parallel execution} *)

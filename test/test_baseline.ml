@@ -8,7 +8,7 @@ let config = Hnlpu_model.Config.gpt_oss_120b
 let test_h100_anchors () =
   Alcotest.(check (float 0.0)) "measured 45 tok/s" 45.0 H100.measured_decode_tokens_per_s;
   Alcotest.(check bool) "34.6 tok/kJ" true
-    (Approx.within_pct 1.0 ~expected:34.6 ~actual:H100.tokens_per_kj);
+    (Thelp.within_pct 1.0 ~expected:34.6 ~actual:H100.tokens_per_kj);
   Alcotest.(check (float 0.01)) "$40K per GPU" 40_000.0 H100.price_per_gpu_usd
 
 let test_h100_active_bytes () =
@@ -34,7 +34,7 @@ let test_h100_roofline_concurrency50_anchor () =
      roofline with default efficiency must land within ~35%. *)
   let t = H100.roofline_tokens_per_s config ~batch:50 in
   Alcotest.(check bool) (Printf.sprintf "roofline(50) = %.0f" t) true
-    (Approx.rel_error H100.concurrent_tokens_per_s t < 0.35)
+    (Thelp.rel_error H100.concurrent_tokens_per_s t < 0.35)
 
 let test_h100_roofline_validation () =
   Alcotest.(check bool) "bad batch" true
@@ -60,9 +60,9 @@ let test_next_gen_gap_persists () =
 let test_wse3_anchors () =
   Alcotest.(check (float 0.0)) "2,940 tok/s" 2940.0 Wse3.measured_tokens_per_s;
   Alcotest.(check bool) "127.8 tok/kJ" true
-    (Approx.within_pct 1.0 ~expected:127.8 ~actual:Wse3.tokens_per_kj);
+    (Thelp.within_pct 1.0 ~expected:127.8 ~actual:Wse3.tokens_per_kj);
   Alcotest.(check bool) "0.064 tok/(s.mm2)" true
-    (Approx.within_pct 2.0 ~expected:0.064 ~actual:Wse3.area_efficiency)
+    (Thelp.within_pct 2.0 ~expected:0.064 ~actual:Wse3.area_efficiency)
 
 (* --- Table 2 -------------------------------------------------------------------- *)
 
@@ -73,29 +73,29 @@ let get name = List.find (fun s -> s.Compare.sys_name = name) systems
 let test_table2_hnlpu_row () =
   let hn = get "HNLPU" in
   Alcotest.(check bool) "throughput ~249,960" true
-    (Approx.within_pct 1.0 ~expected:249_960.0 ~actual:hn.Compare.throughput_tokens_per_s);
+    (Thelp.within_pct 1.0 ~expected:249_960.0 ~actual:hn.Compare.throughput_tokens_per_s);
   Alcotest.(check bool) "silicon ~13,232" true
-    (Approx.within_pct 1.0 ~expected:13_232.0 ~actual:hn.Compare.silicon_mm2);
+    (Thelp.within_pct 1.0 ~expected:13_232.0 ~actual:hn.Compare.silicon_mm2);
   Alcotest.(check bool) "power ~6.9 kW" true
-    (Approx.within_pct 1.0 ~expected:6900.0 ~actual:hn.Compare.system_power_w);
+    (Thelp.within_pct 1.0 ~expected:6900.0 ~actual:hn.Compare.system_power_w);
   Alcotest.(check bool) "efficiency ~36,226 tok/kJ" true
-    (Approx.within_pct 1.0 ~expected:36_226.0 ~actual:hn.Compare.tokens_per_kj);
+    (Thelp.within_pct 1.0 ~expected:36_226.0 ~actual:hn.Compare.tokens_per_kj);
   Alcotest.(check bool) "area efficiency ~18.89" true
-    (Approx.within_pct 1.0 ~expected:18.89 ~actual:hn.Compare.tokens_per_s_mm2)
+    (Thelp.within_pct 1.0 ~expected:18.89 ~actual:hn.Compare.tokens_per_s_mm2)
 
 let test_table2_headline_ratios () =
   (* 5,555x / 85x throughput; 1,047x / 283x efficiency. *)
   let hn = get "HNLPU" and gpu = get "H100" and wse = get "WSE-3" in
   Alcotest.(check bool) "5,555x vs H100" true
-    (Approx.within_pct 1.0 ~expected:5555.0
+    (Thelp.within_pct 1.0 ~expected:5555.0
        ~actual:(Compare.throughput_ratio hn ~over:gpu));
   Alcotest.(check bool) "85x vs WSE-3" true
-    (Approx.within_pct 1.0 ~expected:85.0 ~actual:(Compare.throughput_ratio hn ~over:wse));
+    (Thelp.within_pct 1.0 ~expected:85.0 ~actual:(Compare.throughput_ratio hn ~over:wse));
   Alcotest.(check bool) "1,047x efficiency vs H100" true
-    (Approx.within_pct 1.0 ~expected:1047.0
+    (Thelp.within_pct 1.0 ~expected:1047.0
        ~actual:(Compare.efficiency_ratio hn ~over:gpu));
   Alcotest.(check bool) "283x efficiency vs WSE-3" true
-    (Approx.within_pct 1.0 ~expected:283.0 ~actual:(Compare.efficiency_ratio hn ~over:wse))
+    (Thelp.within_pct 1.0 ~expected:283.0 ~actual:(Compare.efficiency_ratio hn ~over:wse))
 
 let test_table2_area_efficiency_ordering () =
   let hn = get "HNLPU" and gpu = get "H100" and wse = get "WSE-3" in

@@ -318,7 +318,7 @@ let test_diff_counts_changes () =
   let d = Hn_compiler.diff na nb in
   Alcotest.(check int) "two wires rerouted" 2 d.Hn_compiler.rerouted;
   Alcotest.(check bool) "fraction" true
-    (Hnlpu_util.Approx.close ~rel:1e-9 d.Hn_compiler.rerouted_fraction (2.0 /. 16.0))
+    (Thelp.close ~rel:1e-9 d.Hn_compiler.rerouted_fraction (2.0 /. 16.0))
 
 let test_diff_shape_mismatch () =
   let na = Hn_compiler.compile ~slack:8.0 (small_gemv 21) in

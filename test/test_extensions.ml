@@ -202,7 +202,7 @@ let test_prefill_chunking_helps () =
   let t8 = Perf.prefill_throughput_tokens_per_s config ~chunk:8 ~context:2048 in
   let t64 = Perf.prefill_throughput_tokens_per_s config ~chunk:64 ~context:2048 in
   Alcotest.(check bool) "chunk 1 = decode rate" true
-    (Approx.within_pct 1.0 ~expected:(Perf.throughput_tokens_per_s config ~context:2048)
+    (Thelp.within_pct 1.0 ~expected:(Perf.throughput_tokens_per_s config ~context:2048)
        ~actual:t1);
   Alcotest.(check bool)
     (Printf.sprintf "chunk 8 (%.0f) > 2.5x decode" t8)
@@ -222,7 +222,7 @@ let test_stage_times_sum_to_layer () =
   Alcotest.(check bool)
     (Printf.sprintf "sum %.3fus = layer %.3fus" (sum *. 1e6) (expected *. 1e6))
     true
-    (Approx.close ~rel:1e-9 expected sum)
+    (Thelp.close ~rel:1e-9 expected sum)
 
 let test_stage_labels_agree () =
   (* Regression: stage_times_s used to carry its own label copies, which
@@ -296,8 +296,8 @@ let test_blue_green_annual () =
   Alcotest.(check (float 1e-9)) "zero downtime" 0.0 bg.Deployment.downtime_weeks;
   let lo, hi = bg.Deployment.respin_bill in
   Alcotest.(check bool) "bill = 2 x Table 5 re-spin" true
-    (Approx.within_pct 1.0 ~expected:(2.0 *. 18.53e6) ~actual:lo
-    && Approx.within_pct 1.0 ~expected:(2.0 *. 37.06e6) ~actual:hi)
+    (Thelp.within_pct 1.0 ~expected:(2.0 *. 18.53e6) ~actual:lo
+    && Thelp.within_pct 1.0 ~expected:(2.0 *. 37.06e6) ~actual:hi)
 
 let test_blue_green_no_updates () =
   let bg =

@@ -14,7 +14,7 @@ let test_scaling_batch1_is_table2 () =
     Alcotest.(check bool)
       (Printf.sprintf "%.0f GPUs" p.Scaling.gpus_needed)
       true
-      (Approx.within_pct 1.0 ~expected:5555.0 ~actual:p.Scaling.gpus_needed)
+      (Thelp.within_pct 1.0 ~expected:5555.0 ~actual:p.Scaling.gpus_needed)
   | _ -> Alcotest.fail "one point expected"
 
 let test_scaling_batching_shrinks_cluster () =
@@ -35,7 +35,7 @@ let test_scaling_paper_equivalence () =
   Alcotest.(check bool)
     (Printf.sprintf "%.0f GPUs ~ 2000" p.Scaling.gpus_needed)
     true
-    (Approx.within_pct 10.0 ~expected:2000.0 ~actual:p.Scaling.gpus_needed);
+    (Thelp.within_pct 10.0 ~expected:2000.0 ~actual:p.Scaling.gpus_needed);
   (* The power argument behind the OpEx advantage. *)
   Alcotest.(check bool)
     (Printf.sprintf "power ratio %.0fx" p.Scaling.power_ratio)

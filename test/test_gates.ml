@@ -1,5 +1,4 @@
 open Hnlpu_gates
-open Hnlpu_util
 
 let tech = Tech.n5
 
@@ -11,7 +10,7 @@ let test_murphy_yield_paper () =
   Alcotest.(check bool)
     (Printf.sprintf "yield %.3f ~ 0.43" y)
     true
-    (Approx.within_pct 2.0 ~expected:0.43 ~actual:y)
+    (Thelp.within_pct 2.0 ~expected:0.43 ~actual:y)
 
 let test_gross_dies_paper () =
   (* "~27 of 62 dies". *)
@@ -25,7 +24,7 @@ let test_die_cost_paper () =
   (* "$629 per good die". *)
   let c = Yield.cost_per_good_die tech ~die_area_mm2:827.08 in
   Alcotest.(check bool) (Printf.sprintf "die cost %.0f ~ 629" c) true
-    (Approx.within_pct 0.5 ~expected:629.0 ~actual:c)
+    (Thelp.within_pct 0.5 ~expected:629.0 ~actual:c)
 
 let test_yield_monotone_in_area () =
   let y1 = Yield.murphy ~defect_density_per_cm2:0.11 ~die_area_mm2:100.0 in
@@ -123,13 +122,13 @@ let test_tech_area_inverse () =
   let n = 1.0e9 in
   let a = Tech.area_of_transistors tech n in
   Alcotest.(check bool) "inverse" true
-    (Approx.close ~rel:1e-9 n (Tech.transistors_of_area tech a))
+    (Thelp.close ~rel:1e-9 n (Tech.transistors_of_area tech a))
 
 let test_tech_strawman_area () =
   (* §2.2: 116.8B weights x 208 T at raw 138 MTr/mm² = ~176,000 mm². *)
   let area = 116.8e9 *. 208.0 /. tech.Tech.transistor_density_per_mm2 in
   Alcotest.(check bool) (Printf.sprintf "strawman %.0f ~ 176000" area) true
-    (Approx.within_pct 1.0 ~expected:176000.0 ~actual:area)
+    (Thelp.within_pct 1.0 ~expected:176000.0 ~actual:area)
 
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 

@@ -77,7 +77,7 @@ let test_tco_consistency_with_floorplan () =
   let expected = Floorplan.system_power_w fp *. Pricing.pue /. 1e6 in
   let col = Tco.hnlpu_column Tco.Low in
   Alcotest.(check bool) "power consistent" true
-    (Approx.close ~rel:1e-9 expected col.Tco.datacenter_power_mw)
+    (Thelp.close ~rel:1e-9 expected col.Tco.datacenter_power_mw)
 
 let test_nre_consistency () =
   (* Table 5's mask lines must equal the litho library's Sea-of-Neurons. *)

@@ -1,5 +1,4 @@
 open Hnlpu_litho
-open Hnlpu_util
 
 (* --- Layer stack -------------------------------------------------------- *)
 
@@ -15,7 +14,7 @@ let test_stack_embedding_window () =
   Alcotest.(check (float 1e-9)) "10 embedding units" 10.0
     (Layer_stack.embedding_units stack);
   Alcotest.(check bool) "7.7% of the set" true
-    (Approx.within_pct 0.5 ~expected:(10.0 /. 130.0)
+    (Thelp.within_pct 0.5 ~expected:(10.0 /. 130.0)
        ~actual:(Layer_stack.embedding_fraction stack));
   let names =
     List.filter_map
@@ -51,17 +50,17 @@ let test_mask_homogeneous_cost () =
   (* $13.85M – $27.69M. *)
   let o, p = Mask_cost.(range homogeneous_cost) in
   Alcotest.(check bool) "optimistic" true
-    (Approx.within_pct 0.5 ~expected:(13.85 *. m) ~actual:o);
+    (Thelp.within_pct 0.5 ~expected:(13.85 *. m) ~actual:o);
   Alcotest.(check bool) "pessimistic" true
-    (Approx.within_pct 0.5 ~expected:(27.69 *. m) ~actual:p)
+    (Thelp.within_pct 0.5 ~expected:(27.69 *. m) ~actual:p)
 
 let test_mask_embedding_cost () =
   (* $1.15M – $2.31M per chip variant. *)
   let o, p = Mask_cost.(range embedding_cost_per_chip) in
   Alcotest.(check bool) "optimistic" true
-    (Approx.within_pct 1.0 ~expected:(1.15 *. m) ~actual:o);
+    (Thelp.within_pct 1.0 ~expected:(1.15 *. m) ~actual:o);
   Alcotest.(check bool) "pessimistic" true
-    (Approx.within_pct 0.5 ~expected:(2.31 *. m) ~actual:p)
+    (Thelp.within_pct 0.5 ~expected:(2.31 *. m) ~actual:p)
 
 let test_mask_sea_of_neurons_16 () =
   (* §3.2: "$480M to $65M", re-spin "$37M". *)
@@ -69,29 +68,29 @@ let test_mask_sea_of_neurons_16 () =
   Alcotest.(check bool)
     (Printf.sprintf "initial %.1fM ~ 64.6M" (initial /. m))
     true
-    (Approx.within_pct 1.0 ~expected:(64.6 *. m) ~actual:initial);
+    (Thelp.within_pct 1.0 ~expected:(64.6 *. m) ~actual:initial);
   let respin = Mask_cost.sea_of_neurons_respin Mask_cost.Pessimistic ~chips:16 in
   Alcotest.(check bool) "respin ~ 36.9M" true
-    (Approx.within_pct 1.0 ~expected:(36.9 *. m) ~actual:respin);
+    (Thelp.within_pct 1.0 ~expected:(36.9 *. m) ~actual:respin);
   Alcotest.(check (float 1.0)) "full custom 480M" (480.0 *. m)
     (Mask_cost.full_custom Mask_cost.Pessimistic ~chips:16)
 
 let test_mask_savings () =
   (* §3.2: -86.5% initial, -92.3% re-spin. *)
   Alcotest.(check bool) "initial saving 86.5%" true
-    (Approx.within_pct 0.5 ~expected:0.865
+    (Thelp.within_pct 0.5 ~expected:0.865
        ~actual:(Mask_cost.initial_saving_fraction Mask_cost.Pessimistic ~chips:16));
   Alcotest.(check bool) "respin saving 92.3%" true
-    (Approx.within_pct 0.5 ~expected:0.923
+    (Thelp.within_pct 0.5 ~expected:0.923
        ~actual:(Mask_cost.respin_saving_fraction Mask_cost.Pessimistic ~chips:16))
 
 let test_mask_16_chip_me_range () =
   (* Appendix B: "$18.46–$36.92M in total for 16 chips". *)
   let o, p = Mask_cost.(range (fun a -> sea_of_neurons_respin a ~chips:16)) in
   Alcotest.(check bool) "optimistic 18.46M" true
-    (Approx.within_pct 1.0 ~expected:(18.46 *. m) ~actual:o);
+    (Thelp.within_pct 1.0 ~expected:(18.46 *. m) ~actual:o);
   Alcotest.(check bool) "pessimistic 36.92M" true
-    (Approx.within_pct 1.0 ~expected:(36.92 *. m) ~actual:p)
+    (Thelp.within_pct 1.0 ~expected:(36.92 *. m) ~actual:p)
 
 let prop_more_chips_cost_more =
   QCheck.Test.make ~name:"mask bills monotone in chip count" ~count:50
@@ -115,7 +114,7 @@ let test_strawman_gpt_oss () =
   Alcotest.(check bool)
     (Printf.sprintf "area %.0f ~ 176,000 mm2" s.Strawman.area_mm2)
     true
-    (Approx.within_pct 2.0 ~expected:176000.0 ~actual:s.Strawman.area_mm2);
+    (Thelp.within_pct 2.0 ~expected:176000.0 ~actual:s.Strawman.area_mm2);
   Alcotest.(check bool)
     (Printf.sprintf "chips %d in 200+" s.Strawman.chips)
     true
@@ -131,7 +130,7 @@ let test_figure2_gpu_side () =
   Alcotest.(check bool)
     (Printf.sprintf "GPU $%.0f/unit" g.Strawman.cost_per_unit_usd)
     true
-    (Approx.within_pct 1.0 ~expected:780.0 ~actual:g.Strawman.cost_per_unit_usd)
+    (Thelp.within_pct 1.0 ~expected:780.0 ~actual:g.Strawman.cost_per_unit_usd)
 
 let test_figure2_hardwired_side () =
   let h = Strawman.hardwired_economics Hnlpu_model.Config.gpt_oss_120b in
@@ -149,7 +148,7 @@ let test_per_chip_capacity () =
   Alcotest.(check bool)
     (Printf.sprintf "%.3f GB/chip" (Model_nre.per_chip_weight_bytes /. 1e9))
     true
-    (Approx.within_pct 1.0 ~expected:3.61e9 ~actual:Model_nre.per_chip_weight_bytes)
+    (Thelp.within_pct 1.0 ~expected:3.61e9 ~actual:Model_nre.per_chip_weight_bytes)
 
 let test_table4_prices () =
   (* Table 4: Kimi-K2 $462M, DeepSeek-V3 $353M, QwQ $69M, Llama-3 $38M.
@@ -163,7 +162,7 @@ let test_table4_prices () =
           (Printf.sprintf "%s: %.1fM vs paper %.0fM" r.Model_nre.model
              (r.Model_nre.nre_usd /. 1e6) (paper /. 1e6))
           true
-          (Approx.within_pct 2.0 ~expected:paper ~actual:r.Model_nre.nre_usd))
+          (Thelp.within_pct 2.0 ~expected:paper ~actual:r.Model_nre.nre_usd))
     (Model_nre.table4 ())
 
 let test_table4_ordering () =

@@ -52,7 +52,7 @@ let test_external_models () =
   List.iter Config.validate Config.table4_models;
   Alcotest.(check (float 0.0)) "K2 params" 1.0e12 (Params.total Config.kimi_k2);
   Alcotest.(check bool) "QwQ bytes = 64GB" true
-    (Approx.close ~rel:1e-9 (Params.bytes Config.qwq_32b) 64e9)
+    (Thelp.close ~rel:1e-9 (Params.bytes Config.qwq_32b) 64e9)
 
 let test_config_validation () =
   let bad = { Config.tiny with Config.q_heads = 3; kv_heads = 2 } in

@@ -1,5 +1,4 @@
 open Hnlpu_noc
-open Hnlpu_util
 
 (* --- Topology ----------------------------------------------------------- *)
 
@@ -50,7 +49,7 @@ let test_link_latency_components () =
   let t2k = Link.transfer_time_s l ~bytes:2048 in
   Alcotest.(check bool) "zero payload still pays latency" true (t0 > 0.0);
   Alcotest.(check bool) "payload adds serialization" true
-    (Approx.close ~rel:1e-6 (t2k -. t0) (2048.0 /. 128.0e9))
+    (Thelp.close ~rel:1e-6 (t2k -. t0) (2048.0 /. 128.0e9))
 
 let test_link_sub_100ns_phy () =
   (* Paper: CXL 3.0 "<100 ns" PHY latency. *)
@@ -58,7 +57,7 @@ let test_link_sub_100ns_phy () =
 
 let test_link_energy () =
   let e = Link.transfer_energy_j Link.cxl3 ~bytes:1000 in
-  Alcotest.(check bool) "8 pJ/bit" true (Approx.close ~rel:1e-9 e (8000.0 *. 8.0e-12))
+  Alcotest.(check bool) "8 pJ/bit" true (Thelp.close ~rel:1e-9 e (8000.0 *. 8.0e-12))
 
 let test_link_energy_rejects_negative () =
   (* Regression: a negative payload used to yield a negative energy and

@@ -58,11 +58,11 @@ let test_routing_parasitics () =
   Alcotest.(check bool)
     (Printf.sprintf "R %.0f ~ 164" routing.Routing.avg_resistance_ohm)
     true
-    (Approx.within_pct 2.0 ~expected:164.0 ~actual:routing.Routing.avg_resistance_ohm);
+    (Thelp.within_pct 2.0 ~expected:164.0 ~actual:routing.Routing.avg_resistance_ohm);
   Alcotest.(check bool)
     (Printf.sprintf "C %.2f ~ 7.8" routing.Routing.avg_capacitance_ff)
     true
-    (Approx.within_pct 2.0 ~expected:7.8 ~actual:routing.Routing.avg_capacitance_ff)
+    (Thelp.within_pct 2.0 ~expected:7.8 ~actual:routing.Routing.avg_capacitance_ff)
 
 let test_routing_timing_slack () =
   (* "manageable coupling effects": wire delay is thousands of times below
@@ -88,7 +88,7 @@ let test_trace_latency_matches_perf () =
        (trace.Trace.measured_latency_s *. 1e6)
        (trace.Trace.predicted_latency_s *. 1e6))
     true
-    (Approx.within_pct 2.0 ~expected:trace.Trace.predicted_latency_s
+    (Thelp.within_pct 2.0 ~expected:trace.Trace.predicted_latency_s
        ~actual:trace.Trace.measured_latency_s)
 
 let test_trace_throughput_brackets_perf () =
@@ -122,10 +122,10 @@ let test_trace_stage_count () =
 let test_carbon_matches_table3 () =
   let s = Carbon.hnlpu_split Tco.High in
   Alcotest.(check bool) "dynamic total ~ 5,124 t" true
-    (Approx.within_pct 1.0 ~expected:5124.0 ~actual:s.Carbon.total_t);
+    (Thelp.within_pct 1.0 ~expected:5124.0 ~actual:s.Carbon.total_t);
   let h = Carbon.h100_split Tco.High in
   Alcotest.(check bool) "H100 ~ 1,830,000 t" true
-    (Approx.within_pct 1.0 ~expected:1.83e6 ~actual:h.Carbon.total_t)
+    (Thelp.within_pct 1.0 ~expected:1.83e6 ~actual:h.Carbon.total_t)
 
 let test_carbon_mostly_operational () =
   let s = Carbon.hnlpu_split Tco.High in
@@ -141,7 +141,7 @@ let test_carbon_grid_sweep () =
   let adv_dirty = Carbon.advantage_at_grid ~kgco2e_per_kwh:0.38 () in
   let adv_clean = Carbon.advantage_at_grid ~kgco2e_per_kwh:0.0 () in
   Alcotest.(check bool) "paper's 357x at US grid" true
-    (Approx.within_pct 1.0 ~expected:357.2 ~actual:adv_dirty);
+    (Thelp.within_pct 1.0 ~expected:357.2 ~actual:adv_dirty);
   Alcotest.(check bool) "clean grid leaves embodied ratio ~42x" true
     (adv_clean > 30.0 && adv_clean < 60.0)
 

@@ -14,7 +14,7 @@ let test_reference_model_fits_exactly () =
   Alcotest.(check bool)
     (Printf.sprintf "utilization %.3f" p.Sea_of_neurons.avg_port_utilization)
     true
-    (Approx.within_pct 2.0 ~expected:0.8 ~actual:p.Sea_of_neurons.avg_port_utilization)
+    (Thelp.within_pct 2.0 ~expected:0.8 ~actual:p.Sea_of_neurons.avg_port_utilization)
 
 let test_20b_fits_prefab () =
   (* §8 future work 1: hyper-parameter updates on the same prefab — the
@@ -71,11 +71,11 @@ let test_energy_totals () =
   Alcotest.(check bool)
     (Printf.sprintf "%.1f tokens/J" energy.Energy.tokens_per_joule)
     true
-    (Approx.within_pct 2.0 ~expected:36.2 ~actual:energy.Energy.tokens_per_joule);
+    (Thelp.within_pct 2.0 ~expected:36.2 ~actual:energy.Energy.tokens_per_joule);
   Alcotest.(check bool)
     (Printf.sprintf "advantage %.0fx" energy.Energy.advantage)
     true
-    (Approx.within_pct 2.0 ~expected:1047.0 ~actual:energy.Energy.advantage)
+    (Thelp.within_pct 2.0 ~expected:1047.0 ~actual:energy.Energy.advantage)
 
 let test_energy_shares_sum () =
   let sum = List.fold_left (fun a r -> a +. r.Energy.share) 0.0 energy.Energy.rows in

@@ -31,7 +31,7 @@ let test_spec_self_draft_accepts_everything () =
   Alcotest.(check bool)
     (Printf.sprintf "%.1f tokens/pass = lookahead+1" stats.Speculative.tokens_per_pass)
     true
-    (Approx.close ~rel:1e-9 stats.Speculative.tokens_per_pass 4.0)
+    (Thelp.close ~rel:1e-9 stats.Speculative.tokens_per_pass 4.0)
 
 let test_spec_fewer_passes_than_tokens () =
   let target = make 43 Config.tiny in

@@ -173,7 +173,7 @@ let test_throughput_paper_point () =
   (* Table 2: 249,960 tokens/s at 2K context. *)
   let tp = Perf.throughput_tokens_per_s config ~context:2048 in
   Alcotest.(check bool) (Printf.sprintf "throughput %.0f" tp) true
-    (Approx.within_pct 1.0 ~expected:249_960.0 ~actual:tp)
+    (Thelp.within_pct 1.0 ~expected:249_960.0 ~actual:tp)
 
 let test_pipeline_slots () =
   Alcotest.(check int) "216" 216 (Perf.pipeline_slots config)
@@ -182,7 +182,7 @@ let test_token_latency_magnitude () =
   (* 216 slots / 249,960 tok/s = 864 us. *)
   let l = Perf.token_latency_s config ~context:2048 in
   Alcotest.(check bool) (Printf.sprintf "latency %.1f us" (l *. 1e6)) true
-    (Approx.within_pct 1.0 ~expected:864.1e-6 ~actual:l)
+    (Thelp.within_pct 1.0 ~expected:864.1e-6 ~actual:l)
 
 let paper_figure14 =
   (* context, comm%, projection%, attention%, stall% (non-linear is the
@@ -314,7 +314,7 @@ let test_scheduler_decode_rate_single_stream () =
   Alcotest.(check bool)
     (Printf.sprintf "makespan %.1f ms" (r.Scheduler.makespan_s *. 1e3))
     true
-    (Approx.within_pct 2.0 ~expected ~actual:r.Scheduler.makespan_s)
+    (Thelp.within_pct 2.0 ~expected ~actual:r.Scheduler.makespan_s)
 
 let test_scheduler_context_aware_slower () =
   (* Long sequences decode slower when latency tracks the KV length. *)

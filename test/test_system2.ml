@@ -42,7 +42,7 @@ let test_schedule_makespan_model () =
   let plan = Schedule.all_reduce ~group:col0 ~bytes:2048 in
   let expected = 2.0 *. Link.transfer_time_s Link.cxl3 ~bytes:2048 in
   Alcotest.(check bool) "2 steps of one transfer time" true
-    (Approx.close ~rel:1e-9 expected (Schedule.makespan plan))
+    (Thelp.close ~rel:1e-9 expected (Schedule.makespan plan))
 
 let test_schedule_executes_correctly () =
   let rng = Rng.create 3 in
@@ -131,9 +131,9 @@ let test_module_cost_matches_table5 () =
   let lo = Package.module_cost_usd ~bound:`Lo Package.hnlpu in
   let hi = Package.module_cost_usd ~bound:`Hi Package.hnlpu in
   Alcotest.(check bool) (Printf.sprintf "lo %.0f" lo) true
-    (Approx.within_pct 1.0 ~expected:2660.0 ~actual:lo);
+    (Thelp.within_pct 1.0 ~expected:2660.0 ~actual:lo);
   Alcotest.(check bool) (Printf.sprintf "hi %.0f" hi) true
-    (Approx.within_pct 1.0 ~expected:4654.0 ~actual:hi)
+    (Thelp.within_pct 1.0 ~expected:4654.0 ~actual:hi)
 
 (* --- Quantization fidelity ------------------------------------------------------ *)
 

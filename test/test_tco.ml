@@ -7,7 +7,7 @@ let within pct label expected actual =
   Alcotest.(check bool)
     (Printf.sprintf "%s: %.4g vs paper %.4g" label actual expected)
     true
-    (Approx.within_pct pct ~expected ~actual)
+    (Thelp.within_pct pct ~expected ~actual)
 
 (* --- Table 5: recurring & NRE ------------------------------------------------ *)
 

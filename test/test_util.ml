@@ -181,11 +181,11 @@ let test_table_arity () =
 (* --- Approx ---------------------------------------------------------- *)
 
 let test_approx () =
-  Alcotest.(check bool) "close rel" true (Approx.close ~rel:0.01 100.0 100.5);
-  Alcotest.(check bool) "not close" false (Approx.close ~rel:0.001 100.0 100.5);
+  Alcotest.(check bool) "close rel" true (Thelp.close ~rel:0.01 100.0 100.5);
+  Alcotest.(check bool) "not close" false (Thelp.close ~rel:0.001 100.0 100.5);
   Alcotest.(check bool) "within pct" true
-    (Approx.within_pct 1.0 ~expected:100.0 ~actual:100.9);
-  check_float "rel error" 0.01 (Approx.rel_error 100.0 101.0)
+    (Thelp.within_pct 1.0 ~expected:100.0 ~actual:100.9);
+  check_float "rel error" 0.01 (Thelp.rel_error 100.0 101.0)
 
 let () =
   Alcotest.run "hnlpu_util"

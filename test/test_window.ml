@@ -169,7 +169,7 @@ let test_window_no_effect_short_context () =
   let full = Perf.token_latency_s Config.gpt_oss_120b ~context:128 in
   let sw = Perf.token_latency_s Config.gpt_oss_120b_sw ~context:128 in
   Alcotest.(check bool) "identical at tiny context" true
-    (Approx.close ~rel:1e-9 full sw)
+    (Thelp.close ~rel:1e-9 full sw)
 
 let test_window_ablation_sweep () =
   let rows = Ablation.sliding_window_sweep () in

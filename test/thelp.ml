@@ -26,3 +26,15 @@ let chat_requests ~seed ~n ~rate_per_s ~mean_prefill ~mean_decode =
     }
   in
   Scheduler.requests ~n (Arrivals.create ~seed spec)
+
+(* Approximate float comparison.  [rel_error expected actual] is
+   |actual - expected| / max(|expected|, eps), zero when both are zero. *)
+let rel_error expected actual =
+  if expected = 0.0 && actual = 0.0 then 0.0
+  else Float.abs (actual -. expected) /. Float.max (Float.abs expected) epsilon_float
+
+let close ?(rel = 1e-9) a b = rel_error a b <= rel
+
+(* Relative error no more than [p] percent: the paper-number regression
+   tests use the tolerance recorded in EXPERIMENTS.md. *)
+let within_pct p ~expected ~actual = rel_error expected actual <= p /. 100.0
