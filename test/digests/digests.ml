@@ -4,8 +4,9 @@
    the token-level Scheduler across loads, context-aware latency, slot
    failures, equal-time ties and an [obs] sink; one arrival trace per
    process and length kind; the Rng streams; the reference Transformer's
-   and the 16-chip Dataflow's logits; [Vec.top_k] orders; and
-   Metal-Embedding GEMV outputs.
+   and the 16-chip Dataflow's logits; [Vec.top_k] orders; the
+   Metal-Embedding, Cell-Embedding and MAC-array GEMV outputs; and the
+   codes [Gemv.random] draws.
    Floats print as %h (exact hex), ints plainly; a field named [md5]
    digests a longer rendering in the same notation, so the file does not
    depend on the toolchain's Marshal format. *)
@@ -341,7 +342,10 @@ let rng_cases () =
   stream "gaussian" (Printf.sprintf "%h") Rng.gaussian;
   stream "exponential2.5" (Printf.sprintf "%h") (fun g -> Rng.exponential g 2.5);
   stream "int1000" string_of_int (fun g -> Rng.int g 1000);
-  stream "int7" string_of_int (fun g -> Rng.int g 7)
+  stream "int7" string_of_int (fun g -> Rng.int g 7);
+  List.iter
+    (fun bound -> stream (Printf.sprintf "int%d" bound) string_of_int (fun g -> Rng.int g bound))
+    [ 1; 16; 256; 10_000 ]
 
 (* --- Datapath: forwards, top-k, Metal-Embedding ------------------------- *)
 
@@ -405,6 +409,43 @@ let me_cases () =
       Printf.printf "me %dx%d slack=%h md5=%s\n" in_features out_features slack outputs)
     [ (32, 64, 8.0); (1024, 128, 2.0) ]
 
+let gemv_outputs run gemv g =
+  md5 (fun b ->
+      for _ = 1 to 4 do
+        let x = Gemv.random_activations g gemv in
+        Array.iter (Printf.bprintf b "%d ") (fst (run x));
+        Buffer.add_char b '\n'
+      done)
+
+let ce_ma_cases () =
+  List.iter
+    (fun seed ->
+      let g = Rng.create seed in
+      let gemv = Gemv.paper_benchmark g in
+      let ce = Cell_embedding.make gemv and ma = Mac_array.make gemv in
+      (* Both machines see the same activations, drawn after the codes. *)
+      Printf.printf "ce paper seed=%d md5=%s\n" seed
+        (gemv_outputs (Cell_embedding.run ce) gemv (Rng.copy g));
+      Printf.printf "ma paper seed=%d md5=%s\n" seed
+        (gemv_outputs (Mac_array.run ma) gemv (Rng.copy g)))
+    [ 1; 2; 3 ]
+
+let gemv_random_cases () =
+  List.iter
+    (fun (in_features, out_features) ->
+      let gemv = Gemv.random (Rng.create 5) ~in_features ~out_features ~act_bits:8 in
+      let codes =
+        md5 (fun b ->
+            for o = 0 to out_features - 1 do
+              for i = 0 to in_features - 1 do
+                Printf.bprintf b "%d " (Fp4.code (Gemv.code gemv o i))
+              done;
+              Buffer.add_char b '\n'
+            done)
+      in
+      Printf.printf "gemv.random %dx%d md5=%s\n" in_features out_features codes)
+    [ (1024, 128); (48, 6) ]
+
 let () =
   fleet_cases ();
   pa_cases ();
@@ -414,4 +455,6 @@ let () =
   rng_cases ();
   forward_cases ();
   top_k_cases ();
-  me_cases ()
+  me_cases ();
+  ce_ma_cases ();
+  gemv_random_cases ()
