@@ -87,34 +87,52 @@ let packed_planes ~bits v =
   done;
   packed
 
-(* SWAR: 2-bit, then 4-bit, then byte counts, then the bytes summed into the
-   low byte.  The masks stop below bit 62, so every constant is a
-   non-negative OCaml int. *)
-let popcount x =
+(* SWAR stages.  The masks stop below bit 62, so every constant is a
+   non-negative OCaml int; arithmetic is modulo 2^63, and every lane
+   bound below keeps each lane's sum inside its lane. *)
+
+(* Set bits of each 4-bit lane (each at most 4). *)
+let[@inline] nibble_counts x =
   let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
-  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
-  let x = (x + (x lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
-  let x = x + (x lsr 8) in
+  (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333)
+
+(* 4-bit lanes summed pairwise into bytes. *)
+let[@inline] byte_lanes x = (x land 0x0F0F_0F0F_0F0F_0F0F) + ((x lsr 4) land 0x0F0F_0F0F_0F0F_0F0F)
+
+(* Bytes summed pairwise into 16-bit lanes. *)
+let[@inline] short_lanes x = (x land 0x00FF_00FF_00FF_00FF) + ((x lsr 8) land 0x00FF_00FF_00FF_00FF)
+
+let popcount x =
+  let x = short_lanes (byte_lanes (nibble_counts x)) in
   let x = x + (x lsr 16) in
   (x + (x lsr 32)) land 0x7F
 [@@inline]
 
-(* Eight masks per word: [p_k] at [j + k] and [n_k] at [j + 4 + k] select
-   the positive and the negative weights with bit k of the magnitude set. *)
-let signed_digit w masks j k =
-  popcount (w land Array.unsafe_get masks (j + k))
-  - popcount (w land Array.unsafe_get masks (j + 4 + k))
-[@@inline]
+(* One sign's four magnitude masks [j .. j + 3] (bits 0..3 of |h|)
+   against word [w], as bytes of A + 2B + 4C + 8D where A..D are the
+   masks' per-byte counts: A + 2B and C + 2D fit a nibble (at most 12),
+   AB + 4 CD a byte (at most 120). *)
+let[@inline] masked_nibbles w masks k = nibble_counts (w land Array.unsafe_get masks k)
 
+let[@inline] sign_bytes w masks j =
+  let ab = masked_nibbles w masks j + (masked_nibbles w masks (j + 1) lsl 1)
+  and cd = masked_nibbles w masks (j + 2) + (masked_nibbles w masks (j + 3) lsl 1) in
+  byte_lanes ab + (byte_lanes cd lsl 2)
+
+(* Each word: the positive bytes plus a bias of 256 per 16-bit lane minus
+   the negative bytes (lanes in 16..496, so no borrow crosses a lane),
+   then one multiply sums the four lanes into the top one (at most
+   1,984) and the bias comes off. *)
 let rec masked_dot_from a i masks j stop acc =
   if i = stop then acc
   else
     let w = Array.unsafe_get a i in
+    let d =
+      short_lanes (sign_bytes w masks j) + 0x0100_0100_0100_0100
+      - short_lanes (sign_bytes w masks (j + 4))
+    in
     masked_dot_from a (i + 1) masks (j + 8) stop
-      (acc + signed_digit w masks j 0
-      + (signed_digit w masks j 1 lsl 1)
-      + (signed_digit w masks j 2 lsl 2)
-      + (signed_digit w masks j 3 lsl 3))
+      (acc + ((d * 0x0001_0001_0001_0001) lsr 48) - 1024)
 
 let masked_dot a ~pos masks ~mask_pos ~len =
   if

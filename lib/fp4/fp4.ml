@@ -38,8 +38,8 @@ let by_quarter =
       let exact = i land 1 = 1 in
       count (fun m -> m < k || (m = k && not exact)) strict + count (fun m -> m <= k) reached)
 
-let[@inline] of_float x =
-  if Float.is_nan x then invalid_arg "Fp4.of_float: nan";
+(* [of_float] past its NaN test. *)
+let[@inline] of_non_nan x =
   (* Scaling by 4 is exact, and an overflow to infinity saturates like
      any q >= 24. *)
   let q = Float.abs x *. 4.0 in
@@ -48,15 +48,28 @@ let[@inline] of_float x =
   let c = Array.unsafe_get by_quarter ((2 * k) + Bool.to_int (float_of_int k = q)) in
   c lor (8 * Bool.to_int (x < 0.0) * Bool.to_int (c <> 0))
 
-(* [of_float] is inlined into the element loop here, in the module that
-   owns it: called from another module (which sees this one through
-   -opaque) every call would box its float argument. *)
+let[@inline] of_float x =
+  if Float.is_nan x then invalid_arg "Fp4.of_float: nan";
+  of_non_nan x
+
+(* The element loop inlines [of_non_nan] here, in the module that owns
+   it: called from another module (which sees this one through -opaque)
+   every call would box its float argument.  x / 2^e and x * 2^-e are the
+   same correctly rounded quotient whenever 2^-e is a float, that is for
+   e >= -1023; only blocks of subnormal magnitude get a lower e, and
+   there [ldexp] scales exactly. *)
 let quantize_slice xs ~lo ~len ~scale_exp =
-  let s = Float.ldexp 1.0 scale_exp in
   let out = Bytes.create len in
-  for k = 0 to len - 1 do
-    Bytes.unsafe_set out k (Char.unsafe_chr (of_float (xs.(lo + k) /. s)))
-  done;
+  if scale_exp >= -1023 then begin
+    let inv = Float.ldexp 1.0 (-scale_exp) in
+    for k = 0 to len - 1 do
+      Bytes.unsafe_set out k (Char.unsafe_chr (of_non_nan (xs.(lo + k) *. inv)))
+    done
+  end
+  else
+    for k = 0 to len - 1 do
+      Bytes.unsafe_set out k (Char.unsafe_chr (of_non_nan (Float.ldexp xs.(lo + k) (-scale_exp))))
+    done;
   out
 
 let all = List.init 16 (fun i -> i)

@@ -32,7 +32,9 @@ val quantize_slice : float array -> lo:int -> len:int -> scale_exp:int -> Bytes.
 (** [quantize_slice xs ~lo ~len ~scale_exp] is the [len] codes
     [of_float (xs.(lo + k) /. 2. ** scale_exp)], one byte each, written
     without a boxed float per element: the MXFP4 block quantizer's element
-    loop ({!Blockscale}). *)
+    loop ({!Blockscale}).  The slice must hold no NaN: its caller's amax
+    scan rejects non-finite elements first, so this loop does not test
+    for one. *)
 
 val neg : t -> t
 (** Sign-bit flip.  [neg zero] is the -0 code, which still decodes to 0. *)

@@ -72,16 +72,25 @@ let default_hot_paths =
     ("Hnlpu_system.Fleet.apply_event", Leaf);
     ("Hnlpu_system.Fleet.route_redispatch", Leaf);
     ("Hnlpu_system.Fleet.run_shard", Driver);
-    (* Operator machines: ME's word loop and the E2M1 half-unit
-       lookup run once per word and per MAC; the reference, ME, CE and
-       MA GEMVs are drivers whose per-plane, per-neuron, per-row and
-       per-tile loops allocate nothing while reading the weight bytes
-       (ns and words per GEMV are on hnbench's datapath). *)
+    (* Operator machines: ME's word loop with its SWAR stages, the
+       E2M1 half-unit lookups and CE's and MA's integer dot run once per
+       word, per MAC or per neuron; the reference, ME, CE and MA GEMVs
+       are drivers whose per-plane, per-neuron, per-row and per-tile
+       loops allocate nothing while reading the weight bytes (ns and
+       words per GEMV are on hnbench's datapath), and [Gemv.random]
+       draws one code per weight. *)
+    ("Hnlpu_fp4.Bitserial.nibble_counts", Leaf);
+    ("Hnlpu_fp4.Bitserial.byte_lanes", Leaf);
+    ("Hnlpu_fp4.Bitserial.short_lanes", Leaf);
     ("Hnlpu_fp4.Bitserial.popcount", Leaf);
-    ("Hnlpu_fp4.Bitserial.signed_digit", Leaf);
+    ("Hnlpu_fp4.Bitserial.masked_nibbles", Leaf);
+    ("Hnlpu_fp4.Bitserial.sign_bytes", Leaf);
     ("Hnlpu_fp4.Bitserial.masked_dot", Leaf);
     ("Hnlpu_fp4.Bitserial.masked_dot_from", Leaf);
     ("Hnlpu_fp4.Fp4.to_half_units", Leaf);
+    ("Hnlpu_neuron.E2m1.weight", Leaf);
+    ("Hnlpu_neuron.E2m1.dot", Driver);
+    ("Hnlpu_neuron.Gemv.random", Driver);
     ("Hnlpu_neuron.Gemv.reference", Driver);
     ("Hnlpu_neuron.Metal_embedding.run", Driver);
     ("Hnlpu_neuron.Cell_embedding.run", Driver);
@@ -97,6 +106,7 @@ let default_hot_paths =
     ("Hnlpu_tensor.Mat.gemv_into", Driver);
     ("Hnlpu_model.Transformer.attention", Driver);
     ("Hnlpu_system.Dataflow.column_attention", Driver);
+    ("Hnlpu_fp4.Fp4.of_non_nan", Leaf);
     ("Hnlpu_fp4.Fp4.quantize_slice", Driver);
     ("Hnlpu_fp4.Blockscale.quantize_slice", Driver);
     ("Hnlpu_fp4.Blockscale.dequantize_into", Leaf);

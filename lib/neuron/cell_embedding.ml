@@ -67,16 +67,10 @@ let run t x =
   (* Form all products combinationally, then reduce per neuron — the CE
      datapath shape.  Equal to [Gemv.reference] by construction; test_neuron
      checks that at the paper benchmark's size, so the GEMV is not run
-     twice here. *)
-  let n = g.Gemv.in_features and codes = g.Gemv.codes in
+     twice here.  [x] has [n] elements, checked above. *)
+  let n = g.Gemv.in_features in
   let out = Array.make g.Gemv.out_features 0 in
-  let acc = ref 0 in
   for o = 0 to g.Gemv.out_features - 1 do
-    let row = o * n in
-    acc := 0;
-    for i = 0 to n - 1 do
-      acc := !acc + (E2m1.half_units.(Char.code (Bytes.unsafe_get codes (row + i))) * x.(i))
-    done;
-    out.(o) <- !acc
+    out.(o) <- E2m1.dot g.Gemv.codes (o * n) x 0 n
   done;
   (out, report t)

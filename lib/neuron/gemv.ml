@@ -12,15 +12,8 @@ let check_dims ~in_features ~out_features =
   if out_features <= 0 then invalid_arg "Gemv.make: no output rows";
   if in_features <= 0 then invalid_arg "Gemv.make: no input columns"
 
-(* Byte [k] of the row-major codes is [code_at k], drawn in index order. *)
-let create ~in_features ~out_features ~act_bits code_at =
-  if act_bits < 2 || act_bits > 16 then
-    invalid_arg "Gemv.make: act_bits out of range";
-  let codes = Bytes.create (out_features * in_features) in
-  for k = 0 to Bytes.length codes - 1 do
-    Bytes.set_uint8 codes k (code_at k)
-  done;
-  { codes; in_features; out_features; act_bits }
+let check_act_bits act_bits =
+  if act_bits < 2 || act_bits > 16 then invalid_arg "Gemv.make: act_bits out of range"
 
 let make ~weights ~act_bits =
   let out_features = Array.length weights in
@@ -31,12 +24,22 @@ let make ~weights ~act_bits =
       if Array.length row <> in_features then
         invalid_arg "Gemv.make: ragged weight matrix")
     weights;
-  create ~in_features ~out_features ~act_bits (fun k ->
-      Fp4.code weights.(k / in_features).(k mod in_features))
+  check_act_bits act_bits;
+  let codes = Bytes.create (out_features * in_features) in
+  Array.iteri
+    (fun o row -> Array.iteri (fun i w -> Bytes.set_uint8 codes ((o * in_features) + i) (Fp4.code w)) row)
+    weights;
+  { codes; in_features; out_features; act_bits }
 
+(* Byte [k] of the row-major codes is the [k]th draw. *)
 let random rng ~in_features ~out_features ~act_bits =
   check_dims ~in_features ~out_features;
-  create ~in_features ~out_features ~act_bits (fun _ -> Rng.int rng 16)
+  check_act_bits act_bits;
+  let codes = Bytes.create (out_features * in_features) in
+  for k = 0 to Bytes.length codes - 1 do
+    Bytes.unsafe_set codes k (Char.unsafe_chr (Rng.int rng 16))
+  done;
+  { codes; in_features; out_features; act_bits }
 
 let code t o i =
   if o < 0 || o >= t.out_features || i < 0 || i >= t.in_features then

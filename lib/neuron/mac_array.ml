@@ -57,23 +57,30 @@ let run t x =
   (* Emulate the tiled execution: the array consumes the flattened
      (neuron, input) MAC stream n_macs at a time, and the tiling must
      reproduce [Gemv.reference] exactly (test_neuron checks it at the
-     paper benchmark's size and on random tilings). *)
+     paper benchmark's size and on random tilings).  Within a tile the
+     stream is walked one neuron's run at a time; the neuron being
+     summed stays in a register across tiles, and [x] has [n] elements,
+     checked above. *)
   let n = g.Gemv.in_features and codes = g.Gemv.codes in
   let total = Gemv.total_macs g in
   let out = Array.make g.Gemv.out_features 0 in
-  let o = ref 0 and i = ref 0 in
+  let o = ref 0 and i = ref 0 and acc = ref 0 in
   let pos = ref 0 in
   while !pos < total do
     let stop = min total (!pos + t.n_macs) in
     (* The stream position is the weight's index in the row-major codes. *)
-    for k = !pos to stop - 1 do
-      out.(!o) <- out.(!o) + (E2m1.half_units.(Char.code (Bytes.unsafe_get codes k)) * x.(!i));
-      incr i;
-      if !i = n then begin
+    while !pos < stop do
+      let k0 = !pos and i0 = !i in
+      let len = min (stop - k0) (n - i0) in
+      acc := !acc + E2m1.dot codes k0 x i0 len;
+      pos := k0 + len;
+      if i0 + len = n then begin
+        out.(!o) <- !acc;
+        acc := 0;
         i := 0;
         incr o
       end
-    done;
-    pos := stop
+      else i := i0 + len
+    done
   done;
   (out, report t)

@@ -41,25 +41,31 @@ let row m r = Array.sub m.data (r * m.cols) m.cols
 
 let col m c = Array.init m.rows (fun r -> get m r c)
 
-(* Four output columns per pass over the rows, each in its own local
+(* Eight output columns per pass over the rows, each in its own local
    accumulator that stays in a register.  Every column sums its rows in
    increasing order and skips zero activations, so the result does not
-   depend on the blocking.  An accumulator starts at +0 and so is never
-   -0: added once to a zeroed [out], it lands bit for bit. *)
+   depend on the blocking: the block only widens independent work.  An
+   accumulator starts at +0 and so is never -0: added once to a zeroed
+   [out], it lands bit for bit. *)
 let gemv_into m x ~xo out ~oo =
   let rows = m.rows and cols = m.cols and data = m.data in
   if xo < 0 || xo + rows > Array.length x || oo < 0 || oo + cols > Array.length out then
     invalid_arg "Mat.gemv_into: dimension mismatch";
   let a0 = ref 0.0 and a1 = ref 0.0 and a2 = ref 0.0 and a3 = ref 0.0 in
+  let a4 = ref 0.0 and a5 = ref 0.0 and a6 = ref 0.0 and a7 = ref 0.0 in
   (* [next] steps through the block's weights one row at a time. *)
   let next = ref 0 in
-  let blocked = cols - (cols mod 4) in
-  for blk = 0 to (blocked / 4) - 1 do
-    let c0 = 4 * blk in
+  let blocked = cols land lnot 7 in
+  for blk = 0 to (blocked / 8) - 1 do
+    let c0 = 8 * blk in
     a0 := 0.0;
     a1 := 0.0;
     a2 := 0.0;
     a3 := 0.0;
+    a4 := 0.0;
+    a5 := 0.0;
+    a6 := 0.0;
+    a7 := 0.0;
     next := c0;
     for i = xo to xo + rows - 1 do
       let xi = Array.unsafe_get x i in
@@ -69,14 +75,22 @@ let gemv_into m x ~xo out ~oo =
         a0 := !a0 +. (xi *. Array.unsafe_get data b);
         a1 := !a1 +. (xi *. Array.unsafe_get data (b + 1));
         a2 := !a2 +. (xi *. Array.unsafe_get data (b + 2));
-        a3 := !a3 +. (xi *. Array.unsafe_get data (b + 3))
+        a3 := !a3 +. (xi *. Array.unsafe_get data (b + 3));
+        a4 := !a4 +. (xi *. Array.unsafe_get data (b + 4));
+        a5 := !a5 +. (xi *. Array.unsafe_get data (b + 5));
+        a6 := !a6 +. (xi *. Array.unsafe_get data (b + 6));
+        a7 := !a7 +. (xi *. Array.unsafe_get data (b + 7))
       end
     done;
     let o = oo + c0 in
     out.(o) <- out.(o) +. !a0;
     out.(o + 1) <- out.(o + 1) +. !a1;
     out.(o + 2) <- out.(o + 2) +. !a2;
-    out.(o + 3) <- out.(o + 3) +. !a3
+    out.(o + 3) <- out.(o + 3) +. !a3;
+    out.(o + 4) <- out.(o + 4) +. !a4;
+    out.(o + 5) <- out.(o + 5) +. !a5;
+    out.(o + 6) <- out.(o + 6) +. !a6;
+    out.(o + 7) <- out.(o + 7) +. !a7
   done;
   for c = blocked to cols - 1 do
     a0 := 0.0;

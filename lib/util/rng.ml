@@ -59,10 +59,12 @@ let derive seed ~stream =
   let s = Int64.add (Int64.of_int seed) (Int64.mul gamma (Int64.of_int (stream + 1))) in
   of_state (mix (mix s))
 
+(* For a power-of-two bound the draw is non-negative, so masking with
+   [bound - 1] equals [mod] exactly and skips the division. *)
 let[@inline] int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  let mask = Int64.to_int (Int64.shift_right_logical (next t) 1) land max_int in
-  mask mod bound
+  let r = Int64.to_int (Int64.shift_right_logical (next t) 1) land max_int in
+  if bound land (bound - 1) = 0 then r land (bound - 1) else r mod bound
 
 (* 53 uniform bits as an immediate int: the allocation-free primitive
    the float draws build on. *)

@@ -192,6 +192,37 @@ let prop_gemv_split_rows =
       let sum = Vec.add (partial 0) (Vec.add (partial 4) (partial 8)) in
       Vec.max_abs_diff whole sum < 1e-9)
 
+(* [Mat.gemv_into] blocks its columns; every width the model runs is a
+   multiple of 8, so only this property reaches the leftover columns.  The
+   naive loop sums each column's rows in order and skips zero
+   activations, then adds the column's total into [out] once. *)
+let naive_gemv_into m x ~xo out ~oo =
+  for c = 0 to Mat.cols m - 1 do
+    let acc = ref 0.0 in
+    for r = 0 to Mat.rows m - 1 do
+      let xi = x.(xo + r) in
+      if xi <> 0.0 then acc := !acc +. (xi *. Mat.get m r c)
+    done;
+    out.(oo + c) <- out.(oo + c) +. !acc
+  done
+
+let prop_gemv_into_naive =
+  QCheck.Test.make ~name:"gemv_into = naive column loop, bit for bit" ~count:300
+    QCheck.(quad (int_range 1 70) (int_range 1 40) (pair (int_range 0 5) (int_range 0 5))
+              (int_range 0 100000))
+    (fun (rows, cols, (xo, oo), seed) ->
+      let rng = Rng.create seed in
+      let m = Mat.gaussian rng ~rows ~cols in
+      let x =
+        Array.init (xo + rows + 3) (fun _ ->
+            match Rng.int rng 4 with 0 -> 0.0 | 1 -> -0.0 | _ -> Rng.gaussian rng)
+      in
+      let out = Vec.gaussian rng (oo + cols + 2) in
+      let expected = Array.copy out in
+      Mat.gemv_into m x ~xo out ~oo;
+      naive_gemv_into m x ~xo expected ~oo;
+      Array.for_all2 (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b) out expected)
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let () =
@@ -222,5 +253,5 @@ let () =
           Alcotest.test_case "validation" `Quick test_mat_validation;
         ] );
       qsuite "mat properties"
-        [ prop_gemv_linear; prop_gemv_split_cols; prop_gemv_split_rows ];
+        [ prop_gemv_linear; prop_gemv_split_cols; prop_gemv_split_rows; prop_gemv_into_naive ];
     ]
