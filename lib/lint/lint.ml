@@ -91,8 +91,8 @@ let run ?config ~dirs ~refs () = fst (scan ?config ~dirs ~refs ())
 (* Baseline entries are judged against the same libraries as hot-path
    entries: those the scan covered.  DEAD-EXPORT entries are judged only
    when the rule ran. *)
-let run_with_baseline ?config ?baseline ~dirs ~refs () =
-  let ds, libs = scan ?config ~dirs ~refs () in
+let run_with_baseline ?baseline ~dirs ~refs () =
+  let ds, libs = scan ~dirs ~refs () in
   match baseline with
   | None -> ds
   | Some b ->
