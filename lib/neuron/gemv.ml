@@ -25,10 +25,10 @@ let make ~weights ~act_bits =
         invalid_arg "Gemv.make: ragged weight matrix")
     weights;
   check_act_bits act_bits;
-  let codes = Bytes.create (out_features * in_features) in
-  Array.iteri
-    (fun o row -> Array.iteri (fun i w -> Bytes.set_uint8 codes ((o * in_features) + i) (Fp4.code w)) row)
-    weights;
+  let codes =
+    Bytes.init (out_features * in_features) (fun k ->
+        Char.chr (Fp4.code weights.(k / in_features).(k mod in_features)))
+  in
   { codes; in_features; out_features; act_bits }
 
 (* Byte [k] of the row-major codes is the [k]th draw. *)
