@@ -41,15 +41,21 @@ let scale_exp_of amax =
 let non_finite i =
   invalid_arg (Printf.sprintf "Blockscale.quantize: non-finite element at index %d" i)
 
-(* Quantize [xs.(lo) .. xs.(lo + len - 1)] as one block. *)
+let rec first_non_finite xs i =
+  if Float.abs xs.(i) <= Float.max_float then first_non_finite xs (i + 1) else i
+
+(* Quantize [xs.(lo) .. xs.(lo + len - 1)] as one block.  The scan only
+   notes a non-finite element, so its loop makes no call; the error then
+   names the first one. *)
 let quantize_slice xs lo len =
-  let amax = ref 0.0 in
+  let amax = ref 0.0 and bad = ref 0 in
   for i = lo to lo + len - 1 do
     let a = Float.abs xs.(i) in
     (* One comparison rejects both NaN and the infinities. *)
-    if not (a <= Float.max_float) then non_finite i;
+    bad := !bad lor Bool.to_int (not (a <= Float.max_float));
     if a > !amax then amax := a
   done;
+  if !bad <> 0 then non_finite (first_non_finite xs lo);
   let scale_exp = scale_exp_of !amax in
   { scale_exp; codes = Fp4.quantize_slice xs ~lo ~len ~scale_exp }
 
