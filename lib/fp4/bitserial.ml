@@ -108,36 +108,30 @@ let popcount x =
   (x + (x lsr 32)) land 0x7F
 [@@inline]
 
-(* One sign's four magnitude masks [j .. j + 3] (bits 0..3 of |h|)
-   against word [w], as bytes of A + 2B + 4C + 8D where A..D are the
-   masks' per-byte counts: A + 2B and C + 2D fit a nibble (at most 12),
-   AB + 4 CD a byte (at most 120). *)
 let[@inline] masked_nibbles w masks k = nibble_counts (w land Array.unsafe_get masks k)
 
-let[@inline] sign_bytes w masks j =
+(* Word [w] against its five masks from [j], as 16-bit lanes of
+   A + 2B + 4C + 8D + 16E, where A..E are the masks' per-lane counts:
+   A + 2B and C + 2D fit a nibble (at most 12), AB + 4 CD a byte (at
+   most 120), and with 16 E a 16-bit lane holds at most 496. *)
+let[@inline] weighted_lanes w masks j =
   let ab = masked_nibbles w masks j + (masked_nibbles w masks (j + 1) lsl 1)
   and cd = masked_nibbles w masks (j + 2) + (masked_nibbles w masks (j + 3) lsl 1) in
-  byte_lanes ab + (byte_lanes cd lsl 2)
+  short_lanes (byte_lanes ab + (byte_lanes cd lsl 2))
+  + (short_lanes (byte_lanes (masked_nibbles w masks (j + 4))) lsl 4)
 
-(* Each word: the positive bytes plus a bias of 256 per 16-bit lane minus
-   the negative bytes (lanes in 16..496, so no borrow crosses a lane),
-   then one multiply sums the four lanes into the top one (at most
-   1,984) and the bias comes off. *)
+(* One multiply sums a word's four 16-bit lanes into the top one (at
+   most 1,984). *)
 let rec masked_dot_from a i masks j stop acc =
   if i = stop then acc
   else
-    let w = Array.unsafe_get a i in
-    let d =
-      short_lanes (sign_bytes w masks j) + 0x0100_0100_0100_0100
-      - short_lanes (sign_bytes w masks (j + 4))
-    in
-    masked_dot_from a (i + 1) masks (j + 8) stop
-      (acc + ((d * 0x0001_0001_0001_0001) lsr 48) - 1024)
+    let d = weighted_lanes (Array.unsafe_get a i) masks j in
+    masked_dot_from a (i + 1) masks (j + 5) stop (acc + ((d * 0x0001_0001_0001_0001) lsr 48))
 
 let masked_dot a ~pos masks ~mask_pos ~len =
   if
     len < 0 || pos < 0 || mask_pos < 0
     || pos + len > Array.length a
-    || mask_pos + (8 * len) > Array.length masks
+    || mask_pos + (5 * len) > Array.length masks
   then invalid_arg "Bitserial.masked_dot: word range out of bounds";
   masked_dot_from a pos masks mask_pos (pos + len) 0

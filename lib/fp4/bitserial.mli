@@ -75,10 +75,9 @@ val popcount : int -> int
 
 val masked_dot : int array -> pos:int -> int array -> mask_pos:int -> len:int -> int
 (** [masked_dot a ~pos masks ~mask_pos ~len]: the packed plane in words
-    [a.(pos)] .. [a.(pos + len - 1)] dotted with signed 4-bit weights
-    given bit by bit.  Word [k] pairs with the eight masks from
-    [masks.(mask_pos + 8k)]: [p_m] ([m < 4]) and then [n_m], the elements
-    whose weight is positive (negative) with bit [m] of its magnitude
-    set.  Returns [Σ_k Σ_m 2^m (popcount (a_k land p_m) - popcount (a_k land n_m))]
-    and allocates nothing.  Raises [Invalid_argument] if either word
-    range is out of bounds. *)
+    [a.(pos)] .. [a.(pos + len - 1)] dotted with non-negative 5-bit
+    weights given bit by bit.  Word [k] pairs with the five masks from
+    [masks.(mask_pos + 5k)]: mask [m] holds the elements whose weight has
+    bit [m] set.  Returns [Σ_k Σ_m 2^m popcount (a_k land mask_m)] and
+    allocates nothing.  Raises [Invalid_argument] if either word range is
+    out of bounds. *)

@@ -84,7 +84,7 @@ let default_hot_paths =
     ("Hnlpu_fp4.Bitserial.short_lanes", Leaf);
     ("Hnlpu_fp4.Bitserial.popcount", Leaf);
     ("Hnlpu_fp4.Bitserial.masked_nibbles", Leaf);
-    ("Hnlpu_fp4.Bitserial.sign_bytes", Leaf);
+    ("Hnlpu_fp4.Bitserial.weighted_lanes", Leaf);
     ("Hnlpu_fp4.Bitserial.masked_dot", Leaf);
     ("Hnlpu_fp4.Bitserial.masked_dot_from", Leaf);
     ("Hnlpu_fp4.Fp4.to_half_units", Leaf);

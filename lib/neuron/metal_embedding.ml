@@ -10,9 +10,9 @@ type t = {
   words : int;  (** Packed words per plane. *)
   masks : int array;
       (** The "metal wires", bit-decomposed: word [k] of a plane pairs
-          with the eight masks from [(o * words + k) * 8], the inputs of
-          neuron [o] whose weight is positive (first four) or negative
-          (last four) with bit 0..3 of its magnitude set, as
+          with the five masks from [(o * words + k) * 5], mask [m] the
+          inputs of neuron [o] whose weight h has bit [m] of h + 12 set
+          (h in half-units, so h + 12 is in 0..24), as
           {!Bitserial.masked_dot} reads them. *)
   load : int array;  (** [load.(c)]: wires in region [c] of the fullest neuron. *)
   count_bits : int;  (** Width of a region's popcount result. *)
@@ -22,18 +22,24 @@ type t = {
 
 let regions = 16
 
+(* The largest weight magnitude in half-units: adding it makes every
+   weight a non-negative 5-bit number. *)
+let offset = 12
+
+let bit_masks = 5
+
 let make ?(slack = 2.0) gemv =
   if slack < 1.0 then invalid_arg "Metal_embedding.make: slack below 1.0";
   let n = gemv.Gemv.in_features in
   let balanced = (n + regions - 1) / regions in
   let capacity = int_of_float (ceil (float_of_int balanced *. slack)) in
   let words = Bitserial.words_for n in
-  let masks = Array.make (gemv.Gemv.out_features * words * 8) 0 in
+  let masks = Array.make (gemv.Gemv.out_features * words * bit_masks) 0 in
   let load = Array.make regions 0 in
   let counts = Array.make regions 0 in
   (* One neuron's 16 region masks, as the wires are routed; each region
-     is then OR-ed into the decomposed masks its constant's sign and
-     magnitude bits name. *)
+     is then OR-ed into the decomposed masks its offset constant's bits
+     name. *)
   let region = Array.make (regions * words) 0 in
   let top = 1 lsl (Bitserial.word_bits - 1) in
   for o = 0 to gemv.Gemv.out_features - 1 do
@@ -48,11 +54,11 @@ let make ?(slack = 2.0) gemv =
       if !bit = top then (bit := 1; incr w) else bit := !bit lsl 1
     done;
     for c = 0 to regions - 1 do
-      let h = E2m1.half_units.(c) in
-      for k = 0 to 3 do
-        if (abs h lsr k) land 1 = 1 then
+      let u = E2m1.half_units.(c) + offset in
+      for k = 0 to bit_masks - 1 do
+        if (u lsr k) land 1 = 1 then
           for w = 0 to words - 1 do
-            let m = (((o * words) + w) * 8) + k + if h < 0 then 4 else 0 in
+            let m = (((o * words) + w) * bit_masks) + k in
             masks.(m) <- masks.(m) lor region.((c * words) + w)
           done
       done
@@ -147,17 +153,29 @@ let run t x =
   Gemv.check_activations ~caller:"Metal_embedding.run" g x;
   let bits = g.Gemv.act_bits and words = t.words in
   let planes = Bitserial.packed_planes ~bits x in
+  (* Every input is wired to exactly one region, so the offset adds
+     [offset] times the plane's popcount to each neuron's plane sum: the
+     same for every neuron, it is taken off once per plane. *)
+  let bias = ref 0 and count = ref 0 in
+  for b = 0 to bits - 1 do
+    count := 0;
+    for k = b * words to ((b + 1) * words) - 1 do
+      count := !count + Bitserial.popcount planes.(k)
+    done;
+    bias := !bias + (Bitserial.plane_weight ~bits b * offset * !count)
+  done;
   let out = Array.make g.Gemv.out_features 0 in
   for o = 0 to g.Gemv.out_features - 1 do
     for b = 0 to bits - 1 do
       (* The 16 POPCNT regions' counts times their constants, summed: an
          identity of the bit-decomposed masks (see [masks]). *)
       let plane_sum =
-        Bitserial.masked_dot planes ~pos:(b * words) t.masks ~mask_pos:(o * words * 8)
-          ~len:words
+        Bitserial.masked_dot planes ~pos:(b * words) t.masks
+          ~mask_pos:(o * words * bit_masks) ~len:words
       in
       (* Shifting accumulator. *)
       out.(o) <- out.(o) + (Bitserial.plane_weight ~bits b * plane_sum)
-    done
+    done;
+    out.(o) <- out.(o) - !bias
   done;
   (out, report t)

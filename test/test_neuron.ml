@@ -167,8 +167,8 @@ let test_me_slack_rejects_overflow () =
      with Invalid_argument _ -> true)
 
 let test_me_identity_all_codes_planes () =
-  (* ME computes Σ_c h_c·pop(p ∧ m_c) as Σ_k 2^k·(pop(p ∧ P_k) − pop(p ∧ N_k))
-     from 8 bit-decomposed masks.  Neuron o's input i carries code
+  (* ME computes Σ_c h_c·pop(p ∧ m_c) as Σ_k 2^k·pop(p ∧ B_k) − 12·pop(p)
+     from 5 bit-decomposed masks of h + 12.  Neuron o's input i carries code
      (o + i) mod 16, so every neuron holds each code once and slack 1.0
      gives the tightest bank, one port per region.  A one-hot activation
      at each plane's weight (the sign plane's included) meets every code;
