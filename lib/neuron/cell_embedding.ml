@@ -24,7 +24,11 @@ let make gemv =
       Array.init 16 (fun c ->
           Census.fp4_constant_multiplier ~input_bits:gemv.Gemv.act_bits (Fp4.of_code c))
     in
-    Bytes.fold_left (fun acc c -> acc + cost.(Char.code c)) 0 gemv.Gemv.codes
+    let total = ref 0 in
+    for k = 0 to Bytes.length gemv.Gemv.codes - 1 do
+      total := !total + cost.(Char.code (Bytes.unsafe_get gemv.Gemv.codes k))
+    done;
+    !total
   in
   { gemv; tree_stats; product_bits; mult_transistors }
 
