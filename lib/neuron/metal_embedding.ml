@@ -167,8 +167,9 @@ let run t x =
   let out = Array.make g.Gemv.out_features 0 in
   for o = 0 to g.Gemv.out_features - 1 do
     for b = 0 to bits - 1 do
-      (* The 16 POPCNT regions' counts times their constants, summed: an
-         identity of the bit-decomposed masks (see [masks]). *)
+      (* The 16 POPCNT regions' counts times their offset constants
+         h + 12, summed: an identity of the bit-decomposed masks (see
+         [masks]). *)
       let plane_sum =
         Bitserial.masked_dot planes ~pos:(b * words) t.masks
           ~mask_pos:(o * words * bit_masks) ~len:words
