@@ -32,10 +32,11 @@ let () =
     reference.(1) reference.(2) reference.(3);
 
   (* 4. How the weights became wires: the ME routing view. *)
+  let bank = Neuron_bank.of_gemv gemv in
   Printf.printf "ME structure: 16 POPCNT regions, %d ports each (with slack);\n"
-    (Metal_embedding.region_capacity me);
+    bank.Neuron_bank.capacity;
   Printf.printf "bit-serial over %d planes (int8 activations).\n\n"
-    (Metal_embedding.serial_cycles me);
+    bank.Neuron_bank.act_bits;
 
   (* 5. PPA at the paper's 5 nm point. *)
   Table.print ~title:"PPA at 5 nm (one GEMV)"

@@ -23,15 +23,11 @@ let figure2 () =
 
 let neuron_reports ?(seed = 20260706) () =
   let open Hnlpu_neuron in
-  let g = Gemv.paper_benchmark (Rng.create seed) in
-  [
-    Mac_array.report (Mac_array.make g);
-    Cell_embedding.report (Cell_embedding.make g);
-    Metal_embedding.report (Metal_embedding.make g);
-  ]
+  let bank = Bank.of_gemv (Gemv.paper_benchmark (Rng.create seed)) in
+  [ Mac_array.ppa bank; Cell_embedding.ppa bank; Metal_embedding.ppa bank ]
 
-(* Figures 12 and 13 are drawn from one set of reports, so [all] can build
-   the three machines once for both. *)
+(* Figures 12 and 13 are drawn from one set of reports, so [all] prices
+   the bank once for both. *)
 let area_table reports =
   let open Hnlpu_neuron in
   let baseline = List.hd reports in

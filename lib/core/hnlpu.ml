@@ -34,6 +34,7 @@ module Yield = Hnlpu_gates.Yield
 (** {1 The three embedding machines (Figures 12/13)} *)
 
 module Gemv = Hnlpu_neuron.Gemv
+module Neuron_bank = Hnlpu_neuron.Bank
 module Mac_array = Hnlpu_neuron.Mac_array
 module Cell_embedding = Hnlpu_neuron.Cell_embedding
 module Metal_embedding = Hnlpu_neuron.Metal_embedding

@@ -14,15 +14,13 @@ type stats = {
   cpa_width : int;      (** Width of the final carry-propagate adder. *)
 }
 
+val tree : width:int -> operands:int -> stats
+(** [tree ~width ~operands]: the hardware of a tree reducing [operands]
+    integers of [width] bits, which depends on that shape alone.  No
+    operands need no adders. *)
+
 val reduce : width:int -> int array -> int * stats
 (** [reduce ~width xs] sums the integers [xs], each of which must lie in
     [\[0, 2^width)], through bit-level 3:2 compression.  Returns the exact
-    sum and the structural statistics.  An empty input sums to 0. *)
-
-val popcount : Bytes.t -> int * stats
-(** Population count of a 0/1 byte-plane as a CSA tree of 1-bit inputs —
-    exactly the POPCNT regions of a Hardwired-Neuron. *)
-
-val adder_depth : int -> int
-(** [adder_depth n]: number of 3:2 compression rounds needed to reduce [n]
-    operands to 2 (the classical Wallace bound, ceil of log_{3/2}). *)
+    sum and [tree ~width ~operands:(Array.length xs)].  An empty input sums
+    to 0. *)

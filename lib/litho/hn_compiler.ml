@@ -19,17 +19,15 @@ type netlist = {
 let layers = [| "M8"; "M9"; "M10"; "M11" |]
 
 let compile ?(slack = 2.0) (g : Gemv.t) =
-  let regions = 16 in
   let n = g.Gemv.in_features in
-  let balanced = (n + regions - 1) / regions in
-  let capacity = int_of_float (ceil (float_of_int balanced *. slack)) in
+  let capacity = Bank.region_capacity ~slack n in
   (* One track counter per routing layer; wires round-robin across the four
      embedding layers, so each gets a fresh track — congestion-free by
      construction, which DRC then confirms. *)
   let track_next = Array.make (Array.length layers) 0 in
   let wires = ref [] in
   for neuron = 0 to g.Gemv.out_features - 1 do
-    let port_next = Array.make regions 0 in
+    let port_next = Array.make Bank.regions 0 in
     for input = 0 to n - 1 do
       let region = Hnlpu_fp4.Fp4.code (Gemv.code g neuron input) in
       let port = port_next.(region) in

@@ -39,7 +39,7 @@ val layers : string array
 
 val compile : ?slack:float -> Hnlpu_neuron.Gemv.t -> netlist
 (** Raises [Invalid_argument] when a region overflows its slacked
-    capacity (same rule as {!Hnlpu_neuron.Metal_embedding.make}). *)
+    capacity, {!Hnlpu_neuron.Bank.region_capacity}. *)
 
 val to_tcl : netlist -> string
 (** The P&R connection script ("create_net/route" pseudo-TCL). *)

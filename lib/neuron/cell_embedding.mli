@@ -14,9 +14,11 @@ type t
 
 val make : Gemv.t -> t
 
+val ppa : Bank.t -> Report.t
+(** The 5 nm PPA report of a bank, from its shape and code histogram
+    alone: equal to the report [run (make g)] returns, for any bank of [g]. *)
+
 val run : t -> int array -> int array * Report.t
 (** Execute, returning half-unit results (always equal to
     {!Gemv.reference}) and the PPA report at 5 nm.  Rejects bad activations
     with {!Gemv.check_activations}. *)
-
-val report : t -> Report.t

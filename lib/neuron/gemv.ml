@@ -79,6 +79,4 @@ let reference t x =
 let reference_float t x =
   Array.map (fun h -> float_of_int h /. 2.0) (reference t x)
 
-let weight_bits t = t.in_features * t.out_features * 4
-
 let total_macs t = t.in_features * t.out_features

@@ -55,7 +55,4 @@ val reference : t -> int array -> int array
 val reference_float : t -> int array -> float array
 (** Same, in real units (half-units / 2). *)
 
-val weight_bits : t -> int
-(** Total weight storage footprint in bits (4 per element). *)
-
 val total_macs : t -> int

@@ -13,11 +13,12 @@ val make : ?n_macs:int -> Gemv.t -> t
 (** [make gemv] sizes the SRAM to hold exactly the GEMV's weights (64 KB for
     the paper benchmark).  [n_macs] defaults to 1024. *)
 
+val ppa : Bank.t -> Report.t
+(** The PPA report of the paper's 1024-MAC array on a bank, from its shape
+    alone: equal to the report [run (make g)] returns, for any bank of [g]. *)
+
 val run : t -> int array -> int array * Report.t
 (** Execute one GEMV the way the array would (tile by tile), returning the
     half-unit results — always equal to {!Gemv.reference} — and the PPA
     report under {!Hnlpu_gates.Tech.n5}.  Rejects bad activations with
     {!Gemv.check_activations}. *)
-
-val report : t -> Report.t
-(** PPA report without executing (structure-only). *)

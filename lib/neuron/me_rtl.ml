@@ -9,15 +9,15 @@ type cycle_state = {
   planes_folded : int;
 }
 
-type t = { machine : Metal_embedding.t; gemv : Gemv.t }
+(* The routing (input -> region) is the weight code itself, so the machine
+   is its GEMV once the bank's capacity check has passed. *)
+type t = Gemv.t
 
-let regions = 16
+let regions = Bank.regions
 
-(* The routing (input -> region) is the weight code itself; the
-   Metal_embedding internals are private. *)
-let make ?slack g = { machine = Metal_embedding.make ?slack g; gemv = g }
+let make ?slack g = ignore (Bank.of_gemv ?slack g : Bank.t); g
 
-let total_cycles t = t.gemv.Gemv.act_bits + 3
+let total_cycles (t : t) = t.Gemv.act_bits + 3
 
 let partial_reference (g : Gemv.t) x ~planes =
   let bits = g.Gemv.act_bits in
@@ -34,10 +34,8 @@ let partial_reference (g : Gemv.t) x ~planes =
       done;
       !acc)
 
-let run t x =
-  let g = t.gemv in
-  if Array.length x <> g.Gemv.in_features then
-    invalid_arg "Me_rtl.run: activation length mismatch";
+let run (g : t) x =
+  Gemv.check_activations ~caller:"Me_rtl.run" g x;
   let bits = g.Gemv.act_bits in
   let m = g.Gemv.out_features in
   let planes = Bitserial.planes ~bits x in
@@ -51,7 +49,7 @@ let run t x =
   let acc = Array.make m 0 in
   let folded = ref 0 in
   let trace = ref [] in
-  for cycle = 0 to total_cycles t - 1 do
+  for cycle = 0 to total_cycles g - 1 do
     (* Stage 4: accumulator folds the registered plane sum. *)
     (match !plane_sum_plane with
     | Some p ->

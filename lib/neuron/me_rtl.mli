@@ -35,10 +35,12 @@ type cycle_state = {
 type t
 
 val make : ?slack:float -> Gemv.t -> t
+(** Raises {!Bank.of_gemv}'s [Invalid_argument] when a region overflows. *)
 
 val run : t -> int array -> cycle_state list * int array
 (** Full trace (one state per cycle, in order) and the final outputs —
-    always equal to {!Gemv.reference}. *)
+    always equal to {!Gemv.reference}.  Rejects bad activations with
+    {!Gemv.check_activations}. *)
 
 val total_cycles : t -> int
 (** act_bits + 3 (pipeline depth). *)

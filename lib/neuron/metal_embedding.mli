@@ -24,25 +24,15 @@
 type t
 
 val make : ?slack:float -> Gemv.t -> t
-(** [slack] (default 2.0) oversizes each POPCNT region relative to the
-    balanced share [in_features/16] so that imbalanced weight-value
-    distributions still fit (paper: "accumulators should be made with
-    sufficient slackness"; spare ports are grounded).  Raises
-    [Invalid_argument] if some weight value occurs more often than the
-    slacked capacity. *)
+(** Routes the wires of the bank {!Bank.of_gemv} [?slack] describes, and
+    raises its [Invalid_argument] when a region overflows. *)
+
+val ppa : Bank.t -> Report.t
+(** The 5 nm PPA report of a bank, from its shape and region capacity
+    alone: equal to [report (make g)] for the bank of [g]. *)
 
 val run : t -> int array -> int array * Report.t
 (** Execute the bit-serial machine; returns half-unit results and the 5 nm
     PPA report.  Rejects bad activations with {!Gemv.check_activations}. *)
 
 val report : t -> Report.t
-
-val region_capacity : t -> int
-(** Ports provisioned per POPCNT region. *)
-
-val region_load : t -> int array
-(** [region_load t].(c): how many input wires of one (the fullest) neuron
-    actually land in region [c] — diagnostics for the slack sizing. *)
-
-val serial_cycles : t -> int
-(** Bit-planes streamed per GEMV = activation width. *)

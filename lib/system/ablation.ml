@@ -150,8 +150,8 @@ let precision_sweep ?domains (c : Config.t) =
 type slack_row = { slack : float; failure_rate : float; area_ratio : float }
 
 let slack_sweep rng ?domains ?(trials = 200) () =
-  let in_features = 2880 and regions = 16 in
-  let balanced = (in_features + regions - 1) / regions in
+  let in_features = 2880 and regions = Hnlpu_neuron.Bank.regions in
+  let balanced = Hnlpu_neuron.Bank.region_capacity ~slack:1.0 in_features in
   (* Split one generator per slack point sequentially up front, then run
      the Monte-Carlo trials in parallel: each point owns its stream, so
      the result is independent of the domain count. *)
@@ -162,7 +162,7 @@ let slack_sweep rng ?domains ?(trials = 200) () =
   in
   Par.parallel_map ?domains
     (fun (slack, rng) ->
-      let capacity = int_of_float (ceil (float_of_int balanced *. slack)) in
+      let capacity = Hnlpu_neuron.Bank.region_capacity ~slack in_features in
       let failures = ref 0 in
       (* Per-task scratch, reset per trial — not reallocated. *)
       let counts = Array.make regions 0 in

@@ -8,10 +8,10 @@
     saturated — consistent with §8's point that better interconnect
     (wafer-scale) is the first lever.
 
-    Cross-validation: at utilization rho, an M/M/1 server inflates service
-    times by 1/(1-rho) ~ 3.5, independently close to the
-    {!Perf.link_contention_factor} (4.17) that was calibrated only against
-    Figure 14's published percentages. *)
+    Consistency check: at utilization rho, an M/M/1 server inflates service
+    times by 1/(1-rho) ~ 3.5, close to {!Perf.link_contention_factor} (4.17).
+    Not independent: rho comes from {!Perf}'s throughput, which already
+    contains 4.17. *)
 
 type ledger_entry = {
   collective : string;

@@ -134,6 +134,7 @@ let machine_rejection_cases =
       ("Metal_embedding.run", fun x -> fst (Metal_embedding.run (Metal_embedding.make ~slack:16.0 g) x));
       ("Cell_embedding.run", fun x -> fst (Cell_embedding.run (Cell_embedding.make g) x));
       ("Mac_array.run", fun x -> fst (Mac_array.run (Mac_array.make g) x));
+      ("Me_rtl.run", fun x -> snd (Me_rtl.run (Me_rtl.make ~slack:16.0 g) x));
     ]
 
 (* --- Config/scheduler misc ---------------------------------------------------------- *)

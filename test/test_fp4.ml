@@ -448,25 +448,11 @@ let test_csa_single () =
   Alcotest.(check int) "depth 0" 0 stats.Csa.depth
 
 let test_csa_structure_grows () =
-  let _, s16 = Csa.reduce ~width:8 (Array.make 16 0) in
-  let _, s256 = Csa.reduce ~width:8 (Array.make 256 0) in
+  let s16 = Csa.tree ~width:8 ~operands:16 in
+  let s256 = Csa.tree ~width:8 ~operands:256 in
   Alcotest.(check bool) "more operands, more adders" true
     (s256.Csa.full_adders > s16.Csa.full_adders);
   Alcotest.(check bool) "more operands, deeper" true (s256.Csa.depth > s16.Csa.depth)
-
-let test_csa_popcount () =
-  let p = Bytes.make 100 '\000' in
-  for i = 0 to 99 do
-    if i mod 3 = 0 then Bytes.set p i '\001'
-  done;
-  let cnt, stats = Csa.popcount p in
-  Alcotest.(check int) "count" 34 cnt;
-  Alcotest.(check bool) "uses adders" true (stats.Csa.full_adders > 0)
-
-let test_adder_depth () =
-  Alcotest.(check int) "2 rows" 0 (Csa.adder_depth 2);
-  Alcotest.(check int) "3 rows" 1 (Csa.adder_depth 3);
-  Alcotest.(check bool) "1024 rows needs many rounds" true (Csa.adder_depth 1024 >= 14)
 
 let prop_csa_sum =
   QCheck.Test.make ~name:"CSA reduce = integer sum" ~count:300
@@ -477,13 +463,10 @@ let prop_csa_sum =
 
 let prop_csa_stats_value_independent =
   QCheck.Test.make ~name:"CSA structure depends only on shape" ~count:100
-    QCheck.(pair (int_range 1 100) (list_of_size (Gen.int_range 1 100) (int_range 0 255)))
-    (fun (n, xs) ->
-      ignore n;
-      let a = Array.of_list xs in
-      let _, s1 = Csa.reduce ~width:8 a in
-      let _, s2 = Csa.reduce ~width:8 (Array.make (Array.length a) 0) in
-      s1 = s2)
+    QCheck.(pair (int_range 1 12) (list_of_size (Gen.int_range 0 100) (int_range 0 4095)))
+    (fun (width, xs) ->
+      let a = Array.of_list (List.map (fun x -> x land ((1 lsl width) - 1)) xs) in
+      snd (Csa.reduce ~width a) = Csa.tree ~width ~operands:(Array.length a))
 
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
@@ -535,8 +518,6 @@ let () =
           Alcotest.test_case "empty" `Quick test_csa_empty;
           Alcotest.test_case "single" `Quick test_csa_single;
           Alcotest.test_case "structure grows" `Quick test_csa_structure_grows;
-          Alcotest.test_case "popcount" `Quick test_csa_popcount;
-          Alcotest.test_case "adder depth" `Quick test_adder_depth;
         ] );
       qsuite "csa properties" [ prop_csa_sum; prop_csa_stats_value_independent ];
     ]

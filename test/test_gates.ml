@@ -85,7 +85,7 @@ let test_full_mac_band () =
   Alcotest.(check bool) "200+" true (Census.fp4_full_mac ~input_bits:8 >= 200)
 
 let test_csa_cost_positive () =
-  let _, stats = Hnlpu_fp4.Csa.reduce ~width:8 (Array.make 64 0) in
+  let stats = Hnlpu_fp4.Csa.tree ~width:8 ~operands:64 in
   Alcotest.(check bool) "cost > 0" true (Census.csa_cost stats > 0)
 
 (* --- Sram ------------------------------------------------------------- *)

@@ -79,7 +79,8 @@ let test_gemv_paper_shape () =
   let g = Gemv.paper_benchmark (Rng.create 0) in
   Alcotest.(check int) "1024 in" 1024 g.Gemv.in_features;
   Alcotest.(check int) "128 out" 128 g.Gemv.out_features;
-  Alcotest.(check int) "64KB weights" (64 * 1024 * 8) (Gemv.weight_bits g);
+  Alcotest.(check int) "64KB weight SRAM" (64 * 1024)
+    (Mac_array.ppa (Bank.of_gemv g)).Report.sram_bytes;
   Alcotest.(check int) "131072 macs" 131072 (Gemv.total_macs g)
 
 (* --- Machines compute the same answer ---------------------------------- *)
@@ -164,7 +165,14 @@ let test_me_slack_rejects_overflow () =
     (try
        ignore (Metal_embedding.make ~slack:1.0 g);
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* The error locates the overflow: neuron, region, wires, capacity. *)
+  Alcotest.check_raises "located"
+    (Invalid_argument
+       (Printf.sprintf
+          "Bank.of_gemv: neuron 0 region %d holds 20 wires, capacity 2 — increase slack"
+          (Fp4.code (Fp4.of_float 3.0))))
+    (fun () -> ignore (Bank.of_gemv ~slack:1.0 g))
 
 let test_me_identity_all_codes_planes () =
   (* ME computes Σ_c h_c·pop(p ∧ m_c) as Σ_k 2^k·pop(p ∧ B_k) − 12·pop(p)
@@ -180,7 +188,7 @@ let test_me_identity_all_codes_planes () =
     (fun bits ->
       let g = Gemv.make ~weights ~act_bits:bits in
       let me = Metal_embedding.make ~slack:1.0 g in
-      Alcotest.(check int) "one port per region" 1 (Metal_embedding.region_capacity me);
+      Alcotest.(check int) "one port per region" 1 (Bank.of_gemv ~slack:1.0 g).Bank.capacity;
       for b = 0 to bits - 1 do
         let v = Hnlpu_fp4.Bitserial.plane_weight ~bits b in
         List.iter
@@ -253,10 +261,8 @@ let test_words_per_gemv () =
 let fig12_reports () =
   let rng = Rng.create 12 in
   let g = Gemv.paper_benchmark rng in
-  let ma = Mac_array.report (Mac_array.make g) in
-  let ce = Cell_embedding.report (Cell_embedding.make g) in
-  let me = Metal_embedding.report (Metal_embedding.make g) in
-  (ma, ce, me)
+  let bank = Bank.of_gemv g in
+  (Mac_array.ppa bank, Cell_embedding.ppa bank, Metal_embedding.ppa bank)
 
 let test_fig12_ce_much_bigger () =
   let ma, ce, _ = fig12_reports () in
@@ -328,18 +334,110 @@ let test_ce_leakage_exceeds_me () =
 let test_me_region_accounting () =
   let rng = Rng.create 5 in
   let g = Gemv.random rng ~in_features:160 ~out_features:4 ~act_bits:8 in
-  let me = Metal_embedding.make ~slack:2.0 g in
-  Alcotest.(check int) "capacity = slack * n/16" 20 (Metal_embedding.region_capacity me);
-  let load = Metal_embedding.region_load me in
+  let bank = Bank.of_gemv ~slack:2.0 g in
+  Alcotest.(check int) "capacity = slack * n/16" 20 bank.Bank.capacity;
+  let load = bank.Bank.load in
   Alcotest.(check int) "16 regions" 16 (Array.length load);
   Array.iter
     (fun l -> Alcotest.(check bool) "load within capacity" true (l <= 20))
-    load
+    load;
+  Alcotest.(check int) "histogram counts every weight" (160 * 4)
+    (Array.fold_left ( + ) 0 bank.Bank.histogram);
+  (* The fullest neuron of each region is one of the four. *)
+  let counts o c =
+    let k = ref 0 in
+    for i = 0 to 159 do
+      if Hnlpu_fp4.Fp4.code (Gemv.code g o i) = c then incr k
+    done;
+    !k
+  in
+  Array.iteri
+    (fun c l ->
+      Alcotest.(check int) (Printf.sprintf "region %d load" c) l
+        (List.fold_left max 0 (List.init 4 (fun o -> counts o c))))
+    load;
+  (* A byte that is no code is refused before ME routes a wire. *)
+  Bytes.set g.Gemv.codes 3 '\200';
+  Alcotest.check_raises "no code" (Invalid_argument "index out of bounds") (fun () ->
+      ignore (Metal_embedding.make ~slack:16.0 g))
 
 let test_me_serial_cycles_is_act_bits () =
   let g, _ = small_gemv () in
-  let me = Metal_embedding.make ~slack:4.0 g in
-  Alcotest.(check int) "8 planes" 8 (Metal_embedding.serial_cycles me)
+  let bank = Bank.of_gemv ~slack:4.0 g in
+  Alcotest.(check int) "8 planes" 8 bank.Bank.act_bits;
+  Alcotest.(check bool) "ME streams every plane, then drains" true
+    ((Metal_embedding.ppa bank).Report.cycles > 8)
+
+(* Each machine's PPA is a function of the bank's structure: pricing the
+   bank gives, field by field, the report the machine built over its
+   wires returns.  A slack that overflows a region refuses both. *)
+let check_report name (a : Report.t) (b : Report.t) =
+  let f field = Printf.sprintf "%s %s" name field in
+  Alcotest.(check string) (f "design") b.Report.design a.Report.design;
+  Alcotest.(check (float 0.0)) (f "transistors") b.Report.transistors a.Report.transistors;
+  Alcotest.(check int) (f "sram_bytes") b.Report.sram_bytes a.Report.sram_bytes;
+  Alcotest.(check (float 0.0)) (f "area") b.Report.area_mm2 a.Report.area_mm2;
+  Alcotest.(check int) (f "cycles") b.Report.cycles a.Report.cycles;
+  Alcotest.(check (float 0.0)) (f "dynamic energy") b.Report.dynamic_energy_j
+    a.Report.dynamic_energy_j;
+  Alcotest.(check (float 0.0)) (f "leakage") b.Report.leakage_power_w a.Report.leakage_power_w
+
+let test_structural_report_is_built_report () =
+  let rng = Rng.create 36 in
+  let cyclic ~inf ~outf ~act_bits =
+    Gemv.make ~act_bits
+      ~weights:
+        (Array.init outf (fun o ->
+             Array.init inf (fun i -> Hnlpu_fp4.Fp4.of_code ((o + i) mod 16))))
+  in
+  let gemvs =
+    [
+      ("paper", Gemv.paper_benchmark rng);
+      ("100x8", Gemv.random rng ~in_features:100 ~out_features:8 ~act_bits:8);
+      ("37x3 4-bit", Gemv.random rng ~in_features:37 ~out_features:3 ~act_bits:4);
+      ("16x1 16-bit", Gemv.random rng ~in_features:16 ~out_features:1 ~act_bits:16);
+      ("cyclic 1024x128", cyclic ~inf:1024 ~outf:128 ~act_bits:8);
+      ("cyclic 48x5 2-bit", cyclic ~inf:48 ~outf:5 ~act_bits:2);
+    ]
+  in
+  List.iter
+    (fun (shape, g) ->
+      let x = Array.make g.Gemv.in_features 0 in
+      let ce = snd (Cell_embedding.run (Cell_embedding.make g) x) in
+      let ma = snd (Mac_array.run (Mac_array.make g) x) in
+      List.iter
+        (fun slack ->
+          let name = Printf.sprintf "%s slack %.1f" shape slack in
+          match Bank.of_gemv ~slack g with
+          | bank ->
+            check_report (name ^ " ME") (Metal_embedding.ppa bank)
+              (snd (Metal_embedding.run (Metal_embedding.make ~slack g) x));
+            check_report (name ^ " CE") (Cell_embedding.ppa bank) ce;
+            check_report (name ^ " MA") (Mac_array.ppa bank) ma
+          | exception Invalid_argument _ ->
+            Alcotest.(check bool) (name ^ ": ME refuses the bank too") true
+              (match Metal_embedding.make ~slack g with
+               | _ -> false
+               | exception Invalid_argument _ -> true))
+        [ 1.0; 2.0; 16.0 ])
+    gemvs
+
+(* Figures 12 and 13 price the paper benchmark's bank: beyond the draw of
+   its codes they allocate a few small arrays and three reports, never the
+   ME machine's masks (128 neurons x 17 words x 5 masks = 10,880 words). *)
+let test_neuron_reports_build_no_masks () =
+  let seed = 20260706 in
+  let words f =
+    let a0 = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (f ()));
+    (Gc.allocated_bytes () -. a0) /. float_of_int (Sys.word_size / 8)
+  in
+  let draw = words (fun () -> Gemv.paper_benchmark (Rng.create seed)) in
+  let reports = words (fun () -> Hnlpu.Experiments.neuron_reports ~seed ()) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words beyond the %.0f-word draw <= 1,000" (reports -. draw) draw)
+    true
+    (reports -. draw <= 1000.0)
 
 let test_report_table_renders () =
   let ma, ce, me = fig12_reports () in
@@ -394,6 +492,10 @@ let () =
         [
           Alcotest.test_case "region accounting" `Quick test_me_region_accounting;
           Alcotest.test_case "serial cycles" `Quick test_me_serial_cycles_is_act_bits;
+          Alcotest.test_case "structural report = built report" `Quick
+            test_structural_report_is_built_report;
+          Alcotest.test_case "neuron_reports builds no masks" `Quick
+            test_neuron_reports_build_no_masks;
           Alcotest.test_case "report table" `Quick test_report_table_renders;
         ] );
     ]
