@@ -6,7 +6,9 @@
    process and length kind; the Rng streams; the reference Transformer's
    and the 16-chip Dataflow's logits; [Vec.top_k] orders; the
    Metal-Embedding, Cell-Embedding and MAC-array GEMV outputs; and the
-   codes [Gemv.random] draws.
+   codes [Gemv.random] draws; the closed-form [Perf] breakdowns at every
+   Figure 14 context, its stage times and chunked prefill rate; and one
+   sketch fed samples of both signs.
    Floats print as %h (exact hex), ints plainly; a field named [md5]
    digests a longer rendering in the same notation, so the file does not
    depend on the toolchain's Marshal format. *)
@@ -292,6 +294,39 @@ let config_cases () =
         c.Fleet.decode_token_latency_s)
     [ 2048; 8192; 65536 ]
 
+(* --- Perf: Figure 14 breakdowns, Figure 11 stages, chunked prefill ----- *)
+
+(* The stall term only appears at 256K-512K context, which no [config]
+   line reaches, so every component is pinned at all six contexts. *)
+let perf_cases () =
+  List.iter
+    (fun context ->
+      let b = Perf.token_breakdown model ~context in
+      Printf.printf "perf context=%d comm=%h projection=%h nonlinear=%h attention=%h stall=%h\n"
+        context b.Perf.comm_s b.Perf.projection_s b.Perf.nonlinear_s b.Perf.attention_s
+        b.Perf.stall_s)
+    Perf.figure14_contexts;
+  List.iter
+    (fun (stage, t) -> Printf.printf "perf stage context=2048 %s=%h\n" stage t)
+    (Perf.stage_times_s model ~context:2048);
+  Printf.printf "perf prefill chunk=8 context=2048 tokens_per_s=%h\n"
+    (Perf.prefill_throughput_tokens_per_s model ~chunk:8 ~context:2048)
+
+(* --- Sketch: both signs, signed zeros ---------------------------------- *)
+
+let sketch_cases () =
+  let s = Obs.Sketch.create () in
+  List.iter (Obs.Sketch.observe s) [ 0.0; -0.0; 1e-30; -1e-30 ];
+  for i = 1 to 500 do
+    let x = float_of_int i *. 0.37 in
+    Obs.Sketch.observe s x;
+    if i mod 3 = 0 then Obs.Sketch.observe s (-.x *. 2.5)
+  done;
+  let q = Obs.Sketch.quantile s in
+  Printf.printf "sketch two-sign count=%d q0=%h q01=%h q50=%h q99=%h q1=%h json_md5=%s\n"
+    (Obs.Sketch.count s) (q 0.0) (q 0.01) (q 0.5) (q 0.99) (q 1.0)
+    (Digest.to_hex (Digest.string (Obs.Sketch.to_json s)))
+
 (* --- Arrivals: one trace per process x length kind --------------------- *)
 
 let arrival_cases () =
@@ -451,6 +486,8 @@ let () =
   pa_cases ();
   scheduler_cases ();
   config_cases ();
+  perf_cases ();
+  sketch_cases ();
   arrival_cases ();
   rng_cases ();
   forward_cases ();
