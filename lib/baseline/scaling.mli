@@ -16,11 +16,11 @@ type point = {
   power_ratio : float;         (** Cluster power / HNLPU system power. *)
 }
 
-val sweep : ?batches:int list -> ?domains:int -> unit -> point list
+val sweep : ?batches:int list -> unit -> point list
 (** Default batches: 1, 8, 32, 50, 128, 256.  Batch 1 uses the measured
     45 tok/s anchor; larger batches use the roofline model.  Points map
-    across the {!Hnlpu_par.Par} pool ([domains] overrides its width);
-    results are identical for every width. *)
+    across the {!Hnlpu_par.Par} pool; results are identical for every
+    width. *)
 
 val paper_equivalence : point
 (** The concurrency-50 regime: ~2,000 GPUs, the paper's TCO anchor. *)

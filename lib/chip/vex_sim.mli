@@ -17,9 +17,12 @@
     these units tracks the float layer — the numerics HNLPU actually
     ships.
 
-    No tool or example calls this module; it stays as the §4.3 model of the
-    VEX nonlinear units, which test_decoding checks against the float
-    {!Hnlpu_tensor.Vec} reference. *)
+    No tool or example calls this module yet; it stays as the §4.3 model
+    of the VEX nonlinear units, which test_decoding checks against the
+    float {!Hnlpu_tensor.Vec} reference.  ROADMAP's "hardwired forward
+    computes the model that signoff checked" item gives it a caller: the
+    [Hardwired] numerics of [Dataflow] run RMSNorm, SwiGLU and softmax
+    through these units. *)
 
 val exp_hw : float -> float
 (** Working range ~[-87, 87] (FP32 class); clamps outside. *)

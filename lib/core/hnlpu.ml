@@ -38,7 +38,6 @@ module Neuron_bank = Hnlpu_neuron.Bank
 module Mac_array = Hnlpu_neuron.Mac_array
 module Cell_embedding = Hnlpu_neuron.Cell_embedding
 module Metal_embedding = Hnlpu_neuron.Metal_embedding
-module Me_rtl = Hnlpu_neuron.Me_rtl
 module Neuron_report = Hnlpu_neuron.Report
 
 (** {1 Reference model (gpt-oss-style MoE transformer)} *)

@@ -9,8 +9,8 @@
     This module is bit-exact: [reconstruct (planes v) = v].
 
     Planes come in two views.  The byte view ({!plane}) spends one byte per
-    element; the CSA model, the cycle-level [Me_rtl] model and the
-    round-trip tests read it.  The packed view ({!packed_planes}) puts
+    element; the tests read it as the oracle for the round trip and for the
+    packed view.  The packed view ({!packed_planes}) puts
     {!word_bits} elements in each int word, so one POPCNT region becomes
     [popcount (plane land mask)] over whole words — what the functional
     Metal-Embedding machine runs. *)

@@ -16,9 +16,12 @@
     different hyper-parameters is a metal-only change as long as the tile
     demand fits the prefab supply.
 
-    No tool or example calls this module; it stays as the §3.2/§8 prefab
-    planner, whose gpt-oss plan (16 chips) and utilization penalty over
-    {!Model_nre}'s pro-rata chip count test_prefab pins. *)
+    No tool or example calls this module yet; it stays as the §3.2/§8
+    prefab planner, whose gpt-oss plan (16 chips) and utilization penalty
+    over {!Model_nre}'s pro-rata chip count test_prefab pins.  ROADMAP's
+    "POPCNT regions sized from the MXFP4 code distribution" item gives it
+    a caller: the derived region sizing must fit this tile's gpt-oss plan
+    on MXFP4 codes. *)
 
 type tile_spec = {
   ports : int;           (** Input ports per tile (2880 x 1.25 slack). *)

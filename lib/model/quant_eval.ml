@@ -26,7 +26,7 @@ type partial = {
   p_steps : int;
 }
 
-let evaluate ?(sequences = 8) ?(length = 12) ?domains rng (c : Config.t) =
+let evaluate ?(sequences = 8) ?(length = 12) rng (c : Config.t) =
   if sequences <= 0 || length < 2 then invalid_arg "Quant_eval.evaluate";
   let w_float = Weights.random ~quantize_fp4:false (Hnlpu_util.Rng.split rng) c in
   let w_fp4 = Weights.quantize w_float in
@@ -73,7 +73,7 @@ let evaluate ?(sequences = 8) ?(length = 12) ?domains rng (c : Config.t) =
       p_steps = !steps;
     }
   in
-  let parts = Hnlpu_par.Par.parallel_map ?domains score token_lists in
+  let parts = Hnlpu_par.Par.parallel_map score token_lists in
   let nll_float = ref 0.0 and nll_fp4 = ref 0.0 in
   let scored = ref 0 in
   let cos_sum = ref 0.0 and cos_n = ref 0 in

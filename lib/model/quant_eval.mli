@@ -8,9 +8,12 @@
     hidden-state geometry and next-token agreement over synthetic
     sequences.
 
-    No tool or example calls this module; it stays as the check on §2.2's
-    FP4 premise, which test_system2 bounds (perplexity within 25% of
-    float) and test_par runs as a sweep-determinism reference. *)
+    No tool or example calls this module yet; it stays as the check on
+    §2.2's FP4 premise, which test_system2 bounds (perplexity within 25%
+    of float) and test_par runs as a sweep-determinism reference.
+    ROADMAP's "hardwired forward computes the model that signoff checked"
+    item gives it a caller: it compares the float and hardwired forwards
+    by perplexity ratio, top-1 agreement and hidden-state cosine. *)
 
 type report = {
   sequences : int;
@@ -25,7 +28,7 @@ type report = {
 }
 
 val evaluate :
-  ?sequences:int -> ?length:int -> ?domains:int ->
+  ?sequences:int -> ?length:int ->
   Hnlpu_util.Rng.t -> Config.t -> report
 (** Build a float checkpoint, quantize its twin, score [sequences]
     (default 8) random sequences of [length] (default 12) tokens through
@@ -33,6 +36,5 @@ val evaluate :
 
     Token sequences are drawn from [rng] sequentially (the same draws as
     a sequential evaluation); scoring then fans out per sequence across
-    the {!Hnlpu_par.Par} pool ([domains] overrides its width) with
-    partial sums reduced in sequence order, so the report is identical
-    for every domain count. *)
+    the {!Hnlpu_par.Par} pool with partial sums reduced in sequence order,
+    so the report is identical for every domain count. *)

@@ -61,18 +61,3 @@ let dist strategy logits =
 let distribution = dist
 
 let sample rng strategy logits = multinomial rng (dist strategy logits)
-
-let log_prob strategy logits token =
-  let p = (dist strategy logits).(token) in
-  if p <= 0.0 then neg_infinity else log p
-
-let with_repetition_penalty ~penalty ~recent logits =
-  if penalty <= 1.0 then invalid_arg "Sampler: penalty must exceed 1.0";
-  let out = Array.copy logits in
-  List.iter
-    (fun tok ->
-      if tok >= 0 && tok < Array.length out then
-        out.(tok) <-
-          (if out.(tok) > 0.0 then out.(tok) /. penalty else out.(tok) *. penalty))
-    recent;
-  out

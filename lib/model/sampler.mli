@@ -2,9 +2,9 @@
     implements in hardware after the unembedding (§4.1, Figure 10-I).
 
     The base strategies are what the evaluated design supports; {!Top_p}
-    and {!with_repetition_penalty} model the paper's "conditional decoding
-    (programmable sampling algorithms)" future-work item (§8), which it
-    foresees no obstacle to implementing in the VEX sampling unit. *)
+    models the paper's "conditional decoding (programmable sampling
+    algorithms)" future-work item (§8), which it foresees no obstacle to
+    implementing in the VEX sampling unit. *)
 
 type strategy =
   | Greedy
@@ -20,15 +20,5 @@ type strategy =
 val sample : Hnlpu_util.Rng.t -> strategy -> Hnlpu_tensor.Vec.t -> int
 (** Draw a token id from the logits. *)
 
-val log_prob : strategy -> Hnlpu_tensor.Vec.t -> int -> float
-(** Log-probability the strategy assigns to a token ([neg_infinity] when the
-    token is unreachable, e.g. outside the top-k/top-p set). *)
-
 val distribution : strategy -> Hnlpu_tensor.Vec.t -> Hnlpu_tensor.Vec.t
 (** The full token distribution a strategy induces (sums to 1). *)
-
-val with_repetition_penalty :
-  penalty:float -> recent:int list -> Hnlpu_tensor.Vec.t -> Hnlpu_tensor.Vec.t
-(** Conditional-decoding transform: divide positive logits of recently
-    emitted tokens by [penalty] (> 1) and multiply negative ones, before
-    sampling (the CTRL-style rule).  Returns adjusted logits. *)

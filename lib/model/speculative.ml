@@ -85,8 +85,3 @@ let generate ~target ~draft ~prompt ~max_new_tokens ~lookahead () =
       tokens_per_pass =
         (if !passes = 0 then 0.0 else float_of_int produced /. float_of_int !passes);
     } )
-
-let self_draft ~target ~prompt ~max_new_tokens ~lookahead () =
-  (* Drafting with a fork of the target itself: proposals always match. *)
-  let draft = Transformer.fork target in
-  generate ~target ~draft ~prompt ~max_new_tokens ~lookahead ()

@@ -25,9 +25,3 @@ val generate :
   int list * stats
 (** Both models must share the vocabulary.  The transformers are reset
     first.  Raises on an empty prompt or non-positive lookahead. *)
-
-val self_draft :
-  target:Transformer.t -> prompt:int list -> max_new_tokens:int ->
-  lookahead:int -> unit -> int list * stats
-(** Degenerate sanity case: the target drafts for itself, so every
-    proposal is accepted and [tokens_per_pass = lookahead + 1]. *)

@@ -78,15 +78,7 @@ let canonical coll =
   in
   plan coll
 
-let reduce ~root ~group ~bytes = canonical (Reduce { root; group; bytes })
-let broadcast ~root ~group ~bytes = canonical (Broadcast { root; group; bytes })
 let all_reduce ~group ~bytes = canonical (All_reduce { group; bytes })
-let all_gather ~group ~shard_bytes = canonical (All_gather { group; shard_bytes })
-
-let scatter ~root ~group ~shard_bytes =
-  canonical (Scatter { root; group; shard_bytes })
-
-let all_chip_all_reduce ~bytes = canonical (All_chip_all_reduce { bytes })
 
 type merge_mode = Accumulate | Overwrite | Union
 
@@ -118,32 +110,6 @@ let semantics coll =
       mode = (fun s -> if s = 0 || s = 2 then Accumulate else Overwrite);
       required = Topology.all_chips;
     }
-
-type violation =
-  | Not_a_link of Topology.chip * Topology.chip
-  | Tx_conflict of Topology.chip
-  | Rx_overmerge of Topology.chip
-
-let validate plan =
-  let violations = ref [] in
-  List.iter
-    (fun step ->
-      let tx = Hashtbl.create 16 and rx = Hashtbl.create 16 in
-      List.iter
-        (fun { src; dst; bytes = _ } ->
-          if not (Topology.connected src dst) then
-            violations := Not_a_link (src, dst) :: !violations;
-          (* One TX port per link: two same-step sends from src to the same
-             dst would serialize. *)
-          if Hashtbl.mem tx (src, dst) then violations := Tx_conflict src :: !violations
-          else Hashtbl.add tx (src, dst) ();
-          let n = (try Hashtbl.find rx dst with Not_found -> 0) + 1 in
-          Hashtbl.replace rx dst n;
-          if n > Topology.degree dst then
-            violations := Rx_overmerge dst :: !violations)
-        step)
-    plan;
-  List.rev !violations
 
 let makespan ?(link = Link.cxl3) plan =
   List.fold_left

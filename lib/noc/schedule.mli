@@ -51,14 +51,8 @@ val canonical : collective -> t
     concurrently, then of all four rows.  Raises [Invalid_argument] when
     {!malformed} is not empty. *)
 
-(** {!canonical} of each collective. *)
-
-val reduce : root:Topology.chip -> group:Topology.chip list -> bytes:int -> t
-val broadcast : root:Topology.chip -> group:Topology.chip list -> bytes:int -> t
 val all_reduce : group:Topology.chip list -> bytes:int -> t
-val all_gather : group:Topology.chip list -> shard_bytes:int -> t
-val scatter : root:Topology.chip -> group:Topology.chip list -> shard_bytes:int -> t
-val all_chip_all_reduce : bytes:int -> t
+(** {!canonical} of [All_reduce]. *)
 
 type merge_mode =
   | Accumulate  (** Receivers add incoming payloads to their state. *)
@@ -86,17 +80,7 @@ type semantics = {
 
 val semantics : collective -> semantics
 
-(** {1 Validation} *)
-
-type violation =
-  | Not_a_link of Topology.chip * Topology.chip
-  | Tx_conflict of Topology.chip  (** Two same-step transfers on one TX port
-                                      toward the same peer. *)
-  | Rx_overmerge of Topology.chip  (** More simultaneous incoming streams
-                                       than the engine merges (degree). *)
-
-val validate : t -> violation list
-(** Empty = the plan is executable on the 4x4 row/column fabric. *)
+(** {1 Cost} *)
 
 val makespan : ?link:Link.t -> t -> float
 (** Sum over steps of the slowest transfer (plus per-step engine

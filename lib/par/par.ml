@@ -34,7 +34,6 @@ type pool = {
   m : Mutex.t;
   nonempty : Condition.t;
   mutable live : bool;
-  mutable started : int;  (* workers that have entered their loop *)
 }
 
 (* Set on worker domains: inner parallel regions degrade to sequential. *)
@@ -59,8 +58,7 @@ let rec worker_loop pool =
     f ();
     worker_loop pool
 
-let create ?(domains = 0) () =
-  if domains < 1 then invalid_arg "Par.create: domains must be >= 1";
+let create domains =
   let pool =
     {
       workers = [||];
@@ -68,28 +66,14 @@ let create ?(domains = 0) () =
       m = Mutex.create ();
       nonempty = Condition.create ();
       live = true;
-      started = 0;
     }
   in
   pool.workers <-
     Array.init (domains - 1) (fun _ ->
         Domain.spawn (fun () ->
             Domain.DLS.set on_worker true;
-            Mutex.lock pool.m;
-            pool.started <- pool.started + 1;
-            Mutex.unlock pool.m;
             worker_loop pool));
   pool
-
-let size pool = Array.length pool.workers + 1
-
-let live pool = pool.live
-
-let spawned_workers pool =
-  Mutex.lock pool.m;
-  let n = pool.started in
-  Mutex.unlock pool.m;
-  n
 
 let submit pool ~copies job =
   Mutex.lock pool.m;
@@ -212,7 +196,7 @@ let shared_pool j =
   | Some (width, pool) when width = j && pool.live -> pool
   | previous ->
     (match previous with Some (_, pool) -> shutdown pool | None -> ());
-    let pool = create ~domains:j () in
+    let pool = create j in
     shared_state := Some (j, pool);
     if not !exit_hook_registered then begin
       exit_hook_registered := true;
@@ -276,9 +260,3 @@ let parallel_map ?domains f xs =
   | _ ->
     let items = Array.of_list xs in
     Array.to_list (parallel_init ?domains (Array.length items) (fun i -> f items.(i)))
-
-let parallel_sweep ?domains ~seed f xs =
-  let items = Array.of_list xs in
-  Array.to_list
-    (parallel_init ?domains (Array.length items) (fun i ->
-         f (Hnlpu_util.Rng.derive seed ~stream:i) items.(i)))

@@ -45,40 +45,15 @@ val parallel_map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 val parallel_init : ?domains:int -> int -> (int -> 'a) -> 'a array
 (** [parallel_init n f] = [Array.init n f], parallelized as above. *)
 
-val parallel_sweep :
-  ?domains:int -> seed:int -> (Hnlpu_util.Rng.t -> 'a -> 'b) -> 'a list -> 'b list
-(** Seeded sweep: task [i] receives [Rng.derive seed ~stream:i], an
-    independent deterministic stream — Monte-Carlo points stay
-    reproducible and domain-count-independent. *)
-
-(** {1 Explicit pools}
+(** {1 The shared pool}
 
     The combinators above share one lazily-created pool sized to the
-    requested width (resized when the width changes, with the old pool's
-    workers joined).  The shared pool registers an [at_exit] shutdown the
-    first time it is created, so worker domains are always joined at
-    process exit.  Long-running hosts that want explicit lifecycle control
-    can manage their own. *)
+    requested width.  A call at another width resizes it: the old pool's
+    workers are joined and the old pool refuses further work.  The shared
+    pool registers an [at_exit] shutdown the first time it is created, so
+    worker domains are always joined at process exit. *)
 
 type pool
-
-val create : ?domains:int -> unit -> pool
-(** [create ~domains:j] spawns [j - 1] worker domains; the calling domain
-    is the j-th participant.  The returned record is the very record the
-    workers captured — callers and workers share all mutable pool state.
-    Raises [Invalid_argument] when [j < 1]. *)
-
-val size : pool -> int
-(** Total participants including the caller (i.e. [j]). *)
-
-val live : pool -> bool
-(** [false] once {!shutdown} has run. *)
-
-val spawned_workers : pool -> int
-(** Workers that have entered their service loop so far (at most
-    [size pool - 1]; spawning is asynchronous).  Counted on the shared
-    pool record itself — the regression probe for the historical bug where
-    [create] returned a copy of the record the workers captured. *)
 
 val shared : ?domains:int -> unit -> pool
 (** The process-wide shared pool at the given width (default
@@ -92,9 +67,4 @@ val run_tasks : pool -> tasks:int -> (int -> unit) -> unit
     the region still runs every task, then re-raises the lowest-indexed
     failure with its backtrace.  From inside a worker (nested region) it
     degrades to a sequential loop.  Raises [Invalid_argument] on a pool
-    that was shut down. *)
-
-val shutdown : pool -> unit
-(** Join all workers.  Idempotent.  Re-raises the exception of any worker
-    that died of a runtime catastrophe (e.g. [Out_of_memory]) instead of
-    swallowing it. *)
+    that a resize or process exit has shut down. *)

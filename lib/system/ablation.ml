@@ -36,8 +36,8 @@ let throughput_with_link ~link ~context (c : Config.t) =
   let total = comm +. rest in
   (float_of_int (Perf.pipeline_slots c) /. total, comm /. total)
 
-let interconnect_sweep ?domains c =
-  Par.parallel_map ?domains
+let interconnect_sweep c =
+  Par.parallel_map
     (fun (link_name, link) ->
       let throughput, comm_fraction = throughput_with_link ~link ~context c in
       {
@@ -117,9 +117,9 @@ type precision_row = {
   throughput_tokens_per_s : float;
 }
 
-let precision_sweep ?domains (c : Config.t) =
+let precision_sweep (c : Config.t) =
   let cycle = Hnlpu_gates.Tech.cycle_time_s Hnlpu_gates.Tech.n5 in
-  Par.parallel_map ?domains
+  Par.parallel_map
     (fun bits ->
       let bytes_per_elem = float_of_int bits /. 8.0 in
       let stream n =
@@ -149,7 +149,7 @@ let precision_sweep ?domains (c : Config.t) =
 
 type slack_row = { slack : float; failure_rate : float; area_ratio : float }
 
-let slack_sweep rng ?domains ?(trials = 200) () =
+let slack_sweep rng ?(trials = 200) () =
   let in_features = 2880 and regions = Hnlpu_neuron.Bank.regions in
   let balanced = Hnlpu_neuron.Bank.region_capacity ~slack:1.0 in_features in
   (* Split one generator per slack point sequentially up front, then run
@@ -160,7 +160,7 @@ let slack_sweep rng ?domains ?(trials = 200) () =
       (fun slack -> (slack, Hnlpu_util.Rng.split rng))
       [ 1.0; 1.05; 1.1; 1.2; 1.5; 2.0 ]
   in
-  Par.parallel_map ?domains
+  Par.parallel_map
     (fun (slack, rng) ->
       let capacity = Hnlpu_neuron.Bank.region_capacity ~slack in_features in
       let failures = ref 0 in
@@ -205,12 +205,12 @@ type speculative_row = {
   spec_speedup : float;      (** Over plain decode. *)
 }
 
-let speculative_sweep ?(acceptance = 0.7) ?domains
+let speculative_sweep ?(acceptance = 0.7)
     (c : Config.t) =
   if not (acceptance >= 0.0 && acceptance < 1.0) then
     invalid_arg "Ablation.speculative_sweep: acceptance in [0,1)";
   let base = Perf.throughput_tokens_per_s c ~context in
-  Par.parallel_map ?domains
+  Par.parallel_map
     (fun k ->
       (* Greedy speculative: accepted prefix length has expectation
          sum_{i<=k} a^i; each pass also yields the corrected/bonus token.

@@ -26,11 +26,10 @@ type interconnect_row = {
 }
 
 val interconnect_sweep :
-  ?domains:int -> Hnlpu_model.Config.t -> interconnect_row list
+  Hnlpu_model.Config.t -> interconnect_row list
 (** All sweeps in this module run at 2K context and map their design
-    points across the {!Hnlpu_par.Par} pool; [?domains], where a sweep
-    takes it, overrides the pool width, and results are identical for
-    every width. *)
+    points across the {!Hnlpu_par.Par} pool at its process-wide width;
+    results are identical for every width. *)
 
 type programmability_row = {
   variant : string;
@@ -55,7 +54,7 @@ type precision_row = {
 }
 
 val precision_sweep :
-  ?domains:int -> Hnlpu_model.Config.t -> precision_row list
+  Hnlpu_model.Config.t -> precision_row list
 (** Activation width 4 / 8 / 16 bits (the design streams FP16). *)
 
 type slack_row = {
@@ -65,7 +64,7 @@ type slack_row = {
 }
 
 val slack_sweep :
-  Hnlpu_util.Rng.t -> ?domains:int -> ?trials:int -> unit -> slack_row list
+  Hnlpu_util.Rng.t -> ?trials:int -> unit -> slack_row list
 (** Routing-failure probability vs region slack on random FP4 rows of
     gpt-oss's hidden width (2880).  One generator is split off [rng] per slack
     point before the (parallel) Monte-Carlo trials, so the result depends
@@ -92,7 +91,7 @@ type speculative_row = {
 }
 
 val speculative_sweep :
-  ?acceptance:float -> ?domains:int -> Hnlpu_model.Config.t -> speculative_row list
+  ?acceptance:float -> Hnlpu_model.Config.t -> speculative_row list
 (** Speculative decoding on HNLPU: a draft's k-token proposal verifies as
     one chunked-prefill pass (the §5.2 batching lever), so at acceptance
     rate a each pass yields [1 + sum a^i] tokens.  Returns the projected

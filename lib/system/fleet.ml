@@ -921,13 +921,13 @@ type frontier_point = {
   meets_slo : bool;
 }
 
-let sweep ?domains ?node_events ~policies ~rates ~requests ~seed objectives cfg
+let sweep ?node_events ~policies ~rates ~requests ~seed objectives cfg
     spec =
   let capacity = capacity_req_per_s cfg spec in
   let grid =
     List.concat_map (fun p -> List.map (fun r -> (p, r)) rates) policies
   in
-  Par.parallel_map ?domains
+  Par.parallel_map
     (fun (policy, rate) ->
       let spec = Arrivals.with_mean_rate spec rate in
       let res = run ?node_events ~policy ~requests ~seed cfg spec in

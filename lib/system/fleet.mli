@@ -184,7 +184,6 @@ type frontier_point = {
 }
 
 val sweep :
-  ?domains:int ->
   ?node_events:node_event array ->
   policies:policy list ->
   rates:float list ->

@@ -56,7 +56,7 @@ let evaluate ?(requests = 150) ?(mean_prefill = 256)
     meets = ttft_p95 <= obj.ttft_p95_s && e2e_p95 <= obj.e2e_p95_s;
   }
 
-let sweep ?requests ?mean_prefill ?mean_decode ?domains ?obs config obj
+let sweep ?requests ?mean_prefill ?mean_decode ?obs config obj
     ~rates =
   check_objectives obj;
   List.iter
@@ -77,7 +77,7 @@ let sweep ?requests ?mean_prefill ?mean_decode ?domains ?obs config obj
   in
   let tagged = List.mapi (fun i r -> (i, r)) rates in
   let evals =
-    Hnlpu_par.Par.parallel_map ?domains
+    Hnlpu_par.Par.parallel_map
       (fun (i, rate_per_s) ->
         let obs = if Array.length sinks = 0 then None else Some sinks.(i) in
         evaluate ?requests ?mean_prefill ?mean_decode ?obs config obj

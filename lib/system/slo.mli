@@ -36,14 +36,14 @@ val evaluate :
 
 val sweep :
   ?requests:int -> ?mean_prefill:int -> ?mean_decode:int ->
-  ?domains:int -> ?obs:Hnlpu_obs.Sink.t ->
+  ?obs:Hnlpu_obs.Sink.t ->
   Hnlpu_model.Config.t -> objectives -> rates:float list -> evaluation list
 (** [sweep config obj ~rates] evaluates each offered rate, in the given
-    order, across the {!Hnlpu_par.Par} domain pool ([domains] overrides
-    its width).  Results are byte-identical to mapping {!evaluate} over
-    [rates] sequentially: each rate seeds its own workload and, when [obs]
-    is given, records into a private sink that is merged into [obs] in
-    rate order after the sweep. *)
+    order, across the {!Hnlpu_par.Par} domain pool.  Results are
+    byte-identical to mapping {!evaluate} over [rates] sequentially: each
+    rate seeds its own workload and, when [obs] is given, records into a
+    private sink that is merged into [obs] in rate order after the
+    sweep. *)
 
 val max_rate :
   ?requests:int -> ?mean_prefill:int -> ?mean_decode:int ->

@@ -62,35 +62,3 @@ let analyze (c : Config.t) =
       Float.abs (qf -. Perf.link_contention_factor) /. Perf.link_contention_factor
       < 0.4;
   }
-
-let to_table t =
-  let tbl =
-    Hnlpu_util.Table.create
-      ~headers:[ "Collective"; "Payload (B)"; "Link bytes"; "Per layer" ]
-  in
-  List.iter
-    (fun e ->
-      Hnlpu_util.Table.add_row tbl
-        [
-          e.collective;
-          string_of_int e.payload_bytes;
-          string_of_int e.link_bytes;
-          string_of_int e.per_layer;
-        ])
-    t.entries;
-  Hnlpu_util.Table.add_sep tbl;
-  Hnlpu_util.Table.add_row tbl
-    [
-      "Total per token (all layers/columns)";
-      "";
-      Printf.sprintf "%.0f" t.bytes_per_token;
-      "";
-    ];
-  Hnlpu_util.Table.add_row tbl
-    [
-      "Fabric utilization at full rate";
-      "";
-      Hnlpu_util.Units.percent t.mean_link_utilization;
-      "";
-    ];
-  tbl

@@ -33,5 +33,3 @@ type t = {
 
 val analyze : Hnlpu_model.Config.t -> t
 (** At 2K context. *)
-
-val to_table : t -> Hnlpu_util.Table.t

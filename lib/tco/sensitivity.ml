@@ -81,7 +81,7 @@ type tornado_bar = {
   swing : float;
 }
 
-let tornado ?domains () =
+let tornado () =
   let sweep (name, set) =
     let low_advantage = advantage (set baseline 0.5) in
     let high_advantage = advantage (set baseline 2.0) in
@@ -93,7 +93,7 @@ let tornado ?domains () =
     }
   in
   let bars =
-    Hnlpu_par.Par.parallel_map ?domains sweep
+    Hnlpu_par.Par.parallel_map sweep
       [
         ("mask-set price", fun p s -> { p with mask_scale = s });
         ("design & development", fun p s -> { p with design_scale = s });

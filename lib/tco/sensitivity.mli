@@ -32,10 +32,10 @@ type tornado_bar = {
   swing : float;           (** |high - low|, the bar length. *)
 }
 
-val tornado : ?domains:int -> unit -> tornado_bar list
+val tornado : unit -> tornado_bar list
 (** One bar per parameter at [High] volume, each swept over [0.5x, 2x]
-    with the others at baseline; sorted by decreasing swing.  Bars evaluate across the
-    {!Hnlpu_par.Par} pool ([domains] overrides its width); the result is
-    identical for every width. *)
+    with the others at baseline; sorted by decreasing swing.  Bars evaluate
+    across the {!Hnlpu_par.Par} pool; the result is identical for every
+    width. *)
 
 val to_table : tornado_bar list -> Hnlpu_util.Table.t

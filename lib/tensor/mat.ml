@@ -107,18 +107,6 @@ let gemv m x =
   gemv_into m x ~xo:0 out ~oo:0;
   out
 
-let gemv_t m x =
-  if Array.length x <> m.cols then invalid_arg "Mat.gemv_t: dimension mismatch";
-  Array.init m.rows (fun r ->
-      let base = r * m.cols in
-      let acc = ref 0.0 in
-      for c = 0 to m.cols - 1 do
-        acc := !acc +. (m.data.(base + c) *. x.(c))
-      done;
-      !acc)
-
-let transpose m = init ~rows:m.cols ~cols:m.rows (fun r c -> get m c r)
-
 let sub_cols m ~lo ~len =
   if lo < 0 || len <= 0 || lo + len > m.cols then invalid_arg "Mat.sub_cols";
   init ~rows:m.rows ~cols:len (fun r c -> get m r (lo + c))

@@ -38,11 +38,6 @@ val gemv_into : t -> Vec.t -> xo:int -> Vec.t -> oo:int -> unit
     partial products sum into one zeroed buffer in call order exactly as
     [gemv]'s results would. *)
 
-val gemv_t : t -> Vec.t -> Vec.t
-(** [gemv_t m x] = [m . x] (x has [cols m] entries). *)
-
-val transpose : t -> t
-
 val sub_cols : t -> lo:int -> len:int -> t
 (** Column slice — used to split weight matrices across chip columns the
     way §5's mapping does. *)

@@ -28,7 +28,8 @@ let bar ?(log = false) rows =
 
 let fills = [| '#'; '='; '-'; '.'; '+'; '*'; 'o'; '~' |]
 
-let stacked ?(width = 60) ~legend rows =
+let stacked ~legend rows =
+  let width = 60 in
   if rows = [] then invalid_arg "Chart.stacked: empty";
   let segs = List.length legend in
   List.iter
@@ -72,15 +73,3 @@ let stacked ?(width = 60) ~legend rows =
     legend;
   Buffer.add_char buf '\n';
   Buffer.contents buf
-
-let sparkline values =
-  let glyphs = ".:-=+*#%@" in
-  if Array.length values = 0 then ""
-  else begin
-    let lo = Array.fold_left Float.min infinity values in
-    let hi = Array.fold_left Float.max neg_infinity values in
-    let span = Float.max (hi -. lo) 1e-12 in
-    String.init (Array.length values) (fun i ->
-        let r = (values.(i) -. lo) /. span in
-        glyphs.[int_of_float (Float.round (r *. float_of_int (String.length glyphs - 1)))])
-  end

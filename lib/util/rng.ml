@@ -74,8 +74,6 @@ let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (next t) 11)
    53-bit integer, so the multiply equals the division by 2^53. *)
 let[@inline] float t bound = float_of_int (bits53 t) *. 0x1p-53 *. bound
 
-let bool t = Int64.to_int (next t) land 1 = 1
-
 (* Rejection draw of a nonzero unit float, at the module level: the
    let-bound [draw] closures gaussian/exponential used to build cost an
    allocation on every variate. *)
@@ -92,15 +90,3 @@ let exponential t rate =
   if not (rate > 0.0 && Float.is_finite rate) then
     invalid_arg "Rng.exponential: rate must be positive and finite";
   -.log (nonzero_unit t) /. rate
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let choose t a =
-  if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
-  a.(int t (Array.length a))

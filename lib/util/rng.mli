@@ -42,18 +42,9 @@ val bits53 : t -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val gaussian : t -> float
 (** Standard normal deviate (Box–Muller). *)
 
 val exponential : t -> float -> float
 (** [exponential t rate] samples Exp(rate).  [rate] must be positive and
     finite; NaN and infinity raise [Invalid_argument]. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)

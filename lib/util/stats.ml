@@ -1,38 +1,3 @@
-type t = {
-  mutable n : int;
-  mutable mean : float;
-  mutable m2 : float;
-  mutable lo : float;
-  mutable hi : float;
-  mutable sum : float;
-}
-
-let create () =
-  { n = 0; mean = 0.0; m2 = 0.0; lo = infinity; hi = neg_infinity; sum = 0.0 }
-
-let add t x =
-  t.n <- t.n + 1;
-  t.sum <- t.sum +. x;
-  let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  if x < t.lo then t.lo <- x;
-  if x > t.hi then t.hi <- x
-
-let count t = t.n
-
-let mean t = if t.n = 0 then nan else t.mean
-
-let variance t = if t.n < 2 then nan else t.m2 /. float_of_int (t.n - 1)
-
-let stddev t = sqrt (variance t)
-
-let min t = t.lo
-
-let max t = t.hi
-
-let total t = t.sum
-
 let percentile_in_place samples p =
   if Float.is_nan p || p < 0.0 || p > 1.0 then
     invalid_arg "Stats.percentile: p out of range";
@@ -54,20 +19,3 @@ let percentile_in_place samples p =
   end
 
 let percentile samples p = percentile_in_place (Array.copy samples) p
-
-let histogram samples ~bins =
-  if bins <= 0 then invalid_arg "Stats.histogram: bins must be positive";
-  if Array.length samples = 0 then [||]
-  else begin
-    let lo = Array.fold_left Stdlib.min infinity samples in
-    let hi = Array.fold_left Stdlib.max neg_infinity samples in
-    let width = if hi > lo then (hi -. lo) /. float_of_int bins else 1.0 in
-    let counts = Array.make bins 0 in
-    Array.iter
-      (fun x ->
-        let i = int_of_float ((x -. lo) /. width) in
-        let i = Stdlib.min i (bins - 1) in
-        counts.(i) <- counts.(i) + 1)
-      samples;
-    Array.mapi (fun i c -> (lo +. (float_of_int i *. width), c)) counts
-  end

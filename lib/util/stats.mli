@@ -1,30 +1,8 @@
-(** Streaming and batch descriptive statistics.
+(** Batch percentiles of a sample array.
 
-    Used by the workload simulators (latency percentiles, occupancy) and by
-    the benchmark harness to summarize series. *)
-
-type t
-(** Accumulator over a stream of floats (Welford's algorithm). *)
-
-val create : unit -> t
-
-val add : t -> float -> unit
-
-val count : t -> int
-
-val mean : t -> float
-(** Mean of the observations; [nan] when empty. *)
-
-val variance : t -> float
-(** Unbiased sample variance; [nan] with fewer than two observations. *)
-
-val stddev : t -> float
-
-val min : t -> float
-
-val max : t -> float
-
-val total : t -> float
+    The benchmark harness and the [chat_serving] example summarize latency
+    series with it; [Hnlpu_obs.Sketch.quantile] mirrors its rank
+    arithmetic. *)
 
 val percentile : float array -> float -> float
 (** [percentile samples p] with [p] in [\[0,1\]]: linear-interpolated
@@ -36,8 +14,3 @@ val percentile : float array -> float -> float
     raises [Invalid_argument] too — a NaN measurement means the
     instrumentation is broken, and any sorted-rank answer over it would
     be arbitrary. *)
-
-val histogram : float array -> bins:int -> (float * int) array
-(** [histogram samples ~bins] buckets samples into [bins] equal-width bins
-    over the sample range; returns (bin lower edge, count).  Empty input
-    yields [\[||\]]; [bins <= 0] raises [Invalid_argument]. *)

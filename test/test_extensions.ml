@@ -35,20 +35,6 @@ let test_top_p_validation () =
        false
      with Invalid_argument _ -> true)
 
-let test_repetition_penalty () =
-  let logits = [| 2.0; -1.0; 3.0 |] in
-  let out = Sampler.with_repetition_penalty ~penalty:2.0 ~recent:[ 0; 1 ] logits in
-  Alcotest.(check (float 1e-12)) "positive divided" 1.0 out.(0);
-  Alcotest.(check (float 1e-12)) "negative multiplied" (-2.0) out.(1);
-  Alcotest.(check (float 1e-12)) "untouched" 3.0 out.(2)
-
-let test_repetition_penalty_validation () =
-  Alcotest.(check bool) "penalty <= 1 rejected" true
-    (try
-       ignore (Sampler.with_repetition_penalty ~penalty:1.0 ~recent:[] [| 1.0 |]);
-       false
-     with Invalid_argument _ -> true)
-
 let prop_top_p_simplex =
   QCheck.Test.make ~name:"top-p distribution on the simplex" ~count:100
     QCheck.(pair (float_range 0.05 1.0) (array_of_size (Gen.int_range 2 30) (float_range (-5.0) 5.0)))
@@ -336,8 +322,6 @@ let () =
           Alcotest.test_case "top-p p=1" `Quick test_top_p_full_mass_is_temperature;
           Alcotest.test_case "top-p normalized" `Quick test_top_p_distribution_normalized;
           Alcotest.test_case "top-p validation" `Quick test_top_p_validation;
-          Alcotest.test_case "repetition penalty" `Quick test_repetition_penalty;
-          Alcotest.test_case "penalty validation" `Quick test_repetition_penalty_validation;
         ] );
       qsuite "sampling properties" [ prop_top_p_simplex ];
       ( "scoring-embedding",

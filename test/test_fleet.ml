@@ -463,7 +463,7 @@ let test_fleet_sweep_frontier () =
   let spec = Arrivals.chat ~rate_per_s:1.0 in
   let capacity = Fleet.capacity_req_per_s cfg spec in
   let pts =
-    Fleet.sweep ~domains:2 ~policies:[ Fleet.Least_loaded ]
+    Fleet.sweep ~policies:[ Fleet.Least_loaded ]
       ~rates:[ capacity *. 0.5; capacity *. 3.0 ]
       ~requests:6_000 ~seed:21
       (* Short trace, so the overload queue only reaches ~0.2 s; pin the

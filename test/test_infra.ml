@@ -29,15 +29,15 @@ let test_bar_log_scale () =
 
 let test_stacked_width_exact () =
   let s =
-    Chart.stacked ~width:40 ~legend:[ "a"; "b"; "c" ]
+    Chart.stacked ~legend:[ "a"; "b"; "c" ]
       [ ("r1", [ 1.0; 2.0; 1.0 ]); ("r2", [ 0.0; 1.0; 0.0 ]) ]
   in
-  (* Every bar between the pipes must be exactly 40 chars. *)
+  (* Every bar between the pipes must be exactly 60 chars. *)
   String.split_on_char '\n' s
   |> List.iter (fun line ->
          match String.index_opt line '|' with
          | Some i when String.length line > i + 1 && line.[String.length line - 1] = '|' ->
-           Alcotest.(check int) "bar width" 40 (String.length line - i - 2)
+           Alcotest.(check int) "bar width" 60 (String.length line - i - 2)
          | _ -> ())
 
 let test_stacked_validation () =
@@ -46,12 +46,6 @@ let test_stacked_validation () =
        ignore (Chart.stacked ~legend:[ "a" ] [ ("r", [ 1.0; 2.0 ]) ]);
        false
      with Invalid_argument _ -> true)
-
-let test_sparkline () =
-  let s = Chart.sparkline [| 0.0; 0.5; 1.0 |] in
-  Alcotest.(check int) "one char per point" 3 (String.length s);
-  Alcotest.(check char) "low" '.' s.[0];
-  Alcotest.(check char) "high" '@' s.[2]
 
 (* --- CSV ----------------------------------------------------------------- *)
 
@@ -143,7 +137,6 @@ let () =
           Alcotest.test_case "log scale" `Quick test_bar_log_scale;
           Alcotest.test_case "stacked width" `Quick test_stacked_width_exact;
           Alcotest.test_case "stacked validation" `Quick test_stacked_validation;
-          Alcotest.test_case "sparkline" `Quick test_sparkline;
         ] );
       ( "csv",
         [

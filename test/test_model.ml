@@ -178,7 +178,7 @@ let test_sampler_topk_restricts () =
   done
 
 let test_sampler_log_prob () =
-  let lp = Sampler.log_prob (Sampler.Top_k (1, 1.0)) [| 1.0; 2.0 |] 0 in
+  let lp = log (Sampler.distribution (Sampler.Top_k (1, 1.0)) [| 1.0; 2.0 |]).(0) in
   Alcotest.(check bool) "outside top-k impossible" true (lp = neg_infinity)
 
 let test_sampler_validation () =

@@ -106,14 +106,14 @@ let prop_all_reduce_order_invariant =
 
 let test_timing_monotone_in_group () =
   (* A ring all-gather takes group - 1 steps. *)
-  let ring group = Schedule.makespan (Schedule.all_gather ~group ~shard_bytes:1024) in
+  let ring group = Schedule.makespan (Schedule.canonical (Schedule.All_gather { group; shard_bytes = 1024 })) in
   Alcotest.(check bool) "bigger group slower" true
     (ring (Topology.row_group 0) > ring [ 0; 1 ])
 
 let test_all_reduce_is_reduce_plus_broadcast () =
   let group = Topology.col_group 2 in
-  let r = Schedule.reduce ~root:2 ~group ~bytes:512 in
-  let b = Schedule.broadcast ~root:2 ~group ~bytes:512 in
+  let r = Schedule.canonical (Schedule.Reduce { root = 2; group; bytes = 512 }) in
+  let b = Schedule.canonical (Schedule.Broadcast { root = 2; group; bytes = 512 }) in
   let ar = Schedule.all_reduce ~group ~bytes:512 in
   Alcotest.(check bool) "plan composition" true (r @ b = ar);
   Alcotest.(check (float 1e-15)) "composition"
@@ -121,7 +121,7 @@ let test_all_reduce_is_reduce_plus_broadcast () =
 
 let test_hierarchical_all_chip () =
   let col = Schedule.makespan (Schedule.all_reduce ~group:(Topology.col_group 0) ~bytes:1024) in
-  let whole = Schedule.makespan (Schedule.all_chip_all_reduce ~bytes:1024) in
+  let whole = Schedule.makespan (Schedule.canonical (Schedule.All_chip_all_reduce { bytes = 1024 })) in
   Alcotest.(check (float 1e-15)) "two-level" (2.0 *. col) whole
 
 let test_transfer_counts () =
@@ -130,11 +130,11 @@ let test_transfer_counts () =
     (fun (name, want, plan) ->
       Alcotest.(check int) name want (Schedule.transfer_count plan))
     [
-      ("reduce of 4", 3, Schedule.reduce ~root ~group ~bytes);
-      ("broadcast to 4", 3, Schedule.broadcast ~root ~group ~bytes);
-      ("scatter to 4", 3, Schedule.scatter ~root ~group ~shard_bytes:bytes);
+      ("reduce of 4", 3, Schedule.canonical (Schedule.Reduce { root; group; bytes }));
+      ("broadcast to 4", 3, Schedule.canonical (Schedule.Broadcast { root; group; bytes }));
+      ("scatter to 4", 3, Schedule.canonical (Schedule.Scatter { root; group; shard_bytes = bytes }));
       ("all-reduce of 4", 6, Schedule.all_reduce ~group ~bytes);
-      ("ring all-gather of 4", 12, Schedule.all_gather ~group ~shard_bytes:bytes);
+      ("ring all-gather of 4", 12, Schedule.canonical (Schedule.All_gather { group; shard_bytes = bytes }));
     ]
 
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)

@@ -33,16 +33,20 @@ let prop_parallel_init_is_init =
       let expect = Array.init n f in
       List.for_all (fun j -> Par.parallel_init ~domains:j n f = expect) widths)
 
-let test_parallel_sweep_deterministic () =
-  let f rng x = (x, Rng.float rng 1.0, Rng.int rng 1000) in
-  let xs = List.init 17 Fun.id in
-  let base = Par.parallel_sweep ~domains:1 ~seed:99 f xs in
+let test_seeded_tasks_deterministic () =
+  (* Task [i] draws from [Rng.derive seed ~stream:i], never from a shared
+     stream, so a seeded sweep is the same at every width. *)
+  let f i =
+    let rng = Rng.derive 99 ~stream:i in
+    (i, Rng.float rng 1.0, Rng.int rng 1000)
+  in
+  let base = Par.parallel_init ~domains:1 17 f in
   List.iter
     (fun j ->
       Alcotest.(check bool)
         (Printf.sprintf "sweep identical at j=%d" j)
         true
-        (Par.parallel_sweep ~domains:j ~seed:99 f xs = base))
+        (Par.parallel_init ~domains:j 17 f = base))
     widths
 
 exception Boom of int
@@ -248,7 +252,10 @@ let test_evaluate_single_pass_regression () =
 let sweep_rates = [ 1000.0; 3000.0; 6000.0; 9000.0; 12000.0 ]
 
 let test_slo_sweep_identical_across_widths () =
-  let run j = Slo.sweep ~requests:40 ~domains:j config Slo.interactive ~rates:sweep_rates in
+  let run j =
+    Thelp.with_domains j (fun () ->
+        Slo.sweep ~requests:40 config Slo.interactive ~rates:sweep_rates)
+  in
   let base = run 1 in
   Alcotest.(check int) "one evaluation per rate" (List.length sweep_rates)
     (List.length base);
@@ -266,13 +273,15 @@ let test_slo_sweep_matches_sequential_evaluate () =
       sweep_rates
   in
   Alcotest.(check bool) "sweep = mapped evaluate" true
-    (Slo.sweep ~requests:40 ~domains:4 config Slo.interactive ~rates:sweep_rates = base)
+    (Thelp.with_domains 4 (fun () ->
+         Slo.sweep ~requests:40 config Slo.interactive ~rates:sweep_rates)
+    = base)
 
 let test_slo_sweep_obs_merge_deterministic () =
   let run j =
     let obs = Obs.Sink.create () in
-    ignore (Slo.sweep ~requests:30 ~domains:j ~obs config Slo.interactive
-              ~rates:sweep_rates);
+    Thelp.with_domains j (fun () ->
+        ignore (Slo.sweep ~requests:30 ~obs config Slo.interactive ~rates:sweep_rates));
     (Obs.Sink.events obs, Obs.Metrics.to_json (Obs.Sink.metrics obs))
   in
   let events1, metrics1 = run 1 in
@@ -284,34 +293,35 @@ let test_slo_sweep_obs_merge_deterministic () =
 (* --- Sweep determinism across the other parallelized modules --------------- *)
 
 let test_ablation_sweeps_identical_across_widths () =
+  let run j =
+    Thelp.with_domains j (fun () ->
+        ( Ablation.interconnect_sweep config,
+          Ablation.precision_sweep config,
+          Ablation.slack_sweep (Rng.create 5) ~trials:60 (),
+          Ablation.speculative_sweep config ))
+  in
+  let interconnect, precision, slack, speculative = run 1 in
   List.iter
     (fun j ->
+      let interconnect', precision', slack', speculative' = run j in
       Alcotest.(check bool)
         (Printf.sprintf "interconnect at j=%d" j)
-        true
-        (Ablation.interconnect_sweep ~domains:j config
-        = Ablation.interconnect_sweep ~domains:1 config);
+        true (interconnect' = interconnect);
       Alcotest.(check bool)
         (Printf.sprintf "precision at j=%d" j)
-        true
-        (Ablation.precision_sweep ~domains:j config
-        = Ablation.precision_sweep ~domains:1 config);
+        true (precision' = precision);
       Alcotest.(check bool)
         (Printf.sprintf "slack at j=%d" j)
-        true
-        (Ablation.slack_sweep (Rng.create 5) ~domains:j ~trials:60 ()
-        = Ablation.slack_sweep (Rng.create 5) ~domains:1 ~trials:60 ());
+        true (slack' = slack);
       Alcotest.(check bool)
         (Printf.sprintf "speculative at j=%d" j)
-        true
-        (Ablation.speculative_sweep ~domains:j config
-        = Ablation.speculative_sweep ~domains:1 config))
+        true (speculative' = speculative))
     widths
 
 let test_quant_eval_identical_across_widths () =
   let run j =
-    Quant_eval.evaluate ~domains:j ~sequences:6 ~length:8 (Rng.create 3)
-      Config.tiny_hnlpu
+    Thelp.with_domains j (fun () ->
+        Quant_eval.evaluate ~sequences:6 ~length:8 (Rng.create 3) Config.tiny_hnlpu)
   in
   let base = run 1 in
   Alcotest.(check bool) "scored tokens" true (base.Quant_eval.tokens_scored > 0);
@@ -323,18 +333,17 @@ let test_quant_eval_identical_across_widths () =
     widths
 
 let test_scaling_and_tornado_identical_across_widths () =
-  let scaling_base = Scaling.sweep ~domains:1 () in
-  let tornado_base = Sensitivity.tornado ~domains:1 () in
+  let run j = Thelp.with_domains j (fun () -> (Scaling.sweep (), Sensitivity.tornado ())) in
+  let scaling_base, tornado_base = run 1 in
   List.iter
     (fun j ->
+      let scaling, tornado = run j in
       Alcotest.(check bool)
         (Printf.sprintf "scaling at j=%d" j)
-        true
-        (Scaling.sweep ~domains:j () = scaling_base);
+        true (scaling = scaling_base);
       Alcotest.(check bool)
         (Printf.sprintf "tornado at j=%d" j)
-        true
-        (Sensitivity.tornado ~domains:j () = tornado_base))
+        true (tornado = tornado_base))
     widths
 
 let test_experiments_identical_across_widths () =
@@ -404,44 +413,57 @@ let wait_for ?(timeout_s = 10.0) pred =
   in
   go ()
 
+(* A pool refuses work once a resize (or process exit) has shut it down. *)
+let refuses_work pool =
+  try
+    Par.run_tasks pool ~tasks:1 ignore;
+    false
+  with Invalid_argument _ -> true
+
 let test_pool_identity_workers_visible () =
   (* Regression for the record-copy bug: [create] once returned
-     [{ pool with workers }], so workers mutated a record the caller never
-     saw.  [spawned_workers] counts on the caller's record — it only moves
-     if workers and caller share state. *)
-  let p = Par.create ~domains:3 () in
-  Alcotest.(check int) "size" 3 (Par.size p);
-  Alcotest.(check bool) "workers report on the caller's record" true
-    (wait_for (fun () -> Par.spawned_workers p = 2));
-  Par.shutdown p
+     [{ pool with workers }], so the workers held a record the caller
+     never saw.  Here a task the caller runs waits until a worker has run
+     one from the same region, which needs the workers to drain the
+     caller's pool. *)
+  let p = Par.shared ~domains:3 () in
+  let caller = Domain.self () in
+  let on_workers = Atomic.make 0 in
+  let seen = Atomic.make true in
+  Par.run_tasks p ~tasks:2 (fun _ ->
+      if Domain.self () <> caller then Atomic.incr on_workers
+      else if not (wait_for (fun () -> Atomic.get on_workers > 0)) then
+        Atomic.set seen false);
+  Alcotest.(check bool) "a worker ran a task of the caller's region" true
+    (Atomic.get seen && Atomic.get on_workers > 0)
 
 let test_shutdown_quiesces () =
-  let p = Par.create ~domains:4 () in
+  let p = Par.shared ~domains:4 () in
   let hits = Array.make 8 0 in
   Par.run_tasks p ~tasks:8 (fun i -> hits.(i) <- hits.(i) + 1);
   Alcotest.(check (array int)) "each task ran exactly once" (Array.make 8 1) hits;
-  Par.shutdown p;
-  Alcotest.(check bool) "dead after shutdown" false (Par.live p);
-  Alcotest.(check int) "all spawned workers entered and were joined" 3
-    (Par.spawned_workers p);
-  (* Idempotent: a second shutdown must not raise or hang. *)
-  Par.shutdown p;
-  Alcotest.(check bool) "run_tasks on a dead pool is rejected" true
-    (try
-       Par.run_tasks p ~tasks:1 (fun _ -> ());
-       false
-     with Invalid_argument _ -> true)
+  (* A resize joins the old pool's workers. *)
+  let p2 = Par.shared ~domains:2 () in
+  Alcotest.(check bool) "run_tasks on the old pool is rejected" true (refuses_work p);
+  (* Resizing again shuts down only the live pool: the old one stays
+     rejected and a width change back builds a fresh pool. *)
+  let p4 = Par.shared ~domains:4 () in
+  Alcotest.(check bool) "second resize joins the second pool" true (refuses_work p2);
+  Alcotest.(check bool) "the first pool stays rejected" true (refuses_work p);
+  Alcotest.(check bool) "a fresh pool at the old width" true (not (p4 == p));
+  Par.run_tasks p4 ~tasks:8 (fun i -> hits.(i) <- hits.(i) + 1);
+  Alcotest.(check (array int)) "the fresh pool runs tasks" (Array.make 8 2) hits
 
 let test_shared_pool_persistence () =
   let p2 = Par.shared ~domains:2 () in
   let p2' = Par.shared ~domains:2 () in
   Alcotest.(check bool) "same width returns the physically same pool" true
     (p2 == p2');
-  Alcotest.(check bool) "shared pool live" true (Par.live p2);
+  Alcotest.(check bool) "shared pool live" false (refuses_work p2);
   let p3 = Par.shared ~domains:3 () in
   Alcotest.(check bool) "width change builds a new pool" true (not (p3 == p2));
-  Alcotest.(check bool) "old pool joined on resize" false (Par.live p2);
-  Alcotest.(check bool) "resized pool live" true (Par.live p3);
+  Alcotest.(check bool) "old pool joined on resize" true (refuses_work p2);
+  Alcotest.(check bool) "resized pool live" false (refuses_work p3);
   Alcotest.(check (list int)) "combinators work after resize" [ 2; 4; 6 ]
     (Par.parallel_map ~domains:3 (fun x -> x * 2) [ 1; 2; 3 ])
 
@@ -465,18 +487,8 @@ let test_catastrophe_propagates () =
 
 (* --- HNLPU_DOMAINS parsing -------------------------------------------------- *)
 
-let with_env value f =
-  let old = Sys.getenv_opt "HNLPU_DOMAINS" in
-  Unix.putenv "HNLPU_DOMAINS" value;
-  Fun.protect
-    ~finally:(fun () ->
-      (* [putenv ""] restores unset semantics: [env_domains] treats a blank
-         value as absent. *)
-      Unix.putenv "HNLPU_DOMAINS" (match old with Some v -> v | None -> ""))
-    f
-
 let rejects value =
-  with_env value (fun () ->
+  Thelp.with_env value (fun () ->
       (try
          ignore (Par.env_domains ());
          false
@@ -494,12 +506,12 @@ let test_env_domains_malformed_rejected () =
   Alcotest.(check bool) "\"2x\" rejected" true (rejects "2x")
 
 let test_env_domains_valid_and_unset () =
-  with_env "3" (fun () ->
+  Thelp.with_env "3" (fun () ->
       Alcotest.(check (option int)) "\"3\" parsed" (Some 3) (Par.env_domains ()));
-  with_env " 4 " (fun () ->
+  Thelp.with_env " 4 " (fun () ->
       Alcotest.(check (option int)) "whitespace trimmed" (Some 4)
         (Par.env_domains ()));
-  with_env "" (fun () ->
+  Thelp.with_env "" (fun () ->
       Alcotest.(check (option int)) "blank means unset" None (Par.env_domains ());
       Alcotest.(check bool) "default still resolves" true
         (Par.default_domains () >= 1))
@@ -556,8 +568,6 @@ module Ref_rng = struct
   let float t bound =
     let bits = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
     bits /. 9007199254740992.0 *. bound
-
-  let bool t = Int64.logand (next_int64 t) 1L = 1L
 end
 
 let int_bounds = [| 1; 2; 7; 1000; 1 lsl 30; max_int |]
@@ -568,16 +578,15 @@ let agree_for_draws rng ref_rng =
   let ok = ref true in
   for k = 0 to 9_999 do
     let same =
-      match k mod 5 with
+      match k mod 4 with
       | 0 -> Rng.next_int64 rng = Ref_rng.next_int64 ref_rng
       | 1 ->
-        let b = int_bounds.(k / 5 mod Array.length int_bounds) in
+        let b = int_bounds.(k / 4 mod Array.length int_bounds) in
         Rng.int rng b = Ref_rng.int ref_rng b
       | 2 ->
-        let b = float_bounds.(k / 5 mod Array.length float_bounds) in
+        let b = float_bounds.(k / 4 mod Array.length float_bounds) in
         Rng.float rng b = Ref_rng.float ref_rng b
-      | 3 -> Rng.bits53 rng = Ref_rng.bits53 ref_rng
-      | _ -> Rng.bool rng = Ref_rng.bool ref_rng
+      | _ -> Rng.bits53 rng = Ref_rng.bits53 ref_rng
     in
     if not same then ok := false
   done;
@@ -640,7 +649,6 @@ let test_draws_allocate_nothing () =
     [
       ("Rng.bits53", fun () -> for _ = 1 to n do sink := !sink lxor Rng.bits53 rng done);
       ("Rng.int", fun () -> for _ = 1 to n do sink := !sink lxor Rng.int rng 1000 done);
-      ("Rng.bool", fun () -> for _ = 1 to n do if Rng.bool rng then incr sink done);
       ("Arrivals.next", fun () -> for _ = 1 to n do Arrivals.next cur done);
       ("Arrivals.next diurnal", fun () -> for _ = 1 to n do Arrivals.next diurnal done);
       ("Arrivals.next mmpp/pareto", fun () -> for _ = 1 to n do Arrivals.next mmpp done);
@@ -673,8 +681,8 @@ let test_slo_sweep_counters_only_metrics_match () =
   let run events =
     let obs = Obs.Sink.create ~events () in
     ignore
-      (Slo.sweep ~requests:30 ~domains:4 ~obs config Slo.interactive
-         ~rates:sweep_rates);
+      (Thelp.with_domains 4 (fun () ->
+           Slo.sweep ~requests:30 ~obs config Slo.interactive ~rates:sweep_rates));
     (Obs.Sink.events obs, Obs.Metrics.to_json (Obs.Sink.metrics obs))
   in
   let ev_full, m_full = run true in
@@ -710,8 +718,8 @@ let () =
         [
           qt prop_parallel_map_is_map;
           qt prop_parallel_init_is_init;
-          Alcotest.test_case "parallel_sweep deterministic" `Quick
-            test_parallel_sweep_deterministic;
+          Alcotest.test_case "seeded tasks deterministic" `Quick
+            test_seeded_tasks_deterministic;
           Alcotest.test_case "exception propagation" `Quick test_exception_propagates;
           Alcotest.test_case "nested regions" `Quick test_nested_region_degrades;
           Alcotest.test_case "default width" `Quick test_default_domains_positive;

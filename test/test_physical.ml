@@ -189,10 +189,6 @@ let test_traffic_moe_dominates_bytes () =
         (moe.Traffic.link_bytes >= e.Traffic.link_bytes))
     traffic.Traffic.entries
 
-let test_traffic_table_renders () =
-  Alcotest.(check bool) "renders" true
-    (Thelp.contains (Table.render (Traffic.to_table traffic)) "all-reduce")
-
 (* --- Scheduler fault injection --------------------------------------------------------- *)
 
 let heavy_workload seed =
@@ -285,7 +281,6 @@ let () =
           Alcotest.test_case "loaded not saturated" `Quick test_traffic_fabric_loaded_not_saturated;
           Alcotest.test_case "corroborates calibration" `Quick test_traffic_corroborates_calibration;
           Alcotest.test_case "MoE dominates bytes" `Quick test_traffic_moe_dominates_bytes;
-          Alcotest.test_case "table" `Quick test_traffic_table_renders;
         ] );
       ( "fault-injection",
         [

@@ -26,7 +26,10 @@ let test_spec_matches_target_greedy () =
 
 let test_spec_self_draft_accepts_everything () =
   let target = make 42 Config.tiny in
-  let _, stats = Speculative.self_draft ~target ~prompt:[ 5 ] ~max_new_tokens:12 ~lookahead:3 () in
+  let _, stats =
+    Speculative.generate ~target ~draft:(Transformer.fork target) ~prompt:[ 5 ]
+      ~max_new_tokens:12 ~lookahead:3 ()
+  in
   Alcotest.(check (float 1e-9)) "acceptance 1.0" 1.0 stats.Speculative.acceptance_rate;
   Alcotest.(check bool)
     (Printf.sprintf "%.1f tokens/pass = lookahead+1" stats.Speculative.tokens_per_pass)
@@ -35,7 +38,10 @@ let test_spec_self_draft_accepts_everything () =
 
 let test_spec_fewer_passes_than_tokens () =
   let target = make 43 Config.tiny in
-  let _, stats = Speculative.self_draft ~target ~prompt:[ 9 ] ~max_new_tokens:12 ~lookahead:2 () in
+  let _, stats =
+    Speculative.generate ~target ~draft:(Transformer.fork target) ~prompt:[ 9 ]
+      ~max_new_tokens:12 ~lookahead:2 ()
+  in
   Alcotest.(check bool)
     (Printf.sprintf "%d passes < 12 tokens" stats.Speculative.target_passes)
     true

@@ -11,32 +11,45 @@ let config = Config.gpt_oss_120b
 
 let col0 = Topology.col_group 0
 
+(* The signoff errors [Noc_rules] raises against [plan] as a plan of
+   [coll]. *)
+let plan_errors coll plan =
+  List.filter
+    (fun d -> d.Diagnostic.severity = Diagnostic.Error)
+    (Noc_rules.check ~subject:"plan" coll plan)
+
+let check_valid coll plan =
+  Alcotest.(check (list string)) "valid on fabric" []
+    (List.map (fun d -> d.Diagnostic.message) (plan_errors coll plan))
+
 let test_schedule_all_reduce_shape () =
   let plan = Schedule.all_reduce ~group:col0 ~bytes:1024 in
   Alcotest.(check int) "two steps" 2 (List.length plan);
   Alcotest.(check int) "six transfers" 6 (Schedule.transfer_count plan);
-  Alcotest.(check int) "valid on fabric" 0 (List.length (Schedule.validate plan))
+  check_valid (Schedule.All_reduce { group = col0; bytes = 1024 }) plan
 
 let test_schedule_all_gather_ring () =
-  let plan = Schedule.all_gather ~group:(Topology.row_group 1) ~shard_bytes:256 in
+  let coll = Schedule.All_gather { group = Topology.row_group 1; shard_bytes = 256 } in
+  let plan = Schedule.canonical coll in
   Alcotest.(check int) "k-1 steps" 3 (List.length plan);
   Alcotest.(check int) "k transfers per step" 4 (List.length (List.hd plan));
-  Alcotest.(check int) "valid" 0 (List.length (Schedule.validate plan))
+  check_valid coll plan
 
 let test_schedule_all_chip () =
-  let plan = Schedule.all_chip_all_reduce ~bytes:5760 in
+  let coll = Schedule.All_chip_all_reduce { bytes = 5760 } in
+  let plan = Schedule.canonical coll in
   Alcotest.(check int) "four steps" 4 (List.length plan);
   (* 4 cols x 3 + 4 cols x 3 + rows likewise = 48 transfers. *)
   Alcotest.(check int) "48 transfers" 48 (Schedule.transfer_count plan);
-  Alcotest.(check int) "valid" 0 (List.length (Schedule.validate plan))
+  check_valid coll plan
 
 let test_schedule_rejects_nonlinks () =
   (* A hand-built diagonal transfer must be flagged. *)
   let bogus = [ [ { Schedule.src = 0; dst = 5; bytes = 8 } ] ] in
   Alcotest.(check bool) "diagonal flagged" true
     (List.exists
-       (function Schedule.Not_a_link _ -> true | _ -> false)
-       (Schedule.validate bogus))
+       (fun d -> d.Diagnostic.rule = "NOC-LINK")
+       (plan_errors (Schedule.Reduce { root = 5; group = [ 0; 5 ]; bytes = 8 }) bogus))
 
 let test_schedule_makespan_model () =
   let plan = Schedule.all_reduce ~group:col0 ~bytes:2048 in
@@ -87,14 +100,14 @@ let prop_schedules_valid =
     (fun (g, bytes) ->
       let col = Topology.col_group g and row = Topology.row_group g in
       List.for_all
-        (fun plan -> Schedule.validate plan = [])
+        (fun coll -> plan_errors coll (Schedule.canonical coll) = [])
         [
-          Schedule.all_reduce ~group:col ~bytes;
-          Schedule.all_gather ~group:row ~shard_bytes:bytes;
-          Schedule.reduce ~root:(List.hd col) ~group:col ~bytes;
-          Schedule.broadcast ~root:(List.hd row) ~group:row ~bytes;
-          Schedule.scatter ~root:(List.hd row) ~group:row ~shard_bytes:bytes;
-          Schedule.all_chip_all_reduce ~bytes;
+          Schedule.All_reduce { group = col; bytes };
+          Schedule.All_gather { group = row; shard_bytes = bytes };
+          Schedule.Reduce { root = List.hd col; group = col; bytes };
+          Schedule.Broadcast { root = List.hd row; group = row; bytes };
+          Schedule.Scatter { root = List.hd row; group = row; shard_bytes = bytes };
+          Schedule.All_chip_all_reduce { bytes };
         ])
 
 let prop_schedule_allreduce_correct =

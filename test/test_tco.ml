@@ -153,6 +153,59 @@ let test_table3_renders () =
   Alcotest.(check bool) "rows present" true
     (Thelp.contains s "Total Initial CapEx" && Thelp.contains s "tCO2e")
 
+(* --- Sensitivity -------------------------------------------------------------- *)
+
+let test_sensitivity_baseline () =
+  let a = Sensitivity.advantage Sensitivity.baseline in
+  (* Midpoint of the 41.7-80.4 band. *)
+  Alcotest.(check bool) (Printf.sprintf "baseline %.1fx" a) true (a > 45.0 && a < 70.0)
+
+let test_sensitivity_directions () =
+  let adv p = Sensitivity.advantage p in
+  let b = Sensitivity.baseline in
+  Alcotest.(check bool) "cheaper GPUs shrink the advantage" true
+    (adv { b with Sensitivity.gpu_price_scale = 0.5 } < adv b);
+  Alcotest.(check bool) "pricier electricity widens it" true
+    (adv { b with Sensitivity.electricity_scale = 2.0 } > adv b);
+  Alcotest.(check bool) "pricier masks shrink it" true
+    (adv { b with Sensitivity.mask_scale = 2.0 } < adv b)
+
+let test_tornado_ordering () =
+  let bars = Sensitivity.tornado () in
+  Alcotest.(check int) "seven factors" 7 (List.length bars);
+  (* Sorted by swing, descending. *)
+  let swings = List.map (fun b -> b.Sensitivity.swing) bars in
+  Alcotest.(check bool) "sorted" true (List.sort (fun a b -> compare b a) swings = swings);
+  (* The verdict must survive every single-factor 2x stress. *)
+  List.iter
+    (fun b ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s keeps advantage > 10x" b.Sensitivity.factor)
+        true
+        (b.Sensitivity.low_advantage > 10.0 && b.Sensitivity.high_advantage > 10.0))
+    bars
+
+let test_tornado_dominant_factors () =
+  (* Both TCOs are CapEx-dominated, so the two big levers are the mask-set
+     price (most of HNLPU's bill) and the GPU node price (most of the
+     cluster's); the energy-side factors barely move the verdict. *)
+  let bars = Sensitivity.tornado () in
+  let swing name =
+    (List.find (fun b -> b.Sensitivity.factor = name) bars).Sensitivity.swing
+  in
+  Alcotest.(check bool) "masks and GPUs are the top two" true
+    (match bars with
+    | a :: b :: _ ->
+      List.sort compare [ a.Sensitivity.factor; b.Sensitivity.factor ]
+      = [ "GPU node price"; "mask-set price" ]
+    | _ -> false);
+  Alcotest.(check bool) "electricity is a minor factor" true
+    (swing "electricity price" < 0.3 *. swing "mask-set price")
+
+let test_tornado_table () =
+  let s = Table.render (Sensitivity.to_table (Sensitivity.tornado ())) in
+  Alcotest.(check bool) "renders" true (Thelp.contains s "electricity price")
+
 let () =
   Alcotest.run "hnlpu_tco"
     [
@@ -180,5 +233,13 @@ let () =
           Alcotest.test_case "low-volume break-even" `Quick test_low_volume_break_even;
           Alcotest.test_case "structural invariants" `Quick prop_tco_monotone_in_electricity;
           Alcotest.test_case "renders" `Quick test_table3_renders;
+        ] );
+      ( "sensitivity",
+        [
+          Alcotest.test_case "baseline" `Quick test_sensitivity_baseline;
+          Alcotest.test_case "directions" `Quick test_sensitivity_directions;
+          Alcotest.test_case "tornado ordering" `Quick test_tornado_ordering;
+          Alcotest.test_case "dominant factors" `Quick test_tornado_dominant_factors;
+          Alcotest.test_case "table" `Quick test_tornado_table;
         ] );
     ]

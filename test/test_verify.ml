@@ -296,9 +296,8 @@ let prop_all_gather_verifies =
     (fun shape ->
       let group = group_of shape in
       let shard_bytes = 1024 in
-      clean
-        (Schedule.All_gather { group; shard_bytes })
-        (Schedule.all_gather ~group ~shard_bytes))
+      let coll = Schedule.All_gather { group; shard_bytes } in
+      clean coll (Schedule.canonical coll))
 
 let prop_dropped_transfer_flagged =
   QCheck.Test.make ~name:"dropping any transfer breaks byte conservation"
@@ -322,7 +321,7 @@ let prop_wrong_link_flagged =
     (fun shape ->
       let group = group_of shape in
       let bytes = 512 in
-      let plan = Schedule.all_gather ~group ~shard_bytes:bytes in
+      let plan = Schedule.canonical (Schedule.All_gather { group; shard_bytes = bytes }) in
       let diagonal_of c =
         Topology.chip_at
           ~row:((Topology.row_of c + 1) mod Topology.rows)
@@ -438,7 +437,7 @@ let test_defuse_dead_transfer_warning () =
   let group = Topology.row_group 0 in
   let coll = Schedule.Reduce { root = 0; group; bytes = 64 } in
   let plan =
-    match Schedule.reduce ~root:0 ~group ~bytes:64 with
+    match Schedule.canonical (Schedule.Reduce { root = 0; group; bytes = 64 }) with
     | [ step ] -> [ step @ [ { Schedule.src = 1; dst = 2; bytes = 64 } ] ]
     | p -> p
   in
@@ -499,20 +498,14 @@ let prop_static_passes_canonical_generators =
       let root = List.fold_left min max_int group in
       let bytes = 4096 in
       List.for_all
-        (fun (coll, plan) -> static_clean coll plan)
+        (fun coll -> static_clean coll (Schedule.canonical coll))
         [
-          ( Schedule.Reduce { root; group; bytes },
-            Schedule.reduce ~root ~group ~bytes );
-          ( Schedule.Broadcast { root; group; bytes },
-            Schedule.broadcast ~root ~group ~bytes );
-          ( Schedule.All_reduce { group; bytes },
-            Schedule.all_reduce ~group ~bytes );
-          ( Schedule.All_gather { group; shard_bytes = bytes },
-            Schedule.all_gather ~group ~shard_bytes:bytes );
-          ( Schedule.Scatter { root; group; shard_bytes = bytes },
-            Schedule.scatter ~root ~group ~shard_bytes:bytes );
-          ( Schedule.All_chip_all_reduce { bytes },
-            Schedule.all_chip_all_reduce ~bytes );
+          Schedule.Reduce { root; group; bytes };
+          Schedule.Broadcast { root; group; bytes };
+          Schedule.All_reduce { group; bytes };
+          Schedule.All_gather { group; shard_bytes = bytes };
+          Schedule.Scatter { root; group; shard_bytes = bytes };
+          Schedule.All_chip_all_reduce { bytes };
         ])
 
 (* Every ordering of four steps, by index 0..23. *)
@@ -561,10 +554,10 @@ let prop_permuted_steps_static_matches_exec =
       agree (Schedule.All_reduce { group; bytes }) group_plan
       && agree
            (Schedule.All_chip_all_reduce { bytes })
-           (permutation perm (Schedule.all_chip_all_reduce ~bytes)))
+           (permutation perm (Schedule.canonical (Schedule.All_chip_all_reduce { bytes }))))
 
 let test_all_chip_all_reduce_clean () =
-  let plan = Schedule.all_chip_all_reduce ~bytes:8192 in
+  let plan = Schedule.canonical (Schedule.All_chip_all_reduce { bytes = 8192 }) in
   let ds =
     Noc_rules.check ~subject:"p" (Schedule.All_chip_all_reduce { bytes = 8192 }) plan
   in
@@ -578,7 +571,7 @@ let test_broadcast_extra_transfer_into_root () =
      bytes the collective never declared. *)
   let group = Topology.col_group 0 and bytes = 64 in
   let plan =
-    match Schedule.broadcast ~root:0 ~group ~bytes with
+    match Schedule.canonical (Schedule.Broadcast { root = 0; group; bytes }) with
     | [ step ] -> [ step @ [ { Schedule.src = 4; dst = 0; bytes } ] ]
     | p -> p
   in

@@ -38,3 +38,23 @@ let close ?(rel = 1e-9) a b = rel_error a b <= rel
 (* Relative error no more than [p] percent: the paper-number regression
    tests use the tolerance recorded in EXPERIMENTS.md. *)
 let within_pct p ~expected ~actual = rel_error expected actual <= p /. 100.0
+
+(* Run [f] with [HNLPU_DOMAINS] set to [value], then restore the old
+   value; [putenv ""] restores unset semantics, since [Par.env_domains]
+   treats a blank value as absent. *)
+let with_env value f =
+  let old = Sys.getenv_opt "HNLPU_DOMAINS" in
+  Unix.putenv "HNLPU_DOMAINS" value;
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "HNLPU_DOMAINS" (Option.value old ~default:""))
+    f
+
+(* Run [f] at process-wide pool width [j], the width every [Par]
+   combinator resolves when no [?domains] is passed, and restore the old
+   width afterwards.  The width goes through [HNLPU_DOMAINS]; a forced
+   [Par.set_default_domains] would take precedence, so that is refused. *)
+let with_domains j f =
+  with_env (string_of_int j) (fun () ->
+      if Hnlpu.Par.default_domains () <> j then
+        failwith "Thelp.with_domains: a forced width overrides HNLPU_DOMAINS";
+      f ())
