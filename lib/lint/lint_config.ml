@@ -129,7 +129,7 @@ let describe = function
      function-bearing types"
   | "PAR-ESCAPE" ->
     "mutable state captured and written inside a closure passed to \
-     Par.parallel_map/init/sweep/run_tasks"
+     Par.parallel_map/init/run_tasks"
   | "EXN-SWALLOW" ->
     "catch-all exception handler that discards the exception"
   | "DEAD-EXPORT" ->

@@ -14,7 +14,7 @@
                  unordered [Hashtbl] iteration, polymorphic compare
                  instantiated at function-bearing types.
    - PAR-ESCAPE  mutable state captured and *written* inside a closure
-                 passed to [Par.parallel_map/init/sweep/run_tasks] — the
+                 passed to [Par.parallel_map/init/run_tasks] — the
                  shape of the PR 6 pool-copy bug.  Writes through an
                  index that depends on a closure-local binding (the task
                  index pattern) are allowed.
@@ -170,7 +170,7 @@ let raise_like = [ "raise"; "raise_notrace"; "invalid_arg"; "failwith" ]
 
 let is_par_combinator parts =
   (match last1 parts with
-  | Some ("parallel_map" | "parallel_init" | "parallel_sweep" | "run_tasks") ->
+  | Some ("parallel_map" | "parallel_init" | "run_tasks") ->
     true
   | _ -> false)
   && List.exists (fun c -> String.equal c "Par") parts
