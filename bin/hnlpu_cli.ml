@@ -1135,18 +1135,6 @@ let lint_cmd =
       & info [ "verbose"; "v" ]
           ~doc:"Also print INFO findings (including baselined ones).")
   in
-  let dirs =
-    Arg.(
-      value & opt_all string []
-      & info [ "dir" ] ~docv:"DIR"
-          ~doc:
-            "Scan .cmt files under $(docv) (repeatable); such a scan \
-             judges no DEAD-EXPORT.  Default: the library build tree \
-             (_build/default/lib), i.e. the whole lib/ source tree as dune \
-             compiled it, with DEAD-EXPORT judged against every unit of \
-             lib, bin, examples, hnbench and test (build with `dune build \
-             @check' first).")
-  in
   let baseline_path =
     Arg.(
       value & opt (some string) None
@@ -1169,22 +1157,13 @@ let lint_cmd =
              catches its own planted bug (and that the clean fixture stays \
              clean).")
   in
-  let update_baseline =
-    Arg.(
-      value & flag
-      & info [ "update-baseline" ]
-          ~doc:
-            "Rewrite the baseline file from the Error findings of this run \
-             (reasons are stubbed as TODO and must be justified by hand).")
-  in
-  let run json verbose dirs baseline_path list_rules self_test update_baseline =
+  let run json verbose baseline_path list_rules self_test =
     if list_rules then
       List.iter
         (fun r -> Printf.printf "%-12s %s\n" r (Lint_config.describe r))
         Lint_config.rules
     else if self_test then begin
-      let dirs = if dirs = [] then Lint.default_fixture_dirs else dirs in
-      match Lint.self_test ~dirs () with
+      match Lint.self_test ~dirs:Lint.default_fixture_dirs () with
       | exception Failure msg ->
         prerr_endline ("hnlpu lint: " ^ msg);
         exit 3
@@ -1205,49 +1184,29 @@ let lint_cmd =
         end
     end
     else begin
-      (* A [--dir] scan sees only part of the tree, so it judges no
-         DEAD-EXPORT. *)
-      let dirs, refs =
-        if dirs = [] then (Lint.default_scan_dirs, Lint.default_ref_dirs) else (dirs, [])
-      in
-      let baseline_file, baseline =
+      let baseline_file =
         match baseline_path with
-        | Some path ->
-          if Sys.file_exists path then (path, Some (Baseline.load path))
-          else if update_baseline then (path, None)
-          else begin
-            Printf.eprintf "hnlpu lint: baseline %s not found\n" path;
-            exit 3
-          end
-        | None ->
-          if Sys.file_exists "lint.baseline" then
-            ("lint.baseline", Some (Baseline.load "lint.baseline"))
-          else ("lint.baseline", None)
+        | Some path when not (Sys.file_exists path) ->
+          Printf.eprintf "hnlpu lint: baseline %s not found\n" path;
+          exit 3
+        | Some path -> Some path
+        | None -> if Sys.file_exists "lint.baseline" then Some "lint.baseline" else None
       in
-      if update_baseline then begin
-        match Lint.run ~dirs ~refs () with
-        | exception Failure msg ->
-          prerr_endline ("hnlpu lint: " ^ msg);
-          exit 3
-        | ds ->
-          let entries = Baseline.of_errors ds in
-          Baseline.save baseline_file entries;
-          Printf.printf
-            "%d entr%s written to %s — replace every TODO reason with a \
-             real justification before committing\n"
-            (List.length entries)
-            (if List.length entries = 1 then "y" else "ies")
-            baseline_file
-      end
-      else
-        match Lint.run_with_baseline ?baseline ~dirs ~refs () with
-        | exception Failure msg ->
-          prerr_endline ("hnlpu lint: " ^ msg);
-          exit 3
-        | ds ->
-          if json then print_string (Diagnostic.to_json ds)
-          else print_string (Diagnostic.report ~show_info:verbose ds);
-          if Diagnostic.count Diagnostic.Error ds > 0 then exit 2
+      (* A malformed baseline (a reason left empty or TODO) exits 3 as an
+         unbuilt tree does: the gate cannot judge. *)
+      match
+        let ds = Lint.run ~dirs:Lint.default_scan_dirs ~refs:Lint.default_ref_dirs () in
+        match baseline_file with
+        | None -> ds
+        | Some path -> Diagnostic.normalize (Baseline.apply (Baseline.load path) ds)
+      with
+      | exception Failure msg ->
+        prerr_endline ("hnlpu lint: " ^ msg);
+        exit 3
+      | ds ->
+        if json then print_string (Diagnostic.to_json ds)
+        else print_string (Diagnostic.report ~show_info:verbose ds);
+        if Diagnostic.count Diagnostic.Error ds > 0 then exit 2
     end
   in
   Cmd.v
@@ -1258,10 +1217,13 @@ let lint_cmd =
           sources (DET-SRC), mutable state escaping into parallel tasks \
           (PAR-ESCAPE), swallowed exceptions (EXN-SWALLOW) and unused \
           exports and optional parameters (DEAD-EXPORT), gated by a \
-          committed baseline.  Exits 2 on unbaselined Error findings.")
+          committed baseline.  Scans the library build tree \
+          (_build/default/lib) and judges DEAD-EXPORT against every unit \
+          of lib, bin, examples, hnbench and test: build with `dune build \
+          @all @check' first.  Exits 2 on unbaselined Error findings, 3 \
+          when there is nothing to scan or the baseline is malformed.")
     Term.(
-      const run $ json $ verbose $ dirs $ baseline_path $ list_rules
-      $ self_test $ update_baseline)
+      const run $ json $ verbose $ baseline_path $ list_rules $ self_test)
 
 (* --- speculate ------------------------------------------------------------------- *)
 

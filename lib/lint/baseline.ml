@@ -1,20 +1,21 @@
-(* The committed lint baseline: findings that were reviewed and accepted,
-   each with a reason.
+(* The committed lint baseline: the one way to excuse a finding.  Each
+   entry records a reviewed finding and why it is accepted.
 
    Format, one entry per line, tab-separated:
 
      RULE<TAB>subject<TAB>reason
 
-   '#' starts a comment; blank lines are ignored.  Matching is by
-   (rule, subject) — the subject is a qualified binding path such as
-   "Hnlpu_util.Rng.next_int64", stable across line-number churn — and a
-   matched finding is downgraded to Info with the reason appended, so
-   the CI gate (which fails on Error) passes while the acceptance stays
-   visible in the JSON report.  Entries that match nothing are reported
-   as LINT-BASELINE warnings: a stale suppression hides future
-   regressions under an obsolete excuse.  Only entries of scanned
-   libraries are judged, so a scan scoped with [--dir] stays quiet about
-   the rest of the baseline. *)
+   '#' starts a comment; blank lines are ignored.  A reason that is
+   empty or starts with "TODO" is refused with its line number.
+   Matching is by exact (rule, subject) — the subject is a qualified
+   binding path such as "Hnlpu_util.Rng.next_int64", stable across
+   line-number churn, and an entry for a function does not cover the
+   helpers nested in it — and a matched finding is downgraded to Info
+   with the reason appended, so the CI gate (which fails on Error)
+   passes while the acceptance stays visible in the JSON report.
+   Entries that match nothing are reported as LINT-BASELINE warnings: a
+   stale suppression hides future regressions under an obsolete
+   excuse. *)
 
 module D = Hnlpu_verify.Diagnostic
 
@@ -31,12 +32,13 @@ let of_string s : t =
       match String.split_on_char '\t' line with
       | rule :: subject :: reason ->
         let reason = String.trim (String.concat "\t" reason) in
-        if reason = "" then
+        if reason = "" || String.starts_with ~prefix:"TODO" reason then
           failwith
             (Printf.sprintf
-               "baseline line %d: empty reason — every accepted finding \
+               "baseline line %d: %s reason — every accepted finding \
                 must say why"
-               lineno)
+               lineno
+               (if reason = "" then "empty" else "placeholder"))
         else Some { rule = String.trim rule; subject = String.trim subject; reason }
       | _ ->
         failwith
@@ -48,35 +50,15 @@ let of_string s : t =
   |> List.mapi (fun i line -> parse (i + 1) line)
   |> List.filter_map Fun.id
 
-let to_string (t : t) =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    "# hnlpu lint baseline: RULE<TAB>subject<TAB>reason.  Matched findings\n\
-     # are downgraded to Info; stale entries surface as LINT-BASELINE.\n";
-  List.iter
-    (fun e ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s\t%s\t%s\n" e.rule e.subject e.reason))
-    t;
-  Buffer.contents buf
-
 let load path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> of_string (really_input_string ic (in_channel_length ic)))
 
-let save path (t : t) =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string t))
-
 (* Downgrade baselined findings to Info (reason appended) and append a
-   LINT-BASELINE warning per stale entry of a scanned library ([libs]).
-   An entry of any other library is not judged: nothing was scanned that
-   could have matched it. *)
-let apply ~libs (t : t) ds =
+   LINT-BASELINE warning per entry that matched nothing. *)
+let apply (t : t) ds =
   let used = Array.make (List.length t) false in
   let lookup d =
     let rec go i = function
@@ -107,7 +89,7 @@ let apply ~libs (t : t) ds =
     List.concat
       (List.mapi
          (fun i e ->
-           if used.(i) || not (List.mem (Lint_config.library e.subject) libs) then []
+           if used.(i) then []
            else
              [
                D.warning ~rule:"LINT-BASELINE" ~subject:e.subject
@@ -118,18 +100,3 @@ let apply ~libs (t : t) ds =
          t)
   in
   downgraded @ stale
-
-(* Entries that would silence every Error currently firing — the
-   starting point `lint --update-baseline` writes; reasons must then be
-   filled in by hand. *)
-let of_errors ds =
-  List.filter_map
-    (fun d ->
-      if d.D.severity = D.Error then
-        Some { rule = d.D.rule; subject = d.D.subject; reason = "TODO: justify" }
-      else None)
-    (D.normalize ds)
-  |> List.sort_uniq (fun a b ->
-         match String.compare a.rule b.rule with
-         | 0 -> String.compare a.subject b.subject
-         | c -> c)

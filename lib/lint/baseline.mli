@@ -1,5 +1,6 @@
-(** The committed lint baseline: reviewed findings, each with a reason,
-    one [RULE<TAB>subject<TAB>reason] line per entry. *)
+(** The committed lint baseline, the one way to excuse a finding:
+    reviewed findings, each with a reason, one
+    [RULE<TAB>subject<TAB>reason] line per entry. *)
 
 type entry = { rule : string; subject : string; reason : string }
 type t = entry list
@@ -8,20 +9,13 @@ val entry : rule:string -> subject:string -> reason:string -> entry
 
 val of_string : string -> t
 (** Parses the TSV; raises [Failure] with a line number on a malformed
-    line.  ['#'] starts a comment. *)
-
-val to_string : t -> string
+    line or on a reason that is empty or starts with ["TODO"].  ['#']
+    starts a comment. *)
 
 val load : string -> t
 (** {!of_string} of a file. *)
 
-val save : string -> t -> unit
-
-val apply :
-  libs:string list -> t -> Hnlpu_verify.Diagnostic.t list -> Hnlpu_verify.Diagnostic.t list
-(** Downgrades each finding an entry matches by (rule, subject) to Info
-    with the reason appended, and reports each entry of a library in
-    [libs] that matched nothing as a LINT-BASELINE warning. *)
-
-val of_errors : Hnlpu_verify.Diagnostic.t list -> t
-(** One entry per Error, with a placeholder reason to fill in. *)
+val apply : t -> Hnlpu_verify.Diagnostic.t list -> Hnlpu_verify.Diagnostic.t list
+(** Downgrades each finding an entry matches by exact (rule, subject)
+    to Info with the reason appended, and reports each entry that
+    matched nothing as a LINT-BASELINE warning. *)

@@ -11,12 +11,16 @@
      forwarded from another function counts as passing it;
    - an export or knob that only the tests use (Info).
 
-   A reference is matched on its module name and value name: dune's
-   [Lib__Module] mangling is undone, and [module X = ...] and
-   [let module X = ...] aliases are followed.  That is exact because no
-   two modules in the tree share a name.  An optional argument that an
-   application leaves out appears in the typedtree as a ghost [None];
-   anything else the caller wrote counts as passing it. *)
+   A reference is matched on its innermost module name and value name:
+   dune's [Lib__Module] mangling is undone, a unit's own [module X = ...]
+   and [let module X = ...] aliases are followed, and so is another
+   unit's top-level renaming alias ([Hnlpu.Neuron_report] reaches
+   [Hnlpu_neuron.Report]).  No two compilation units share a name, but
+   submodules can (two [Hot]s, say): their references pool, so a dead
+   value in one can pass as used through the other.  An optional
+   argument that an application leaves out appears in the typedtree as
+   a ghost [None]; anything else the caller wrote counts as passing
+   it. *)
 
 open Typedtree
 module D = Hnlpu_verify.Diagnostic
@@ -69,26 +73,54 @@ let elided (e : expression) =
   e.exp_loc.Location.loc_ghost
   && match e.exp_desc with Texp_construct (_, cd, []) -> cd.Types.cstr_name = "None" | _ -> false
 
+(* The innermost module a module path names, before any alias. *)
+let module_name : Path.t -> string option = function
+  | Pident id -> Some (last_component (Cmt_scan.normalize_modname (Ident.name id)))
+  | Pdot (_, m) -> Some m
+  | _ -> None
+
+let rec alias_target (me : module_expr) =
+  match me.mod_desc with
+  | Tmod_ident (p, _) -> Some p
+  | Tmod_constraint (me, _, _, _) -> alias_target me
+  | _ -> None
+
+(* Every unit's top-level [module X = Y], by (unit, X): the module a
+   reference through [Unit.X] reaches. *)
+let renames (units : Cmt_scan.source list) =
+  let t = Hashtbl.create 64 in
+  List.iter
+    (fun (src : Cmt_scan.source) ->
+      List.iter
+        (fun (item : structure_item) ->
+          match item.str_desc with
+          | Tstr_module { mb_id = Some id; mb_expr; _ } ->
+            Option.iter
+              (fun k -> Hashtbl.replace t (last_component src.Cmt_scan.modname, Ident.name id) k)
+              (Option.bind (alias_target mb_expr) module_name)
+          | _ -> ())
+        src.Cmt_scan.structure.str_items)
+    units;
+  t
+
 (* Record, by referencing unit, every value a unit references in [values]
    and every optional argument it passes in [passes].  A unit references
    its own top-level bindings by plain identifiers. *)
-let scan_unit ~values ~passes (src : Cmt_scan.source) =
+let scan_unit ~renames ~values ~passes (src : Cmt_scan.source) =
   let unit_name = src.Cmt_scan.modname in
   let aliases = ref [] and toplevel = ref [] and modules = ref [ last_component unit_name ] in
   let assoc id l = List.find_map (fun (i, v) -> if Ident.same i id then Some v else None) l in
-  let module_key : Path.t -> string option = function
-    | Pident id -> (
-      match assoc id !aliases with
+  let rec module_key : Path.t -> string option = function
+    | Pident id as p -> (
+      match assoc id !aliases with Some k -> Some k | None -> module_name p)
+    | Pdot (p, m) -> (
+      match Option.bind (module_key p) (fun u -> Hashtbl.find_opt renames (u, m)) with
       | Some k -> Some k
-      | None -> Some (last_component (Cmt_scan.normalize_modname (Ident.name id))))
-    | Pdot (_, m) -> Some m
+      | None -> Some m)
     | _ -> None
   in
-  let rec alias id (me : module_expr) =
-    match me.mod_desc with
-    | Tmod_ident (p, _) -> Option.iter (fun k -> aliases := (id, k) :: !aliases) (module_key p)
-    | Tmod_constraint (me, _, _, _) -> alias id me
-    | _ -> ()
+  let alias id me =
+    Option.iter (fun k -> aliases := (id, k) :: !aliases) (Option.bind (alias_target me) module_key)
   in
   let value_key : Path.t -> (string * string) option = function
     | Pdot (mp, v) -> Option.map (fun m -> (m, v)) (module_key mp)
@@ -135,7 +167,7 @@ let scan_unit ~values ~passes (src : Cmt_scan.source) =
 
 let check ~interfaces ~(units : Cmt_scan.source list) =
   let values = Hashtbl.create 4096 and passes = Hashtbl.create 256 in
-  List.iter (scan_unit ~values ~passes) units;
+  List.iter (scan_unit ~renames:(renames units) ~values ~passes) units;
   let is_test u =
     List.exists
       (fun (s : Cmt_scan.source) ->

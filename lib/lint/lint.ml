@@ -1,5 +1,5 @@
-(* Driver: discover cmt files, run the rule families, apply the
-   baseline, and support the fixture self-test.
+(* Driver: discover cmt files, run the rule families, and support the
+   fixture self-test.
 
    Output is deterministic by construction: modules are visited in
    sorted order, findings are normalized (sorted + deduplicated) by
@@ -19,9 +19,9 @@ let default_fixture_dirs =
 
 (* A hot-path entry is matched by name, so one whose definition was
    renamed or re-scoped silently stops checking anything.  An entry is
-   stale when its library was scanned but no binding path extends it;
-   entries for libraries outside the scan (a [--dir] subset, the
-   fixture-only self-test) are not judged. *)
+   stale when its library was scanned but no binding path extends it.
+   Entries for libraries outside the scan are not judged: the self-test
+   scans only the fixtures, beside every library entry. *)
 let stale_hot_paths (config : Lint_config.t) ~libs defined =
   List.filter_map
     (fun (entry, _) ->
@@ -58,12 +58,11 @@ let dead_exports ~dirs ~refs =
            and DEAD-EXPORT judged nothing — build with `dune build @check'")
       missing
 
-(* Lint every module found under [dirs], returning the findings and the
-   libraries scanned; with [refs] (reference units: none for a [--dir]
-   scan) also judge DEAD-EXPORT.  Unreadable cmt files surface as
-   LINT-LOAD warnings rather than silent gaps: an analyzer that quietly
-   skips a module reports a clean bill it never earned. *)
-let scan ?(config = Lint_config.default) ~dirs ~refs () =
+(* Lint every module found under [dirs], and judge DEAD-EXPORT against
+   the units under [refs].  Unreadable cmt files surface as LINT-LOAD
+   warnings rather than silent gaps: an analyzer that quietly skips a
+   module reports a clean bill it never earned. *)
+let run ?(config = Lint_config.default) ~dirs ~refs () =
   let mods, failed = Cmt_scan.load_dirs dirs in
   if mods = [] then
     failwith
@@ -83,21 +82,7 @@ let scan ?(config = Lint_config.default) ~dirs ~refs () =
       (List.map (fun (m : Cmt_scan.source) -> Lint_config.library m.Cmt_scan.modname) mods)
   in
   let stale = stale_hot_paths config ~libs (List.concat_map snd linted) in
-  let dead = if refs = [] then [] else dead_exports ~dirs ~refs in
-  (D.normalize (ds @ stale @ dead @ List.map load_warning failed), libs)
-
-let run ?config ~dirs ~refs () = fst (scan ?config ~dirs ~refs ())
-
-(* Baseline entries are judged against the same libraries as hot-path
-   entries: those the scan covered.  DEAD-EXPORT entries are judged only
-   when the rule ran. *)
-let run_with_baseline ?baseline ~dirs ~refs () =
-  let ds, libs = scan ~dirs ~refs () in
-  match baseline with
-  | None -> ds
-  | Some b ->
-    let b = if refs = [] then List.filter (fun e -> e.Baseline.rule <> "DEAD-EXPORT") b else b in
-    D.normalize (Baseline.apply ~libs b ds)
+  D.normalize (ds @ stale @ dead_exports ~dirs ~refs @ List.map load_warning failed)
 
 (* --- Fixture self-test --------------------------------------------------- *)
 

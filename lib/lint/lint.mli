@@ -1,5 +1,5 @@
-(** The lint driver: discover [.cmt] files, run the rule families,
-    apply the baseline, and self-test against the seeded fixtures. *)
+(** The lint driver: discover [.cmt] files, run the rule families, and
+    self-test against the seeded fixtures. *)
 
 val default_scan_dirs : string list
 val default_ref_dirs : string list
@@ -10,15 +10,9 @@ val default_fixture_dirs : string list
 val run :
   ?config:Lint_config.t -> dirs:string list -> refs:string list -> unit ->
   Hnlpu_verify.Diagnostic.t list
-(** Lints every module under [dirs]; with [refs] (the reference units;
-    none for a scoped scan) also judges DEAD-EXPORT.  Raises [Failure]
-    when [dirs] hold no [.cmt]. *)
-
-val run_with_baseline :
-  ?baseline:Baseline.t -> dirs:string list -> refs:string list -> unit ->
-  Hnlpu_verify.Diagnostic.t list
-(** {!run} with the default configuration, then {!Baseline.apply} over
-    the scanned libraries (DEAD-EXPORT entries only when that rule ran). *)
+(** Lints every module under [dirs] and judges DEAD-EXPORT against the
+    reference units under [refs].  Raises [Failure] when [dirs] hold no
+    [.cmt]. *)
 
 val fixture_expectations : (string * string * Hnlpu_verify.Diagnostic.severity) list
 (** (rule, fixture module, least severity) each family must reach. *)

@@ -9,10 +9,10 @@
    ("Library.Module" or "Library.Module.function"): a binding is hot when
    its qualified path extends one of these prefixes, so nested helpers of
    a hot function (e.g. [Scheduler.simulate]'s internal loops) are hot
-   too.  Code can opt out of specific rules with
-   [[@@hnlpu.lint_ignore "RULE ..."]] — see the README's Source lint
-   section.  An entry that names no binding in a scanned library is a
-   LINT-HOTPATH error (see {!Lint.stale_hot_paths}). *)
+   too.  A finding there that is genuinely cold (a constructor run once
+   per stream, say) is excused only by a reasoned entry in lint.baseline
+   (see {!Baseline}).  An entry that names no binding in a scanned
+   library is a LINT-HOTPATH error (see {!Lint.stale_hot_paths}). *)
 
 (* Two grades of hot code:
 

@@ -24,10 +24,9 @@
    [lint_structure] also returns the qualified path of every named
    binding, from which {!Lint} finds hot-path entries that name nothing.
 
-   Suppression is structured, never silent: a binding can opt out of
-   named rules with [[@@hnlpu.lint_ignore "RULE ..."]] (the annotation
-   sits next to the code it excuses), and whole findings can be accepted
-   with a reason in the committed baseline file (see {!Baseline}). *)
+   Nothing is suppressed here: every finding is reported, and one is
+   excused only by an entry with a written reason in the committed
+   baseline file (see {!Baseline}), which keeps it visible as Info. *)
 
 open Typedtree
 module D = Hnlpu_verify.Diagnostic
@@ -101,31 +100,6 @@ let rec nth_param ty i =
   | _ -> None
 
 (* --- Attribute handling -------------------------------------------------- *)
-
-let attr_payload_strings (a : Parsetree.attribute) =
-  let strings_of_expr (e : Parsetree.expression) =
-    match e.pexp_desc with
-    | Parsetree.Pexp_constant (Parsetree.Pconst_string (s, _, _)) ->
-      String.split_on_char ' ' s |> List.filter (fun t -> t <> "")
-    | _ -> []
-  in
-  match a.attr_payload with
-  | Parsetree.PStr items ->
-    List.concat_map
-      (fun (it : Parsetree.structure_item) ->
-        match it.pstr_desc with
-        | Parsetree.Pstr_eval (e, _) -> strings_of_expr e
-        | _ -> [])
-      items
-  | _ -> []
-
-let lint_ignores attrs =
-  List.concat_map
-    (fun (a : Parsetree.attribute) ->
-      match a.attr_name.txt with
-      | "hnlpu.lint_ignore" -> attr_payload_strings a
-      | _ -> [])
-    attrs
 
 let is_inline_attr (a : Parsetree.attribute) =
   match a.attr_name.txt with
@@ -265,7 +239,6 @@ type state = {
                                            statically-allocated module-level
                                            curried chain *)
   mutable raise_depth : int;            (* inside a raise/invalid_arg arg? *)
-  mutable ignore_stack : string list list;
   mutable static_funs : expression list;  (* physically static closures *)
   mutable inline_ids : Ident.t list;    (* same-module [@inline] functions *)
   mutable inline_funs : expression list;  (* their curried chains *)
@@ -277,17 +250,13 @@ type state = {
 let subject st =
   String.concat "." (st.modname :: List.rev st.scope_rev)
 
-let ignored st rule =
-  List.exists (List.exists (String.equal rule)) st.ignore_stack
-
 let emit st ~rule ~severity ~loc fmt =
   Printf.ksprintf
     (fun msg ->
-      if not (ignored st rule) then
-        st.diags <-
-          D.make ~rule ~severity ~subject:(subject st) "%s (%s)" msg
-            (loc_string loc)
-          :: st.diags)
+      st.diags <-
+        D.make ~rule ~severity ~subject:(subject st) "%s (%s)" msg
+          (loc_string loc)
+        :: st.diags)
     fmt
 
 (* The [fun] nodes of the curried [fun a -> fun b -> ...] chain rooted
@@ -427,9 +396,8 @@ let alloc st ~loc fmt =
         emit st ~rule:"ALLOC-HOT" ~severity:D.Error ~loc
           "%s on a hot path — every minor-heap word here is a \
            stop-the-world synchronization point under the domain pool; \
-           preallocate, or annotate with [@@hnlpu.lint_ignore \
-           \"ALLOC-HOT\"] / baseline with a reason if this allocation is \
-           genuinely cold"
+           preallocate, or baseline it with a reason if this allocation \
+           is genuinely cold"
           what
       | `Setup ->
         emit st ~rule:"ALLOC-HOT" ~severity:D.Info ~loc
@@ -727,7 +695,6 @@ let lint_structure ~config ~modname (str : structure) =
       loop_depth = 0;
       inner_funs = 0;
       raise_depth = 0;
-      ignore_stack = [];
       static_funs = [];
       inline_ids = [];
       inline_funs = [];
@@ -752,7 +719,6 @@ let lint_structure ~config ~modname (str : structure) =
       st.inline_ids <- id :: st.inline_ids;
       st.inline_funs <- chain_funs vb.vb_expr @ st.inline_funs
     | _ -> ());
-    let ignores = lint_ignores vb.vb_attributes in
     (match name with
     | Some n ->
       st.scope_rev <- n :: st.scope_rev;
@@ -777,9 +743,7 @@ let lint_structure ~config ~modname (str : structure) =
             base_inner = st.inner_funs;
           }
     | None -> ());
-    st.ignore_stack <- ignores :: st.ignore_stack;
     super.Tast_iterator.value_binding sub vb;
-    st.ignore_stack <- List.tl st.ignore_stack;
     st.hot <- saved_hot;
     match name with Some _ -> st.scope_rev <- List.tl st.scope_rev | None -> ()
   in
@@ -801,14 +765,12 @@ let lint_structure ~config ~modname (str : structure) =
   let expr sub (e : expression) =
     (* DET-SRC watches every resolved identifier occurrence. *)
     (match e.exp_desc with
-    | Texp_ident (p, _, _) when not (ignored st "DET-SRC") ->
-      det_check_ident st e (path_parts p)
+    | Texp_ident (p, _, _) -> det_check_ident st e (path_parts p)
     | _ -> ());
     (* EXN-SWALLOW: try handlers and match-exception cases. *)
     (match e.exp_desc with
-    | Texp_try (_, cases) when not (ignored st "EXN-SWALLOW") ->
-      List.iter (check_exn_case st) cases
-    | Texp_match (_, cases, _) when not (ignored st "EXN-SWALLOW") ->
+    | Texp_try (_, cases) -> List.iter (check_exn_case st) cases
+    | Texp_match (_, cases, _) ->
       List.iter
         (fun (c : computation case) ->
           List.iter
@@ -826,7 +788,7 @@ let lint_structure ~config ~modname (str : structure) =
     (* PAR-ESCAPE at combinator call sites. *)
     (match e.exp_desc with
     | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args)
-      when (not (ignored st "PAR-ESCAPE")) && is_par_combinator (path_parts p) ->
+      when is_par_combinator (path_parts p) ->
       List.iter
         (fun (_, argo) ->
           match argo with
@@ -839,7 +801,7 @@ let lint_structure ~config ~modname (str : structure) =
     (match e.exp_desc with
     | Texp_let (_, vbs, _) -> List.iter (bind_fresh st) vbs
     | _ -> ());
-    if alloc_context st <> `Cold && not (ignored st "ALLOC-HOT") then begin
+    if alloc_context st <> `Cold then begin
       match e.exp_desc with
       | Texp_function _ when not (List.memq e st.static_funs) ->
         alloc st ~loc:e.exp_loc "closure allocated per call";
@@ -877,8 +839,7 @@ let lint_structure ~config ~modname (str : structure) =
       super.Tast_iterator.expr sub e;
       (* Returns are checked after the body, whose [let]s bind the fresh
          locals a result may name. *)
-      if alloc_context st <> `Cold && not (ignored st "ALLOC-HOT") then
-        boxed_int_check_returned st e;
+      if alloc_context st <> `Cold then boxed_int_check_returned st e;
       if inner then st.inner_funs <- st.inner_funs - 1;
       st.fun_depth <- st.fun_depth - 1
     | Texp_while _ | Texp_for _ ->

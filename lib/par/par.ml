@@ -236,7 +236,7 @@ let parallel_init ?domains n f =
        finish sequentially.  Results are byte-identical either way —
        every task writes only its own slot and the reduction below reads
        in index order; the clock picks the execution strategy, never a
-       value.  Failure order is also preserved: task 0 is the
+       value (lint.baseline accepts its two reads).  Failure order is also preserved: task 0 is the
        lowest-possible-index failure, and [run_tasks] re-raises the
        lowest-indexed failure of the tail. *)
     let t0 = Unix.gettimeofday () in
@@ -251,7 +251,6 @@ let parallel_init ?domains n f =
           results.(k + 1) <- Some (f (k + 1)));
     Array.map (function Some v -> v | None -> assert false) results
   end
-[@@hnlpu.lint_ignore "DET-SRC"]
 
 let parallel_map ?domains f xs =
   match xs with

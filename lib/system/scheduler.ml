@@ -44,10 +44,10 @@ module Stream = struct
     mutable len : int;
   }
 
-  (* The constructor allocates by nature, once per run. *)
+  (* The constructor allocates by nature, once per run (accepted in
+     lint.baseline). *)
   let create cap =
     { time = Float.Array.make cap 0.0; ev = Array.make cap 0; head = 0; len = 0 }
-  [@@hnlpu.lint_ignore "ALLOC-HOT"]
 
   let[@inline] push q t e =
     let cap = Array.length q.ev in
@@ -75,9 +75,9 @@ end
 module Ring = struct
   type t = { ids : int array; mutable head : int; mutable len : int }
 
-  (* The constructor allocates by nature, once per run. *)
+  (* The constructor allocates by nature, once per run (accepted in
+     lint.baseline). *)
   let create n = { ids = Array.make (max 1 n) 0; head = 0; len = 0 }
-  [@@hnlpu.lint_ignore "ALLOC-HOT"]
 
   let[@inline] is_empty q = q.len = 0
 
@@ -258,6 +258,9 @@ let simulate ?(context = 2048) ?(context_aware = false) ?(slot_failures = [])
      completing nothing registers none, and the cell that hands them
      their samples unboxed. *)
   let hists = ref [||] and samples = Float.Array.make 3 0.0 in
+  (* Runs only when tracing ([obs]) is enabled, once per completed
+     request; span and argument records inherently allocate (accepted
+     in lint.baseline). *)
   let record_completion o id =
     let module Sink = Hnlpu_obs.Sink in
     let module Event = Hnlpu_obs.Event in
@@ -300,9 +303,6 @@ let simulate ?(context = 2048) ?(context_aware = false) ?(slot_failures = [])
     for i = 0 to 2 do
       Hnlpu_obs.Sketch.observe_cell !hists.(i) samples i
     done
-  [@@hnlpu.lint_ignore "ALLOC-HOT"]
-  (* Runs only when tracing ([obs]) is enabled, once per completed
-     request; span and argument records inherently allocate. *)
   in
   (* Hoisted out of [try_inject]: per-call refs (and the recursive [go]
      closure this loop used to be) were a few words on every event, which

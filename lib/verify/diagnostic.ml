@@ -63,28 +63,11 @@ let normalize ds =
       | c -> c)
     ds
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json ds =
   let item d =
-    Printf.sprintf
-      "  {\"rule\": \"%s\", \"severity\": \"%s\", \"subject\": \"%s\", \
-       \"message\": \"%s\"}"
-      (json_escape d.rule)
+    Printf.sprintf "  {\"rule\": %s, \"severity\": \"%s\", \"subject\": %s, \"message\": %s}"
+      (Hnlpu_obs.Json.string d.rule)
       (String.lowercase_ascii (severity_label d.severity))
-      (json_escape d.subject) (json_escape d.message)
+      (Hnlpu_obs.Json.string d.subject) (Hnlpu_obs.Json.string d.message)
   in
   "[\n" ^ String.concat ",\n" (List.map item (normalize ds)) ^ "\n]\n"

@@ -21,3 +21,7 @@ let jitter () =
 let stamp () =
   (* Wall-clock read: any result derived from it is unreproducible. *)
   Sys.time ()
+
+(* Not a DET-SRC case: the DEAD-EXPORT fixture's [renamed] is referenced
+   only here, through another unit's renaming alias. *)
+let doubled x = Fixture_clean.Dead.renamed x

@@ -4,15 +4,16 @@
      fixture stays clean (the self-test CI runs), and a hot-path entry
      naming nothing in a scanned library is an error;
    - DEAD-EXPORT flags exactly the fixture's unreferenced export and
-     never-passed knob, judges nothing in a scan without reference
-     units, and nothing when a reference unit lacks its .cmt;
+     never-passed knob (an export reached through another unit's
+     renaming alias is live), and judges nothing when a reference unit
+     lacks its .cmt;
    - the fixture set covers exactly the configured rule families — a new
      rule without a fixture, or a stale fixture, fails here;
    - output is deterministic: two runs serialize byte-identically;
-   - the baseline round-trips through its textual format, downgrades
-     matched findings to Info with the reason attached, and reports
-     stale entries of scanned libraries instead of silently skipping
-     them. *)
+   - the baseline round-trips through its textual format, refuses an
+     empty or TODO reason, downgrades matched findings to Info with the
+     reason attached, and reports stale entries instead of silently
+     skipping them. *)
 
 module D = Hnlpu_verify.Diagnostic
 module Lint = Hnlpu_lint.Lint
@@ -116,10 +117,11 @@ let test_stale_hot_path_scoped () =
         ];
     }
   in
+  let dirs = fixture_dirs () in
   let stale =
     List.filter_map
       (fun d -> if d.D.rule = "LINT-HOTPATH" then Some (d.D.subject, D.severity_label d.D.severity) else None)
-      (Lint.run ~config ~dirs:(fixture_dirs ()) ~refs:[] ())
+      (Lint.run ~config ~dirs ~refs:dirs ())
   in
   Alcotest.(check (list (pair string string)))
     "stale entries of the scanned library"
@@ -141,20 +143,6 @@ let test_dead_export_fixture () =
     "exactly the planted findings"
     (List.map (fun s -> (s, "ERROR")) Lint.dead_fixture_exports)
     (dead_export_findings (run_fixtures ()))
-
-let test_dead_export_scoped () =
-  (* A scan without reference units (what [--dir] runs) judges no
-     DEAD-EXPORT, and leaves that rule's baseline entries unjudged. *)
-  let baseline =
-    [
-      Baseline.entry ~rule:"DEAD-EXPORT" ~subject:"Lint_fixtures.Fixture_dead_export.unused"
-        ~reason:"planted";
-    ]
-  in
-  let ds = Lint.run_with_baseline ~baseline ~dirs:(fixture_dirs ()) ~refs:[] () in
-  Alcotest.(check (list (pair string string))) "no DEAD-EXPORT" [] (dead_export_findings ds);
-  Alcotest.(check bool) "no stale baseline entry" false
-    (List.exists (fun d -> d.D.rule = "LINT-BASELINE") ds)
 
 let test_dead_export_missing_cmt () =
   (* An interface whose unit has no .cmt hides that unit's references:
@@ -198,7 +186,15 @@ let sample_entries =
   ]
 
 let test_baseline_round_trip () =
-  let parsed = Baseline.of_string (Baseline.to_string sample_entries) in
+  let text =
+    "# accepted findings\n\n"
+    ^ String.concat ""
+        (List.map
+           (fun (e : Baseline.entry) ->
+             Printf.sprintf "%s\t%s\t%s\n" e.Baseline.rule e.Baseline.subject e.Baseline.reason)
+           sample_entries)
+  in
+  let parsed = Baseline.of_string text in
   Alcotest.(check int) "entry count survives" 2 (List.length parsed);
   List.iter2
     (fun (a : Baseline.entry) (b : Baseline.entry) ->
@@ -213,6 +209,14 @@ let test_baseline_rejects_empty_reason () =
        "baseline line 1: empty reason — every accepted finding must say why")
     (fun () -> ignore (Baseline.of_string "ALLOC-HOT\tM.f\t \n"))
 
+let test_baseline_rejects_todo_reason () =
+  (* A placeholder would turn the Error it matches into Info as surely as
+     a real reason does. *)
+  Alcotest.check_raises "TODO reason is rejected"
+    (Failure
+       "baseline line 2: placeholder reason — every accepted finding must say why")
+    (fun () -> ignore (Baseline.of_string "# header\nALLOC-HOT\tM.f\tTODO: justify\n"))
+
 let test_baseline_apply_downgrades_and_flags_stale () =
   let ds =
     [
@@ -223,7 +227,7 @@ let test_baseline_apply_downgrades_and_flags_stale () =
   let stale =
     Baseline.entry ~rule:"EXN-SWALLOW" ~subject:"M.gone" ~reason:"was removed"
   in
-  let out = D.normalize (Baseline.apply ~libs:[ "M" ] (sample_entries @ [ stale ]) ds) in
+  let out = D.normalize (Baseline.apply (sample_entries @ [ stale ]) ds) in
   let find subject = List.find (fun d -> String.equal d.D.subject subject) out in
   let matched = find "M.f" in
   Alcotest.(check string) "matched finding downgraded" "INFO"
@@ -236,40 +240,6 @@ let test_baseline_apply_downgrades_and_flags_stale () =
   Alcotest.(check int) "stale entries reported" 2 (List.length lint_baseline);
   Alcotest.(check bool) "stale subject named" true
     (List.exists (fun d -> String.equal d.D.subject "M.gone") lint_baseline)
-
-(* The library build tree: [../lib] from [_build/default/test], where the
-   suite's own links have compiled every library. *)
-let lib_dir sub =
-  match
-    List.find_opt Sys.file_exists
-      [ Filename.concat "../lib" sub; Filename.concat "_build/default/lib" sub ]
-  with
-  | Some d -> d
-  | None -> Alcotest.fail "library .cmt files not found — build with `dune build @all'"
-
-let test_baseline_scoped_to_scanned_libraries () =
-  (* A baseline entry is judged only when its library was scanned: the
-     fp4-only scan says nothing about Hnlpu_util entries, live or stale,
-     while the full scan matches the live one and flags the planted
-     stale one. *)
-  let baseline =
-    [
-      Baseline.entry ~rule:"ALLOC-HOT" ~subject:"Hnlpu_util.Rng.next_int64"
-        ~reason:"boxed int64 reference accessor";
-      Baseline.entry ~rule:"ALLOC-HOT" ~subject:"Hnlpu_util.Rng.renamed_away"
-        ~reason:"planted stale entry";
-    ]
-  in
-  let stale dirs =
-    List.filter_map
-      (fun d -> if d.D.rule = "LINT-BASELINE" then Some d.D.subject else None)
-      (Lint.run_with_baseline ~baseline ~dirs ~refs:[] ())
-  in
-  Alcotest.(check (list string)) "fp4-only scan judges no Hnlpu_util entry" []
-    (stale [ lib_dir "fp4" ]);
-  Alcotest.(check (list string)) "full scan flags the planted stale entry"
-    [ "Hnlpu_util.Rng.renamed_away" ]
-    (stale [ lib_dir "" ])
 
 let test_repo_baseline_matches_format () =
   (* The committed baseline (when visible from the test's cwd) parses and
@@ -304,7 +274,6 @@ let () =
           Alcotest.test_case "boxed int64 fires" `Quick test_boxed_int64_fires;
           Alcotest.test_case "stale hot-path entry scoped" `Quick test_stale_hot_path_scoped;
           Alcotest.test_case "dead export fixture" `Quick test_dead_export_fixture;
-          Alcotest.test_case "dead export scoped" `Quick test_dead_export_scoped;
           Alcotest.test_case "dead export without cmt" `Quick test_dead_export_missing_cmt;
         ] );
       ( "determinism",
@@ -317,11 +286,11 @@ let () =
           Alcotest.test_case "round-trip" `Quick test_baseline_round_trip;
           Alcotest.test_case "empty reason rejected" `Quick
             test_baseline_rejects_empty_reason;
+          Alcotest.test_case "TODO reason rejected" `Quick
+            test_baseline_rejects_todo_reason;
           Alcotest.test_case "apply downgrades + stale" `Quick
             test_baseline_apply_downgrades_and_flags_stale;
           Alcotest.test_case "committed baseline well-formed" `Quick
             test_repo_baseline_matches_format;
-          Alcotest.test_case "scoped to scanned libraries" `Quick
-            test_baseline_scoped_to_scanned_libraries;
         ] );
     ]

@@ -427,7 +427,10 @@ let test_structural_report_is_built_report () =
    ME machine's masks (128 neurons x 17 words x 5 masks = 10,880 words). *)
 let test_neuron_reports_build_no_masks () =
   let seed = 20260706 in
+  (* A collection landing inside the window inflates the count by tens
+     of thousands of words, so each window starts on an empty heap. *)
   let words f =
+    Gc.full_major ();
     let a0 = Gc.allocated_bytes () in
     ignore (Sys.opaque_identity (f ()));
     (Gc.allocated_bytes () -. a0) /. float_of_int (Sys.word_size / 8)
