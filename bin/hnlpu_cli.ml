@@ -1104,7 +1104,7 @@ let check_cmd =
       | None ->
         let ds = Signoff.check ~dynamic:(not static) design in
         if json then print_string (Diagnostic.to_json ds)
-        else print_string (Diagnostic.report ~show_info:verbose ds);
+        else print_string (Diagnostic.report ~gate:"signoff" ~show_info:verbose ds);
         exit (Diagnostic.exit_code ds)
     end
   in
@@ -1175,7 +1175,7 @@ let lint_cmd =
         Printf.printf "%-12s %s\n" "CLEAN" (if clean then "caught" else "MISSED");
         let missed = List.filter (fun (_, hit) -> not hit) caught in
         if missed <> [] || not clean then begin
-          if verbose then print_string (Diagnostic.report ds);
+          if verbose then print_string (Diagnostic.report ~gate:"lint" ds);
           Printf.eprintf
             "lint self-test: %d rule families missed their fixture%s\n"
             (List.length missed)
@@ -1205,7 +1205,7 @@ let lint_cmd =
         exit 3
       | ds ->
         if json then print_string (Diagnostic.to_json ds)
-        else print_string (Diagnostic.report ~show_info:verbose ds);
+        else print_string (Diagnostic.report ~gate:"lint" ~show_info:verbose ds);
         if Diagnostic.count Diagnostic.Error ds > 0 then exit 2
     end
   in

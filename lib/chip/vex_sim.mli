@@ -18,7 +18,7 @@
     ships.
 
     No tool or example calls this module yet; it stays as the §4.3 model
-    of the VEX nonlinear units, which test_decoding checks against the
+    of the VEX nonlinear units, which test_chip checks against the
     float {!Hnlpu_tensor.Vec} reference.  ROADMAP's "hardwired forward
     computes the model that signoff checked" item gives it a caller: the
     [Hardwired] numerics of [Dataflow] run RMSNorm, SwiGLU and softmax

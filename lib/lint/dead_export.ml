@@ -15,7 +15,9 @@
    dune's [Lib__Module] mangling is undone, a unit's own [module X = ...]
    and [let module X = ...] aliases are followed, and so is another
    unit's top-level renaming alias ([Hnlpu.Neuron_report] reaches
-   [Hnlpu_neuron.Report]).  No two compilation units share a name, but
+   [Hnlpu_neuron.Report]).  No two library units share a name, but
+   executables' units can (the benchmark's and the test runner's
+   [Main]), so a referencing unit is known by its source file too; and
    submodules can (two [Hot]s, say): their references pool, so a dead
    value in one can pass as used through the other.  An optional
    argument that an application leaves out appears in the typedtree as
@@ -103,11 +105,13 @@ let renames (units : Cmt_scan.source list) =
     units;
   t
 
-(* Record, by referencing unit, every value a unit references in [values]
-   and every optional argument it passes in [passes].  A unit references
-   its own top-level bindings by plain identifiers. *)
+(* Record, by referencing unit (its module name and source file), every
+   value a unit references in [values] and every optional argument it
+   passes in [passes].  A unit references its own top-level bindings by
+   plain identifiers. *)
 let scan_unit ~renames ~values ~passes (src : Cmt_scan.source) =
   let unit_name = src.Cmt_scan.modname in
+  let user = (unit_name, src.Cmt_scan.sourcefile) in
   let aliases = ref [] and toplevel = ref [] and modules = ref [ last_component unit_name ] in
   let assoc id l = List.find_map (fun (i, v) -> if Ident.same i id then Some v else None) l in
   let rec module_key : Path.t -> string option = function
@@ -149,13 +153,13 @@ let scan_unit ~renames ~values ~passes (src : Cmt_scan.source) =
   let expr sub (e : expression) =
     (match e.exp_desc with
     | Texp_letmodule (Some id, _, _, me, _) -> alias id me
-    | Texp_ident (p, _, _) -> Option.iter (fun k -> Hashtbl.add values k unit_name) (value_key p)
+    | Texp_ident (p, _, _) -> Option.iter (fun k -> Hashtbl.add values k user) (value_key p)
     | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) ->
       Option.iter
         (fun (m, v) ->
           List.iter
             (function
-              | Asttypes.Optional l, Some a when not (elided a) -> Hashtbl.add passes (m, v, l) unit_name
+              | Asttypes.Optional l, Some a when not (elided a) -> Hashtbl.add passes (m, v, l) user
               | _ -> ())
             args)
         (value_key p)
@@ -168,17 +172,19 @@ let scan_unit ~renames ~values ~passes (src : Cmt_scan.source) =
 let check ~interfaces ~(units : Cmt_scan.source list) =
   let values = Hashtbl.create 4096 and passes = Hashtbl.create 256 in
   List.iter (scan_unit ~renames:(renames units) ~values ~passes) units;
+  let is_test_file = String.starts_with ~prefix:"test/" in
   let is_test u =
     List.exists
       (fun (s : Cmt_scan.source) ->
-        String.equal s.Cmt_scan.modname u && String.starts_with ~prefix:"test/" s.Cmt_scan.sourcefile)
+        String.equal s.Cmt_scan.modname u && is_test_file s.Cmt_scan.sourcefile)
       units
   in
   (* No users, the tests only, or real callers.  A test unit's use counts
      fully for an export that is itself test code (the lint fixtures). *)
   let grade (e : export) users =
     if users = [] then `Dead
-    else if (not (is_test e.unit_name)) && List.for_all is_test users then `Tests
+    else if (not (is_test e.unit_name)) && List.for_all (fun (_, file) -> is_test_file file) users
+    then `Tests
     else `Live
   in
   let finding (e : export) ~subject grade what =
@@ -190,7 +196,7 @@ let check ~interfaces ~(units : Cmt_scan.source list) =
   in
   List.concat_map
     (fun (e : export) ->
-      let others = List.filter (( <> ) e.unit_name) (Hashtbl.find_all values e.key) in
+      let others = List.filter (fun (u, _) -> u <> e.unit_name) (Hashtbl.find_all values e.key) in
       match grade e others with
       | `Dead ->
         finding e ~subject:e.subject `Dead

@@ -9,7 +9,7 @@
     sequences.
 
     No tool or example calls this module yet; it stays as the check on
-    §2.2's FP4 premise, which test_system2 bounds (perplexity within 25%
+    §2.2's FP4 premise, which test_model bounds (perplexity within 25%
     of float) and test_par runs as a sweep-determinism reference.
     ROADMAP's "hardwired forward computes the model that signoff checked"
     item gives it a caller: it compares the float and hardwired forwards

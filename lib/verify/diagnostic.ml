@@ -33,7 +33,7 @@ let to_string d =
   Printf.sprintf "[%s %s] %s: %s" (severity_label d.severity) d.rule d.subject
     d.message
 
-let report ?(show_info = true) ds =
+let report ~gate ?(show_info = true) ds =
   let shown = if show_info then ds else List.filter (fun d -> d.severity <> Info) ds in
   (* Errors first, then warnings, then infos; stable within a severity so
      diagnostics stay in rule-emission order. *)
@@ -47,7 +47,7 @@ let report ?(show_info = true) ds =
       Buffer.add_char buf '\n')
     ordered;
   Buffer.add_string buf
-    (Printf.sprintf "signoff: %d error(s), %d warning(s), %d info\n"
+    (Printf.sprintf "%s: %d error(s), %d warning(s), %d info\n" gate
        (count Error ds) (count Warning ds) (count Info ds));
   Buffer.contents buf
 

@@ -41,9 +41,10 @@ val exit_code : t list -> int
 (** 0 when nothing is worse than [Info], 1 when the worst is a [Warning],
     2 when any [Error] is present — the [hnlpu check] process exit code. *)
 
-val report : ?show_info:bool -> t list -> string
+val report : gate:string -> ?show_info:bool -> t list -> string
 (** Human report: one line per diagnostic (errors first) plus a summary
-    tally.  [show_info] defaults to [true]. *)
+    tally headed by the name of the [gate] that judged them ("signoff",
+    "lint").  [show_info] defaults to [true]. *)
 
 val normalize : t list -> t list
 (** Stable order (errors first, then rule/subject/message) with exact

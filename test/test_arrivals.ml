@@ -324,32 +324,31 @@ let test_validation () =
              Arrivals.prefill = Arrivals.Pareto { alpha = 0.0; xmin = 1.0; cap = 10 };
            }))
 
-let () =
-  Alcotest.run "hnlpu_arrivals"
-    [
-      ( "properties",
-        List.map QCheck_alcotest.to_alcotest
-          [
-            test_rate_matches_process;
-            test_pareto_tail_recovered;
-            test_restart_equals_fresh;
-            test_arrivals_monotone;
-            test_default_stream_is_zero;
-            test_superposition_rate;
-          ] );
-      ( "substreams",
+let suites =
+  [
+    ( "properties",
+      List.map QCheck_alcotest.to_alcotest
         [
-          Alcotest.test_case "stream 0 pinned" `Quick test_stream0_pinned;
-          Alcotest.test_case "merged Poisson CV" `Quick test_superposition_poisson_cv;
-          Alcotest.test_case "MMPP chain shared per seed" `Quick
-            test_mmpp_streams_share_chain;
+          test_rate_matches_process;
+          test_pareto_tail_recovered;
+          test_restart_equals_fresh;
+          test_arrivals_monotone;
+          test_default_stream_is_zero;
+          test_superposition_rate;
         ] );
-      ( "units",
-        [
-          Alcotest.test_case "MMPP rate at pinned seeds" `Quick test_mmpp_rate_pinned_seeds;
-          Alcotest.test_case "with_mean_rate" `Quick test_with_mean_rate;
-          Alcotest.test_case "mean_tokens" `Quick test_mean_tokens;
-          Alcotest.test_case "length ranges" `Quick test_lengths_positive_and_capped;
-          Alcotest.test_case "validation" `Quick test_validation;
-        ] );
-    ]
+    ( "substreams",
+      [
+        Alcotest.test_case "stream 0 pinned" `Quick test_stream0_pinned;
+        Alcotest.test_case "merged Poisson CV" `Quick test_superposition_poisson_cv;
+        Alcotest.test_case "MMPP chain shared per seed" `Quick
+          test_mmpp_streams_share_chain;
+      ] );
+    ( "units",
+      [
+        Alcotest.test_case "MMPP rate at pinned seeds" `Quick test_mmpp_rate_pinned_seeds;
+        Alcotest.test_case "with_mean_rate" `Quick test_with_mean_rate;
+        Alcotest.test_case "mean_tokens" `Quick test_mean_tokens;
+        Alcotest.test_case "length ranges" `Quick test_lengths_positive_and_capped;
+        Alcotest.test_case "validation" `Quick test_validation;
+      ] );
+  ]

@@ -109,24 +109,63 @@ let test_table2_renders () =
     (Thelp.contains s "HNLPU" && Thelp.contains s "WSE-3"
     && Thelp.contains s "Throughput")
 
-let () =
-  Alcotest.run "hnlpu_baseline"
-    [
-      ( "h100",
-        [
-          Alcotest.test_case "anchors" `Quick test_h100_anchors;
-          Alcotest.test_case "active bytes" `Quick test_h100_active_bytes;
-          Alcotest.test_case "roofline batching" `Quick test_h100_roofline_batching;
-          Alcotest.test_case "concurrency-50 anchor" `Quick test_h100_roofline_concurrency50_anchor;
-          Alcotest.test_case "validation" `Quick test_h100_roofline_validation;
-          Alcotest.test_case "next-gen gap persists" `Quick test_next_gen_gap_persists;
-        ] );
-      ("wse3", [ Alcotest.test_case "anchors" `Quick test_wse3_anchors ]);
-      ( "table-2",
-        [
-          Alcotest.test_case "HNLPU row" `Quick test_table2_hnlpu_row;
-          Alcotest.test_case "headline ratios" `Quick test_table2_headline_ratios;
-          Alcotest.test_case "area efficiency" `Quick test_table2_area_efficiency_ordering;
-          Alcotest.test_case "renders" `Quick test_table2_renders;
-        ] );
-    ]
+(* --- Energy decomposition ---------------------------------------------------- *)
+
+let energy = Energy.analyze ()
+
+let test_energy_totals () =
+  (* Table 2: 36 tokens/J at 2K context (reciprocal: ~27.6 mJ/token). *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f tokens/J" energy.Energy.tokens_per_joule)
+    true
+    (Thelp.within_pct 2.0 ~expected:36.2 ~actual:energy.Energy.tokens_per_joule);
+  Alcotest.(check bool)
+    (Printf.sprintf "advantage %.0fx" energy.Energy.advantage)
+    true
+    (Thelp.within_pct 2.0 ~expected:1047.0 ~actual:energy.Energy.advantage)
+
+let test_energy_shares_sum () =
+  let sum = List.fold_left (fun a r -> a +. r.Energy.share) 0.0 energy.Energy.rows in
+  Alcotest.(check bool) "shares sum to 1" true (Float.abs (sum -. 1.0) < 1e-9)
+
+let test_energy_no_weight_movement () =
+  (* The architectural point: the HN array (compute over hardwired
+     weights) costs a few mJ — there is no tens-of-mJ DRAM-weight-read
+     line item, which is where the H100's 28.9 J/token goes. *)
+  let hn = List.find (fun r -> r.Energy.component = "HN Array") energy.Energy.rows in
+  Alcotest.(check bool) "HN compute is mJ-scale" true (hn.Energy.energy_mj < 10.0);
+  Alcotest.(check bool) "total is 1000x under H100" true
+    (energy.Energy.total_mj_per_token *. 500.0 < energy.Energy.h100_mj_per_token)
+
+let test_energy_table_renders () =
+  let s = Table.render (Energy.to_table energy) in
+  Alcotest.(check bool) "renders" true
+    (Thelp.contains s "HN Array" && Thelp.contains s "H100 (measured)")
+
+let suites =
+  [
+    ( "h100",
+      [
+        Alcotest.test_case "anchors" `Quick test_h100_anchors;
+        Alcotest.test_case "active bytes" `Quick test_h100_active_bytes;
+        Alcotest.test_case "roofline batching" `Quick test_h100_roofline_batching;
+        Alcotest.test_case "concurrency-50 anchor" `Quick test_h100_roofline_concurrency50_anchor;
+        Alcotest.test_case "validation" `Quick test_h100_roofline_validation;
+        Alcotest.test_case "next-gen gap persists" `Quick test_next_gen_gap_persists;
+      ] );
+    ("wse3", [ Alcotest.test_case "anchors" `Quick test_wse3_anchors ]);
+    ( "table-2",
+      [
+        Alcotest.test_case "HNLPU row" `Quick test_table2_hnlpu_row;
+        Alcotest.test_case "headline ratios" `Quick test_table2_headline_ratios;
+        Alcotest.test_case "area efficiency" `Quick test_table2_area_efficiency_ordering;
+        Alcotest.test_case "renders" `Quick test_table2_renders;
+      ] );
+    ( "energy",
+      [
+        Alcotest.test_case "36 tokens/J" `Quick test_energy_totals;
+        Alcotest.test_case "shares" `Quick test_energy_shares_sum;
+        Alcotest.test_case "no weight movement" `Quick test_energy_no_weight_movement;
+        Alcotest.test_case "renders" `Quick test_energy_table_renders;
+      ] );
+  ]

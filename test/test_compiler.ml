@@ -332,45 +332,42 @@ let test_diff_shape_mismatch () =
        false
      with Invalid_argument _ -> true)
 
-let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
-
-let () =
-  Alcotest.run "hnlpu_compiler"
-    [
-      ( "compile",
-        [
-          Alcotest.test_case "wire count" `Quick test_compile_wire_count;
-          Alcotest.test_case "overflow" `Quick test_compile_overflow;
-          Alcotest.test_case "drc clean" `Quick test_compile_drc_clean;
-          Alcotest.test_case "drc track conflict" `Quick test_drc_detects_conflicts;
-          Alcotest.test_case "drc bad layer" `Quick test_drc_detects_bad_layer;
-          Alcotest.test_case "drc derived bound" `Quick test_drc_derived_bound;
-          Alcotest.test_case "drc order = spec" `Quick test_drc_order_matches_spec;
-          Alcotest.test_case "drc violations carry wires" `Quick
-            test_drc_violations_carry_wires;
-          Alcotest.test_case "full-width neuron" `Quick test_compile_full_width_neuron;
-        ] );
-      ( "lvs",
-        [
-          Alcotest.test_case "passes" `Quick test_lvs_passes;
-          Alcotest.test_case "catches wrong weight" `Quick test_lvs_catches_wrong_weight;
-          Alcotest.test_case "extract roundtrip" `Quick test_extract_weights_roundtrip;
-        ] );
-      ( "tcl",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_tcl_roundtrip;
-          Alcotest.test_case "rejects garbage" `Quick test_tcl_rejects_garbage;
-          Alcotest.test_case "truncated statement" `Quick test_tcl_truncated_statement;
-          Alcotest.test_case "duplicate wire" `Quick test_tcl_duplicate_wire;
-          Alcotest.test_case "bad layer name" `Quick test_tcl_bad_layer_name;
-          Alcotest.test_case "bad integer token" `Quick test_tcl_bad_integer_token;
-          Alcotest.test_case "report" `Quick test_report_renders;
-        ] );
-      qsuite "compiler properties" [ prop_compile_lvs_always ];
-      ( "diff",
-        [
-          Alcotest.test_case "identity" `Quick test_diff_identity;
-          Alcotest.test_case "counts changes" `Quick test_diff_counts_changes;
-          Alcotest.test_case "shape mismatch" `Quick test_diff_shape_mismatch;
-        ] );
-    ]
+let suites =
+  [
+    ( "compile",
+      [
+        Alcotest.test_case "wire count" `Quick test_compile_wire_count;
+        Alcotest.test_case "overflow" `Quick test_compile_overflow;
+        Alcotest.test_case "drc clean" `Quick test_compile_drc_clean;
+        Alcotest.test_case "drc track conflict" `Quick test_drc_detects_conflicts;
+        Alcotest.test_case "drc bad layer" `Quick test_drc_detects_bad_layer;
+        Alcotest.test_case "drc derived bound" `Quick test_drc_derived_bound;
+        Alcotest.test_case "drc order = spec" `Quick test_drc_order_matches_spec;
+        Alcotest.test_case "drc violations carry wires" `Quick
+          test_drc_violations_carry_wires;
+        Alcotest.test_case "full-width neuron" `Quick test_compile_full_width_neuron;
+      ] );
+    ( "lvs",
+      [
+        Alcotest.test_case "passes" `Quick test_lvs_passes;
+        Alcotest.test_case "catches wrong weight" `Quick test_lvs_catches_wrong_weight;
+        Alcotest.test_case "extract roundtrip" `Quick test_extract_weights_roundtrip;
+      ] );
+    ( "tcl",
+      [
+        Alcotest.test_case "roundtrip" `Quick test_tcl_roundtrip;
+        Alcotest.test_case "rejects garbage" `Quick test_tcl_rejects_garbage;
+        Alcotest.test_case "truncated statement" `Quick test_tcl_truncated_statement;
+        Alcotest.test_case "duplicate wire" `Quick test_tcl_duplicate_wire;
+        Alcotest.test_case "bad layer name" `Quick test_tcl_bad_layer_name;
+        Alcotest.test_case "bad integer token" `Quick test_tcl_bad_integer_token;
+        Alcotest.test_case "report" `Quick test_report_renders;
+      ] );
+    Thelp.qsuite "compiler properties" [ prop_compile_lvs_always ];
+    ( "diff",
+      [
+        Alcotest.test_case "identity" `Quick test_diff_identity;
+        Alcotest.test_case "counts changes" `Quick test_diff_counts_changes;
+        Alcotest.test_case "shape mismatch" `Quick test_diff_shape_mismatch;
+      ] );
+  ]

@@ -378,6 +378,9 @@ let test_fleet_words_per_request () =
      second domain is alive. *)
   let requests = 100_000 in
   let per_request ?obs () =
+    (* A full major first: no collection work an earlier suite left
+       pending runs inside the window. *)
+    Gc.full_major ();
     let w0 = Gc.minor_words () in
     ignore (headline_run ?obs requests);
     (Gc.minor_words () -. w0) /. float_of_int requests
@@ -413,6 +416,9 @@ let marginal_words_per_request cfg policy =
       ~recover_after_s:(span /. 4.0)
   in
   let words requests =
+    (* A full major first: no collection work an earlier suite left
+       pending runs inside the window. *)
+    Gc.full_major ();
     let w0 = Gc.minor_words () in
     let r = Fleet.run ~domains:1 ~node_events ~policy ~requests ~seed:7 cfg spec in
     let w = Gc.minor_words () -. w0 in
@@ -578,48 +584,47 @@ let prop_power_aware =
          || String.equal (Marshal.to_string pa [])
               (Marshal.to_string (pa_run c Fleet.Least_loaded) [])))
 
-let () =
-  Alcotest.run "hnlpu_fleet"
-    [
-      ( "gpu-equivalence",
-        [
-          Alcotest.test_case "batch 1 = Table 2" `Quick test_scaling_batch1_is_table2;
-          Alcotest.test_case "batching shrinks cluster" `Quick test_scaling_batching_shrinks_cluster;
-          Alcotest.test_case "paper equivalence" `Quick test_scaling_paper_equivalence;
-          Alcotest.test_case "table" `Quick test_scaling_table_renders;
-        ] );
-      ( "fleet",
-        [
-          Alcotest.test_case "deterministic across -j with chaos" `Quick
-            test_fleet_run_deterministic_across_domains;
-          Alcotest.test_case "all policies deterministic" `Quick
-            test_fleet_policies_deterministic;
-          Alcotest.test_case "conservation and accounting" `Quick
-            test_fleet_conservation_and_accounting;
-          Alcotest.test_case "LL <= RR imbalance on heavy tail" `Quick
-            test_fleet_ll_beats_rr_on_heavy_tail;
-          Alcotest.test_case "session affinity pins users" `Quick
-            test_fleet_session_affinity_pins_users;
-          Alcotest.test_case "rack power cap" `Quick test_fleet_power_cap_respected;
-          Alcotest.test_case "total outage drops" `Quick test_fleet_total_outage_drops;
-          Alcotest.test_case "idle nodes report zero" `Quick
-            test_fleet_idle_nodes_report_zero;
-          Alcotest.test_case "SLO capacity frontier" `Quick test_fleet_sweep_frontier;
-          Alcotest.test_case "fleet validation" `Quick test_fleet_run_validation;
-          Alcotest.test_case "fewer requests than shards" `Quick
-            test_fleet_fewer_requests_than_shards;
-          Alcotest.test_case "per-shard request counts" `Quick test_fleet_shard_counts;
-          Alcotest.test_case "session affinity stays in home shard" `Quick
-            test_fleet_session_affinity_home_shard;
-          Alcotest.test_case "fail after the last arrival" `Quick
-            test_fleet_fail_after_last_arrival;
-          Alcotest.test_case "4 shards ~ 1 shard" `Quick test_fleet_shards_agree_with_one;
-          Alcotest.test_case "words per request" `Quick test_fleet_words_per_request;
-          Alcotest.test_case "words per request: pa and rr" `Quick
-            test_fleet_words_per_request_policies;
-          Alcotest.test_case "words per request: short cool-downs" `Quick
-            test_fleet_words_per_request_short_cooldown;
-          Alcotest.test_case "sink flat 10^4 vs 10^5" `Quick test_fleet_sink_flat;
-        ] );
-      ("power-aware", [ QCheck_alcotest.to_alcotest ~long:false prop_power_aware ]);
-    ]
+let suites =
+  [
+    ( "gpu-equivalence",
+      [
+        Alcotest.test_case "batch 1 = Table 2" `Quick test_scaling_batch1_is_table2;
+        Alcotest.test_case "batching shrinks cluster" `Quick test_scaling_batching_shrinks_cluster;
+        Alcotest.test_case "paper equivalence" `Quick test_scaling_paper_equivalence;
+        Alcotest.test_case "table" `Quick test_scaling_table_renders;
+      ] );
+    ( "fleet",
+      [
+        Alcotest.test_case "deterministic across -j with chaos" `Quick
+          test_fleet_run_deterministic_across_domains;
+        Alcotest.test_case "all policies deterministic" `Quick
+          test_fleet_policies_deterministic;
+        Alcotest.test_case "conservation and accounting" `Quick
+          test_fleet_conservation_and_accounting;
+        Alcotest.test_case "LL <= RR imbalance on heavy tail" `Quick
+          test_fleet_ll_beats_rr_on_heavy_tail;
+        Alcotest.test_case "session affinity pins users" `Quick
+          test_fleet_session_affinity_pins_users;
+        Alcotest.test_case "rack power cap" `Quick test_fleet_power_cap_respected;
+        Alcotest.test_case "total outage drops" `Quick test_fleet_total_outage_drops;
+        Alcotest.test_case "idle nodes report zero" `Quick
+          test_fleet_idle_nodes_report_zero;
+        Alcotest.test_case "SLO capacity frontier" `Quick test_fleet_sweep_frontier;
+        Alcotest.test_case "fleet validation" `Quick test_fleet_run_validation;
+        Alcotest.test_case "fewer requests than shards" `Quick
+          test_fleet_fewer_requests_than_shards;
+        Alcotest.test_case "per-shard request counts" `Quick test_fleet_shard_counts;
+        Alcotest.test_case "session affinity stays in home shard" `Quick
+          test_fleet_session_affinity_home_shard;
+        Alcotest.test_case "fail after the last arrival" `Quick
+          test_fleet_fail_after_last_arrival;
+        Alcotest.test_case "4 shards ~ 1 shard" `Quick test_fleet_shards_agree_with_one;
+        Alcotest.test_case "words per request" `Quick test_fleet_words_per_request;
+        Alcotest.test_case "words per request: pa and rr" `Quick
+          test_fleet_words_per_request_policies;
+        Alcotest.test_case "words per request: short cool-downs" `Quick
+          test_fleet_words_per_request_short_cooldown;
+        Alcotest.test_case "sink flat 10^4 vs 10^5" `Quick test_fleet_sink_flat;
+      ] );
+    ("power-aware", [ QCheck_alcotest.to_alcotest ~long:false prop_power_aware ]);
+  ]

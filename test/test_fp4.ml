@@ -468,56 +468,74 @@ let prop_csa_stats_value_independent =
       let a = Array.of_list (List.map (fun x -> x land ((1 lsl width) - 1)) xs) in
       snd (Csa.reduce ~width a) = Csa.tree ~width ~operands:(Array.length a))
 
-let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
+(* --- Boundary widths ------------------------------------------------------ *)
 
-let () =
-  Alcotest.run "hnlpu_fp4"
-    [
-      ( "fp4",
-        [
-          Alcotest.test_case "decode table" `Quick test_decode_table;
-          Alcotest.test_case "of_code bounds" `Quick test_of_code_bounds;
-          Alcotest.test_case "roundtrip exact" `Quick test_roundtrip_exact;
-          Alcotest.test_case "saturation" `Quick test_of_float_saturates;
-          Alcotest.test_case "nearest rounding" `Quick test_of_float_nearest;
-          Alcotest.test_case "negation involution" `Quick test_neg_involution;
-          Alcotest.test_case "half units" `Quick test_half_units;
-          Alcotest.test_case "of_float = search at edges" `Quick
-            test_of_float_matches_search_at_edges;
-        ] );
-      qsuite "fp4 properties" [ prop_of_float_is_nearest; prop_of_float_matches_search ];
-      ( "blockscale",
-        [
-          Alcotest.test_case "roundtrip representable" `Quick test_blockscale_roundtrip_representable;
-          Alcotest.test_case "power-of-two scaling" `Quick test_blockscale_scaling;
-          Alcotest.test_case "zero block" `Quick test_blockscale_zero_block;
-          Alcotest.test_case "vector api" `Quick test_blockscale_vector;
-          Alcotest.test_case "error bound" `Quick test_blockscale_error_bound;
-          Alcotest.test_case "dequantize = concat of blocks" `Quick
-            test_blockscale_dequantize_is_concat;
-          Alcotest.test_case "scale exponent = spec" `Quick test_blockscale_exponent_spec;
-          Alcotest.test_case "digests pinned" `Quick test_blockscale_digests_pinned;
-          Alcotest.test_case "footprint" `Quick test_blockscale_footprint;
-          Alcotest.test_case "non-finite input is located" `Quick
-            test_blockscale_rejects_non_finite;
-        ] );
-      qsuite "blockscale properties" [ prop_blockscale_max_in_range ];
-      ( "bitserial",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_planes_roundtrip;
-          Alcotest.test_case "plane weights" `Quick test_plane_weights;
-          Alcotest.test_case "range check" `Quick test_range_check;
-          Alcotest.test_case "popcount plane" `Quick test_popcount_plane;
-          Alcotest.test_case "popcount words" `Quick test_popcount_words;
-        ] );
-      qsuite "bitserial properties"
-        [ prop_planes_roundtrip; prop_dot_by_planes; prop_packed_popcount ];
-      ( "csa",
-        [
-          Alcotest.test_case "exact sum" `Quick test_csa_exact_sum;
-          Alcotest.test_case "empty" `Quick test_csa_empty;
-          Alcotest.test_case "single" `Quick test_csa_single;
-          Alcotest.test_case "structure grows" `Quick test_csa_structure_grows;
-        ] );
-      qsuite "csa properties" [ prop_csa_sum; prop_csa_stats_value_independent ];
-    ]
+let test_bitserial_width_bounds () =
+  let open Hnlpu_fp4 in
+  Alcotest.(check bool) "bits=1 rejected" true
+    (Thelp.raises (fun () -> Bitserial.planes ~bits:1 [| 0 |]));
+  Alcotest.(check bool) "bits=33 rejected" true
+    (Thelp.raises (fun () -> Bitserial.planes ~bits:33 [| 0 |]))
+
+let test_csa_width_bounds () =
+  let open Hnlpu_fp4 in
+  Alcotest.(check bool) "width 0 rejected" true
+    (Thelp.raises (fun () -> Csa.reduce ~width:0 [| 1 |]));
+  Alcotest.(check bool) "operand too wide rejected" true
+    (Thelp.raises (fun () -> Csa.reduce ~width:4 [| 16 |]))
+
+let suites =
+  [
+    ( "fp4",
+      [
+        Alcotest.test_case "decode table" `Quick test_decode_table;
+        Alcotest.test_case "of_code bounds" `Quick test_of_code_bounds;
+        Alcotest.test_case "roundtrip exact" `Quick test_roundtrip_exact;
+        Alcotest.test_case "saturation" `Quick test_of_float_saturates;
+        Alcotest.test_case "nearest rounding" `Quick test_of_float_nearest;
+        Alcotest.test_case "negation involution" `Quick test_neg_involution;
+        Alcotest.test_case "half units" `Quick test_half_units;
+        Alcotest.test_case "of_float = search at edges" `Quick
+          test_of_float_matches_search_at_edges;
+      ] );
+    Thelp.qsuite "fp4 properties" [ prop_of_float_is_nearest; prop_of_float_matches_search ];
+    ( "blockscale",
+      [
+        Alcotest.test_case "roundtrip representable" `Quick test_blockscale_roundtrip_representable;
+        Alcotest.test_case "power-of-two scaling" `Quick test_blockscale_scaling;
+        Alcotest.test_case "zero block" `Quick test_blockscale_zero_block;
+        Alcotest.test_case "vector api" `Quick test_blockscale_vector;
+        Alcotest.test_case "error bound" `Quick test_blockscale_error_bound;
+        Alcotest.test_case "dequantize = concat of blocks" `Quick
+          test_blockscale_dequantize_is_concat;
+        Alcotest.test_case "scale exponent = spec" `Quick test_blockscale_exponent_spec;
+        Alcotest.test_case "digests pinned" `Quick test_blockscale_digests_pinned;
+        Alcotest.test_case "footprint" `Quick test_blockscale_footprint;
+        Alcotest.test_case "non-finite input is located" `Quick
+          test_blockscale_rejects_non_finite;
+      ] );
+    Thelp.qsuite "blockscale properties" [ prop_blockscale_max_in_range ];
+    ( "bitserial",
+      [
+        Alcotest.test_case "roundtrip" `Quick test_planes_roundtrip;
+        Alcotest.test_case "plane weights" `Quick test_plane_weights;
+        Alcotest.test_case "range check" `Quick test_range_check;
+        Alcotest.test_case "popcount plane" `Quick test_popcount_plane;
+        Alcotest.test_case "popcount words" `Quick test_popcount_words;
+      ] );
+    Thelp.qsuite "bitserial properties"
+      [ prop_planes_roundtrip; prop_dot_by_planes; prop_packed_popcount ];
+    ( "csa",
+      [
+        Alcotest.test_case "exact sum" `Quick test_csa_exact_sum;
+        Alcotest.test_case "empty" `Quick test_csa_empty;
+        Alcotest.test_case "single" `Quick test_csa_single;
+        Alcotest.test_case "structure grows" `Quick test_csa_structure_grows;
+      ] );
+    Thelp.qsuite "csa properties" [ prop_csa_sum; prop_csa_stats_value_independent ];
+    ( "substrate-bounds",
+      [
+        Alcotest.test_case "bitserial bounds" `Quick test_bitserial_width_bounds;
+        Alcotest.test_case "csa bounds" `Quick test_csa_width_bounds;
+      ] );
+  ]

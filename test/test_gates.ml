@@ -1,3 +1,4 @@
+open Hnlpu
 open Hnlpu_gates
 
 let tech = Tech.n5
@@ -130,42 +131,76 @@ let test_tech_strawman_area () =
   Alcotest.(check bool) (Printf.sprintf "strawman %.0f ~ 176000" area) true
     (Thelp.within_pct 1.0 ~expected:176000.0 ~actual:area)
 
-let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
+(* --- Yield MC & fault tolerance ------------------------------------------------ *)
 
-let () =
-  Alcotest.run "hnlpu_gates"
-    [
-      ( "yield",
-        [
-          Alcotest.test_case "murphy paper point" `Quick test_murphy_yield_paper;
-          Alcotest.test_case "gross dies" `Quick test_gross_dies_paper;
-          Alcotest.test_case "good dies" `Quick test_good_dies_paper;
-          Alcotest.test_case "die cost $629" `Quick test_die_cost_paper;
-          Alcotest.test_case "monotone in area" `Quick test_yield_monotone_in_area;
-          Alcotest.test_case "perfect process" `Quick test_yield_perfect_process;
-          Alcotest.test_case "wafer counts" `Quick test_wafers_for;
-        ] );
-      qsuite "yield properties" [ prop_yield_bounds ];
-      ( "census",
-        [
-          Alcotest.test_case "primitives" `Quick test_census_primitives;
-          Alcotest.test_case "powers of two free" `Quick test_cmac_power_of_two_free;
-          Alcotest.test_case "mantissa costs adder" `Quick test_cmac_mantissa_costs_adder;
-          Alcotest.test_case "sign costs inversion" `Quick test_cmac_sign_costs_inversion;
-          Alcotest.test_case "cmac vs full mac" `Quick test_cmac_cheaper_than_full_mac;
-          Alcotest.test_case "full mac 200+" `Quick test_full_mac_band;
-          Alcotest.test_case "csa cost" `Quick test_csa_cost_positive;
-        ] );
-      ( "sram",
-        [
-          Alcotest.test_case "64KB area" `Quick test_sram_64kb_area;
-          Alcotest.test_case "streaming reads" `Quick test_sram_streaming;
-          Alcotest.test_case "energy scales" `Quick test_sram_energy_scales_with_width;
-          Alcotest.test_case "validation" `Quick test_sram_validation;
-        ] );
-      ( "tech",
-        [
-          Alcotest.test_case "area inverse" `Quick test_tech_area_inverse;
-          Alcotest.test_case "strawman area" `Quick test_tech_strawman_area;
-        ] );
-    ]
+let test_yield_monte_carlo_matches_murphy () =
+  let rng = Rng.create 70 in
+  let mc =
+    Yield.monte_carlo rng ~defect_density_per_cm2:0.11 ~die_area_mm2:827.08
+      ~trials:200_000
+  in
+  let closed = Yield.murphy ~defect_density_per_cm2:0.11 ~die_area_mm2:827.08 in
+  Alcotest.(check bool)
+    (Printf.sprintf "MC %.4f vs Murphy %.4f" mc closed)
+    true
+    (Float.abs (mc -. closed) < 0.01)
+
+let test_low_yield_wafer_bill () =
+  (* §8: at 1% yield, the extra wafers cost ~$0.5M (1 system) / ~$22M (50). *)
+  let bill dies = Yield.wafer_bill_at_yield Tech.n5 ~die_area_mm2:827.08 ~yield_rate:0.01 ~dies in
+  let low = bill 16 and high = bill 800 in
+  Alcotest.(check bool) (Printf.sprintf "low %.2fM ~ 0.5M" (low /. 1e6)) true
+    (low > 0.3e6 && low < 0.7e6);
+  Alcotest.(check bool) (Printf.sprintf "high %.1fM ~ 22M" (high /. 1e6)) true
+    (high > 20.0e6 && high < 24.0e6)
+
+let test_low_yield_marginal_vs_tco () =
+  (* "...which are marginal compared to the TCO." *)
+  let high_bill =
+    Yield.wafer_bill_at_yield Tech.n5 ~die_area_mm2:827.08 ~yield_rate:0.01 ~dies:800
+  in
+  let tco = (Tco.hnlpu_column Tco.High).Tco.tco_dynamic.Tco.lo in
+  Alcotest.(check bool) "under 20% of TCO" true (high_bill < 0.2 *. tco)
+
+let suites =
+  [
+    ( "yield",
+      [
+        Alcotest.test_case "murphy paper point" `Quick test_murphy_yield_paper;
+        Alcotest.test_case "gross dies" `Quick test_gross_dies_paper;
+        Alcotest.test_case "good dies" `Quick test_good_dies_paper;
+        Alcotest.test_case "die cost $629" `Quick test_die_cost_paper;
+        Alcotest.test_case "monotone in area" `Quick test_yield_monotone_in_area;
+        Alcotest.test_case "perfect process" `Quick test_yield_perfect_process;
+        Alcotest.test_case "wafer counts" `Quick test_wafers_for;
+      ] );
+    Thelp.qsuite "yield properties" [ prop_yield_bounds ];
+    ( "census",
+      [
+        Alcotest.test_case "primitives" `Quick test_census_primitives;
+        Alcotest.test_case "powers of two free" `Quick test_cmac_power_of_two_free;
+        Alcotest.test_case "mantissa costs adder" `Quick test_cmac_mantissa_costs_adder;
+        Alcotest.test_case "sign costs inversion" `Quick test_cmac_sign_costs_inversion;
+        Alcotest.test_case "cmac vs full mac" `Quick test_cmac_cheaper_than_full_mac;
+        Alcotest.test_case "full mac 200+" `Quick test_full_mac_band;
+        Alcotest.test_case "csa cost" `Quick test_csa_cost_positive;
+      ] );
+    ( "sram",
+      [
+        Alcotest.test_case "64KB area" `Quick test_sram_64kb_area;
+        Alcotest.test_case "streaming reads" `Quick test_sram_streaming;
+        Alcotest.test_case "energy scales" `Quick test_sram_energy_scales_with_width;
+        Alcotest.test_case "validation" `Quick test_sram_validation;
+      ] );
+    ( "tech",
+      [
+        Alcotest.test_case "area inverse" `Quick test_tech_area_inverse;
+        Alcotest.test_case "strawman area" `Quick test_tech_strawman_area;
+      ] );
+    ( "yield-fault-tolerance",
+      [
+        Alcotest.test_case "MC = Murphy" `Slow test_yield_monte_carlo_matches_murphy;
+        Alcotest.test_case "1% yield wafer bill" `Quick test_low_yield_wafer_bill;
+        Alcotest.test_case "marginal vs TCO" `Quick test_low_yield_marginal_vs_tco;
+      ] );
+  ]

@@ -1,6 +1,8 @@
 (* Cross-library integration tests: the whole stack working together, from
    bit-level HN machines up to end-to-end token generation and the full
-   experiment suite. *)
+   experiment suite, with its CSV/JSON exports, the calibration registry
+   and the figure charts, and every HN machine's rejection of activations
+   outside its bounds. *)
 
 open Hnlpu
 
@@ -152,24 +154,134 @@ let test_end_to_end_story () =
   Alcotest.(check bool) "throughput >1000x H100" true
     (Compare.throughput_ratio hn ~over:gpu > 1000.0)
 
-let () =
-  Alcotest.run "hnlpu_integration"
+(* --- Experiment exports and the calibration registry ---------------------- *)
+
+let test_experiments_export_csv () =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "hnlpu_csv_test" in
+  let paths = Hnlpu.Experiments.export_csv ~dir in
+  Alcotest.(check int) "nine files" 9 (List.length paths);
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) (p ^ " exists") true (Sys.file_exists p);
+      let ic = open_in p in
+      let header = input_line ic in
+      close_in ic;
+      Alcotest.(check bool) "non-empty header" true (String.length header > 2))
+    paths;
+  List.iter Sys.remove paths;
+  Sys.rmdir dir
+
+let test_experiments_export_json () =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "hnlpu_json_test" in
+  let paths = Hnlpu.Experiments.export_json ~dir in
+  Alcotest.(check int) "nine files" 9 (List.length paths);
+  List.iter
+    (fun p ->
+      let ic = open_in p in
+      let first = input_char ic in
+      close_in ic;
+      Alcotest.(check char) "json array" '[' first)
+    paths;
+  List.iter Sys.remove paths;
+  Sys.rmdir dir
+
+let test_calibration_registry () =
+  (* Single-digit knob count, live values in sync with the code. *)
+  Alcotest.(check bool) "few knobs" true (Hnlpu.Calibration.count () < 10);
+  let get name =
+    (List.find (fun e -> e.Hnlpu.Calibration.constant = name) (Hnlpu.Calibration.all ()))
+      .Hnlpu.Calibration.value
+  in
+  Alcotest.(check (float 0.0)) "contention live" Hnlpu.Perf.link_contention_factor
+    (get "Perf.link_contention_factor");
+  Alcotest.(check (float 0.0)) "ports live"
+    (float_of_int Hnlpu.Census.popcount_port_transistors)
+    (get "Census.popcount_port_transistors");
+  Alcotest.(check bool) "renders" true
+    (Thelp.contains (Table.render (Hnlpu.Calibration.to_table ())) "Anchor")
+
+(* --- Figure charts ---------------------------------------------------------- *)
+
+let test_figure_charts_render () =
+  let reports = Hnlpu.Experiments.neuron_reports () in
+  let f12 = Hnlpu.Experiments.figure12_chart reports in
+  let f13 = Hnlpu.Experiments.figure13_chart reports in
+  let f14 = Hnlpu.Experiments.figure14_chart () in
+  Alcotest.(check bool) "figure 12 mentions all designs" true
+    (Thelp.contains f12 "Metal-Embedding" && Thelp.contains f12 "Cell-Embedding");
+  Alcotest.(check bool) "figure 13 log bars" true (Thelp.contains f13 "MAC array");
+  Alcotest.(check bool) "figure 14 stacked rows" true
+    (Thelp.contains f14 "512K" && Thelp.contains f14 "legend")
+
+(* --- HN machines at their input bounds ------------------------------------ *)
+
+let test_gemv_min_width () =
+  let open Hnlpu_neuron in
+  let rng = Rng.create 5 in
+  let g = Gemv.random rng ~in_features:4 ~out_features:1 ~act_bits:2 in
+  let x = Gemv.random_activations rng g in
+  let me, _ = Metal_embedding.run (Metal_embedding.make ~slack:16.0 g) x in
+  Alcotest.(check (array int)) "2-bit activations" (Gemv.reference g x) me
+
+(* Every machine rejects a short, a long and an out-of-range activation
+   vector with a message naming it — never an index error. *)
+let bad_activations_gemv =
+  Hnlpu_neuron.Gemv.random (Rng.create 8) ~in_features:8 ~out_features:2 ~act_bits:8
+
+let test_rejects_bad_activations name run () =
+  List.iter
+    (fun (case, x) ->
+      let msg =
+        match run x with
+        | _ -> "accepted"
+        | exception Invalid_argument msg -> msg
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %s: %S names the machine" name case msg)
+        true
+        (String.starts_with ~prefix:(name ^ ": ") msg))
+    [ ("short", Array.make 5 0); ("long", Array.make 9 0); ("out of range", [| 0; 0; 1000; 0; 0; 0; 0; 0 |]) ]
+
+let machine_rejection_cases =
+  let open Hnlpu_neuron in
+  let g = bad_activations_gemv in
+  List.map
+    (fun (name, run) ->
+      Alcotest.test_case (name ^ " rejects bad activations") `Quick
+        (test_rejects_bad_activations name run))
     [
-      ( "experiments",
-        [
-          Alcotest.test_case "all render" `Quick test_all_experiments_render;
-          Alcotest.test_case "count" `Quick test_experiment_count;
-          Alcotest.test_case "figures 12/13 share one build" `Quick test_shared_neuron_build;
-        ] );
-      ( "cross-layer",
-        [
-          Alcotest.test_case "tiny LLM on HN arithmetic" `Quick test_tiny_llm_on_hn_arithmetic;
-          Alcotest.test_case "generation via dataflow" `Quick test_generation_deterministic_across_paths;
-          Alcotest.test_case "perf = table2" `Quick test_perf_consistency_with_table2;
-          Alcotest.test_case "tco = floorplan" `Quick test_tco_consistency_with_floorplan;
-          Alcotest.test_case "nre = litho" `Quick test_nre_consistency;
-          Alcotest.test_case "scheduler = perf" `Quick test_scheduler_uses_perf_latency;
-          Alcotest.test_case "end-to-end story" `Quick test_end_to_end_story;
-          Alcotest.test_case "full lifecycle" `Quick test_full_lifecycle;
-        ] );
+      ("Metal_embedding.run", fun x -> fst (Metal_embedding.run (Metal_embedding.make ~slack:16.0 g) x));
+      ("Cell_embedding.run", fun x -> fst (Cell_embedding.run (Cell_embedding.make g) x));
+      ("Mac_array.run", fun x -> fst (Mac_array.run (Mac_array.make g) x));
     ]
+
+let suites =
+  [
+    ( "experiments",
+      [
+        Alcotest.test_case "all render" `Quick test_all_experiments_render;
+        Alcotest.test_case "count" `Quick test_experiment_count;
+        Alcotest.test_case "figures 12/13 share one build" `Quick test_shared_neuron_build;
+      ] );
+    ( "cross-layer",
+      [
+        Alcotest.test_case "tiny LLM on HN arithmetic" `Quick test_tiny_llm_on_hn_arithmetic;
+        Alcotest.test_case "generation via dataflow" `Quick test_generation_deterministic_across_paths;
+        Alcotest.test_case "perf = table2" `Quick test_perf_consistency_with_table2;
+        Alcotest.test_case "tco = floorplan" `Quick test_tco_consistency_with_floorplan;
+        Alcotest.test_case "nre = litho" `Quick test_nre_consistency;
+        Alcotest.test_case "scheduler = perf" `Quick test_scheduler_uses_perf_latency;
+        Alcotest.test_case "end-to-end story" `Quick test_end_to_end_story;
+        Alcotest.test_case "full lifecycle" `Quick test_full_lifecycle;
+      ] );
+    ( "substrate-bounds",
+      [ Alcotest.test_case "min-width gemv" `Quick test_gemv_min_width ]
+      @ machine_rejection_cases );
+    ("csv", [ Alcotest.test_case "experiments export" `Quick test_experiments_export_csv ]);
+    ( "json-calibration",
+      [
+        Alcotest.test_case "export json" `Quick test_experiments_export_json;
+        Alcotest.test_case "calibration registry" `Quick test_calibration_registry;
+      ] );
+    ("figure-charts", [ Alcotest.test_case "render" `Quick test_figure_charts_render ]);
+  ]

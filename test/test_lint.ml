@@ -259,8 +259,20 @@ let test_repo_baseline_matches_format () =
           (Thelp.contains e.Baseline.reason "TODO"))
       entries
 
+(* --- Report ---------------------------------------------------------------- *)
+
+(* [hnlpu lint] closes its report with a tally headed by its own gate's
+   name: "lint: ...", never signoff's. *)
+let test_report_summary_names_lint () =
+  let ds = run_fixtures () in
+  let lines = String.split_on_char '\n' (String.trim (D.report ~gate:"lint" ds)) in
+  Alcotest.(check string) "summary line"
+    (Printf.sprintf "lint: %d error(s), %d warning(s), %d info" (D.count D.Error ds)
+       (D.count D.Warning ds) (D.count D.Info ds))
+    (List.nth lines (List.length lines - 1))
+
 let () =
-  Alcotest.run "hnlpu lint"
+  Alcotest.run "lint"
     [
       ( "fixtures",
         [
@@ -293,4 +305,6 @@ let () =
           Alcotest.test_case "committed baseline well-formed" `Quick
             test_repo_baseline_matches_format;
         ] );
+      ( "report",
+        [ Alcotest.test_case "summary names lint" `Quick test_report_summary_names_lint ] );
     ]

@@ -1,3 +1,4 @@
+open Hnlpu
 open Hnlpu_litho
 
 (* --- Layer stack -------------------------------------------------------- *)
@@ -182,38 +183,145 @@ let test_gpt_oss_chip_count () =
         reference is defined on hardwired params, so allow the ~1% excess. *)
      c >= 16.0 && c <= 16.3)
 
-let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
+let config = Config.gpt_oss_120b
 
-let () =
-  Alcotest.run "hnlpu_litho"
-    [
-      ( "layer-stack",
-        [
-          Alcotest.test_case "totals" `Quick test_stack_totals;
-          Alcotest.test_case "embedding window" `Quick test_stack_embedding_window;
-          Alcotest.test_case "EUV shared" `Quick test_stack_no_euv_shared;
-          Alcotest.test_case "figure 8 split" `Quick test_stack_figure8_split;
-        ] );
-      ( "mask-cost",
-        [
-          Alcotest.test_case "homogeneous" `Quick test_mask_homogeneous_cost;
-          Alcotest.test_case "embedding per chip" `Quick test_mask_embedding_cost;
-          Alcotest.test_case "sea-of-neurons 16 chips" `Quick test_mask_sea_of_neurons_16;
-          Alcotest.test_case "saving fractions" `Quick test_mask_savings;
-          Alcotest.test_case "16-chip ME range" `Quick test_mask_16_chip_me_range;
-        ] );
-      qsuite "mask-cost properties" [ prop_more_chips_cost_more; prop_sharing_always_wins ];
-      ( "strawman",
-        [
-          Alcotest.test_case "gpt-oss $6B" `Quick test_strawman_gpt_oss;
-          Alcotest.test_case "figure 2 GPU side" `Quick test_figure2_gpu_side;
-          Alcotest.test_case "figure 2 hardwired side" `Quick test_figure2_hardwired_side;
-        ] );
-      ( "table-4",
-        [
-          Alcotest.test_case "per-chip capacity" `Quick test_per_chip_capacity;
-          Alcotest.test_case "paper prices within 2%" `Quick test_table4_prices;
-          Alcotest.test_case "ordering" `Quick test_table4_ordering;
-          Alcotest.test_case "gpt-oss 16 chips" `Quick test_gpt_oss_chip_count;
-        ] );
-    ]
+(* --- ME-layer routing (§7.1) -------------------------------------------------- *)
+
+let routing = Routing.analyze config
+
+let test_routing_density () =
+  (* Paper: "routing density on ME layers (M8-M11) remains below 70%". *)
+  Alcotest.(check bool)
+    (Printf.sprintf "utilization %.3f < 0.70" routing.Routing.utilization)
+    true routing.Routing.congestion_free
+
+let test_routing_parasitics () =
+  (* Paper: avg R = 164 ohm, C = 7.8 fF. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "R %.0f ~ 164" routing.Routing.avg_resistance_ohm)
+    true
+    (Thelp.within_pct 2.0 ~expected:164.0 ~actual:routing.Routing.avg_resistance_ohm);
+  Alcotest.(check bool)
+    (Printf.sprintf "C %.2f ~ 7.8" routing.Routing.avg_capacitance_ff)
+    true
+    (Thelp.within_pct 2.0 ~expected:7.8 ~actual:routing.Routing.avg_capacitance_ff)
+
+let test_routing_timing_slack () =
+  (* "manageable coupling effects": wire delay is thousands of times below
+     the 1 ns cycle. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "delay %.2f ps" routing.Routing.wire_delay_ps)
+    true
+    (routing.Routing.wire_delay_ps < 10.0)
+
+let test_routing_headroom () =
+  (* The 70% ceiling leaves room for somewhat larger per-chip models. *)
+  let max_w = Routing.max_embeddable_weights config in
+  Alcotest.(check bool) "headroom above current weights" true
+    (max_w > routing.Routing.wires)
+
+(* --- Sea-of-Neurons planning --------------------------------------------- *)
+
+let test_reference_model_fits_exactly () =
+  let p = Sea_of_neurons.plan Config.gpt_oss_120b in
+  Alcotest.(check int) "gpt-oss lands on 16 chips" 16 p.Sea_of_neurons.chips_needed;
+  Alcotest.(check bool) "fits" true p.Sea_of_neurons.fits_reference_16;
+  (* Port slack 1.25 -> ~80% utilization on matched shapes. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "utilization %.3f" p.Sea_of_neurons.avg_port_utilization)
+    true
+    (Thelp.within_pct 2.0 ~expected:0.8 ~actual:p.Sea_of_neurons.avg_port_utilization)
+
+let test_20b_fits_prefab () =
+  (* §8 future work 1: hyper-parameter updates on the same prefab — the
+     20B sibling shares the geometry, so it tiles cleanly onto a few
+     chips. *)
+  let p = Sea_of_neurons.plan Config.gpt_oss_20b in
+  Alcotest.(check bool)
+    (Printf.sprintf "chips %d small" p.Sea_of_neurons.chips_needed)
+    true
+    (p.Sea_of_neurons.chips_needed <= 4);
+  Alcotest.(check bool) "penalty near 1" true
+    (Sea_of_neurons.utilization_penalty Config.gpt_oss_20b < 1.2)
+
+let test_mismatched_shapes_pay_fragmentation () =
+  let narrow =
+    {
+      Config.gpt_oss_20b with
+      Config.name = "narrow";
+      hidden = 1024;
+      expert_hidden = 1024;
+      q_heads = 16;
+      kv_heads = 8;
+    }
+  in
+  let penalty = Sea_of_neurons.utilization_penalty narrow in
+  Alcotest.(check bool)
+    (Printf.sprintf "penalty %.2f > 2" penalty)
+    true (penalty > 2.0);
+  let p = Sea_of_neurons.plan narrow in
+  Alcotest.(check bool) "port utilization poor" true
+    (p.Sea_of_neurons.avg_port_utilization < 0.4)
+
+let test_wide_fan_in_chains_tiles () =
+  (* Wo's fan-in (4096) exceeds the 3600-port tile: chained. *)
+  let p = Sea_of_neurons.plan Config.gpt_oss_120b in
+  let wo =
+    List.find (fun d -> d.Sea_of_neurons.proj_name = "Wo") p.Sea_of_neurons.demands
+  in
+  Alcotest.(check int) "two tiles per Wo neuron" 2 wo.Sea_of_neurons.tiles_per_neuron
+
+let test_plan_rejects_external () =
+  Alcotest.(check bool) "footprint-only rejected" true
+    (try
+       ignore (Sea_of_neurons.plan Config.kimi_k2);
+       false
+     with Invalid_argument _ -> true)
+
+let suites =
+  [
+    ( "layer-stack",
+      [
+        Alcotest.test_case "totals" `Quick test_stack_totals;
+        Alcotest.test_case "embedding window" `Quick test_stack_embedding_window;
+        Alcotest.test_case "EUV shared" `Quick test_stack_no_euv_shared;
+        Alcotest.test_case "figure 8 split" `Quick test_stack_figure8_split;
+      ] );
+    ( "mask-cost",
+      [
+        Alcotest.test_case "homogeneous" `Quick test_mask_homogeneous_cost;
+        Alcotest.test_case "embedding per chip" `Quick test_mask_embedding_cost;
+        Alcotest.test_case "sea-of-neurons 16 chips" `Quick test_mask_sea_of_neurons_16;
+        Alcotest.test_case "saving fractions" `Quick test_mask_savings;
+        Alcotest.test_case "16-chip ME range" `Quick test_mask_16_chip_me_range;
+      ] );
+    Thelp.qsuite "mask-cost properties" [ prop_more_chips_cost_more; prop_sharing_always_wins ];
+    ( "strawman",
+      [
+        Alcotest.test_case "gpt-oss $6B" `Quick test_strawman_gpt_oss;
+        Alcotest.test_case "figure 2 GPU side" `Quick test_figure2_gpu_side;
+        Alcotest.test_case "figure 2 hardwired side" `Quick test_figure2_hardwired_side;
+      ] );
+    ( "table-4",
+      [
+        Alcotest.test_case "per-chip capacity" `Quick test_per_chip_capacity;
+        Alcotest.test_case "paper prices within 2%" `Quick test_table4_prices;
+        Alcotest.test_case "ordering" `Quick test_table4_ordering;
+        Alcotest.test_case "gpt-oss 16 chips" `Quick test_gpt_oss_chip_count;
+      ] );
+    ( "routing",
+      [
+        Alcotest.test_case "density < 70%" `Quick test_routing_density;
+        Alcotest.test_case "parasitics 164/7.8" `Quick test_routing_parasitics;
+        Alcotest.test_case "timing slack" `Quick test_routing_timing_slack;
+        Alcotest.test_case "headroom" `Quick test_routing_headroom;
+      ] );
+    ( "sea-of-neurons",
+      [
+        Alcotest.test_case "reference fits 16" `Quick test_reference_model_fits_exactly;
+        Alcotest.test_case "20B fits" `Quick test_20b_fits_prefab;
+        Alcotest.test_case "fragmentation penalty" `Quick test_mismatched_shapes_pay_fragmentation;
+        Alcotest.test_case "tile chaining" `Quick test_wide_fan_in_chains_tiles;
+        Alcotest.test_case "rejects external" `Quick test_plan_rejects_external;
+      ] );
+  ]

@@ -241,6 +241,9 @@ let test_words_per_gemv () =
   let check name run =
     ignore (run x);
     let runs = 4 in
+    (* A full major first: no collection work an earlier suite left
+       pending runs inside the window. *)
+    Gc.full_major ();
     let w0 = Gc.minor_words () in
     for _ = 1 to runs do
       ignore (run x)
@@ -450,55 +453,52 @@ let test_report_table_renders () =
     (Thelp.contains s "MAC array" && Thelp.contains s "Cell-Embedding"
     && Thelp.contains s "Metal-Embedding")
 
-let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
-
-let () =
-  Alcotest.run "hnlpu_neuron"
-    [
-      ( "gemv",
-        [
-          Alcotest.test_case "manual reference" `Quick test_gemv_reference_manual;
-          Alcotest.test_case "validation" `Quick test_gemv_validation;
-          Alcotest.test_case "paper benchmark shape" `Quick test_gemv_paper_shape;
-          Alcotest.test_case "codes round trip" `Quick test_gemv_codes_round_trip;
-          Alcotest.test_case "random draw order" `Quick test_gemv_random_draw_order;
-          Alcotest.test_case "footprint" `Quick test_gemv_footprint;
-        ] );
-      ( "machines",
-        [
-          Alcotest.test_case "MA = reference" `Quick test_ma_matches_reference;
-          Alcotest.test_case "CE = reference" `Quick test_ce_matches_reference;
-          Alcotest.test_case "ME = reference" `Quick test_me_matches_reference;
-          Alcotest.test_case "ME extreme activations" `Quick test_me_extreme_activations;
-          Alcotest.test_case "ME skewed weights" `Quick test_me_single_weight_value;
-          Alcotest.test_case "ME slack overflow" `Quick test_me_slack_rejects_overflow;
-          Alcotest.test_case "ME identity: all codes x plane weights" `Quick
-            test_me_identity_all_codes_planes;
-        ] );
-      qsuite "machine properties" [ prop_machines_agree; prop_me_bit_widths ];
-      ("allocation", [ Alcotest.test_case "words per GEMV" `Quick test_words_per_gemv ]);
-      ( "figure-12",
-        [
-          Alcotest.test_case "CE much bigger than SRAM" `Quick test_fig12_ce_much_bigger;
-          Alcotest.test_case "ME comparable to SRAM" `Quick test_fig12_me_comparable_to_sram;
-          Alcotest.test_case "ordering" `Quick test_fig12_ordering;
-        ] );
-      ( "figure-13",
-        [
-          Alcotest.test_case "cycles" `Quick test_fig13_cycles;
-          Alcotest.test_case "energy ordering" `Quick test_fig13_energy_ordering;
-          Alcotest.test_case "MA energy magnitude" `Quick test_fig13_ma_energy_magnitude;
-          Alcotest.test_case "ME energy magnitude" `Quick test_fig13_me_energy_magnitude;
-          Alcotest.test_case "CE leakage" `Quick test_ce_leakage_exceeds_me;
-        ] );
-      ( "structure",
-        [
-          Alcotest.test_case "region accounting" `Quick test_me_region_accounting;
-          Alcotest.test_case "serial cycles" `Quick test_me_serial_cycles_is_act_bits;
-          Alcotest.test_case "structural report = built report" `Quick
-            test_structural_report_is_built_report;
-          Alcotest.test_case "neuron_reports builds no masks" `Quick
-            test_neuron_reports_build_no_masks;
-          Alcotest.test_case "report table" `Quick test_report_table_renders;
-        ] );
-    ]
+let suites =
+  [
+    ( "gemv",
+      [
+        Alcotest.test_case "manual reference" `Quick test_gemv_reference_manual;
+        Alcotest.test_case "validation" `Quick test_gemv_validation;
+        Alcotest.test_case "paper benchmark shape" `Quick test_gemv_paper_shape;
+        Alcotest.test_case "codes round trip" `Quick test_gemv_codes_round_trip;
+        Alcotest.test_case "random draw order" `Quick test_gemv_random_draw_order;
+        Alcotest.test_case "footprint" `Quick test_gemv_footprint;
+      ] );
+    ( "machines",
+      [
+        Alcotest.test_case "MA = reference" `Quick test_ma_matches_reference;
+        Alcotest.test_case "CE = reference" `Quick test_ce_matches_reference;
+        Alcotest.test_case "ME = reference" `Quick test_me_matches_reference;
+        Alcotest.test_case "ME extreme activations" `Quick test_me_extreme_activations;
+        Alcotest.test_case "ME skewed weights" `Quick test_me_single_weight_value;
+        Alcotest.test_case "ME slack overflow" `Quick test_me_slack_rejects_overflow;
+        Alcotest.test_case "ME identity: all codes x plane weights" `Quick
+          test_me_identity_all_codes_planes;
+      ] );
+    Thelp.qsuite "machine properties" [ prop_machines_agree; prop_me_bit_widths ];
+    ("allocation", [ Alcotest.test_case "words per GEMV" `Quick test_words_per_gemv ]);
+    ( "figure-12",
+      [
+        Alcotest.test_case "CE much bigger than SRAM" `Quick test_fig12_ce_much_bigger;
+        Alcotest.test_case "ME comparable to SRAM" `Quick test_fig12_me_comparable_to_sram;
+        Alcotest.test_case "ordering" `Quick test_fig12_ordering;
+      ] );
+    ( "figure-13",
+      [
+        Alcotest.test_case "cycles" `Quick test_fig13_cycles;
+        Alcotest.test_case "energy ordering" `Quick test_fig13_energy_ordering;
+        Alcotest.test_case "MA energy magnitude" `Quick test_fig13_ma_energy_magnitude;
+        Alcotest.test_case "ME energy magnitude" `Quick test_fig13_me_energy_magnitude;
+        Alcotest.test_case "CE leakage" `Quick test_ce_leakage_exceeds_me;
+      ] );
+    ( "structure",
+      [
+        Alcotest.test_case "region accounting" `Quick test_me_region_accounting;
+        Alcotest.test_case "serial cycles" `Quick test_me_serial_cycles_is_act_bits;
+        Alcotest.test_case "structural report = built report" `Quick
+          test_structural_report_is_built_report;
+        Alcotest.test_case "neuron_reports builds no masks" `Quick
+          test_neuron_reports_build_no_masks;
+        Alcotest.test_case "report table" `Quick test_report_table_renders;
+      ] );
+  ]

@@ -137,38 +137,41 @@ let test_transfer_counts () =
       ("ring all-gather of 4", 12, Schedule.canonical (Schedule.All_gather { group; shard_bytes = bytes }));
     ]
 
-let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
+let test_topology_validation () =
+  let open Hnlpu_noc in
+  Alcotest.(check bool) "bad chip" true (Thelp.raises (fun () -> Topology.row_of 16));
+  Alcotest.(check bool) "bad group" true (Thelp.raises (fun () -> Topology.col_group 4))
 
-let () =
-  Alcotest.run "hnlpu_noc"
-    [
-      ( "topology",
-        [
-          Alcotest.test_case "grid shape" `Quick test_grid_shape;
-          Alcotest.test_case "groups" `Quick test_groups;
-          Alcotest.test_case "connectivity" `Quick test_connectivity;
-          Alcotest.test_case "kv striping" `Quick test_kv_owner_striping;
-        ] );
-      qsuite "topology properties" [ prop_links_are_row_or_col ];
-      ( "link",
-        [
-          Alcotest.test_case "latency components" `Quick test_link_latency_components;
-          Alcotest.test_case "sub-100ns phy" `Quick test_link_sub_100ns_phy;
-          Alcotest.test_case "energy" `Quick test_link_energy;
-          Alcotest.test_case "energy rejects negative" `Quick
-            test_link_energy_rejects_negative;
-        ] );
-      ( "collective-function",
-        [
-          Alcotest.test_case "sum/all-reduce" `Quick test_sum_and_all_reduce;
-          Alcotest.test_case "ragged rejected" `Quick test_ragged_rejected;
-        ] );
-      qsuite "collective properties" [ prop_all_reduce_order_invariant ];
-      ( "collective-timing",
-        [
-          Alcotest.test_case "monotone in group" `Quick test_timing_monotone_in_group;
-          Alcotest.test_case "reduce + broadcast" `Quick test_all_reduce_is_reduce_plus_broadcast;
-          Alcotest.test_case "hierarchical 16-chip" `Quick test_hierarchical_all_chip;
-          Alcotest.test_case "transfer counts" `Quick test_transfer_counts;
-        ] );
-    ]
+let suites =
+  [
+    ( "topology",
+      [
+        Alcotest.test_case "grid shape" `Quick test_grid_shape;
+        Alcotest.test_case "groups" `Quick test_groups;
+        Alcotest.test_case "connectivity" `Quick test_connectivity;
+        Alcotest.test_case "kv striping" `Quick test_kv_owner_striping;
+      ] );
+    Thelp.qsuite "topology properties" [ prop_links_are_row_or_col ];
+    ( "link",
+      [
+        Alcotest.test_case "latency components" `Quick test_link_latency_components;
+        Alcotest.test_case "sub-100ns phy" `Quick test_link_sub_100ns_phy;
+        Alcotest.test_case "energy" `Quick test_link_energy;
+        Alcotest.test_case "energy rejects negative" `Quick
+          test_link_energy_rejects_negative;
+      ] );
+    ( "collective-function",
+      [
+        Alcotest.test_case "sum/all-reduce" `Quick test_sum_and_all_reduce;
+        Alcotest.test_case "ragged rejected" `Quick test_ragged_rejected;
+      ] );
+    Thelp.qsuite "collective properties" [ prop_all_reduce_order_invariant ];
+    ( "collective-timing",
+      [
+        Alcotest.test_case "monotone in group" `Quick test_timing_monotone_in_group;
+        Alcotest.test_case "reduce + broadcast" `Quick test_all_reduce_is_reduce_plus_broadcast;
+        Alcotest.test_case "hierarchical 16-chip" `Quick test_hierarchical_all_chip;
+        Alcotest.test_case "transfer counts" `Quick test_transfer_counts;
+      ] );
+    ("misc", [ Alcotest.test_case "topology validation" `Quick test_topology_validation ]);
+  ]

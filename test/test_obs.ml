@@ -816,6 +816,9 @@ let test_sketch_observe_allocates_nothing () =
   feed samples;
   let cell = Float.Array.make 3 0.0 in
   let words f =
+    (* A full major first: no collection work an earlier suite left
+       pending runs inside the window. *)
+    Gc.full_major ();
     let w0 = Gc.minor_words () in
     f ();
     Gc.minor_words () -. w0
@@ -1079,101 +1082,97 @@ let test_ring_wraparound_metrics_parity () =
   | None -> Alcotest.fail "no TTFT histogram on the counters-only sink"
   | Some s -> Alcotest.(check bool) "histogram populated" true (s.Metrics.count > 0)
 
-let qsuite name tests =
-  (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
-
-let () =
-  Alcotest.run "hnlpu_obs"
-    [
-      ( "json",
-        [
-          Alcotest.test_case "parser is strict" `Quick test_parser_is_strict;
-          Alcotest.test_case "combinators" `Quick test_json_combinators;
-        ] );
-      ("ring", [ Alcotest.test_case "bounds and order" `Quick test_ring ]);
-      ( "metrics",
-        [
-          Alcotest.test_case "basic" `Quick test_metrics_basic;
-          Alcotest.test_case "kind conflict" `Quick test_metrics_kind_conflict;
-          Alcotest.test_case "strict json" `Quick test_metrics_json_strict;
-        ] );
-      ( "sink",
-        [
-          Alcotest.test_case "rejects bad spans" `Quick test_sink_rejects_bad_spans;
-          Alcotest.test_case "capacity" `Quick test_sink_capacity;
-        ] );
-      ( "chrome-trace",
-        [
-          Alcotest.test_case "export" `Quick test_chrome_trace_export;
-          Alcotest.test_case "jsonl" `Quick test_jsonl_export;
-        ] );
-      ( "scheduler",
-        [
-          Alcotest.test_case "no sink is bit-identical" `Quick
-            test_no_sink_bit_identical;
-          Alcotest.test_case "same seed exports identically" `Quick
-            test_same_seed_export_identical;
-          Alcotest.test_case "request spans" `Quick test_scheduler_spans;
-        ] );
-      ( "pipeline",
-        [
-          Alcotest.test_case "trace obs" `Quick test_pipeline_trace_obs;
-          Alcotest.test_case "trace obs leaves results identical" `Quick
-            test_pipeline_trace_obs_identical;
-        ] );
-      ("noc", [ Alcotest.test_case "all-reduce obs" `Quick test_noc_obs ]);
-      ("thermal", [ Alcotest.test_case "gauges" `Quick test_thermal_obs ]);
-      ( "end-to-end",
-        [ Alcotest.test_case "combined timeline" `Quick test_combined_timeline ]
-      );
-      ( "sketch",
-        [
-          Alcotest.test_case "empty and singleton" `Quick
-            test_sketch_empty_and_singleton;
-          Alcotest.test_case "constant and extremes" `Quick
-            test_sketch_constant_and_extremes;
-          Alcotest.test_case "rejects bad input" `Quick
-            test_sketch_rejects_bad_input;
-          Alcotest.test_case "deterministic export" `Quick
-            test_sketch_deterministic_export;
-          Alcotest.test_case "merge order-insensitive" `Quick
-            test_sketch_merge_order_insensitive;
-          Alcotest.test_case "memory flat" `Quick test_sketch_memory_flat;
-          Alcotest.test_case "scheduler sink flat 2k vs 20k" `Quick
-            test_scheduler_sink_flat;
-          Alcotest.test_case "tiny and overflow" `Quick
-            test_sketch_tiny_and_overflow;
-          Alcotest.test_case "live words pinned" `Quick
-            test_sketch_live_words_pinned;
-          Alcotest.test_case "32-bit bucket limit" `Quick test_sketch_bucket_limit;
-          Alcotest.test_case "observe allocates nothing" `Quick
-            test_sketch_observe_allocates_nothing;
-          Alcotest.test_case "observe_cell = observe" `Quick
-            test_sketch_observe_cell_is_observe;
-          Alcotest.test_case "bucket index at powers of two" `Quick
-            test_sketch_bucket_index_edges;
-        ] );
-      ( "gauge-stamps",
-        [
-          Alcotest.test_case "merge by latest stamp" `Quick
-            test_gauge_stamp_merge;
-          Alcotest.test_case "sink sample stamps" `Quick test_sink_sample_stamps;
-          Alcotest.test_case "shard merge order free" `Quick
-            test_scheduler_shard_merge_order_free;
-        ] );
-      ( "ring-parity",
-        [
-          Alcotest.test_case "wraparound metrics parity" `Quick
-            test_ring_wraparound_metrics_parity;
-        ] );
-      qsuite "properties" [ prop_spans_wellformed ];
-      qsuite "sketch-properties"
-        [
-          prop_sketch_heavy_tail;
-          prop_sketch_bimodal;
-          prop_sketch_constant;
-          prop_sketch_denormal_adjacent;
-          prop_sketch_merge_split_invariant;
-          prop_sketch_bucket_index_random;
-        ];
-    ]
+let suites =
+  [
+    ( "json",
+      [
+        Alcotest.test_case "parser is strict" `Quick test_parser_is_strict;
+        Alcotest.test_case "combinators" `Quick test_json_combinators;
+      ] );
+    ("ring", [ Alcotest.test_case "bounds and order" `Quick test_ring ]);
+    ( "metrics",
+      [
+        Alcotest.test_case "basic" `Quick test_metrics_basic;
+        Alcotest.test_case "kind conflict" `Quick test_metrics_kind_conflict;
+        Alcotest.test_case "strict json" `Quick test_metrics_json_strict;
+      ] );
+    ( "sink",
+      [
+        Alcotest.test_case "rejects bad spans" `Quick test_sink_rejects_bad_spans;
+        Alcotest.test_case "capacity" `Quick test_sink_capacity;
+      ] );
+    ( "chrome-trace",
+      [
+        Alcotest.test_case "export" `Quick test_chrome_trace_export;
+        Alcotest.test_case "jsonl" `Quick test_jsonl_export;
+      ] );
+    ( "scheduler",
+      [
+        Alcotest.test_case "no sink is bit-identical" `Quick
+          test_no_sink_bit_identical;
+        Alcotest.test_case "same seed exports identically" `Quick
+          test_same_seed_export_identical;
+        Alcotest.test_case "request spans" `Quick test_scheduler_spans;
+      ] );
+    ( "pipeline",
+      [
+        Alcotest.test_case "trace obs" `Quick test_pipeline_trace_obs;
+        Alcotest.test_case "trace obs leaves results identical" `Quick
+          test_pipeline_trace_obs_identical;
+      ] );
+    ("noc", [ Alcotest.test_case "all-reduce obs" `Quick test_noc_obs ]);
+    ("thermal", [ Alcotest.test_case "gauges" `Quick test_thermal_obs ]);
+    ( "end-to-end",
+      [ Alcotest.test_case "combined timeline" `Quick test_combined_timeline ]
+    );
+    ( "sketch",
+      [
+        Alcotest.test_case "empty and singleton" `Quick
+          test_sketch_empty_and_singleton;
+        Alcotest.test_case "constant and extremes" `Quick
+          test_sketch_constant_and_extremes;
+        Alcotest.test_case "rejects bad input" `Quick
+          test_sketch_rejects_bad_input;
+        Alcotest.test_case "deterministic export" `Quick
+          test_sketch_deterministic_export;
+        Alcotest.test_case "merge order-insensitive" `Quick
+          test_sketch_merge_order_insensitive;
+        Alcotest.test_case "memory flat" `Quick test_sketch_memory_flat;
+        Alcotest.test_case "scheduler sink flat 2k vs 20k" `Quick
+          test_scheduler_sink_flat;
+        Alcotest.test_case "tiny and overflow" `Quick
+          test_sketch_tiny_and_overflow;
+        Alcotest.test_case "live words pinned" `Quick
+          test_sketch_live_words_pinned;
+        Alcotest.test_case "32-bit bucket limit" `Quick test_sketch_bucket_limit;
+        Alcotest.test_case "observe allocates nothing" `Quick
+          test_sketch_observe_allocates_nothing;
+        Alcotest.test_case "observe_cell = observe" `Quick
+          test_sketch_observe_cell_is_observe;
+        Alcotest.test_case "bucket index at powers of two" `Quick
+          test_sketch_bucket_index_edges;
+      ] );
+    ( "gauge-stamps",
+      [
+        Alcotest.test_case "merge by latest stamp" `Quick
+          test_gauge_stamp_merge;
+        Alcotest.test_case "sink sample stamps" `Quick test_sink_sample_stamps;
+        Alcotest.test_case "shard merge order free" `Quick
+          test_scheduler_shard_merge_order_free;
+      ] );
+    ( "ring-parity",
+      [
+        Alcotest.test_case "wraparound metrics parity" `Quick
+          test_ring_wraparound_metrics_parity;
+      ] );
+    Thelp.qsuite "properties" [ prop_spans_wellformed ];
+    Thelp.qsuite "sketch-properties"
+      [
+        prop_sketch_heavy_tail;
+        prop_sketch_bimodal;
+        prop_sketch_constant;
+        prop_sketch_denormal_adjacent;
+        prop_sketch_merge_split_invariant;
+        prop_sketch_bucket_index_random;
+      ];
+  ]

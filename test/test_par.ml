@@ -201,6 +201,9 @@ let test_simulate_words_per_token () =
       in
       (* Warm the Perf latency cache so the budget covers the loop only. *)
       ignore (Scheduler.simulate config reqs);
+      (* A full major first: no collection work an earlier suite left
+         pending runs inside the window. *)
+      Gc.full_major ();
       let w0 = Gc.minor_words () in
       ignore (Scheduler.simulate config reqs);
       let words = Gc.minor_words () -. w0 in
@@ -618,6 +621,9 @@ let prop_rng_derive_matches_reference =
 (* The per-request draws allocate nothing.  Gc.minor_words is exact for
    the calling domain. *)
 let minor_words_of f =
+  (* A full major first: no collection work an earlier suite left
+     pending runs inside the window. *)
+  Gc.full_major ();
   let w0 = Gc.minor_words () in
   f ();
   Gc.minor_words () -. w0
@@ -711,83 +717,82 @@ let test_latency_cache_agrees () =
 
 let qt t = QCheck_alcotest.to_alcotest t
 
-let () =
-  Alcotest.run "hnlpu-par"
-    [
-      ( "par-combinators",
-        [
-          qt prop_parallel_map_is_map;
-          qt prop_parallel_init_is_init;
-          Alcotest.test_case "seeded tasks deterministic" `Quick
-            test_seeded_tasks_deterministic;
-          Alcotest.test_case "exception propagation" `Quick test_exception_propagates;
-          Alcotest.test_case "nested regions" `Quick test_nested_region_degrades;
-          Alcotest.test_case "default width" `Quick test_default_domains_positive;
-        ] );
-      ( "rng-derive",
-        [ Alcotest.test_case "independent streams" `Quick test_derive_independent_streams ] );
-      ( "scheduler-capacity",
-        [
-          qt prop_capacity_profile_equiv;
-          Alcotest.test_case "tie groups" `Quick test_capacity_profile_ties;
-          Alcotest.test_case "failure workload" `Quick
-            test_simulate_with_failures_unchanged;
-          Alcotest.test_case "words per token" `Quick test_simulate_words_per_token;
-        ] );
-      ( "slo",
-        [
-          Alcotest.test_case "single-pass regression" `Quick
-            test_evaluate_single_pass_regression;
-          Alcotest.test_case "sweep identical across widths" `Quick
-            test_slo_sweep_identical_across_widths;
-          Alcotest.test_case "sweep = mapped evaluate" `Quick
-            test_slo_sweep_matches_sequential_evaluate;
-          Alcotest.test_case "telemetry merge deterministic" `Quick
-            test_slo_sweep_obs_merge_deterministic;
-        ] );
-      ( "sweep-determinism",
-        [
-          Alcotest.test_case "ablations" `Quick test_ablation_sweeps_identical_across_widths;
-          Alcotest.test_case "quant-eval" `Quick test_quant_eval_identical_across_widths;
-          Alcotest.test_case "scaling + tornado" `Quick
-            test_scaling_and_tornado_identical_across_widths;
-          Alcotest.test_case "experiments tables" `Quick
-            test_experiments_identical_across_widths;
-        ] );
-      ( "pool-lifecycle",
-        [
-          Alcotest.test_case "pool identity (record-copy regression)" `Quick
-            test_pool_identity_workers_visible;
-          Alcotest.test_case "shutdown quiesces" `Quick test_shutdown_quiesces;
-          Alcotest.test_case "shared pool persistence" `Quick
-            test_shared_pool_persistence;
-          Alcotest.test_case "catastrophes surface" `Quick test_catastrophe_propagates;
-        ] );
-      ( "env-width",
-        [
-          Alcotest.test_case "malformed HNLPU_DOMAINS rejected" `Quick
-            test_env_domains_malformed_rejected;
-          Alcotest.test_case "valid and unset values" `Quick
-            test_env_domains_valid_and_unset;
-        ] );
-      ( "rng-exact",
-        [
-          qt prop_rng_create_matches_reference;
-          qt prop_rng_derive_matches_reference;
-          Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocate_nothing;
-        ] );
-      ( "counters-only",
-        [
-          Alcotest.test_case "sink semantics" `Quick test_counters_only_sink;
-          Alcotest.test_case "sweep metrics match" `Quick
-            test_slo_sweep_counters_only_metrics_match;
-        ] );
-      ( "obs-merge",
-        [
-          Alcotest.test_case "metrics merge" `Quick test_metrics_merge;
-          Alcotest.test_case "kind clash" `Quick test_metrics_merge_kind_clash;
-          Alcotest.test_case "sink order" `Quick test_sink_merge_preserves_order;
-        ] );
-      ( "perf-cache",
-        [ Alcotest.test_case "cached = direct" `Quick test_latency_cache_agrees ] );
-    ]
+let suites =
+  [
+    ( "par-combinators",
+      [
+        qt prop_parallel_map_is_map;
+        qt prop_parallel_init_is_init;
+        Alcotest.test_case "seeded tasks deterministic" `Quick
+          test_seeded_tasks_deterministic;
+        Alcotest.test_case "exception propagation" `Quick test_exception_propagates;
+        Alcotest.test_case "nested regions" `Quick test_nested_region_degrades;
+        Alcotest.test_case "default width" `Quick test_default_domains_positive;
+      ] );
+    ( "rng-derive",
+      [ Alcotest.test_case "independent streams" `Quick test_derive_independent_streams ] );
+    ( "scheduler-capacity",
+      [
+        qt prop_capacity_profile_equiv;
+        Alcotest.test_case "tie groups" `Quick test_capacity_profile_ties;
+        Alcotest.test_case "failure workload" `Quick
+          test_simulate_with_failures_unchanged;
+        Alcotest.test_case "words per token" `Quick test_simulate_words_per_token;
+      ] );
+    ( "slo",
+      [
+        Alcotest.test_case "single-pass regression" `Quick
+          test_evaluate_single_pass_regression;
+        Alcotest.test_case "sweep identical across widths" `Quick
+          test_slo_sweep_identical_across_widths;
+        Alcotest.test_case "sweep = mapped evaluate" `Quick
+          test_slo_sweep_matches_sequential_evaluate;
+        Alcotest.test_case "telemetry merge deterministic" `Quick
+          test_slo_sweep_obs_merge_deterministic;
+      ] );
+    ( "sweep-determinism",
+      [
+        Alcotest.test_case "ablations" `Quick test_ablation_sweeps_identical_across_widths;
+        Alcotest.test_case "quant-eval" `Quick test_quant_eval_identical_across_widths;
+        Alcotest.test_case "scaling + tornado" `Quick
+          test_scaling_and_tornado_identical_across_widths;
+        Alcotest.test_case "experiments tables" `Quick
+          test_experiments_identical_across_widths;
+      ] );
+    ( "pool-lifecycle",
+      [
+        Alcotest.test_case "pool identity (record-copy regression)" `Quick
+          test_pool_identity_workers_visible;
+        Alcotest.test_case "shutdown quiesces" `Quick test_shutdown_quiesces;
+        Alcotest.test_case "shared pool persistence" `Quick
+          test_shared_pool_persistence;
+        Alcotest.test_case "catastrophes surface" `Quick test_catastrophe_propagates;
+      ] );
+    ( "env-width",
+      [
+        Alcotest.test_case "malformed HNLPU_DOMAINS rejected" `Quick
+          test_env_domains_malformed_rejected;
+        Alcotest.test_case "valid and unset values" `Quick
+          test_env_domains_valid_and_unset;
+      ] );
+    ( "rng-exact",
+      [
+        qt prop_rng_create_matches_reference;
+        qt prop_rng_derive_matches_reference;
+        Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocate_nothing;
+      ] );
+    ( "counters-only",
+      [
+        Alcotest.test_case "sink semantics" `Quick test_counters_only_sink;
+        Alcotest.test_case "sweep metrics match" `Quick
+          test_slo_sweep_counters_only_metrics_match;
+      ] );
+    ( "obs-merge",
+      [
+        Alcotest.test_case "metrics merge" `Quick test_metrics_merge;
+        Alcotest.test_case "kind clash" `Quick test_metrics_merge_kind_clash;
+        Alcotest.test_case "sink order" `Quick test_sink_merge_preserves_order;
+      ] );
+    ( "perf-cache",
+      [ Alcotest.test_case "cached = direct" `Quick test_latency_cache_agrees ] );
+  ]

@@ -206,40 +206,133 @@ let test_tornado_table () =
   let s = Table.render (Sensitivity.to_table (Sensitivity.tornado ())) in
   Alcotest.(check bool) "renders" true (Thelp.contains s "electricity price")
 
-let () =
-  Alcotest.run "hnlpu_tco"
-    [
-      ( "table-5",
-        [
-          Alcotest.test_case "wafer $629" `Quick test_wafer_cost;
-          Alcotest.test_case "package & test" `Quick test_package_test;
-          Alcotest.test_case "HBM" `Quick test_hbm_cost;
-          Alcotest.test_case "recurring per chip" `Quick test_recurring_per_chip;
-          Alcotest.test_case "design totals" `Quick test_design_totals;
-          Alcotest.test_case "initial build" `Quick test_initial_build;
-          Alcotest.test_case "re-spin" `Quick test_respin;
-          Alcotest.test_case "renders" `Quick test_table5_renders;
-        ] );
-      ( "table-3",
-        [
-          Alcotest.test_case "equivalence 2000 GPUs" `Quick test_equivalence;
-          Alcotest.test_case "power rows" `Quick test_power_rows;
-          Alcotest.test_case "capex rows" `Quick test_capex_rows;
-          Alcotest.test_case "infrastructure rows" `Quick test_infrastructure_rows;
-          Alcotest.test_case "opex rows" `Quick test_opex_rows;
-          Alcotest.test_case "tco rows" `Quick test_tco_rows;
-          Alcotest.test_case "emissions rows" `Quick test_emissions_rows;
-          Alcotest.test_case "headline ratios" `Quick test_headline_ratios;
-          Alcotest.test_case "low-volume break-even" `Quick test_low_volume_break_even;
-          Alcotest.test_case "structural invariants" `Quick prop_tco_monotone_in_electricity;
-          Alcotest.test_case "renders" `Quick test_table3_renders;
-        ] );
-      ( "sensitivity",
-        [
-          Alcotest.test_case "baseline" `Quick test_sensitivity_baseline;
-          Alcotest.test_case "directions" `Quick test_sensitivity_directions;
-          Alcotest.test_case "tornado ordering" `Quick test_tornado_ordering;
-          Alcotest.test_case "dominant factors" `Quick test_tornado_dominant_factors;
-          Alcotest.test_case "table" `Quick test_tornado_table;
-        ] );
-    ]
+(* --- Deployment ------------------------------------------------------------------------ *)
+
+let test_blue_green_annual () =
+  let bg = Deployment.blue_green Deployment.annual_plan in
+  Alcotest.(check int) "two re-spins over 3 years" 2 bg.Deployment.total_updates;
+  Alcotest.(check (float 1e-9)) "zero downtime" 0.0 bg.Deployment.downtime_weeks;
+  let lo, hi = bg.Deployment.respin_bill in
+  Alcotest.(check bool) "bill = 2 x Table 5 re-spin" true
+    (Thelp.within_pct 1.0 ~expected:(2.0 *. 18.53e6) ~actual:lo
+    && Thelp.within_pct 1.0 ~expected:(2.0 *. 37.06e6) ~actual:hi)
+
+let test_blue_green_no_updates () =
+  let bg =
+    Deployment.blue_green
+      { Deployment.annual_plan with Deployment.updates_per_year = 1.0 /. 3.0 }
+  in
+  Alcotest.(check int) "initial build only" 0 bg.Deployment.total_updates;
+  Alcotest.(check (float 1e-9)) "no transitions" 0.0 bg.Deployment.weeks_in_transition
+
+let test_volume_amortization () =
+  let points = Deployment.volume_sweep [ 1; 10; 100 ] in
+  match points with
+  | [ p1; p10; p100 ] ->
+    let cost p = snd p.Deployment.usd_per_mtoken in
+    Alcotest.(check bool) "cost/token falls with volume" true
+      (cost p10 < cost p1 && cost p100 < cost p10);
+    Alcotest.(check bool) "H100 benchmark constant" true
+      (p1.Deployment.h100_usd_per_mtoken = p100.Deployment.h100_usd_per_mtoken)
+  | _ -> Alcotest.fail "expected three points"
+
+let test_crossover_early () =
+  (* §7.5: break-even at or near a single node; crossover must come within
+     a handful of systems even pessimistically. *)
+  match Deployment.crossover_systems () with
+  | Some n -> Alcotest.(check bool) (Printf.sprintf "crossover at %d" n) true (n <= 5)
+  | None -> Alcotest.fail "no crossover found"
+
+(* --- Carbon deep dive -------------------------------------------------------------- *)
+
+let test_carbon_matches_table3 () =
+  let s = Carbon.hnlpu_split Tco.High in
+  Alcotest.(check bool) "dynamic total ~ 5,124 t" true
+    (Thelp.within_pct 1.0 ~expected:5124.0 ~actual:s.Carbon.total_t);
+  let h = Carbon.h100_split Tco.High in
+  Alcotest.(check bool) "H100 ~ 1,830,000 t" true
+    (Thelp.within_pct 1.0 ~expected:1.83e6 ~actual:h.Carbon.total_t)
+
+let test_carbon_mostly_operational () =
+  let s = Carbon.hnlpu_split Tco.High in
+  Alcotest.(check bool) "operational dominates" true
+    (Carbon.operational_fraction s > 0.85)
+
+let test_carbon_grid_sweep () =
+  let sweep = Carbon.grid_sweep [ 0.0; 0.1; 0.38; 0.7 ] in
+  Alcotest.(check int) "four points" 4 (List.length sweep);
+  List.iter
+    (fun (_, hn, gpu) -> Alcotest.(check bool) "H100 always worse" true (gpu > hn))
+    sweep;
+  let adv_dirty = Carbon.advantage_at_grid ~kgco2e_per_kwh:0.38 () in
+  let adv_clean = Carbon.advantage_at_grid ~kgco2e_per_kwh:0.0 () in
+  Alcotest.(check bool) "paper's 357x at US grid" true
+    (Thelp.within_pct 1.0 ~expected:357.2 ~actual:adv_dirty);
+  Alcotest.(check bool) "clean grid leaves embodied ratio ~42x" true
+    (adv_clean > 30.0 && adv_clean < 60.0)
+
+let test_carbon_per_token () =
+  (* ~7 g CO2e per million tokens at 60% utilization — absurdly low next to
+     GPU serving. *)
+  let g = Carbon.g_per_million_tokens () in
+  Alcotest.(check bool) (Printf.sprintf "%.1f g/Mtok" g) true (g > 1.0 && g < 50.0)
+
+let test_carbon_cadence_insensitive () =
+  (* Even quarterly re-spins barely move the footprint. *)
+  match Carbon.update_cadence_sweep Tco.High [ 0; 2; 12 ] with
+  | [ (_, none); (_, annual); (_, quarterly) ] ->
+    Alcotest.(check bool) "monotone" true (none < annual && annual < quarterly);
+    Alcotest.(check bool) "quarterly within 1.3x of none" true (quarterly < 1.3 *. none)
+  | _ -> Alcotest.fail "expected three points"
+
+let suites =
+  [
+    ( "table-5",
+      [
+        Alcotest.test_case "wafer $629" `Quick test_wafer_cost;
+        Alcotest.test_case "package & test" `Quick test_package_test;
+        Alcotest.test_case "HBM" `Quick test_hbm_cost;
+        Alcotest.test_case "recurring per chip" `Quick test_recurring_per_chip;
+        Alcotest.test_case "design totals" `Quick test_design_totals;
+        Alcotest.test_case "initial build" `Quick test_initial_build;
+        Alcotest.test_case "re-spin" `Quick test_respin;
+        Alcotest.test_case "renders" `Quick test_table5_renders;
+      ] );
+    ( "table-3",
+      [
+        Alcotest.test_case "equivalence 2000 GPUs" `Quick test_equivalence;
+        Alcotest.test_case "power rows" `Quick test_power_rows;
+        Alcotest.test_case "capex rows" `Quick test_capex_rows;
+        Alcotest.test_case "infrastructure rows" `Quick test_infrastructure_rows;
+        Alcotest.test_case "opex rows" `Quick test_opex_rows;
+        Alcotest.test_case "tco rows" `Quick test_tco_rows;
+        Alcotest.test_case "emissions rows" `Quick test_emissions_rows;
+        Alcotest.test_case "headline ratios" `Quick test_headline_ratios;
+        Alcotest.test_case "low-volume break-even" `Quick test_low_volume_break_even;
+        Alcotest.test_case "structural invariants" `Quick prop_tco_monotone_in_electricity;
+        Alcotest.test_case "renders" `Quick test_table3_renders;
+      ] );
+    ( "sensitivity",
+      [
+        Alcotest.test_case "baseline" `Quick test_sensitivity_baseline;
+        Alcotest.test_case "directions" `Quick test_sensitivity_directions;
+        Alcotest.test_case "tornado ordering" `Quick test_tornado_ordering;
+        Alcotest.test_case "dominant factors" `Quick test_tornado_dominant_factors;
+        Alcotest.test_case "table" `Quick test_tornado_table;
+      ] );
+    ( "deployment",
+      [
+        Alcotest.test_case "blue-green annual" `Quick test_blue_green_annual;
+        Alcotest.test_case "blue-green no updates" `Quick test_blue_green_no_updates;
+        Alcotest.test_case "volume amortization" `Quick test_volume_amortization;
+        Alcotest.test_case "crossover" `Quick test_crossover_early;
+      ] );
+    ( "carbon",
+      [
+        Alcotest.test_case "matches table 3" `Quick test_carbon_matches_table3;
+        Alcotest.test_case "mostly operational" `Quick test_carbon_mostly_operational;
+        Alcotest.test_case "grid sweep" `Quick test_carbon_grid_sweep;
+        Alcotest.test_case "per-token grams" `Quick test_carbon_per_token;
+        Alcotest.test_case "cadence insensitive" `Quick test_carbon_cadence_insensitive;
+      ] );
+  ]

@@ -216,34 +216,31 @@ let prop_gemv_into_naive =
       naive_gemv_into m x ~xo expected ~oo;
       Array.for_all2 (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b) out expected)
 
-let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
-
-let () =
-  Alcotest.run "hnlpu_tensor"
-    [
-      ( "vec",
-        [
-          Alcotest.test_case "arithmetic" `Quick test_vec_arith;
-          Alcotest.test_case "add_inplace" `Quick test_vec_add_inplace;
-          Alcotest.test_case "length mismatch" `Quick test_vec_mismatch;
-          Alcotest.test_case "softmax properties" `Quick test_softmax_properties;
-          Alcotest.test_case "softmax stability" `Quick test_softmax_stability;
-          Alcotest.test_case "softmax masked" `Quick test_softmax_masked;
-          Alcotest.test_case "rmsnorm" `Quick test_rmsnorm;
-          Alcotest.test_case "rmsnorm gain" `Quick test_rmsnorm_gain;
-          Alcotest.test_case "silu" `Quick test_silu;
-          Alcotest.test_case "swiglu" `Quick test_swiglu;
-          Alcotest.test_case "argmax/topk" `Quick test_argmax_topk;
-        ] );
-      qsuite "vec properties"
-        [ prop_softmax_simplex; prop_rmsnorm_scale_invariant; prop_top_k_order ];
-      ( "mat",
-        [
-          Alcotest.test_case "gemv manual" `Quick test_mat_gemv_manual;
-          Alcotest.test_case "slices" `Quick test_mat_slices;
-          Alcotest.test_case "row/col" `Quick test_mat_row_col;
-          Alcotest.test_case "validation" `Quick test_mat_validation;
-        ] );
-      qsuite "mat properties"
-        [ prop_gemv_linear; prop_gemv_split_cols; prop_gemv_split_rows; prop_gemv_into_naive ];
-    ]
+let suites =
+  [
+    ( "vec",
+      [
+        Alcotest.test_case "arithmetic" `Quick test_vec_arith;
+        Alcotest.test_case "add_inplace" `Quick test_vec_add_inplace;
+        Alcotest.test_case "length mismatch" `Quick test_vec_mismatch;
+        Alcotest.test_case "softmax properties" `Quick test_softmax_properties;
+        Alcotest.test_case "softmax stability" `Quick test_softmax_stability;
+        Alcotest.test_case "softmax masked" `Quick test_softmax_masked;
+        Alcotest.test_case "rmsnorm" `Quick test_rmsnorm;
+        Alcotest.test_case "rmsnorm gain" `Quick test_rmsnorm_gain;
+        Alcotest.test_case "silu" `Quick test_silu;
+        Alcotest.test_case "swiglu" `Quick test_swiglu;
+        Alcotest.test_case "argmax/topk" `Quick test_argmax_topk;
+      ] );
+    Thelp.qsuite "vec properties"
+      [ prop_softmax_simplex; prop_rmsnorm_scale_invariant; prop_top_k_order ];
+    ( "mat",
+      [
+        Alcotest.test_case "gemv manual" `Quick test_mat_gemv_manual;
+        Alcotest.test_case "slices" `Quick test_mat_slices;
+        Alcotest.test_case "row/col" `Quick test_mat_row_col;
+        Alcotest.test_case "validation" `Quick test_mat_validation;
+      ] );
+    Thelp.qsuite "mat properties"
+      [ prop_gemv_linear; prop_gemv_split_cols; prop_gemv_split_rows; prop_gemv_into_naive ];
+  ]

@@ -163,39 +163,178 @@ let test_approx () =
     (Thelp.within_pct 1.0 ~expected:100.0 ~actual:100.9);
   check_float "rel error" 0.01 (Thelp.rel_error 100.0 101.0)
 
-let () =
-  Alcotest.run "hnlpu_util"
-    [
-      ( "rng",
-        [
-          Alcotest.test_case "determinism" `Quick test_rng_determinism;
-          Alcotest.test_case "split independence" `Quick test_rng_split_independent;
-          Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
-          Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
-          Alcotest.test_case "gaussian moments" `Slow test_rng_gaussian_moments;
-          Alcotest.test_case "exponential mean" `Slow test_rng_exponential_mean;
-          Alcotest.test_case "exponential rejects bad rate" `Quick
-            test_rng_exponential_rejects_bad_rate;
-        ] );
-      ( "stats",
-        [
-          Alcotest.test_case "percentile" `Quick test_stats_percentile;
-          Alcotest.test_case "empty" `Quick test_stats_empty;
-          Alcotest.test_case "percentile domain" `Quick test_stats_percentile_domain;
-          Alcotest.test_case "percentile edges" `Quick test_stats_percentile_edges;
-        ] );
-      ( "units",
-        [
-          Alcotest.test_case "si" `Quick test_units_si;
-          Alcotest.test_case "dollars" `Quick test_units_dollars;
-          Alcotest.test_case "round_sig" `Quick test_units_round_sig;
-          Alcotest.test_case "dollars_m" `Quick test_units_dollars_m;
-          Alcotest.test_case "group thousands" `Quick test_units_group_thousands;
-        ] );
-      ( "table",
-        [
-          Alcotest.test_case "render" `Quick test_table_render;
-          Alcotest.test_case "arity" `Quick test_table_arity;
-        ] );
-      ("approx", [ Alcotest.test_case "helpers" `Quick test_approx ]);
-    ]
+(* --- Chart --------------------------------------------------------------- *)
+
+let test_bar_renders () =
+  let s = Chart.bar [ ("alpha", 1.0); ("beta", 2.0); ("gamma", 0.5) ] in
+  Alcotest.(check bool) "labels present" true
+    (Thelp.contains s "alpha" && Thelp.contains s "gamma");
+  (* beta has the longest bar. *)
+  let lines = String.split_on_char '\n' s in
+  let hashes l = List.length (String.split_on_char '#' l) in
+  (match lines with
+  | [ a; b; g; _ ] ->
+    Alcotest.(check bool) "beta longest" true (hashes b > hashes a && hashes b > hashes g)
+  | _ -> Alcotest.fail "expected three bars")
+
+let test_bar_log_scale () =
+  let s = Chart.bar ~log:true [ ("x", 0.1); ("y", 10.0) ] in
+  Alcotest.(check bool) "renders" true (String.length s > 0);
+  Alcotest.(check bool) "log rejects non-positive" true
+    (try
+       ignore (Chart.bar ~log:true [ ("x", 0.0) ]);
+       false
+     with Invalid_argument _ -> true)
+
+let test_stacked_width_exact () =
+  let s =
+    Chart.stacked ~legend:[ "a"; "b"; "c" ]
+      [ ("r1", [ 1.0; 2.0; 1.0 ]); ("r2", [ 0.0; 1.0; 0.0 ]) ]
+  in
+  (* Every bar between the pipes must be exactly 60 chars. *)
+  String.split_on_char '\n' s
+  |> List.iter (fun line ->
+         match String.index_opt line '|' with
+         | Some i when String.length line > i + 1 && line.[String.length line - 1] = '|' ->
+           Alcotest.(check int) "bar width" 60 (String.length line - i - 2)
+         | _ -> ())
+
+let test_stacked_validation () =
+  Alcotest.(check bool) "arity mismatch" true
+    (try
+       ignore (Chart.stacked ~legend:[ "a" ] [ ("r", [ 1.0; 2.0 ]) ]);
+       false
+     with Invalid_argument _ -> true)
+
+(* --- CSV ----------------------------------------------------------------- *)
+
+let test_csv_roundtrip_structure () =
+  let t = Table.create ~headers:[ "a"; "b" ] in
+  Table.add_row t [ "1"; "x,y" ];
+  Table.add_sep t;
+  Table.add_row t [ "2"; "quote\"d" ];
+  let csv = Table.to_csv t in
+  let lines = String.split_on_char '\n' (String.trim csv) in
+  Alcotest.(check int) "header + 2 rows (separator dropped)" 3 (List.length lines);
+  Alcotest.(check bool) "comma cell quoted" true (Thelp.contains csv "\"x,y\"");
+  Alcotest.(check bool) "quote escaped" true (Thelp.contains csv "\"quote\"\"d\"")
+
+let test_table_to_json () =
+  let t = Table.create ~headers:[ "k"; "v" ] in
+  Table.add_row t [ "a\"b"; "line1\nline2" ];
+  Table.add_sep t;
+  Table.add_row t [ "x"; "y" ];
+  let j = Table.to_json t in
+  Alcotest.(check bool) "escaped quote" true (Thelp.contains j "a\\\"b");
+  Alcotest.(check bool) "escaped newline" true (Thelp.contains j "\\n");
+  Alcotest.(check bool) "array of two objects" true
+    (Thelp.contains j "[{" && Thelp.contains j "},{")
+
+(* --- Units formatting ---------------------------------------------------- *)
+
+let test_units_time_scales () =
+  Alcotest.(check string) "us" "4.00us" (Units.seconds 4.0e-6);
+  Alcotest.(check string) "ms" "1.50ms" (Units.seconds 1.5e-3);
+  Alcotest.(check string) "ns" "90.00ns" (Units.seconds 90.0e-9)
+
+let test_units_zero_and_negative () =
+  Alcotest.(check string) "zero" "0.00" (Units.si 0.0);
+  Alcotest.(check bool) "negative carries sign" true
+    (String.length (Units.si (-2.5e6)) > 0 && (Units.si (-2.5e6)).[0] = '-')
+
+let test_units_extremes_fall_back () =
+  (* Outside the prefix table: scientific notation, no exception. *)
+  Alcotest.(check bool) "huge" true (String.length (Units.si 1e21) > 0);
+  Alcotest.(check bool) "tiny" true (String.length (Units.si 1e-19) > 0)
+
+let test_units_percent_digits () =
+  Alcotest.(check string) "two digits" "12.35%" (Units.percent ~digits:2 0.123456)
+
+(* --- Stats edges ----------------------------------------------------------- *)
+
+let test_stats_percentile_validation () =
+  Alcotest.(check bool) "empty is nan" true
+    (Float.is_nan (Stats.percentile [||] 0.5));
+  Alcotest.(check bool) "p>1" true (Thelp.raises (fun () -> Stats.percentile [| 1.0 |] 1.5))
+
+(* --- Rng edges --------------------------------------------------------------- *)
+
+let test_rng_int_validation () =
+  let r = Rng.create 2 in
+  Alcotest.(check bool) "zero bound" true (Thelp.raises (fun () -> Rng.int r 0))
+
+let test_rng_copy_diverges_from_split () =
+  let a = Rng.create 3 in
+  let b = Rng.copy a in
+  Alcotest.(check int64) "copies replay" (Rng.next_int64 a) (Rng.next_int64 b)
+
+(* --- Chart edges ---------------------------------------------------------------- *)
+
+let test_chart_empty_rejected () =
+  Alcotest.(check bool) "bar" true (Thelp.raises (fun () -> Chart.bar []));
+  Alcotest.(check bool) "stacked" true
+    (Thelp.raises (fun () -> Chart.stacked ~legend:[ "a" ] []))
+
+let test_chart_single_value () =
+  let s = Chart.bar [ ("only", 5.0) ] in
+  Alcotest.(check bool) "renders" true (Thelp.contains s "only")
+
+let test_table_csv_empty_rows () =
+  let t = Table.create ~headers:[ "a" ] in
+  let csv = Table.to_csv t in
+  Alcotest.(check string) "header only" "a\n" csv
+
+let suites =
+  [
+    ( "rng",
+      [
+        Alcotest.test_case "determinism" `Quick test_rng_determinism;
+        Alcotest.test_case "split independence" `Quick test_rng_split_independent;
+        Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
+        Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
+        Alcotest.test_case "gaussian moments" `Slow test_rng_gaussian_moments;
+        Alcotest.test_case "exponential mean" `Slow test_rng_exponential_mean;
+        Alcotest.test_case "exponential rejects bad rate" `Quick
+          test_rng_exponential_rejects_bad_rate;
+        Alcotest.test_case "int validation" `Quick test_rng_int_validation;
+        Alcotest.test_case "copy replays" `Quick test_rng_copy_diverges_from_split;
+      ] );
+    ( "stats",
+      [
+        Alcotest.test_case "percentile" `Quick test_stats_percentile;
+        Alcotest.test_case "empty" `Quick test_stats_empty;
+        Alcotest.test_case "percentile domain" `Quick test_stats_percentile_domain;
+        Alcotest.test_case "percentile edges" `Quick test_stats_percentile_edges;
+        Alcotest.test_case "percentile validation" `Quick test_stats_percentile_validation;
+      ] );
+    ( "units",
+      [
+        Alcotest.test_case "si" `Quick test_units_si;
+        Alcotest.test_case "dollars" `Quick test_units_dollars;
+        Alcotest.test_case "round_sig" `Quick test_units_round_sig;
+        Alcotest.test_case "dollars_m" `Quick test_units_dollars_m;
+        Alcotest.test_case "group thousands" `Quick test_units_group_thousands;
+        Alcotest.test_case "time scales" `Quick test_units_time_scales;
+        Alcotest.test_case "zero/negative" `Quick test_units_zero_and_negative;
+        Alcotest.test_case "extremes" `Quick test_units_extremes_fall_back;
+        Alcotest.test_case "percent digits" `Quick test_units_percent_digits;
+      ] );
+    ( "table",
+      [
+        Alcotest.test_case "render" `Quick test_table_render;
+        Alcotest.test_case "arity" `Quick test_table_arity;
+      ] );
+    ("approx", [ Alcotest.test_case "helpers" `Quick test_approx ]);
+    ( "chart",
+      [
+        Alcotest.test_case "empty rejected" `Quick test_chart_empty_rejected;
+        Alcotest.test_case "single value" `Quick test_chart_single_value;
+        Alcotest.test_case "bar" `Quick test_bar_renders;
+        Alcotest.test_case "log scale" `Quick test_bar_log_scale;
+        Alcotest.test_case "stacked width" `Quick test_stacked_width_exact;
+        Alcotest.test_case "stacked validation" `Quick test_stacked_validation;
+      ] );
+    ("csv", [ Alcotest.test_case "escaping" `Quick test_csv_roundtrip_structure ]);
+    ("json-calibration", [ Alcotest.test_case "to_json escaping" `Quick test_table_to_json ]);
+    ("misc", [ Alcotest.test_case "csv empty" `Quick test_table_csv_empty_rows ]);
+  ]

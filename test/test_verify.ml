@@ -35,10 +35,10 @@ let test_report_renders () =
       Diagnostic.error ~rule:"ME-TRACK" ~subject:"chip01" "short";
     ]
   in
-  let r = Diagnostic.report ds in
+  let r = Diagnostic.report ~gate:"signoff" ds in
   Alcotest.(check bool) "errors first" true
     (Thelp.contains r "[ERROR ME-TRACK]" && Thelp.contains r "signoff: 1 error(s)");
-  let hidden = Diagnostic.report ~show_info:false ds in
+  let hidden = Diagnostic.report ~gate:"signoff" ~show_info:false ds in
   Alcotest.(check bool) "info suppressed" false (Thelp.contains hidden "ME-LVS")
 
 let test_json_renders () =
@@ -773,8 +773,6 @@ let test_scheduler_slots () =
 
 (* --- Suite -------------------------------------------------------------------- *)
 
-let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
-
 let fixture_cases =
   List.concat_map
     (fun rule ->
@@ -784,105 +782,104 @@ let fixture_cases =
       ])
     Signoff.rules
 
-let () =
-  Alcotest.run "hnlpu_verify"
-    [
-      ( "diagnostic",
-        [
-          Alcotest.test_case "exit codes" `Quick test_exit_codes;
-          Alcotest.test_case "report" `Quick test_report_renders;
-          Alcotest.test_case "json" `Quick test_json_renders;
-          Alcotest.test_case "normalize dedupes and orders" `Quick
-            test_normalize_dedupes_and_orders;
-        ] );
-      ( "reference",
-        [
-          Alcotest.test_case "signoff clean" `Quick test_reference_clean;
-          Alcotest.test_case "checks the layer program" `Quick
-            test_reference_checks_the_program;
-          Alcotest.test_case "every family audited" `Quick
-            test_reference_reports_every_family;
-        ] );
-      ( "fixtures",
-        Alcotest.test_case "unknown rejected" `Quick test_unknown_fixture
-        :: Alcotest.test_case "every rule has a fixture" `Quick
-             test_rules_all_have_fixtures
-        :: Alcotest.test_case "makespan fixture is a warning" `Quick
-             test_makespan_fixture_is_warning
-        :: Alcotest.test_case "defuse fixture conserves bytes" `Quick
-             test_defuse_fixture_conserves_bytes
-        :: Alcotest.test_case "exec fixture conserves bytes" `Quick
-             test_exec_fixture_conserves_bytes
-        :: fixture_cases );
-      ( "bundle",
-        [
-          Alcotest.test_case "reference round-trips" `Quick test_bundle_roundtrip;
-          Alcotest.test_case "seeded violation survives disk" `Quick
-            test_bundle_seeded_violation_survives_disk;
-          Alcotest.test_case "det lint survives disk" `Quick
-            test_bundle_det_lint_survives_disk;
-          Alcotest.test_case "stray transfer is an error" `Quick
-            test_bundle_stray_transfer_is_error;
-          Alcotest.test_case "malformed plans are errors" `Quick
-            test_bundle_malformed_plans_are_errors;
-          Alcotest.test_case "missing bundle rejected" `Quick
-            test_bundle_missing_rejected;
-          Alcotest.test_case "bad manifest rejected" `Quick
-            test_bundle_bad_manifest_rejected;
-        ] );
-      ( "netlist rules",
-        [
-          Alcotest.test_case "congestion histogram" `Quick test_congestion_histogram;
-          Alcotest.test_case "tight window" `Quick test_congestion_tight_window;
-          Alcotest.test_case "lvs pinpoints cell" `Quick test_lvs_pinpoints_cell;
-          Alcotest.test_case "mask uniformity ok" `Quick
-            test_mask_uniformity_accepts_different_weights;
-          Alcotest.test_case "mask shape drift" `Quick
-            test_mask_uniformity_rejects_shape_drift;
-        ] );
-      ( "noc rules",
-        [
-          Alcotest.test_case "all-chip all-reduce clean" `Quick
-            test_all_chip_all_reduce_clean;
-          Alcotest.test_case "broadcast extra transfer into the root" `Quick
-            test_broadcast_extra_transfer_into_root;
-          Alcotest.test_case "rx overmerge" `Quick test_contention_rx_overmerge;
-        ] );
-      qsuite "noc properties"
-        [
-          prop_all_reduce_verifies; prop_all_gather_verifies;
-          prop_dropped_transfer_flagged; prop_wrong_link_flagged;
-          prop_exec_passes_on_canonical; prop_exec_catches_swapped_src;
-        ];
-      ( "static rules",
-        [
-          Alcotest.test_case "deadlock cycle reported" `Quick
-            test_deadlock_cycle_reported;
-          Alcotest.test_case "chain is not a cycle" `Quick
-            test_deadlock_chain_is_not_cycle;
-          Alcotest.test_case "unwritten read" `Quick test_defuse_unwritten_read;
-          Alcotest.test_case "double-overwrite race" `Quick
-            test_defuse_double_overwrite_race;
-          Alcotest.test_case "dead transfer warns" `Quick
-            test_defuse_dead_transfer_warning;
-          Alcotest.test_case "buffer liveness bands" `Quick test_buf_live_bands;
-          Alcotest.test_case "determinism hazards" `Quick test_det_lint_hazards;
-        ] );
-      qsuite "static properties"
-        [
-          prop_static_passes_canonical_generators;
-          prop_permuted_steps_static_matches_exec;
-        ];
-      ( "system rules",
-        [
-          Alcotest.test_case "stage map canonical" `Quick test_stage_map_canonical;
-          Alcotest.test_case "stage map gaps" `Quick test_stage_map_gaps;
-          Alcotest.test_case "stage map range" `Quick test_stage_map_out_of_range;
-          Alcotest.test_case "weight partition" `Quick test_weight_partition_clean;
-          Alcotest.test_case "unmappable config" `Quick test_weight_partition_unmappable;
-          Alcotest.test_case "buffer fits 64K" `Quick test_buffer_fits_64k;
-          Alcotest.test_case "buffer spill 256K" `Quick test_buffer_spill_warning;
-          Alcotest.test_case "buffer overflow" `Quick test_buffer_overflow_error;
-          Alcotest.test_case "scheduler slots" `Quick test_scheduler_slots;
-        ] );
-    ]
+let suites =
+  [
+    ( "diagnostic",
+      [
+        Alcotest.test_case "exit codes" `Quick test_exit_codes;
+        Alcotest.test_case "report" `Quick test_report_renders;
+        Alcotest.test_case "json" `Quick test_json_renders;
+        Alcotest.test_case "normalize dedupes and orders" `Quick
+          test_normalize_dedupes_and_orders;
+      ] );
+    ( "reference",
+      [
+        Alcotest.test_case "signoff clean" `Quick test_reference_clean;
+        Alcotest.test_case "checks the layer program" `Quick
+          test_reference_checks_the_program;
+        Alcotest.test_case "every family audited" `Quick
+          test_reference_reports_every_family;
+      ] );
+    ( "fixtures",
+      Alcotest.test_case "unknown rejected" `Quick test_unknown_fixture
+      :: Alcotest.test_case "every rule has a fixture" `Quick
+           test_rules_all_have_fixtures
+      :: Alcotest.test_case "makespan fixture is a warning" `Quick
+           test_makespan_fixture_is_warning
+      :: Alcotest.test_case "defuse fixture conserves bytes" `Quick
+           test_defuse_fixture_conserves_bytes
+      :: Alcotest.test_case "exec fixture conserves bytes" `Quick
+           test_exec_fixture_conserves_bytes
+      :: fixture_cases );
+    ( "bundle",
+      [
+        Alcotest.test_case "reference round-trips" `Quick test_bundle_roundtrip;
+        Alcotest.test_case "seeded violation survives disk" `Quick
+          test_bundle_seeded_violation_survives_disk;
+        Alcotest.test_case "det lint survives disk" `Quick
+          test_bundle_det_lint_survives_disk;
+        Alcotest.test_case "stray transfer is an error" `Quick
+          test_bundle_stray_transfer_is_error;
+        Alcotest.test_case "malformed plans are errors" `Quick
+          test_bundle_malformed_plans_are_errors;
+        Alcotest.test_case "missing bundle rejected" `Quick
+          test_bundle_missing_rejected;
+        Alcotest.test_case "bad manifest rejected" `Quick
+          test_bundle_bad_manifest_rejected;
+      ] );
+    ( "netlist rules",
+      [
+        Alcotest.test_case "congestion histogram" `Quick test_congestion_histogram;
+        Alcotest.test_case "tight window" `Quick test_congestion_tight_window;
+        Alcotest.test_case "lvs pinpoints cell" `Quick test_lvs_pinpoints_cell;
+        Alcotest.test_case "mask uniformity ok" `Quick
+          test_mask_uniformity_accepts_different_weights;
+        Alcotest.test_case "mask shape drift" `Quick
+          test_mask_uniformity_rejects_shape_drift;
+      ] );
+    ( "noc rules",
+      [
+        Alcotest.test_case "all-chip all-reduce clean" `Quick
+          test_all_chip_all_reduce_clean;
+        Alcotest.test_case "broadcast extra transfer into the root" `Quick
+          test_broadcast_extra_transfer_into_root;
+        Alcotest.test_case "rx overmerge" `Quick test_contention_rx_overmerge;
+      ] );
+    Thelp.qsuite "noc properties"
+      [
+        prop_all_reduce_verifies; prop_all_gather_verifies;
+        prop_dropped_transfer_flagged; prop_wrong_link_flagged;
+        prop_exec_passes_on_canonical; prop_exec_catches_swapped_src;
+      ];
+    ( "static rules",
+      [
+        Alcotest.test_case "deadlock cycle reported" `Quick
+          test_deadlock_cycle_reported;
+        Alcotest.test_case "chain is not a cycle" `Quick
+          test_deadlock_chain_is_not_cycle;
+        Alcotest.test_case "unwritten read" `Quick test_defuse_unwritten_read;
+        Alcotest.test_case "double-overwrite race" `Quick
+          test_defuse_double_overwrite_race;
+        Alcotest.test_case "dead transfer warns" `Quick
+          test_defuse_dead_transfer_warning;
+        Alcotest.test_case "buffer liveness bands" `Quick test_buf_live_bands;
+        Alcotest.test_case "determinism hazards" `Quick test_det_lint_hazards;
+      ] );
+    Thelp.qsuite "static properties"
+      [
+        prop_static_passes_canonical_generators;
+        prop_permuted_steps_static_matches_exec;
+      ];
+    ( "system rules",
+      [
+        Alcotest.test_case "stage map canonical" `Quick test_stage_map_canonical;
+        Alcotest.test_case "stage map gaps" `Quick test_stage_map_gaps;
+        Alcotest.test_case "stage map range" `Quick test_stage_map_out_of_range;
+        Alcotest.test_case "weight partition" `Quick test_weight_partition_clean;
+        Alcotest.test_case "unmappable config" `Quick test_weight_partition_unmappable;
+        Alcotest.test_case "buffer fits 64K" `Quick test_buffer_fits_64k;
+        Alcotest.test_case "buffer spill 256K" `Quick test_buffer_spill_warning;
+        Alcotest.test_case "buffer overflow" `Quick test_buffer_overflow_error;
+        Alcotest.test_case "scheduler slots" `Quick test_scheduler_slots;
+      ] );
+  ]

@@ -184,30 +184,29 @@ let test_window_ablation_sweep () =
     true
     (speedup 524288 > 1.2)
 
-let () =
-  Alcotest.run "hnlpu_window"
-    [
-      ( "config",
-        [
-          Alcotest.test_case "alternating layers" `Quick test_layer_window_alternates;
-          Alcotest.test_case "validation" `Quick test_window_validation;
-        ] );
-      ( "functional",
-        [
-          Alcotest.test_case "masks only long context" `Quick test_window_changes_long_context_only;
-          Alcotest.test_case "window >= context" `Quick test_window_exact_semantics;
-        ] );
-      ( "dataflow",
-        [
-          Alcotest.test_case "windowed distributed = reference" `Quick
-            test_windowed_dataflow_matches_reference;
-          Alcotest.test_case "stripe start index = per-position filter" `Quick
-            test_stripe_start_index_matches_filter;
-        ] );
-      ( "performance",
-        [
-          Alcotest.test_case "long-context speedup" `Quick test_window_speeds_up_long_context;
-          Alcotest.test_case "short-context no-op" `Quick test_window_no_effect_short_context;
-          Alcotest.test_case "ablation sweep" `Quick test_window_ablation_sweep;
-        ] );
-    ]
+let suites =
+  [
+    ( "config",
+      [
+        Alcotest.test_case "alternating layers" `Quick test_layer_window_alternates;
+        Alcotest.test_case "validation" `Quick test_window_validation;
+      ] );
+    ( "functional",
+      [
+        Alcotest.test_case "masks only long context" `Quick test_window_changes_long_context_only;
+        Alcotest.test_case "window >= context" `Quick test_window_exact_semantics;
+      ] );
+    ( "dataflow",
+      [
+        Alcotest.test_case "windowed distributed = reference" `Quick
+          test_windowed_dataflow_matches_reference;
+        Alcotest.test_case "stripe start index = per-position filter" `Quick
+          test_stripe_start_index_matches_filter;
+      ] );
+    ( "performance",
+      [
+        Alcotest.test_case "long-context speedup" `Quick test_window_speeds_up_long_context;
+        Alcotest.test_case "short-context no-op" `Quick test_window_no_effect_short_context;
+        Alcotest.test_case "ablation sweep" `Quick test_window_ablation_sweep;
+      ] );
+  ]

@@ -14,6 +14,17 @@ let contains haystack needle =
 
 let rng ?(seed = 0xC0FFEE) () = Hnlpu_util.Rng.create seed
 
+(* [f ()] raises [Invalid_argument]: the rejection every validating entry
+   point promises. *)
+let raises f =
+  try
+    ignore (f ());
+    false
+  with Invalid_argument _ -> true
+
+(* A group of QCheck properties, each one Alcotest case. *)
+let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
+
 (* [n] Poisson requests with geometric prompt/decode lengths, drawn from
    a seeded Arrivals cursor — the trace every serving test shares. *)
 let chat_requests ~seed ~n ~rate_per_s ~mean_prefill ~mean_decode =
