@@ -40,9 +40,10 @@ let default_hot_paths =
        into it must allocate nothing, or instrumented runs lose the
        parallel scaling PR 6 bought.  The cold registration/append paths
        are separately named ([observe_slow], [incr_slow], ...) so the
-       component-wise prefix match leaves them out. *)
+       component-wise prefix match leaves them out, and [observe_block]
+       needs its own entry for the same reason. *)
     ("Hnlpu_obs.Sketch.observe", Leaf);
-    ("Hnlpu_obs.Sketch.observe_cell", Leaf);
+    ("Hnlpu_obs.Sketch.observe_block", Leaf);
     ("Hnlpu_obs.Sketch.observe_body", Leaf);
     ("Hnlpu_obs.Sketch.bump", Leaf);
     ("Hnlpu_obs.Sketch.bucket_index", Leaf);
@@ -59,11 +60,16 @@ let default_hot_paths =
        run once per simulated request at 10⁶-10⁷ requests per run.  The
        [Fleet.Hot] submodule is the entire per-request path (heap sifts,
        routing, assignment, power tracking); [run_shard] is the driver
-       loop around it, and [Arrivals.next] with its emit/draw helpers is
-       the generator side. *)
+       loop around it, and [Arrivals.fill] and [Arrivals.next] with their
+       emit/draw helpers are the generator side. *)
+    ("Hnlpu_system.Arrivals.fill", Leaf);
     ("Hnlpu_system.Arrivals.next", Leaf);
+    ("Hnlpu_system.Arrivals.draw_raw", Leaf);
+    ("Hnlpu_system.Arrivals.unit_of_bits53", Leaf);
+    ("Hnlpu_system.Arrivals.exp_of_bits53", Leaf);
     ("Hnlpu_system.Arrivals.unit_draw", Leaf);
     ("Hnlpu_system.Arrivals.exp_draw", Leaf);
+    ("Hnlpu_system.Arrivals.int_draw", Leaf);
     ("Hnlpu_system.Arrivals.draw_tokens", Leaf);
     ("Hnlpu_system.Arrivals.emit_diurnal", Leaf);
     ("Hnlpu_system.Arrivals.emit_mmpp", Leaf);

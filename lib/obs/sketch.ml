@@ -20,9 +20,9 @@
      store, so a bump allocates nothing.  A count that would pass
      2^32 - 1 raises instead of wrapping.
    - A float argument to a non-inlined call is boxed at the call site, so
-     callers that compute their samples can hand them over through a
-     [Float.Array.t] cell ([observe_cell]) and keep them unboxed end to
-     end; both entry points inline the same body.
+     callers that compute their samples can hand them over in a
+     [Float.Array.t] block ([observe_block]) and keep them unboxed end to
+     end, one call per block; both entry points inline the same body.
    - Determinism: the index is integer arithmetic on the bit pattern,
      identical on every platform. *)
 
@@ -112,7 +112,12 @@ let[@inline] observe_body t v =
 
 let observe t v = observe_body t v
 
-let observe_cell t cell i = observe_body t (Float.Array.get cell i)
+let observe_block t cells k =
+  if k < 0 || k > Float.Array.length cells then
+    invalid_arg "Sketch.observe_block: k outside [0, Float.Array.length cells]";
+  for i = 0 to k - 1 do
+    observe_body t (Float.Array.unsafe_get cells i)
+  done
 
 let count t = t.count
 

@@ -63,12 +63,17 @@ val observe : t -> float -> unit
     Also raises [Invalid_argument] if the sample's bucket already holds
     [2{^32} - 1] samples. *)
 
-val observe_cell : t -> Float.Array.t -> int -> unit
-(** [observe_cell t cell i] is [observe t (Float.Array.get cell i)]
-    without the float crossing a call: a computed float passed to
+val observe_block : t -> Float.Array.t -> int -> unit
+(** [observe_block t cells k] observes [cells.(0)], ..., [cells.(k-1)] in
+    that order, exactly as [k] calls of {!observe} would: the same
+    buckets, [count], [min], [max] and the same float sum, added in the
+    same order.  No float crosses a call: a computed float passed to
     {!observe} from another module is boxed at the call site, one stored
-    into a [Float.Array.t] is not.  Hot loops keep a small cell of
-    samples and allocate nothing per event. *)
+    into a [Float.Array.t] is not.  Hot loops collect a block of samples
+    and hand it over with one call, allocating nothing per event.  A NaN
+    or a full bucket at [cells.(i)] raises as {!observe} would, after
+    [cells.(0)] to [cells.(i-1)] are absorbed.  Raises [Invalid_argument]
+    unless [0 <= k <= Float.Array.length cells]. *)
 
 val bucket_index : float -> int
 (** [bucket_index v] is the bucket of [|v|] within one sign's 4096,

@@ -4,9 +4,10 @@
     {e clusters}; exercising that comparison needs traces of 10⁶–10⁷
     requests, which must never exist as a materialized list.  This module
     is a {b pull-based cursor}: {!next} advances the generator by one
-    request and overwrites the cursor's current-request fields in place —
-    zero minor-heap words per request ({!next} is an ALLOC-HOT Leaf hot
-    path, see [Lint_config]), so a 10⁷-request trace costs the same
+    request and overwrites the cursor's current-request fields in place,
+    and {!fill} writes the next [k] requests into caller-owned flat
+    arrays — zero minor-heap words per request (both are ALLOC-HOT Leaf
+    hot paths, see [Lint_config]), so a 10⁷-request trace costs the same
     memory as a 10-request one.
 
     Three arrival processes:
@@ -93,6 +94,13 @@ val create : ?stream:int -> seed:int -> spec -> t
     so [s] streams at [1/s] of the rate superpose to one MMPP at the full
     rate.  The chain costs one draw per state switch, not per request.
 
+    The stream's generator is private to the cursor and runs up to 255
+    draws ahead of it: the cursor reads its draws from a 256-slot buffer
+    that one {!Hnlpu_util.Rng.fill_raw} call refills, so the request path
+    calls into [Rng] once per 256 draws.  No caller can see the lead,
+    because nothing else draws from that generator; every request is the
+    one the unbuffered generator would have drawn.
+
     Validates the spec ([Invalid_argument] on nonpositive rates, means,
     amplitude outside [0,1), alpha <= 0, empty MMPP, users < 1, a
     negative [stream]). *)
@@ -101,28 +109,33 @@ val next : t -> unit
 (** Advance to the next request, overwriting the current-request fields
     below.  Allocates nothing (ALLOC-HOT Leaf). *)
 
+val fill :
+  t ->
+  time:Float.Array.t ->
+  prefill:int array ->
+  decode:int array ->
+  user:int array ->
+  int ->
+  unit
+(** [fill t ~time ~prefill ~decode ~user k] draws the next [k] requests
+    into slots [0 .. k-1] of the arrays: exactly what [k] calls of {!next}
+    would publish, request by request (arrival times bit-equal), and it
+    leaves the cursor on the last of them, so {!next}, {!fill} and the
+    accessors below read one sequence however they interleave.  A hot
+    loop in another module fills a block of requests with one call and
+    reads them with flat loads: per request, a non-inlined accessor call
+    costs a call, and {!arrival_s} boxes its float return.  Raises
+    [Invalid_argument] unless [0 <= k] and every array holds [k].
+    Allocates nothing (ALLOC-HOT Leaf). *)
+
 val arrival_s : t -> float
 (** Arrival time of the current request (monotone nondecreasing). *)
-
-type clock = private { mutable arrival_s : float }
-(** The cursor's published arrival time as an all-float cell: reading a
-    field of an all-float record is a flat load, so a hot loop that
-    binds {!clock} once pays nothing per request, where a non-inlined
-    {!arrival_s} call boxes its float return (~2 words/request —
-    {!Fleet} reads the clock [shards] times per request). *)
-
-val clock : t -> clock
-(** The cell {!next} writes the arrival time into.  Stable for the
-    cursor's lifetime; contents change on every {!next}. *)
 
 val prefill_tokens : t -> int
 (** Prompt tokens of the current request (at least 1). *)
 
 val decode_tokens : t -> int
 (** Decode tokens of the current request (at least 1). *)
-
-val user : t -> int
-(** User id of the current request, in [\[0, users)]. *)
 
 val mmpp_state : t -> int
 (** Index of the [Mmpp] rate state the cursor dwells in (0 for the other

@@ -15,7 +15,9 @@
      4p+1..4p+4, so a 250-node shard sifts 4 levels deep, not 8.  Ties
      break toward the lower id, reproducing the historical first-minimum
      scan exactly; the order is total, so the minimum is the same node
-     however a heap happens to be arranged;
+     however a heap happens to be arranged.  That is what lets a re-key
+     after new work run bottom-up (the hole to the bottom, then a short
+     sift up) and lets [least] look at ids only when two keys are equal;
    - Least_loaded keeps one heap of all active nodes.  Power_aware
      keeps three: [all] holds the active hot nodes, [cold.(r)] rack r's
      active cold nodes, and [racks] the racks below their cap with a
@@ -31,12 +33,15 @@
      The per-request drain check reads the earliest deadline straight
      from [idle.keys.(0)] (the sentinel [infinity] when no node is
      hot): a flat float compare, no call;
-   - the three latency samples of a request reach their sketches through
-     the [samples] cell and [Sketch.observe_cell]: a float argument to
-     [Sketch.observe] would be boxed at each call.  No float crosses a
-     call on the request path: sifts read the moving element's key from
-     its source array, and [Arrivals] keeps its per-spec rates in its
-     all-float record;
+   - the request path crosses into another module once per block of
+     [block] = 256 requests, through flat arrays (DESIGN §7): one
+     [Arrivals.fill] draws the block's arrival times, lengths and users,
+     and after the block's routing one [Sketch.observe_block] per sketch
+     takes its TTFT, end-to-end and queue samples from the shard's three
+     [Float.Array]s.  Events still apply before each arrival, and routing
+     stays request by request.  No float crosses a call: sifts read the
+     moving element's key from its source array, and [Arrivals] keeps its
+     per-spec rates in its all-float record;
    - everything request-rate-proportional lives in [module Hot], which
      Lint_config registers as an ALLOC-HOT Leaf (any allocation is an
      error); [run_shard] is the Driver around it. *)
@@ -153,6 +158,10 @@ let shard_of_node g ~nodes ~shards =
   let k = if k >= shards then shards - 1 else k in
   if k + 1 < shards && g >= (k + 1) * nodes / shards then k + 1 else k
 
+(* Requests a shard draws, routes and records per block: one
+   [Arrivals.fill] and one [Sketch.observe_block] per sketch each. *)
+let block = 256
+
 (* Per-shard mutable float scalars, all-float for flat stores.  [now_s]
    is how simulated time reaches the [Hot] helpers: a float argument to
    a non-inlined call is boxed at every call site, a store into an
@@ -232,7 +241,10 @@ type shard_state = {
   mutable dispatched : int;
   mutable dropped : int;
   fl : sfl;
-  samples : Float.Array.t;  (* ttft, e2e, queue of the request in hand *)
+  ttft_block : Float.Array.t;  (* this block's samples, [block] slots each *)
+  e2e_block : Float.Array.t;
+  queue_block : Float.Array.t;
+  mutable sampled : int;  (* samples in the blocks so far *)
   ttft : Sketch.t;
   e2e : Sketch.t;
   queue : Sketch.t;
@@ -253,16 +265,25 @@ module Hot = struct
     let k = Array.unsafe_get h.src e and ks = Array.unsafe_get h.keys s in
     k < ks || (k = ks && e < Array.unsafe_get h.slots s)
 
-  (* The lesser of slots [a] and [b], computed without a branch: which
-     child is least is a coin flip the branch predictor cannot learn. *)
+  (* The lesser of slots [a] and [b].  Which key is less is a coin flip
+     the branch predictor cannot learn, so it selects without a branch;
+     equal keys are rare (all-idle nodes at the start), so the id compare
+     sits behind a branch that is almost never taken. *)
   let[@inline] least h a b =
     let ka = Array.unsafe_get h.keys a and kb = Array.unsafe_get h.keys b in
-    let b_first =
-      Bool.to_int (kb < ka)
-      lor (Bool.to_int (kb = ka)
-          land Bool.to_int (Array.unsafe_get h.slots b < Array.unsafe_get h.slots a))
-    in
-    a lxor ((a lxor b) land (-b_first))
+    if ka <> kb then a lxor ((a lxor b) land -Bool.to_int (kb < ka))
+    else if Array.unsafe_get h.slots b < Array.unsafe_get h.slots a then b
+    else a
+
+  (* The least of the four children from slot [c0].  Without a tie in
+     either pair, each pair's lesser child is [c0] or [c0 + 2] plus one
+     flag, and one [least] picks between the two; a tie in a pair takes
+     [least] on all three pairings. *)
+  let[@inline] least4 h c0 =
+    let k0 = Array.unsafe_get h.keys c0 and k1 = Array.unsafe_get h.keys (c0 + 1) in
+    let k2 = Array.unsafe_get h.keys (c0 + 2) and k3 = Array.unsafe_get h.keys (c0 + 3) in
+    if k0 = k1 || k2 = k3 then least h (least h c0 (c0 + 1)) (least h (c0 + 2) (c0 + 3))
+    else least h (c0 + Bool.to_int (k1 < k0)) (c0 + 2 + Bool.to_int (k3 < k2))
 
   (* Whether heap [a]'s top precedes heap [b]'s (both non-empty). *)
   let[@inline] less_tops a b =
@@ -298,7 +319,7 @@ module Hot = struct
     let c0 = (4 * p) + 1 in
     if c0 >= h.len then place h p e
     else begin
-      let c = least h (least h c0 (c0 + 1)) (least h (c0 + 2) (c0 + 3)) in
+      let c = least4 h c0 in
       if before h e c then place h p e
       else begin
         move h c p;
@@ -329,9 +350,23 @@ module Hot = struct
     let p = h.pos.(e) in
     if p > 0 && before h e ((p - 1) lsr 2) then sift_up h e p else sift_down h e p
 
+  (* Walks the hole at slot [p] down the least-child path to the bottom,
+     moving each least child up; returns the bottom slot. *)
+  let rec hole_down h p =
+    let c0 = (4 * p) + 1 in
+    if c0 >= h.len then p
+    else begin
+      let c = least4 h c0 in
+      move h c p;
+      hole_down h c
+    end
+
   (* A node's [free_at] and a hot node's deadline only grow while it
-     sits in a heap, so its re-key is a pure sift-down. *)
-  let requeue h i = sift_down h i h.pos.(i)
+     sits in a heap, and a node that just took work usually belongs near
+     the bottom.  So the re-key is Floyd's bottom-up one: the hole runs to
+     the bottom with one compare per child and none against [i], and [i]
+     sifts up the short way back. *)
+  let requeue h i = sift_up h i (hole_down h h.pos.(i))
 
   (* Power_aware: rack [r] belongs in [racks] while it is below the cap
      and has an active cold node, keyed by that node's [free_at]. *)
@@ -430,7 +465,7 @@ module Hot = struct
     st.rr <- st.rr + 1;
     probe_active st start st.n
 
-  let route_ll st = if st.all.len = 0 then -1 else st.all.slots.(0)
+  let[@inline] route_ll st = if st.all.len = 0 then -1 else st.all.slots.(0)
 
   (* [user] indexes the shard's own cursor, whose pool is [st.users]. *)
   let route_sa st user =
@@ -470,7 +505,7 @@ module Hot = struct
       i
     end
 
-  let route st policy user =
+  let[@inline] route st policy user =
     match policy with
     | Round_robin -> route_rr st
     | Least_loaded -> route_ll st
@@ -498,12 +533,18 @@ module Hot = struct
     let completion = now +. e2e in
     let span = if finish > completion then finish else completion in
     if span > st.fl.makespan_s then st.fl.makespan_s <- span;
-    Float.Array.set st.samples 0 ttft;
-    Float.Array.set st.samples 1 e2e;
-    Float.Array.set st.samples 2 queue;
-    Sketch.observe_cell st.ttft st.samples 0;
-    Sketch.observe_cell st.e2e st.samples 1;
-    Sketch.observe_cell st.queue st.samples 2
+    let k = st.sampled in
+    Float.Array.unsafe_set st.ttft_block k ttft;
+    Float.Array.unsafe_set st.e2e_block k e2e;
+    Float.Array.unsafe_set st.queue_block k queue;
+    st.sampled <- k + 1
+
+  (* Hands the block's samples to the sketches, in request order. *)
+  let flush st =
+    Sketch.observe_block st.ttft st.ttft_block st.sampled;
+    Sketch.observe_block st.e2e st.e2e_block st.sampled;
+    Sketch.observe_block st.queue st.queue_block st.sampled;
+    st.sampled <- 0
 end
 
 (* Failed nodes re-dispatch through the policy; for session affinity the
@@ -645,7 +686,10 @@ let make_state cfg shard ~policy ~users =
         tokens = 0.0;
         redispatched = 0.0;
       };
-    samples = Float.Array.make 3 0.0;
+    ttft_block = Float.Array.make block 0.0;
+    e2e_block = Float.Array.make block 0.0;
+    queue_block = Float.Array.make block 0.0;
+    sampled = 0;
     ttft = Sketch.create ();
     e2e = Sketch.create ();
     queue = Sketch.create ();
@@ -677,7 +721,10 @@ let home_users cfg total_users ~lo ~n =
    loop below must not allocate).  The shard draws exactly [count]
    requests, all of which it routes: a Poisson stream at [1/shards] of
    the rate (or, under Session_affinity, of its users' share of the
-   rate) on stream [shard] of the seed. *)
+   rate) on stream [shard] of the seed.  It draws them [block] at a time
+   with one [Arrivals.fill], then routes them one by one, each after the
+   events at or before its arrival, and hands the block's samples to the
+   sketches with one [Sketch.observe_block] each. *)
 let run_shard cfg spec policy events counts seed shard =
   let lo = shard_lo cfg shard in
   let n = shard_lo cfg (shard + 1) - lo in
@@ -702,25 +749,29 @@ let run_shard cfg spec policy events counts seed shard =
       | Round_robin | Least_loaded | Power_aware -> sspec
     in
     let cur = Arrivals.create ~stream:shard ~seed sspec in
-    (* Flat read cell: a per-request [Arrivals.arrival_s] accessor call
-       would box its float return. *)
-    let clk = Arrivals.clock cur in
-    for _ = 1 to count do
-      Arrivals.next cur;
-      let now = clk.Arrivals.arrival_s in
-      while !ep < nev && (Array.unsafe_get events !ep).at_s <= now do
-        apply_event st policy (Array.unsafe_get events !ep);
-        incr ep
+    let time = Float.Array.make block 0.0 in
+    let prefill = Array.make block 0
+    and decode = Array.make block 0
+    and user = Array.make block 0 in
+    let left = ref count in
+    while !left > 0 do
+      let k = if !left < block then !left else block in
+      Arrivals.fill cur ~time ~prefill ~decode ~user k;
+      for b = 0 to k - 1 do
+        let now = Float.Array.unsafe_get time b in
+        while !ep < nev && (Array.unsafe_get events !ep).at_s <= now do
+          apply_event st policy (Array.unsafe_get events !ep);
+          incr ep
+        done;
+        st.fl.now_s <- now;
+        if st.idle.keys.(0) <= now then Hot.drain_idle st;
+        let idx = Hot.route st policy (Array.unsafe_get user b) in
+        if idx < 0 then st.dropped <- st.dropped + 1
+        else
+          Hot.assign st (Array.unsafe_get prefill b) (Array.unsafe_get decode b) idx
       done;
-      st.fl.now_s <- now;
-      if st.idle.keys.(0) <= now then Hot.drain_idle st;
-      let idx = Hot.route st policy (Arrivals.user cur) in
-      if idx < 0 then st.dropped <- st.dropped + 1
-      else
-        Hot.assign st
-          (Arrivals.prefill_tokens cur)
-          (Arrivals.decode_tokens cur)
-          idx
+      Hot.flush st;
+      left := !left - k
     done
   end;
   (* Events after the shard's last arrival still apply: a late [Fail]

@@ -255,9 +255,12 @@ let simulate ?(context = 2048) ?(context_aware = false) ?(slot_failures = [])
     end
   in
   (* The latency sketches, fetched at the first completion so that a run
-     completing nothing registers none, and the cell that hands them
-     their samples unboxed. *)
-  let hists = ref [||] and samples = Float.Array.make 3 0.0 in
+     completing nothing registers none, and one single-sample block each
+     that hands them their samples unboxed. *)
+  let hists = ref [||] in
+  let ttft_cell = Float.Array.make 1 0.0
+  and e2e_cell = Float.Array.make 1 0.0
+  and queue_cell = Float.Array.make 1 0.0 in
   (* Runs only when tracing ([obs]) is enabled, once per completed
      request; span and argument records inherently allocate (accepted
      in lint.baseline). *)
@@ -297,12 +300,12 @@ let simulate ?(context = 2048) ?(context_aware = false) ?(slot_failures = [])
       hists :=
         Array.map (Hnlpu_obs.Metrics.hist m)
           [| "scheduler/ttft_s"; "scheduler/e2e_s"; "scheduler/queue_wait_s" |];
-    Float.Array.set samples 0 (first_token -. arrival);
-    Float.Array.set samples 1 (finish -. arrival);
-    Float.Array.set samples 2 (injected -. arrival);
-    for i = 0 to 2 do
-      Hnlpu_obs.Sketch.observe_cell !hists.(i) samples i
-    done
+    Float.Array.set ttft_cell 0 (first_token -. arrival);
+    Float.Array.set e2e_cell 0 (finish -. arrival);
+    Float.Array.set queue_cell 0 (injected -. arrival);
+    Hnlpu_obs.Sketch.observe_block !hists.(0) ttft_cell 1;
+    Hnlpu_obs.Sketch.observe_block !hists.(1) e2e_cell 1;
+    Hnlpu_obs.Sketch.observe_block !hists.(2) queue_cell 1
   in
   (* Hoisted out of [try_inject]: per-call refs (and the recursive [go]
      closure this loop used to be) were a few words on every event, which

@@ -69,6 +69,14 @@ let[@inline] int t bound =
    the float draws build on. *)
 let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (next t) 11)
 
+(* The next 63 output bits per slot.  [next lsr 1] fits an immediate int
+   whole, so [raw lsr 10] is [bits53]'s draw and [raw land max_int] the
+   [r] that [int] reduces. *)
+let fill_raw t buf =
+  for i = 0 to Array.length buf - 1 do
+    Array.unsafe_set buf i (Int64.to_int (Int64.shift_right_logical (next t) 1))
+  done
+
 (* 53 uniform mantissa bits.  Scaling by 2^-53 is exact for every
    53-bit integer, so the multiply equals the division by 2^53. *)
 let[@inline] float t bound = float_of_int (bits53 t) *. 0x1p-53 *. bound

@@ -39,6 +39,17 @@ val bits53 : t -> int
     allocates, while a cross-module [float] call boxes its result (no
     module is inlined into another under the dev profile's [-opaque]). *)
 
+val fill_raw : t -> int array -> unit
+(** [fill_raw t buf] writes the next [Array.length buf] outputs into
+    [buf], each shifted right by one bit so that all 63 remaining bits fit
+    an immediate int: slot [i] holds the raw draw [raw] of the [i]-th
+    output.  [raw lsr 10] is what {!bits53} would have returned for that
+    output, and [raw land max_int], masked with [bound - 1] for a
+    power-of-two [bound] and reduced [mod bound] otherwise, is what
+    [int t bound] would have.  One call per buffer instead of one per
+    draw: a loop in another module that draws from a buffer crosses into
+    this module once per [Array.length buf] draws. *)
+
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 

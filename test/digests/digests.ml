@@ -105,6 +105,61 @@ let fleet_cases () =
         policies)
     processes
 
+(* --- Fleet at the dispatch block's edges: shards of 255, 256 and 257 ---- *)
+
+(* Arrival [k] (1-based) of [shard]'s own substream, drawn as [Fleet.run]
+   draws it: the spec at the shard's share of the rate, on stream
+   [shard] of the seed. *)
+let shard_arrival ~seed ~share ~users spec shard k =
+  let sspec = Arrivals.with_mean_rate spec (Arrivals.mean_rate_per_s spec *. share) in
+  let c = Arrivals.create ~stream:shard ~seed { sspec with Arrivals.users } in
+  for _ = 1 to k do
+    Arrivals.next c
+  done;
+  Arrivals.arrival_s c
+
+(* Three shards of 8 nodes.  Least_loaded splits 767 requests 256/256/255
+   and 769 as 257/256/256; Session_affinity over 1,468 users splits 768
+   as 257/255/256.  Shard 0 loses a node at exactly its 256th arrival,
+   shard 1 one at exactly its 255th, and the first comes back at shard
+   0's 257th (past the last arrival the 767-request run routes). *)
+let block_cases () =
+  let nodes = 24 and shards = 3 and users = 1_468 and seed = 43 in
+  let cfg = Fleet.config_of_model ~nodes ~shards model in
+  let shape = { (Arrivals.chat ~rate_per_s:1.0) with Arrivals.users } in
+  let spec = Arrivals.with_mean_rate shape (0.9 *. Fleet.capacity_req_per_s cfg shape) in
+  let lo s = s * nodes / shards in
+  List.iter
+    (fun (policy, requests) ->
+      let share, pool =
+        match policy with
+        | Fleet.Session_affinity ->
+          let homed s =
+            let n = ref 0 in
+            for u = 0 to users - 1 do
+              let g = Fleet.home_node cfg u in
+              if g >= lo s && g < lo (s + 1) then incr n
+            done;
+            !n
+          in
+          ((fun s -> float (homed s) /. float users), homed)
+        | _ -> ((fun _ -> 1.0 /. float shards), fun _ -> users)
+      in
+      let at s k = shard_arrival ~seed ~share:(share s) ~users:(pool s) spec s k in
+      let events =
+        [|
+          { Fleet.at_s = at 0 256; node = lo 0 + 1; kind = Fleet.Fail };
+          { Fleet.at_s = at 1 255; node = lo 1 + 2; kind = Fleet.Fail };
+          { Fleet.at_s = at 0 257; node = lo 0 + 1; kind = Fleet.Recover };
+        |]
+      in
+      Array.stable_sort (fun a b -> Float.compare a.Fleet.at_s b.Fleet.at_s) events;
+      let r = Fleet.run ~domains:1 ~node_events:events ~policy ~requests ~seed cfg spec in
+      result_line
+        (Printf.sprintf "fleet %s block requests=%d" (Fleet.policy_name policy) requests)
+        r)
+    [ (Fleet.Least_loaded, 767); (Fleet.Least_loaded, 769); (Fleet.Session_affinity, 768) ]
+
 (* --- Power-aware stress: tight caps, short cool-downs, every event ----- *)
 
 let pa_events ~nodes ~span =
@@ -339,13 +394,14 @@ let arrival_cases () =
             { Arrivals.process; prefill = len; decode = len; users = 1_000 }
           in
           let c = Arrivals.create ~stream:3 ~seed:17 spec in
+          let time = Float.Array.make 1 0.0 and prefill = [| 0 |] and decode = [| 0 |]
+          and user = [| 0 |] in
           let trace =
             md5 (fun b ->
                 for _ = 1 to n do
-                  Arrivals.next c;
-                  Printf.bprintf b "%h %d %d %d %d\n" (Arrivals.arrival_s c)
-                    (Arrivals.prefill_tokens c) (Arrivals.decode_tokens c)
-                    (Arrivals.user c) (Arrivals.mmpp_state c)
+                  Arrivals.fill c ~time ~prefill ~decode ~user 1;
+                  Printf.bprintf b "%h %d %d %d %d\n" (Float.Array.get time 0) prefill.(0)
+                    decode.(0) user.(0) (Arrivals.mmpp_state c)
                 done)
           in
           Printf.printf "arrivals %s %s last=%h md5=%s\n" pname lname
@@ -483,6 +539,7 @@ let gemv_random_cases () =
 
 let () =
   fleet_cases ();
+  block_cases ();
   pa_cases ();
   scheduler_cases ();
   config_cases ();

@@ -8,12 +8,10 @@ open Hnlpu
 
 let pull_n ?stream spec seed n =
   let c = Arrivals.create ?stream ~seed spec in
-  Array.init n (fun _ ->
-      Arrivals.next c;
-      ( Arrivals.arrival_s c,
-        Arrivals.prefill_tokens c,
-        Arrivals.decode_tokens c,
-        Arrivals.user c ))
+  let time = Float.Array.make n 0.0 and prefill = Array.make n 0 and decode = Array.make n 0
+  and user = Array.make n 0 in
+  Arrivals.fill c ~time ~prefill ~decode ~user n;
+  Array.init n (fun i -> (Float.Array.get time i, prefill.(i), decode.(i), user.(i)))
 
 let empirical_rate spec seed n =
   let c = Arrivals.create ~seed spec in
@@ -324,8 +322,116 @@ let test_validation () =
              Arrivals.prefill = Arrivals.Pareto { alpha = 0.0; xmin = 1.0; cap = 10 };
            }))
 
+(* --- fill: a block of requests is k calls of next ---------------------- *)
+
+let fill_specs =
+  let pareto = Arrivals.Pareto { alpha = 1.5; xmin = 40.0; cap = 4096 } in
+  List.concat_map
+    (fun (pname, process) ->
+      List.map
+        (fun (lname, len) ->
+          ( pname ^ "/" ^ lname,
+            { Arrivals.process; prefill = len; decode = len; users = 1_000 } ))
+        [ ("geometric", geo); ("pareto", pareto) ])
+    [
+      ("poisson", Arrivals.Poisson { rate_per_s = 50.0 });
+      ("diurnal", Arrivals.Diurnal { mean_rate_per_s = 50.0; amplitude = 0.8; period_s = 2.0 });
+      ("mmpp", Arrivals.Mmpp { rates_per_s = [| 20.0; 80.0; 50.0 |]; mean_dwell_s = 0.5 });
+    ]
+
+(* The cursor's published request (arrival time's bits, lengths, MMPP
+   state); the user id reaches callers through [fill] only. *)
+let published c =
+  ( Int64.bits_of_float (Arrivals.arrival_s c),
+    (Arrivals.prefill_tokens c, Arrivals.decode_tokens c, Arrivals.mmpp_state c) )
+
+let published_t = Alcotest.(pair int64 (triple int int int))
+
+(* Drives [c] through [steps] ([`Next] or [`Fill k]) and checks every
+   request it yields, and the cursor after each step, against [next] on
+   a reference cursor of the same spec and seed.  [next] publishes no
+   user id, so a twin of the reference draws each request with
+   [fill ... 1]: it must publish what [next] did, and its user id is the
+   reference for [c]'s. *)
+let check_against_next name spec steps =
+  let cursor () = Arrivals.create ~stream:2 ~seed:7 spec in
+  let c = cursor () and r = cursor () and twin = cursor () in
+  let block () =
+    (Float.Array.make 1_000 nan, Array.make 1_000 0, Array.make 1_000 0, Array.make 1_000 0)
+  in
+  let time, prefill, decode, user = block () in
+  let t1, p1, d1, u1 = block () in
+  let seen = ref 0 in
+  (* One request of [c]'s: its arrival time and lengths, and its user id
+     when [c] published one. *)
+  let expect got_time got_lengths got_user =
+    let here = Printf.sprintf "%s: request %d" name !seen in
+    Arrivals.next r;
+    Arrivals.fill twin ~time:t1 ~prefill:p1 ~decode:d1 ~user:u1 1;
+    Alcotest.check published_t (here ^ ": fill 1 publishes next's request") (published r)
+      (published twin);
+    let rt, (rp, rd, _) = published r in
+    Alcotest.(check (pair int64 (pair int int))) here (rt, (rp, rd))
+      (Int64.bits_of_float got_time, got_lengths);
+    Option.iter (Alcotest.(check int) (here ^ ": user") u1.(0)) got_user;
+    incr seen
+  in
+  List.iter
+    (fun step ->
+      (match step with
+      | `Next ->
+        Arrivals.next c;
+        expect (Arrivals.arrival_s c) (Arrivals.prefill_tokens c, Arrivals.decode_tokens c) None
+      | `Fill k ->
+        Arrivals.fill c ~time ~prefill ~decode ~user k;
+        for i = 0 to k - 1 do
+          expect (Float.Array.get time i) (prefill.(i), decode.(i)) (Some user.(i))
+        done);
+      Alcotest.check published_t
+        (Printf.sprintf "%s: cursor after request %d" name !seen)
+        (published r) (published c))
+    steps
+
+let test_fill_is_next () =
+  List.iter
+    (fun (name, spec) ->
+      List.iter
+        (fun k -> check_against_next (Printf.sprintf "%s k=%d" name k) spec [ `Fill k ])
+        [ 1; 255; 256; 257; 1000 ])
+    fill_specs
+
+(* [fill] and [next] read one sequence on one cursor, across buffer
+   refills at every offset the steps reach. *)
+let test_fill_interleaved () =
+  let steps =
+    [ `Next; `Next; `Fill 255; `Next; `Fill 257; `Fill 1; `Fill 0 ]
+    @ List.init 300 (fun _ -> `Next)
+    @ [ `Fill 1000; `Next; `Fill 256; `Fill 3 ]
+  in
+  List.iter (fun (name, spec) -> check_against_next name spec steps) fill_specs
+
+let test_fill_validation () =
+  let c = Arrivals.create ~seed:1 (Arrivals.chat ~rate_per_s:10.0) in
+  let small = Array.make 4 0 and big = Array.make 8 0 in
+  let fill ?(user = big) k =
+    Arrivals.fill c ~time:(Float.Array.make 8 0.0) ~prefill:big ~decode:big ~user k
+  in
+  let bad = Invalid_argument "Arrivals.fill: k outside [0, array length]" in
+  Alcotest.check_raises "k past an array" bad (fun () -> fill ~user:small 5);
+  Alcotest.check_raises "negative k" bad (fun () -> fill (-1));
+  fill 0;
+  Alcotest.(check (float 0.0)) "k = 0 draws nothing" 0.0 (Arrivals.arrival_s c);
+  fill ~user:small 4;
+  Alcotest.(check bool) "k = the shortest array's length" true (Arrivals.arrival_s c > 0.0)
+
 let suites =
   [
+    ( "fill",
+      [
+        Alcotest.test_case "fill = k nexts" `Quick test_fill_is_next;
+        Alcotest.test_case "fill and next interleaved" `Quick test_fill_interleaved;
+        Alcotest.test_case "validation" `Quick test_fill_validation;
+      ] );
     ( "properties",
       List.map QCheck_alcotest.to_alcotest
         [

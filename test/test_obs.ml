@@ -802,8 +802,8 @@ let test_sketch_bucket_limit () =
 let test_sketch_observe_allocates_nothing () =
   (* 10^4 calls of each entry point allocate no minor-heap word.  The
      [observe] samples are boxed once, up front (a float computed at the
-     call site would be boxed by the caller); [observe_cell] reads them
-     from a flat cell.  Both signs are warmed up first, so the lazy
+     call site would be boxed by the caller); [observe_block] reads them
+     from a flat block.  Both signs are warmed up first, so the lazy
      negative counters exist before measuring. *)
   let samples = List.init 100 (fun i -> (float_of_int (i - 30) *. 1.37) +. 0.01) in
   let sk = Sketch.create () in
@@ -814,7 +814,7 @@ let test_sketch_observe_allocates_nothing () =
       feed rest
   in
   feed samples;
-  let cell = Float.Array.make 3 0.0 in
+  let cells = Float.Array.init 256 (fun i -> (float_of_int (i - 100) *. 0.37) +. 0.01) in
   let words f =
     (* A full major first: no collection work an earlier suite left
        pending runs inside the window. *)
@@ -828,30 +828,57 @@ let test_sketch_observe_allocates_nothing () =
          for _ = 1 to 100 do
            feed samples
          done));
-  Alcotest.(check (float 0.0)) "observe_cell: minor words for 10^4 calls" 0.0
+  Alcotest.(check (float 0.0)) "observe_block: minor words for 40 blocks of 256" 0.0
     (words (fun () ->
-         for i = 1 to 10_000 do
-           Float.Array.set cell 1 ((float_of_int (i - 3_000) *. 0.37) +. 0.01);
-           Sketch.observe_cell sk cell 1
+         for _ = 1 to 40 do
+           Sketch.observe_block sk cells 256
          done));
-  Alcotest.(check int) "every call counted" 20_100 (Sketch.count sk)
+  Alcotest.(check int) "every sample counted" 20_340 (Sketch.count sk)
 
-let test_sketch_observe_cell_is_observe () =
+(* Blocks of every size a caller hands over (1, a full 256, a ragged
+   tail, 0) against the same samples one by one. *)
+let test_sketch_observe_block_is_observe () =
   let rng = Hnlpu.Rng.create 17 in
   let xs = Array.init 5_000 (fun _ -> exp (8.0 *. (Hnlpu.Rng.float rng 1.0 -. 0.5)) -. 0.5) in
-  let cell = Float.Array.make 1 0.0 in
-  let via_cell = Sketch.create () in
-  Array.iter
-    (fun x ->
-      Float.Array.set cell 0 x;
-      Sketch.observe_cell via_cell cell 0)
-    xs;
-  Alcotest.(check string) "same JSON as observe" (Sketch.to_json (feed_sketch xs))
-    (Sketch.to_json via_cell);
-  Alcotest.check_raises "nan through the cell raises"
+  let by_block = Sketch.create () in
+  let cells = Float.Array.make 256 0.0 in
+  let rec feed i sizes =
+    match sizes with
+    | [] -> if i < Array.length xs then feed i [ 1; 256; 0; 255; 257; 100 ]
+    | k :: rest ->
+      let k = min (min k 256) (Array.length xs - i) in
+      for j = 0 to k - 1 do
+        Float.Array.set cells j xs.(i + j)
+      done;
+      Sketch.observe_block by_block cells k;
+      feed (i + k) rest
+  in
+  feed 0 [];
+  let one_by_one = feed_sketch xs in
+  Alcotest.(check int) "count" (Sketch.count one_by_one) (Sketch.count by_block);
+  let bits x = Int64.bits_of_float x in
+  Alcotest.(check int64) "mean bits" (bits (Sketch.mean one_by_one)) (bits (Sketch.mean by_block));
+  Alcotest.(check int64) "min bits" (bits (Sketch.min_v one_by_one)) (bits (Sketch.min_v by_block));
+  Alcotest.(check int64) "max bits" (bits (Sketch.max_v one_by_one)) (bits (Sketch.max_v by_block));
+  for q = 0 to 1000 do
+    let p = float_of_int q /. 1000.0 in
+    Alcotest.(check int64) (Printf.sprintf "quantile %g bits" p)
+      (bits (Sketch.quantile one_by_one p))
+      (bits (Sketch.quantile by_block p))
+  done;
+  (* A NaN in mid-block raises after the samples before it, as
+     sequential calls would. *)
+  let sk = Sketch.create () and seq = Sketch.create () in
+  let block = Float.Array.of_list [ 1.0; -2.5; 3.0; nan; 5.0 ] in
+  Alcotest.check_raises "nan in mid-block raises"
     (Invalid_argument "Sketch.observe: nan sample") (fun () ->
-      Float.Array.set cell 0 nan;
-      Sketch.observe_cell via_cell cell 0)
+      Sketch.observe_block sk block 5);
+  List.iter (Sketch.observe seq) [ 1.0; -2.5; 3.0 ];
+  Alcotest.(check string) "the samples before the NaN absorbed" (Sketch.to_json seq)
+    (Sketch.to_json sk);
+  Alcotest.check_raises "k past the block"
+    (Invalid_argument "Sketch.observe_block: k outside [0, Float.Array.length cells]")
+    (fun () -> Sketch.observe_block sk block 6)
 
 let test_sketch_tiny_and_overflow () =
   (* Below 2^-64 everything collapses into the zero bucket (absolute
@@ -1147,8 +1174,8 @@ let suites =
         Alcotest.test_case "32-bit bucket limit" `Quick test_sketch_bucket_limit;
         Alcotest.test_case "observe allocates nothing" `Quick
           test_sketch_observe_allocates_nothing;
-        Alcotest.test_case "observe_cell = observe" `Quick
-          test_sketch_observe_cell_is_observe;
+        Alcotest.test_case "observe_block = observe" `Quick
+          test_sketch_observe_block_is_observe;
         Alcotest.test_case "bucket index at powers of two" `Quick
           test_sketch_bucket_index_edges;
       ] );

@@ -618,6 +618,47 @@ let prop_rng_derive_matches_reference =
     (fun (seed, stream) ->
       agree_for_draws (Rng.derive seed ~stream) (Ref_rng.derive seed ~stream))
 
+(* [Rng.fill_raw]'s slots under the two mappings a buffered reader
+   applies: [raw lsr 10] against [Rng.bits53], and [raw land max_int]
+   masked (power-of-two bound) or taken [mod] against [Rng.int], each on
+   a copy of the generator the buffer was filled from. *)
+let test_fill_raw_mappings () =
+  List.iter
+    (fun seed ->
+      let rng = Rng.derive seed ~stream:3 in
+      let fresh () = Rng.copy rng in
+      let buf = Array.make 1_000 0 in
+      Rng.fill_raw (fresh ()) buf;
+      let bits = fresh () in
+      Array.iteri
+        (fun i raw ->
+          Alcotest.(check int) (Printf.sprintf "seed %d slot %d: bits53" seed i)
+            (Rng.bits53 bits) (raw lsr 10))
+        buf;
+      List.iter
+        (fun bound ->
+          let ints = fresh () in
+          Array.iteri
+            (fun i raw ->
+              let r = raw land max_int in
+              let mapped = if bound land (bound - 1) = 0 then r land (bound - 1) else r mod bound in
+              Alcotest.(check int)
+                (Printf.sprintf "seed %d slot %d: int %d" seed i bound)
+                (Rng.int ints bound) mapped)
+            buf)
+        [ 1; 2; 64; 10_000; max_int ];
+      (* The buffer's draws are the generator's next ones: both streams
+         carry on from the same state. *)
+      let after = fresh () in
+      for _ = 1 to Array.length buf do
+        ignore (Rng.bits53 after)
+      done;
+      let filled = fresh () in
+      Rng.fill_raw filled buf;
+      Alcotest.(check int) (Printf.sprintf "seed %d: next draw after the buffer" seed)
+        (Rng.bits53 after) (Rng.bits53 filled))
+    [ 0; 1; 42; -7; max_int ]
+
 (* The per-request draws allocate nothing.  Gc.minor_words is exact for
    the calling domain. *)
 let minor_words_of f =
@@ -647,6 +688,9 @@ let test_draws_allocate_nothing () =
     cursor (Arrivals.Mmpp { rates_per_s = [| 500.0; 2000.0; 1000.0 |]; mean_dwell_s = 0.5 }) pareto
   in
   let poisson_pareto = cursor chat.Arrivals.process pareto in
+  let filled = cursor chat.Arrivals.process pareto in
+  let time = Float.Array.make 256 0.0 and lens = Array.make 256 0 and users = Array.make 256 0 in
+  let raw = Array.make 256 0 in
   List.iter
     (fun (name, f) ->
       let words = minor_words_of f in
@@ -660,6 +704,12 @@ let test_draws_allocate_nothing () =
       ("Arrivals.next mmpp/pareto", fun () -> for _ = 1 to n do Arrivals.next mmpp done);
       ( "Arrivals.next poisson/pareto",
         fun () -> for _ = 1 to n do Arrivals.next poisson_pareto done );
+      ( "Arrivals.fill",
+        fun () ->
+          for _ = 1 to n / 256 do
+            Arrivals.fill filled ~time ~prefill:lens ~decode:lens ~user:users 256
+          done );
+      ("Rng.fill_raw", fun () -> for _ = 1 to n / 256 do Rng.fill_raw rng raw done);
     ];
   ignore !sink
 
@@ -779,6 +829,7 @@ let suites =
       [
         qt prop_rng_create_matches_reference;
         qt prop_rng_derive_matches_reference;
+        Alcotest.test_case "fill_raw = bits53 and int" `Quick test_fill_raw_mappings;
         Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocate_nothing;
       ] );
     ( "counters-only",

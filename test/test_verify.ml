@@ -597,8 +597,21 @@ let test_contention_rx_overmerge () =
 
 (* --- Bundle round-trip --------------------------------------------------------- *)
 
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* [f] exports into [name] under a fresh temporary directory, which is
+   removed when [f] returns or raises. *)
+let in_temp_dir name f =
+  let tmp = Filename.temp_dir "hnlpu-test-" "" in
+  Fun.protect ~finally:(fun () -> remove_tree tmp) (fun () -> f (Filename.concat tmp name))
+
 let test_bundle_roundtrip () =
-  let dir = "bundle-roundtrip" in
+  in_temp_dir "bundle-roundtrip" @@ fun dir ->
   let written = Bundle.export ~dir reference in
   Alcotest.(check bool) "manifest + 32 chip files + plans + stage_map" true
     (List.length written >= 40);
@@ -622,7 +635,7 @@ let test_bundle_roundtrip () =
     (Diagnostic.exit_code (Signoff.check d))
 
 let test_bundle_seeded_violation_survives_disk () =
-  let dir = "bundle-noc-exec" in
+  in_temp_dir "bundle-noc-exec" @@ fun dir ->
   ignore (Bundle.export ~dir (Signoff.fixture "NOC-EXEC"));
   let ds = Signoff.check (Bundle.load dir) in
   Alcotest.(check bool) "NOC-EXEC fires from disk" true
@@ -631,7 +644,7 @@ let test_bundle_seeded_violation_survives_disk () =
 let test_bundle_det_lint_survives_disk () =
   (* The wall-clock seed is carried by the manifest's workload-seed key, so
      the determinism lint must convict the bundle after a disk round-trip. *)
-  let dir = "bundle-det-lint" in
+  in_temp_dir "bundle-det-lint" @@ fun dir ->
   ignore (Bundle.export ~dir (Signoff.fixture "DET-LINT"));
   let ds = Signoff.check (Bundle.load dir) in
   Alcotest.(check bool) "DET-LINT fires from disk" true
@@ -651,7 +664,7 @@ let edit_plan dir file ~from ~into =
 let test_bundle_stray_transfer_is_error () =
   (* A plan transfer that leaves its group (chip 7 is not in column 1;
      chip 39 does not exist) used to crash signoff with Not_found. *)
-  let dir = "bundle-stray-transfer" in
+  in_temp_dir "bundle-stray-transfer" @@ fun dir ->
   ignore (Bundle.export ~dir reference);
   let edit = edit_plan dir in
   edit "plan01-q.col1.plan" ~from:"5 -> 1 : 2048" ~into:"5 -> 7 : 2048";
@@ -672,7 +685,7 @@ let test_bundle_malformed_plans_are_errors () =
      Invalid_argument; each is now one NOC-BYTES Error naming the plan. *)
   List.iteri
     (fun i (file, subject, from, into, says) ->
-      let dir = Printf.sprintf "bundle-malformed-%d" i in
+      in_temp_dir (Printf.sprintf "bundle-malformed-%d" i) @@ fun dir ->
       ignore (Bundle.export ~dir reference);
       edit_plan dir file ~from ~into;
       let ds = Signoff.check (Bundle.load dir) in
@@ -702,7 +715,7 @@ let test_bundle_missing_rejected () =
      with Failure _ -> true)
 
 let test_bundle_bad_manifest_rejected () =
-  let dir = "bundle-bad-manifest" in
+  in_temp_dir "bundle-bad-manifest" @@ fun dir ->
   ignore (Bundle.export ~dir reference);
   let oc = open_out (Filename.concat dir "manifest") in
   output_string oc "config = no-such-model\nclaimed-slots = 216\nmax-context = 65536\n";
