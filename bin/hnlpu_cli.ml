@@ -104,7 +104,8 @@ let perf_cmd =
     Arg.(value & flag & info [ "stages" ] ~doc:"Also print the Figure 11 six-stage split.")
   in
   let run context stages metrics_out =
-    let b = Perf.token_breakdown config ~context in
+    let table = Perf.design config ~context in
+    let b = Perf.decode table in
     let f = Perf.fractions b in
     Printf.printf "HNLPU on %s, context %d:\n" config.Config.name context;
     Printf.printf "  token latency     %s\n" (Units.seconds (Perf.total_s b));
@@ -125,7 +126,7 @@ let perf_cmd =
       let t = Table.create ~headers:[ "Pipeline stage (Figure 11)"; "Latency" ] in
       List.iter
         (fun (name, d) -> Table.add_row t [ name; Units.seconds d ])
-        (Perf.stage_times_s config ~context);
+        (Perf.stage_times table);
       Table.print t
     end;
     match metrics_out with
@@ -144,7 +145,7 @@ let perf_cmd =
       set "perf/stall_s" b.Perf.stall_s;
       List.iter
         (fun (name, d) -> set (Printf.sprintf "perf/stage_s/%s" name) d)
-        (Perf.stage_times_s config ~context);
+        (Perf.stage_times table);
       write_file path (Obs.Metrics.to_json m);
       Printf.printf "metrics written to %s\n" path
   in

@@ -71,7 +71,7 @@ let to_table systems =
   | [ _; _; _ ] -> ()
   | _ -> invalid_arg "Compare.to_table: expected three systems");
   Table.add_row t ("Throughput (tokens/s)" :: cells (fun s ->
-      Units.group_thousands (int_of_float (Float.round s.throughput_tokens_per_s))));
+      Units.group_thousands (int_of_float s.throughput_tokens_per_s)));
   Table.add_row t ("Technology Node" :: cells (fun s -> s.tech_node));
   Table.add_row t ("Total Silicon Area (mm2)" :: cells (fun s ->
       Units.group_thousands (int_of_float (Float.round s.silicon_mm2))));

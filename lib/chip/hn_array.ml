@@ -15,7 +15,7 @@ let area_mm2 c =
   weights_per_chip c *. transistors_per_weight
   /. (tech.Tech.transistor_density_per_mm2 *. array_utilization)
 
-let active_weights_per_layer_per_chip ?(experts_active = None) (c : Config.t) =
+let layer_active_weights_per_chip ?(experts_active = None) (c : Config.t) =
   let attn = float_of_int (Params.attention_per_layer c) /. chips in
   let router = float_of_int (Params.router_per_layer c) (* replicated *) in
   let k =
@@ -31,7 +31,7 @@ let active_weights_per_layer_per_chip ?(experts_active = None) (c : Config.t) =
   attn +. router +. experts
 
 let active_weights_per_token_per_chip (c : Config.t) =
-  float_of_int c.Config.num_layers *. active_weights_per_layer_per_chip c
+  float_of_int c.Config.num_layers *. layer_active_weights_per_chip c
 
 let active_fraction c =
   active_weights_per_token_per_chip c /. weights_per_chip c
@@ -61,6 +61,6 @@ let power_if_dense_w (c : Config.t) =
   let all = Some (max 1 c.Config.experts) in
   let active =
     float_of_int c.Config.num_layers
-    *. active_weights_per_layer_per_chip ~experts_active:all c
+    *. layer_active_weights_per_chip ~experts_active:all c
   in
   power_of_active c active

@@ -24,28 +24,18 @@ let interconnect_options =
     ("wafer-scale", mk 2.0e12 10.0e-9);
   ]
 
-let throughput_with_link ~link ~context (c : Config.t) =
-  let layers = float_of_int c.Config.num_layers in
-  let comm = layers *. Perf.per_layer_comm_s ~link c in
-  let rest =
-    layers
-    *. (Perf.per_layer_projection_s c +. Perf.per_layer_nonlinear_s c
-       +. Perf.per_layer_attention_s c ~context
-       +. Perf.per_layer_stall_s c ~context)
-  in
-  let total = comm +. rest in
-  (float_of_int (Perf.pipeline_slots c) /. total, comm /. total)
-
 let interconnect_sweep c =
+  let design = Perf.design c ~context in
   Par.parallel_map
     (fun (link_name, link) ->
-      let throughput, comm_fraction = throughput_with_link ~link ~context c in
+      let b = Perf.decode { design with Perf.link } in
+      let total = Perf.total_s b in
       {
         link_name;
         bandwidth_gbps = link.Link.bandwidth_bytes_per_s /. 1e9;
         latency_ns = link.Link.phy_latency_s *. 1e9;
-        throughput_tokens_per_s = throughput;
-        comm_fraction;
+        throughput_tokens_per_s = float_of_int (Perf.pipeline_slots c) /. total;
+        comm_fraction = b.Perf.comm_s /. total;
       })
     interconnect_options
 
@@ -90,13 +80,8 @@ let programmability (c : Config.t) =
      reload, not a re-spin.  The price is silicon and communication: wider
      distribution scales collective depth ~ sqrt(chips). *)
   let comm_scale = sqrt (float_of_int fp_chips /. float_of_int base_chips) in
-  let layers = float_of_int c.Config.num_layers in
-  let comm = layers *. Perf.per_layer_comm_s c in
-  let rest =
-    layers
-    *. (Perf.per_layer_projection_s c +. Perf.per_layer_nonlinear_s c
-       +. Perf.per_layer_attention_s c ~context)
-  in
+  let b = Perf.token_breakdown c ~context in
+  let wide = { b with Perf.comm_s = b.Perf.comm_s *. comm_scale } in
   let field =
     {
       variant = "field-programmable (SRAM-backed)";
@@ -105,7 +90,7 @@ let programmability (c : Config.t) =
       silicon_mm2 = float_of_int fp_chips *. die;
       mask_nre_usd = Hnlpu_litho.Mask_cost.full_set_usd Hnlpu_litho.Mask_cost.Pessimistic;
       respin_usd = 0.0;
-      relative_throughput = (comm +. rest) /. ((comm *. comm_scale) +. rest);
+      relative_throughput = Perf.total_s b /. Perf.total_s wide;
     }
   in
   [ metal; field ]
@@ -118,32 +103,15 @@ type precision_row = {
 }
 
 let precision_sweep (c : Config.t) =
-  let cycle = Hnlpu_gates.Tech.cycle_time_s Hnlpu_gates.Tech.n5 in
   Par.parallel_map
     (fun bits ->
-      let bytes_per_elem = float_of_int bits /. 8.0 in
-      let stream n =
-        let b = int_of_float (ceil (float_of_int n *. bytes_per_elem)) in
-        Hnlpu_chip.Hn_array.stream_cycles ~bytes:(max 4 b)
-      in
-      let proj_cycles =
-        stream (c.Config.hidden / 4)
-        + stream (Config.q_dim c / 4)
-        + stream c.Config.hidden
-        + stream c.Config.expert_hidden
-      in
-      let proj = float_of_int proj_cycles *. cycle in
-      let layers = float_of_int c.Config.num_layers in
-      let total =
-        layers
-        *. (Perf.per_layer_comm_s c +. proj +. Perf.per_layer_nonlinear_s c
-           +. Perf.per_layer_attention_s c ~context)
-      in
+      let b = Perf.decode (Perf.layer ~act_bits:bits c ~context) in
       {
         act_bits = bits;
         serial_planes = bits;
-        projection_us_per_layer = proj *. 1e6;
-        throughput_tokens_per_s = float_of_int (Perf.pipeline_slots c) /. total;
+        projection_us_per_layer =
+          b.Perf.projection_s /. float_of_int c.Config.num_layers *. 1e6;
+        throughput_tokens_per_s = float_of_int (Perf.pipeline_slots c) /. Perf.total_s b;
       })
     [ 4; 8; 16 ]
 

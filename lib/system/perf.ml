@@ -33,72 +33,125 @@ let step_s link bytes =
   +. (float_of_int bytes /. link.Link.bandwidth_bytes_per_s))
   *. link_contention_factor
 
-(* One collective step moves a whole chunk's payloads: the fixed terms are
-   paid once per chunk, the serialization term scales.  Decode is
-   [chunk = 1]. *)
-let per_layer_comm_chunk_s ?(link = Link.cxl3) (c : Config.t) ~chunk =
-  List.fold_left
-    (fun acc { Layer_program.payload_bytes; steps; _ } ->
-      let s = step_s link (payload_bytes c * chunk) in
-      let rec charge acc n = if n = 0 then acc else charge (acc +. s) (n - 1) in
-      charge acc steps)
-    0.0 Layer_program.program
-
-let per_layer_comm_s ?link c = per_layer_comm_chunk_s ?link c ~chunk:1
-
 let cycle_s = Hnlpu_gates.Tech.cycle_time_s Hnlpu_gates.Tech.n5
 
-(* FP16 activations stream into each HN bank; one shared stream feeds the
-   Q/K/V banks (same input slice) and one feeds up+gate (same vector). *)
-let per_layer_projection_cycles (c : Config.t) =
-  let fp16 = 2 in
-  let stream n = Hn_array.stream_cycles ~bytes:(n * fp16) in
-  stream (c.Config.hidden / 4)      (* QKV input slice *)
-  + stream (Config.q_dim c / 4)     (* output projection input (column's heads) *)
-  + stream c.Config.hidden          (* up + gate (shared stream) *)
-  + stream c.Config.expert_hidden   (* down projection *)
+(* --- The layer table --------------------------------------------------------- *)
 
-let per_layer_projection_s c =
-  float_of_int (per_layer_projection_cycles c) *. cycle_s
+type stage = {
+  label : string;
+  stream_cycles : int;
+  attention_half_s : float;
+  nonlinear_half_s : float;
+  collectives : Layer_program.entry list;
+}
 
-let per_layer_nonlinear_s c =
-  float_of_int (Vex.nonlinear_cycles c) *. cycle_s
+type layer = {
+  config : Config.t;
+  link : Link.t;
+  stages : stage list;
+  sampling_s : float;
+  hbm_stall_s : float;
+}
 
-let per_layer_attention_s (c : Config.t) ~context =
-  (* Sliding-window configs alternate windowed/full layers; the per-layer
-     average halves the long-context attention cost. *)
-  match c.Config.sliding_window with
-  | None -> float_of_int (Vex.attention_cycles c ~context) *. cycle_s
-  | Some w ->
-    let full = float_of_int (Vex.attention_cycles c ~context) in
-    let windowed = float_of_int (Vex.attention_cycles c ~context:(min context w)) in
-    (full +. windowed) /. 2.0 *. cycle_s
-
-let per_layer_stall_s (c : Config.t) ~context =
-  let spilled = Attention_buffer.spilled_bytes_per_token Attention_buffer.hnlpu c ~context in
-  (* With a sliding window only the full-attention half of the layers ever
-     touches far-away KV, halving the spill traffic; the fetch overlaps
-     those same layers' (full) attention passes. *)
-  let fetch_fraction, overlap_cycles =
+let layer ~act_bits (c : Config.t) ~context =
+  (* Activations stream into each HN bank at [act_bits] per element; one
+     shared stream feeds the Q/K/V banks (same input slice) and one feeds
+     up+gate (same vector). *)
+  let stream n = Hn_array.stream_cycles ~bytes:(max 4 (((n * act_bits) + 7) / 8)) in
+  let full = Vex.attention_cycles c ~context in
+  (* Sliding-window configs alternate windowed/full layers: the per-layer
+     attention is the average, and only the full half ever touches
+     far-away KV, halving the spill traffic that overlaps its passes. *)
+  let attention, fetch_fraction =
     match c.Config.sliding_window with
-    | None -> (1.0, Vex.attention_cycles c ~context)
-    | Some _ -> (0.5, Vex.attention_cycles c ~context)
+    | None -> (float_of_int full *. cycle_s, 1.0)
+    | Some w ->
+      let windowed = float_of_int (Vex.attention_cycles c ~context:(min context w)) in
+      ((float_of_int full +. windowed) /. 2.0 *. cycle_s, 0.5)
   in
-  let per_layer = spilled *. fetch_fraction /. float_of_int c.Config.num_layers in
-  let fetch = Hbm.fetch_time_s Hbm.hnlpu ~bytes:per_layer in
-  Hbm.stall_s Hbm.hnlpu ~fetch_s:fetch
-    ~compute_s:(float_of_int overlap_cycles *. cycle_s)
-
-let token_breakdown (c : Config.t) ~context =
-  let layers = float_of_int c.Config.num_layers in
-  let sampling = float_of_int (Vex.sampling_cycles c) *. cycle_s in
+  let spilled = Attention_buffer.spilled_bytes_per_token Attention_buffer.hnlpu c ~context in
+  let fetch_s =
+    Hbm.fetch_time_s Hbm.hnlpu
+      ~bytes:(spilled *. fetch_fraction /. float_of_int c.Config.num_layers)
+  in
+  let half_attention = attention /. 2.0 in
+  let half_nonlinear = float_of_int (Vex.nonlinear_cycles c) *. cycle_s /. 2.0 in
+  let stage i (label, stream_cycles, attention_half_s, nonlinear_half_s) =
+    let collectives =
+      List.filter (fun e -> e.Layer_program.stage = i + 1) Layer_program.program
+    in
+    { label; stream_cycles; attention_half_s; nonlinear_half_s; collectives }
+  in
   {
-    comm_s = layers *. per_layer_comm_s c;
-    projection_s = layers *. per_layer_projection_s c;
-    nonlinear_s = (layers *. per_layer_nonlinear_s c) +. sampling;
-    attention_s = layers *. per_layer_attention_s c ~context;
-    stall_s = layers *. per_layer_stall_s c ~context;
+    config = c;
+    link = Link.cxl3;
+    stages =
+      List.mapi stage
+        [
+          ("S1: HN-Q/K/V + col all-reduce", stream (c.Config.hidden / 4), 0.0, 0.0);
+          ("S2: attention QK + stats exchange", 0, half_attention, 0.0);
+          ("S3: attention ZV + partial-O all-reduce", 0, half_attention, 0.0);
+          ("S4: HN-Xo + row all-reduce + col all-gather", stream (Config.q_dim c / 4), 0.0, 0.0);
+          ("S5: RMSNorm/router + HN-UP/GATE", stream c.Config.hidden, 0.0, half_nonlinear);
+          ( "S6: SwiGLU + HN-DOWN + all-chip all-reduce",
+            stream c.Config.expert_hidden, 0.0, half_nonlinear );
+        ];
+    sampling_s = float_of_int (Vex.sampling_cycles c) *. cycle_s;
+    hbm_stall_s =
+      Hbm.stall_s Hbm.hnlpu ~fetch_s ~compute_s:(float_of_int full *. cycle_s);
   }
+
+let design c ~context = layer ~act_bits:(8 * Link.bytes_per_value) c ~context
+
+(* One layer's collectives, charged by repeated addition in program order.
+   One collective step moves a whole chunk's payloads: the fixed terms are
+   paid once per chunk, the serialization term scales.  Decode is
+   [chunk = 1]. *)
+let comm_s t ~chunk =
+  List.fold_left
+    (fun acc { Layer_program.payload_bytes; steps; _ } ->
+      let s = step_s t.link (payload_bytes t.config * chunk) in
+      let rec charge acc n = if n = 0 then acc else charge (acc +. s) (n - 1) in
+      charge acc steps)
+    0.0
+    (List.concat_map (fun st -> st.collectives) t.stages)
+
+(* One layer's compute terms: projection from the integer stream-cycle sum,
+   attention and nonlinear from the stages' halves. *)
+let compute_s t =
+  let cycles, attention, nonlinear =
+    List.fold_left
+      (fun (k, a, n) st ->
+        (k + st.stream_cycles, a +. st.attention_half_s, n +. st.nonlinear_half_s))
+      (0, 0.0, 0.0) t.stages
+  in
+  (float_of_int cycles *. cycle_s, attention, nonlinear)
+
+let decode t =
+  let layers = float_of_int t.config.Config.num_layers in
+  let projection, attention, nonlinear = compute_s t in
+  {
+    comm_s = layers *. comm_s t ~chunk:1;
+    projection_s = layers *. projection;
+    nonlinear_s = (layers *. nonlinear) +. t.sampling_s;
+    attention_s = layers *. attention;
+    stall_s = layers *. t.hbm_stall_s;
+  }
+
+let stage_times t =
+  List.map
+    (fun st ->
+      let compute =
+        st.attention_half_s +. st.nonlinear_half_s
+        +. (float_of_int st.stream_cycles *. cycle_s)
+      in
+      let comm acc { Layer_program.steps; payload_bytes; _ } =
+        acc +. (float_of_int steps *. step_s t.link (payload_bytes t.config))
+      in
+      (st.label, List.fold_left comm compute st.collectives))
+    t.stages
+
+let token_breakdown c ~context = decode (design c ~context)
 
 let token_latency_s c ~context = total_s (token_breakdown c ~context)
 
@@ -111,12 +164,11 @@ let throughput_tokens_per_s c ~context =
 
 let prefill_chunk_latency_s (c : Config.t) ~chunk ~context =
   if chunk < 1 then invalid_arg "Perf.prefill_chunk_latency_s: chunk >= 1";
+  let t = design c ~context in
   let layers = float_of_int c.Config.num_layers in
-  let per_token =
-    per_layer_projection_s c +. per_layer_nonlinear_s c
-    +. per_layer_attention_s c ~context
-  in
-  layers *. (per_layer_comm_chunk_s c ~chunk +. (float_of_int chunk *. per_token))
+  let projection, attention, nonlinear = compute_s t in
+  let per_token = projection +. nonlinear +. attention in
+  layers *. (comm_s t ~chunk +. (float_of_int chunk *. per_token))
 
 let prefill_throughput_tokens_per_s c ~chunk ~context =
   float_of_int (pipeline_slots c * chunk)
@@ -163,45 +215,6 @@ let token_latency_cached c ~context = memoized (Latency (c, context))
 
 let prefill_throughput_cached c ~chunk ~context =
   memoized (Prefill (c, chunk, context))
-
-(* --- Figure 11 stage decomposition ------------------------------------------ *)
-
-(* The single source of truth for stage labels: stage_times_s zips its
-   latencies against this list, so chart and table output cannot drift. *)
-let stage_names =
-  [
-    "S1: HN-Q/K/V + col all-reduce";
-    "S2: attention QK + stats exchange";
-    "S3: attention ZV + partial-O all-reduce";
-    "S4: HN-Xo + row all-reduce + col all-gather";
-    "S5: RMSNorm/router + HN-UP/GATE";
-    "S6: SwiGLU + HN-DOWN + all-chip all-reduce";
-  ]
-
-let stage_times_s (c : Config.t) ~context =
-  let stream n =
-    float_of_int (Hnlpu_chip.Hn_array.stream_cycles ~bytes:(n * 2)) *. cycle_s
-  in
-  let attn = per_layer_attention_s c ~context /. 2.0 in
-  let nl = per_layer_nonlinear_s c /. 2.0 in
-  let compute =
-    [
-      stream (c.Config.hidden / 4);
-      attn;
-      attn;
-      stream (Config.q_dim c / 4);
-      nl +. stream c.Config.hidden;
-      nl +. stream c.Config.expert_hidden;
-    ]
-  in
-  List.mapi
-    (fun i (name, compute) ->
-      let comm acc { Layer_program.stage; steps; payload_bytes; _ } =
-        if stage <> i + 1 then acc
-        else acc +. (float_of_int steps *. step_s Link.cxl3 (payload_bytes c))
-      in
-      (name, List.fold_left comm compute Layer_program.program))
-    (List.combine stage_names compute)
 
 let figure14_contexts = [ 2048; 8192; 65536; 131072; 262144; 524288 ]
 

@@ -3,23 +3,25 @@
 
     {2 Model}
 
-    A token's latency sums per-layer components over the 36 layers, plus
-    output sampling:
+    One {!layer} table holds a layer's Figure 11 schedule, and every
+    latency here folds it.  Decode ({!decode}) charges all five terms
+    below, sampling and stall included; a prefill chunk and
+    {!stage_times} leave those two out.
 
     - {b Communication}: the 15 collective steps per layer of the
       {!Layer_program}.  Each step costs
       [(phy + engine + payload/bandwidth) * contention]: with up to 216
       tokens in flight, every link is time-shared by the stages of ~36
       layers, and the contention factor (calibrated to Figure 14's 82.9%
-      share at 2K context) models that queueing.  Decode, prefill chunks
-      and the Figure 11 stage times fold this one step cost over the
-      program.
+      share at 2K context) models that queueing.
     - {b Projection}: the HN arrays compute in a handful of bit-serial
       cycles, but activation vectors enter each bank through a
       {!Hnlpu_chip.Hn_array.feed_bytes_per_cycle} input lane — the visible
-      cost is input streaming (FP16 activations).
-    - {b Nonlinear}: VEX RMSNorm/router/SwiGLU/residual lanes.
-    - {b Attention}: VEX KV-lane model, linear in context.
+      cost is input streaming (FP16 activations at the design point).
+    - {b Nonlinear}: VEX RMSNorm/router/SwiGLU/residual lanes, split
+      across S5 and S6, plus output sampling once per token.
+    - {b Attention}: VEX KV-lane model, linear in context, split across
+      S2 and S3.
     - {b Stall}: HBM KV-spill fetch time not hidden behind attention
       compute (appears between 256K and 512K context).
 
@@ -43,19 +45,40 @@ val fractions : breakdown -> breakdown
 val link_contention_factor : float
 (** Queueing multiplier on collective steps (calibrated, see above). *)
 
-val per_layer_comm_s : ?link:Hnlpu_noc.Link.t -> Hnlpu_model.Config.t -> float
+type stage = {
+  label : string;  (** "S1: HN-Q/K/V + col all-reduce" ... "S6: ...". *)
+  stream_cycles : int;  (** HN input streams at the table's width. *)
+  attention_half_s : float;  (** Half the layer's attention (S2, S3). *)
+  nonlinear_half_s : float;  (** Half the layer's VEX nonlinear (S5, S6). *)
+  collectives : Layer_program.entry list;  (** In program order. *)
+}
 
-val per_layer_projection_s : Hnlpu_model.Config.t -> float
+type layer = {
+  config : Hnlpu_model.Config.t;
+  link : Hnlpu_noc.Link.t;  (** Every fold charges its steps on this link. *)
+  stages : stage list;  (** The six Figure 11 stages, in order. *)
+  sampling_s : float;  (** Once per token. *)
+  hbm_stall_s : float;  (** Per layer; 0 at 2K. *)
+}
 
-val per_layer_nonlinear_s : Hnlpu_model.Config.t -> float
+val layer : act_bits:int -> Hnlpu_model.Config.t -> context:int -> layer
+(** The table at an activation width, over CXL 3.0.  A stream of [n]
+    elements carries [max 4 (ceil (n * act_bits / 8))] bytes.  The link is
+    a field: [{ t with link }] prices the same schedule on another one. *)
 
-val per_layer_attention_s : Hnlpu_model.Config.t -> context:int -> float
+val design : Hnlpu_model.Config.t -> context:int -> layer
+(** FP16 activations over CXL 3.0: the table every function below folds. *)
 
-val per_layer_stall_s : Hnlpu_model.Config.t -> context:int -> float
+val decode : layer -> breakdown
+(** Whole-token decomposition: every layer, plus sampling (counted as
+    nonlinear) and the HBM stall. *)
+
+val stage_times : layer -> (string * float) list
+(** Per-stage latencies of one layer, labelled by the table's stages; they
+    sum to the layer's comm, projection, nonlinear and attention. *)
 
 val token_breakdown : Hnlpu_model.Config.t -> context:int -> breakdown
-(** Whole-token decomposition (all layers + sampling, which counts as
-    nonlinear). *)
+(** [decode (design c ~context)]. *)
 
 val token_latency_s : Hnlpu_model.Config.t -> context:int -> float
 
@@ -69,7 +92,7 @@ val pipeline_slots : Hnlpu_model.Config.t -> int
 (** 216 for gpt-oss 120B. *)
 
 val throughput_tokens_per_s : Hnlpu_model.Config.t -> context:int -> float
-(** 249,960 tokens/s at 2K context for gpt-oss 120B. *)
+(** 249,903 tokens/s at 2K context for gpt-oss 120B. *)
 
 (** {1 Prefill}
 
@@ -95,18 +118,8 @@ val prefill_throughput_cached :
 (** Same value as {!prefill_throughput_tokens_per_s}, memoized in the
     table behind {!token_latency_cached}. *)
 
-val stage_times_s :
-  Hnlpu_model.Config.t -> context:int -> (string * float) list
-(** Per-stage decode latencies of the six-stage Figure 11 pipeline; they
-    sum to the per-layer total.  Labels are {!stage_names}, in order — the
-    two can never disagree. *)
-
 val figure14_contexts : int list
 (** The six context lengths of Figure 14: 2K..512K. *)
 
 val figure14 : Hnlpu_model.Config.t -> (int * breakdown) list
 (** The full Figure 14 sweep (per-token breakdowns). *)
-
-val stage_names : string list
-(** The six pipeline stages of Figure 11, for reporting — the canonical
-    labels {!stage_times_s} attaches to its latencies. *)

@@ -18,28 +18,27 @@ type t = {
   stage_stats : stage_stat list;
 }
 
-let run ?(context = 2048) ?(tokens = 2000) ?obs
-    ?(obs_tokens = 32) (c : Config.t) =
+(* Span recording covers the first [obs_tokens] tokens: enough to see the
+   pipeline fill and reach steady state without drowning the ring buffer in
+   tokens x stages spans. *)
+let obs_tokens = 32
+
+let run ?(context = 2048) ?(tokens = 2000) ?obs (c : Config.t) =
   if tokens < 10 then invalid_arg "Trace.run: need at least 10 tokens";
-  if obs_tokens < 0 then invalid_arg "Trace.run: obs_tokens must be >= 0";
-  let per_layer = Perf.stage_times_s c ~context in
-  let layers = c.Config.num_layers in
+  let table = Perf.design c ~context in
+  let per_layer = Array.of_list (Perf.stage_times table) in
+  let latency = Perf.total_s (Perf.decode table) in
+  let pipeline_slots = float_of_int (Perf.pipeline_slots c) in
   (* The full pipeline: layer-major, stage-minor.  Labels and durations
      live in separate arrays, so the step loop below reads each duration
      unboxed. *)
+  let k = Array.length per_layer in
+  let n_stages = c.Config.num_layers * k in
   let labels =
-    Array.concat
-      (List.init layers (fun l ->
-           Array.of_list
-             (List.mapi (fun s _ -> Printf.sprintf "L%02d/S%d" l (s + 1)) per_layer)))
+    Array.init n_stages (fun i -> Printf.sprintf "L%02d/S%d" (i / k) ((i mod k) + 1))
   in
-  let dur =
-    Array.concat (List.init layers (fun _ -> Array.of_list (List.map snd per_layer)))
-  in
-  let n_stages = Array.length dur in
-  let ii_target =
-    Perf.token_latency_s c ~context /. float_of_int (Perf.pipeline_slots c)
-  in
+  let dur = Array.init n_stages (fun i -> snd per_layer.(i mod k)) in
+  let ii_target = latency /. pipeline_slots in
   let slots = Array.map (fun d -> max 1 (int_of_float (ceil (d /. ii_target)))) dur in
   let ii = Array.mapi (fun i d -> d /. float_of_int slots.(i)) dur in
   (* enter.(s) = entry time of the previous token into stage s;
@@ -52,10 +51,8 @@ let run ?(context = 2048) ?(tokens = 2000) ?obs
      stage's), so queueing does not pile up at the entry and the measured
      latency reflects the flow, not an unbounded backlog. *)
   let inject_ii = Array.fold_left Float.max 0.0 ii in
-  (* Span recording covers the first [obs_tokens] tokens: enough to see the
-     pipeline fill and reach steady state without drowning the ring buffer
-     in tokens x stages spans.  The loop only notes those tokens' entry
-     times; the spans are emitted after it, so the loop makes no call. *)
+  (* The loop only notes the traced tokens' entry times; the spans are
+     emitted after it, so the loop makes no call. *)
   let traced = match obs with None -> 0 | Some _ -> min tokens obs_tokens in
   let traced_entry = Array.make (traced * n_stages) 0.0 in
   for t = 0 to tokens - 1 do
@@ -113,8 +110,8 @@ let run ?(context = 2048) ?(tokens = 2000) ?obs
       sim_time_s = sim_time;
       measured_throughput_tokens_per_s = measured_tp;
       measured_latency_s = !latency_sum /. (window +. 1.0);
-      predicted_throughput_tokens_per_s = Perf.throughput_tokens_per_s c ~context;
-      predicted_latency_s = Perf.token_latency_s c ~context;
+      predicted_throughput_tokens_per_s = pipeline_slots /. latency;
+      predicted_latency_s = latency;
       total_slots = Array.fold_left ( + ) 0 slots;
       stage_stats;
     }

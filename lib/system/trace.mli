@@ -7,10 +7,11 @@
     rather than by construction.
 
     Model: each of the 216 layer-stages is an internally pipelined unit
-    with service latency from {!Perf.stage_times_s}.  A unit holding a
-    d-second service sustains one token per [d / ceil(d / ii_target)]
-    (its pipeline registers give it [ceil(d/ii)] slots), so a balanced
-    initiation interval emerges; a token enters stage s when (a) it has
+    with service latency from {!Perf.stage_times} of the design-point
+    {!Perf.layer} table, whose {!Perf.decode} gives the predicted
+    latency.  A unit holding a d-second service sustains one token per
+    [d / ceil(d / ii_target)] (its pipeline registers give it
+    [ceil(d/ii)] slots), so a balanced initiation interval emerges; a token enters stage s when (a) it has
     left stage s-1 and (b) the stage's initiation interval has elapsed
     since the previous token entered.  Tokens are injected back-to-back
     (saturated decode of independent sequences). *)
@@ -35,12 +36,11 @@ type t = {
 
 val run :
   ?context:int -> ?tokens:int ->
-  ?obs:Hnlpu_obs.Sink.t -> ?obs_tokens:int -> Hnlpu_model.Config.t -> t
+  ?obs:Hnlpu_obs.Sink.t -> Hnlpu_model.Config.t -> t
 (** Simulate [tokens] (default 2,000) through the pipeline at a context
     length (default 2048) and compare against {!Perf}.
 
-    [obs] records per-stage service spans for the first [obs_tokens]
-    (default 32) tokens — one track per (stage, pipeline-slot), so the
+    [obs] records per-stage service spans for the first 32 tokens — one track per (stage, pipeline-slot), so the
     viewer shows the pipeline filling and reaching steady state — plus a
     stage-utilization histogram and measured-vs-predicted gauges.  The
     numbers returned are unaffected. *)

@@ -4,15 +4,20 @@ open Hnlpu_system
 
 type stage_slot = { layer : int; stage : int }
 
-let stages_per_layer = List.length Perf.stage_names
+(* The layer table's stage labels; they are the same at every context. *)
+let stage_labels c =
+  Array.of_list (List.map (fun s -> s.Perf.label) (Perf.design c ~context:2048).Perf.stages)
 
 let canonical_stage_map (c : Config.t) =
+  let stages_per_layer = Array.length (stage_labels c) in
   List.concat
     (List.init c.Config.num_layers (fun layer ->
          List.init stages_per_layer (fun stage -> { layer; stage })))
 
 let pipeline_mapping ~subject (c : Config.t) slots =
   let layers = c.Config.num_layers in
+  let labels = stage_labels c in
+  let stages_per_layer = Array.length labels in
   let out_of_range, in_range =
     List.partition
       (fun s -> s.layer < 0 || s.layer >= layers || s.stage < 0 || s.stage >= stages_per_layer)
@@ -35,7 +40,7 @@ let pipeline_mapping ~subject (c : Config.t) slots =
         coverage_errors :=
           Diagnostic.error ~rule:"PIPE-MAP" ~subject
             "layer %d stage %d (%s) is unmapped" layer stage
-            (List.nth Perf.stage_names stage)
+            labels.(stage)
           :: !coverage_errors
       else if count.(layer).(stage) > 1 then
         coverage_errors :=
@@ -178,6 +183,7 @@ let buffer_budget ~subject
 
 let scheduler_slots ~subject (c : Config.t) ~claimed_slots =
   let slots = Perf.pipeline_slots c in
+  let stages_per_layer = Array.length (stage_labels c) in
   let errors =
     (if slots <> stages_per_layer * c.Config.num_layers then
        [

@@ -363,7 +363,7 @@ let perf_cases () =
     Perf.figure14_contexts;
   List.iter
     (fun (stage, t) -> Printf.printf "perf stage context=2048 %s=%h\n" stage t)
-    (Perf.stage_times_s model ~context:2048);
+    (Perf.stage_times (Perf.design model ~context:2048));
   Printf.printf "perf prefill chunk=8 context=2048 tokens_per_s=%h\n"
     (Perf.prefill_throughput_tokens_per_s model ~chunk:8 ~context:2048)
 

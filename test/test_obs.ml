@@ -473,7 +473,7 @@ let prop_spans_wellformed =
 
 let test_pipeline_trace_obs () =
   let obs = Sink.create () in
-  let t = Hnlpu.Trace.run ~tokens:40 ~obs ~obs_tokens:8 config in
+  let t = Hnlpu.Trace.run ~tokens:40 ~obs config in
   let spans =
     List.filter
       (fun ((tr : Event.track), _, _, _) -> tr.Event.process = "pipeline")
@@ -508,15 +508,15 @@ let test_pipeline_trace_obs () =
 let test_pipeline_trace_obs_identical () =
   (* Recording spans must not move a number: the result is Marshal-identical
      with and without a sink, and one span is kept per (token, stage) of
-     the first [obs_tokens] tokens. *)
+     the first 32 tokens. *)
   let bytes t = Marshal.to_string (t : Hnlpu.Trace.t) [ Marshal.No_sharing ] in
   List.iter
-    (fun (tokens, obs_tokens) ->
+    (fun tokens ->
       let plain = Hnlpu.Trace.run ~tokens config in
       let obs = Sink.create () in
-      let traced = Hnlpu.Trace.run ~tokens ~obs ~obs_tokens config in
+      let traced = Hnlpu.Trace.run ~tokens ~obs config in
       Alcotest.(check string)
-        (Printf.sprintf "%d tokens, %d traced" tokens obs_tokens)
+        (Printf.sprintf "%d tokens" tokens)
         (bytes plain) (bytes traced);
       let spans =
         List.filter
@@ -524,9 +524,9 @@ let test_pipeline_trace_obs_identical () =
           (spans_of (Sink.events obs))
       in
       Alcotest.(check int) "spans = traced tokens x stages"
-        (min tokens obs_tokens * List.length plain.Hnlpu.Trace.stage_stats)
+        (min tokens 32 * List.length plain.Hnlpu.Trace.stage_stats)
         (List.length spans))
-    [ (20, 0); (20, 3); (12, 40) ]
+    [ 12; 20; 40 ]
 
 (* --- NoC instrumentation ------------------------------------------------------ *)
 
@@ -591,7 +591,7 @@ let test_thermal_obs () =
 let test_combined_timeline () =
   let obs = Sink.create () in
   ignore (sched_run ~obs 1);
-  ignore (Hnlpu.Trace.run ~tokens:20 ~obs ~obs_tokens:4 config);
+  ignore (Hnlpu.Trace.run ~tokens:20 ~obs config);
   let group = Hnlpu.Topology.col_group 0 in
   ignore
     (Hnlpu.Schedule.run_all_reduce ~obs ~group

@@ -620,14 +620,18 @@ let test_prefill_chunking_helps () =
   Alcotest.(check bool) "diminishing returns" true
     (t64 > t8 && t64 < 16.0 *. t1)
 
+let table = Perf.design config ~context:2048
+
 let test_stage_times_sum_to_layer () =
-  let stages = Perf.stage_times_s config ~context:2048 in
+  (* The stage fold and the decode fold cover the same per-layer terms:
+     the stages leave out only sampling and the HBM stall. *)
+  let stages = Perf.stage_times table in
   Alcotest.(check int) "six stages" 6 (List.length stages);
   let sum = List.fold_left (fun a (_, t) -> a +. t) 0.0 stages in
+  let b = Perf.decode table in
   let expected =
-    Perf.per_layer_comm_s config +. Perf.per_layer_projection_s config
-    +. Perf.per_layer_nonlinear_s config
-    +. Perf.per_layer_attention_s config ~context:2048
+    (Perf.total_s b -. table.Perf.sampling_s -. b.Perf.stall_s)
+    /. float_of_int config.Hnlpu_model.Config.num_layers
   in
   Alcotest.(check bool)
     (Printf.sprintf "sum %.3fus = layer %.3fus" (sum *. 1e6) (expected *. 1e6))
@@ -635,15 +639,17 @@ let test_stage_times_sum_to_layer () =
     (Thelp.close ~rel:1e-9 expected sum)
 
 let test_stage_labels_agree () =
-  (* Regression: stage_times_s used to carry its own label copies, which
-     had drifted from stage_names ("S1 HN..." vs "S1: HN...").  The
-     latencies must now be keyed by stage_names itself, verbatim. *)
-  Alcotest.(check (list string)) "labels are stage_names" Perf.stage_names
-    (List.map fst (Perf.stage_times_s config ~context:2048))
+  (* Regression: the stage times once carried their own label copies, which
+     had drifted from the stage list ("S1 HN..." vs "S1: HN...").  They
+     are keyed by the table's stages, verbatim. *)
+  Alcotest.(check (list string)) "labels are stage_names"
+    (List.map (fun s -> s.Perf.label) table.Perf.stages)
+    (List.map fst (Perf.stage_times table))
 
 let test_stage_times_attention_grows () =
   let at ctx =
-    List.assoc "S2: attention QK + stats exchange" (Perf.stage_times_s config ~context:ctx)
+    List.assoc "S2: attention QK + stats exchange"
+      (Perf.stage_times (Perf.design config ~context:ctx))
   in
   (* S2 carries a fixed stats-exchange cost, so the growth is bounded by
      the attention half; 5x between 2K and 512K is the conservative check. *)
@@ -688,6 +694,22 @@ let test_precision_tradeoff () =
     Alcotest.(check bool) "throughput follows" true
       (b4.Ablation.throughput_tokens_per_s > b16.Ablation.throughput_tokens_per_s)
   | _ -> Alcotest.fail "expected three widths"
+
+let test_design_rows_are_perf () =
+  (* The design-point rows price the same table as Perf, sampling and
+     stall included, so they agree to the bit. *)
+  let perf = Perf.throughput_tokens_per_s config ~context:2048 in
+  let cxl =
+    List.find
+      (fun r -> r.Ablation.link_name = "CXL 3.0 x16 (design point)")
+      (Ablation.interconnect_sweep config)
+  in
+  let fp16 =
+    List.find (fun r -> r.Ablation.act_bits = 16) (Ablation.precision_sweep config)
+  in
+  Alcotest.(check (float 0.0)) "CXL 3.0 row" perf cxl.Ablation.throughput_tokens_per_s;
+  Alcotest.(check (float 0.0)) "16-bit row" perf
+    fp16.Ablation.throughput_tokens_per_s
 
 let test_slack_tradeoff () =
   let rows = Ablation.slack_sweep (Rng.create 8) ~trials:100 () in
@@ -736,6 +758,16 @@ let test_trace_bottleneck_is_moe_allreduce () =
 
 let test_trace_stage_count () =
   Alcotest.(check int) "216 pipeline stages" 216 (List.length trace.Trace.stage_stats)
+
+let test_trace_services_are_table () =
+  (* Every layer replays the table's six stage times, in order. *)
+  let per_layer = Array.of_list (List.map snd (Perf.stage_times table)) in
+  List.iteri
+    (fun i st ->
+      Alcotest.(check (float 0.0)) st.Trace.stage_label
+        per_layer.(i mod Array.length per_layer)
+        st.Trace.service_s)
+    trace.Trace.stage_stats
 
 (* --- Interconnect traffic ---------------------------------------------------------- *)
 
@@ -902,6 +934,7 @@ let suites =
         Alcotest.test_case "programmability" `Quick test_programmability_tradeoff;
         Alcotest.test_case "precision" `Quick test_precision_tradeoff;
         Alcotest.test_case "slack" `Quick test_slack_tradeoff;
+        Alcotest.test_case "design rows are Perf" `Quick test_design_rows_are_perf;
       ] );
     ( "trace",
       [
@@ -910,6 +943,7 @@ let suites =
         Alcotest.test_case "slot census" `Quick test_trace_slot_census;
         Alcotest.test_case "bottleneck S6" `Quick test_trace_bottleneck_is_moe_allreduce;
         Alcotest.test_case "stage count" `Quick test_trace_stage_count;
+        Alcotest.test_case "services are the table's" `Quick test_trace_services_are_table;
       ] );
     ( "traffic",
       [
