@@ -2,7 +2,8 @@
    process, failure schedule and domain count; power-aware routing under
    tight rack caps, cool-downs, drains, failures and forced overrides;
    the token-level Scheduler across loads, context-aware latency, slot
-   failures, equal-time ties and an [obs] sink; one arrival trace per
+   failures, equal-time ties (arrivals on wakeup and completion times),
+   an [obs] sink and a fully traced run's JSON; one arrival trace per
    process and length kind; the Rng streams; the reference Transformer's
    and the 16-chip Dataflow's logits; [Vec.top_k] orders; the
    Metal-Embedding, Cell-Embedding and MAC-array GEMV outputs; and the
@@ -288,8 +289,8 @@ let scheduler_cases () =
         (Printf.sprintf "sched long ca=true %s" fname)
         (Scheduler.simulate ~context_aware:true ~slot_failures model reqs))
     [ ("calm", []); ("fail", [ (0.2, 72); (0.4, 36) ]) ];
-  (* Equal-time ties: which of two events at one time pops first is the
-     event queue's order, so these pin it. *)
+  (* Equal-time ties: which of two events at one time goes first is the
+     merge's order, so these pin it. *)
   let reqs = chat_requests ~seed:3 ~load:1.2 in
   let at_zero =
     List.map (fun q -> { q with Scheduler.arrival_s = 0.0 }) reqs
@@ -336,7 +337,74 @@ let scheduler_cases () =
     (Printf.sprintf "sched obs ttft=%d e2e=%d queue_wait=%d"
        (count "scheduler/ttft_s") (count "scheduler/e2e_s")
        (count "scheduler/queue_wait_s"))
-    r
+    r;
+  (* Arrivals on the merge's own event times.  A long request from 0
+     keeps the pipeline entry busy, so wakeups fall on the chain
+     [t +. ii] from 0 and its tokens complete a bucket latency after
+     their entry; the other requests arrive on chain times and on chain
+     times plus the first two buckets' latencies, so arrivals tie with
+     wakeups and with completions of both buckets. *)
+  let latency k = Perf.token_latency_cached model ~context:(2048 lsl k) in
+  let ii = latency 0 /. float (Perf.pipeline_slots model) in
+  let chain = Float.Array.make 1200 0.0 in
+  for k = 1 to Float.Array.length chain - 1 do
+    Float.Array.set chain k (Float.Array.get chain (k - 1) +. ii)
+  done;
+  let on_ties =
+    { Scheduler.arrival_s = 0.0; prefill_tokens = 2300; decode_tokens = 40 }
+    :: List.concat_map
+         (fun i ->
+           let t = Float.Array.get chain (1 + (19 * i)) in
+           List.map
+             (fun arrival_s ->
+               {
+                 Scheduler.arrival_s;
+                 prefill_tokens = 1 + (i mod 5);
+                 decode_tokens = 1 + (i mod 3);
+               })
+             [ t; t +. latency 0; t +. latency 1 ])
+         (List.init 60 Fun.id)
+  in
+  List.iter
+    (fun context_aware ->
+      scheduler_line
+        (Printf.sprintf "sched ties on-events ca=%b" context_aware)
+        (Scheduler.simulate ~context_aware model on_ties))
+    [ false; true ];
+  (* Whole-latency and whole-[ii] grids: multiples rather than the chain
+     of sums, for ties the chain's rounding misses. *)
+  let on_grid step =
+    List.init 120 (fun i ->
+        {
+          Scheduler.arrival_s = float (i / 2) *. step;
+          prefill_tokens = 1 + (i * 337 mod 2400);
+          decode_tokens = 1 + (i * 11 mod 40);
+        })
+  in
+  List.iter
+    (fun (gname, step) ->
+      List.iter
+        (fun context_aware ->
+          scheduler_line
+            (Printf.sprintf "sched ties grid=%s ca=%b" gname context_aware)
+            (Scheduler.simulate ~context_aware model (on_grid step)))
+        [ false; true ])
+    [ ("latency", latency 0); ("ii", ii) ];
+  (* A traced run with a full sink: the timeline and the registry the
+     obs calls build from the loop's clock. *)
+  let obs = Obs.Sink.create () in
+  let r =
+    Scheduler.simulate ~obs model
+      (Scheduler.requests ~n:40
+         (Arrivals.create ~seed:6
+            (Arrivals.chat ~rate_per_s:(1.2 *. saturation_req_per_s))))
+  in
+  Printf.printf "sched traced requests=%d trace_md5=%s metrics_md5=%s\n"
+    (List.length r.Scheduler.completed_requests)
+    (Digest.to_hex
+       (Digest.string (Obs.Chrome_trace.to_json (Obs.Sink.events obs))))
+    (Digest.to_hex
+       (Digest.string (Obs.Metrics.to_json (Obs.Sink.metrics obs))))
 
 (* --- Fleet set-up ------------------------------------------------------ *)
 
