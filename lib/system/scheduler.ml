@@ -95,39 +95,18 @@ module Ring = struct
     id
 end
 
-(* Simulation clock state.  All fields are float, so the record is flat
-   (unboxed storage) and the per-event stores allocate nothing.  [now]
-   is how the event time reaches the handlers below: a float argument
-   to a closure is boxed at every call, a store into this record is
-   flat. *)
+(* The obs half of the clock: the time of the event in hand, written
+   only when a sink is present, and the load gauges' last values (NaN
+   before the first event) with the times they changed to them.  All
+   fields are float, so the record is flat: a store into it allocates
+   nothing, where a float argument to a closure is boxed at every call. *)
 type clock = {
-  mutable now : float;  (** Time of the event in hand. *)
-  mutable next : float;  (** Earliest head among the merged sources. *)
-  mutable occupancy : float;
-  mutable makespan : float;
-  mutable next_inject : float;
-  mutable woken_for : float;  (** Time of the last pipeline wakeup pushed. *)
-  (* The load gauges' last values (NaN before the first event) and the
-     times they changed to them. *)
+  mutable now : float;
   mutable queue_depth : float;
   mutable queue_stamp : float;
   mutable busy_slots : float;
   mutable busy_stamp : float;
 }
-
-let fresh_clock () =
-  {
-    now = 0.0;
-    next = 0.0;
-    occupancy = 0.0;
-    makespan = 0.0;
-    next_inject = 0.0;
-    woken_for = neg_infinity;
-    queue_depth = Float.nan;
-    queue_stamp = 0.0;
-    busy_slots = Float.nan;
-    busy_stamp = 0.0;
-  }
 
 (* Slot failures sorted by time, with the cumulative slots lost through
    each step.  Equal times form a tie group whose last step carries the
@@ -178,8 +157,10 @@ let simulate ?(context = 2048) ?(context_aware = false) ?(slot_failures = [])
   let prefill_done = Float.Array.make n Float.nan in  (* Last prefill completion. *)
   Array.iteri
     (fun id r ->
-      (* A NaN arrival would never win the merge below. *)
-      if not (r.arrival_s >= 0.0) || r.prefill_tokens < 1 || r.decode_tokens < 1
+      (* A NaN arrival would never win the merge below, and an infinite
+         one would make the makespan infinite. *)
+      if not (Float.is_finite r.arrival_s && r.arrival_s >= 0.0)
+         || r.prefill_tokens < 1 || r.decode_tokens < 1
       then invalid_arg "Scheduler.simulate: malformed request";
       prefill_remaining.(id) <- r.prefill_tokens;
       decode_remaining.(id) <- r.decode_tokens)
@@ -202,41 +183,34 @@ let simulate ?(context = 2048) ?(context_aware = false) ?(slot_failures = [])
     end
   in
   let buckets = Float.Array.length bucket_latency in
-  (* The event sources, merged at their heads; on equal times the lower
-     index goes first.
+  (* The event sources, merged at their heads; on equal times the
+     earlier in this list goes first.
      - One completion stream per latency bucket, lower buckets first, so
        a freed slot goes to the decode queue before anything else at its
        time; [2 * id] is a prefill token, [2 * id + 1] a decode token.
        A bucket's tokens share a latency and enter in time order, so they
-       leave in it.  At most [slots] tokens are in flight.
+       leave in it.  At most [slots] tokens are in flight.  Bucket 0 is
+       [stream0]; the buckets above it, [sources.(1)] up, exist only
+       under [context_aware].
      - At most two pipeline wakeups: a third would need an injection at
        or after the second's time while the earlier first is pending.
        [next_inject] only grows, so they are in time order.
-     - Last, the arrivals, read from [reqs] by the cursor [arrived]. *)
+     - Last, the arrivals, read from [reqs] by the cursor [arrived].
+     The merge names a source by [src]: a bucket's index, then
+     [buckets] for the wakeups and [buckets + 1] for the arrivals. *)
+  let sources = Array.init buckets (fun _ -> Stream.create slots) in
+  let stream0 = sources.(0) and latency0 = Float.Array.get bucket_latency 0 in
   let wakeups = Stream.create 2 in
-  let sources =
-    Array.append (Array.init buckets (fun _ -> Stream.create slots)) [| wakeups |]
-  in
-  let arrival_src = Array.length sources and arrived = ref 0 in
-  let decode_queue = Ring.create n in
-  let prefill_queue = Ring.create n in
-  let busy = ref 0 in
-  (* Surviving slots, and the first failure step not yet applied: event
-     times never decrease, so the cursor only moves forward.  A failure
-     step is no event of its own: it only lowers capacity, so it can
-     admit nothing, and the next event at or after its time applies it
-     before it injects. *)
-  let capacity = ref slots and next_fail = ref 0 in
-  let completed = ref [] in
-  let tokens = ref 0 and decode_tokens_out = ref 0 in
-  let clock = fresh_clock () in
+  let decode_queue = Ring.create n and prefill_queue = Ring.create n in
+  let clock = { now = 0.0; queue_depth = Float.nan; queue_stamp = 0.0;
+                busy_slots = Float.nan; busy_stamp = 0.0 } in
   (* Load gauges, sampled only on value changes so the timeline stays
      readable; everything below is skipped when [obs] is absent.  They
      reach the registry once, at run end, so a counters-only sink, which
      keeps no timeline, costs no call and no boxed float per event. *)
   let timeline = match obs with Some o -> Hnlpu_obs.Sink.events_enabled o | None -> false in
   let load_track = obs_track ~thread:"load" in
-  let sample_gauges o =
+  let sample_gauges o busy =
     let q = float_of_int (prefill_queue.Ring.len + decode_queue.Ring.len) in
     if q <> clock.queue_depth then begin
       clock.queue_depth <- q;
@@ -245,7 +219,7 @@ let simulate ?(context = 2048) ?(context_aware = false) ?(slot_failures = [])
         Hnlpu_obs.Sink.sample o ~track:load_track ~name:"scheduler/queue_depth"
           ~ts_s:clock.now clock.queue_depth
     end;
-    let b = float_of_int !busy in
+    let b = float_of_int busy in
     if b <> clock.busy_slots then begin
       clock.busy_slots <- b;
       clock.busy_stamp <- clock.now;
@@ -307,139 +281,163 @@ let simulate ?(context = 2048) ?(context_aware = false) ?(slot_failures = [])
     Hnlpu_obs.Sketch.observe_block !hists.(1) e2e_cell 1;
     Hnlpu_obs.Sketch.observe_block !hists.(2) queue_cell 1
   in
-  (* Hoisted out of [try_inject]: per-call refs (and the recursive [go]
-     closure this loop used to be) were a few words on every event, which
-     adds up at one [try_inject] per event over millions of events. *)
-  let injecting = ref false in
-  let try_inject () =
-    let now = clock.now in
-    while
-      !next_fail < nfail && Float.Array.unsafe_get fail_times !next_fail <= now
-    do
-      capacity := max 0 (slots - fail_lost.(!next_fail));
-      incr next_fail
-    done;
-    injecting := true;
-    while
-      !injecting
-      && !busy < !capacity
-      && not (Ring.is_empty decode_queue && Ring.is_empty prefill_queue)
-    do
-      if clock.next_inject > now then begin
-        (* Pipeline entry busy: leave the queues untouched — popping the
-           head and re-pushing it would rotate FIFO order on every
-           stalled injection — and wake up at the slot time.  One pending
-           wakeup per slot time: [next_inject] only grows, so a second
-           one at the same time would find the entry already taken. *)
-        if clock.woken_for <> clock.next_inject then begin
-          Stream.push wakeups clock.next_inject 0;
-          clock.woken_for <- clock.next_inject
-        end;
-        injecting := false
-      end
-      else begin
-        let from_decode = not (Ring.is_empty decode_queue) in
-        let id =
-          if from_decode then Ring.pop decode_queue else Ring.pop prefill_queue
-        in
-        if Float.is_nan (Float.Array.get injected_first id) then
-          Float.Array.set injected_first id now;
-        if not from_decode then begin
-          prefill_remaining.(id) <- prefill_remaining.(id) - 1;
-          prefill_inflight.(id) <- prefill_inflight.(id) + 1;
-          (* More prefill tokens of this sequence stay in the queue. *)
-          if prefill_remaining.(id) > 0 then Ring.push prefill_queue id
-        end;
-        incr busy;
-        clock.next_inject <- now +. ii;
-        (* The sequence's position with this token: all its prefill
-           tokens enter before its first decode token. *)
-        let k =
-          if not context_aware then 0
-          else if from_decode then
-            bucket_exp 2048 0
-              (reqs.(id).prefill_tokens + reqs.(id).decode_tokens
-             - decode_remaining.(id) + 1)
-          else bucket_exp 2048 0 (reqs.(id).prefill_tokens - prefill_remaining.(id))
-        in
-        Stream.push sources.(k)
-          (now +. Float.Array.get bucket_latency k)
-          ((2 * id) + if from_decode then 1 else 0)
-      end
-    done
-  in
-  let nsources = Array.length sources in
-  let src = ref 0 in
+  (* The loop's state, in locals that no closure captures, so the
+     compiler keeps them in registers (the floats unboxed) instead of
+     in a record or a ref cell read and written on every event.
+     [next_arrival] is the arrival time of request [arrived]. *)
+  let now = ref 0.0 and next = ref 0.0 and occupancy = ref 0.0 in
+  let makespan = ref 0.0 and next_inject = ref 0.0 in
+  let woken_for = ref neg_infinity in  (* Last pipeline wakeup pushed. *)
+  let next_arrival = ref (if n > 0 then reqs.(0).arrival_s else 0.0) in
+  let arrived = ref 0 and busy = ref 0 in
+  (* Surviving slots, and the first failure step not yet applied: event
+     times never decrease, so the cursor only moves forward.  A failure
+     step is no event of its own: it only lowers capacity, so it can
+     admit nothing, and the next event at or after its time applies it
+     before it injects. *)
+  let capacity = ref slots and next_fail = ref 0 in
+  let tokens = ref 0 and decode_tokens_out = ref 0 in
+  let completed = ref [] in
+  let injecting = ref false and src = ref 0 in
   while !src >= 0 do
-    (* The source whose head is earliest, the lowest index on a tie. *)
+    (* The source whose head is earliest, the earliest listed on a tie. *)
     src := -1;
-    for s = 0 to nsources - 1 do
+    if stream0.Stream.len > 0 then begin
+      next := Float.Array.unsafe_get stream0.Stream.time stream0.Stream.head;
+      src := 0
+    end;
+    for s = 1 to buckets - 1 do
       let q = Array.unsafe_get sources s in
       if q.Stream.len > 0 then begin
         let t = Float.Array.unsafe_get q.Stream.time q.Stream.head in
-        if !src < 0 || t < clock.next then begin
-          clock.next <- t;
+        if !src < 0 || t < !next then begin
+          next := t;
           src := s
         end
       end
     done;
-    if !arrived < n then begin
-      let t = reqs.(!arrived).arrival_s in
-      if !src < 0 || t < clock.next then begin
-        clock.next <- t;
-        src := arrival_src
+    if wakeups.Stream.len > 0 then begin
+      let t = Float.Array.unsafe_get wakeups.Stream.time wakeups.Stream.head in
+      if !src < 0 || t < !next then begin
+        next := t;
+        src := buckets
       end
     end;
+    if !arrived < n && (!src < 0 || !next_arrival < !next) then begin
+      next := !next_arrival;
+      src := buckets + 1
+    end;
     if !src >= 0 then begin
-      let t = clock.next in
-      clock.occupancy <-
-        clock.occupancy +. (float_of_int !busy *. (t -. clock.now));
-      clock.now <- t;
-      if !src = arrival_src then begin
+      let t = !next in
+      occupancy := !occupancy +. (float_of_int !busy *. (t -. !now));
+      now := t;
+      if !src > buckets then begin
         Ring.push prefill_queue !arrived;
-        incr arrived
+        incr arrived;
+        if !arrived < n then next_arrival := reqs.(!arrived).arrival_s
       end
+      (* A wakeup carries nothing but its time. *)
+      else if !src = buckets then ignore (Stream.take wakeups)
       else begin
-        let ev = Stream.take (Array.unsafe_get sources !src) in
-        (* A wakeup carries nothing but its time. *)
-        if !src < buckets then begin
-          let id = ev lsr 1 in
-          decr busy;
-          incr tokens;
-          clock.makespan <- t;
-          if ev land 1 = 0 then begin
-            prefill_inflight.(id) <- prefill_inflight.(id) - 1;
-            if prefill_remaining.(id) = 0 && prefill_inflight.(id) = 0 then begin
-              Float.Array.set prefill_done id t;
-              Ring.push decode_queue id
-            end
+        let ev =
+          Stream.take (if !src = 0 then stream0 else Array.unsafe_get sources !src)
+        in
+        let id = ev lsr 1 in
+        decr busy;
+        incr tokens;
+        makespan := t;
+        if ev land 1 = 0 then begin
+          prefill_inflight.(id) <- prefill_inflight.(id) - 1;
+          if prefill_remaining.(id) = 0 && prefill_inflight.(id) = 0 then begin
+            Float.Array.set prefill_done id t;
+            Ring.push decode_queue id
           end
+        end
+        else begin
+          incr decode_tokens_out;
+          if Float.is_nan (Float.Array.get first_token id) then
+            Float.Array.set first_token id t;
+          decode_remaining.(id) <- decode_remaining.(id) - 1;
+          if decode_remaining.(id) > 0 then Ring.push decode_queue id
           else begin
-            incr decode_tokens_out;
-            if Float.is_nan (Float.Array.get first_token id) then
-              Float.Array.set first_token id t;
-            decode_remaining.(id) <- decode_remaining.(id) - 1;
-            if decode_remaining.(id) > 0 then Ring.push decode_queue id
-            else begin
-              let r = reqs.(id) in
-              completed :=
-                {
-                  request = r;
-                  first_token_s = Float.Array.get first_token id;
-                  finish_s = t;
-                  queue_wait_s = Float.Array.get injected_first id -. r.arrival_s;
-                }
-                :: !completed;
-              match obs with None -> () | Some o -> record_completion o id
-            end
+            let r = reqs.(id) in
+            completed :=
+              {
+                request = r;
+                first_token_s = Float.Array.get first_token id;
+                finish_s = t;
+                queue_wait_s = Float.Array.get injected_first id -. r.arrival_s;
+              }
+              :: !completed;
+            match obs with
+            | None -> ()
+            | Some o ->
+              clock.now <- t;
+              record_completion o id
           end
         end
       end;
-      try_inject ();
-      match obs with None -> () | Some o -> sample_gauges o
+      (* Inject what the surviving slots and the pipeline entry admit. *)
+      while !next_fail < nfail && Float.Array.unsafe_get fail_times !next_fail <= t do
+        capacity := max 0 (slots - fail_lost.(!next_fail));
+        incr next_fail
+      done;
+      injecting := true;
+      while
+        !injecting
+        && !busy < !capacity
+        && not (Ring.is_empty decode_queue && Ring.is_empty prefill_queue)
+      do
+        if !next_inject > t then begin
+          (* Pipeline entry busy: leave the queues untouched — popping the
+             head and re-pushing it would rotate FIFO order on every
+             stalled injection — and wake up at the slot time.  One pending
+             wakeup per slot time: [next_inject] only grows, so a second
+             one at the same time would find the entry already taken. *)
+          if !woken_for <> !next_inject then begin
+            Stream.push wakeups !next_inject 0;
+            woken_for := !next_inject
+          end;
+          injecting := false
+        end
+        else begin
+          let from_decode = not (Ring.is_empty decode_queue) in
+          let id =
+            if from_decode then Ring.pop decode_queue else Ring.pop prefill_queue
+          in
+          if Float.is_nan (Float.Array.get injected_first id) then
+            Float.Array.set injected_first id t;
+          if not from_decode then begin
+            prefill_remaining.(id) <- prefill_remaining.(id) - 1;
+            prefill_inflight.(id) <- prefill_inflight.(id) + 1;
+            (* More prefill tokens of this sequence stay in the queue. *)
+            if prefill_remaining.(id) > 0 then Ring.push prefill_queue id
+          end;
+          incr busy;
+          next_inject := t +. ii;
+          (* The sequence's position with this token: all its prefill
+             tokens enter before its first decode token. *)
+          let k =
+            if not context_aware then 0
+            else if from_decode then
+              bucket_exp 2048 0
+                (reqs.(id).prefill_tokens + reqs.(id).decode_tokens
+               - decode_remaining.(id) + 1)
+            else bucket_exp 2048 0 (reqs.(id).prefill_tokens - prefill_remaining.(id))
+          in
+          let ev = (2 * id) + if from_decode then 1 else 0 in
+          if k = 0 then Stream.push stream0 (t +. latency0) ev
+          else Stream.push sources.(k) (t +. Float.Array.get bucket_latency k) ev
+        end
+      done;
+      match obs with
+      | None -> ()
+      | Some o ->
+        clock.now <- t;
+        sample_gauges o !busy
     end
   done;
-  let makespan = clock.makespan in
+  let makespan = !makespan in
   let result =
     {
       completed_requests = List.rev !completed;
@@ -449,7 +447,7 @@ let simulate ?(context = 2048) ?(context_aware = false) ?(slot_failures = [])
       throughput_tokens_per_s =
         (if makespan > 0.0 then float_of_int !tokens /. makespan else 0.0);
       mean_slot_occupancy =
-        (if makespan > 0.0 then clock.occupancy /. (makespan *. float_of_int slots)
+        (if makespan > 0.0 then !occupancy /. (makespan *. float_of_int slots)
          else 0.0);
     }
   in

@@ -86,8 +86,9 @@ val simulate :
     spare-node maintenance provisioning (§8 "Yield and Fault Tolerance",
     Appendix B note 7).  In-flight tokens complete; admission shrinks.
     Throughput degrades proportionally and no request is lost.  A
-    negative or NaN time or arrival, a negative [n], or a request with
-    no prefill or decode token raises [Invalid_argument]. *)
+    negative or NaN failure time, a negative [n], a negative or
+    non-finite arrival, or a request with no prefill or decode token
+    raises [Invalid_argument]. *)
 
 val saturated_throughput :
   ?context:int -> Hnlpu_model.Config.t -> float

@@ -361,8 +361,10 @@ let chat_load ~load =
 let test_scheduler_words_per_token () =
   (* The event loop allocates only the per-request result rows, ~17 words
      per request of ~256 tokens: events are immediate ints in private
-     unboxed streams, the queues are int rings, and event times reach the
-     handlers through the all-float clock record.  A polymorphic heap and
+     unboxed streams, the queues are int rings, and the clock (event
+     time, occupancy, next injection) lives in unboxed loop locals, with
+     the event time copied into a flat float record only for the obs
+     calls.  A polymorphic heap and
      queues read 5.5-7.9 words/token.  2,000 chat requests below the knee
      and overloaded, with and without context-aware latency and two
      slot-failure steps, and with a counters-only sink, which keeps the
@@ -853,6 +855,27 @@ let test_faults_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* An infinite arrival used to pass the [>= 0] guard and report an
+   infinite makespan and a NaN occupancy; the largest finite one runs. *)
+let test_scheduler_non_finite_arrivals () =
+  let with_second arrival_s =
+    [
+      { Scheduler.arrival_s = 0.0; prefill_tokens = 4; decode_tokens = 4 };
+      { Scheduler.arrival_s; prefill_tokens = 4; decode_tokens = 4 };
+    ]
+  in
+  List.iter
+    (fun (label, t) ->
+      Alcotest.(check bool) (label ^ " arrival rejected") true
+        (Thelp.raises (fun () -> Scheduler.simulate config (with_second t))))
+    [ ("+inf", infinity); ("NaN", Float.nan) ];
+  let r = Scheduler.simulate config (with_second max_float) in
+  Alcotest.(check int) "max_float: both complete" 2
+    (List.length r.Scheduler.completed_requests);
+  Alcotest.(check bool) "max_float: finite makespan and occupancy" true
+    (Float.is_finite r.Scheduler.makespan_s
+    && Float.is_finite r.Scheduler.mean_slot_occupancy)
+
 (* --- Config/scheduler misc ---------------------------------------------------------- *)
 
 let test_scheduler_requests_validation () =
@@ -907,6 +930,7 @@ let suites =
         Alcotest.test_case "context-aware slower" `Quick test_scheduler_context_aware_slower;
         Alcotest.test_case "context-aware short = flat" `Quick test_scheduler_context_aware_matches_flat_when_short;
         Alcotest.test_case "empty" `Quick test_scheduler_empty_edge;
+        Alcotest.test_case "non-finite arrivals" `Quick test_scheduler_non_finite_arrivals;
         Alcotest.test_case "words per token" `Quick test_scheduler_words_per_token;
         Alcotest.test_case "t=0 arrivals in list order" `Quick
           test_scheduler_simultaneous_arrivals_in_list_order;
