@@ -1040,7 +1040,8 @@ let check_cmd =
           ~doc:
             "Instead of checking, write the selected design (reference, or \
              a --fixture) as a bundle under $(docv) — a starting template \
-             for user bundles and the round-trip smoke test CI runs.")
+             for user bundles; the test suite checks that the reference \
+             reloads to the same diagnostics.")
   in
   let static =
     Arg.(

@@ -11,7 +11,7 @@
    binding path such as "Hnlpu_util.Rng.next_int64", stable across
    line-number churn, and an entry for a function does not cover the
    helpers nested in it — and a matched finding is downgraded to Info
-   with the reason appended, so the CI gate (which fails on Error)
+   with the reason appended, so the lint gate (which fails on Error)
    passes while the acceptance stays visible in the JSON report.
    Entries that match nothing are reported as LINT-BASELINE warnings: a
    stale suppression hides future regressions under an obsolete

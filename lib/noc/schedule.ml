@@ -345,5 +345,5 @@ let run ?plan ?obs coll vals =
     plan;
   List.map (fun (c, _) -> (c, state.(c))) vals
 
-let run_all_reduce ?plan ?obs ~group vals =
-  run ?plan ?obs (All_reduce { group; bytes = 0 }) vals
+let run_all_reduce ?plan ~group vals =
+  run ?plan (All_reduce { group; bytes = 0 }) vals

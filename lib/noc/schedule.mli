@@ -158,7 +158,6 @@ val run :
     land in the metrics registry.  Values computed are unaffected. *)
 
 val run_all_reduce :
-  ?plan:t -> ?obs:Hnlpu_obs.Sink.t ->
-  group:Topology.chip list -> Collective.valued -> Collective.valued
+  ?plan:t -> group:Topology.chip list -> Collective.valued -> Collective.valued
 (** {!run} of [All_reduce] over [group]: every chip ends with
     {!Collective.sum} (tested). *)

@@ -1,7 +1,7 @@
 (** Minimal JSON rendering helpers shared by the telemetry exporters.
 
     The observability layer emits JSON that strict parsers must accept
-    (Chrome trace viewers, Perfetto, CI validation), so everything funnels
+    (Chrome trace viewers, Perfetto, the tests), so everything funnels
     through these combinators: strings are RFC 8259-escaped and non-finite
     floats — which JSON cannot represent — render as [null].  Values are
     built as already-rendered strings; no intermediate tree. *)

@@ -5,7 +5,7 @@
     ...), a severity, the artifact it concerns, and a human message.  The
     collection renders as a human report, as machine-readable JSON, and as
     a severity-based exit code — the contract the [hnlpu check] CLI gate
-    and CI enforce. *)
+    enforces. *)
 
 type severity = Info | Warning | Error
 

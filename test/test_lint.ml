@@ -1,8 +1,14 @@
-(* Tests for the source-level lint engine (Hnlpu_lint):
+(* Tests for the source-level lint engine (Hnlpu_lint), and the lint
+   gate over this repository:
 
+   - the repository's own scan: no unbaselined Error, no stale
+     lint.baseline entry, and at most 144 exports or optional parameters
+     that only the tests use (the gate `hnlpu lint' applies, run here
+     under `dune runtest', which builds every unit's .cmt first);
    - every rule family catches its seeded-broken fixture and the clean
-     fixture stays clean (the self-test CI runs), and a hot-path entry
-     naming nothing in a scanned library is an error;
+     fixture stays clean (the self-test `hnlpu lint --self-test' runs),
+     and a hot-path entry naming nothing in a scanned library is an
+     error;
    - DEAD-EXPORT flags exactly the fixture's unreferenced export and
      never-passed knob (an export reached through another unit's
      renaming alias is live), and judges nothing when a reference unit
@@ -241,23 +247,26 @@ let test_baseline_apply_downgrades_and_flags_stale () =
   Alcotest.(check bool) "stale subject named" true
     (List.exists (fun d -> String.equal d.D.subject "M.gone") lint_baseline)
 
+(* The committed baseline, a dependency of this test in test/dune: the
+   test runs in [_build/default/test]. *)
+let repo_baseline () =
+  let path = "../lint.baseline" in
+  if not (Sys.file_exists path) then
+    Alcotest.failf "%s not found: run the suite under `dune runtest'" path;
+  Baseline.load path
+
 let test_repo_baseline_matches_format () =
-  (* The committed baseline (when visible from the test's cwd) parses and
-     every entry carries a real reason. *)
-  let candidates = [ "../../../lint.baseline"; "lint.baseline" ] in
-  match List.find_opt Sys.file_exists candidates with
-  | None -> ()
-  | Some path ->
-    let entries = Baseline.load path in
-    Alcotest.(check bool) "committed baseline is non-empty" true (entries <> []);
-    List.iter
-      (fun (e : Baseline.entry) ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s %s reason is justified" e.Baseline.rule
-             e.Baseline.subject)
-          false
-          (Thelp.contains e.Baseline.reason "TODO"))
-      entries
+  (* The committed baseline parses and every entry carries a real reason. *)
+  let entries = repo_baseline () in
+  Alcotest.(check bool) "committed baseline is non-empty" true (entries <> []);
+  List.iter
+    (fun (e : Baseline.entry) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %s reason is justified" e.Baseline.rule
+           e.Baseline.subject)
+        false
+        (Thelp.contains e.Baseline.reason "TODO"))
+    entries
 
 (* --- Report ---------------------------------------------------------------- *)
 
@@ -271,40 +280,71 @@ let test_report_summary_names_lint () =
        (D.count D.Warning ds) (D.count D.Info ds))
     (List.nth lines (List.length lines - 1))
 
-let () =
-  Alcotest.run "lint"
-    [
-      ( "fixtures",
-        [
-          Alcotest.test_case "fixtures cover rule families" `Quick
-            test_fixtures_cover_rules;
-          Alcotest.test_case "self-test catches all families" `Quick
-            test_self_test_catches_all;
-          Alcotest.test_case "expected severities" `Quick test_expected_severities;
-          Alcotest.test_case "clean module stays clean" `Quick
-            test_clean_module_zero_findings;
-          Alcotest.test_case "boxed int64 fires" `Quick test_boxed_int64_fires;
-          Alcotest.test_case "stale hot-path entry scoped" `Quick test_stale_hot_path_scoped;
-          Alcotest.test_case "dead export fixture" `Quick test_dead_export_fixture;
-          Alcotest.test_case "dead export without cmt" `Quick test_dead_export_missing_cmt;
-        ] );
-      ( "determinism",
-        [
-          Alcotest.test_case "JSON byte-identical across runs" `Quick
-            test_json_byte_identical;
-        ] );
-      ( "baseline",
-        [
-          Alcotest.test_case "round-trip" `Quick test_baseline_round_trip;
-          Alcotest.test_case "empty reason rejected" `Quick
-            test_baseline_rejects_empty_reason;
-          Alcotest.test_case "TODO reason rejected" `Quick
-            test_baseline_rejects_todo_reason;
-          Alcotest.test_case "apply downgrades + stale" `Quick
-            test_baseline_apply_downgrades_and_flags_stale;
-          Alcotest.test_case "committed baseline well-formed" `Quick
-            test_repo_baseline_matches_format;
-        ] );
-      ( "report",
-        [ Alcotest.test_case "summary names lint" `Quick test_report_summary_names_lint ] );
-    ]
+(* --- The repository's gate --------------------------------------------------- *)
+
+(* Exports and optional parameters only the tests reach.  Each new one
+   needs a tool caller or a deletion, so the cap only falls. *)
+let test_only_cap = 144
+
+let test_repo_gate () =
+  (* [hnlpu lint] over this tree, as seen from [_build/default/test]:
+     the library scan, DEAD-EXPORT judged against every unit, and the
+     committed baseline applied. *)
+  let ds =
+    Lint.run ~dirs:[ "../lib" ]
+      ~refs:(List.map (( ^ ) "../") [ "lib"; "bin"; "examples"; "hnbench"; "test" ])
+      ()
+  in
+  let ds = D.normalize (Baseline.apply (repo_baseline ()) ds) in
+  let subjects p = List.map (fun d -> d.D.rule ^ " " ^ d.D.subject) (List.filter p ds) in
+  Alcotest.(check (list string)) "no unbaselined Error" []
+    (subjects (fun d -> d.D.severity = D.Error));
+  Alcotest.(check (list string)) "no stale baseline entry" []
+    (subjects (fun d -> d.D.rule = "LINT-BASELINE"));
+  let test_only =
+    subjects (fun d ->
+        d.D.rule = "DEAD-EXPORT" && Thelp.contains d.D.message "used by the tests only")
+  in
+  if List.length test_only > test_only_cap then
+    Alcotest.failf "%d exports used by the tests only, over the cap of %d:\n%s"
+      (List.length test_only) test_only_cap (String.concat "\n" test_only)
+
+let groups =
+  [
+    ( "fixtures",
+      [
+        Alcotest.test_case "fixtures cover rule families" `Quick
+          test_fixtures_cover_rules;
+        Alcotest.test_case "self-test catches all families" `Quick
+          test_self_test_catches_all;
+        Alcotest.test_case "expected severities" `Quick test_expected_severities;
+        Alcotest.test_case "clean module stays clean" `Quick
+          test_clean_module_zero_findings;
+        Alcotest.test_case "boxed int64 fires" `Quick test_boxed_int64_fires;
+        Alcotest.test_case "stale hot-path entry scoped" `Quick test_stale_hot_path_scoped;
+        Alcotest.test_case "dead export fixture" `Quick test_dead_export_fixture;
+        Alcotest.test_case "dead export without cmt" `Quick test_dead_export_missing_cmt;
+      ] );
+    ( "determinism",
+      [
+        Alcotest.test_case "JSON byte-identical across runs" `Quick
+          test_json_byte_identical;
+      ] );
+    ( "baseline",
+      [
+        Alcotest.test_case "round-trip" `Quick test_baseline_round_trip;
+        Alcotest.test_case "empty reason rejected" `Quick
+          test_baseline_rejects_empty_reason;
+        Alcotest.test_case "TODO reason rejected" `Quick
+          test_baseline_rejects_todo_reason;
+        Alcotest.test_case "apply downgrades + stale" `Quick
+          test_baseline_apply_downgrades_and_flags_stale;
+        Alcotest.test_case "committed baseline well-formed" `Quick
+          test_repo_baseline_matches_format;
+      ] );
+    ( "report",
+      [ Alcotest.test_case "summary names lint" `Quick test_report_summary_names_lint ] );
+    ("gate", [ Alcotest.test_case "repository lint gate" `Quick test_repo_gate ]);
+  ]
+
+let () = Alcotest.run "lint" (groups @ [ ("runner", [ Thelp.case_floor 16 groups ]) ])

@@ -539,7 +539,9 @@ let test_noc_obs () =
   in
   let plain = Hnlpu.Schedule.run_all_reduce ~plan ~group vals in
   let obs = Sink.create () in
-  let instrumented = Hnlpu.Schedule.run_all_reduce ~plan ~obs ~group vals in
+  let instrumented =
+    Hnlpu.Schedule.run ~plan ~obs (Hnlpu.Schedule.All_reduce { group; bytes = 0 }) vals
+  in
   Alcotest.(check bool) "values unaffected by the sink" true
     (plain = instrumented);
   let m = Sink.metrics obs in
@@ -594,7 +596,8 @@ let test_combined_timeline () =
   ignore (Hnlpu.Trace.run ~tokens:20 ~obs config);
   let group = Hnlpu.Topology.col_group 0 in
   ignore
-    (Hnlpu.Schedule.run_all_reduce ~obs ~group
+    (Hnlpu.Schedule.run ~obs
+       (Hnlpu.Schedule.All_reduce { group; bytes = 0 })
        (List.map (fun c -> (c, [| 1.0 |])) group));
   let span_processes =
     List.sort_uniq compare
@@ -604,8 +607,13 @@ let test_combined_timeline () =
            | _ -> None)
          (Sink.events obs))
   in
-  Alcotest.(check bool) "spans from at least three subsystems" true
-    (List.length span_processes >= 3);
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) (p ^ " spans on the timeline") true (List.mem p span_processes))
+    [ "scheduler"; "pipeline"; "noc" ];
+  (match Metrics.histogram (Sink.metrics obs) "scheduler/ttft_s" with
+  | Some h -> Alcotest.(check bool) "scheduler/ttft_s observed" true (h.Metrics.count > 0)
+  | None -> Alcotest.fail "no scheduler/ttft_s histogram");
   (* And the whole stream still exports as strict JSON. *)
   match parse_json (Chrome_trace.to_json (Sink.events obs)) with
   | Obj _ -> ()

@@ -69,3 +69,12 @@ let with_domains j f =
       if Hnlpu.Par.default_domains () <> j then
         failwith "Thelp.with_domains: a forced width overrides HNLPU_DOMAINS";
       f ())
+
+(* A test file that its runner forgets compiles but never runs, and its
+   cases vanish.  This case fails when [groups] hold fewer than [floor]
+   cases: raise the floor with each case added, and lower it only with a
+   CHANGES.md line naming each deleted case. *)
+let case_floor floor groups =
+  let n = List.fold_left (fun n (_, cases) -> n + List.length cases) 0 groups in
+  Alcotest.test_case "case floor" `Quick (fun () ->
+      if n < floor then Alcotest.failf "%d cases, below the floor of %d" n floor)
