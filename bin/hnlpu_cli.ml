@@ -161,7 +161,7 @@ let tco_cmd =
     print_newline ();
     let lo, hi = Tco.tco_dynamic_ratio Tco.High in
     Printf.printf "High-volume TCO advantage (annual updates): %.1fx - %.1fx\n" lo hi;
-    Printf.printf "High-volume carbon advantage: %.0fx\n" (Tco.carbon_ratio Tco.High)
+    Printf.printf "High-volume carbon advantage: %.0fx\n" (fst (Tco.carbon_ratio Tco.High))
   in
   Cmd.v (Cmd.info "tco" ~doc:"Total cost of ownership scenarios") Term.(const run $ const ())
 
@@ -466,7 +466,7 @@ let ablate_cmd =
               Units.percent r.Ablation.failure_rate;
               Printf.sprintf "%.2fx" r.Ablation.area_ratio;
             ])
-        (Ablation.slack_sweep (Rng.create 7) ());
+        (Ablation.slack_sweep (Rng.create 7));
       Table.print ~title:"POPCNT region slack (Monte-Carlo, random FP4 rows)" t
     in
     let window () =
@@ -605,7 +605,7 @@ let signoff_cmd =
       (tr.Traffic.fabric_capacity_bytes_per_s /. 1e12)
       (100.0 *. tr.Traffic.mean_link_utilization)
       tr.Traffic.queueing_factor_mm1 Perf.link_contention_factor
-      (if tr.Traffic.corroborates_calibration then "CONSISTENT" else "INCONSISTENT");
+      (if tr.Traffic.consistent_with_calibration then "CONSISTENT" else "INCONSISTENT");
     print_newline ();
     Table.print
       ~title:

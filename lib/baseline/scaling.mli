@@ -16,8 +16,8 @@ type point = {
   power_ratio : float;         (** Cluster power / HNLPU system power. *)
 }
 
-val sweep : ?batches:int list -> unit -> point list
-(** Default batches: 1, 8, 32, 50, 128, 256.  Batch 1 uses the measured
+val sweep : unit -> point list
+(** Batches 1, 8, 32, 50, 128 and 256.  Batch 1 uses the measured
     45 tok/s anchor; larger batches use the roofline model.  Points map
     across the {!Hnlpu_par.Par} pool; results are identical for every
     width. *)

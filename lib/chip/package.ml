@@ -35,13 +35,13 @@ let system_yield_untested t ~die_yield ~modules =
 let kgm_advantage t ~die_yield ~modules =
   system_yield_kgm t ~modules /. system_yield_untested t ~die_yield ~modules
 
-let module_cost_usd ?(bound = `Lo) t =
+let module_cost_usd t =
   let tech = Hnlpu_gates.Tech.n5 in
   let die = Hnlpu_gates.Yield.cost_per_good_die tech ~die_area_mm2:t.die_mm2 in
-  let hbm_per_gb = match bound with `Lo -> 10.0 | `Hi -> 20.0 in
-  let hbm = float_of_int t.hbm_stacks *. 24.0 *. hbm_per_gb in
-  let assembly = match bound with `Lo -> 111.0 | `Hi -> 185.0 in
-  die +. hbm +. assembly
+  let cost ~hbm_per_gb ~assembly =
+    die +. (float_of_int t.hbm_stacks *. 24.0 *. hbm_per_gb) +. assembly
+  in
+  (cost ~hbm_per_gb:10.0 ~assembly:111.0, cost ~hbm_per_gb:20.0 ~assembly:185.0)
 
 let interposer_utilization t =
   (t.die_mm2 +. (float_of_int t.hbm_stacks *. hbm_stack_mm2)) /. t.interposer_mm2

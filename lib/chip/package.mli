@@ -31,9 +31,9 @@ val kgm_advantage : t -> die_yield:float -> modules:int -> float
 (** Ratio of system yields — why the paper builds modules (hundreds of x
     at 16 modules and 43% die yield). *)
 
-val module_cost_usd : ?bound:[ `Lo | `Hi ] -> t -> float
-(** Bill of materials per module: good die + HBM + interposer/assembly —
-    consistent with Table 5's recurring columns. *)
+val module_cost_usd : t -> float * float
+(** Bill of materials per module, [(lo, hi)]: good die + HBM +
+    interposer/assembly — consistent with Table 5's recurring columns. *)
 
 val interposer_utilization : t -> float
 (** Die + HBM silicon over interposer area. *)

@@ -36,7 +36,9 @@ let all () =
       unit_ = "x";
       anchor = "Fig. 14 comm shares; Table 2 throughput";
       derived_fraction_note =
-        "independently corroborated by Traffic's M/M/1 factor at 71% fabric load";
+        "consistent with Traffic's M/M/1 factor at 71% fabric load, not \
+         independent of it: the load comes from Perf's throughput, which \
+         already contains 4.17";
     };
     {
       constant = "Vex.attention_efficiency";

@@ -26,8 +26,10 @@ type partial = {
   p_steps : int;
 }
 
-let evaluate ?(sequences = 8) ?(length = 12) rng (c : Config.t) =
-  if sequences <= 0 || length < 2 then invalid_arg "Quant_eval.evaluate";
+let sequences = 8
+let length = 12
+
+let evaluate rng (c : Config.t) =
   let w_float = Weights.random ~quantize_fp4:false (Hnlpu_util.Rng.split rng) c in
   let w_fp4 = Weights.quantize w_float in
   (* All token draws happen sequentially here, in the same order as the

@@ -27,12 +27,10 @@ type report = {
                                   the same greedy token. *)
 }
 
-val evaluate :
-  ?sequences:int -> ?length:int ->
-  Hnlpu_util.Rng.t -> Config.t -> report
-(** Build a float checkpoint, quantize its twin, score [sequences]
-    (default 8) random sequences of [length] (default 12) tokens through
-    both.  The config must be architecturally specified.
+val evaluate : Hnlpu_util.Rng.t -> Config.t -> report
+(** Build a float checkpoint, quantize its twin, score 8 random
+    sequences of 12 tokens through both.  The config must be
+    architecturally specified.
 
     Token sequences are drawn from [rng] sequentially (the same draws as
     a sequential evaluation); scoring then fans out per sequence across

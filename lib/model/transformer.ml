@@ -119,17 +119,14 @@ let prefill t tokens =
   | _ ->
     List.fold_left (fun _ tok -> forward t ~token:tok) [||] tokens
 
-let generate rng t ~prompt ~max_new_tokens ?stop strategy =
+let generate rng t ~prompt ~max_new_tokens strategy =
   let logits = ref (prefill t prompt) in
   let rec go n acc =
     if n >= max_new_tokens then List.rev acc
     else begin
       let tok = Sampler.sample rng strategy !logits in
-      match stop with
-      | Some s when s = tok -> List.rev acc
-      | _ ->
-        logits := forward t ~token:tok;
-        go (n + 1) (tok :: acc)
+      logits := forward t ~token:tok;
+      go (n + 1) (tok :: acc)
     end
   in
   go 0 []

@@ -47,9 +47,8 @@ val prefill : t -> int list -> Hnlpu_tensor.Vec.t
 
 val generate :
   Hnlpu_util.Rng.t -> t -> prompt:int list -> max_new_tokens:int ->
-  ?stop:int -> Sampler.strategy -> int list
-(** Autoregressive decode; stops at [max_new_tokens] or on the [stop]
-    token (which is not included in the output). *)
+  Sampler.strategy -> int list
+(** Autoregressive decode of exactly [max_new_tokens] tokens. *)
 
 (** {1 Non-generation use cases}
 

@@ -1,12 +1,10 @@
 type t = { ring : Event.t Ring.t; metrics : Metrics.t; record_events : bool }
 
-let create ?(capacity = 65536) ?(events = true) () =
-  (* A counters-only sink never pushes, so don't pay for the ring's
-     slot array — this is what keeps per-domain shard sinks cheap
-     enough to create per sweep point. *)
-  let capacity = if events then capacity else 1 in
+let create ?(events = true) () =
+  (* A counters-only sink never pushes, so it does not pay for the
+     ring's slot array. *)
   {
-    ring = Ring.create ~capacity;
+    ring = Ring.create ~capacity:(if events then 65536 else 1);
     metrics = Metrics.create ();
     record_events = events;
   }

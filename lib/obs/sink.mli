@@ -9,16 +9,13 @@
 
 type t
 
-val create : ?capacity:int -> ?events:bool -> unit -> t
-(** A fresh sink retaining at most [capacity] (default 65,536) events.
+val create : ?events:bool -> unit -> t
+(** A fresh sink retaining at most 65,536 events (the oldest drop first).
 
     [~events:false] makes a {b counters-only} sink: {!span}, {!instant}
     and the timeline half of {!sample} become no-ops (no event record is
     ever allocated, and the ring shrinks to one slot) while the
-    {!metrics} registry keeps aggregating.  Parallel sweeps use this for
-    their private per-task sinks when the caller's sink is itself
-    counters-only, so per-point span records are never built just for a
-    merge to discard them. *)
+    {!metrics} registry keeps aggregating. *)
 
 val metrics : t -> Metrics.t
 
@@ -45,9 +42,9 @@ val sample : t -> track:Event.track -> name:string -> ts_s:float -> float -> uni
 val merge_into : into:t -> t -> unit
 (** [merge_into ~into src] appends [src]'s retained events (oldest first)
     to [into]'s ring and folds its metrics in via
-    {!Metrics.merge_into}.  Parallel sweeps give each task a private sink
-    and merge them in task-index order afterwards, so the combined
-    timeline and registry are identical whatever the domain count. *)
+    {!Metrics.merge_into}.  Private per-task sinks merged in task-index
+    order give a combined timeline and registry that are identical
+    whatever the domain count. *)
 
 val events : t -> Event.t list
 (** Retained events, oldest first. *)

@@ -159,6 +159,18 @@ let run_tasks pool ~tasks f =
 
 let forced = ref None
 
+(* OCaml 5.1 runs at most [Max_domains] = 128 domains per process
+   (caml/domain.h, 64-bit), the calling domain included.  A wider pool
+   would fail on its 128th [Domain.spawn], after starting 127 workers
+   that nothing joins, so every width is checked before the first spawn. *)
+let max_domains = 128
+
+let check_limit what j =
+  if j > max_domains then
+    invalid_arg
+      (Printf.sprintf "%s: %d domains exceed the runtime's limit of %d" what j
+         max_domains)
+
 let env_domains () =
   match Sys.getenv_opt "HNLPU_DOMAINS" with
   | None -> None
@@ -167,7 +179,9 @@ let env_domains () =
     if s = "" then None
     else
       (match int_of_string_opt s with
-      | Some n when n >= 1 -> Some n
+      | Some n when n >= 1 ->
+        check_limit "HNLPU_DOMAINS" n;
+        Some n
       | _ ->
         (* A malformed width used to fall through silently to the
            recommended count — a typo'd "HNLPU_DOMAINS=0" or "=four"
@@ -178,6 +192,7 @@ let env_domains () =
 
 let set_default_domains j =
   if j < 1 then invalid_arg "Par.set_default_domains: j must be >= 1";
+  check_limit "Par.set_default_domains" j;
   forced := Some j
 
 let default_domains () =
@@ -212,6 +227,7 @@ let shared_pool j =
 let shared ?domains () =
   let j = match domains with Some j -> j | None -> default_domains () in
   if j < 1 then invalid_arg "Par.shared: domains must be >= 1";
+  check_limit "Par.shared" j;
   shared_pool j
 
 (* --- Order-preserving combinators --------------------------------------- *)
@@ -228,6 +244,7 @@ let parallel_init ?domains n f =
   if n < 0 then invalid_arg "Par.parallel_init: negative length";
   let j = match domains with Some j -> j | None -> default_domains () in
   if j < 1 then invalid_arg "Par.parallel_init: domains must be >= 1";
+  check_limit "Par.parallel_init" j;
   if j = 1 || n <= 1 || Domain.DLS.get on_worker then Array.init n f
   else begin
     let results = Array.make n None in

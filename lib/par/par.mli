@@ -19,7 +19,12 @@
     {!set_default_domains} (the CLI's [-j]), the [HNLPU_DOMAINS]
     environment variable, then [Domain.recommended_domain_count].
     Nested parallel regions (a task calling back into this module) run
-    sequentially, so pools never wait on themselves. *)
+    sequentially, so pools never wait on themselves.
+
+    A width is at most 128, the OCaml runtime's domain limit per process
+    (the calling domain included).  Every entry point below that takes a
+    width raises [Invalid_argument] naming that limit for a wider one,
+    before it spawns any domain. *)
 
 val default_domains : unit -> int
 (** Resolved pool width: [-j] override, else [HNLPU_DOMAINS], else
@@ -29,11 +34,12 @@ val default_domains : unit -> int
 
 val env_domains : unit -> int option
 (** The [HNLPU_DOMAINS] override alone: [None] when unset or blank.
-    Raises [Invalid_argument] on a malformed value ("0", "four", "-2"). *)
+    Raises [Invalid_argument] on a malformed value ("0", "four", "-2")
+    or one above 128. *)
 
 val set_default_domains : int -> unit
 (** Force the default width (the CLI's [-j N]).  Raises
-    [Invalid_argument] when [j < 1]. *)
+    [Invalid_argument] when [j < 1] or [j > 128]. *)
 
 val parallel_map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [parallel_map f xs] = [List.map f xs], evaluated across [domains]

@@ -117,7 +117,9 @@ let precision_sweep (c : Config.t) =
 
 type slack_row = { slack : float; failure_rate : float; area_ratio : float }
 
-let slack_sweep rng ?(trials = 200) () =
+let slack_trials = 200
+
+let slack_sweep rng =
   let in_features = 2880 and regions = Hnlpu_neuron.Bank.regions in
   let balanced = Hnlpu_neuron.Bank.region_capacity ~slack:1.0 in_features in
   (* Split one generator per slack point sequentially up front, then run
@@ -134,7 +136,7 @@ let slack_sweep rng ?(trials = 200) () =
       let failures = ref 0 in
       (* Per-task scratch, reset per trial — not reallocated. *)
       let counts = Array.make regions 0 in
-      for _ = 1 to trials do
+      for _ = 1 to slack_trials do
         Array.fill counts 0 regions 0;
         for _ = 1 to in_features do
           let c = Hnlpu_util.Rng.int rng regions in
@@ -144,7 +146,7 @@ let slack_sweep rng ?(trials = 200) () =
       done;
       {
         slack;
-        failure_rate = float_of_int !failures /. float_of_int trials;
+        failure_rate = float_of_int !failures /. float_of_int slack_trials;
         area_ratio = float_of_int capacity /. float_of_int balanced;
       })
     points

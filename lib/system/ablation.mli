@@ -63,9 +63,8 @@ type slack_row = {
   area_ratio : float;      (** POPCNT area relative to slack 1.0. *)
 }
 
-val slack_sweep :
-  Hnlpu_util.Rng.t -> ?trials:int -> unit -> slack_row list
-(** Routing-failure probability vs region slack on random FP4 rows of
+val slack_sweep : Hnlpu_util.Rng.t -> slack_row list
+(** Routing-failure probability vs region slack on 200 random FP4 rows of
     gpt-oss's hidden width (2880).  One generator is split off [rng] per slack
     point before the (parallel) Monte-Carlo trials, so the result depends
     only on [rng]'s state, not on the domain count. *)

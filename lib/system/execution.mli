@@ -1,9 +1,9 @@
 (** Execution-environment configuration a deployment declares for signoff.
 
     Everything stochastic in this codebase takes an explicit {!Hnlpu_util.Rng}
-    ({!Arrivals}, request sampling), {!Slo.sweep} merges the
-    per-rate private telemetry sinks back in rate order after the parallel
-    map, and {!Hnlpu_obs.Metrics} exports sorted by key — so a run replays
+    ({!Arrivals}, request sampling), {!Fleet.run} merges its shards'
+    results in shard-index order before it publishes them into its sink,
+    and {!Hnlpu_obs.Metrics} exports sorted by key — so a run replays
     bit-identically and is independent of domain-pool width (tested).  A
     deployment, however, can defeat each of those properties at the
     integration layer: seed from the wall clock, merge worker sinks as they
@@ -18,8 +18,9 @@ type seeding =
   | Wall_clock    (** Seeded from the clock — every run diverges. *)
 
 type merge_order =
-  | Rate_order        (** Per-lane sinks merged in sweep (rate) order, the
-                          {!Slo.sweep} discipline. *)
+  | Rate_order        (** Per-lane results merged in a fixed lane order,
+                          as {!Fleet.run} merges its shards (manifest
+                          value [rate-order]). *)
   | Completion_order  (** Merged as workers finish — order races. *)
 
 type export_order =

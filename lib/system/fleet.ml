@@ -114,7 +114,8 @@ let validate_config c =
 (* Both rates come from Perf's memo: the decode rate is
    [Perf.throughput_tokens_per_s] from the one cached token latency, and
    the prefill rate is read, not re-evaluated, on every set-up. *)
-let config_of_model ?(context = 2048) ?(shards = 8) ~nodes mconfig =
+let config_of_model ?(shards = 8) ~nodes mconfig =
+  let context = 2048 in
   let tok_lat = Perf.token_latency_cached mconfig ~context in
   {
     nodes;

@@ -101,12 +101,11 @@ type config = {
 }
 
 val config_of_model :
-  ?context:int ->
   ?shards:int ->
   nodes:int ->
   Hnlpu_model.Config.t ->
   config
-(** Node rates from the {!Perf} model at [context] (default 2048):
+(** Node rates from the {!Perf} model at context 2048:
     decode = {!Perf.throughput_tokens_per_s}, prefill =
     {!Perf.prefill_throughput_tokens_per_s} at chunk 8, per-token
     latency = {!Perf.token_latency_cached}.  [shards] defaults to 8;

@@ -15,8 +15,9 @@ type evaluation = {
   meets : bool;
 }
 
-let evaluate ?(requests = 150) ?(mean_prefill = 256)
-    ?(mean_decode = 128) ?obs config obj ~rate_per_s =
+let requests = 150
+
+let evaluate ?(mean_prefill = 256) ?(mean_decode = 128) config obj ~rate_per_s =
   check_objectives obj;
   if not (rate_per_s > 0.0) then invalid_arg "Slo.evaluate: rate must be positive";
   let spec =
@@ -27,7 +28,7 @@ let evaluate ?(requests = 150) ?(mean_prefill = 256)
     }
   in
   let reqs = Scheduler.requests ~n:requests (Arrivals.create ~seed:1234 spec) in
-  let r = Scheduler.simulate ?obs config reqs in
+  let r = Scheduler.simulate config reqs in
   (* Two streaming sketches instead of a scratch sample array: constant
      memory however many requests complete, quantiles within
      [Sketch.relative_error] of the exact percentile (property-tested in
@@ -56,45 +57,18 @@ let evaluate ?(requests = 150) ?(mean_prefill = 256)
     meets = ttft_p95 <= obj.ttft_p95_s && e2e_p95 <= obj.e2e_p95_s;
   }
 
-let sweep ?requests ?mean_prefill ?mean_decode ?obs config obj
-    ~rates =
+let sweep ?mean_prefill ?mean_decode config obj ~rates =
   check_objectives obj;
   List.iter
     (fun r -> if not (r > 0.0) then invalid_arg "Slo.sweep: rates must be positive")
     rates;
-  (* Each rate gets a private sink; merging in index order afterwards keeps
-     the combined telemetry identical whatever the domain count.  The
-     sinks live in an array indexed once per task — [List.nth] here was an
-     O(n^2) walk of a shared list from inside every parallel task.  A
-     counters-only caller sink propagates to the private sinks, so no span
-     records are allocated that the merge would just discard. *)
-  let sinks =
-    match obs with
-    | None -> [||]
-    | Some parent ->
-      Array.init (List.length rates) (fun _ ->
-          Hnlpu_obs.Sink.create ~events:(Hnlpu_obs.Sink.events_enabled parent) ())
-  in
-  let tagged = List.mapi (fun i r -> (i, r)) rates in
-  let evals =
-    Hnlpu_par.Par.parallel_map
-      (fun (i, rate_per_s) ->
-        let obs = if Array.length sinks = 0 then None else Some sinks.(i) in
-        evaluate ?requests ?mean_prefill ?mean_decode ?obs config obj
-          ~rate_per_s)
-      tagged
-  in
-  (match obs with
-  | None -> ()
-  | Some into ->
-    Array.iter (fun s -> Hnlpu_obs.Sink.merge_into ~into s) sinks);
-  evals
+  Hnlpu_par.Par.parallel_map
+    (fun rate_per_s -> evaluate ?mean_prefill ?mean_decode config obj ~rate_per_s)
+    rates
 
-let max_rate ?requests ?(mean_prefill = 256) ?(mean_decode = 128) config
-    obj =
+let max_rate ?(mean_prefill = 256) ?(mean_decode = 128) config obj =
   let meets rate =
-    (evaluate ?requests ~mean_prefill ~mean_decode config obj ~rate_per_s:rate)
-      .meets
+    (evaluate ~mean_prefill ~mean_decode config obj ~rate_per_s:rate).meets
   in
   (* Upper bound: the token-throughput ceiling over the mean request size. *)
   let ceiling =

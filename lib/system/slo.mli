@@ -26,27 +26,23 @@ type evaluation = {
 }
 
 val evaluate :
-  ?requests:int -> ?mean_prefill:int -> ?mean_decode:int ->
-  ?obs:Hnlpu_obs.Sink.t ->
+  ?mean_prefill:int -> ?mean_decode:int ->
   Hnlpu_model.Config.t -> objectives -> rate_per_s:float -> evaluation
-(** One simulated operating point: [requests] (default 150) Poisson
-    arrivals at [rate_per_s] drawn from an {!Arrivals} cursor with seed
-    1234, with geometric prompt and decode lengths of means [mean_prefill] (256) and [mean_decode] (128).  [obs] is passed
-    through to {!Scheduler.simulate}. *)
+(** One simulated operating point: 150 Poisson arrivals at [rate_per_s]
+    drawn from an {!Arrivals} cursor with seed 1234, with geometric
+    prompt and decode lengths of means [mean_prefill] (256) and
+    [mean_decode] (128). *)
 
 val sweep :
-  ?requests:int -> ?mean_prefill:int -> ?mean_decode:int ->
-  ?obs:Hnlpu_obs.Sink.t ->
+  ?mean_prefill:int -> ?mean_decode:int ->
   Hnlpu_model.Config.t -> objectives -> rates:float list -> evaluation list
 (** [sweep config obj ~rates] evaluates each offered rate, in the given
     order, across the {!Hnlpu_par.Par} domain pool.  Results are
     byte-identical to mapping {!evaluate} over [rates] sequentially: each
-    rate seeds its own workload and, when [obs] is given, records into a
-    private sink that is merged into [obs] in rate order after the
-    sweep. *)
+    rate seeds its own workload. *)
 
 val max_rate :
-  ?requests:int -> ?mean_prefill:int -> ?mean_decode:int ->
+  ?mean_prefill:int -> ?mean_decode:int ->
   Hnlpu_model.Config.t -> objectives -> float
 (** Largest arrival rate (requests/s, within 5% relative) whose simulation meets the objectives.  Bisection between 1 and
     an upper bound derived from the token-throughput ceiling. *)

@@ -15,7 +15,7 @@ type t = {
   fabric_capacity_bytes_per_s : float;
   mean_link_utilization : float;
   queueing_factor_mm1 : float;
-  corroborates_calibration : bool;
+  consistent_with_calibration : bool;
 }
 
 let ledger (c : Config.t) =
@@ -58,7 +58,7 @@ let analyze (c : Config.t) =
     fabric_capacity_bytes_per_s = capacity;
     mean_link_utilization = util;
     queueing_factor_mm1 = qf;
-    corroborates_calibration =
+    consistent_with_calibration =
       Float.abs (qf -. Perf.link_contention_factor) /. Perf.link_contention_factor
       < 0.4;
   }

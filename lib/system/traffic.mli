@@ -1,4 +1,4 @@
-(** Interconnect traffic accounting — and an independent check on the
+(** Interconnect traffic accounting — and a consistency check on the
     performance model's calibration.
 
     This module counts the actual bytes each {!Layer_program} entry moves
@@ -27,8 +27,9 @@ type t = {
   fabric_capacity_bytes_per_s : float;  (** 48 links x link bandwidth. *)
   mean_link_utilization : float;
   queueing_factor_mm1 : float;    (** 1 / (1 - utilization). *)
-  corroborates_calibration : bool;
-      (** The M/M/1 factor within 40% of {!Perf.link_contention_factor}. *)
+  consistent_with_calibration : bool;
+      (** The M/M/1 factor within 40% of {!Perf.link_contention_factor} —
+          consistent with it, not independent of it. *)
 }
 
 val analyze : Hnlpu_model.Config.t -> t

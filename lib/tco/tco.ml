@@ -151,10 +151,10 @@ let opex_ratio = ratio_pair (fun c -> c.opex)
 
 let tco_dynamic_ratio = ratio_pair (fun c -> c.tco_dynamic)
 
-let carbon_ratio ?(dynamic = true) volume =
+let carbon_ratio volume =
   let h = hnlpu_column volume and g = h100_column volume in
-  if dynamic then g.emissions_dynamic_t /. h.emissions_dynamic_t
-  else g.emissions_static_t /. h.emissions_static_t
+  ( g.emissions_dynamic_t /. h.emissions_dynamic_t,
+    g.emissions_static_t /. h.emissions_static_t )
 
 let to_table () =
   let cols = table3 () in

@@ -54,7 +54,7 @@ val opex_ratio : volume -> float * float
 val tco_dynamic_ratio : volume -> float * float
 (** High volume: 41.7x – 80.4x. *)
 
-val carbon_ratio : ?dynamic:bool -> volume -> float
-(** High volume: 357x (dynamic) / 372x (static). *)
+val carbon_ratio : volume -> float * float
+(** [(dynamic, static)] emissions ratios — High volume: 357x / 372x. *)
 
 val to_table : unit -> Hnlpu_util.Table.t

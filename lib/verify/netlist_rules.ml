@@ -4,12 +4,8 @@ let wire_name (w : Hn_compiler.wire) = Printf.sprintf "n%d.i%d" w.neuron w.input
 
 let wires_name ws = String.concat ", " (List.map wire_name ws)
 
-let congestion ?tracks_per_layer ~subject (n : Hn_compiler.netlist) =
-  let limit =
-    match tracks_per_layer with
-    | Some l -> l
-    | None -> Hn_compiler.max_tracks_per_layer n
-  in
+let congestion ~subject (n : Hn_compiler.netlist) =
+  let limit = Hn_compiler.max_tracks_per_layer n in
   (* Congestion is track demand: how many distinct tracks a layer needs.
      (Two wires on one track are a short — ME-TRACK's business, not ours.)
      Wires on a layer outside the window count nowhere. *)

@@ -13,10 +13,9 @@
       the {!Hnlpu_neuron.Gemv} weight matrix exactly. *)
 
 val congestion :
-  ?tracks_per_layer:int -> subject:string -> Hnlpu_litho.Hn_compiler.netlist ->
-  Diagnostic.t list
-(** [ME-CONGEST]: per-layer wire counts vs the track window (default
-    {!Hnlpu_litho.Hn_compiler.max_tracks_per_layer}), plus an [Info]
+  subject:string -> Hnlpu_litho.Hn_compiler.netlist -> Diagnostic.t list
+(** [ME-CONGEST]: per-layer wire counts vs the track window
+    ({!Hnlpu_litho.Hn_compiler.max_tracks_per_layer}), plus an [Info]
     utilization histogram. *)
 
 val lvs :

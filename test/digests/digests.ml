@@ -408,14 +408,24 @@ let scheduler_cases () =
 
 (* --- Fleet set-up ------------------------------------------------------ *)
 
+(* A fleet node runs at context 2048; the longer contexts pin the same
+   three Perf rates directly. *)
 let config_cases () =
+  let line context ~prefill ~decode ~token_latency =
+    Printf.printf "config context=%d prefill=%h decode=%h token_latency=%h\n" context
+      prefill decode token_latency
+  in
+  let c = Fleet.config_of_model ~nodes:2_000 model in
+  line 2048 ~prefill:c.Fleet.prefill_tokens_per_s ~decode:c.Fleet.decode_tokens_per_s
+    ~token_latency:c.Fleet.decode_token_latency_s;
   List.iter
     (fun context ->
-      let c = Fleet.config_of_model ~context ~nodes:2_000 model in
-      Printf.printf "config context=%d prefill=%h decode=%h token_latency=%h\n" context
-        c.Fleet.prefill_tokens_per_s c.Fleet.decode_tokens_per_s
-        c.Fleet.decode_token_latency_s)
-    [ 2048; 8192; 65536 ]
+      let token_latency = Perf.token_latency_cached model ~context in
+      line context
+        ~prefill:(Perf.prefill_throughput_cached model ~chunk:8 ~context)
+        ~decode:(float_of_int (Perf.pipeline_slots model) /. token_latency)
+        ~token_latency)
+    [ 8192; 65536 ]
 
 (* --- Perf: Figure 14 breakdowns, Figure 11 stages, chunked prefill ----- *)
 

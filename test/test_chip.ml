@@ -331,8 +331,7 @@ let test_kgm_decouples_yield () =
 
 let test_module_cost_matches_table5 () =
   (* Die 629 + HBM 1920 + assembly 111 = 2660 (lo); 629+3840+185 (hi). *)
-  let lo = Package.module_cost_usd ~bound:`Lo Package.hnlpu in
-  let hi = Package.module_cost_usd ~bound:`Hi Package.hnlpu in
+  let lo, hi = Package.module_cost_usd Package.hnlpu in
   Alcotest.(check bool) (Printf.sprintf "lo %.0f" lo) true
     (Thelp.within_pct 1.0 ~expected:2660.0 ~actual:lo);
   Alcotest.(check bool) (Printf.sprintf "hi %.0f" hi) true

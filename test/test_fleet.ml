@@ -8,14 +8,14 @@ let config = Config.gpt_oss_120b
 (* --- Scaling / GPU equivalence ------------------------------------------- *)
 
 let test_scaling_batch1_is_table2 () =
-  match Scaling.sweep ~batches:[ 1 ] () with
+  match List.filter (fun p -> p.Scaling.gpu_batch = 1) (Scaling.sweep ()) with
   | [ p ] ->
     (* 249,960 / 45 = the Table 2 headline. *)
     Alcotest.(check bool)
       (Printf.sprintf "%.0f GPUs" p.Scaling.gpus_needed)
       true
       (Thelp.within_pct 1.0 ~expected:5555.0 ~actual:p.Scaling.gpus_needed)
-  | _ -> Alcotest.fail "one point expected"
+  | _ -> Alcotest.fail "one batch-1 point expected"
 
 let test_scaling_batching_shrinks_cluster () =
   let pts = Scaling.sweep () in

@@ -258,23 +258,18 @@ let test_generate_terminates () =
       Alcotest.(check bool) "in vocab" true (tok >= 0 && tok < Config.tiny.Config.vocab))
     toks
 
-let test_generate_stop_token () =
-  let t = make_tiny 18 in
-  (* Greedy decoding is deterministic: find the first emitted token, then ask
-     for it as the stop token — generation must halt immediately. *)
-  let t2 = make_tiny 18 in
-  let first =
-    match
-      Transformer.generate (Rng.create 0) t2 ~prompt:[ 2 ] ~max_new_tokens:1 Sampler.Greedy
-    with
-    | [ tok ] -> tok
-    | _ -> Alcotest.fail "expected one token"
-  in
-  let toks =
-    Transformer.generate (Rng.create 0) t ~prompt:[ 2 ] ~max_new_tokens:8 ~stop:first
+let test_generate_greedy_prefix () =
+  (* Greedy decoding is deterministic, and [max_new_tokens] only cuts it
+     short: a one-token run is the first token of an eight-token run. *)
+  let greedy n =
+    Transformer.generate (Rng.create 0) (make_tiny 18) ~prompt:[ 2 ] ~max_new_tokens:n
       Sampler.Greedy
   in
-  Alcotest.(check (list int)) "stops before emitting" [] toks
+  match greedy 8 with
+  | first :: _ as toks ->
+    Alcotest.(check int) "8 tokens" 8 (List.length toks);
+    Alcotest.(check (list int)) "one-token run is the prefix" [ first ] (greedy 1)
+  | [] -> Alcotest.fail "expected eight tokens"
 
 let test_quantized_model_runs () =
   let t = make_tiny ~quantize:true 19 in
@@ -335,7 +330,7 @@ let test_hn_linear_report () =
 (* --- Quantization fidelity ------------------------------------------------------ *)
 
 let test_quant_eval_fidelity () =
-  let r = Quant_eval.evaluate ~sequences:6 ~length:10 (Rng.create 99) Config.tiny in
+  let r = Quant_eval.evaluate (Rng.create 99) Config.tiny in
   Alcotest.(check bool)
     (Printf.sprintf "ppl ratio %.3f within 25%%" r.Quant_eval.ppl_ratio)
     true
@@ -350,8 +345,9 @@ let test_quant_eval_fidelity () =
     (r.Quant_eval.top1_agreement > 0.5)
 
 let test_quant_eval_counts () =
-  let r = Quant_eval.evaluate ~sequences:3 ~length:5 (Rng.create 100) Config.tiny in
-  Alcotest.(check int) "scored = seqs x (len-1)" 12 r.Quant_eval.tokens_scored
+  let r = Quant_eval.evaluate (Rng.create 100) Config.tiny in
+  Alcotest.(check int) "sequences" 8 r.Quant_eval.sequences;
+  Alcotest.(check int) "scored = seqs x (len-1)" 88 r.Quant_eval.tokens_scored
 
 let test_weights_quantize_idempotent () =
   let w = Weights.random ~quantize_fp4:false (Rng.create 101) Config.tiny in
@@ -680,7 +676,7 @@ let suites =
         Alcotest.test_case "expert load" `Quick test_expert_load_topk;
         Alcotest.test_case "dense ffn" `Quick test_dense_ffn_path;
         Alcotest.test_case "generate" `Quick test_generate_terminates;
-        Alcotest.test_case "stop token" `Quick test_generate_stop_token;
+        Alcotest.test_case "greedy prefix" `Quick test_generate_greedy_prefix;
         Alcotest.test_case "quantized model" `Quick test_quantized_model_runs;
       ] );
     Thelp.qsuite "transformer properties" [ prop_prefill_equals_forwards ];

@@ -311,14 +311,16 @@ let test_sink_rejects_bad_spans () =
   Alcotest.(check bool) "infinite duration" true (raises infinity);
   Alcotest.(check bool) "zero duration is fine" false (raises 0.0)
 
+let sink_capacity = 65536
+
 let test_sink_capacity () =
-  let o = Sink.create ~capacity:4 () in
-  for i = 1 to 10 do
+  let o = Sink.create () in
+  for i = 1 to sink_capacity + 6 do
     Sink.instant o ~track ~name:"tick" ~ts_s:(float_of_int i)
   done;
-  Alcotest.(check int) "recorded all" 10 (Sink.recorded o);
+  Alcotest.(check int) "recorded all" (sink_capacity + 6) (Sink.recorded o);
   Alcotest.(check int) "dropped overflow" 6 (Sink.dropped o);
-  Alcotest.(check int) "retained tail" 4 (List.length (Sink.events o));
+  Alcotest.(check int) "retained tail" sink_capacity (List.length (Sink.events o));
   Alcotest.(check (float 0.0)) "oldest retained is #7" 7.0
     (Event.ts_s (List.hd (Sink.events o)))
 
@@ -1090,25 +1092,30 @@ let test_scheduler_shard_merge_order_free () =
 (* --- Ring wraparound + counters-only parity ----------------------------------- *)
 
 let test_ring_wraparound_metrics_parity () =
-  (* A full sink whose ring is far too small (forced wraparound), a
-     roomy full sink, and a counters-only sink must all report the same
+  (* A sink whose ring wraps during the run, a roomy sink, and a
+     counters-only sink must all report the same
      metric summaries for the same simulation: metric aggregation is
      independent of event retention. *)
   let run sink =
     ignore (sched_run ~obs:sink 29);
     Metrics.to_json (Sink.metrics sink)
   in
-  let tiny = Sink.create ~capacity:8 () in
+  let full = Sink.create () in
+  (* Instants feed no metric: filling the ring first makes the run's
+     own events wrap it. *)
+  for i = 1 to sink_capacity do
+    Sink.instant full ~track ~name:"fill" ~ts_s:(float_of_int i)
+  done;
   let roomy = Sink.create () in
   let counters_only = Sink.create ~events:false () in
-  let j_tiny = run tiny and j_roomy = run roomy and j_off = run counters_only in
-  Alcotest.(check bool) "tiny ring actually wrapped" true
-    (Sink.dropped tiny > 0);
-  Alcotest.(check int) "tiny ring retains only its capacity" 8
-    (List.length (Sink.events tiny));
+  let j_full = run full and j_roomy = run roomy and j_off = run counters_only in
+  Alcotest.(check int) "full ring wrapped by the run's events" (Sink.recorded roomy)
+    (Sink.dropped full);
+  Alcotest.(check int) "full ring retains only its capacity" sink_capacity
+    (List.length (Sink.events full));
   Alcotest.(check int) "counters-only retains nothing" 0
     (Sink.recorded counters_only);
-  Alcotest.(check string) "wrapped ring, same metrics" j_roomy j_tiny;
+  Alcotest.(check string) "wrapped ring, same metrics" j_roomy j_full;
   Alcotest.(check string) "counters-only, same metrics" j_roomy j_off;
   (* The sketch-backed histograms are included in that parity. *)
   match

@@ -4,7 +4,7 @@
    - parallel_map/parallel_init agree with their sequential counterparts
      for every pool width (the determinism guarantee, property-tested);
    - whole sweeps (Slo.sweep, Ablation, Quant_eval) are bit-identical
-     across domain counts, including merged telemetry;
+     across domain counts, and so is Fleet.run's published telemetry;
    - Scheduler.simulate reads a slot-failure list as a step function of
      time, and stays within its words-per-token budget;
    - Slo.evaluate's single-pass percentile arrays match a recomputation. *)
@@ -259,7 +259,7 @@ let sweep_rates = [ 1000.0; 3000.0; 6000.0; 9000.0; 12000.0 ]
 let test_slo_sweep_identical_across_widths () =
   let run j =
     Thelp.with_domains j (fun () ->
-        Slo.sweep ~requests:40 config Slo.interactive ~rates:sweep_rates)
+        Slo.sweep config Slo.interactive ~rates:sweep_rates)
   in
   let base = run 1 in
   Alcotest.(check int) "one evaluation per rate" (List.length sweep_rates)
@@ -274,26 +274,13 @@ let test_slo_sweep_identical_across_widths () =
 let test_slo_sweep_matches_sequential_evaluate () =
   let base =
     List.map
-      (fun rate_per_s -> Slo.evaluate ~requests:40 config Slo.interactive ~rate_per_s)
+      (fun rate_per_s -> Slo.evaluate config Slo.interactive ~rate_per_s)
       sweep_rates
   in
   Alcotest.(check bool) "sweep = mapped evaluate" true
     (Thelp.with_domains 4 (fun () ->
-         Slo.sweep ~requests:40 config Slo.interactive ~rates:sweep_rates)
+         Slo.sweep config Slo.interactive ~rates:sweep_rates)
     = base)
-
-let test_slo_sweep_obs_merge_deterministic () =
-  let run j =
-    let obs = Obs.Sink.create () in
-    Thelp.with_domains j (fun () ->
-        ignore (Slo.sweep ~requests:30 ~obs config Slo.interactive ~rates:sweep_rates));
-    (Obs.Sink.events obs, Obs.Metrics.to_json (Obs.Sink.metrics obs))
-  in
-  let events1, metrics1 = run 1 in
-  let events4, metrics4 = run 4 in
-  Alcotest.(check bool) "telemetry non-empty" true (events1 <> []);
-  Alcotest.(check bool) "event timeline identical" true (events1 = events4);
-  Alcotest.(check string) "metrics registry identical" metrics1 metrics4
 
 (* --- Sweep determinism across the other parallelized modules --------------- *)
 
@@ -302,7 +289,7 @@ let test_ablation_sweeps_identical_across_widths () =
     Thelp.with_domains j (fun () ->
         ( Ablation.interconnect_sweep config,
           Ablation.precision_sweep config,
-          Ablation.slack_sweep (Rng.create 5) ~trials:60 (),
+          Ablation.slack_sweep (Rng.create 5),
           Ablation.speculative_sweep config ))
   in
   let interconnect, precision, slack, speculative = run 1 in
@@ -326,7 +313,7 @@ let test_ablation_sweeps_identical_across_widths () =
 let test_quant_eval_identical_across_widths () =
   let run j =
     Thelp.with_domains j (fun () ->
-        Quant_eval.evaluate ~sequences:6 ~length:8 (Rng.create 3) Config.tiny_hnlpu)
+        Quant_eval.evaluate (Rng.create 3) Config.tiny_hnlpu)
   in
   let base = run 1 in
   Alcotest.(check bool) "scored tokens" true (base.Quant_eval.tokens_scored > 0);
@@ -520,6 +507,31 @@ let test_env_domains_valid_and_unset () =
       Alcotest.(check (option int)) "blank means unset" None (Par.env_domains ());
       Alcotest.(check bool) "default still resolves" true
         (Par.default_domains () >= 1))
+
+(* The runtime holds 128 domains at most.  No call below starts one: each
+   width check runs before the pool is touched. *)
+let test_width_limit_rejected_before_spawn () =
+  let names_limit f =
+    match ignore (f ()) with
+    | () -> false
+    | exception Invalid_argument m -> Thelp.contains m "limit of 128"
+  in
+  Alcotest.(check bool) "-j 129" true
+    (names_limit (fun () -> Par.set_default_domains 129));
+  Thelp.with_env "129" (fun () ->
+      Alcotest.(check bool) "HNLPU_DOMAINS=129" true (names_limit Par.env_domains);
+      Alcotest.(check bool) "default width too" true (names_limit Par.default_domains));
+  Thelp.with_env "128" (fun () ->
+      Alcotest.(check (option int)) "128 is the widest" (Some 128) (Par.env_domains ()));
+  let p = Par.shared ~domains:2 () in
+  Alcotest.(check bool) "shared ~domains:129" true
+    (names_limit (fun () -> Par.shared ~domains:129 ()));
+  Alcotest.(check bool) "the live pool was not resized" true (Par.shared ~domains:2 () == p);
+  let calls = ref 0 in
+  Alcotest.(check bool) "parallel_map ~domains:129" true
+    (names_limit (fun () ->
+         Par.parallel_map ~domains:129 (fun x -> incr calls; x) [ 1; 2; 3 ]));
+  Alcotest.(check int) "no task ran" 0 !calls
 
 (* --- Rng: unboxed representation is bit-exact ------------------------------- *)
 
@@ -735,18 +747,28 @@ let test_counters_only_sink () =
        false
      with Invalid_argument _ -> true)
 
-let test_slo_sweep_counters_only_metrics_match () =
-  let run events =
+let test_fleet_counters_only_metrics_match () =
+  (* Fleet.run publishes its aggregates once, after its shard-order
+     merge, and records no events: a full sink at j=1 and a
+     counters-only sink at j=4 end up with the same registry. *)
+  let cfg = Fleet.config_of_model ~nodes:64 ~shards:4 config in
+  let spec = Arrivals.chat ~rate_per_s:1.0 in
+  let spec =
+    Arrivals.with_mean_rate spec (0.8 *. Fleet.capacity_req_per_s cfg spec)
+  in
+  let run events domains =
     let obs = Obs.Sink.create ~events () in
     ignore
-      (Thelp.with_domains 4 (fun () ->
-           Slo.sweep ~requests:30 ~obs config Slo.interactive ~rates:sweep_rates));
-    (Obs.Sink.events obs, Obs.Metrics.to_json (Obs.Sink.metrics obs))
+      (Fleet.run ~domains ~obs ~policy:Fleet.Least_loaded ~requests:5_000 ~seed:3
+         cfg spec);
+    (Obs.Sink.recorded obs, Obs.Metrics.to_json (Obs.Sink.metrics obs))
   in
-  let ev_full, m_full = run true in
-  let ev_off, m_off = run false in
-  Alcotest.(check bool) "full sink sees events" true (ev_full <> []);
-  Alcotest.(check int) "counters-only sink sees none" 0 (List.length ev_off);
+  let ev_full, m_full = run true 1 in
+  let ev_off, m_off = run false 4 in
+  Alcotest.(check int) "full sink: no events" 0 ev_full;
+  Alcotest.(check int) "counters-only sink: no events" 0 ev_off;
+  Alcotest.(check bool) "registry non-empty" true
+    (Thelp.contains m_full "fleet/requests");
   Alcotest.(check string) "metrics registries identical" m_full m_off
 
 (* --- Perf's memo ------------------------------------------------------------- *)
@@ -799,8 +821,6 @@ let suites =
           test_slo_sweep_identical_across_widths;
         Alcotest.test_case "sweep = mapped evaluate" `Quick
           test_slo_sweep_matches_sequential_evaluate;
-        Alcotest.test_case "telemetry merge deterministic" `Quick
-          test_slo_sweep_obs_merge_deterministic;
       ] );
     ( "sweep-determinism",
       [
@@ -826,6 +846,8 @@ let suites =
           test_env_domains_malformed_rejected;
         Alcotest.test_case "valid and unset values" `Quick
           test_env_domains_valid_and_unset;
+        Alcotest.test_case "width limit rejected before any spawn" `Quick
+          test_width_limit_rejected_before_spawn;
       ] );
     ( "rng-exact",
       [
@@ -837,8 +859,8 @@ let suites =
     ( "counters-only",
       [
         Alcotest.test_case "sink semantics" `Quick test_counters_only_sink;
-        Alcotest.test_case "sweep metrics match" `Quick
-          test_slo_sweep_counters_only_metrics_match;
+        Alcotest.test_case "fleet metrics match" `Quick
+          test_fleet_counters_only_metrics_match;
       ] );
     ( "obs-merge",
       [

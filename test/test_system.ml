@@ -592,7 +592,7 @@ let test_slo_low_rate_meets () =
 
 let test_slo_insane_rate_fails () =
   let e =
-    Slo.evaluate ~requests:300 config
+    Slo.evaluate config
       { Slo.ttft_p95_s = 0.005; e2e_p95_s = 0.05 }
       ~rate_per_s:5000.0
   in
@@ -600,11 +600,11 @@ let test_slo_insane_rate_fails () =
 
 let test_slo_max_rate_bracketing () =
   let obj = Slo.interactive in
-  let r = Slo.max_rate ~requests:120 config obj in
+  let r = Slo.max_rate config obj in
   Alcotest.(check bool) (Printf.sprintf "max rate %.0f/s positive" r) true (r > 10.0);
   (* The found rate must actually meet; 4x it must not (or be past the
      throughput ceiling anyway). *)
-  let at = Slo.evaluate ~requests:120 config obj ~rate_per_s:r in
+  let at = Slo.evaluate config obj ~rate_per_s:r in
   Alcotest.(check bool) "feasible at the answer" true at.Slo.meets
 
 (* --- Prefill & stage decomposition ----------------------------------------------- *)
@@ -714,7 +714,7 @@ let test_design_rows_are_perf () =
     fp16.Ablation.throughput_tokens_per_s
 
 let test_slack_tradeoff () =
-  let rows = Ablation.slack_sweep (Rng.create 8) ~trials:100 () in
+  let rows = Ablation.slack_sweep (Rng.create 8) in
   let get s = List.find (fun r -> r.Ablation.slack = s) rows in
   Alcotest.(check bool) "no slack always fails" true ((get 1.0).Ablation.failure_rate > 0.9);
   Alcotest.(check bool) "generous slack never fails" true
@@ -779,14 +779,15 @@ let test_traffic_fabric_loaded_not_saturated () =
   let u = traffic.Traffic.mean_link_utilization in
   Alcotest.(check bool) (Printf.sprintf "utilization %.3f" u) true (u > 0.4 && u < 0.95)
 
-let test_traffic_corroborates_calibration () =
+let test_traffic_consistent_with_calibration () =
   (* The M/M/1 queueing factor implied by measured byte traffic must agree
-     with the contention factor calibrated against Figure 14 — two
-     independent routes to the same constant. *)
+     with the contention factor calibrated against Figure 14.  A
+     consistency check only: the fabric load comes from Perf's
+     throughput, which already contains that factor. *)
   Alcotest.(check bool)
     (Printf.sprintf "M/M/1 factor %.2f vs calibrated %.2f"
        traffic.Traffic.queueing_factor_mm1 Perf.link_contention_factor)
-    true traffic.Traffic.corroborates_calibration
+    true traffic.Traffic.consistent_with_calibration
 
 let test_traffic_moe_dominates_bytes () =
   (* The hidden-width all-chip all-reduce moves the most data. *)
@@ -972,7 +973,8 @@ let suites =
     ( "traffic",
       [
         Alcotest.test_case "loaded not saturated" `Quick test_traffic_fabric_loaded_not_saturated;
-        Alcotest.test_case "corroborates calibration" `Quick test_traffic_corroborates_calibration;
+        Alcotest.test_case "consistent with calibration" `Quick
+          test_traffic_consistent_with_calibration;
         Alcotest.test_case "MoE dominates bytes" `Quick test_traffic_moe_dominates_bytes;
       ] );
     ( "fault-injection",

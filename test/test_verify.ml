@@ -213,9 +213,21 @@ let test_congestion_histogram () =
        ds)
 
 let test_congestion_tight_window () =
+  (* Move the first [k] wires onto M8 tracks 0..k-1.  The wires left on
+     M8 sit on tracks below [limit], so M8 needs at most [limit] tracks
+     at k = limit and exactly k beyond it. *)
   let n = Hnlpu_litho.Hn_compiler.compile ~slack:16.0 (bank 2) in
-  let ds = Netlist_rules.congestion ~tracks_per_layer:3 ~subject:"b" n in
-  Alcotest.(check bool) "window exceeded" true (errors_only ds <> [])
+  let limit = Hnlpu_litho.Hn_compiler.max_tracks_per_layer n in
+  let errors k =
+    let wires =
+      List.mapi
+        (fun i w -> if i < k then { w with Hnlpu_litho.Hn_compiler.layer = "M8"; track = i } else w)
+        n.Hnlpu_litho.Hn_compiler.wires
+    in
+    errors_only (Netlist_rules.congestion ~subject:"b" { n with Hnlpu_litho.Hn_compiler.wires })
+  in
+  Alcotest.(check int) "window exactly full" 0 (List.length (errors limit));
+  Alcotest.(check int) "one track over the window" 1 (List.length (errors (limit + 1)))
 
 let test_lvs_pinpoints_cell () =
   let g = bank 3 in
