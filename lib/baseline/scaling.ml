@@ -31,8 +31,7 @@ let point_of_batch batch =
     power_ratio = gpus *. H100.spec.H100.system_power_w /. hnlpu_power_w ();
   }
 
-let sweep () =
-  Hnlpu_par.Par.parallel_map point_of_batch [ 1; 8; 32; 50; 128; 256 ]
+let sweep () = List.map point_of_batch [ 1; 8; 32; 50; 128; 256 ]
 
 let paper_equivalence =
   (* The Appendix B note 1 regime, using the measured 1.08K tok/s rather

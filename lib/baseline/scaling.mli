@@ -18,9 +18,8 @@ type point = {
 
 val sweep : unit -> point list
 (** Batches 1, 8, 32, 50, 128 and 256.  Batch 1 uses the measured
-    45 tok/s anchor; larger batches use the roofline model.  Points map
-    across the {!Hnlpu_par.Par} pool; results are identical for every
-    width. *)
+    45 tok/s anchor; larger batches use the roofline model.  Each point
+    is closed-form, so the sweep is a plain map, not a pool region. *)
 
 val paper_equivalence : point
 (** The concurrency-50 regime: ~2,000 GPUs, the paper's TCO anchor. *)

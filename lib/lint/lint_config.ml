@@ -49,7 +49,7 @@ let default_hot_paths =
     ("Hnlpu_obs.Sketch.bucket_index", Leaf);
     ("Hnlpu_obs.Metrics.observe", Leaf);
     ("Hnlpu_obs.Metrics.incr", Leaf);
-    ("Hnlpu_obs.Metrics.set_stamped", Leaf);
+    ("Hnlpu_obs.Metrics.set", Leaf);
     (* The Scheduler's private event streams and request-id rings: one
        push and one pop per simulated token. *)
     ("Hnlpu_system.Scheduler.Stream", Leaf);

@@ -298,8 +298,7 @@ let run ?plan ?obs coll vals =
           Hnlpu_obs.Metrics.observe m "noc/transfer_s" d)
         step;
       step_start := !step_start +. !worst;
-      Hnlpu_obs.Metrics.set_stamped m ~stamp:!step_start
-        "noc/makespan_s" !step_start
+      Hnlpu_obs.Metrics.set m "noc/makespan_s" !step_start
   in
   let held = Array.make Topology.chips false in
   let state = Array.make Topology.chips [||] in

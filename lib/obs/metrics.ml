@@ -1,14 +1,14 @@
 open Hnlpu_util
 
-(* Single-float and float-pair records are flat float records, so the
-   per-event updates below are plain stores — no fresh float box per
-   event.  [incr]/[set_stamped]/[observe] are ALLOC-HOT hot paths (see
-   [Lint_config]); everything that allocates (first registration, kind
-   clashes) lives in separately named cold helpers. *)
+(* Single-float records are flat float records, so the per-event
+   updates below are plain stores — no fresh float box per event.
+   [incr]/[set]/[observe] are ALLOC-HOT hot paths (see [Lint_config]);
+   everything that allocates (first registration, kind clashes) lives in
+   separately named cold helpers. *)
 
 type counter = { mutable total : float }
 
-type gauge = { mutable value : float; mutable stamp : float }
+type gauge = { mutable value : float }
 
 type series = Counter of counter | Gauge of gauge | Hist of Sketch.t
 
@@ -38,23 +38,17 @@ let incr t ?(by = 1.0) name =
   | exception Not_found -> incr_slow t by name
 
 (* Cold: first use of [name] or a kind clash. *)
-let set_slow t stamp name v =
+let set_slow t name v =
   match Hashtbl.find_opt t.series name with
-  | Some (Gauge g) ->
-    g.value <- v;
-    g.stamp <- stamp
+  | Some (Gauge g) -> g.value <- v
   | Some s -> clash name s
-  | None -> Hashtbl.add t.series name (Gauge { value = v; stamp })
+  | None -> Hashtbl.add t.series name (Gauge { value = v })
 
-let set_stamped t ~stamp name v =
+let set t name v =
   match Hashtbl.find t.series name with
-  | Gauge g ->
-    g.value <- v;
-    g.stamp <- stamp
-  | _ -> set_slow t stamp name v
-  | exception Not_found -> set_slow t stamp name v
-
-let set t name v = set_stamped t ~stamp:neg_infinity name v
+  | Gauge g -> g.value <- v
+  | _ -> set_slow t name v
+  | exception Not_found -> set_slow t name v
 
 let hist t name =
   match Hashtbl.find_opt t.series name with
@@ -82,11 +76,6 @@ let counter t name =
 let gauge t name =
   match Hashtbl.find_opt t.series name with
   | Some (Gauge g) -> Some g.value
-  | _ -> None
-
-let gauge_stamp t name =
-  match Hashtbl.find_opt t.series name with
-  | Some (Gauge g) -> Some g.stamp
   | _ -> None
 
 type summary = {
@@ -118,33 +107,6 @@ let histogram t name =
 let names t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.series [] |> List.sort compare
 
-let merge_into ~into src =
-  (* Sorted name order so merging many registries is deterministic; on
-     top of that, counters add and gauges resolve by latest stamp (ties
-     to the larger value), so every merge order yields the same
-     registry.  Only histogram [sum]/[mean] still depend on merge order
-     (float addition); callers merge shards in task-index order. *)
-  List.iter
-    (fun name ->
-      match Hashtbl.find_opt src.series name with
-      | None -> ()
-      | Some (Counter c) -> incr into ~by:c.total name
-      | Some (Gauge g) -> (
-        match Hashtbl.find_opt into.series name with
-        | Some (Gauge gi) ->
-          if
-            g.stamp > gi.stamp
-            || (g.stamp = gi.stamp && g.value > gi.value)
-          then begin
-            gi.value <- g.value;
-            gi.stamp <- g.stamp
-          end
-        | Some s -> clash name s
-        | None ->
-          Hashtbl.add into.series name (Gauge { value = g.value; stamp = g.stamp }))
-      | Some (Hist s) -> Sketch.merge_into ~into:(hist into name) s)
-    (names src)
-
 let live_words t =
   (* Estimate of heap words retained by the registry: per-series payload
      plus the name string and a nominal hashtable-bucket overhead.  The
@@ -155,7 +117,7 @@ let live_words t =
         match Hashtbl.find_opt t.series name with
         | None -> 0
         | Some (Counter _) -> 2
-        | Some (Gauge _) -> 3
+        | Some (Gauge _) -> 2
         | Some (Hist sk) -> 2 + Sketch.live_words sk
       in
       acc + payload + ((String.length name + 8) / 8) + 4)

@@ -10,7 +10,7 @@
     sketch's documented error bound (1/64 relative) of the exact
     {!Hnlpu_util.Stats.percentile}.
 
-    The per-event entry points ([incr], [set_stamped], [observe]) are
+    The per-event entry points ([incr], [set], [observe]) are
     ALLOC-HOT lint hot paths: once a series exists, recording into it
     allocates nothing. *)
 
@@ -22,14 +22,7 @@ val incr : t -> ?by:float -> string -> unit
 (** Monotonic counter; [by] defaults to 1. *)
 
 val set : t -> string -> float -> unit
-(** Gauge, unstamped: last-write-wins locally, stamp [neg_infinity]
-    (so any stamped write dominates it in a merge). *)
-
-val set_stamped : t -> stamp:float -> string -> float -> unit
-(** Gauge set carrying a sim-time stamp.  Simulators stamp every gauge
-    write with the simulated time of the event, so {!merge_into} can
-    resolve the same gauge across domain shards by latest stamp instead
-    of by merge order. *)
+(** Gauge: the last write wins. *)
 
 val observe : t -> string -> float -> unit
 (** Histogram sample into the name's sketch.  Raises [Invalid_argument]
@@ -46,10 +39,6 @@ val counter : t -> string -> float option
 
 val gauge : t -> string -> float option
 
-val gauge_stamp : t -> string -> float option
-(** The sim-time stamp of the gauge's current value ([neg_infinity] if
-    it has only ever been set unstamped). *)
-
 type summary = {
   count : int;
   mean : float;
@@ -65,15 +54,6 @@ val histogram : t -> string -> summary option
 
 val names : t -> string list
 (** All registered names, sorted (exports are deterministic). *)
-
-val merge_into : into:t -> t -> unit
-(** [merge_into ~into src] folds [src] into [into]: counters add; gauges
-    resolve by latest stamp (ties to the larger value), so shard-merge
-    order cannot change the result; sketch histograms merge bucket-wise
-    (quantiles/count/min/max independent of merge order; only the
-    float-added [sum]/[mean] still want the fixed task-index order all
-    callers use).  Names are visited sorted.  Raises [Invalid_argument]
-    if a name is bound to different kinds in the two registries. *)
 
 val live_words : t -> int
 (** Estimated heap words retained by the registry (series payloads,

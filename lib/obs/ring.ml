@@ -35,8 +35,3 @@ let get t i =
   | None -> assert false (* i < len implies the slot is filled *)
 
 let to_list t = List.init t.len (get t)
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f (get t i)
-  done

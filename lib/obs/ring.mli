@@ -26,6 +26,3 @@ val dropped : 'a t -> int
 
 val to_list : 'a t -> 'a list
 (** Retained entries, oldest first. *)
-
-val iter : ('a -> unit) -> 'a t -> unit
-(** Oldest first. *)

@@ -27,13 +27,7 @@ let instant ?(cat = "") ?(args = []) t ~track ~name ~ts_s =
 let sample t ~track ~name ~ts_s value =
   if t.record_events then
     Ring.push t.ring (Event.Counter { track; name; ts_s; value });
-  (* Stamped with sim time so shard merges resolve the gauge by latest
-     sample, not by merge order. *)
-  Metrics.set_stamped t.metrics ~stamp:ts_s name value
-
-let merge_into ~into src =
-  Ring.iter (Ring.push into.ring) src.ring;
-  Metrics.merge_into ~into:into.metrics src.metrics
+  Metrics.set t.metrics name value
 
 let events t = Ring.to_list t.ring
 

@@ -34,17 +34,9 @@ val instant :
   track:Event.track -> name:string -> ts_s:float -> unit
 
 val sample : t -> track:Event.track -> name:string -> ts_s:float -> float -> unit
-(** One counter-series sample on the timeline; also mirrors the latest
-    value into {!metrics} as a gauge under the same name, stamped with
-    [ts_s] so shard merges resolve by sim time rather than merge
-    order. *)
-
-val merge_into : into:t -> t -> unit
-(** [merge_into ~into src] appends [src]'s retained events (oldest first)
-    to [into]'s ring and folds its metrics in via
-    {!Metrics.merge_into}.  Private per-task sinks merged in task-index
-    order give a combined timeline and registry that are identical
-    whatever the domain count. *)
+(** One counter-series sample on the timeline; also writes the value
+    into {!metrics} as a gauge under the same name, so the gauge holds
+    the last sample. *)
 
 val events : t -> Event.t list
 (** Retained events, oldest first. *)

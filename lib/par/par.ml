@@ -232,40 +232,19 @@ let shared ?domains () =
 
 (* --- Order-preserving combinators --------------------------------------- *)
 
-(* Remaining-work estimate below which dispatching a region to the pool
-   costs more than it buys: waking the workers (mutex + condvar
-   broadcast) and bouncing the results array between domain caches is a
-   low-hundreds-of-microseconds affair, so a sweep whose entire tail
-   projects under this budget runs faster on the calling domain — and
-   tiny sweeps used to come out *slower* than sequential. *)
-let sequential_threshold_s = 2e-4
-
 let parallel_init ?domains n f =
   if n < 0 then invalid_arg "Par.parallel_init: negative length";
   let j = match domains with Some j -> j | None -> default_domains () in
   if j < 1 then invalid_arg "Par.parallel_init: domains must be >= 1";
   check_limit "Par.parallel_init" j;
+  (* The worker check comes before [shared_pool]: a nested call at
+     another width would otherwise resize the pool from inside it. *)
   if j = 1 || n <= 1 || Domain.DLS.get on_worker then Array.init n f
   else begin
+    (* Every task writes only its own slot and the map below reads them
+       in index order, so the result is the same at every width. *)
     let results = Array.make n None in
-    (* Probe: run task 0 on the calling domain and time it.  If the
-       projected cost of the remaining tasks stays under the threshold,
-       finish sequentially.  Results are byte-identical either way —
-       every task writes only its own slot and the reduction below reads
-       in index order; the clock picks the execution strategy, never a
-       value (lint.baseline accepts its two reads).  Failure order is also preserved: task 0 is the
-       lowest-possible-index failure, and [run_tasks] re-raises the
-       lowest-indexed failure of the tail. *)
-    let t0 = Unix.gettimeofday () in
-    results.(0) <- Some (f 0);
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt *. float_of_int (n - 1) < sequential_threshold_s then
-      for i = 1 to n - 1 do
-        results.(i) <- Some (f i)
-      done
-    else
-      run_tasks (shared_pool j) ~tasks:(n - 1) (fun k ->
-          results.(k + 1) <- Some (f (k + 1)));
+    run_tasks (shared_pool j) ~tasks:n (fun i -> results.(i) <- Some (f i));
     Array.map (function Some v -> v | None -> assert false) results
   end
 

@@ -1,10 +1,12 @@
 (** Deterministic domain-parallel execution (the [Hnlpu.Par] layer).
 
-    Every multi-point evaluation in this repository — SLO rate sweeps,
-    ablations, sensitivity tornados, GPU-equivalence scans, table
-    generation — is embarrassingly parallel: independent points, pure
-    simulation per point.  This module runs such sweeps across a
-    fixed-size pool of OCaml 5 [Domain]s while keeping a hard guarantee:
+    The fleet's shards and sweeps, SLO rate sweeps, the POPCNT-slack
+    Monte-Carlo, the quantization evaluation and table generation are
+    embarrassingly parallel: independent points, pure simulation per
+    point, about a millisecond or more per sweep.  (The closed-form
+    sweeps take microseconds; they are plain maps and never reach this
+    module.)  This module runs such sweeps across a fixed-size pool of
+    OCaml 5 [Domain]s while keeping a hard guarantee:
 
     {b results are byte-identical regardless of the domain count.}
 
@@ -49,7 +51,9 @@ val parallel_map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
     lowest-indexed failing task is re-raised after the region completes. *)
 
 val parallel_init : ?domains:int -> int -> (int -> 'a) -> 'a array
-(** [parallel_init n f] = [Array.init n f], parallelized as above. *)
+(** [parallel_init n f] = [Array.init n f], parallelized as above: at
+    width 1, for [n <= 1] or from inside a task it is [Array.init];
+    otherwise all [n] tasks go to the pool at once. *)
 
 (** {1 The shared pool}
 

@@ -26,7 +26,7 @@ let interconnect_options =
 
 let interconnect_sweep c =
   let design = Perf.design c ~context in
-  Par.parallel_map
+  List.map
     (fun (link_name, link) ->
       let b = Perf.decode { design with Perf.link } in
       let total = Perf.total_s b in
@@ -103,7 +103,7 @@ type precision_row = {
 }
 
 let precision_sweep (c : Config.t) =
-  Par.parallel_map
+  List.map
     (fun bits ->
       let b = Perf.decode (Perf.layer ~act_bits:bits c ~context) in
       {
@@ -132,6 +132,10 @@ let slack_sweep rng =
   in
   Par.parallel_map
     (fun (slack, rng) ->
+      (* A private copy of the 8-byte state, allocated by the domain that
+         draws from it: the split states sit side by side on the caller's
+         heap, and two domains stepping neighbours share a cache line. *)
+      let rng = Hnlpu_util.Rng.copy rng in
       let capacity = Hnlpu_neuron.Bank.region_capacity ~slack in_features in
       let failures = ref 0 in
       (* Per-task scratch, reset per trial — not reallocated. *)
@@ -160,7 +164,7 @@ type window_row = {
 
 let sliding_window_sweep () =
   let full = Config.gpt_oss_120b and sw = Config.gpt_oss_120b_sw in
-  Par.parallel_map
+  List.map
     (fun context ->
       let tf = Perf.throughput_tokens_per_s full ~context in
       let tw = Perf.throughput_tokens_per_s sw ~context in
@@ -180,7 +184,7 @@ let speculative_sweep ?(acceptance = 0.7)
   if not (acceptance >= 0.0 && acceptance < 1.0) then
     invalid_arg "Ablation.speculative_sweep: acceptance in [0,1)";
   let base = Perf.throughput_tokens_per_s c ~context in
-  Par.parallel_map
+  List.map
     (fun k ->
       (* Greedy speculative: accepted prefix length has expectation
          sum_{i<=k} a^i; each pass also yields the corrected/bonus token.
@@ -201,7 +205,7 @@ let speculative_sweep ?(acceptance = 0.7)
     [ 1; 2; 4; 8 ]
 
 let chunk_sweep c =
-  Par.parallel_map
+  List.map
     (fun chunk ->
       (chunk, Perf.prefill_throughput_tokens_per_s c ~chunk ~context))
     [ 1; 2; 4; 8; 16; 32; 64 ]

@@ -27,9 +27,10 @@ type interconnect_row = {
 
 val interconnect_sweep :
   Hnlpu_model.Config.t -> interconnect_row list
-(** All sweeps in this module run at 2K context and map their design
-    points across the {!Hnlpu_par.Par} pool at its process-wide width;
-    results are identical for every width. *)
+(** All sweeps in this module run at 2K context.  Every sweep but
+    {!slack_sweep} is closed-form and takes microseconds, so it is a
+    plain map; only the Monte-Carlo {!slack_sweep} runs across the
+    {!Hnlpu_par.Par} pool, with results identical for every width. *)
 
 type programmability_row = {
   variant : string;

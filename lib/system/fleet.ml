@@ -875,10 +875,8 @@ let publish m r =
   if r.dropped > 0 then Metrics.incr m ~by:(float r.dropped) "fleet/dropped";
   Metrics.incr m ~by:r.total_tokens "fleet/tokens";
   Metrics.incr m ~by:r.redispatched_tokens "fleet/redispatched_tokens";
-  (* Stamp = value, so merging registries keeps the larger of each. *)
-  Metrics.set_stamped m ~stamp:r.makespan_s "fleet/makespan_s" r.makespan_s;
-  let peak = float r.peak_rack_hot in
-  Metrics.set_stamped m ~stamp:peak "fleet/peak_rack_hot" peak
+  Metrics.set m "fleet/makespan_s" r.makespan_s;
+  Metrics.set m "fleet/peak_rack_hot" (float r.peak_rack_hot)
 
 let run ?domains ?obs ?(node_events = [||]) ~policy ~requests ~seed cfg spec =
   validate_config cfg;

@@ -158,9 +158,9 @@ val run :
     [fleet/requests] (only when a request was dispatched),
     [fleet/dropped] (only when a request was dropped), [fleet/tokens]
     and [fleet/redispatched_tokens]; gauges [fleet/makespan_s] and
-    [fleet/peak_rack_hot], each stamped with its own value; and the
-    result's sketches as histograms [fleet/ttft_s], [fleet/e2e_s] and
-    [fleet/queue_wait_s] (present with [fleet/requests]).  Being the
+    [fleet/peak_rack_hot]; and the result's sketches as histograms
+    [fleet/ttft_s], [fleet/e2e_s] and [fleet/queue_wait_s] (present with
+    [fleet/requests]).  Being the
     result, the registry too is identical at any [-j].  Raises [Invalid_argument] on a non-positive node/shard/
     request count, [shards > nodes], or unsorted events. *)
 

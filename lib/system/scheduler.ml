@@ -97,15 +97,13 @@ end
 
 (* The obs half of the clock: the time of the event in hand, written
    only when a sink is present, and the load gauges' last values (NaN
-   before the first event) with the times they changed to them.  All
-   fields are float, so the record is flat: a store into it allocates
-   nothing, where a float argument to a closure is boxed at every call. *)
+   before the first event).  All fields are float, so the record is
+   flat: a store into it allocates nothing, where a float argument to a
+   closure is boxed at every call. *)
 type clock = {
   mutable now : float;
   mutable queue_depth : float;
-  mutable queue_stamp : float;
   mutable busy_slots : float;
-  mutable busy_stamp : float;
 }
 
 (* Slot failures sorted by time, with the cumulative slots lost through
@@ -202,8 +200,7 @@ let simulate ?(context = 2048) ?(context_aware = false) ?(slot_failures = [])
   let stream0 = sources.(0) and latency0 = Float.Array.get bucket_latency 0 in
   let wakeups = Stream.create 2 in
   let decode_queue = Ring.create n and prefill_queue = Ring.create n in
-  let clock = { now = 0.0; queue_depth = Float.nan; queue_stamp = 0.0;
-                busy_slots = Float.nan; busy_stamp = 0.0 } in
+  let clock = { now = 0.0; queue_depth = Float.nan; busy_slots = Float.nan } in
   (* Load gauges, sampled only on value changes so the timeline stays
      readable; everything below is skipped when [obs] is absent.  They
      reach the registry once, at run end, so a counters-only sink, which
@@ -214,7 +211,6 @@ let simulate ?(context = 2048) ?(context_aware = false) ?(slot_failures = [])
     let q = float_of_int (prefill_queue.Ring.len + decode_queue.Ring.len) in
     if q <> clock.queue_depth then begin
       clock.queue_depth <- q;
-      clock.queue_stamp <- clock.now;
       if timeline then
         Hnlpu_obs.Sink.sample o ~track:load_track ~name:"scheduler/queue_depth"
           ~ts_s:clock.now clock.queue_depth
@@ -222,7 +218,6 @@ let simulate ?(context = 2048) ?(context_aware = false) ?(slot_failures = [])
     let b = float_of_int busy in
     if b <> clock.busy_slots then begin
       clock.busy_slots <- b;
-      clock.busy_stamp <- clock.now;
       if timeline then
         Hnlpu_obs.Sink.sample o ~track:load_track ~name:"scheduler/busy_slots"
           ~ts_s:clock.now clock.busy_slots
@@ -458,20 +453,15 @@ let simulate ?(context = 2048) ?(context_aware = false) ?(slot_failures = [])
     (* What writing every change into the registry leaves there.  The
        first event sets both. *)
     if not (Float.is_nan clock.queue_depth) then begin
-      Hnlpu_obs.Metrics.set_stamped m ~stamp:clock.queue_stamp
-        "scheduler/queue_depth" clock.queue_depth;
-      Hnlpu_obs.Metrics.set_stamped m ~stamp:clock.busy_stamp
-        "scheduler/busy_slots" clock.busy_slots
+      Hnlpu_obs.Metrics.set m "scheduler/queue_depth" clock.queue_depth;
+      Hnlpu_obs.Metrics.set m "scheduler/busy_slots" clock.busy_slots
     end;
     Hnlpu_obs.Metrics.incr m ~by:(float_of_int !tokens) "scheduler/tokens_processed";
     Hnlpu_obs.Metrics.incr m ~by:(float_of_int !decode_tokens_out)
       "scheduler/decode_tokens_out";
-    (* Stamped with end-of-run sim time: when sweep shards merge, the
-       longest-running shard's value wins whatever the merge order. *)
-    Hnlpu_obs.Metrics.set_stamped m ~stamp:makespan "scheduler/makespan_s"
-      makespan;
-    Hnlpu_obs.Metrics.set_stamped m ~stamp:makespan
-      "scheduler/throughput_tokens_per_s" result.throughput_tokens_per_s;
-    Hnlpu_obs.Metrics.set_stamped m ~stamp:makespan
-      "scheduler/mean_slot_occupancy" result.mean_slot_occupancy);
+    Hnlpu_obs.Metrics.set m "scheduler/makespan_s" makespan;
+    Hnlpu_obs.Metrics.set m "scheduler/throughput_tokens_per_s"
+      result.throughput_tokens_per_s;
+    Hnlpu_obs.Metrics.set m "scheduler/mean_slot_occupancy"
+      result.mean_slot_occupancy);
   result

@@ -93,7 +93,7 @@ let tornado () =
     }
   in
   let bars =
-    Hnlpu_par.Par.parallel_map sweep
+    List.map sweep
       [
         ("mask-set price", fun p s -> { p with mask_scale = s });
         ("design & development", fun p s -> { p with design_scale = s });

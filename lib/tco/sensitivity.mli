@@ -34,8 +34,7 @@ type tornado_bar = {
 
 val tornado : unit -> tornado_bar list
 (** One bar per parameter at [High] volume, each swept over [0.5x, 2x]
-    with the others at baseline; sorted by decreasing swing.  Bars evaluate
-    across the {!Hnlpu_par.Par} pool; the result is identical for every
-    width. *)
+    with the others at baseline; sorted by decreasing swing.  Each bar is
+    closed-form, so the sweep is a plain map, not a pool region. *)
 
 val to_table : tornado_bar list -> Hnlpu_util.Table.t

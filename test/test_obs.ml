@@ -322,7 +322,11 @@ let test_sink_capacity () =
   Alcotest.(check int) "dropped overflow" 6 (Sink.dropped o);
   Alcotest.(check int) "retained tail" sink_capacity (List.length (Sink.events o));
   Alcotest.(check (float 0.0)) "oldest retained is #7" 7.0
-    (Event.ts_s (List.hd (Sink.events o)))
+    (Event.ts_s (List.hd (Sink.events o)));
+  Sink.sample o ~track ~name:"q" ~ts_s:1.5 10.0;
+  Sink.sample o ~track ~name:"q" ~ts_s:4.5 2.0;
+  Alcotest.(check (option (float 0.0))) "value is the last sample" (Some 2.0)
+    (Metrics.gauge (Sink.metrics o) "q")
 
 (* --- Chrome-trace export ----------------------------------------------------- *)
 
@@ -1026,69 +1030,6 @@ let test_sketch_bucket_index_edges () =
   Alcotest.(check int) "pred 2^64 is the last bucket" 4095
     (Sketch.bucket_index (Float.pred hi))
 
-(* --- Gauge stamps: shard-merge order cannot change gauges --------------------- *)
-
-let test_gauge_stamp_merge () =
-  let mk stamp v =
-    let m = Metrics.create () in
-    Metrics.set_stamped m ~stamp "g" v;
-    m
-  in
-  let merged first second =
-    let into = Metrics.create () in
-    Metrics.merge_into ~into first;
-    Metrics.merge_into ~into second;
-    (Metrics.gauge into "g", Metrics.gauge_stamp into "g")
-  in
-  let a = mk 5.0 1.0 and b = mk 2.0 9.0 in
-  (* Latest stamp wins in both merge orders, even though the earlier
-     stamp carries the larger value. *)
-  Alcotest.(check (pair (option (float 0.0)) (option (float 0.0))))
-    "a then b keeps the latest-stamped value"
-    (Some 1.0, Some 5.0) (merged a b);
-  Alcotest.(check (pair (option (float 0.0)) (option (float 0.0))))
-    "b then a keeps the latest-stamped value"
-    (Some 1.0, Some 5.0) (merged b a);
-  (* Equal stamps: ties resolve to the larger value, same both ways. *)
-  let c = mk 3.0 4.0 and d = mk 3.0 6.0 in
-  Alcotest.(check (option (float 0.0))) "tie to larger (c,d)" (Some 6.0)
-    (fst (merged c d));
-  Alcotest.(check (option (float 0.0))) "tie to larger (d,c)" (Some 6.0)
-    (fst (merged d c));
-  (* An unstamped set carries stamp -inf, so any stamped write beats it. *)
-  let u = Metrics.create () in
-  Metrics.set u "g" 100.0;
-  Alcotest.(check (option (float 0.0))) "stamped beats unstamped" (Some 1.0)
-    (fst (merged u a));
-  Alcotest.(check (option (float 0.0))) "unstamped loses either way" (Some 1.0)
-    (fst (merged a u))
-
-let test_sink_sample_stamps () =
-  let o = Sink.create ~events:false () in
-  Sink.sample o ~track ~name:"q" ~ts_s:1.5 10.0;
-  Sink.sample o ~track ~name:"q" ~ts_s:4.5 2.0;
-  Alcotest.(check (option (float 0.0))) "value is the last sample" (Some 2.0)
-    (Metrics.gauge (Sink.metrics o) "q");
-  Alcotest.(check (option (float 0.0))) "stamp is the sample time" (Some 4.5)
-    (Metrics.gauge_stamp (Sink.metrics o) "q")
-
-let test_scheduler_shard_merge_order_free () =
-  (* Two different runs merged in both orders: identical registries,
-     including the stamped end-of-run gauges. *)
-  let shard seed =
-    let obs = Sink.create ~events:false () in
-    ignore (sched_run ~obs seed);
-    obs
-  in
-  let merge_json order =
-    let into = Sink.create ~events:false () in
-    List.iter (fun o -> Sink.merge_into ~into o) order;
-    Metrics.to_json (Sink.metrics into)
-  in
-  let a = shard 5 and b = shard 17 in
-  Alcotest.(check string) "merge order does not change merged metrics"
-    (merge_json [ a; b ]) (merge_json [ b; a ])
-
 (* --- Ring wraparound + counters-only parity ----------------------------------- *)
 
 let test_ring_wraparound_metrics_parity () =
@@ -1193,14 +1134,6 @@ let suites =
           test_sketch_observe_block_is_observe;
         Alcotest.test_case "bucket index at powers of two" `Quick
           test_sketch_bucket_index_edges;
-      ] );
-    ( "gauge-stamps",
-      [
-        Alcotest.test_case "merge by latest stamp" `Quick
-          test_gauge_stamp_merge;
-        Alcotest.test_case "sink sample stamps" `Quick test_sink_sample_stamps;
-        Alcotest.test_case "shard merge order free" `Quick
-          test_scheduler_shard_merge_order_free;
       ] );
     ( "ring-parity",
       [

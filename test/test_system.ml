@@ -455,8 +455,7 @@ let test_scheduler_counters_only_registry () =
         (fun name ->
           let same f = f per_event name = f counters_only name in
           Alcotest.(check bool) (name ^ " identical") true
-            (same M.counter && same M.gauge && same M.gauge_stamp
-           && same M.histogram))
+            (same M.counter && same M.gauge && same M.histogram))
         names)
     [ (0.5, []); (1.2, [ (0.5, 72); (1.5, 36) ]) ]
 
