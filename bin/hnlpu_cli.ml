@@ -56,7 +56,7 @@ let tables_cmd =
     match which with
     | None ->
       print_string (Experiments.render_all ());
-      let reports = Experiments.neuron_reports () in
+      let reports = Paper.neuron_reports () in
       List.iter
         (fun (title, chart) -> Printf.printf "\n%s\n%s" title chart)
         [
@@ -380,7 +380,7 @@ let generate_cmd =
 let neuron_cmd =
   let seed = Arg.(value & opt int 20260706 & info [ "seed" ] ~doc:"Weight seed.") in
   let run seed =
-    let reports = Experiments.neuron_reports ~seed () in
+    let reports = Paper.neuron_reports ~seed () in
     Table.print ~title:"Operator benchmark: 1x1024 . 1024x128 FP4"
       (Neuron_report.to_table Tech.n5 reports)
   in

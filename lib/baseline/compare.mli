@@ -21,9 +21,9 @@ val table2 : unit -> system list
 (** [hnlpu; h100; wse3] at the paper's operating point. *)
 
 val throughput_ratio : system -> over:system -> float
-(** Paper headline: 5,555x over H100, 85x over WSE-3. *)
+(** Table 2's throughput ratio rows. *)
 
 val efficiency_ratio : system -> over:system -> float
-(** Paper headline: 1,047x over H100, 283x over WSE-3. *)
+(** Table 2's efficiency ratio rows. *)
 
 val to_table : system list -> Hnlpu_util.Table.t

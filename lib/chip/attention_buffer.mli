@@ -20,8 +20,7 @@ val capacity_bytes : t -> int
 val bandwidth_bytes_per_s : t -> float
 
 val area_mm2 : t -> float
-(** SRAM macro model with the dense-bank efficiency of this design;
-    Table 1: 136.11 mm². *)
+(** SRAM macro model with the dense-bank efficiency of this design. *)
 
 val leakage_w : t -> float
 

@@ -4,7 +4,7 @@
 
     Area follows the Metal-Embedding density ({!Hnlpu_gates.Census}
     [popcount_port_transistors] plus per-weight overhead) on a highly
-    regular fabric; 573.16 mm² for gpt-oss 120B, matching Table 1.
+    regular fabric, fitted to Table 1's HN Array area.
 
     Power is dominated by the *active* subset: the paper highlights that
     only 4 of 128 experts fire per token, keeping the array's density at a
@@ -30,7 +30,7 @@ val stream_cycles : bytes:int -> int
     visible share of Figure 14. *)
 
 val power_w : Hnlpu_model.Config.t -> float
-(** Table 1's 76.92 W: active-region clock/datapath power plus whole-array
+(** Table 1's HN Array power: active-region clock/datapath power plus whole-array
     leakage; the clock-tree coefficient is calibrated to the paper's
     post-layout figure. *)
 

@@ -6,4 +6,4 @@ val area_mm2 : float
 
 val power_w : float
 (** All CXL 3.0 endpoints streaming: links x bandwidth x pJ/bit — reproduces
-    Table 1's 49.65 W from the link model's energy figure. *)
+    Table 1's power row from the link model's energy figure. *)

@@ -1,20 +1,8 @@
-(** The calibrated-constant registry, as code.
+(** The calibrated-constant registry: the [Fitted] origins of
+    {!Paper.all} — value, defining module, and the paper anchor each one
+    is pinned to — for [hnlpu signoff] and EXPERIMENTS.md's index. *)
 
-    A handful of physical coefficients in this reproduction are not
-    derivable from the paper's text and were instead fitted to its
-    published operating points (EXPERIMENTS.md documents each).  This
-    module enumerates them programmatically — value, defining module, and
-    the paper anchor each one is pinned to — so tooling (and the test
-    suite) can verify the registry stays in sync with the code. *)
-
-type entry = {
-  constant : string;       (** Qualified name, e.g. "Perf.link_contention_factor". *)
-  value : float;           (** Live value, read from the defining module. *)
-  unit_ : string;
-  anchor : string;         (** The paper artifact it reproduces. *)
-  derived_fraction_note : string;
-      (** What part is first-principles vs fitted. *)
-}
+type entry = Paper.fit
 
 val all : unit -> entry list
 (** Every calibrated constant, in dependency order. *)

@@ -21,25 +21,20 @@ let figure2 () =
   row "Cost per unit" (fun a -> Units.dollars a.cost_per_unit_usd);
   t
 
-let neuron_reports ?(seed = 20260706) () =
-  let open Hnlpu_neuron in
-  let bank = Bank.of_gemv (Gemv.paper_benchmark (Rng.create seed)) in
-  [ Mac_array.ppa bank; Cell_embedding.ppa bank; Metal_embedding.ppa bank ]
-
 (* Figures 12 and 13 are drawn from one set of reports, so [all] prices
    the bank once for both. *)
 let area_table reports =
   let open Hnlpu_neuron in
   let baseline = List.hd reports in
   let t = Table.create ~headers:[ "Design"; "Area (mm2)"; "vs 64KB SRAM (paper)" ] in
-  let paper = [ "1.00x"; "14.3x"; "0.95x" ] in
-  List.iteri
-    (fun i r ->
+  List.iter
+    (fun r ->
       Table.add_row t
         [
           r.Report.design;
           Printf.sprintf "%.4f" r.Report.area_mm2;
-          Printf.sprintf "%.2fx (%s)" (Report.area_ratio r ~baseline) (List.nth paper i);
+          Printf.sprintf "%.2fx (%s)" (Report.area_ratio r ~baseline)
+            (Paper.printed (Paper.find "Figure 12" r.Report.design));
         ])
     reports;
   t
@@ -62,9 +57,9 @@ let energy_table reports =
     reports;
   t
 
-let figure12 () = area_table (neuron_reports ())
+let figure12 () = area_table (Paper.neuron_reports ())
 
-let figure13 () = energy_table (neuron_reports ())
+let figure13 () = energy_table (Paper.neuron_reports ())
 
 let table1 () = Hnlpu_chip.Floorplan.to_table (Hnlpu_chip.Floorplan.table1 ())
 
@@ -134,9 +129,7 @@ let table4 () =
           Printf.sprintf "%.1f" r.bits_per_param;
           Printf.sprintf "%.1f" r.chips;
           Units.dollars_m r.nre_usd;
-          (match r.paper_nre_usd with
-          | Some p -> Units.dollars_m p
-          | None -> "-");
+          Units.dollars_m (Paper.value (Paper.find "Table 4" r.model));
         ])
     (Hnlpu_litho.Model_nre.table4 ());
   t
@@ -155,7 +148,7 @@ let all ?domains () =
        [
          one "Figure 2: economics of hardwiring" figure2;
          (fun () ->
-           let reports = neuron_reports () in
+           let reports = Paper.neuron_reports () in
            [
              ("Figure 12: area comparison", area_table reports);
              ("Figure 13: time and energy comparison", energy_table reports);
@@ -230,3 +223,54 @@ let render_all () =
          Printf.sprintf "%s\n%s\n%s" name (String.make (String.length name) '-')
            (Table.render t))
        (all ()))
+
+(* --- EXPERIMENTS.md's generated tables ------------------------------------- *)
+
+let markdown_table headers rows =
+  let line cells = "| " ^ String.concat " | " cells ^ " |" in
+  String.concat "\n" (line headers :: line (List.map (fun _ -> "---") headers) :: List.map line rows)
+
+let tolerance_text = function
+  | Paper.Rel 0.0 -> "exact"
+  | Rel p -> Printf.sprintf "%g%%" p
+  | Pp p -> Printf.sprintf "%g pp" p
+  | Band (lo, hi) -> Printf.sprintf "(%g, %g)" lo hi
+  | Below b -> Printf.sprintf "< %g" b
+
+let generated name =
+  if name = "calibrated constants" then
+    markdown_table [ "Constant"; "Value"; "Unit"; "Anchor"; "Fitted part" ]
+      (List.map
+         (fun (f : Calibration.entry) ->
+           [ "`" ^ f.constant ^ "`"; Printf.sprintf "%g" f.value; f.unit_; f.anchor;
+             f.derived_fraction_note ])
+         (Calibration.all ()))
+  else
+    match List.filter (fun (r : Paper.t) -> r.artifact = name) Paper.all with
+    | [] -> failwith ("Experiments.refresh: no generated table named " ^ name)
+    | records ->
+      markdown_table [ "Quantity"; "Paper"; "Measured"; "Tolerance"; "Origin" ]
+        (List.map
+           (fun (r : Paper.t) ->
+             [ r.row; Paper.printed r; r.show (r.measure ()); tolerance_text r.tolerance;
+               (match r.origin with
+               | Derived -> "derived"
+               | Fitted f -> Printf.sprintf "fitted: `%s`" f.constant) ])
+           records)
+
+let opening = "<!-- generated: " and closing = "<!-- end generated -->"
+
+let refresh doc =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | line :: rest when String.starts_with ~prefix:opening line ->
+      let start = String.length opening in
+      let name = String.sub line start (String.length line - start - String.length " -->") in
+      let rec skip = function
+        | [] -> failwith ("Experiments.refresh: unclosed table " ^ name)
+        | l :: rest -> if l = closing then rest else skip rest
+      in
+      go (closing :: generated name :: line :: acc) (skip rest)
+    | line :: rest -> go (line :: acc) rest
+  in
+  String.concat "\n" (go [] (String.split_on_char '\n' doc))

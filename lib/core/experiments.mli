@@ -2,13 +2,11 @@
 
     Each function returns a rendered {!Hnlpu_util.Table.t}; typed accessors
     are provided where downstream code (benches, tests, examples) consumes
-    the numbers.  EXPERIMENTS.md records paper-vs-reproduced values. *)
+    the numbers.  Paper columns print {!Paper}'s records, which also
+    render EXPERIMENTS.md's paper-vs-reproduced tables. *)
 
 val figure2 : unit -> Hnlpu_util.Table.t
 (** Economics of hardwiring: mask/wafer amortization, GPU vs straw-man. *)
-
-val neuron_reports : ?seed:int -> unit -> Hnlpu_neuron.Report.t list
-(** The MA / CE / ME reports on the paper's 1024x128 FP4 GEMV. *)
 
 val figure12 : unit -> Hnlpu_util.Table.t
 (** Area comparison (normalized to the MA SRAM). *)
@@ -38,7 +36,7 @@ val all : ?domains:int -> unit -> (string * Hnlpu_util.Table.t) list
 (** Every experiment, in paper order, with its identifier.  Artifacts
     build across the {!Hnlpu_par.Par} pool ([domains] overrides its
     width); the list is identical for every width.  Figures 12 and 13
-    share one {!neuron_reports} build, so their tables equal
+    share one {!Paper.neuron_reports} build, so their tables equal
     [figure12 ()] and [figure13 ()] run alone. *)
 
 val render_all : unit -> string
@@ -48,11 +46,11 @@ val render_all : unit -> string
 (** {1 Figures as figures} — plain-text chart renderings. *)
 
 val figure12_chart : Hnlpu_neuron.Report.t list -> string
-(** Area bars of {!neuron_reports}, normalized to the first (the MA
+(** Area bars of {!Paper.neuron_reports}, normalized to the first (the MA
     SRAM). *)
 
 val figure13_chart : Hnlpu_neuron.Report.t list -> string
-(** Energy bars of {!neuron_reports} on a log scale (the paper's axis).
+(** Energy bars of {!Paper.neuron_reports} on a log scale (the paper's axis).
     [hnlpu tables] draws both charts from one build. *)
 
 val figure14_chart : unit -> string
@@ -64,3 +62,11 @@ val export_csv : dir:string -> string list
 
 val export_json : dir:string -> string list
 (** Same artifacts as JSON arrays of objects. *)
+
+val refresh : string -> string
+(** EXPERIMENTS.md with its generated tables rewritten: each block
+    between a line [<!-- generated: NAME -->] and a line
+    [<!-- end generated -->] becomes NAME's markdown table — an
+    artifact's {!Paper} records, or the {!Calibration} index for
+    ["calibrated constants"].  Raises [Failure] on an unknown NAME or an
+    unclosed block. *)

@@ -134,4 +134,5 @@ module Bundle = Hnlpu_verify.Bundle
 (** {1 Experiments} *)
 
 module Experiments = Experiments
+module Paper = Paper
 module Calibration = Calibration

@@ -223,22 +223,26 @@ let extract_weights t =
     seen;
   m
 
-let lvs t (g : Gemv.t) =
-  t.in_features = g.Gemv.in_features
-  && t.out_features = g.Gemv.out_features
-  && wire_count t = Gemv.total_macs g
-  &&
-  try
-    let extracted = extract_weights t in
-    let ok = ref true in
-    Array.iteri
-      (fun o row ->
-        Array.iteri
-          (fun i w -> if not (Hnlpu_fp4.Fp4.equal w (Gemv.code g o i)) then ok := false)
-          row)
-      extracted;
-    !ok
-  with Failure _ -> false
+let lvs_mismatches t (g : Gemv.t) =
+  if t.in_features <> g.Gemv.in_features || t.out_features <> g.Gemv.out_features then
+    invalid_arg "Hn_compiler.lvs_mismatches: shape mismatch";
+  let mismatches = ref [] in
+  Array.iteri
+    (fun o row ->
+      Array.iteri
+        (fun i w ->
+          if not (Hnlpu_fp4.Fp4.equal w (Gemv.code g o i)) then
+            mismatches := (o, i) :: !mismatches)
+        row)
+    (extract_weights t);
+  List.rev !mismatches
+
+(* Extraction covers every cell exactly once, so a clean netlist has
+   exactly [Gemv.total_macs g] wires. *)
+let lvs t g =
+  match lvs_mismatches t g with
+  | [] -> true
+  | _ :: _ | (exception (Invalid_argument _ | Failure _)) -> false
 
 type drc_violation =
   | Track_conflict of string * int * wire list

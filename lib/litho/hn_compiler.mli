@@ -51,7 +51,13 @@ val of_tcl : string -> netlist
     wire. *)
 
 val lvs : netlist -> Hnlpu_neuron.Gemv.t -> bool
-(** Layout-versus-schematic: the wires encode exactly the given weights. *)
+(** Layout-versus-schematic: the wires encode exactly the given weights —
+    same shape, extractable, and no {!lvs_mismatches}. *)
+
+val lvs_mismatches : netlist -> Hnlpu_neuron.Gemv.t -> (int * int) list
+(** The (neuron, input) cells whose extracted weight differs from the
+    schematic's, in row-major order.  Raises [Invalid_argument] when the
+    shapes differ and [Failure] when {!extract_weights} does. *)
 
 val extract_weights : netlist -> Hnlpu_fp4.Fp4.t array array
 (** Reconstruct the weight matrix from the wires alone. *)

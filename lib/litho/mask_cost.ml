@@ -32,5 +32,3 @@ let initial_saving_fraction anchor ~chips =
 
 let respin_saving_fraction anchor ~chips =
   1.0 -. (sea_of_neurons_respin anchor ~chips /. full_custom anchor ~chips)
-
-let range f = (f Optimistic, f Pessimistic)

@@ -30,11 +30,7 @@ val full_custom : anchor -> chips:int -> float
     (the $480M figure for 16 chips). *)
 
 val initial_saving_fraction : anchor -> chips:int -> float
-(** 1 - sea_of_neurons/full_custom; the paper quotes -86.5% for the
-    initial tapeout at 16 chips. *)
+(** 1 - sea_of_neurons/full_custom (a §3.2 side claim at 16 chips). *)
 
 val respin_saving_fraction : anchor -> chips:int -> float
-(** The paper quotes -92.3% for a parameter-only re-spin. *)
-
-val range : (anchor -> float) -> float * float
-(** Evaluate a cost at both anchors: (optimistic, pessimistic). *)
+(** The same for a parameter-only re-spin. *)

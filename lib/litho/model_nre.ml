@@ -16,11 +16,7 @@ type row = {
   weight_bytes : float;
   chips : float;
   nre_usd : float;
-  paper_nre_usd : float option;
 }
-
-let paper_prices =
-  [ ("Kimi-K2", 462.0e6); ("DeepSeek-V3", 353.0e6); ("QwQ", 69.0e6); ("Llama-3", 38.0e6) ]
 
 let row (c : Config.t) =
   let frac = chips_fractional c in
@@ -35,7 +31,6 @@ let row (c : Config.t) =
     weight_bytes = Params.bytes c;
     chips = frac;
     nre_usd = nre;
-    paper_nre_usd = List.assoc_opt c.Config.name paper_prices;
   }
 
 let table4 () = List.map row Config.table4_models

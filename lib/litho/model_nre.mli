@@ -27,7 +27,6 @@ type row = {
   weight_bytes : float;
   chips : float;          (** Pro-rata. *)
   nre_usd : float;        (** Sea-of-Neurons initial mask bill. *)
-  paper_nre_usd : float option;  (** The Table 4 entry when the model is one. *)
 }
 
 val table4 : unit -> row list

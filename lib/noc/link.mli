@@ -8,8 +8,9 @@
     where [engine_overhead] covers the interconnect engine's packetization,
     flow control and synchronization between pipeline stages.  It times
     the {!Schedule} plans; the performance model charges its own per-step
-    overhead ([Hnlpu_system.Perf.engine_base_s], 200 ns) — two values for
-    one overhead, listed in EXPERIMENTS.md's calibrated-constant index.
+    overhead ([Hnlpu_system.Perf.engine_base_s], 200 ns) — two model values
+    for one overhead, neither fitted; the note under EXPERIMENTS.md's
+    calibrated-constant index says why they stay apart.
     Energy is [pj_per_bit] x payload. *)
 
 type t = {

@@ -7,9 +7,7 @@ let hnlpu_systems = function Low -> 1 | High -> 50
 let h100_gpus = function Low -> 2_000 | High -> 100_000
 
 let equivalence_gpus_per_hnlpu =
-  2.0e6 (* HNLPU tokens/s under the 1K/1K concurrency-50 workload *)
-  /. Hnlpu_baseline.H100.concurrent_tokens_per_s
-  |> Float.round
+  Float.round Hnlpu_baseline.Scaling.paper_equivalence.Hnlpu_baseline.Scaling.gpus_needed
 
 type money = { lo : float; hi : float }
 

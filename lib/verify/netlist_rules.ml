@@ -76,42 +76,27 @@ let lvs ~subject (n : Hn_compiler.netlist) (g : Hnlpu_neuron.Gemv.t) =
         g.Hnlpu_neuron.Gemv.in_features g.Hnlpu_neuron.Gemv.out_features;
     ]
   else
-    match Hn_compiler.extract_weights n with
+    match Hn_compiler.lvs_mismatches n g with
     | exception Failure msg ->
       [
         Diagnostic.error ~rule:"ME-LVS" ~subject
           "netlist is not extractable: %s" msg;
       ]
-    | extracted ->
-      let mismatches = ref [] in
-      Array.iteri
-        (fun o row ->
-          Array.iteri
-            (fun i w ->
-              if not (Hnlpu_fp4.Fp4.equal (Hnlpu_neuron.Gemv.code g o i) w) then
-                mismatches := (o, i) :: !mismatches)
-            row)
-        extracted;
-      (match List.rev !mismatches with
-      | [] ->
-        [
-          Diagnostic.info ~rule:"ME-LVS" ~subject
-            "netlist reconstructs the schematic (%d wires)"
-            (Hn_compiler.wire_count n);
-        ]
-      | ms ->
-        let sample =
-          String.concat ", "
-            (List.map
-               (fun (o, i) -> Printf.sprintf "n%d.i%d" o i)
-               (List.filteri (fun k _ -> k < 3) ms))
-        in
-        [
-          Diagnostic.error ~rule:"ME-LVS" ~subject
-            "%d weight(s) differ between netlist and schematic (%s%s)"
-            (List.length ms) sample
-            (if List.length ms > 3 then ", ..." else "");
-        ])
+    | [] ->
+      [
+        Diagnostic.info ~rule:"ME-LVS" ~subject
+          "netlist reconstructs the schematic (%d wires)" (Hn_compiler.wire_count n);
+      ]
+    | ms ->
+      let sample =
+        String.concat ", "
+          (List.map (fun (o, i) -> Printf.sprintf "n%d.i%d" o i) (List.filteri (fun k _ -> k < 3) ms))
+      in
+      [
+        Diagnostic.error ~rule:"ME-LVS" ~subject
+          "%d weight(s) differ between netlist and schematic (%s%s)" (List.length ms) sample
+          (if List.length ms > 3 then ", ..." else "");
+      ]
 
 let mask_uniformity chips =
   match chips with

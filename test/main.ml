@@ -7,6 +7,8 @@
      main.exe                                  every suite, then [runner]
      main.exe test <suite> [NAME_REGEX [CASES]] one suite
      main.exe list                             every suite's cases
+     main.exe experiments DOC OUT              DOC with its generated
+                                               tables refreshed, into OUT
 
    Any other Alcotest argument applies to every suite.  The lint suite
    is the separate test_lint executable. *)
@@ -47,6 +49,8 @@ let suites =
     ("verify", Test_verify.suites);
     ("integration", Test_integration.suites);
     ("par", Test_par.suites);
+    (* After every suite above has claimed its paper records. *)
+    ("paper", Thelp.paper_suite ());
   ]
 
 (* Runs last: the floor counts every library suite's cases above. *)
@@ -58,7 +62,7 @@ let runner =
             let j0, env0 = at_start and j, env = process_state () in
             Alcotest.(check int) "Par.default_domains" j0 j;
             Alcotest.(check (option string)) "HNLPU_DOMAINS" env0 env);
-        Thelp.case_floor 667 (List.concat_map snd suites);
+        Thelp.case_floor 769 (List.concat_map snd suites);
       ] );
   ]
 
@@ -73,6 +77,9 @@ let () =
     Format.printf "@."
   in
   (match Array.to_list Sys.argv with
+  | [ _; "experiments"; doc; out ] ->
+    let refreshed = Hnlpu.Experiments.refresh (In_channel.with_open_bin doc In_channel.input_all) in
+    Out_channel.with_open_bin out (fun oc -> output_string oc refreshed)
   | exe :: "test" :: name :: rest when not (String.starts_with ~prefix:"-" name) -> (
     match List.assoc_opt name suites with
     | Some groups -> run (Array.of_list (exe :: "test" :: rest)) (name, groups)

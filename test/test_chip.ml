@@ -9,22 +9,7 @@ let config = Hnlpu_model.Config.gpt_oss_120b
 let test_buffer_capacity () =
   (* §4.3: "320 MB" = 20,000 banks x 16 KB. *)
   Alcotest.(check int) "bank arithmetic" (20_000 * 16 * 1024)
-    (Attention_buffer.capacity_bytes Attention_buffer.hnlpu);
-  Alcotest.(check bool) "~320 MB" true
-    (Thelp.within_pct 3.0 ~expected:320.0e6
-       ~actual:(float_of_int (Attention_buffer.capacity_bytes Attention_buffer.hnlpu)))
-
-let test_buffer_bandwidth () =
-  (* §7.1: sustains 80 TB/s. *)
-  let bw = Attention_buffer.bandwidth_bytes_per_s Attention_buffer.hnlpu in
-  Alcotest.(check bool) (Printf.sprintf "%.1f TB/s" (bw /. 1e12)) true
-    (Thelp.within_pct 1.0 ~expected:80.0e12 ~actual:bw)
-
-let test_buffer_area () =
-  (* Table 1: 136.11 mm². *)
-  let a = Attention_buffer.area_mm2 Attention_buffer.hnlpu in
-  Alcotest.(check bool) (Printf.sprintf "area %.1f" a) true
-    (Thelp.within_pct 3.0 ~expected:136.11 ~actual:a)
+    (Attention_buffer.capacity_bytes Attention_buffer.hnlpu)
 
 let test_buffer_kv_accounting () =
   (* Per chip per position: 2 KV heads x 64 x FP16 x (K and V) x 36 layers. *)
@@ -108,24 +93,6 @@ let test_hn_weights_per_chip () =
   Alcotest.(check bool) (Printf.sprintf "%.2fB weights" (w /. 1e9)) true
     (w > 7.0e9 && w < 7.5e9)
 
-let test_hn_area () =
-  (* Table 1: 573.16 mm². *)
-  let a = Hn_array.area_mm2 config in
-  Alcotest.(check bool) (Printf.sprintf "area %.1f" a) true
-    (Thelp.within_pct 2.0 ~expected:573.16 ~actual:a)
-
-let test_hn_power () =
-  (* Table 1: 76.92 W. *)
-  let p = Hn_array.power_w config in
-  Alcotest.(check bool) (Printf.sprintf "power %.1f" p) true
-    (Thelp.within_pct 2.0 ~expected:76.92 ~actual:p)
-
-let test_hn_sparsity () =
-  (* Top-4 of 128 experts: ~4% of weights active (§7.1). *)
-  let f = Hn_array.active_fraction config in
-  Alcotest.(check bool) (Printf.sprintf "active fraction %.3f" f) true
-    (f > 0.02 && f < 0.06)
-
 let test_hn_dense_counterfactual () =
   (* Without MoE sparsity the array would burn an order of magnitude more. *)
   Alcotest.(check bool) "dense >> sparse" true
@@ -137,12 +104,6 @@ let test_hn_stream_cycles () =
 
 (* --- Interconnect engine / control ------------------------------------------ *)
 
-let test_ice_power () =
-  (* Table 1: 49.65 W; our link-energy derivation must land close. *)
-  let p = Interconnect_engine.power_w in
-  Alcotest.(check bool) (Printf.sprintf "power %.1f" p) true
-    (Thelp.within_pct 3.0 ~expected:49.65 ~actual:p)
-
 let test_pipeline_slots () =
   (* §5.2: 6 stages x 36 layers = 216. *)
   Alcotest.(check int) "216 slots" 216 (Control_unit.pipeline_slots config)
@@ -150,43 +111,6 @@ let test_pipeline_slots () =
 (* --- Floorplan (Table 1) ------------------------------------------------------ *)
 
 let fp = Floorplan.table1 ()
-
-let test_floorplan_total_area () =
-  (* Table 1: 827.08 mm². *)
-  Alcotest.(check bool)
-    (Printf.sprintf "total area %.1f" fp.Floorplan.total_area_mm2)
-    true
-    (Thelp.within_pct 1.0 ~expected:827.08 ~actual:fp.Floorplan.total_area_mm2)
-
-let test_floorplan_total_power () =
-  (* Table 1: 308.39 W. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "total power %.1f" fp.Floorplan.total_power_w)
-    true
-    (Thelp.within_pct 1.0 ~expected:308.39 ~actual:fp.Floorplan.total_power_w)
-
-let test_floorplan_system_silicon () =
-  (* Table 2: 13,232 mm² over 16 chips. *)
-  let s = Floorplan.system_silicon_mm2 fp in
-  Alcotest.(check bool) (Printf.sprintf "system %.0f mm2" s) true
-    (Thelp.within_pct 1.0 ~expected:13232.0 ~actual:s)
-
-let test_floorplan_system_power () =
-  (* Table 2: 6.9 kW. *)
-  let p = Floorplan.system_power_w fp in
-  Alcotest.(check bool) (Printf.sprintf "system %.2f kW" (p /. 1e3)) true
-    (Thelp.within_pct 1.0 ~expected:6900.0 ~actual:p)
-
-let test_floorplan_hn_dominates () =
-  (* Table 1: HN array is 69.3% of area. *)
-  let share = Floorplan.area_share fp "HN Array" in
-  Alcotest.(check bool) (Printf.sprintf "share %.3f" share) true
-    (Thelp.within_pct 2.0 ~expected:0.693 ~actual:share)
-
-let test_floorplan_power_density () =
-  (* §7.1: average 0.3 W/mm² — well within 2.5D cooling limits. *)
-  let d = Floorplan.power_density_w_per_mm2 fp in
-  Alcotest.(check bool) (Printf.sprintf "%.3f W/mm2" d) true (d > 0.2 && d < 0.5)
 
 let test_floorplan_table_renders () =
   let s = Table.render (Floorplan.to_table fp) in
@@ -348,13 +272,6 @@ let test_thermal_average () =
     true
     (thermal.Thermal.average_w_per_mm2 > 0.25 && thermal.Thermal.average_w_per_mm2 < 0.45)
 
-let test_thermal_peak () =
-  (* Paper: peak 1.4 W/mm². *)
-  Alcotest.(check bool)
-    (Printf.sprintf "peak %.2f W/mm2" thermal.Thermal.peak_w_per_mm2)
-    true
-    (thermal.Thermal.peak_w_per_mm2 > 1.0 && thermal.Thermal.peak_w_per_mm2 < 1.6)
-
 let test_thermal_within_limits () =
   Alcotest.(check bool) "within 2.5D cooling limits" true thermal.Thermal.within_limits;
   Alcotest.(check bool)
@@ -434,8 +351,8 @@ let suites =
     ( "attention-buffer",
       [
         Alcotest.test_case "capacity" `Quick test_buffer_capacity;
-        Alcotest.test_case "bandwidth 80TB/s" `Quick test_buffer_bandwidth;
-        Alcotest.test_case "area" `Quick test_buffer_area;
+        Alcotest.test_case "bandwidth 80TB/s" `Quick (Thelp.paper "Side claims" "§7.1 attention-buffer bandwidth");
+        Alcotest.test_case "area" `Quick (Thelp.paper "Table 1" "Attention Buffer area");
         Alcotest.test_case "kv accounting" `Quick test_buffer_kv_accounting;
         Alcotest.test_case "onchip capacity" `Quick test_buffer_onchip_capacity;
         Alcotest.test_case "spill" `Quick test_buffer_spill;
@@ -456,25 +373,25 @@ let suites =
     ( "hn-array",
       [
         Alcotest.test_case "weights per chip" `Quick test_hn_weights_per_chip;
-        Alcotest.test_case "area 573mm2" `Quick test_hn_area;
-        Alcotest.test_case "power 77W" `Quick test_hn_power;
-        Alcotest.test_case "MoE sparsity" `Quick test_hn_sparsity;
+        Alcotest.test_case "area 573mm2" `Quick (Thelp.paper "Table 1" "HN Array area");
+        Alcotest.test_case "power 77W" `Quick (Thelp.paper "Table 1" "HN Array power");
+        Alcotest.test_case "MoE sparsity" `Quick (Thelp.paper "Side claims" "§7.1 active share of HN weights");
         Alcotest.test_case "dense counterfactual" `Quick test_hn_dense_counterfactual;
         Alcotest.test_case "stream cycles" `Quick test_hn_stream_cycles;
       ] );
     ( "engines",
       [
-        Alcotest.test_case "ICE power" `Quick test_ice_power;
+        Alcotest.test_case "ICE power" `Quick (Thelp.paper "Table 1" "Interconnect Engine power");
         Alcotest.test_case "pipeline slots" `Quick test_pipeline_slots;
       ] );
     ( "floorplan",
       [
-        Alcotest.test_case "total area 827mm2" `Quick test_floorplan_total_area;
-        Alcotest.test_case "total power 308W" `Quick test_floorplan_total_power;
-        Alcotest.test_case "system silicon 13232mm2" `Quick test_floorplan_system_silicon;
-        Alcotest.test_case "system power 6.9kW" `Quick test_floorplan_system_power;
-        Alcotest.test_case "HN share 69.3%" `Quick test_floorplan_hn_dominates;
-        Alcotest.test_case "power density" `Quick test_floorplan_power_density;
+        Alcotest.test_case "total area 827mm2" `Quick (Thelp.paper "Table 1" "Total area");
+        Alcotest.test_case "total power 308W" `Quick (Thelp.paper "Table 1" "Total power");
+        Alcotest.test_case "system silicon 13232mm2" `Quick (Thelp.paper "Table 2" "HNLPU silicon");
+        Alcotest.test_case "system power 6.9kW" `Quick (Thelp.paper "Table 2" "HNLPU power");
+        Alcotest.test_case "HN share 69.3%" `Quick (Thelp.paper "Table 1" "HN Array share of area");
+        Alcotest.test_case "power density" `Quick (Thelp.paper "Side claims" "§7.1 average power density");
         Alcotest.test_case "table renders" `Quick test_floorplan_table_renders;
       ] );
     ( "schedules",
@@ -498,7 +415,7 @@ let suites =
     ( "thermal",
       [
         Alcotest.test_case "average density" `Quick test_thermal_average;
-        Alcotest.test_case "peak density" `Quick test_thermal_peak;
+        Alcotest.test_case "peak density" `Quick (Thelp.paper "Side claims" "§7.1 peak power density");
         Alcotest.test_case "within limits" `Quick test_thermal_within_limits;
         Alcotest.test_case "HN array is cool" `Quick test_thermal_hn_array_is_cool;
       ] );

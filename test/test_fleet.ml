@@ -14,7 +14,7 @@ let test_scaling_batch1_is_table2 () =
     Alcotest.(check bool)
       (Printf.sprintf "%.0f GPUs" p.Scaling.gpus_needed)
       true
-      (Thelp.within_pct 1.0 ~expected:5555.0 ~actual:p.Scaling.gpus_needed)
+      (Paper.(within (find "Table 2" "Throughput vs H100")) p.Scaling.gpus_needed)
   | _ -> Alcotest.fail "one batch-1 point expected"
 
 let test_scaling_batching_shrinks_cluster () =
@@ -33,9 +33,9 @@ let test_scaling_batching_shrinks_cluster () =
 let test_scaling_paper_equivalence () =
   let p = Scaling.paper_equivalence in
   Alcotest.(check bool)
-    (Printf.sprintf "%.0f GPUs ~ 2000" p.Scaling.gpus_needed)
+    (Printf.sprintf "%.0f GPUs ~ Table 3's" p.Scaling.gpus_needed)
     true
-    (Thelp.within_pct 10.0 ~expected:2000.0 ~actual:p.Scaling.gpus_needed);
+    (Paper.(within (find "Table 3" "H100 GPUs per HNLPU")) p.Scaling.gpus_needed);
   (* The power argument behind the OpEx advantage. *)
   Alcotest.(check bool)
     (Printf.sprintf "power ratio %.0fx" p.Scaling.power_ratio)

@@ -5,27 +5,11 @@ let tech = Tech.n5
 
 (* --- Yield: the paper's §7.1 / Appendix B numbers --------------------- *)
 
-let test_murphy_yield_paper () =
-  (* 827 mm² die, D0 = 0.11/cm² -> "43% yield". *)
-  let y = Yield.murphy ~defect_density_per_cm2:0.11 ~die_area_mm2:827.08 in
-  Alcotest.(check bool)
-    (Printf.sprintf "yield %.3f ~ 0.43" y)
-    true
-    (Thelp.within_pct 2.0 ~expected:0.43 ~actual:y)
-
-let test_gross_dies_paper () =
-  (* "~27 of 62 dies". *)
-  Alcotest.(check int) "62 gross dies" 62
-    (Yield.gross_dies_per_wafer ~wafer_diameter_mm:300.0 ~die_area_mm2:827.08)
-
-let test_good_dies_paper () =
-  Alcotest.(check int) "27 good dies" 27 (Yield.good_dies_per_wafer tech ~die_area_mm2:827.08)
-
 let test_die_cost_paper () =
   (* "$629 per good die". *)
   let c = Yield.cost_per_good_die tech ~die_area_mm2:827.08 in
-  Alcotest.(check bool) (Printf.sprintf "die cost %.0f ~ 629" c) true
-    (Thelp.within_pct 0.5 ~expected:629.0 ~actual:c)
+  Alcotest.(check bool) (Printf.sprintf "die cost %.0f ~ Table 5's wafer line" c) true
+    (Paper.(within (find "Table 5" "Wafer")) c)
 
 let test_yield_monotone_in_area () =
   let y1 = Yield.murphy ~defect_density_per_cm2:0.11 ~die_area_mm2:100.0 in
@@ -129,7 +113,7 @@ let test_tech_strawman_area () =
   (* §2.2: 116.8B weights x 208 T at raw 138 MTr/mm² = ~176,000 mm². *)
   let area = 116.8e9 *. 208.0 /. tech.Tech.transistor_density_per_mm2 in
   Alcotest.(check bool) (Printf.sprintf "strawman %.0f ~ 176000" area) true
-    (Thelp.within_pct 1.0 ~expected:176000.0 ~actual:area)
+    (Thelp.within_pct 1.0 ~expected:Paper.(value (find "Figure 2" "Straw-man CMAC area")) ~actual:area)
 
 (* --- Yield MC & fault tolerance ------------------------------------------------ *)
 
@@ -166,9 +150,9 @@ let suites =
   [
     ( "yield",
       [
-        Alcotest.test_case "murphy paper point" `Quick test_murphy_yield_paper;
-        Alcotest.test_case "gross dies" `Quick test_gross_dies_paper;
-        Alcotest.test_case "good dies" `Quick test_good_dies_paper;
+        Alcotest.test_case "murphy paper point" `Quick (Thelp.paper "Side claims" "§7.1 Murphy yield");
+        Alcotest.test_case "gross dies" `Quick (Thelp.paper "Side claims" "§7.1 gross dies per wafer");
+        Alcotest.test_case "good dies" `Quick (Thelp.paper "Side claims" "§7.1 good dies per wafer");
         Alcotest.test_case "die cost $629" `Quick test_die_cost_paper;
         Alcotest.test_case "monotone in area" `Quick test_yield_monotone_in_area;
         Alcotest.test_case "perfect process" `Quick test_yield_perfect_process;

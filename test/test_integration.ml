@@ -143,7 +143,7 @@ let test_end_to_end_story () =
   (* The paper's arc in one test: ME makes the area affordable, the Sea of
      Neurons makes the masks affordable, and the resulting system beats the
      GPU baseline by orders of magnitude. *)
-  let reports = Experiments.neuron_reports () in
+  let reports = Paper.neuron_reports () in
   let ce = List.nth reports 1 and me = List.nth reports 2 in
   Alcotest.(check bool) "ME densifies CE by >10x" true
     (ce.Neuron_report.area_mm2 > 10.0 *. me.Neuron_report.area_mm2);
@@ -189,8 +189,7 @@ let test_calibration_registry () =
   (* Single-digit knob count, live values in sync with the code. *)
   Alcotest.(check bool) "few knobs" true (Hnlpu.Calibration.count () < 10);
   let get name =
-    (List.find (fun e -> e.Hnlpu.Calibration.constant = name) (Hnlpu.Calibration.all ()))
-      .Hnlpu.Calibration.value
+    (List.find (fun e -> e.Hnlpu.Paper.constant = name) (Hnlpu.Calibration.all ())).Hnlpu.Paper.value
   in
   Alcotest.(check (float 0.0)) "contention live" Hnlpu.Perf.link_contention_factor
     (get "Perf.link_contention_factor");
@@ -198,12 +197,16 @@ let test_calibration_registry () =
     (float_of_int Hnlpu.Census.popcount_port_transistors)
     (get "Census.popcount_port_transistors");
   Alcotest.(check bool) "renders" true
-    (Thelp.contains (Table.render (Hnlpu.Calibration.to_table ())) "Anchor")
+    (Thelp.contains (Table.render (Hnlpu.Calibration.to_table ())) "Anchor");
+  (* The index is the records' fitted subset, each constant fitted to one. *)
+  let fitted = List.filter_map (fun r -> match r.Hnlpu.Paper.origin with Fitted f -> Some f | Derived -> None) in
+  Alcotest.(check bool) "fitted records" true
+    (List.sort compare (fitted Hnlpu.Paper.all) = List.sort compare (Hnlpu.Calibration.all ()))
 
 (* --- Figure charts ---------------------------------------------------------- *)
 
 let test_figure_charts_render () =
-  let reports = Hnlpu.Experiments.neuron_reports () in
+  let reports = Hnlpu.Paper.neuron_reports () in
   let f12 = Hnlpu.Experiments.figure12_chart reports in
   let f13 = Hnlpu.Experiments.figure13_chart reports in
   let f14 = Hnlpu.Experiments.figure14_chart () in

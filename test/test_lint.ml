@@ -284,7 +284,7 @@ let test_report_summary_names_lint () =
 
 (* Exports and optional parameters only the tests reach.  Each new one
    needs a tool caller or a deletion, so the cap only falls. *)
-let test_only_cap = 129
+let test_only_cap = 115
 
 (* The one optional parameter only the tests pass: the paper's §8 slot
    fault model, which waits for a tool caller.  Any other default that

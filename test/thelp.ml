@@ -46,9 +46,42 @@ let rel_error expected actual =
 
 let close ?(rel = 1e-9) a b = rel_error a b <= rel
 
-(* Relative error no more than [p] percent: the paper-number regression
-   tests use the tolerance recorded in EXPERIMENTS.md. *)
+(* Relative error no more than [p] percent. *)
 let within_pct p ~expected ~actual = rel_error expected actual <= p /. 100.0
+
+(* --- Paper records ---------------------------------------------------------- *)
+
+(* Every [Hnlpu.Paper] record is checked against its own tolerance in a
+   case of its own: [paper artifact row] claims one for a named case of
+   the suite that covers it, and [paper_suite ()] gives every other one a
+   case in the "paper" suite.  Claims happen as the suites are built, so
+   the runner calls [paper_suite] after them. *)
+let claimed = Hashtbl.create 64
+
+let check_record (r : Hnlpu.Paper.t) =
+  let x = r.measure () in
+  if not (Hnlpu.Paper.within r x) then
+    Alcotest.failf "%s, %s: measured %s, outside the tolerance around the paper's %s" r.artifact r.row
+      (r.show x) (Hnlpu.Paper.printed r)
+
+let paper artifact row =
+  let r = Hnlpu.Paper.find artifact row in
+  if Hashtbl.mem claimed (artifact, row) then
+    invalid_arg (Printf.sprintf "Thelp.paper: %s, %s claimed twice" artifact row);
+  Hashtbl.add claimed (artifact, row) ();
+  fun () -> check_record r
+
+let paper_suite () =
+  let slug a = String.lowercase_ascii (String.map (function ' ' -> '-' | c -> c) a) in
+  List.fold_right
+    (fun (r : Hnlpu.Paper.t) groups ->
+      if Hashtbl.mem claimed (r.artifact, r.row) then groups
+      else
+        let case = Alcotest.test_case r.row `Quick (fun () -> check_record r) in
+        match groups with
+        | (g, cases) :: rest when g = slug r.artifact -> (g, case :: cases) :: rest
+        | _ -> (slug r.artifact, [ case ]) :: groups)
+    Hnlpu.Paper.all []
 
 (* Run [f] with [HNLPU_DOMAINS] set to [value], then restore the old
    value; [putenv ""] restores unset semantics, since [Par.env_domains]
