@@ -48,38 +48,16 @@ let tables_cmd =
       value & pos 0 (some string) None
       & info [] ~docv:"NAME"
           ~doc:
-            "Which artifact to print: figure2, figure12, figure13, figure14, \
-             table1..table5. Prints everything when omitted.")
+            "Which artifact to print: figure2 (or fig2), figure12, figure13, \
+             figure14, table1..table5. Prints everything when omitted.")
   in
   let run jobs which =
     set_jobs jobs;
     match which with
-    | None ->
-      print_string (Experiments.render_all ());
-      let reports = Paper.neuron_reports () in
-      List.iter
-        (fun (title, chart) -> Printf.printf "\n%s\n%s" title chart)
-        [
-          ("Figure 12 (area vs the MA SRAM baseline)", Experiments.figure12_chart reports);
-          ("Figure 13 (energy per GEMV, log scale, nJ)", Experiments.figure13_chart reports);
-          ("Figure 14 (execution-time breakdown per token)", Experiments.figure14_chart ());
-        ]
-    | Some name ->
-      let pick =
-        match String.lowercase_ascii name with
-        | "figure2" | "fig2" -> Some (Experiments.figure2 ())
-        | "figure12" | "fig12" -> Some (Experiments.figure12 ())
-        | "figure13" | "fig13" -> Some (Experiments.figure13 ())
-        | "figure14" | "fig14" -> Some (Experiments.figure14 ())
-        | "table1" -> Some (Experiments.table1 ())
-        | "table2" -> Some (Experiments.table2 ())
-        | "table3" -> Some (Experiments.table3 ())
-        | "table4" -> Some (Experiments.table4 ())
-        | "table5" -> Some (Experiments.table5 ())
-        | _ -> None
-      in
-      (match pick with
-      | Some t -> Table.print t
+    | None -> print_string (Experiments.render_all ())
+    | Some name -> (
+      match Experiments.find name with
+      | Some (title, t) -> Table.print ~title t
       | None -> invalid_arg (Printf.sprintf "tables: unknown artifact %S" name))
   in
   Cmd.v
@@ -111,8 +89,7 @@ let perf_cmd =
     Printf.printf "  token latency     %s\n" (Units.seconds (Perf.total_s b));
     Printf.printf "  pipeline slots    %d\n" (Perf.pipeline_slots config);
     Printf.printf "  throughput        %s tokens/s\n"
-      (Units.group_thousands
-         (int_of_float (Perf.throughput_tokens_per_s config ~context)));
+      (Units.grouped (Perf.throughput_tokens_per_s config ~context));
     let line name v frac =
       Printf.printf "  %-12s %10s  %s\n" name (Units.seconds v) (Units.percent frac)
     in
@@ -155,9 +132,13 @@ let perf_cmd =
 
 (* --- tco ---------------------------------------------------------------- *)
 
+let print_artifact name =
+  let title, t = Option.get (Experiments.find name) in
+  Table.print ~title t
+
 let tco_cmd =
   let run () =
-    Table.print ~title:"3-Year TCO (Table 3)" (Experiments.table3 ());
+    print_artifact "Table 3";
     print_newline ();
     let lo, hi = Tco.tco_dynamic_ratio Tco.High in
     Printf.printf "High-volume TCO advantage (annual updates): %.1fx - %.1fx\n" lo hi;
@@ -186,13 +167,13 @@ let nre_cmd =
       let s = Strawman.estimate config in
       Printf.printf "Straw-man (cell-embedding) hardwiring of %s:\n" config.Config.name;
       Printf.printf "  CMAC area        %s mm2\n"
-        (Units.group_thousands (int_of_float s.Strawman.area_mm2));
+        (Units.grouped s.Strawman.area_mm2);
       Printf.printf "  chips            %d\n" s.Strawman.chips;
       Printf.printf "  photomask bill   %s\n" (Units.dollars s.Strawman.mask_cost_usd)
     end
     else begin
       match params with
-      | None -> Table.print ~title:"Table 4: NRE on various models" (Experiments.table4 ())
+      | None -> print_artifact "Table 4"
       | Some p ->
         let model =
           {
@@ -248,8 +229,8 @@ let simulate_cmd =
       (Units.group_thousands r.Scheduler.tokens_processed)
       (Units.group_thousands r.Scheduler.decode_tokens_out);
     Printf.printf "  throughput        %s tokens/s (bound %s)\n"
-      (Units.group_thousands (int_of_float r.Scheduler.throughput_tokens_per_s))
-      (Units.group_thousands (int_of_float (Scheduler.saturated_throughput ~context config)));
+      (Units.grouped r.Scheduler.throughput_tokens_per_s)
+      (Units.grouped (Scheduler.saturated_throughput ~context config));
     Printf.printf "  slot occupancy    %s\n" (Units.percent r.Scheduler.mean_slot_occupancy);
     (* Streamed through the bounded-memory sketch (1/64 relative error)
        rather than materializing a TTFT array per run. *)
@@ -328,10 +309,10 @@ let trace_cmd =
     Printf.printf
       "  scheduler: %d requests, %s tokens/s, occupancy %s\n"
       (List.length r.Scheduler.completed_requests)
-      (Units.group_thousands (int_of_float r.Scheduler.throughput_tokens_per_s))
+      (Units.grouped r.Scheduler.throughput_tokens_per_s)
       (Units.percent r.Scheduler.mean_slot_occupancy);
     Printf.printf "  pipeline:  %d tokens, measured %s tokens/s\n" tokens
-      (Units.group_thousands (int_of_float t.Trace.measured_throughput_tokens_per_s));
+      (Units.grouped t.Trace.measured_throughput_tokens_per_s);
     Printf.printf "  thermal:   junction %.1fC (%s)\n" th.Thermal.junction_temp_c
       (if th.Thermal.within_limits then "within limits" else "OVER LIMITS");
     print_newline ();
@@ -411,7 +392,7 @@ let ablate_cmd =
               r.Ablation.link_name;
               Printf.sprintf "%.0f" r.Ablation.bandwidth_gbps;
               Printf.sprintf "%.0f" r.Ablation.latency_ns;
-              Units.group_thousands (int_of_float r.Ablation.throughput_tokens_per_s);
+              Units.grouped r.Ablation.throughput_tokens_per_s;
               Units.percent r.Ablation.comm_fraction;
             ])
         (Ablation.interconnect_sweep config);
@@ -431,7 +412,7 @@ let ablate_cmd =
               r.Ablation.variant;
               Printf.sprintf "%.1f" r.Ablation.tr_per_weight;
               string_of_int r.Ablation.chips;
-              Units.group_thousands (int_of_float r.Ablation.silicon_mm2);
+              Units.grouped r.Ablation.silicon_mm2;
               Units.dollars r.Ablation.mask_nre_usd;
               Units.dollars r.Ablation.respin_usd;
               Printf.sprintf "%.2fx" r.Ablation.relative_throughput;
@@ -451,7 +432,7 @@ let ablate_cmd =
               string_of_int r.Ablation.act_bits;
               string_of_int r.Ablation.serial_planes;
               Printf.sprintf "%.2f" r.Ablation.projection_us_per_layer;
-              Units.group_thousands (int_of_float r.Ablation.throughput_tokens_per_s);
+              Units.grouped r.Ablation.throughput_tokens_per_s;
             ])
         (Ablation.precision_sweep config);
       Table.print ~title:"Activation-precision ablation" t
@@ -479,8 +460,8 @@ let ablate_cmd =
           Table.add_row t
             [
               Printf.sprintf "%dK" (r.Ablation.window_context / 1024);
-              Units.group_thousands (int_of_float r.Ablation.full_tokens_per_s);
-              Units.group_thousands (int_of_float r.Ablation.windowed_tokens_per_s);
+              Units.grouped r.Ablation.full_tokens_per_s;
+              Units.grouped r.Ablation.windowed_tokens_per_s;
               Printf.sprintf "%.2fx" r.Ablation.speedup;
             ])
         (Ablation.sliding_window_sweep ());
@@ -490,7 +471,7 @@ let ablate_cmd =
       let t = Table.create ~headers:[ "Prefill chunk"; "Tokens/s" ] in
       List.iter
         (fun (c, tp) ->
-          Table.add_row t [ string_of_int c; Units.group_thousands (int_of_float tp) ])
+          Table.add_row t [ string_of_int c; Units.grouped tp ])
         (Ablation.chunk_sweep config);
       Table.print ~title:"Prefill chunking (§5.2)" t
     in
@@ -591,8 +572,8 @@ let signoff_cmd =
     Printf.printf "  simulated latency %.1f us (model %.1f us)\n"
       (t.Trace.measured_latency_s *. 1e6) (t.Trace.predicted_latency_s *. 1e6);
     Printf.printf "  simulated throughput %s tokens/s (model %s)\n"
-      (Units.group_thousands (int_of_float t.Trace.measured_throughput_tokens_per_s))
-      (Units.group_thousands (int_of_float t.Trace.predicted_throughput_tokens_per_s));
+      (Units.grouped t.Trace.measured_throughput_tokens_per_s)
+      (Units.grouped t.Trace.predicted_throughput_tokens_per_s);
     let b = Trace.busiest_stage t in
     Printf.printf "  bottleneck stage %s (%.2f us service, %.0f%% utilized)\n"
       b.Trace.stage_label (b.Trace.service_s *. 1e6) (b.Trace.utilization *. 100.0);
@@ -610,8 +591,8 @@ let signoff_cmd =
     Table.print
       ~title:
         (Printf.sprintf "Calibrated constants (%d knobs, see EXPERIMENTS.md)"
-           (Calibration.count ()))
-      (Calibration.to_table ())
+           (List.length Paper.fits))
+      (Experiments.constants ())
   in
   Cmd.v
     (Cmd.info "signoff" ~doc:"Layout characteristics and pipeline validation (§7.1)")
@@ -706,7 +687,7 @@ let slo_cmd =
           Table.add_row t
             [
               Printf.sprintf "%.0f" e.Slo.rate_per_s;
-              Units.group_thousands (int_of_float e.Slo.throughput_tokens_per_s);
+              Units.grouped e.Slo.throughput_tokens_per_s;
               Units.seconds e.Slo.ttft_p95;
               Units.seconds e.Slo.e2e_p95;
               Units.percent e.Slo.occupancy;
@@ -727,7 +708,7 @@ let slo_cmd =
         Slo.evaluate ~mean_prefill:prefill ~mean_decode:decode config obj ~rate_per_s:rate
       in
       Printf.printf "At that rate: %s tokens/s, TTFT p95 %s, E2E p95 %s, occupancy %s\n"
-        (Units.group_thousands (int_of_float e.Slo.throughput_tokens_per_s))
+        (Units.grouped e.Slo.throughput_tokens_per_s)
         (Units.seconds e.Slo.ttft_p95) (Units.seconds e.Slo.e2e_p95)
         (Units.percent e.Slo.occupancy)
   in
@@ -910,8 +891,7 @@ let fleet_cmd =
               Units.seconds p.Fleet.ttft_p99_s;
               Units.seconds p.Fleet.e2e_p99_s;
               Printf.sprintf "%.2fx" p.Fleet.fp_imbalance;
-              Units.group_thousands
-                (int_of_float p.Fleet.fp_throughput_tokens_per_s);
+              Units.grouped p.Fleet.fp_throughput_tokens_per_s;
               string_of_int p.Fleet.fp_dropped;
               (if p.Fleet.meets_slo then "yes" else "NO");
             ])
@@ -930,12 +910,12 @@ let fleet_cmd =
         "%s: %d dispatched, %d dropped, %s tokens (%s redispatched) in %s \
          simulated\n"
         (Fleet.policy_name policy) Fleet.(r.dispatched) r.Fleet.dropped
-        (Units.group_thousands (int_of_float r.Fleet.total_tokens))
-        (Units.group_thousands (int_of_float r.Fleet.redispatched_tokens))
+        (Units.grouped r.Fleet.total_tokens)
+        (Units.grouped r.Fleet.redispatched_tokens)
         (Units.seconds r.Fleet.makespan_s);
       Printf.printf
         "throughput %s tokens/s; imbalance %.2fx; mean utilization %s\n"
-        (Units.group_thousands (int_of_float r.Fleet.throughput_tokens_per_s))
+        (Units.grouped r.Fleet.throughput_tokens_per_s)
         r.Fleet.imbalance
         (Units.percent r.Fleet.mean_utilization);
       Printf.printf "TTFT p50 %s  p99 %s; E2E p99 %s; queue wait p99 %s\n"
@@ -1257,7 +1237,7 @@ let speculate_cmd =
           [
             string_of_int r.Ablation.lookahead;
             Printf.sprintf "%.2f" r.Ablation.expected_tokens_per_pass;
-            Units.group_thousands (int_of_float r.Ablation.spec_tokens_per_s);
+            Units.grouped r.Ablation.spec_tokens_per_s;
             Printf.sprintf "%.2fx" r.Ablation.spec_speedup;
           ])
       rows;

@@ -44,7 +44,7 @@ let () =
   Printf.printf
     "HNLPU chat serving: %d pipeline slots, pipeline bound %s tokens/s\n"
     (Perf.pipeline_slots config)
-    (Units.group_thousands (int_of_float bound));
+    (Units.grouped bound);
   Printf.printf "Workload: Poisson arrivals, ~%d prompt + ~%d reply tokens\n\n"
     mean_prefill mean_decode;
   let t =
@@ -59,7 +59,7 @@ let () =
       Table.add_row t
         [
           Printf.sprintf "%.0f" rate;
-          Units.group_thousands (int_of_float r.Scheduler.throughput_tokens_per_s);
+          Units.grouped r.Scheduler.throughput_tokens_per_s;
           Units.percent r.Scheduler.mean_slot_occupancy;
           Units.seconds (Stats.percentile ttft 0.5);
           Units.seconds (Stats.percentile ttft 0.95);

@@ -34,8 +34,7 @@ let () =
         "  %4dK context: %7.1f us/token, %s tokens/s, HBM spill %s/token, stall %s\n"
         (l / 1024)
         (Perf.total_s b *. 1e6)
-        (Units.group_thousands
-           (int_of_float (Perf.throughput_tokens_per_s config ~context:l)))
+        (Units.grouped (Perf.throughput_tokens_per_s config ~context:l))
         (Units.bytes spilled)
         (Units.percent (Perf.fractions b).Perf.stall_s))
     Perf.figure14_contexts;
@@ -55,9 +54,9 @@ let () =
   Printf.printf
     "Long-document workload (64 x 30K-token prompts, 400-token answers):\n";
   Printf.printf "  flat 2K-latency model : %s tokens/s\n"
-    (Units.group_thousands (int_of_float flat.Scheduler.throughput_tokens_per_s));
+    (Units.grouped flat.Scheduler.throughput_tokens_per_s);
   Printf.printf "  context-aware model   : %s tokens/s (%.0f%% of flat)\n"
-    (Units.group_thousands (int_of_float aware.Scheduler.throughput_tokens_per_s))
+    (Units.grouped aware.Scheduler.throughput_tokens_per_s)
     (100.0
     *. aware.Scheduler.throughput_tokens_per_s
     /. flat.Scheduler.throughput_tokens_per_s);

@@ -1,5 +1,3 @@
-open Hnlpu_util
-
 type system = {
   sys_name : string;
   throughput_tokens_per_s : float;
@@ -60,26 +58,3 @@ let throughput_ratio s ~over = s.throughput_tokens_per_s /. over.throughput_toke
 
 let efficiency_ratio s ~over = s.tokens_per_kj /. over.tokens_per_kj
 
-let to_table systems =
-  let t =
-    Table.create
-      ~headers:
-        [ "Metric"; "HNLPU"; "H100"; "WSE-3" ]
-  in
-  let cells f = List.map f systems in
-  (match systems with
-  | [ _; _; _ ] -> ()
-  | _ -> invalid_arg "Compare.to_table: expected three systems");
-  Table.add_row t ("Throughput (tokens/s)" :: cells (fun s ->
-      Units.group_thousands (int_of_float s.throughput_tokens_per_s)));
-  Table.add_row t ("Technology Node" :: cells (fun s -> s.tech_node));
-  Table.add_row t ("Total Silicon Area (mm2)" :: cells (fun s ->
-      Units.group_thousands (int_of_float (Float.round s.silicon_mm2))));
-  Table.add_row t ("System Footprint (RU)" :: cells (fun s -> string_of_int s.rack_units));
-  Table.add_row t ("Total System Power (kW)" :: cells (fun s ->
-      Printf.sprintf "%.1f" (s.system_power_w /. 1000.0)));
-  Table.add_row t ("Energy Eff. (tokens/kJ)" :: cells (fun s ->
-      Printf.sprintf "%.1f" s.tokens_per_kj));
-  Table.add_row t ("Area Eff. (tokens/(s.mm2))" :: cells (fun s ->
-      Printf.sprintf "%.3f" s.tokens_per_s_mm2));
-  t

@@ -25,5 +25,3 @@ val throughput_ratio : system -> over:system -> float
 
 val efficiency_ratio : system -> over:system -> float
 (** Table 2's efficiency ratio rows. *)
-
-val to_table : system list -> Hnlpu_util.Table.t

@@ -1,5 +1,3 @@
-open Hnlpu_util
-
 type block = { block_name : string; area_mm2 : float; power_w : float }
 
 type t = {
@@ -65,26 +63,3 @@ let area_share t name =
 
 let power_density_w_per_mm2 t = t.total_power_w /. t.total_area_mm2
 
-let to_table t =
-  let tbl = Table.create ~headers:[ "Block"; "Area (mm2)"; "%"; "Power (W)"; "%" ] in
-  List.iter
-    (fun b ->
-      Table.add_row tbl
-        [
-          b.block_name;
-          Printf.sprintf "%.2f" b.area_mm2;
-          Printf.sprintf "%.1f" (100.0 *. b.area_mm2 /. t.total_area_mm2);
-          Printf.sprintf "%.2f" b.power_w;
-          Printf.sprintf "%.2f" (100.0 *. b.power_w /. t.total_power_w);
-        ])
-    t.blocks;
-  Table.add_sep tbl;
-  Table.add_row tbl
-    [
-      "Total";
-      Printf.sprintf "%.2f" t.total_area_mm2;
-      "100.0";
-      Printf.sprintf "%.2f" t.total_power_w;
-      "100.00";
-    ];
-  tbl

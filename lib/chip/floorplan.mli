@@ -29,6 +29,3 @@ val area_share : t -> string -> float
 
 val power_density_w_per_mm2 : t -> float
 (** Average over the die (a §7.1 side claim). *)
-
-val to_table : t -> Hnlpu_util.Table.t
-(** Rendered like the paper's Table 1 (area and power with shares). *)

@@ -135,4 +135,3 @@ module Bundle = Hnlpu_verify.Bundle
 
 module Experiments = Experiments
 module Paper = Paper
-module Calibration = Calibration

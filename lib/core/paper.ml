@@ -14,6 +14,8 @@ type origin = Derived | Fitted of fit
 
 type paper = Value of float | Text of string
 
+type measure = Plain of (unit -> float) | Neuron of (Hnlpu_neuron.Report.t list -> float)
+
 type t = {
   artifact : string;
   row : string;
@@ -21,7 +23,7 @@ type t = {
   show : float -> string;
   tolerance : tolerance;
   origin : origin;
-  measure : unit -> float;
+  measure : measure;
 }
 
 let config = Hnlpu_model.Config.gpt_oss_120b
@@ -34,7 +36,7 @@ let neuron_reports ?(seed = 20260706) () =
 (* --- Renderers ------------------------------------------------------------ *)
 
 let fixed digits suffix x = Printf.sprintf "%.*f%s" digits x suffix
-let grouped suffix x = Units.group_thousands (Float.to_int (Float.round x)) ^ suffix
+let grouped suffix x = Units.grouped x ^ suffix
 let usd x = "$" ^ grouped "" x
 let musd x = "$" ^ Units.dollars_m x
 
@@ -125,7 +127,7 @@ let record ?(origin = Derived) artifact row paper show tolerance measure =
 
 (* Most records quote a number within a relative tolerance. *)
 let rel ?origin artifact row paper pct show measure =
-  record ?origin artifact row (Value paper) show (Rel pct) measure
+  record ?origin artifact row (Value paper) show (Rel pct) (Plain measure)
 
 let figure2 =
   let open Hnlpu_litho.Strawman in
@@ -136,27 +138,28 @@ let figure2 =
       (fun () -> (gpu_economics ()).cost_per_unit_usd);
     rel a "Straw-man CMAC area" 176_000.0 2.0 (grouped " mm2") (straw (fun s -> s.area_mm2));
     record a "Straw-man chips" (Text "200+") (fixed 0 "") (Band (200.0, 230.0))
-      (straw (fun s -> float_of_int s.chips));
+      (Plain (straw (fun s -> float_of_int s.chips)));
     record a "Straw-man mask bill" (Text "~$6 B") (fun b -> Printf.sprintf "$%.2f B" b)
       (Band (6.0, 7.0))
-      (straw (fun s -> s.mask_cost_usd /. 1e9));
+      (Plain (straw (fun s -> s.mask_cost_usd /. 1e9)));
   ]
 
 let figure12 =
-  let ratio i () =
-    let reports = neuron_reports () in
-    Hnlpu_neuron.Report.area_ratio (List.nth reports i) ~baseline:(List.hd reports)
+  let ratio i =
+    Neuron
+      (fun reports ->
+        Hnlpu_neuron.Report.area_ratio (List.nth reports i) ~baseline:(List.hd reports))
   in
   let a = "Figure 12" in
   [
-    rel a "MAC array (MA)" 1.0 0.0 (fixed 2 "x") (ratio 0);
+    record a "MAC array (MA)" (Value 1.0) (fixed 2 "x") (Rel 0.0) (ratio 0);
     record a "Cell-Embedding (CE)" (Value 14.3) (fixed 1 "x") (Band (8.0, 30.0)) (ratio 1);
     record ~origin:(Fitted popcount_ports) a "Metal-Embedding (ME)" (Value 0.95) (fixed 2 "x")
       (Band (0.4, 1.6)) (ratio 2);
   ]
 
 let figure13 =
-  let report i f () = f (List.nth (neuron_reports ()) i) in
+  let report i f = Neuron (fun reports -> f (List.nth reports i)) in
   let cycles i = report i (fun r -> float_of_int r.Hnlpu_neuron.Report.cycles) in
   let nj i = report i (fun r -> Hnlpu_neuron.Report.energy_j Hnlpu_gates.Tech.n5 r *. 1e9) in
   let a = "Figure 13" in
@@ -226,7 +229,7 @@ let figure14 =
       let cell ?origin name paper f =
         record ?origin "Figure 14"
           (Printf.sprintf "%dK %s" (context / 1024) name)
-          (Value paper) (fixed 1 "") (Pp 3.0) (share context f)
+          (Value paper) (fixed 1 "") (Pp 3.0) (Plain (share context f))
       in
       (* The attention efficiency is fitted at 64K, the HBM bandwidth to
          the stall at 512K. *)
@@ -367,7 +370,7 @@ let side_claims =
     rel a "§4.3 attention-buffer capacity" 320.0 3.0 (fixed 0 " MB") (fun () ->
         float_of_int (Hnlpu_chip.Attention_buffer.(capacity_bytes hnlpu)) /. 1e6);
     record a "§5.1 router share of weights" (Text "~0.01%") (fixed 4 "%") (Band (0.005, 0.02))
-      (pct (fun () -> Hnlpu_model.Params.router_fraction config));
+      (Plain (pct (fun () -> Hnlpu_model.Params.router_fraction config)));
     exact "§5.2 batch ceiling (pipeline slots)" 216.0 (fun () ->
         Hnlpu_system.Perf.pipeline_slots config);
     rel a "§7.1 Murphy yield" 43.0 2.0 (fixed 1 "%")
@@ -380,18 +383,18 @@ let side_claims =
     exact "§7.1 good dies per wafer" 27.0 (fun () ->
         Hnlpu_gates.Yield.good_dies_per_wafer tech ~die_area_mm2:die);
     record a "§7.1 ME routing density (M8-M11)" (Text "<70%") (fixed 1 "%") (Below 70.0)
-      (routing (fun r -> 100.0 *. r.utilization));
+      (Plain (routing (fun r -> 100.0 *. r.utilization)));
     rel a "§7.1 wire resistance" 164.0 2.0 (fixed 0 " ohm") (routing (fun r -> r.avg_resistance_ohm));
     rel a "§7.1 wire capacitance" 7.8 2.0 (fixed 2 " fF") (routing (fun r -> r.avg_capacitance_ff));
     rel a "§7.1 attention-buffer bandwidth" 80.0 1.0 (fixed 1 " TB/s") (fun () ->
         Hnlpu_chip.Attention_buffer.(bandwidth_bytes_per_s hnlpu) /. 1e12);
     record a "§7.1 average power density" (Text "~0.3 W/mm2") (fixed 3 " W/mm2")
       (Band (0.2, 0.5))
-      (fun () -> Hnlpu_chip.Floorplan.(power_density_w_per_mm2 (table1 ())));
-    record a "§7.1 peak power density" (Value 1.4) (fixed 2 " W/mm2") (Band (1.0, 1.6)) (fun () ->
-        (Hnlpu_chip.Thermal.analyze ()).peak_w_per_mm2);
+      (Plain (fun () -> Hnlpu_chip.Floorplan.(power_density_w_per_mm2 (table1 ()))));
+    record a "§7.1 peak power density" (Value 1.4) (fixed 2 " W/mm2") (Band (1.0, 1.6))
+      (Plain (fun () -> (Hnlpu_chip.Thermal.analyze ()).peak_w_per_mm2));
     record a "§7.1 active share of HN weights" (Text "~4%") (fixed 1 "%") (Band (2.0, 6.0))
-      (pct (fun () -> Hnlpu_chip.Hn_array.active_fraction config));
+      (Plain (pct (fun () -> Hnlpu_chip.Hn_array.active_fraction config)));
   ]
 
 let all =
@@ -406,6 +409,16 @@ let value r =
   | Text s -> invalid_arg (Printf.sprintf "Paper.value: %s %s prints %S" r.artifact r.row s)
 
 let printed r = match r.paper with Value v -> r.show v | Text s -> s
+
+(* The reports live for this call only: a cache that outlived it would be
+   shared by the pool's domains. *)
+let measures ?reports records =
+  let reports =
+    match reports with Some r -> Lazy.from_val r | None -> lazy (neuron_reports ())
+  in
+  List.map
+    (fun r -> match r.measure with Plain f -> f () | Neuron f -> f (Lazy.force reports))
+    records
 
 let within r x =
   match r.tolerance with

@@ -6,8 +6,8 @@
     its tolerance, and whether it is derived or the target a calibrated
     constant was fitted to.  A paper value or tolerance changes here and
     nowhere else: the tests check each record against its own tolerance,
-    {!Experiments}' Paper columns print {!printed}, and
-    {!Experiments.refresh} renders EXPERIMENTS.md's tables from them. *)
+    and {!Experiments} renders each artifact's records as the one table
+    that [hnlpu tables], [hnlpu export] and EXPERIMENTS.md print. *)
 
 type tolerance =
   | Rel of float  (** Within this many percent of the paper value. *)
@@ -30,6 +30,10 @@ type origin = Derived | Fitted of fit
 (** What the paper prints: a number, or a reading off a plot ("~150"). *)
 type paper = Value of float | Text of string
 
+(** How this repository measures a record, in its [show] unit: directly,
+    or from the {!neuron_reports} that Figures 12 and 13 share. *)
+type measure = Plain of (unit -> float) | Neuron of (Hnlpu_neuron.Report.t list -> float)
+
 type t = {
   artifact : string;  (** "Figure 2", ..., "Table 5", or "Side claims". *)
   row : string;  (** Unique within its artifact. *)
@@ -37,7 +41,7 @@ type t = {
   show : float -> string;  (** Renders a paper or measured value. *)
   tolerance : tolerance;
   origin : origin;
-  measure : unit -> float;  (** This repository's value, in [show]'s unit. *)
+  measure : measure;
 }
 
 val all : t list
@@ -58,6 +62,12 @@ val printed : t -> string
 
 val within : t -> float -> bool
 (** Whether a measurement meets the record's tolerance. *)
+
+val measures : ?reports:Hnlpu_neuron.Report.t list -> t list -> float list
+(** Each record's measurement, in order.  [Neuron] records read
+    [reports] when given; otherwise one call builds the
+    {!neuron_reports} at most once, whatever number of them it
+    measures. *)
 
 val neuron_reports : ?seed:int -> unit -> Hnlpu_neuron.Report.t list
 (** The MA / CE / ME reports on the paper's 1024x128 FP4 GEMV. *)

@@ -32,5 +32,3 @@ let row (c : Config.t) =
     chips = frac;
     nre_usd = nre;
   }
-
-let table4 () = List.map row Config.table4_models

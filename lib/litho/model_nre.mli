@@ -29,9 +29,5 @@ type row = {
   nre_usd : float;        (** Sea-of-Neurons initial mask bill. *)
 }
 
-val table4 : unit -> row list
-(** The four Table 4 rows, priced at the pessimistic mask anchor that
-    matches the paper's prices. *)
-
 val row : Hnlpu_model.Config.t -> row
 (** NRE estimate for any model config (pessimistic anchor). *)

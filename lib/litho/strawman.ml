@@ -27,7 +27,6 @@ let estimate config =
   }
 
 type amortization = {
-  label : string;
   mask_sets : int;
   mask_bill_usd : float;
   wafers : int;
@@ -42,28 +41,10 @@ let gpu_economics () =
   let wafer_bill = float_of_int wafers *. 18_000.0 in
   let units = 500_000 in
   {
-    label = "500,000 GPUs";
     mask_sets = 1;
     mask_bill_usd = mask_bill;
     wafers;
     wafer_bill_usd = wafer_bill;
     units;
     cost_per_unit_usd = (mask_bill +. wafer_bill) /. float_of_int units;
-  }
-
-let hardwired_economics config =
-  let s = estimate config in
-  (* One unit needs [chips] good dies; each wafer yields tens of
-     reticle-sized dies, but the dies are all different, so wafer count is
-     bounded below by exposure-field assortment: ~5 wafers (Figure 2). *)
-  let wafers = 5 in
-  let wafer_bill = float_of_int wafers *. 18_000.0 in
-  {
-    label = "1 Hardwired LLM";
-    mask_sets = s.chips;
-    mask_bill_usd = s.mask_cost_usd;
-    wafers;
-    wafer_bill_usd = wafer_bill;
-    units = 1;
-    cost_per_unit_usd = s.mask_cost_usd +. wafer_bill;
   }

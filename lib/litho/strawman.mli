@@ -18,7 +18,6 @@ val estimate : Hnlpu_model.Config.t -> t
 (** {1 Figure 2: amortization} *)
 
 type amortization = {
-  label : string;
   mask_sets : int;
   mask_bill_usd : float;
   wafers : int;
@@ -30,6 +29,3 @@ type amortization = {
 val gpu_economics : unit -> amortization
 (** The H100 side of Figure 2: one $30M set, 20,000 wafers at $18K,
     ~500,000 units -> $780/unit. *)
-
-val hardwired_economics : Hnlpu_model.Config.t -> amortization
-(** The straw-man side: ~200 sets, ~5 wafers, 1 unit -> ~$6B/unit. *)

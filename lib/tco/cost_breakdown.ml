@@ -1,36 +1,11 @@
 open Hnlpu_litho
-open Hnlpu_util
 
 let chips_per_system = Hnlpu_noc.Topology.chips
-
-type line = { item : string; lo_usd : float; hi_usd : float }
-
-let line item f =
-  let lo, hi = Pricing.range f in
-  { item; lo_usd = lo; hi_usd = hi }
-
-let recurring_lines () =
-  [
-    line "Wafer" (fun _ -> Pricing.wafer_per_chip_usd ());
-    line "Package & Test" Pricing.package_test_usd;
-    line "HBM" Pricing.hbm_usd;
-    line "System Integration" Pricing.system_integration_usd;
-  ]
 
 let mask_homogeneous bound = Mask_cost.homogeneous_cost (Pricing.anchor bound)
 
 let mask_me bound =
   Mask_cost.sea_of_neurons_respin (Pricing.anchor bound) ~chips:chips_per_system
-
-let nre_lines () =
-  [
-    line "Photomask: Homogeneous Mask" mask_homogeneous;
-    line "Photomask: Metal-Embedding Mask" mask_me;
-    line "Design: Architecture" Pricing.design_architecture_usd;
-    line "Design: Verification" Pricing.design_verification_usd;
-    line "Design: Physical" Pricing.design_physical_usd;
-    line "Design: IP" Pricing.design_ip_usd;
-  ]
 
 let mask_nre_usd bound = mask_homogeneous bound +. mask_me bound
 
@@ -47,20 +22,3 @@ let respin_usd bound ~systems =
   if systems <= 0 then invalid_arg "Cost_breakdown.respin_usd";
   mask_me bound +. recurring_for bound ~systems
 
-let to_table () =
-  let t = Table.create ~headers:[ "Item"; "Optimistic"; "Pessimistic" ] in
-  let dollars x =
-    if x >= 1e6 then Units.dollars_m x else Printf.sprintf "%.0f" x
-  in
-  let add { item; lo_usd; hi_usd } =
-    Table.add_row t [ item; dollars lo_usd; dollars hi_usd ]
-  in
-  List.iter add (recurring_lines ());
-  Table.add_sep t;
-  List.iter add (nre_lines ());
-  Table.add_sep t;
-  add (line "Initial Build: 1-HNLPU" (fun b -> initial_build_usd b ~systems:1));
-  add (line "Initial Build: 50-HNLPU" (fun b -> initial_build_usd b ~systems:50));
-  add (line "Re-spin: 1-HNLPU" (fun b -> respin_usd b ~systems:1));
-  add (line "Re-spin: 50-HNLPU" (fun b -> respin_usd b ~systems:50));
-  t

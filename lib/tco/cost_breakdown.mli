@@ -5,8 +5,6 @@
 val chips_per_system : int
 (** 16. *)
 
-type line = { item : string; lo_usd : float; hi_usd : float }
-
 val mask_nre_usd : Pricing.bound -> float
 (** Homogeneous + 16-chip ME masks: $32.31M – $64.61M. *)
 
@@ -15,5 +13,3 @@ val initial_build_usd : Pricing.bound -> systems:int -> float
 
 val respin_usd : Pricing.bound -> systems:int -> float
 (** ME masks + recurring (Table 5's re-spin rows). *)
-
-val to_table : unit -> Hnlpu_util.Table.t

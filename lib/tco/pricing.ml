@@ -6,8 +6,6 @@ let anchor = function
   | Optimistic -> Hnlpu_litho.Mask_cost.Optimistic
   | Pessimistic -> Hnlpu_litho.Mask_cost.Pessimistic
 
-let range f = (f Optimistic, f Pessimistic)
-
 let pick bound lo hi = match bound with Optimistic -> lo | Pessimistic -> hi
 
 let die_area_mm2 = 827.08

@@ -8,8 +8,6 @@ type bound = Optimistic | Pessimistic
 
 val anchor : bound -> Hnlpu_litho.Mask_cost.anchor
 
-val range : (bound -> float) -> float * float
-
 (** {1 HNLPU recurring cost, per chip (Table 5)} *)
 
 val wafer_per_chip_usd : unit -> float
@@ -21,26 +19,15 @@ val package_test_usd : bound -> float
 val hbm_usd : bound -> float
 (** $1,920 – $3,840: $10–20/GB x 8 stacks x 24 GB. *)
 
-val system_integration_usd : bound -> float
-(** $1,900 – $3,800 per chip: chassis, board, cooling, CXL. *)
-
 val recurring_per_chip_usd : bound -> float
+(** Wafer, package & test, HBM, and system integration ($1,900 – $3,800
+    per chip: chassis, board, cooling, CXL). *)
 
 (** {1 HNLPU design & development NRE (Table 5)} *)
 
-val design_architecture_usd : bound -> float
-(** $1.87M – 3.74M *)
-
-val design_verification_usd : bound -> float
-(** $9.97M – 19.93M *)
-
-val design_physical_usd : bound -> float
-(** $4.80M – 14.41M *)
-
-val design_ip_usd : bound -> float
-(** $10.23M – 20.46M *)
-
 val design_total_usd : bound -> float
+(** Architecture ($1.87M – 3.74M), verification ($9.97M – 19.93M),
+    physical ($4.80M – 14.41M) and IP ($10.23M – 20.46M). *)
 
 (** {1 Shared datacenter economics} *)
 

@@ -1,5 +1,3 @@
-open Hnlpu_util
-
 type volume = Low | High
 
 let hnlpu_systems = function Low -> 1 | High -> 50
@@ -12,7 +10,6 @@ let equivalence_gpus_per_hnlpu =
 type money = { lo : float; hi : float }
 
 type column = {
-  label : string;
   units : int;
   datacenter_power_mw : float;
   node_price : money;
@@ -76,7 +73,6 @@ let hnlpu_column volume =
   in
   let op_t = operational_tco2e ~power_mw in
   {
-    label = Printf.sprintf "HNLPU (%s volume)" (match volume with Low -> "low" | High -> "high");
     units = systems;
     datacenter_power_mw = power_mw;
     node_price;
@@ -120,7 +116,6 @@ let h100_column volume =
   let embodied = float_of_int gpus *. Pricing.embodied_kgco2e_per_module /. 1000.0 in
   let emissions = embodied +. operational_tco2e ~power_mw in
   {
-    label = Printf.sprintf "H100 (%s volume)" (match volume with Low -> "low" | High -> "high");
     units = gpus;
     datacenter_power_mw = power_mw;
     node_price;
@@ -135,9 +130,6 @@ let h100_column volume =
     emissions_static_t = emissions;
     emissions_dynamic_t = emissions;
   }
-
-let table3 () =
-  [ hnlpu_column Low; h100_column Low; hnlpu_column High; h100_column High ]
 
 let ratio_pair get volume =
   let h = hnlpu_column volume and g = h100_column volume in
@@ -154,34 +146,3 @@ let carbon_ratio volume =
   ( g.emissions_dynamic_t /. h.emissions_dynamic_t,
     g.emissions_static_t /. h.emissions_static_t )
 
-let to_table () =
-  let cols = table3 () in
-  let t =
-    Table.create
-      ~headers:
-        ("Parameter"
-        :: List.map (fun c -> c.label) cols)
-  in
-  let money m =
-    if m.hi = m.lo || Float.abs (m.hi -. m.lo) < 0.005 *. Float.abs m.hi then
-      Units.dollars_m m.lo
-    else Printf.sprintf "%s ~ %s" (Units.dollars_m m.lo) (Units.dollars_m m.hi)
-  in
-  let row label f = Table.add_row t (label :: List.map f cols) in
-  row "Systems / GPUs" (fun c -> Units.group_thousands c.units);
-  row "Datacenter Power (MW)" (fun c -> Printf.sprintf "%.3f" c.datacenter_power_mw);
-  Table.add_sep t;
-  row "Node Price" (fun c -> money c.node_price);
-  row "DC Infrastructure" (fun c -> money c.infrastructure);
-  row "Total Initial CapEx" (fun c -> money c.total_capex);
-  row "Update Re-spin Cost" (fun c -> money c.respin);
-  Table.add_sep t;
-  row "Electricity (3y)" (fun c -> money c.electricity);
-  row "Maintenance & Support (3y)" (fun c -> money c.maintenance);
-  Table.add_sep t;
-  row "TCO (Static)" (fun c -> money c.tco_static);
-  row "TCO (Annual Updates)" (fun c -> money c.tco_dynamic);
-  Table.add_sep t;
-  row "tCO2e (Static/Dynamic)" (fun c ->
-      Printf.sprintf "%.1f / %.1f" c.emissions_static_t c.emissions_dynamic_t);
-  t

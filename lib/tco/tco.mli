@@ -20,7 +20,6 @@ type money = { lo : float; hi : float }
 (** Optimistic/pessimistic range; collapsed (lo = hi) for the H100 side. *)
 
 type column = {
-  label : string;
   units : int;                    (** Systems (HNLPU) or GPUs (H100). *)
   datacenter_power_mw : float;
   node_price : money;
@@ -40,9 +39,6 @@ val hnlpu_column : volume -> column
 
 val h100_column : volume -> column
 
-val table3 : unit -> column list
-(** [low HNLPU; low H100; high HNLPU; high H100]. *)
-
 (** {1 Headline ratios (H100 / HNLPU)} *)
 
 val capex_ratio : volume -> float * float
@@ -56,5 +52,3 @@ val tco_dynamic_ratio : volume -> float * float
 
 val carbon_ratio : volume -> float * float
 (** [(dynamic, static)] emissions ratios — High volume: 357x / 372x. *)
-
-val to_table : unit -> Hnlpu_util.Table.t

@@ -76,6 +76,12 @@ let to_csv t =
   List.iter (function Separator -> () | Cells cs -> line cs) (List.rev t.rows);
   Buffer.contents buf
 
+let to_markdown t =
+  let line cells = "| " ^ String.concat " | " cells ^ " |\n" in
+  String.concat ""
+    (line t.headers :: line (List.map (fun _ -> "---") t.headers)
+    :: List.filter_map (function Separator -> None | Cells cs -> Some (line cs)) (List.rev t.rows))
+
 let json_string s =
   let buf = Buffer.create (String.length s + 2) in
   Buffer.add_char buf '"';

@@ -25,6 +25,10 @@ val to_csv : t -> string
 (** RFC-4180-style CSV: header row then data rows (separators dropped);
     cells containing commas, quotes or newlines are quoted. *)
 
+val to_markdown : t -> string
+(** A GitHub-flavoured markdown table (separators dropped), one line per
+    row with a newline after each; cells are written as they are. *)
+
 val to_json : t -> string
 (** An array of objects keyed by the headers (separators dropped); all
     values are JSON strings, escaped per RFC 8259. *)

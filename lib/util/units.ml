@@ -46,11 +46,7 @@ let dollars_m x =
   else if Float.abs m >= 10.0 then Printf.sprintf "%.2fM" m
   else Printf.sprintf "%.4gM" m
 
-let percent ?(digits = 1) x = Printf.sprintf "%.*f%%" digits (x *. 100.0)
-
-let ratio ?(digits = 2) x =
-  if Float.abs x >= 100.0 then Printf.sprintf "%.0fx" x
-  else Printf.sprintf "%.*fx" digits x
+let percent x = Printf.sprintf "%.1f%%" (x *. 100.0)
 
 let group_thousands n =
   let s = string_of_int (abs n) in
@@ -63,3 +59,5 @@ let group_thousands n =
       Buffer.add_char buf c)
     s;
   Buffer.contents buf
+
+let grouped x = group_thousands (Float.to_int (Float.round x))

@@ -22,18 +22,15 @@ val dollars : float -> string
 (** Money with magnitude suffix: ["$ 629"], ["$ 27.69M"], ["$ 6.00B"]. *)
 
 val dollars_m : float -> string
-(** Money rendered in millions with 4 significant digits, the paper's
-    convention in Tables 3 and 5 (e.g. ["59.46M"]). *)
+(** Money rendered in millions, rounded to 4 significant digits, the
+    paper's convention in Tables 3 and 5 (e.g. ["59.46M"]). *)
 
-val percent : ?digits:int -> float -> string
-(** [percent 0.693 = "69.3%"]. *)
-
-val ratio : ?digits:int -> float -> string
-(** Multiplier rendering: ["5555x"], ["0.95x"]. *)
-
-val round_sig : int -> float -> float
-(** [round_sig n x] rounds [x] to [n] significant digits (paper rounds all
-    Table 3 figures to four significant digits). *)
+val percent : float -> string
+(** [percent 0.693 = "69.3%"], always one decimal. *)
 
 val group_thousands : int -> string
 (** ["249,960"]-style integer rendering. *)
+
+val grouped : float -> string
+(** [group_thousands] of [x] rounded to the nearest integer: the one way a
+    measured count prints ([grouped 249903.85 = "249,904"]). *)

@@ -113,10 +113,10 @@ let test_pipeline_slots () =
 let fp = Floorplan.table1 ()
 
 let test_floorplan_table_renders () =
-  let s = Table.render (Floorplan.to_table fp) in
+  let s = Thelp.artifact "Table 1" in
   Alcotest.(check bool) "has all blocks" true
-    (Thelp.contains s "HN Array" && Thelp.contains s "Attention Buffer"
-    && Thelp.contains s "Total")
+    (Thelp.contains s "HN Array area" && Thelp.contains s "Attention Buffer power"
+    && Thelp.contains s "Total area")
 
 (* --- Schedules ------------------------------------------------------------ *)
 

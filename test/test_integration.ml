@@ -24,11 +24,47 @@ let test_shared_neuron_build () =
      table must equal the figure built alone. *)
   let all = Experiments.all () in
   List.iter
-    (fun (prefix, alone) ->
-      match List.find_opt (fun (name, _) -> String.starts_with ~prefix name) all with
-      | None -> Alcotest.failf "%s missing from Experiments.all" prefix
-      | Some (name, t) -> Alcotest.(check string) name (Table.render alone) (Table.render t))
-    [ ("Figure 12:", Experiments.figure12 ()); ("Figure 13:", Experiments.figure13 ()) ]
+    (fun artifact ->
+      let title, alone = Option.get (Experiments.find artifact) in
+      match List.assoc_opt title all with
+      | None -> Alcotest.failf "%s missing from Experiments.all" title
+      | Some t -> Alcotest.(check string) title (Table.render alone) (Table.render t))
+    [ "Figure 12"; "Figure 13" ]
+
+let test_records_tables () =
+  (* Each table of [all] is its artifact's records: a row per record,
+     whose Measured cell is the record's rendering of its measurement,
+     and no row without a record.  Every artifact but the side claims has
+     a table. *)
+  let cells line =
+    match String.split_on_char '|' line with
+    | "" :: cells -> List.map String.trim (List.filter (( <> ) "") cells)
+    | _ -> Alcotest.failf "not a markdown row: %s" line
+  in
+  let all = Experiments.all () in
+  let artifact title = String.sub title 0 (String.index title ':') in
+  let artifacts = List.map (fun r -> r.Paper.artifact) Paper.all in
+  Alcotest.(check (list string)) "artifacts"
+    (List.sort_uniq compare (List.filter (( <> ) "Side claims") artifacts))
+    (List.sort compare (List.map (fun (title, _) -> artifact title) all));
+  List.iter
+    (fun (title, table) ->
+      let rows =
+        match String.split_on_char '\n' (Table.to_markdown table) with
+        | _header :: _rule :: lines -> List.map cells (List.filter (( <> ) "") lines)
+        | _ -> Alcotest.failf "%s: no table" title
+      in
+      let records = List.filter (fun r -> r.Paper.artifact = artifact title) Paper.all in
+      Alcotest.(check int) (title ^ ": a row per record") (List.length records) (List.length rows);
+      List.iter2
+        (fun (r : Paper.t) x ->
+          match List.filter (fun row -> List.hd row = r.row) rows with
+          | [ [ _; paper; measured; _; _ ] ] ->
+            Alcotest.(check string) (r.row ^ ": paper") (Paper.printed r) paper;
+            Alcotest.(check string) (r.row ^ ": measured") (r.show x) measured
+          | found -> Alcotest.failf "%s, %s: %d rows" title r.row (List.length found))
+        records (Paper.measures records))
+    all
 
 let test_tiny_llm_on_hn_arithmetic () =
   (* Quantize a tiny transformer's FFN-down projection onto the ME machine
@@ -187,9 +223,9 @@ let test_experiments_export_json () =
 
 let test_calibration_registry () =
   (* Single-digit knob count, live values in sync with the code. *)
-  Alcotest.(check bool) "few knobs" true (Hnlpu.Calibration.count () < 10);
+  Alcotest.(check bool) "few knobs" true (List.length Hnlpu.Paper.fits < 10);
   let get name =
-    (List.find (fun e -> e.Hnlpu.Paper.constant = name) (Hnlpu.Calibration.all ())).Hnlpu.Paper.value
+    (List.find (fun e -> e.Hnlpu.Paper.constant = name) Hnlpu.Paper.fits).Hnlpu.Paper.value
   in
   Alcotest.(check (float 0.0)) "contention live" Hnlpu.Perf.link_contention_factor
     (get "Perf.link_contention_factor");
@@ -197,19 +233,24 @@ let test_calibration_registry () =
     (float_of_int Hnlpu.Census.popcount_port_transistors)
     (get "Census.popcount_port_transistors");
   Alcotest.(check bool) "renders" true
-    (Thelp.contains (Table.render (Hnlpu.Calibration.to_table ())) "Anchor");
+    (Thelp.contains (Table.render (Hnlpu.Experiments.constants ())) "Anchor");
   (* The index is the records' fitted subset, each constant fitted to one. *)
   let fitted = List.filter_map (fun r -> match r.Hnlpu.Paper.origin with Fitted f -> Some f | Derived -> None) in
   Alcotest.(check bool) "fitted records" true
-    (List.sort compare (fitted Hnlpu.Paper.all) = List.sort compare (Hnlpu.Calibration.all ()))
+    (List.sort compare (fitted Hnlpu.Paper.all) = List.sort compare Hnlpu.Paper.fits)
 
 (* --- Figure charts ---------------------------------------------------------- *)
 
 let test_figure_charts_render () =
-  let reports = Hnlpu.Paper.neuron_reports () in
-  let f12 = Hnlpu.Experiments.figure12_chart reports in
-  let f13 = Hnlpu.Experiments.figure13_chart reports in
-  let f14 = Hnlpu.Experiments.figure14_chart () in
+  (* [render_all] ends with the three charts; each check reads from its
+     chart's title on. *)
+  let s = Hnlpu.Experiments.render_all () in
+  let from title =
+    let n = String.length title in
+    let rec go i = if String.sub s i n = title then String.sub s i (String.length s - i) else go (i + 1) in
+    go 0
+  in
+  let f12 = from "Figure 12 (" and f13 = from "Figure 13 (" and f14 = from "Figure 14 (" in
   Alcotest.(check bool) "figure 12 mentions all designs" true
     (Thelp.contains f12 "Metal-Embedding" && Thelp.contains f12 "Cell-Embedding");
   Alcotest.(check bool) "figure 13 log bars" true (Thelp.contains f13 "MAC array");
@@ -265,6 +306,7 @@ let suites =
         Alcotest.test_case "all render" `Quick test_all_experiments_render;
         Alcotest.test_case "count" `Quick test_experiment_count;
         Alcotest.test_case "figures 12/13 share one build" `Quick test_shared_neuron_build;
+        Alcotest.test_case "a row per record" `Quick test_records_tables;
       ] );
     ( "cross-layer",
       [

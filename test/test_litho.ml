@@ -67,18 +67,24 @@ let prop_sharing_always_wins =
 (* --- Strawman ------------------------------------------------------------- *)
 
 let test_figure2_hardwired_side () =
-  let h = Strawman.hardwired_economics Hnlpu_model.Config.gpt_oss_120b in
-  Alcotest.(check int) "one unit" 1 h.Strawman.units;
-  Alcotest.(check bool) "~$6B per unit" true
-    (h.Strawman.cost_per_unit_usd > 6.0e9);
-  (* Masks dominate wafers by 4+ orders of magnitude. *)
+  (* One hardwired unit bears the whole bill of one full mask set per
+     chip. *)
+  let s = Strawman.estimate Hnlpu_model.Config.gpt_oss_120b in
+  Alcotest.(check (float 1.0)) "one set per chip"
+    (float_of_int s.Strawman.chips *. Mask_cost.full_set_usd Mask_cost.Pessimistic)
+    s.Strawman.mask_cost_usd;
+  Alcotest.(check bool) "~$6B per unit" true (s.Strawman.mask_cost_usd > 6.0e9);
+  (* Masks dominate Figure 2's ~5 wafers, at the GPU side's wafer price,
+     by 4+ orders of magnitude. *)
+  let g = Strawman.gpu_economics () in
+  let wafer_usd = g.Strawman.wafer_bill_usd /. float_of_int g.Strawman.wafers in
   Alcotest.(check bool) "mask-dominated" true
-    (h.Strawman.mask_bill_usd > 10_000.0 *. h.Strawman.wafer_bill_usd)
+    (s.Strawman.mask_cost_usd > 10_000.0 *. 5.0 *. wafer_usd)
 
 (* --- Table 4 ---------------------------------------------------------------- *)
 
 let test_table4_ordering () =
-  match Model_nre.table4 () with
+  match List.map Model_nre.row Hnlpu_model.Config.table4_models with
   | [ k2; ds; qwq; llama ] ->
     Alcotest.(check bool) "K2 > DS > QwQ > Llama" true
       (k2.Model_nre.nre_usd > ds.Model_nre.nre_usd

@@ -4,10 +4,10 @@ open Hnlpu_util
 (* --- Table 5: recurring & NRE ------------------------------------------------ *)
 
 let test_table5_renders () =
-  let s = Table.render (Cost_breakdown.to_table ()) in
+  let s = Thelp.artifact "Table 5" in
   Alcotest.(check bool) "lines present" true
-    (Thelp.contains s "Wafer" && Thelp.contains s "Metal-Embedding Mask"
-    && Thelp.contains s "Re-spin: 50-HNLPU")
+    (Thelp.contains s "Wafer" && Thelp.contains s "Metal-Embedding mask (opt.)"
+    && Thelp.contains s "Re-spin, 50 systems (pess.)")
 
 (* --- Table 3 ------------------------------------------------------------------ *)
 
@@ -30,12 +30,12 @@ let prop_tco_monotone_in_electricity () =
       Alcotest.(check bool) "opex positive" true (c.Tco.opex.Tco.lo > 0.0);
       Alcotest.(check bool) "dynamic >= static" true
         (c.Tco.tco_dynamic.Tco.lo >= c.Tco.tco_static.Tco.lo))
-    (Tco.table3 ())
+    (List.concat_map (fun v -> [ Tco.hnlpu_column v; Tco.h100_column v ]) [ Tco.Low; Tco.High ])
 
 let test_table3_renders () =
-  let s = Table.render (Tco.to_table ()) in
+  let s = Thelp.artifact "Table 3" in
   Alcotest.(check bool) "rows present" true
-    (Thelp.contains s "Total Initial CapEx" && Thelp.contains s "tCO2e")
+    (Thelp.contains s "CapEx, HNLPU high (opt.)" && Thelp.contains s "tCO2e, H100 high")
 
 (* --- Sensitivity -------------------------------------------------------------- *)
 

@@ -123,9 +123,12 @@ let test_units_dollars () =
   Alcotest.(check string) "plain" "$ 629" (Units.dollars 629.0)
 
 let test_units_round_sig () =
-  check_float "4 sig" 59.46 (Units.round_sig 4 59.4622);
-  check_float "4 sig big" 123.5 (Units.round_sig 4 123.456);
-  check_float "zero" 0.0 (Units.round_sig 4 0.0)
+  (* [dollars_m] rounds to four significant digits before it picks a
+     format, so a value that rounds up a decade takes the wider one. *)
+  Alcotest.(check string) "4 sig" "10.00M" (Units.dollars_m 9.99996e6);
+  Alcotest.(check string) "4 sig hundreds" "100.0M" (Units.dollars_m 99.996e6);
+  Alcotest.(check string) "4 sig big" "1000M" (Units.dollars_m 999.96e6);
+  Alcotest.(check string) "zero" "0M" (Units.dollars_m 0.0)
 
 let test_units_dollars_m () =
   Alcotest.(check string) "paper style" "59.46M" (Units.dollars_m 59.4622e6);
@@ -248,7 +251,7 @@ let test_units_extremes_fall_back () =
   Alcotest.(check bool) "tiny" true (String.length (Units.si 1e-19) > 0)
 
 let test_units_percent_digits () =
-  Alcotest.(check string) "two digits" "12.35%" (Units.percent ~digits:2 0.123456)
+  Alcotest.(check string) "one digit, rounded" "12.4%" (Units.percent 0.123556)
 
 (* --- Stats edges ----------------------------------------------------------- *)
 
