@@ -130,8 +130,6 @@ let embedding_units stack =
     (fun acc x -> if x.embedding then acc +. cost_units x.litho else acc)
     0.0 stack
 
-let homogeneous_units stack = total_units stack -. embedding_units stack
-
 let embedding_fraction stack = embedding_units stack /. total_units stack
 
 let no_euv_in_embedding stack =

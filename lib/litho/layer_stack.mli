@@ -43,8 +43,6 @@ val total_units : layer list -> float
 
 val embedding_units : layer list -> float
 
-val homogeneous_units : layer list -> float
-
 val embedding_fraction : layer list -> float
 (** Paper: 10/130 = 7.7% of the mask-set value. *)
 

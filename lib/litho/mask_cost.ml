@@ -2,15 +2,16 @@ type anchor = Optimistic | Pessimistic
 
 let full_set_usd = function Optimistic -> 15.0e6 | Pessimistic -> 30.0e6
 
-let stack = Layer_stack.n5_stack
+(* The N5 stack's unit sums, folded once rather than on every price. *)
+let total_units = Layer_stack.total_units Layer_stack.n5_stack
 
-let unit_price anchor = full_set_usd anchor /. Layer_stack.total_units stack
+let embedding_units = Layer_stack.embedding_units Layer_stack.n5_stack
 
-let homogeneous_cost anchor =
-  unit_price anchor *. Layer_stack.homogeneous_units stack
+let unit_price anchor = full_set_usd anchor /. total_units
 
-let embedding_cost_per_chip anchor =
-  unit_price anchor *. Layer_stack.embedding_units stack
+let homogeneous_cost anchor = unit_price anchor *. (total_units -. embedding_units)
+
+let embedding_cost_per_chip anchor = unit_price anchor *. embedding_units
 
 let check_chips chips =
   if chips <= 0 then invalid_arg "Mask_cost: chips must be positive"

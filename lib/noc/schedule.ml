@@ -59,13 +59,14 @@ let canonical coll =
       let root = List.fold_left min max_int group in
       plan (Reduce { root; group; bytes }) @ plan (Broadcast { root; group; bytes })
     | All_gather { group; shard_bytes } ->
-      let ring = Array.of_list (List.sort compare group) in
-      let k = Array.length ring in
-      (* Step s: every chip forwards the shard it received s steps ago to
-         its ring successor. *)
-      List.init (k - 1) (fun _ ->
-          List.init k (fun i ->
-              { src = ring.(i); dst = ring.((i + 1) mod k); bytes = shard_bytes }))
+      (* One step: every member sends its shard to each peer. *)
+      let group = List.sort compare group in
+      [
+        List.concat_map
+          (fun src ->
+            List.map (fun dst -> { src; dst; bytes = shard_bytes }) (peers src group))
+          group;
+      ]
     | All_chip_all_reduce { bytes } ->
       (* All four columns concurrently, then all four rows. *)
       let phase line which =
@@ -129,15 +130,53 @@ let total_bytes plan =
       List.fold_left (fun a { bytes; _ } -> a + bytes) acc step)
     0 plan
 
-let endpoints plan =
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (List.iter
-       (fun { src; dst; _ } ->
-         Hashtbl.replace seen src ();
-         Hashtbl.replace seen dst ()))
+(* --- The step engine ------------------------------------------------------- *)
+
+(* The one interpreter of a plan, over per-chip states of any type: [init]
+   holds before step 0, and chips outside it hold [empty].  Before step [s]
+   runs, [on_step s step] sees it.  Every transfer then reads its sender's
+   start-of-step state through [read s index transfer] ([None]: the sender
+   holds nothing yet), [index] counting transfers in plan order.  Then each
+   receiving chip, in ascending order, merges its deliveries in plan order
+   under the step's mode: [add] or [union] folds them into its state, and
+   [Overwrite] keeps the lowest sender's payload, telling [on_race] the
+   number of writers when several raced.  Returns every chip's final
+   state. *)
+let execute ~mode ~init ~empty ~on_step ~read ~add ~union ~on_race plan =
+  let state = Hashtbl.create 16 in
+  List.iter (fun (c, v) -> Hashtbl.replace state c v) init;
+  let index = ref (-1) in
+  List.iteri
+    (fun s step ->
+      on_step s step;
+      let sent =
+        List.map
+          (fun t ->
+            incr index;
+            (t, read s !index t (Hashtbl.find_opt state t.src)))
+          step
+      in
+      List.iter
+        (fun dst ->
+          let incoming = List.filter (fun (t, _) -> t.dst = dst) sent in
+          let held = Option.value ~default:empty (Hashtbl.find_opt state dst) in
+          let fold merge =
+            List.fold_left (fun acc (_, p) -> merge acc p) held incoming
+          in
+          let merged =
+            match mode s with
+            | Accumulate -> fold add
+            | Union -> fold union
+            | Overwrite ->
+              let writers = List.length incoming in
+              if writers > 1 then on_race s dst writers;
+              let by_sender (a, _) (b, _) = compare a.src b.src in
+              snd (List.hd (List.stable_sort by_sender incoming))
+          in
+          Hashtbl.replace state dst merged)
+        (List.sort_uniq compare (List.map (fun t -> t.dst) step)))
     plan;
-  List.sort compare (Hashtbl.fold (fun c () acc -> c :: acc) seen [])
+  state
 
 (* --- Symbolic execution ---------------------------------------------------- *)
 
@@ -160,108 +199,48 @@ type symbolic = {
   deliveries : delivery list;
 }
 
-let run_symbolic ~producers ~mode plan =
-  let chips = List.sort_uniq compare (endpoints plan @ producers) in
-  (* chip -> origin -> (count, provenance: delivery indices that carried the
-     origin here).  Producers start holding one copy of their own value. *)
-  let state : (Topology.chip, (int * ISet.t) IMap.t) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let written = Hashtbl.create 16 in
-  List.iter
-    (fun c ->
-      Hashtbl.replace state c (IMap.singleton c (1, ISet.empty));
-      Hashtbl.replace written c ())
-    producers;
-  let get c = Option.value ~default:IMap.empty (Hashtbl.find_opt state c) in
-  let index = ref (-1) in
+let run_symbolic coll plan =
+  let { producers; mode; _ } = semantics coll in
+  (* A chip's state maps origin -> (count, provenance: the delivery indices
+     that carried the origin here).  Producers start holding one copy of
+     their own value. *)
   let deliveries = ref [] and unread = ref [] and races = ref [] in
-  List.iteri
-    (fun s step ->
-      let m = mode s in
-      (* Snapshot every sender before applying any delivery: transfers of one
-         step read start-of-step state, matching {!run}. *)
-      let snap =
-        List.map
-          (fun { src; dst; bytes } ->
-            incr index;
-            let d =
-              { d_step = s; d_index = !index; d_src = src; d_dst = dst;
-                d_bytes = bytes }
-            in
-            deliveries := d :: !deliveries;
-            if not (Hashtbl.mem written src) then unread := d :: !unread;
-            (d, get src))
-          step
-      in
-      let tag i payload =
-        IMap.map (fun (n, prov) -> (n, ISet.add i prov)) payload
-      in
-      let dsts = List.sort_uniq compare (List.map (fun (d, _) -> d.d_dst) snap) in
-      List.iter
-        (fun dst ->
-          let incoming = List.filter (fun (d, _) -> d.d_dst = dst) snap in
-          (match m with
-          | Accumulate ->
-            let merged =
-              List.fold_left
-                (fun acc (d, payload) ->
-                  IMap.union
-                    (fun _ (n1, p1) (n2, p2) -> Some (n1 + n2, ISet.union p1 p2))
-                    acc
-                    (tag d.d_index payload))
-                (get dst) incoming
-            in
-            Hashtbl.replace state dst merged
-          | Overwrite -> (
-            match incoming with
-            | [ (d, payload) ] ->
-              Hashtbl.replace state dst (tag d.d_index payload)
-            | _ ->
-              races := (s, dst, List.length incoming) :: !races;
-              (* The lowest sender wins, as in {!run}; the race is
-                 already reported. *)
-              let d, payload =
-                List.fold_left
-                  (fun ((a, _) as best) ((b, _) as cand) ->
-                    if b.d_src < a.d_src then cand else best)
-                  (List.hd incoming) (List.tl incoming)
-              in
-              Hashtbl.replace state dst (tag d.d_index payload))
-          | Union ->
-            (* Set semantics: an origin the chip already holds is kept, so a
-               delivery's index lands only on origins it actually introduces
-               (a delivery introducing nothing ends up in no live set). *)
-            let merged =
-              List.fold_left
-                (fun acc (d, payload) ->
-                  IMap.union (fun _ cur _ -> Some cur) acc (tag d.d_index payload))
-                (get dst) incoming
-            in
-            Hashtbl.replace state dst merged);
-          Hashtbl.replace written dst ())
-        dsts)
-    plan;
-  let finals =
-    List.map
-      (fun c -> (c, List.map (fun (o, (n, _)) -> (o, n)) (IMap.bindings (get c))))
-      chips
+  let read s i { src; dst; bytes } held =
+    let d = { d_step = s; d_index = i; d_src = src; d_dst = dst; d_bytes = bytes } in
+    deliveries := d :: !deliveries;
+    match held with
+    | None ->
+      unread := d :: !unread;
+      IMap.empty
+    | Some payload -> IMap.map (fun (n, prov) -> (n, ISet.add i prov)) payload
   in
-  let live =
-    List.map
-      (fun c ->
-        ( c,
-          ISet.elements
-            (IMap.fold (fun _ (_, p) acc -> ISet.union p acc) (get c) ISet.empty)
-        ))
-      chips
+  let state =
+    execute ~mode
+      ~init:(List.map (fun c -> (c, IMap.singleton c (1, ISet.empty))) producers)
+      ~empty:IMap.empty ~on_step:(fun _ _ -> ()) ~read
+      ~add:
+        (IMap.union (fun _ (n1, p1) (n2, p2) -> Some (n1 + n2, ISet.union p1 p2)))
+        (* Set semantics: an origin the chip already holds is kept, so a
+           delivery's index lands only on origins it actually introduces (a
+           delivery introducing nothing ends up in no live set). *)
+      ~union:(IMap.union (fun _ cur _ -> Some cur))
+      ~on_race:(fun s dst writers -> races := (s, dst, writers) :: !races)
+      plan
   in
+  let get c = Option.value ~default:IMap.empty (Hashtbl.find_opt state c) in
+  let deliveries = List.rev !deliveries in
+  let chips =
+    List.sort_uniq compare
+      (producers @ List.concat_map (fun d -> [ d.d_src; d.d_dst ]) deliveries)
+  in
+  let final c = List.map (fun (o, (n, _)) -> (o, n)) (IMap.bindings (get c)) in
+  let live c = IMap.fold (fun _ (_, p) acc -> ISet.union p acc) (get c) ISet.empty in
   {
-    finals;
-    live;
+    finals = List.map (fun c -> (c, final c)) chips;
+    live = List.map (fun c -> (c, ISet.elements (live c))) chips;
     unwritten_reads = List.rev !unread;
     overwrite_races = List.rev !races;
-    deliveries = List.rev !deliveries;
+    deliveries;
   }
 
 (* --- Execution on values ---------------------------------------------------- *)
@@ -269,80 +248,64 @@ let run_symbolic ~producers ~mode plan =
 let run ?plan ?obs coll vals =
   (match vals with [] -> invalid_arg "Schedule.run: empty" | _ -> ());
   let plan = match plan with Some p -> p | None -> canonical coll in
-  let mode = (semantics coll).mode in
   (* Transfers of one step start together at the step's offset into the
      plan's makespan; the telemetry timeline reuses the same link model as
      {!makespan}, so spans and the reported makespan agree. *)
   let step_start = ref 0.0 in
-  let emit_step phase step =
-    match obs with
-    | None -> ()
-    | Some o ->
-      let module Event = Hnlpu_obs.Event in
-      let m = Hnlpu_obs.Sink.metrics o in
-      let worst = ref 0.0 in
-      List.iter
-        (fun { src; dst; bytes } ->
-          let d = Link.transfer_time_s Link.cxl3 ~bytes in
-          worst := Float.max !worst d;
-          Hnlpu_obs.Sink.span o ~cat:"transfer"
-            ~args:[ ("bytes", Event.I bytes); ("step", Event.I phase);
-                    ("dst", Event.I dst) ]
-            ~track:
-              (Event.track ~process:"noc"
-                 ~thread:(Printf.sprintf "chip%02d" src))
-            ~name:(Printf.sprintf "->chip%02d" dst)
-            ~start_s:!step_start ~dur_s:d;
-          Hnlpu_obs.Metrics.incr m "noc/transfers";
-          Hnlpu_obs.Metrics.incr m ~by:(float_of_int bytes) "noc/bytes_sent";
-          Hnlpu_obs.Metrics.observe m "noc/transfer_s" d)
-        step;
-      step_start := !step_start +. !worst;
-      Hnlpu_obs.Metrics.set m "noc/makespan_s" !step_start
+  let emit_step phase step o =
+    let module Event = Hnlpu_obs.Event in
+    let m = Hnlpu_obs.Sink.metrics o in
+    let worst = ref 0.0 in
+    List.iter
+      (fun { src; dst; bytes } ->
+        let d = Link.transfer_time_s Link.cxl3 ~bytes in
+        worst := Float.max !worst d;
+        Hnlpu_obs.Sink.span o ~cat:"transfer"
+          ~args:[ ("bytes", Event.I bytes); ("step", Event.I phase);
+                  ("dst", Event.I dst) ]
+          ~track:
+            (Event.track ~process:"noc"
+               ~thread:(Printf.sprintf "chip%02d" src))
+          ~name:(Printf.sprintf "->chip%02d" dst)
+          ~start_s:!step_start ~dur_s:d;
+        Hnlpu_obs.Metrics.incr m "noc/transfers";
+        Hnlpu_obs.Metrics.incr m ~by:(float_of_int bytes) "noc/bytes_sent";
+        Hnlpu_obs.Metrics.observe m "noc/transfer_s" d)
+      step;
+    step_start := !step_start +. !worst;
+    Hnlpu_obs.Metrics.set m "noc/makespan_s" !step_start
   in
-  let held = Array.make Topology.chips false in
-  let state = Array.make Topology.chips [||] in
   List.iter
-    (fun (c, v) ->
-      if not (Topology.valid c) then invalid_arg "Schedule.run: bad chip";
-      held.(c) <- true;
-      state.(c) <- Array.copy v)
+    (fun (c, _) ->
+      if not (Topology.valid c) then invalid_arg "Schedule.run: bad chip")
     vals;
-  let holds c = Topology.valid c && held.(c) in
-  let winner = Array.make Topology.chips max_int in
-  List.iteri
-    (fun phase step ->
-      List.iter
-        (fun { src; dst; _ } ->
-          if not (holds src && holds dst) then
-            invalid_arg
-              (Printf.sprintf
-                 "Schedule.run: transfer %d -> %d in step %d leaves the group"
-                 src dst phase))
-        step;
-      emit_step phase step;
-      (* Every transfer of a step reads start-of-step state; deliveries
-         then land in plan order. *)
-      let sent =
-        List.map (fun { src; dst; _ } -> (src, dst, Array.copy state.(src))) step
-      in
-      match mode phase with
-      | Accumulate ->
-        List.iter
-          (fun (_, dst, v) -> Hnlpu_tensor.Vec.add_inplace state.(dst) v)
-          sent
-      | Overwrite ->
-        (* Same-step writes to one chip resolve to the lowest sender, as in
-           {!run_symbolic}. *)
-        List.iter (fun (_, dst, _) -> winner.(dst) <- max_int) sent;
-        List.iter (fun (src, dst, _) -> winner.(dst) <- min winner.(dst) src) sent;
-        List.iter
-          (fun (src, dst, v) -> if src = winner.(dst) then state.(dst) <- v)
-          sent
-      | Union ->
+  let on_step phase step =
+    List.iter
+      (fun { src; dst; _ } ->
+        if not (List.mem_assoc src vals && List.mem_assoc dst vals) then
+          invalid_arg
+            (Printf.sprintf
+               "Schedule.run: transfer %d -> %d in step %d leaves the group"
+               src dst phase))
+      step;
+    Option.iter (emit_step phase step) obs
+  in
+  (* Every vector in the state is the chip's own copy, so deliveries can
+     accumulate in place. *)
+  let state =
+    execute ~mode:(semantics coll).mode
+      ~init:(List.map (fun (c, v) -> (c, Array.copy v)) vals)
+      ~empty:[||] ~on_step
+      ~read:(fun _ _ _ v -> Array.copy (Option.get v))
+      ~add:(fun acc v ->
+        Hnlpu_tensor.Vec.add_inplace acc v;
+        acc)
+      ~union:(fun _ _ ->
         invalid_arg "Schedule.run: an all-gather merges shards, not vectors")
-    plan;
-  List.map (fun (c, _) -> (c, state.(c))) vals
+      ~on_race:(fun _ _ _ -> ())
+      plan
+  in
+  List.map (fun (c, _) -> (c, Hashtbl.find state c)) vals
 
 let run_all_reduce ?plan ~group vals =
   run ?plan (All_reduce { group; bytes = 0 }) vals

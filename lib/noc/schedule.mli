@@ -5,15 +5,16 @@
     plan ({!canonical}), who holds a value before step 0, how receivers
     merge at each step, and which chips must end with the result
     ({!semantics}).  Signoff checks plans against it (the NOC rules and
-    the static passes), and {!run} executes plans on values under the
-    same merge modes.
+    the static passes).  One step engine interprets plans: {!run} on
+    values and {!run_symbolic} on origin multisets.
 
     Conventions match the Interconnect Engine model: each chip owns one
     transmit and one receive port per *link* (parallel-link engine), so a
     star reduce completes in one step (the root merges incoming streams),
-    an all-reduce is reduce-then-broadcast (2 steps), the ring all-gather
-    takes group-1 steps, and the 16-chip all-reduce is hierarchical
-    (column phase then row phase, 4 steps). *)
+    an all-gather takes one step (every member sends its shard to each
+    peer), an all-reduce is reduce-then-broadcast (2 steps), and the
+    16-chip all-reduce is hierarchical (column phase then row phase,
+    4 steps). *)
 
 type transfer = { src : Topology.chip; dst : Topology.chip; bytes : int }
 
@@ -46,8 +47,9 @@ val malformed : collective -> string list
 val canonical : collective -> t
 (** The reference plan: a one-step star for reduce, broadcast and
     scatter; reduce-then-broadcast rooted at the lowest chip for an
-    all-reduce; a ring in ascending-id order for an all-gather; and for
-    the all-chip all-reduce, the all-reduces of all four columns
+    all-reduce; one step of k(k-1) transfers for an all-gather of k
+    members (each to each peer, in ascending-id order); and for the
+    all-chip all-reduce, the all-reduces of all four columns
     concurrently, then of all four rows.  Raises [Invalid_argument] when
     {!malformed} is not empty. *)
 
@@ -59,9 +61,8 @@ type merge_mode =
   | Overwrite   (** Receivers replace their state with the incoming
                     payload; same-step writes to one chip resolve to the
                     lowest sender. *)
-  | Union       (** Receivers keep one copy per origin (ring all-gather:
-                    forwarding a shard the receiver already holds adds
-                    nothing). *)
+  | Union       (** Receivers keep one copy per origin (all-gather: a
+                    shard the receiver already holds adds nothing). *)
 
 type semantics = {
   producers : Topology.chip list;
@@ -123,16 +124,15 @@ type symbolic = {
           is not a producer) — the sender forwards garbage. *)
   overwrite_races : (int * Topology.chip * int) list;
       (** [(step, dst, writers)]: several same-step [Overwrite] deliveries
-          race for one chip's slot; the lowest sender wins, as in {!run},
-          but the plan's intent is ambiguous. *)
+          race for one chip's slot; the lowest sender wins, but the
+          plan's intent is ambiguous. *)
   deliveries : delivery list;  (** Every transfer, in plan order. *)
 }
 
-val run_symbolic :
-  producers:Topology.chip list -> mode:(int -> merge_mode) -> t -> symbolic
-(** Execute the plan on contribution multisets, with [producers] and
-    [mode] as in {!semantics}.  Transfers of one step read start-of-step
-    state, exactly like {!run}. *)
+val run_symbolic : collective -> t -> symbolic
+(** Execute a plan of the collective on contribution multisets: its
+    {!semantics} producers start with their own value, and each step
+    merges under its mode, in the step engine {!run} uses. *)
 
 (** {1 Execution on values} *)
 

@@ -9,8 +9,7 @@
     all-reduce (2), K and V column reduces to the KV owner (1 each),
     softmax-statistics and partial-O column all-reduces (2 each), Xo row
     all-reduce (2), Xo column all-gather (1), MoE all-chip all-reduce (4).
-    Each charge is its {!plan}'s length, except the all-gather's: the ring
-    plan takes 3 steps. *)
+    Each charge is its {!plan}'s length, computed once from the plan. *)
 
 type op = Q | K | V | Stats | Partial_o | Xo_row | Xo_gather | Moe
 
@@ -26,7 +25,7 @@ type entry = {
   group : group;
   payload_bytes : Hnlpu_model.Config.t -> int;
       (** Per instance; the shard for the all-gather. *)
-  steps : int;
+  steps : int;  (** The length of the entry's plan; payload-independent. *)
 }
 
 val program : entry list

@@ -294,10 +294,10 @@ let fixture rule =
         | plan -> plan)
       d
   | "BUF-LIVE" ->
-    (* Same ring all-gather, 32 MB shards: bytes, ports and values all stay
-       clean, but one chip's working shard plus same-step RX and TX staging
-       (3 x 32 MB) cannot fit in the headroom the 64K-context KV leaves in
-       the 320 MB attention buffer. *)
+    (* The canonical all-gather with 32 MB shards: bytes, ports and values
+       all stay clean, but one chip's working shard plus its step's staging
+       of 3 sends and 3 receives (7 x 32 MB) cannot fit in the headroom the
+       64K-context KV leaves in the 320 MB attention buffer. *)
     let coll =
       Schedule.All_gather
         { group = Topology.col_group 1; shard_bytes = 32_000_000 }

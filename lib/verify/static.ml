@@ -10,7 +10,7 @@ open Hnlpu_system
    Each such transfer waits on every same-step delivery into its source; a
    cycle in that wait-for graph can never make progress.  Chips already
    written by an earlier step (or producers) wait on nothing, which is why
-   the canonical ring all-gather — everyone a producer — is clean. *)
+   the canonical all-gather — everyone a producer — is clean. *)
 let deadlock ~subject coll (plan : Schedule.t) =
   let { Schedule.producers; _ } = Schedule.semantics coll in
   let written = Hashtbl.create 16 in
@@ -99,27 +99,20 @@ let multiset_to_string ms =
 let multiset_diff ~got ~want =
   let count ms o = Option.value ~default:0 (List.assoc_opt o ms) in
   let origins = List.sort_uniq compare (List.map fst got @ List.map fst want) in
-  let missing =
+  let excess a b =
     List.filter_map
       (fun o ->
-        let d = count want o - count got o in
+        let d = count a o - count b o in
         if d > 0 then Some (o, d) else None)
       origins
   in
-  let extra =
-    List.filter_map
-      (fun o ->
-        let d = count got o - count want o in
-        if d > 0 then Some (o, d) else None)
-      origins
-  in
-  (missing, extra)
+  (excess want got, excess got want)
 
 let defuse ~subject coll (plan : Schedule.t) =
-  let { Schedule.producers; mode; required } = Schedule.semantics coll in
+  let { Schedule.producers; required; _ } = Schedule.semantics coll in
   (* Every required chip must end with one copy of each producer's value. *)
   let want = List.map (fun c -> (c, 1)) (List.sort_uniq compare producers) in
-  let sym = Schedule.run_symbolic ~producers ~mode plan in
+  let sym = Schedule.run_symbolic coll plan in
   let reads =
     List.map
       (fun d ->

@@ -62,7 +62,7 @@ let runner =
             let j0, env0 = at_start and j, env = process_state () in
             Alcotest.(check int) "Par.default_domains" j0 j;
             Alcotest.(check (option string)) "HNLPU_DOMAINS" env0 env);
-        Thelp.case_floor 770 (List.concat_map snd suites);
+        Thelp.case_floor 771 (List.concat_map snd suites);
       ] );
   ]
 

@@ -142,11 +142,12 @@ let test_schedule_all_reduce_shape () =
   Alcotest.(check int) "six transfers" 6 (Schedule.transfer_count plan);
   check_valid (Schedule.All_reduce { group = col0; bytes = 1024 }) plan
 
-let test_schedule_all_gather_ring () =
+let test_schedule_all_gather_mesh () =
+  (* One step: each of the k members sends its shard to every peer. *)
   let coll = Schedule.All_gather { group = Topology.row_group 1; shard_bytes = 256 } in
   let plan = Schedule.canonical coll in
-  Alcotest.(check int) "k-1 steps" 3 (List.length plan);
-  Alcotest.(check int) "k transfers per step" 4 (List.length (List.hd plan));
+  Alcotest.(check int) "one step" 1 (List.length plan);
+  Alcotest.(check int) "k(k-1) transfers" 12 (Schedule.transfer_count plan);
   check_valid coll plan
 
 let test_schedule_all_chip () =
@@ -183,22 +184,20 @@ let test_schedule_executes_correctly () =
     via_plan via_math
 
 let test_layer_program_matches_plans () =
-  (* Every step charge is the length of the entry's plan, with one named
-     exception: the column all-gather is charged 1 step while the ring plan
-     takes 3 (ROADMAP, "One per-layer collective program").  Traffic's link
-     bytes are the plan's bytes. *)
+  (* Every step charge is the length of the entry's plan on every
+     instance, and Traffic's link bytes are the plan's bytes. *)
   let traffic = Traffic.analyze config in
   List.iter2
     (fun (e : Layer_program.entry) (l : Traffic.ledger_entry) ->
       let plan = Layer_program.plan config e in
       let label = e.Layer_program.label in
-      (match e.Layer_program.kind with
-      | Layer_program.All_gather ->
-        Alcotest.(check int) (label ^ ": ring plan") 3 (List.length plan);
-        Alcotest.(check int) (label ^ ": charged") 1 e.Layer_program.steps
-      | _ ->
-        Alcotest.(check int) (label ^ ": steps") (List.length plan)
-          e.Layer_program.steps);
+      for instance = 0 to Layer_program.instances e.Layer_program.group - 1 do
+        Alcotest.(check int)
+          (Printf.sprintf "%s (instance %d): steps" label instance)
+          (List.length
+             (Schedule.canonical (Layer_program.collective config e ~instance)))
+          e.Layer_program.steps
+      done;
       Alcotest.(check string) "ledger label" label l.Traffic.collective;
       Alcotest.(check int) (label ^ ": link bytes") (Schedule.total_bytes plan)
         l.Traffic.link_bytes)
@@ -397,7 +396,7 @@ let suites =
     ( "schedules",
       [
         Alcotest.test_case "all-reduce shape" `Quick test_schedule_all_reduce_shape;
-        Alcotest.test_case "all-gather ring" `Quick test_schedule_all_gather_ring;
+        Alcotest.test_case "all-gather mesh" `Quick test_schedule_all_gather_mesh;
         Alcotest.test_case "all-chip" `Quick test_schedule_all_chip;
         Alcotest.test_case "rejects non-links" `Quick test_schedule_rejects_nonlinks;
         Alcotest.test_case "makespan" `Quick test_schedule_makespan_model;

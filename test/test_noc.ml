@@ -104,11 +104,18 @@ let prop_all_reduce_order_invariant =
 (* --- Collective: timing --------------------------------------------------
    Collectives are timed by their step-by-step Schedule plans. *)
 
-let test_timing_monotone_in_group () =
-  (* A ring all-gather takes group - 1 steps. *)
-  let ring group = Schedule.makespan (Schedule.canonical (Schedule.All_gather { group; shard_bytes = 1024 })) in
-  Alcotest.(check bool) "bigger group slower" true
-    (ring (Topology.row_group 0) > ring [ 0; 1 ])
+let test_gather_is_one_step () =
+  (* Rows and columns are full meshes: an all-gather of 2 or more members
+     takes one step, so its makespan is one transfer time. *)
+  let one = Link.transfer_time_s Link.cxl3 ~bytes:1024 in
+  List.iter
+    (fun group ->
+      Alcotest.(check (float 1e-15))
+        (Printf.sprintf "group of %d" (List.length group))
+        one
+        (Schedule.makespan
+           (Schedule.canonical (Schedule.All_gather { group; shard_bytes = 1024 }))))
+    [ [ 0; 1 ]; [ 4; 5; 7 ]; Topology.row_group 0; Topology.col_group 3 ]
 
 let test_all_reduce_is_reduce_plus_broadcast () =
   let group = Topology.col_group 2 in
@@ -134,7 +141,7 @@ let test_transfer_counts () =
       ("broadcast to 4", 3, Schedule.canonical (Schedule.Broadcast { root; group; bytes }));
       ("scatter to 4", 3, Schedule.canonical (Schedule.Scatter { root; group; shard_bytes = bytes }));
       ("all-reduce of 4", 6, Schedule.all_reduce ~group ~bytes);
-      ("ring all-gather of 4", 12, Schedule.canonical (Schedule.All_gather { group; shard_bytes = bytes }));
+      ("all-gather of 4", 12, Schedule.canonical (Schedule.All_gather { group; shard_bytes = bytes }));
     ]
 
 let test_topology_validation () =
@@ -168,7 +175,7 @@ let suites =
     Thelp.qsuite "collective properties" [ prop_all_reduce_order_invariant ];
     ( "collective-timing",
       [
-        Alcotest.test_case "monotone in group" `Quick test_timing_monotone_in_group;
+        Alcotest.test_case "gather is one step" `Quick test_gather_is_one_step;
         Alcotest.test_case "reduce + broadcast" `Quick test_all_reduce_is_reduce_plus_broadcast;
         Alcotest.test_case "hierarchical 16-chip" `Quick test_hierarchical_all_chip;
         Alcotest.test_case "transfer counts" `Quick test_transfer_counts;

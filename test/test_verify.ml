@@ -388,6 +388,106 @@ let prop_exec_catches_swapped_src =
            (Schedule.All_reduce { group; bytes })
            mutated))
 
+(* --- The step engine's two instances ------------------------------------------ *)
+
+(* Every row/column subgroup of at least two chips, as [group_of] reads
+   its shape. *)
+let every_group =
+  List.concat_map
+    (fun is_row ->
+      List.concat_map
+        (fun idx ->
+          List.filter
+            (fun group -> List.length group >= 2)
+            (List.init 16 (fun mask -> group_of (is_row, idx, mask))))
+        [ 0; 1; 2; 3 ])
+    [ false; true ]
+
+(* Each plan that differs from [plan] in one transfer: dropped, its
+   endpoints swapped, or sent twice in its step. *)
+let mutants (plan : Schedule.t) =
+  List.concat
+    (List.mapi
+       (fun s step ->
+         List.concat
+           (List.mapi
+              (fun i ({ Schedule.src; dst; _ } as t) ->
+                let edit f =
+                  List.mapi (fun s' st -> if s' = s then f st else st) plan
+                in
+                let at g st =
+                  List.concat (List.mapi (fun i' x -> if i' = i then g x else [ x ]) st)
+                in
+                [
+                  edit (at (fun _ -> []));
+                  edit (at (fun _ -> [ { t with Schedule.src = dst; dst = src } ]));
+                  edit (at (fun x -> [ x; x ]));
+                ])
+              step))
+       plan)
+
+(* [Schedule.run]'s value on every chip is the sum of its
+   [Schedule.run_symbolic] final contributions, each origin's vector times
+   its count; chips that produce nothing start at zero on both.  Union
+   plans merge shards, which [run] refuses. *)
+let instances_agree coll plan =
+  let { Schedule.producers; _ } = Schedule.semantics coll in
+  let rng = Rng.create 11 in
+  let vals =
+    List.map
+      (fun c ->
+        if List.mem c producers then (c, Hnlpu_tensor.Vec.gaussian rng 4)
+        else (c, Array.make 4 0.0))
+      (Schedule.members coll)
+  in
+  let sym = Schedule.run_symbolic coll plan in
+  match Schedule.run ~plan coll vals with
+  | exception Invalid_argument _ ->
+    (Schedule.semantics coll).Schedule.mode 0 = Schedule.Union
+  | results ->
+    List.for_all
+      (fun (c, got) ->
+        let want = Array.make 4 0.0 in
+        List.iter
+          (fun (o, n) ->
+            Array.iteri
+              (fun i x -> want.(i) <- want.(i) +. (float_of_int n *. x))
+              (List.assoc o vals))
+          (Option.value ~default:[] (List.assoc_opt c sym.Schedule.finals));
+        Hnlpu_tensor.Vec.max_abs_diff got want < 1e-9)
+      results
+
+(* Whenever executing values convicts a plan, the symbolic pass does. *)
+let exec_implies_defuse coll plan =
+  errors_only (Noc_rules.execution ~subject:"p" coll plan) = []
+  || errors_only (Static.defuse ~subject:"p" coll plan) <> []
+
+let test_instances_agree () =
+  let cases =
+    List.map (fun (_, coll, plan) -> (coll, plan)) reference.Signoff.plans
+    @ List.concat_map
+        (fun group ->
+          let root = List.hd group and bytes = 64 in
+          List.concat_map
+            (fun coll ->
+              List.map (fun plan -> (coll, plan)) (mutants (Schedule.canonical coll)))
+            [
+              Schedule.Reduce { root; group; bytes };
+              Schedule.Broadcast { root; group; bytes };
+              Schedule.Scatter { root; group; shard_bytes = bytes };
+              Schedule.All_reduce { group; bytes };
+              Schedule.All_gather { group; shard_bytes = bytes };
+            ])
+        every_group
+  in
+  List.iteri
+    (fun i (coll, plan) ->
+      if not (instances_agree coll plan) then
+        Alcotest.failf "case %d: run and run_symbolic disagree" i;
+      if not (exec_implies_defuse coll plan) then
+        Alcotest.failf "case %d: NOC-EXEC errs but NOC-DEFUSE is clean" i)
+    cases
+
 (* --- Static dataflow analyses ------------------------------------------------ *)
 
 let max_context = 65536
@@ -881,6 +981,11 @@ let suites =
         prop_dropped_transfer_flagged; prop_wrong_link_flagged;
         prop_exec_passes_on_canonical; prop_exec_catches_swapped_src;
       ];
+    ( "step engine",
+      [
+        Alcotest.test_case "value and symbolic runs agree" `Quick
+          test_instances_agree;
+      ] );
     ( "static rules",
       [
         Alcotest.test_case "deadlock cycle reported" `Quick
